@@ -78,6 +78,7 @@ class CSRGraph:
         "directed",
         "_kview",
         "_rkview",
+        "__weakref__",  # derived views (search.vectorized) memoize per snapshot
     )
 
     def __init__(

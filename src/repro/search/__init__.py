@@ -68,6 +68,7 @@ from repro.search.kernels import (
     CSRCHManyToManyProcessor,
     CSRHierarchy,
     CSRSharedTreeProcessor,
+    VecSharedTreeProcessor,
     ch_csr_hierarchy,
     csr_bidirectional_path,
     csr_ch_path,
@@ -76,11 +77,10 @@ from repro.search.kernels import (
 )
 from repro.search.vectorized import (
     VecGraph,
-    VecSharedTreeProcessor,
     numpy_available,
     vec_batch_paths,
     vec_dijkstra_path,
-    vec_snapshot,
+    vec_view,
 )
 
 __all__ = [
@@ -137,7 +137,7 @@ __all__ = [
     "numpy_available",
     "vec_batch_paths",
     "vec_dijkstra_path",
-    "vec_snapshot",
+    "vec_view",
     "SearchEngine",
     "ENGINES",
     "get_engine",
@@ -251,7 +251,8 @@ def _route_overlay_nested(network, source, destination, context=None, stats=None
 
 
 def _route_dijkstra_vec(network, source, destination, context=None, stats=None):
-    return vec_dijkstra_path(network, source, destination, vec=context, stats=stats)
+    vec = None if context is None else vec_view(context)
+    return vec_dijkstra_path(network, source, destination, vec=vec, stats=stats)
 
 
 #: every registered engine, keyed by name
@@ -299,8 +300,8 @@ ENGINES: dict[str, SearchEngine] = {
         SearchEngine(
             name="dijkstra-csr",
             description=(
-                "Dijkstra on the flat CSR kernel "
-                "(shared CSR SSMD trees for batches)"
+                "Dijkstra on the flat CSR kernel (shared SSMD trees for "
+                "batches; large ones in one numpy sweep when available)"
             ),
             prepare=csr_snapshot,
             route=_route_dijkstra_csr,
@@ -366,7 +367,7 @@ if numpy_available():
             "numpy-vectorized batched SSMD frontier sweeps "
             "(2-D distance tables; requires numpy)"
         ),
-        prepare=vec_snapshot,
+        prepare=csr_snapshot,
         route=_route_dijkstra_vec,
         make_processor=VecSharedTreeProcessor,
     )

@@ -181,9 +181,9 @@ class CHManyToManyProcessor(PreprocessingProcessor):
         bit-identical to evaluating its query alone.
         """
         graph = self.graph_for(network)
-        checked = _screen_union_queries(graph, set_queries)
+        errors = _screen_union_queries(graph, set_queries)
         union_sources, union_destinations = _union_order(
-            [q for q, e in zip(set_queries, checked.errors) if e is None]
+            [q for q, e in zip(set_queries, errors) if e is None]
         )
         union_stats = SearchStats()
         paths: dict[tuple[NodeId, NodeId], PathResult] = {}
@@ -196,7 +196,7 @@ class CHManyToManyProcessor(PreprocessingProcessor):
             )
         return _slice_union_tables(
             set_queries,
-            checked.errors,
+            errors,
             lambda s, t: paths.get((s, t)),
             union_stats=union_stats,
             union_searches=len(union_sources) + len(union_destinations),

@@ -10,11 +10,13 @@ frontiers with lazy deletion — and return the same
 :class:`~repro.search.result.PathResult` objects with identical
 distances.
 
-Three engines are registered from this module in
+These engines are registered from this module in
 :data:`repro.search.ENGINES`:
 
 * ``"dijkstra-csr"`` — point queries and shared SSMD trees
-  (:class:`CSRSharedTreeProcessor`) on the flat forward adjacency;
+  (:class:`CSRSharedTreeProcessor`) on the flat forward adjacency; a
+  query with large trees grows them in one batched numpy sweep
+  (:mod:`repro.search.vectorized`), and ``"dijkstra-vec"`` always does;
 * ``"bidirectional-csr"`` — per-pair bidirectional Dijkstra using the
   snapshot's reverse CSR view for the backward frontier;
 * ``"ch-csr"`` — the Contraction Hierarchies upward/downward query
@@ -49,6 +51,7 @@ from __future__ import annotations
 import threading
 from array import array
 from collections.abc import Iterable, Sequence
+from functools import partial
 from heapq import heappop, heappush
 
 from repro.exceptions import NoPathError, UnknownNodeError
@@ -62,11 +65,18 @@ from repro.search.multi import (
     PreprocessingProcessor,
     UnionPassResult,
     _screen_union_queries,
+    _shared_tree_union,
     _slice_union_tables,
     _union_order,
     _validate,
 )
 from repro.search.result import PathResult, SearchStats
+from repro.search.vectorized import (
+    estimated_settled,
+    numpy_available,
+    vec_batch_paths,
+    vec_view,
+)
 
 try:  # pragma: no cover - numpy-less interpreters use the scalar paths
     import numpy as _np
@@ -84,12 +94,20 @@ __all__ = [
     "ch_csr_hierarchy",
     "csr_ch_path",
     "csr_ch_many_to_many",
+    "BATCH_MIN_SETTLED",
     "CSRSharedTreeProcessor",
+    "VecSharedTreeProcessor",
     "CSRBidirectionalPairwiseProcessor",
     "CSRCHManyToManyProcessor",
 ]
 
 _INF = float("inf")
+
+#: :func:`~repro.search.vectorized.estimated_settled` value from which a
+#: shared-tree query grows its trees in one batched numpy sweep instead
+#: of a scalar heap loop per source; measured, see "Kernel selection" in
+#: docs/ARCHITECTURE.md for the table and the command that remakes it.
+BATCH_MIN_SETTLED = 1500
 
 
 class KernelScratch:
@@ -1220,74 +1238,93 @@ def csr_ch_many_to_many(
 # MSMD processors (registered in repro.search.multi.get_processor)
 # ----------------------------------------------------------------------
 class CSRSharedTreeProcessor(PreprocessingProcessor):
-    """The paper's shared SSMD trees on the CSR kernel (``"dijkstra-csr"``).
+    """The paper's shared SSMD trees on the CSR kernels (``"dijkstra-csr"``).
 
     Identical strategy and distances to
     :class:`~repro.search.multi.SharedTreeProcessor`; the snapshot is
     the per-network artifact (built once, shared via the serving
     layer's :class:`~repro.service.cache.PreprocessingCache`).
+
+    Each query picks its kernel (:meth:`_trees`): small trees grow in
+    the scalar heap loop, large ones together in one
+    :func:`~repro.search.vectorized.vec_batch_paths` sweep.  Both
+    return the same node sequences, so a union pass, a cache refill and
+    a shard worker may choose differently and still agree byte for byte.
     """
 
     name = "dijkstra-csr"
+    #: batch from this many estimated settled nodes; 0 always batches
+    batch_min_settled: float = BATCH_MIN_SETTLED
 
     def _build(self, network) -> CSRGraph:
         return csr_snapshot(network)
 
+    def _trees(self, network, csr, sources, dest_rows, stats):
+        """One ``{destination: path}`` tree per source, unreachable omitted.
+
+        Batched when the query's geometry predicts ``batch_min_settled``
+        settled nodes, numpy imports and the snapshot is
+        :attr:`~repro.search.vectorized.VecGraph.strict` (else the
+        kernels could break path ties differently); otherwise scalar,
+        lazily per source.
+        """
+        threshold = self.batch_min_settled
+        if threshold <= 0 or numpy_available():
+            vec = vec_view(csr)
+            if (
+                vec.strict
+                and estimated_settled(vec, sources, dest_rows) >= threshold
+            ):
+                return vec_batch_paths(
+                    network, sources, dest_rows, vec=vec, stats=stats,
+                    strict=False,
+                )
+        return (
+            csr_dijkstra_to_many(
+                network, s, dests, csr=csr, stats=stats, strict=False
+            )
+            for s, dests in zip(sources, dest_rows)
+        )
+
     def process(self, network, sources, destinations) -> MSMDResult:
-        """Grow one CSR SSMD tree per source."""
+        """Grow one SSMD tree per source."""
         _validate(sources, destinations)
         csr = self.artifact_for(network)
         result = MSMDResult()
-        for s in sources:
-            stats = SearchStats()
-            paths = csr_dijkstra_to_many(
-                network, s, destinations, csr=csr, stats=stats
-            )
+        trees = self._trees(
+            network, csr, sources, [destinations] * len(sources), result.stats
+        )
+        for s, paths in zip(sources, trees):
             for t in destinations:
+                if t not in paths:
+                    raise NoPathError(s, t)
                 result.paths[(s, t)] = paths[t]
-            result.stats.merge(stats)
-            result.searches += 1
+        result.searches = len(sources)
         return result
 
     def process_union(self, network, set_queries) -> UnionPassResult:
-        """One CSR tree per distinct source across all coalesced queries.
+        """One tree per distinct source across all coalesced queries.
 
         The flat-kernel twin of
-        :meth:`repro.search.multi.SharedTreeProcessor.process_union`:
-        each distinct source grows one tree truncated at the union of
-        the destinations any coalesced query needs from it, and the
-        settled prefix — hence every sliced path — is bit-identical to a
-        solo evaluation of that query.
+        :meth:`repro.search.multi.SharedTreeProcessor.process_union`;
+        every sliced path is bit-identical to a solo evaluation of its
+        query, whichever kernel either one picks.
         """
         csr = self.artifact_for(network)
-        checked = _screen_union_queries(csr, set_queries)
-        needed: dict[NodeId, dict[NodeId, None]] = {}
-        for k, (sources, destinations) in enumerate(set_queries):
-            if checked.errors[k] is not None:
-                continue
-            for s in sources:
-                dests = needed.setdefault(s, {})
-                for t in destinations:
-                    dests[t] = None
-        union_stats = SearchStats()
-        trees: dict[NodeId, dict[NodeId, PathResult]] = {}
-        for s, dests in needed.items():
-            trees[s] = csr_dijkstra_to_many(
-                network,
-                s,
-                list(dests),
-                csr=csr,
-                stats=union_stats,
-                strict=False,
-            )
-        return _slice_union_tables(
-            set_queries,
-            checked.errors,
-            lambda s, t: trees[s].get(t),
-            union_stats=union_stats,
-            union_searches=len(needed),
-            pairs_computed=sum(len(dests) for dests in needed.values()),
+        return _shared_tree_union(
+            csr, set_queries, partial(self._trees, network, csr)
         )
+
+
+class VecSharedTreeProcessor(CSRSharedTreeProcessor):
+    """The always-batched form (``"dijkstra-vec"``, registered iff numpy).
+
+    Same trees, same paths; every query takes the numpy sweep, and a
+    missing numpy is an ``ImportError`` rather than a scalar fallback.
+    """
+
+    name = "dijkstra-vec"
+    batch_min_settled = 0
 
 
 class CSRBidirectionalPairwiseProcessor(PreprocessingProcessor):
@@ -1367,9 +1404,9 @@ class CSRCHManyToManyProcessor(PreprocessingProcessor):
         on the :class:`CSRHierarchy` kernels.
         """
         hierarchy = self.hierarchy_for(network)
-        checked = _screen_union_queries(hierarchy, set_queries)
+        errors = _screen_union_queries(hierarchy, set_queries)
         union_sources, union_destinations = _union_order(
-            [q for q, e in zip(set_queries, checked.errors) if e is None]
+            [q for q, e in zip(set_queries, errors) if e is None]
         )
         union_stats = SearchStats()
         paths: dict[tuple[NodeId, NodeId], PathResult] = {}
@@ -1382,7 +1419,7 @@ class CSRCHManyToManyProcessor(PreprocessingProcessor):
             )
         return _slice_union_tables(
             set_queries,
-            checked.errors,
+            errors,
             lambda s, t: paths.get((s, t)),
             union_stats=union_stats,
             union_searches=len(union_sources) + len(union_destinations),

@@ -146,14 +146,7 @@ def _union_order(
     return tuple(sources), tuple(destinations)
 
 
-@dataclass(slots=True)
-class _ScreenedQueries:
-    """Per-query validation outcome of a union pass (internal)."""
-
-    errors: list[Exception | None]
-
-
-def _screen_union_queries(container, set_queries) -> _ScreenedQueries:
+def _screen_union_queries(container, set_queries) -> list[Exception | None]:
     """Validate every set query of a union pass independently.
 
     ``container`` is whatever the engine resolves endpoints against (the
@@ -175,7 +168,7 @@ def _screen_union_queries(container, set_queries) -> _ScreenedQueries:
             errors.append(exc)
         else:
             errors.append(None)
-    return _ScreenedQueries(errors=errors)
+    return errors
 
 
 def _slice_union_tables(
@@ -233,6 +226,37 @@ def _slice_union_tables(
         union_stats=union_stats,
         union_searches=union_searches,
         pairs_computed=pairs_computed,
+    )
+
+
+def _shared_tree_union(container, set_queries, grow) -> UnionPassResult:
+    """The union pass of the shared-tree processors.
+
+    One tree per *distinct* source across the valid queries, truncated
+    at the union of the destinations any of them needs from it — past
+    every single query's truncation point, and a Dijkstra tree's
+    settled prefix does not change when the tree grows further, so each
+    sliced path is the one a solo ``process`` call returns.
+    ``grow(sources, destination_rows, stats)`` yields one
+    ``{destination: PathResult}`` per source, unreachable ones omitted;
+    ``container`` is as for :func:`_screen_union_queries`.
+    """
+    errors = _screen_union_queries(container, set_queries)
+    needed: dict[NodeId, dict[NodeId, None]] = {}
+    for (sources, destinations), error in zip(set_queries, errors):
+        if error is None:
+            for s in sources:
+                needed.setdefault(s, {}).update(dict.fromkeys(destinations))
+    union_stats = SearchStats()
+    rows = [list(dests) for dests in needed.values()]
+    trees = dict(zip(needed, grow(list(needed), rows, union_stats)))
+    return _slice_union_tables(
+        set_queries,
+        errors,
+        lambda s, t: trees[s].get(t),
+        union_stats=union_stats,
+        union_searches=len(needed),
+        pairs_computed=sum(map(len, rows)),
     )
 
 
@@ -408,36 +432,16 @@ class SharedTreeProcessor(MultiSourceMultiDestProcessor):
     def process_union(self, network, set_queries) -> UnionPassResult:
         """One tree per *distinct* source across all coalesced queries.
 
-        For each source the tree is truncated at the union of the
-        destinations any query needs from it — a superset of every
-        single query's truncation point, so the paths each query reads
-        off are bit-identical to its own ``process`` call (a Dijkstra
-        tree's settled prefix does not change when the tree grows
-        further).  Queries sharing sources therefore share trees; the
-        pass cost is ``O(|union S|)`` trees instead of ``O(sum |S_i|)``.
+        Queries sharing sources share trees (:func:`_shared_tree_union`);
+        the pass costs ``O(|union S|)`` trees instead of ``O(sum |S_i|)``.
         """
-        checked = _screen_union_queries(network, set_queries)
-        needed: dict[NodeId, dict[NodeId, None]] = {}
-        for k, (sources, destinations) in enumerate(set_queries):
-            if checked.errors[k] is not None:
-                continue
-            for s in sources:
-                dests = needed.setdefault(s, {})
-                for t in destinations:
-                    dests[t] = None
-        union_stats = SearchStats()
-        trees: dict[NodeId, dict[NodeId, PathResult]] = {}
-        for s, dests in needed.items():
-            trees[s] = dijkstra_to_many(
-                network, s, list(dests), stats=union_stats, strict=False
-            )
-        return _slice_union_tables(
+        return _shared_tree_union(
+            network,
             set_queries,
-            checked.errors,
-            lambda s, t: trees[s].get(t),
-            union_stats=union_stats,
-            union_searches=len(needed),
-            pairs_computed=sum(len(dests) for dests in needed.values()),
+            lambda sources, rows, stats: [
+                dijkstra_to_many(network, s, dests, stats=stats, strict=False)
+                for s, dests in zip(sources, rows)
+            ],
         )
 
 
@@ -496,7 +500,7 @@ _LAZY_PROCESSORS: dict[str, tuple[str, str]] = {
     "ch-csr": ("repro.search.kernels", "CSRCHManyToManyProcessor"),
     "overlay": ("repro.search.overlay", "OverlayProcessor"),
     "overlay-csr": ("repro.search.overlay", "CSROverlayProcessor"),
-    "dijkstra-vec": ("repro.search.vectorized", "VecSharedTreeProcessor"),
+    "dijkstra-vec": ("repro.search.kernels", "VecSharedTreeProcessor"),
     "overlay-nested": ("repro.search.overlay", "NestedOverlayProcessor"),
 }
 

@@ -29,8 +29,11 @@ to solo evaluations.
 
 Paths are reconstructed after convergence by walking the reverse
 adjacency along exact label equalities (``dist[u] + w == dist[v]``),
-which both terminates (each hop strictly decreases the label) and
-reproduces the reported distance exactly.
+smallest ``(dist[u], u)`` first.  That reproduces the reported distance
+exactly and, on :attr:`VecGraph.strict` snapshots, the scalar heap's own
+parents: node sequences are identical too, which is what lets
+:class:`~repro.search.kernels.CSRSharedTreeProcessor` pick a kernel per
+query without the answer showing it.
 
 numpy is optional for the package; when it is missing this module still
 imports (so the engine registry can probe :func:`numpy_available`) and
@@ -39,6 +42,7 @@ every kernel raises ``ImportError`` instead.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Iterable, Sequence
 from weakref import WeakKeyDictionary
@@ -47,14 +51,6 @@ from repro.exceptions import NoPathError
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.graph import NodeId
 from repro.obs import record as _obs_record
-from repro.search.multi import (
-    MSMDResult,
-    PreprocessingProcessor,
-    UnionPassResult,
-    _screen_union_queries,
-    _slice_union_tables,
-    _validate,
-)
 from repro.search.result import PathResult, SearchStats
 
 try:  # pragma: no cover - exercised via numpy_available()
@@ -64,11 +60,11 @@ except ImportError:  # pragma: no cover - numpy-less interpreters
 
 __all__ = [
     "VecGraph",
-    "VecSharedTreeProcessor",
+    "estimated_settled",
     "numpy_available",
     "vec_batch_paths",
     "vec_dijkstra_path",
-    "vec_snapshot",
+    "vec_view",
 ]
 
 _INF = float("inf")
@@ -84,20 +80,27 @@ def _require_numpy():
         raise ImportError(
             "numpy is required for the vectorized (*-vec) search kernels"
         )
-    return np
 
 
 class VecGraph:
     """A :class:`CSRGraph` plus the ndarray views the batch kernels read.
 
     Thin and immutable: the read-only zero-copy views from
-    :meth:`CSRGraph.as_numpy` (``offsets``/``targets``/``weights``) plus
-    the precomputed out-degree array.  Path reconstruction goes through
-    the wrapped snapshot's scalar reverse kernel view, so one artifact
-    serves both phases.
+    :meth:`CSRGraph.as_numpy` (``offsets``/``targets``/``weights``), the
+    precomputed out-degree array, and two whole-graph facts for kernel
+    selection.  ``density`` is nodes per unit of bounding-box area
+    (:func:`estimated_settled`).  ``strict`` says every arc raises the
+    label it relaxes: each weight exceeds ``2**-52`` of the sum of all
+    weights (a bound on any label), so neither a zero weight nor float
+    absorption can tie a node with its parent — what :func:`_walk_back`
+    needs to reproduce the scalar heap's parents.  Paths are walked on
+    the wrapped snapshot's scalar reverse view, so one artifact serves
+    both phases.
     """
 
-    __slots__ = ("csr", "offsets", "targets", "weights", "deg")
+    __slots__ = (
+        "csr", "offsets", "targets", "weights", "deg", "density", "strict",
+    )
 
     def __init__(self, csr: CSRGraph) -> None:
         _require_numpy()
@@ -105,57 +108,78 @@ class VecGraph:
         self.csr = csr
         self.offsets = views["offsets"]
         self.targets = views["targets"]
-        self.weights = views["weights"]
+        self.weights = weights = views["weights"]
         self.deg = np.diff(self.offsets)
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes in the wrapped snapshot."""
-        return self.csr.num_nodes
-
-    def __contains__(self, node_id: NodeId) -> bool:
-        """Whether ``node_id`` is part of the snapshot."""
-        return node_id in self.csr.index_of
+        xs, ys = views["xs"], views["ys"]
+        area = float(np.ptp(xs) * np.ptp(ys)) if len(xs) else 0.0
+        self.density = len(xs) / area if area > 0.0 else _INF
+        self.strict = bool(
+            len(weights) == 0 or weights.min() > weights.sum() * 2.0 ** -52
+        )
 
     def __repr__(self) -> str:
         return f"VecGraph({self.csr!r})"
 
 
-# Per-network memo mirroring csr_snapshot: weak keys, version-stamped,
-# and re-wrapped whenever the underlying CSR snapshot was rebuilt.
-_VEC_SNAPSHOTS: "WeakKeyDictionary[object, tuple[int, VecGraph]]" = (
-    WeakKeyDictionary()
-)
+# One wrapper per CSR snapshot, weakly keyed: csr_snapshot rebuilds per
+# network version, so vec_view(csr_snapshot(network)) follows it for free.
+_VEC_VIEWS: "WeakKeyDictionary[CSRGraph, VecGraph]" = WeakKeyDictionary()
 _VEC_LOCK = threading.Lock()
 
 
-def vec_snapshot(network) -> VecGraph:
-    """The (memoized) :class:`VecGraph` of ``network``.
+def vec_view(csr: CSRGraph) -> VecGraph:
+    """The (memoized) :class:`VecGraph` over ``csr``.
 
-    Same memoization contract as
-    :func:`~repro.network.csr.csr_snapshot`: one wrapper per network
-    version, rebuilt transparently after any mutation.  Raises
-    ``ImportError`` when numpy is missing.
+    Raises ``ImportError`` when numpy is missing.
     """
     _require_numpy()
-    csr = csr_snapshot(network)
-    version = getattr(network, "version", None)
-    if version is None:
-        return VecGraph(csr)
     with _VEC_LOCK:
-        memo = _VEC_SNAPSHOTS.get(network)
-    if memo is not None and memo[0] == version and memo[1].csr is csr:
-        return memo[1]
-    vec = VecGraph(csr)
-    with _VEC_LOCK:
-        _VEC_SNAPSHOTS[network] = (version, vec)
+        vec = _VEC_VIEWS.get(csr)
+    if vec is None:
+        vec = VecGraph(csr)
+        with _VEC_LOCK:
+            _VEC_VIEWS[csr] = vec
     return vec
+
+
+def estimated_settled(
+    vec: VecGraph,
+    sources: Sequence[NodeId],
+    destinations_per_source: Sequence[Iterable[NodeId]],
+) -> float:
+    """Predicted total tree size of a batch, from endpoint geometry alone.
+
+    Lemma 1's shape (the Euclidean form of
+    :func:`repro.search.cost_model.lemma1_cost_estimate`, in snapshot
+    index space and per row): a source's tree is a disc reaching its
+    furthest destination, so row ``i`` settles about
+    ``pi * max_t |s - t|^2`` times the node density, capped at the
+    graph.  ``O(sum |T_i|)`` coordinate reads and no search; raises
+    :class:`~repro.exceptions.UnknownNodeError` for a missing endpoint.
+    """
+    csr = vec.csr
+    index, xs, ys, n = csr.index, csr.xs, csr.ys, csr.num_nodes
+    per_area = math.pi * vec.density
+    total = 0.0
+    for s, dests in zip(sources, destinations_per_source):
+        i = index(s)
+        sx, sy = xs[i], ys[i]
+        r2 = 0.0
+        for t in dests:
+            j = index(t)
+            d2 = (xs[j] - sx) ** 2 + (ys[j] - sy) ** 2
+            if d2 > r2:
+                r2 = d2
+        reach = r2 * per_area
+        # a degenerate bounding box (infinite density) counts the graph
+        total += reach if reach < n else n
+    return total
 
 
 def _sweep_tables(
     vec: VecGraph,
     src_idx: "np.ndarray",
-    dest_idx_rows: list[list[int]] | None,
+    dest_idx_rows: list[list[int]],
     stats: SearchStats,
 ):
     """Converge the batched frontier iteration; returns the dist table.
@@ -163,10 +187,9 @@ def _sweep_tables(
     ``dist`` has shape ``(len(src_idx), num_nodes)``; row ``i`` holds
     the (exact, Dijkstra-identical) distances from ``src_idx[i]`` to
     every node that row settled.  ``dest_idx_rows`` gives each row's
-    needed destination indices for truncation (``None`` sweeps every
-    row to the full fixpoint).
+    needed destination indices, where its sweep is truncated.
     """
-    n = vec.num_nodes
+    n = vec.csr.num_nodes
     rows = len(src_idx)
     offsets, targets, weights, deg = (
         vec.offsets, vec.targets, vec.weights, vec.deg,
@@ -181,16 +204,14 @@ def _sweep_tables(
     # changed — no dense (rows, n) active plane and no cross-row waste
     # when the per-source wavefronts do not overlap.
     frontier = row_ids * n + src_idx
-    dest_pad = None
-    if dest_idx_rows is not None:
-        width = max(1, max(len(d) for d in dest_idx_rows))
-        dest_pad = np.empty((rows, width), dtype=np.int64)
-        for i, dests in enumerate(dest_idx_rows):
-            # A row with no needed destinations is capped at its own
-            # source (label 0), so its frontier prunes immediately.
-            pad = dests[0] if dests else int(src_idx[i])
-            dest_pad[i, : len(dests)] = dests
-            dest_pad[i, len(dests):] = pad
+    width = max(1, max(len(d) for d in dest_idx_rows))
+    dest_pad = np.empty((rows, width), dtype=np.int64)
+    for i, dests in enumerate(dest_idx_rows):
+        # A row with no needed destinations is capped at its own
+        # source (label 0), so its frontier prunes immediately.
+        pad = dests[0] if dests else int(src_idx[i])
+        dest_pad[i, : len(dests)] = dests
+        dest_pad[i, len(dests):] = pad
     settled = relaxed = 0
     pushes = rows
     maxd = 0.0
@@ -228,13 +249,11 @@ def _sweep_tables(
         better = mins[imp]
         flat[improved] = better
         pushes += int(improved.size)
-        if dest_pad is not None:
-            # Truncation: an improved label re-enters the frontier only
-            # if it could still improve a destination its row needs
-            # (the bound only shrinks, so dropped entries stay useless).
-            caps = dist[row_ids[:, None], dest_pad].max(axis=1)
-            improved = improved[better < caps[improved // n]]
-        frontier = improved
+        # Truncation: an improved label re-enters the frontier only if
+        # it could still improve a destination its row needs (the bound
+        # only shrinks, so dropped entries stay useless).
+        caps = dist[row_ids[:, None], dest_pad].max(axis=1)
+        frontier = improved[better < caps[improved // n]]
     stats.settled_nodes += settled
     stats.relaxed_edges += relaxed
     stats.heap_pushes += pushes
@@ -246,55 +265,49 @@ def _sweep_tables(
     return dist
 
 
-def _walk_back(
-    csr: CSRGraph, dist_row: list, s_idx: int, t_idx: int
-) -> PathResult:
+def _walk_back(csr: CSRGraph, label, s_idx: int, t_idx: int) -> PathResult:
     """Reconstruct one tree path from the converged labels.
 
-    Follows exact label equalities backward through the reverse
-    adjacency; every equality hop has ``dist[u] <= dist[v]`` with
-    strict decrease preferred, so the walk terminates and the node
-    sequence's weight sum reproduces ``dist[t]`` bit-for-bit.
+    ``label(i)`` reads node ``i``'s distance.  Each hop takes, among the
+    in-neighbours with ``label(u) + w == label(v)``, the smallest
+    ``(label(u), u)``: the first a heap ordered on ``(d, u)`` settles
+    and, relaxations being strict improvements, the parent it keeps — as
+    long as settle order is ``(d, u)`` order, which
+    :attr:`VecGraph.strict` guarantees.  Other snapshots (zero-weight
+    arcs) still get *a* shortest path: the walk never re-enters a node
+    and backtracks out of zero-weight dead ends.
     """
     node_ids = csr.node_ids
-    if s_idx == t_idx:
-        return _trivial(node_ids[s_idx])
     roffsets, rtargets, rweights = csr.reverse_kernel_view()
     sequence = [t_idx]
-    v = t_idx
-    hops = 0
-    limit = csr.num_nodes
-    while v != s_idx:
-        dv = dist_row[v]
+    seen = {t_idx}
+    while sequence[-1] != s_idx:
+        v = sequence[-1]
+        dv = label(v)
         parent = -1
-        fallback = -1
+        best = _INF
         for e in range(roffsets[v], roffsets[v + 1]):
             u = rtargets[e]
-            du = dist_row[u]
-            if du + rweights[e] == dv:
-                if du < dv:
-                    parent = u
-                    break
-                if fallback < 0:
-                    fallback = u  # zero-weight hop
+            du = label(u)
+            if du + rweights[e] == dv and u not in seen and (
+                du < best or (du == best and u < parent)
+            ):
+                parent, best = u, du
         if parent < 0:
-            parent = fallback
-        hops += 1
-        if parent < 0 or hops > limit:  # pragma: no cover - defensive
-            raise NoPathError(node_ids[s_idx], node_ids[t_idx])
-        sequence.append(parent)
-        v = parent
+            # zero-weight dead end (strict snapshots never get here: every
+            # hop lowers the label); the labels being a fixpoint, some
+            # earlier branch does reach the source
+            sequence.pop()
+        else:
+            seen.add(parent)
+            sequence.append(parent)
     sequence.reverse()
     return PathResult(
         source=node_ids[s_idx],
         destination=node_ids[t_idx],
         nodes=tuple(node_ids[i] for i in sequence),
-        distance=dist_row[t_idx],
+        distance=label(t_idx),
     )
-
-
-def _trivial(node: NodeId) -> PathResult:
-    return PathResult(node, node, (node,), 0.0)
 
 
 def vec_batch_paths(
@@ -324,7 +337,7 @@ def vec_batch_paths(
     """
     _require_numpy()
     if vec is None:
-        vec = vec_snapshot(network)
+        vec = vec_view(csr_snapshot(network))
     if stats is None:
         stats = SearchStats()
     csr = vec.csr
@@ -340,15 +353,17 @@ def vec_batch_paths(
     dist = _sweep_tables(vec, src_idx, dest_idx_rows, stats)
     out: list[dict[NodeId, PathResult]] = []
     for i, dests in enumerate(dest_ids_rows):
-        row = dist[i].tolist()
+        # .item reads one label as a Python float; a path touches a few
+        # hundred, so boxing the whole n-wide row would dominate
+        label = dist[i].item
         s_idx = int(src_idx[i])
         paths: dict[NodeId, PathResult] = {}
         for t, t_idx in zip(dests, dest_idx_rows[i]):
-            if row[t_idx] == _INF:
+            if label(t_idx) == _INF:
                 if strict:
                     raise NoPathError(sources[i], t)
                 continue
-            paths[t] = _walk_back(csr, row, s_idx, t_idx)
+            paths[t] = _walk_back(csr, label, s_idx, t_idx)
         out.append(paths)
     return out
 
@@ -366,88 +381,7 @@ def vec_dijkstra_path(
     :func:`repro.search.kernels.csr_dijkstra_path` — a one-row batch of
     :func:`vec_batch_paths` truncated at the single destination.
     """
-    _require_numpy()
-    if vec is None:
-        vec = vec_snapshot(network)
-    if source == destination:
-        vec.csr.index(source)
-        return _trivial(source)
     rows = vec_batch_paths(
         network, [source], [[destination]], vec=vec, stats=stats
     )
     return rows[0][destination]
-
-
-class VecSharedTreeProcessor(PreprocessingProcessor):
-    """The paper's shared SSMD trees on the batched numpy kernel.
-
-    Registered as ``"dijkstra-vec"``: identical strategy, distances and
-    union-pass slicing to
-    :class:`~repro.search.kernels.CSRSharedTreeProcessor`, but every
-    per-source tree of a batch (or of a coalesced union pass) grows
-    inside one shared 2-D frontier sweep.
-    """
-
-    name = "dijkstra-vec"
-
-    def _build(self, network) -> VecGraph:
-        return vec_snapshot(network)
-
-    def process(self, network, sources, destinations) -> MSMDResult:
-        """Grow every source's SSMD tree in one batched sweep."""
-        _validate(sources, destinations)
-        vec = self.artifact_for(network)
-        result = MSMDResult()
-        trees = vec_batch_paths(
-            network,
-            sources,
-            [destinations] * len(sources),
-            vec=vec,
-            stats=result.stats,
-        )
-        for s, paths in zip(sources, trees):
-            for t in destinations:
-                result.paths[(s, t)] = paths[t]
-        result.searches = len(sources)
-        return result
-
-    def process_union(self, network, set_queries) -> UnionPassResult:
-        """One 2-D sweep over the distinct sources of all queries.
-
-        The batched twin of
-        :meth:`repro.search.kernels.CSRSharedTreeProcessor.process_union`:
-        each distinct source's row is truncated at the union of the
-        destinations any coalesced query needs from it, and the settled
-        region — hence every sliced path — is bit-identical to a solo
-        evaluation of that query.
-        """
-        vec = self.artifact_for(network)
-        checked = _screen_union_queries(vec, set_queries)
-        needed: dict[NodeId, dict[NodeId, None]] = {}
-        for k, (sources, destinations) in enumerate(set_queries):
-            if checked.errors[k] is not None:
-                continue
-            for s in sources:
-                dests = needed.setdefault(s, {})
-                for t in destinations:
-                    dests[t] = None
-        union_stats = SearchStats()
-        trees: dict[NodeId, dict[NodeId, PathResult]] = {}
-        if needed:
-            rows = vec_batch_paths(
-                network,
-                list(needed),
-                [list(dests) for dests in needed.values()],
-                vec=vec,
-                stats=union_stats,
-                strict=False,
-            )
-            trees = dict(zip(needed, rows))
-        return _slice_union_tables(
-            set_queries,
-            checked.errors,
-            lambda s, t: trees[s].get(t),
-            union_stats=union_stats,
-            union_searches=len(needed),
-            pairs_computed=sum(len(dests) for dests in needed.values()),
-        )

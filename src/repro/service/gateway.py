@@ -56,6 +56,7 @@ import tempfile
 import threading
 import uuid
 from collections.abc import Awaitable, Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
@@ -469,7 +470,16 @@ class Gateway:
         self._server: asyncio.AbstractServer | None = None
         self._queues: dict[int, asyncio.Queue] = {}
         self._flushers: list[asyncio.Task] = []
+        self._lanes: list[ThreadPoolExecutor] = []
         self._inflight = 0
+        self._handlers = {
+            ("POST", "route"): self._handle_route,
+            ("POST", "batch"): self._handle_batch,
+            ("GET", "health"): self._handle_health,
+            ("GET", "metrics"): self._handle_metrics,
+            ("POST", "reweight"): self._handle_reweight,
+        }
+        self._routes = frozenset(route for _, route in self._handlers)
         self._handler = self._build_chain(self._route_request)
 
     # -- lifecycle -----------------------------------------------------
@@ -521,6 +531,10 @@ class Gateway:
             await asyncio.gather(*self._flushers, return_exceptions=True)
         self._flushers = []
         self._queues = {}
+        for lane in self._lanes:
+            # a batch still running finishes on its thread, which then exits
+            lane.shutdown(wait=False)
+        self._lanes = []
         if self.pool is not None:
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, self.pool.close)
@@ -620,17 +634,9 @@ class Gateway:
 
     async def _route_request(self, request: _HTTPRequest) -> _HTTPResponse:
         """Dispatch a middleware-processed request to its handler."""
-        handlers = {
-            ("POST", "route"): self._handle_route,
-            ("POST", "batch"): self._handle_batch,
-            ("GET", "health"): self._handle_health,
-            ("GET", "metrics"): self._handle_metrics,
-            ("POST", "reweight"): self._handle_reweight,
-        }
-        route = request.route
-        if not route or route not in {r for _, r in handlers}:
+        if request.route not in self._routes:
             return _error_response("unknown_route")
-        handler = handlers.get((request.method, route))
+        handler = self._handlers.get((request.method, request.route))
         if handler is None:
             return _error_response("bad_method")
         try:
@@ -749,15 +755,27 @@ class Gateway:
         if queue is None:
             queue = asyncio.Queue()
             self._queues[shard] = queue
+            lane = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix=f"repro-shard-{shard}"
+            )
+            self._lanes.append(lane)
             self._flushers.append(
-                asyncio.create_task(self._flush_shard(shard, queue))
+                asyncio.create_task(self._flush_shard(shard, queue, lane))
             )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         await queue.put((future, pair))
         return await future
 
-    async def _flush_shard(self, shard: int, queue: asyncio.Queue) -> None:
-        """Micro-batch admission loop for one shard's queue."""
+    async def _flush_shard(
+        self, shard: int, queue: asyncio.Queue, lane: ThreadPoolExecutor
+    ) -> None:
+        """Micro-batch admission loop for one shard's queue.
+
+        A shard's batches never overlap, so all run on ``lane``, its own
+        one-thread executor: the default executor hands them to whichever
+        thread is idle, and every thread that ever ran a search keeps its
+        own kernel scratch and allocator arena.
+        """
         loop = asyncio.get_running_loop()
         window = self.config.window_ms / 1000.0
         while True:
@@ -782,11 +800,11 @@ class Gateway:
             try:
                 if self.pool is not None:
                     results = await loop.run_in_executor(
-                        None, self.pool.call, shard, ("batch", pairs)
+                        lane, self.pool.call, shard, ("batch", pairs)
                     )
                 else:
                     results = await loop.run_in_executor(
-                        None, _evaluate_pairs, self.stack, pairs
+                        lane, _evaluate_pairs, self.stack, pairs
                     )
             except Exception:
                 results = [{"err": "internal"}] * len(batch)

@@ -17,6 +17,7 @@ from repro.search.bidirectional import bidirectional_dijkstra_path
 from repro.search.ch import ch_path, contract_network
 from repro.search.dijkstra import dijkstra_path, dijkstra_to_many
 from repro.search.kernels import (
+    BATCH_MIN_SETTLED,
     CSRHierarchy,
     CSRSharedTreeProcessor,
     ch_csr_hierarchy,
@@ -29,6 +30,7 @@ from repro.search.kernels import (
 )
 from repro.search.multi import SharedTreeProcessor, get_processor
 from repro.search.result import SearchStats
+from repro.search.vectorized import estimated_settled, numpy_available
 
 
 def _sample_pairs(net, count, seed=123):
@@ -221,6 +223,113 @@ class TestProcessorsAndEngines:
         assert out.paths[(0, 50)].distance == pytest.approx(
             dijkstra_path(small_grid, 0, 50).distance
         )
+
+
+class _GeometryStub:
+    """What ``estimated_settled`` may read, with the reads counted."""
+
+    def __init__(self, csr, density):
+        self.csr, self.density, self.reads = self, density, 0
+        self.xs, self.ys, self.num_nodes = csr.xs, csr.ys, csr.num_nodes
+        self._index = csr.index
+
+    def index(self, node):
+        self.reads += 1
+        return self._index(node)
+
+
+class TestKernelSelection:
+    """The per-query kernel choice of ``dijkstra-csr`` (numpy-free half;
+    the byte-identity properties are in
+    ``tests/properties/test_property_kernel_choice.py``)."""
+
+    @pytest.fixture()
+    def geometry(self, medium_grid):
+        return _GeometryStub(csr_snapshot(medium_grid), density=1.0)
+
+    def test_estimate_grows_with_extent_and_is_capped(self, geometry):
+        n = geometry.num_nodes
+        # node 0 is a corner of the 25x25 grid; 1, 5, 12 run along its row
+        near, mid, far = (
+            estimated_settled(geometry, [0], [[t]]) for t in (1, 5, 12)
+        )
+        assert 0 < near < mid < far < n
+        assert estimated_settled(geometry, [0], [[1, 12, 5]]) == far
+        assert estimated_settled(geometry, [0], [[n - 1]]) == n
+        assert estimated_settled(geometry, [0, 1], [[n - 1]] * 2) == 2 * n
+        assert estimated_settled(geometry, [0], [[0]]) == 0
+
+    def test_estimate_scales_with_density(self, medium_grid):
+        csr = csr_snapshot(medium_grid)
+        sparse, dense = _GeometryStub(csr, 1.0), _GeometryStub(csr, 2.0)
+        assert estimated_settled(dense, [0], [[5]]) == pytest.approx(
+            2 * estimated_settled(sparse, [0], [[5]])
+        )
+        degenerate = _GeometryStub(csr, float("inf"))
+        assert estimated_settled(degenerate, [0], [[0]]) == csr.num_nodes
+
+    def test_estimate_reads_each_endpoint_once_and_nothing_else(
+        self, geometry
+    ):
+        sources, rows = [0, 30, 60], [[7, 8], [9], [10, 11, 12, 13]]
+        estimated_settled(geometry, sources, rows)
+        assert geometry.reads == len(sources) + sum(map(len, rows))
+
+    def test_estimate_rejects_unknown_endpoints(self, geometry):
+        with pytest.raises(UnknownNodeError):
+            estimated_settled(geometry, [0], [[10**9]])
+
+    def test_without_numpy_the_processor_is_the_scalar_loop(
+        self, medium_grid, monkeypatch
+    ):
+        import repro.search.kernels as kernels_module
+        import repro.search.vectorized as vectorized
+
+        def fail(*args, **kwargs):
+            raise AssertionError("numpy path taken without numpy")
+
+        monkeypatch.setattr(vectorized, "np", None)
+        monkeypatch.setattr(kernels_module, "vec_view", fail)
+        monkeypatch.setattr(kernels_module, "vec_batch_paths", fail)
+        sources, destinations = [0, 24, 300], [624, 600, 312]
+        eager = CSRSharedTreeProcessor()
+        eager.batch_min_settled = 1  # would batch anything, given numpy
+        got = eager.process(medium_grid, sources, destinations)
+        csr = csr_snapshot(medium_grid)
+        stats = SearchStats()
+        for s in sources:
+            ref = csr_dijkstra_to_many(
+                medium_grid, s, destinations, csr=csr, stats=stats
+            )
+            for t in destinations:
+                assert got.paths[(s, t)] == ref[t]
+        assert list(got.paths) == [(s, t) for s in sources for t in destinations]
+        assert got.stats == stats
+        assert got.searches == len(sources)
+        union = eager.process_union(medium_grid, [(sources, destinations)])
+        assert union.tables[0].paths == got.paths
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_large_queries_batch_and_small_ones_do_not(
+        self, medium_grid, monkeypatch
+    ):
+        import repro.search.kernels as kernels_module
+
+        sweeps = []
+        real = kernels_module.vec_batch_paths
+        monkeypatch.setattr(
+            kernels_module, "vec_batch_paths",
+            lambda *a, **k: sweeps.append(len(a[1])) or real(*a, **k),
+        )
+        processor = CSRSharedTreeProcessor()
+        assert processor.batch_min_settled == BATCH_MIN_SETTLED
+        near = processor.process(medium_grid, [0, 1], [2, 26])
+        assert sweeps == []
+        far = processor.process(medium_grid, [0, 24, 300], [624, 600, 312])
+        assert sweeps == [3]
+        for result in (near, far):
+            for (s, t), path in result.paths.items():
+                assert path.distance == dijkstra_path(medium_grid, s, t).distance
 
 
 class TestScratchPool:

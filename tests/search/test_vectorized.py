@@ -22,13 +22,12 @@ from repro.network.csr import csr_snapshot
 from repro.network.generators import grid_network
 from repro.search import ENGINES
 from repro.search.dijkstra import dijkstra_path
-from repro.search.kernels import CSRSharedTreeProcessor
+from repro.search.kernels import CSRSharedTreeProcessor, VecSharedTreeProcessor
 from repro.search.vectorized import (
-    VecSharedTreeProcessor,
     numpy_available,
     vec_batch_paths,
     vec_dijkstra_path,
-    vec_snapshot,
+    vec_view,
 )
 
 needs_numpy = pytest.mark.skipif(
@@ -79,12 +78,29 @@ class TestVectorizedKernels:
         rows = vec_batch_paths(net, [0], [[1, 2]], strict=False)
         assert list(rows[0]) == [1]  # the unreachable column is omitted
 
+    def test_walk_back_leaves_a_zero_weight_cycle(self):
+        """1 <-> 2 at weight 0: the walk from 4 reaches 1, whose first
+        tight in-neighbour is 2 again — it used to bounce between the
+        two until the hop limit and report a reachable pair as no path."""
+        from repro.network.graph import RoadNetwork
+
+        net = RoadNetwork(directed=True)
+        for node in range(5):
+            net.add_node(node, float(node), 0.0)
+        for u, v, w in (
+            (0, 3, 1.0), (1, 2, 0.0), (3, 2, 0.0), (2, 1, 0.0), (1, 4, 1.0)
+        ):
+            net.add_edge(u, v, w)
+        path = vec_batch_paths(net, [0], [[4]])[0][4]
+        assert path.nodes == (0, 3, 2, 1, 4)
+        assert path.distance == 2.0
+
     def test_snapshot_memoized_until_mutation(self, net):
-        first = vec_snapshot(net)
-        assert vec_snapshot(net) is first
+        first = vec_view(csr_snapshot(net))
+        assert vec_view(csr_snapshot(net)) is first
         u, v, w = next(net.edges())
         net.add_edge(u, v, w * 2.0)
-        assert vec_snapshot(net) is not first
+        assert vec_view(csr_snapshot(net)) is not first
 
 
 class TestNumpyAbsent:
@@ -100,7 +116,7 @@ class TestNumpyAbsent:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda net: vec_snapshot(net),
+            lambda net: vec_view(csr_snapshot(net)),
             lambda net: vectorized.VecGraph(csr_snapshot(net)),
             lambda net: vec_dijkstra_path(net, 0, 8),
             lambda net: vec_batch_paths(net, [0], [[8]]),

@@ -166,6 +166,51 @@ class TestRouting:
             assert json.loads(health)["epoch"] == 1
 
 
+class TestShardLane:
+    def test_every_batch_of_a_shard_runs_on_one_thread(
+        self, network, query, monkeypatch
+    ):
+        """One lane per flusher: a thread that ran a search keeps kernel
+        scratch and an allocator arena, so batches must not wander over
+        the default executor's threads (where reweights and metrics
+        reads run, and keep threads busy, in between)."""
+        import threading
+
+        import repro.service.gateway as gateway_module
+
+        ran_on = []
+        real = gateway_module._evaluate_pairs
+
+        def recording(stack, pairs):
+            ran_on.append(threading.current_thread())
+            return real(stack, pairs)
+
+        monkeypatch.setattr(gateway_module, "_evaluate_pairs", recording)
+        nodes = sorted(network.nodes())
+        neighbor, weight = next(iter(network.neighbors(nodes[0]).items()))
+        body = RouteRequest.from_query(query).to_json()
+        with GatewayServer(
+            network.copy(), ServingConfig(engine=ENGINE)
+        ) as fresh:
+            for k in range(6):
+                status, _, _ = _request(
+                    fresh, "POST", f"{API_PREFIX}/route", body=body
+                )
+                assert status == 200
+                _request(fresh, "GET", f"{API_PREFIX}/metrics")
+                _request(
+                    fresh, "POST", f"{API_PREFIX}/reweight",
+                    body=json.dumps(
+                        {"changes": [[nodes[0], neighbor, weight + k]]}
+                    ),
+                )
+        assert len(ran_on) == 6
+        (lane,) = set(ran_on)
+        assert lane.name == "repro-shard-0_0"
+        lane.join(timeout=10.0)  # stop() shut the lane down
+        assert not lane.is_alive()
+
+
 class TestErrors:
     def test_invalid_json_is_400(self, server):
         status, _, body = _request(
