@@ -354,8 +354,22 @@ class RoadNetwork:
         return sub
 
     def copy(self) -> "RoadNetwork":
-        """Deep copy of the network."""
-        return self.subgraph(self._positions)
+        """Independent copy: same content, adjacency order and ``version``.
+
+        Structural (one dict copy per node row, immutable
+        :class:`Point` objects shared) rather than a replay through
+        :meth:`add_edge`, which copy-on-write epochs
+        (:meth:`repro.service.serving.ServingStack.reweight`) pay on
+        every traffic update.  Mutating either side never shows in the
+        other, and the copy starts with no ``version``-keyed memo of its
+        own (those are keyed by object identity first).
+        """
+        clone = RoadNetwork(directed=self._directed)
+        clone._positions = dict(self._positions)
+        clone._adjacency = {u: dict(nbrs) for u, nbrs in self._adjacency.items()}
+        clone._edge_count = self._edge_count
+        clone._version = self._version
+        return clone
 
     # ------------------------------------------------------------------
     # Interop (used by tests as an oracle; never by library code)

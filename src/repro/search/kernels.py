@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import threading
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from heapq import heappop, heappush
+from math import hypot
 
 from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.csr import CSRGraph, csr_snapshot
@@ -89,6 +90,7 @@ __all__ = [
     "overlay_sweep",
     "csr_dijkstra_path",
     "csr_dijkstra_to_many",
+    "csr_dijkstra_tree",
     "csr_bidirectional_path",
     "CSRHierarchy",
     "ch_csr_hierarchy",
@@ -172,6 +174,14 @@ def scratch_for(size: int) -> KernelScratch:
 # ----------------------------------------------------------------------
 # Overlay sweep (the partition-overlay engine's boundary-phase kernel)
 # ----------------------------------------------------------------------
+def _line_bound(x, y, gx, gy, shortcuts) -> float:
+    """Straight line to the goal, or to a shortcut's tail plus its rest."""
+    h = hypot(x - gx, y - gy)
+    for sx, sy, rest in shortcuts:
+        h = min(h, hypot(x - sx, y - sy) + rest)
+    return h
+
+
 def overlay_sweep(
     offsets: Sequence[int],
     targets: Sequence[int],
@@ -185,6 +195,8 @@ def overlay_sweep(
     goal: tuple[float, float] | None = None,
     xs: Sequence[float] | None = None,
     ys: Sequence[float] | None = None,
+    stop: Iterable[int] | None = None,
+    shortcuts: Sequence[tuple[float, float, float]] = (),
 ) -> tuple[float, int, list[float], list[int], list[int], bytearray]:
     """Multi-source (optionally goal-directed) sweep over a flat overlay.
 
@@ -204,20 +216,30 @@ def overlay_sweep(
         When given, a ``{boundary index: local distance to target}``
         map: the sweep tracks ``best = min(dist[b] + offset[b])`` and
         stops early once the frontier cannot improve it (point-query
-        mode).  ``None`` settles everything reachable (MSMD mode).
+        mode).  ``None`` is MSMD mode: settle until ``stop`` is covered.
     best_bound:
         Initial upper bound on the answer (e.g. the intra-cell direct
         candidate when source and target share a cell).
-    goal, xs, ys:
+    goal, xs, ys, shortcuts:
         When ``goal=(x, y)`` and the boundary coordinate arrays are
         given (point-query mode only), the sweep runs A* keyed by
         ``dist + straight-line-to-goal``.  The caller must guarantee
         the lower bound is admissible — every overlay arc weight and
         every target offset at least its endpoints' Euclidean distance
-        (true whenever all edge weights are >= their Euclidean length;
-        see :attr:`repro.search.overlay.OverlayGraph.metric`).  The
+        (true whenever every edge weight is) — or list the exceptions:
+        each ``(x, y, rest)`` of ``shortcuts`` is the tail of an arc
+        shorter than its straight line, with ``rest`` a lower bound on
+        the way from there to the goal through that arc, and the key
+        takes the smallest of the direct line and the lines to those
+        tails plus ``rest`` (see
+        :meth:`repro.search.overlay.OverlayGraph._goal`).  The
         heuristic is consistent, so results are identical to the plain
         sweep — only fewer nodes settle.
+    stop:
+        MSMD mode only: the boundary indices the caller will read
+        ``dist`` of.  The sweep ends when the last reachable one
+        settles (their labels are final by then); ``None`` settles
+        everything reachable.
 
     Returns
     -------
@@ -230,51 +252,64 @@ def overlay_sweep(
     """
     if stats is None:
         stats = SearchStats()
-    from math import hypot
-
     dist = [_INF] * num_nodes
     parent = [-1] * num_nodes
     via = [-1] * num_nodes
     done = bytearray(num_nodes)
-    heap: list[tuple[float, float, int]] = []
+    # Entries are (key, index): the key is the label, plus the
+    # straight-line remainder when goal-directed.  A node's first
+    # un-done pop carries its smallest key, so its label is dist[u].
+    heap: list[tuple[float, int]] = []
     pop, push = heappop, heappush
     pushes = 0
+    point = target_offsets is not None
     hmemo: list[float] | None = None
     gx = gy = 0.0
-    if goal is not None and target_offsets is not None:
+    if goal is not None and point:
         gx, gy = goal
         hmemo = [-1.0] * num_nodes
     for i, offset in seeds:
         if offset < dist[i]:
             dist[i] = offset
             if hmemo is not None:
-                h = hypot(xs[i] - gx, ys[i] - gy)
-                hmemo[i] = h
-                push(heap, (offset + h, offset, i))
+                h = hmemo[i] = _line_bound(xs[i], ys[i], gx, gy, shortcuts)
+                push(heap, (offset + h, i))
             else:
-                push(heap, (offset, offset, i))
+                push(heap, (offset, i))
             pushes += 1
+    waiting = bytearray(num_nodes)
+    pending = 0
+    if stop is not None and not point:
+        for i in stop:
+            if not waiting[i]:
+                waiting[i] = 1
+                pending += 1
+        if not pending:
+            heap = []
     best = best_bound
     meet = -1
     settled = relaxed = 0
     maxd = 0.0
     while heap:
-        key, d, u = pop(heap)
+        key, u = pop(heap)
         if done[u]:
             continue
-        if target_offsets is not None and key >= best:
-            break
+        d = dist[u]
+        if point:
+            if key >= best:
+                break
+            offset = target_offsets.get(u)
+            if offset is not None and d + offset < best:
+                best = d + offset
+                meet = u
         done[u] = 1
         settled += 1
         if d > maxd:
             maxd = d
-        if target_offsets is not None:
-            offset = target_offsets.get(u)
-            if offset is not None:
-                candidate = d + offset
-                if candidate < best:
-                    best = candidate
-                    meet = u
+        if pending and waiting[u]:
+            pending -= 1
+            if not pending:
+                break
         start = offsets[u]
         end = offsets[u + 1]
         relaxed += end - start
@@ -286,7 +321,7 @@ def overlay_sweep(
                     dist[v] = nd
                     parent[v] = u
                     via[v] = kinds[e]
-                    push(heap, (nd, nd, v))
+                    push(heap, (nd, v))
                     pushes += 1
         else:
             for e in range(start, end):
@@ -297,10 +332,14 @@ def overlay_sweep(
                     parent[v] = u
                     via[v] = kinds[e]
                     h = hmemo[v]
-                    if h < 0.0:
+                    if h < 0.0:  # _line_bound, inlined on the hot path
                         h = hypot(xs[v] - gx, ys[v] - gy)
+                        for sx, sy, rest in shortcuts:
+                            alt = hypot(xs[v] - sx, ys[v] - sy) + rest
+                            if alt < h:
+                                h = alt
                         hmemo[v] = h
-                    push(heap, (nd + h, nd, v))
+                    push(heap, (nd + h, v))
                     pushes += 1
     stats.settled_nodes += settled
     stats.relaxed_edges += relaxed
@@ -377,8 +416,6 @@ def nested_overlay_sweep(
     """
     if stats is None:
         stats = SearchStats()
-    from math import hypot
-
     o1, t1, w1, k1 = level1
     o2, t2, w2, k2 = top
     vec = None
@@ -543,118 +580,20 @@ def _path_from_parents(
     )
 
 
-def csr_dijkstra_path(
-    network,
-    source: NodeId,
-    destination: NodeId,
-    csr: CSRGraph | None = None,
-    stats: SearchStats | None = None,
-) -> PathResult:
-    """Point-to-point Dijkstra on the CSR kernel.
+def _shared_tree(
+    csr: CSRGraph,
+    s: int,
+    remaining: set[int],
+    stats: SearchStats,
+    kernel: str = "csr_dijkstra_to_many",
+) -> tuple[dict[int, float], list[int]]:
+    """Grow one tree from index ``s`` until ``remaining`` has settled.
 
-    Same contract (and distances) as
-    :func:`repro.search.dijkstra.dijkstra_path`; ``csr`` lets callers
-    pass a prebuilt snapshot, otherwise the memoized
-    :func:`~repro.network.csr.csr_snapshot` is used.
-
-    Raises
-    ------
-    NoPathError
-        If the destination is unreachable.
-    UnknownNodeError
-        If either endpoint is missing from the network.
+    Returns ``({settled target index: distance}, parent)`` and empties
+    ``remaining`` down to the unreachable targets.  ``parent`` is this
+    thread's scratch bank: valid until its next search on a graph of
+    the same size.
     """
-    if csr is None:
-        csr = csr_snapshot(network)
-    s = csr.index(source)
-    t = csr.index(destination)
-    if stats is None:
-        stats = SearchStats()
-    if s == t:
-        return _trivial(source)
-
-    offsets, heads, wts = csr.kernel_view()
-    scratch = scratch_for(csr.num_nodes)
-    dist, parent = scratch.dist_f, scratch.parent_f
-    stamp, done = scratch.stamp_f, scratch.done_f
-    gen = scratch.bump()
-    dist[s] = 0.0
-    stamp[s] = gen
-    parent[s] = -1
-    heap = [(0.0, s)]
-    pop, push = heappop, heappush
-    settled = relaxed = 0
-    pushes = 1
-    maxd = 0.0
-    found = False
-    while heap:
-        d, u = pop(heap)
-        if done[u] == gen:
-            continue
-        done[u] = gen
-        settled += 1
-        maxd = d  # pops are non-decreasing
-        if u == t:
-            found = True
-            break
-        start = offsets[u]
-        end = offsets[u + 1]
-        relaxed += end - start
-        for e in range(start, end):
-            v = heads[e]
-            nd = d + wts[e]
-            if stamp[v] != gen:
-                stamp[v] = gen
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-                pushes += 1
-            elif nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-                pushes += 1
-    stats.settled_nodes += settled
-    stats.relaxed_edges += relaxed
-    stats.heap_pushes += pushes
-    if maxd > stats.max_settled_distance:
-        stats.max_settled_distance = maxd
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        rec.record("csr_dijkstra", settled, relaxed, pushes)
-    if not found:
-        raise NoPathError(source, destination)
-    return _path_from_parents(csr, parent, s, t, dist[t])
-
-
-def csr_dijkstra_to_many(
-    network,
-    source: NodeId,
-    destinations: Iterable[NodeId],
-    csr: CSRGraph | None = None,
-    stats: SearchStats | None = None,
-    strict: bool = True,
-) -> dict[NodeId, PathResult]:
-    """One shared SSMD tree on the CSR kernel (Lemma 1 cost).
-
-    Same contract as :func:`repro.search.dijkstra.dijkstra_to_many`:
-    grows a single spanning tree from ``source`` until every destination
-    settles; with ``strict`` an unreachable destination raises
-    :class:`NoPathError`, otherwise it is omitted.
-    """
-    if csr is None:
-        csr = csr_snapshot(network)
-    s = csr.index(source)
-    target_ids = set(destinations)
-    remaining = {csr.index(t) for t in target_ids}
-    if stats is None:
-        stats = SearchStats()
-
-    results: dict[NodeId, PathResult] = {}
-    if s in remaining:
-        results[source] = _trivial(source)
-        remaining.discard(s)
-
     offsets, heads, wts = csr.kernel_view()
     scratch = scratch_for(csr.num_nodes)
     dist, parent = scratch.dist_f, scratch.parent_f
@@ -705,13 +644,104 @@ def csr_dijkstra_to_many(
         stats.max_settled_distance = maxd
     rec = _obs_record.RECORDER
     if rec is not None:
-        rec.record("csr_dijkstra_to_many", settled, relaxed, pushes)
+        rec.record(kernel, settled, relaxed, pushes)
+    return reached, parent
+
+
+def csr_dijkstra_path(
+    network,
+    source: NodeId,
+    destination: NodeId,
+    csr: CSRGraph | None = None,
+    stats: SearchStats | None = None,
+) -> PathResult:
+    """Point-to-point Dijkstra on the CSR kernel.
+
+    Same contract (and distances) as
+    :func:`repro.search.dijkstra.dijkstra_path`; ``csr`` lets callers
+    pass a prebuilt snapshot, otherwise the memoized
+    :func:`~repro.network.csr.csr_snapshot` is used.
+
+    Raises
+    ------
+    NoPathError
+        If the destination is unreachable.
+    UnknownNodeError
+        If either endpoint is missing from the network.
+    """
+    if csr is None:
+        csr = csr_snapshot(network)
+    s = csr.index(source)
+    t = csr.index(destination)
+    if stats is None:
+        stats = SearchStats()
+    if s == t:
+        return _trivial(source)
+    reached, parent = _shared_tree(csr, s, {t}, stats, "csr_dijkstra")
+    if t not in reached:
+        raise NoPathError(source, destination)
+    return _path_from_parents(csr, parent, s, t, reached[t])
+
+
+def csr_dijkstra_to_many(
+    network,
+    source: NodeId,
+    destinations: Iterable[NodeId],
+    csr: CSRGraph | None = None,
+    stats: SearchStats | None = None,
+    strict: bool = True,
+) -> dict[NodeId, PathResult]:
+    """One shared SSMD tree on the CSR kernel (Lemma 1 cost).
+
+    Same contract as :func:`repro.search.dijkstra.dijkstra_to_many`:
+    grows a single spanning tree from ``source`` until every destination
+    settles; with ``strict`` an unreachable destination raises
+    :class:`NoPathError`, otherwise it is omitted.
+    """
+    if csr is None:
+        csr = csr_snapshot(network)
+    s = csr.index(source)
+    remaining = {csr.index(t) for t in destinations}
+    if stats is None:
+        stats = SearchStats()
+
+    results: dict[NodeId, PathResult] = {}
+    if s in remaining:
+        results[source] = _trivial(source)
+        remaining.discard(s)
+    reached, parent = _shared_tree(csr, s, remaining, stats)
     if strict and remaining:
         missing = csr.node_ids[next(iter(remaining))]
         raise NoPathError(source, missing)
     for t_idx, d in reached.items():
         results[csr.node_ids[t_idx]] = _path_from_parents(csr, parent, s, t_idx, d)
     return results
+
+
+def csr_dijkstra_tree(
+    csr: CSRGraph,
+    source: NodeId,
+    destinations: Iterable[NodeId],
+    stats: SearchStats,
+) -> tuple[dict[NodeId, float], Callable[[NodeId], PathResult]]:
+    """Non-strict :func:`csr_dijkstra_to_many` with paths on demand.
+
+    Returns ``({reached destination: distance}, path_to)``: the same
+    tree and distances, but a :class:`PathResult` is only built when
+    ``path_to(destination)`` is called — the overlay's local phases
+    reach ~40 boundary nodes per search and splice at most ``|T|``.
+    """
+    s = csr.index(source)
+    remaining = {csr.index(t) for t in destinations}
+    reached, parent = _shared_tree(csr, s, remaining, stats)
+    parent = parent[:]  # the scratch bank is recycled by the next search
+    node_ids, index_of = csr.node_ids, csr.index_of
+    dist = {node_ids[i]: d for i, d in reached.items()}
+
+    def path_to(node: NodeId) -> PathResult:
+        return _path_from_parents(csr, parent, s, index_of[node], dist[node])
+
+    return dist, path_to
 
 
 def csr_bidirectional_path(

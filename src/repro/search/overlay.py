@@ -31,16 +31,28 @@ disconnected networks alike, which the engine-conformance harness
 checks for the registered ``"overlay"`` (dict cell searches) and
 ``"overlay-csr"`` (flat per-cell CSR kernels) engines.
 
-**Goal direction.**  Customization checks once whether every edge
-weight is at least its endpoints' straight-line distance
-(:attr:`OverlayGraph.metric`).  When it is — true for distance-weighted
-maps like the grid generators — every overlay arc and every local
-offset inherits the bound, so the point-query sweep runs A* keyed by
-``dist + straight-line-to-target``: an admissible, consistent lower
+**Goal direction.**  Customization records the arcs whose weight is
+below their endpoints' straight-line distance
+(:attr:`OverlayGraph.undercut`; none on distance-weighted maps like the
+grid generators, which :attr:`OverlayGraph.metric` names).  Every other
+overlay arc and every local offset is at least its straight line, so
+the point-query sweep runs A* keyed by ``dist +
+straight-line-to-target`` — or, through an undercut arc, the straight
+line to its tail plus what the arc and the rest of the way cost at
+least (:meth:`OverlayGraph._goal`): an admissible, consistent lower
 bound that settles a corridor instead of a disc with identical
-distances.  On non-metric weights (travel times faster than geometry)
-the flag is false and the sweep is the plain exact Dijkstra — which is
-why the conformance harness holds these engines to arbitrary weights.
+distances.  A traffic update that undercuts geometry therefore costs
+one more straight line per touched node, not the goal direction; past
+:data:`MAX_UNDERCUT_ARCS` of them (travel times faster than geometry
+everywhere, a network without an ``edges()`` view) the sweep is the
+plain exact Dijkstra — which is why the conformance harness holds these
+engines to arbitrary weights.
+:meth:`OverlayGraph.many_to_many` runs the same point sweep pair by
+pair while a goal-directed query has at most
+:data:`PAIR_SWEEP_MAX_TARGETS` destinations (``|T|`` corridors settle
+less than one disc), and one shared sweep per source — stopped at the
+last destination-cell boundary node — beyond that; either way it
+returns the same table.
 
 Overlays serialize to a text format (``dumps_overlay``/``read_overlay``)
 so the serving layer's :class:`~repro.service.cache.PreprocessingCache`
@@ -51,12 +63,12 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from collections import namedtuple
 from hashlib import blake2b
 from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 from typing import TextIO
-from weakref import WeakKeyDictionary
 
 from repro.exceptions import GraphError, NoPathError
 from repro.network.csr import CSRGraph
@@ -70,6 +82,7 @@ from repro.obs import record as _obs_record
 from repro.search.dijkstra import dijkstra_to_many
 from repro.search.kernels import (
     csr_dijkstra_to_many,
+    csr_dijkstra_tree,
     nested_overlay_sweep,
     overlay_sweep,
 )
@@ -99,6 +112,21 @@ __all__ = [
 
 _INF = float("inf")
 _KERNELS = ("dict", "csr")
+
+#: Largest ``|T|`` a goal-directed overlay answers pair by pair (one
+#: point sweep each) instead of with one shared sweep per source;
+#: measured, see "Partition overlay" in docs/ARCHITECTURE.md for the
+#: table and the command that remakes it.
+PAIR_SWEEP_MAX_TARGETS = 5
+
+#: Most arcs below their straight-line length the goal-directed sweep
+#: corrects its bound for (each costs one more straight line per
+#: touched node); same table.
+MAX_UNDERCUT_ARCS = 8
+
+#: one intra-cell search: ``dist[node]`` for every reached target and
+#: ``path(node)`` building that target's :class:`PathResult` on demand
+_Local = namedtuple("_Local", ("dist", "path"))
 
 
 class _CellView:
@@ -227,6 +255,12 @@ class OverlayGraph:
         :meth:`recustomized` copy only the touched ones).
     customized_cells:
         How many cells this instance customized itself.
+    undercut:
+        ``{(u, v): weight}`` of the arcs whose weight is below their
+        Euclidean length (both directions of an undirected edge) — the
+        exceptions the goal-directed sweeps' straight-line bound has to
+        allow for; ``None`` when the network has no ``edges()`` view to
+        find them with.
     """
 
     __slots__ = (
@@ -243,7 +277,9 @@ class OverlayGraph:
         "over_targets",
         "over_weights",
         "over_kinds",
-        "metric",
+        "undercut",
+        "_shortcuts",
+        "_version",
         "_bxs",
         "_bys",
         "customize_stats",
@@ -262,8 +298,9 @@ class OverlayGraph:
         cell_rcsr: list,
         customize_stats: SearchStats,
         customized_cells: int,
-        metric: bool | None = None,
+        undercut: dict | None = None,
         _customizer=None,
+        _flat: tuple | None = None,
     ) -> None:
         self.network = network
         self.partition = partition
@@ -282,7 +319,7 @@ class OverlayGraph:
         # construction (the nested subclass's supercell pass); cleared
         # immediately so an overlay never pins a worker pool.
         self._customizer = _customizer
-        self._assemble(metric)
+        self._assemble(undercut, _flat)
         self._customizer = None
 
     # ------------------------------------------------------------------
@@ -424,8 +461,9 @@ class OverlayGraph:
         """Cells whose cliques depend on the given edges.
 
         Cut edges (endpoints in different cells) touch no clique — their
-        new weight only needs the flat arrays refreshed, which every
-        :meth:`recustomized` call does.
+        new weight only needs the flat rows of their two cells refreshed,
+        which :meth:`recustomized` does for every edge in its
+        ``changed_edges``.
 
         Parameters
         ----------
@@ -453,8 +491,7 @@ class OverlayGraph:
         The headline incremental-customization path: after re-weighting
         edges, recompute the touched cells (see :meth:`touched_cells`)
         against the network's *current* weights and share every other
-        cell's clique tables and CSR snapshots with this instance.  Cut
-        arc weights are re-read from the network unconditionally.  The
+        cell's clique tables and CSR snapshots with this instance.  The
         result is byte-identical (see :func:`dumps_overlay`) to a
         from-scratch :func:`build_overlay` on the re-weighted network.
 
@@ -465,13 +502,17 @@ class OverlayGraph:
         changed_edges:
             The ``(u, v)`` / ``(u, v, weight)`` tuples the re-weight
             touched, when the caller knows them (e.g.
-            :meth:`repro.service.serving.ServingStack.reweight`).  Lets
-            a metric overlay refresh its :attr:`metric` flag by checking
-            only those edges instead of rescanning the whole network —
-            the scan that would otherwise dominate a single-cell
-            refresh on a large map.  Omitted, or starting from a
-            non-metric overlay (the flag could flip back on), the flag
-            is recomputed from scratch.
+            :meth:`repro.service.serving.ServingStack.reweight`); when
+            given, it must name *every* edge whose weight moved.  Keeps
+            the refresh O(change): :attr:`undercut` is re-examined on
+            those edges only, and only the recomputed cells and the
+            cells at either end of a listed edge are re-flattened — the
+            other cells' flat segments (clique and cut arcs) are copied
+            from this overlay.  Omitted, every edge is examined, every
+            cut-arc weight re-read and every cell re-flattened — which
+            is also what a list shorter than the mutations the network
+            has seen since this overlay read it gets (an out-of-band
+            change, a skipped epoch; counted by ``network.version``).
         parallel, customizer:
             Parallel-customization knobs, exactly as on :meth:`build`;
             the touched cells' cliques are computed on the worker pool
@@ -509,7 +550,8 @@ class OverlayGraph:
         cells share their clique tables and per-cell CSR snapshots with
         this instance (their intra-cell weights are identical by the
         requirement above); cut-arc weights are re-read from
-        ``network`` unconditionally.
+        ``network`` — all of them, or with ``changed_edges`` those of
+        the listed edges' cells.
 
         Raises
         ------
@@ -529,6 +571,13 @@ class OverlayGraph:
             raise GraphError(
                 "snapshot network does not match the partitioned node set"
             )
+        if changed_edges is not None:
+            changed_edges = list(changed_edges)
+            moved = getattr(network, "version", None)
+            if moved is None or self._version is None or not (
+                0 <= moved - self._version <= len(changed_edges)
+            ):
+                changed_edges = None  # cannot be the whole story
         stats = SearchStats()
         cliques = list(self.cliques)
         cell_csr = list(self._cell_csr)
@@ -576,15 +625,12 @@ class OverlayGraph:
                 )
                 for cell in work:
                     cliques[cell] = computed[cell]
-            metric: bool | None = None
-            if changed_edges is not None and self.metric:
-                metric = all(
-                    _edge_is_metric(network, edge[0], edge[1])
-                    for edge in changed_edges
-                )
+            undercut = None
+            if changed_edges is not None and self.undercut is not None:
+                undercut = _undercut(network, changed_edges, self.undercut)
             result = self._rebuilt(
                 network, cliques, cell_csr, cell_rcsr, stats, set(work),
-                metric, changed_edges, customizer if use_pool else None,
+                undercut, changed_edges, customizer if use_pool else None,
             )
         finally:
             if owned is not None:
@@ -594,7 +640,7 @@ class OverlayGraph:
 
     def _rebuilt(
         self, network, cliques, cell_csr, cell_rcsr, stats, touched,
-        metric, changed_edges, customizer=None,
+        undercut, changed_edges, customizer=None,
     ) -> "OverlayGraph":
         """Construct the recustomized copy (subclass hook).
 
@@ -606,47 +652,117 @@ class OverlayGraph:
         """
         return type(self)(
             network, self.partition, self.kernel, cliques, cell_csr,
-            cell_rcsr, stats, len(touched), metric=metric,
+            cell_rcsr, stats, len(touched), undercut=undercut,
+            _flat=self._reusable_flat(touched, changed_edges),
         )
 
-    def _assemble(self, metric: bool | None = None) -> None:
-        """Freeze the boundary overlay into flat CSR arrays."""
+    def _reusable_flat(self, touched, changed_edges) -> tuple | None:
+        """``(self, dirty cells)`` for the recustomized copy's :meth:`_assemble`.
+
+        A cell's flat rows hold its clique arcs and its boundary nodes'
+        cut arcs, so they are stale exactly for the recomputed cells
+        and the cells at either end of a changed edge; ``None`` (unknown
+        changed edges) re-flattens everything.
+        """
+        if changed_edges is None:
+            return None
+        cell_of = self.partition.cell_of
+        dirty = set(touched)
+        for edge in changed_edges:
+            dirty.add(cell_of[edge[0]])
+            dirty.add(cell_of[edge[1]])
+        return self, dirty
+
+    def _assemble(
+        self, undercut: dict | None = None, flat: tuple | None = None
+    ) -> None:
+        """Freeze the boundary overlay into flat CSR arrays.
+
+        ``flat`` is :meth:`_reusable_flat`'s pair: every cell outside
+        its dirty set copies the previous overlay's flat segment instead
+        of walking its cliques again, which keeps a one-cell
+        recustomization O(that cell) here too.
+        """
         partition = self.partition
         network = self.network
-        boundary_ids: list[NodeId] = []
-        for cell_boundary in partition.boundary:
-            boundary_ids.extend(cell_boundary)
-        index = {b: i for i, b in enumerate(boundary_ids)}
+        if flat is None:
+            old, dirty = None, range(partition.num_cells)
+            boundary_ids = tuple(
+                b for cell_boundary in partition.boundary for b in cell_boundary
+            )
+            self.boundary_ids = boundary_ids
+            self.boundary_index = {b: i for i, b in enumerate(boundary_ids)}
+            self._bxs = [network.position(b).x for b in boundary_ids]
+            self._bys = [network.position(b).y for b in boundary_ids]
+        else:
+            old, dirty = flat
+            self.boundary_ids = old.boundary_ids
+            self.boundary_index = old.boundary_index
+            self._bxs = old._bxs
+            self._bys = old._bys
+        index = self.boundary_index
         offsets = [0]
         targets: list[int] = []
         weights: list[float] = []
         kinds: list[int] = []
         cell_of = partition.cell_of
-        for b in boundary_ids:
-            cell = cell_of[b]
-            for b2, path in self.cliques[cell][b].items():
-                targets.append(index[b2])
-                weights.append(path.distance)
-                kinds.append(cell)
-            for v, w in network.neighbors(b).items():
-                if cell_of[v] != cell:
-                    targets.append(index[v])
-                    weights.append(w)
-                    kinds.append(-1)
-            offsets.append(len(targets))
-        self.boundary_ids = tuple(boundary_ids)
-        self.boundary_index = index
+        rows = 0
+        for cell, cell_boundary in enumerate(partition.boundary):
+            first, rows = rows, rows + len(cell_boundary)
+            if cell not in dirty:
+                lo, hi = old.over_offsets[first], old.over_offsets[rows]
+                shift = len(targets) - lo
+                offsets.extend(
+                    o + shift for o in old.over_offsets[first + 1 : rows + 1]
+                )
+                targets.extend(old.over_targets[lo:hi])
+                weights.extend(old.over_weights[lo:hi])
+                kinds.extend(old.over_kinds[lo:hi])
+                continue
+            clique = self.cliques[cell]
+            for b in cell_boundary:
+                for b2, path in clique[b].items():
+                    targets.append(index[b2])
+                    weights.append(path.distance)
+                    kinds.append(cell)
+                for v, w in network.neighbors(b).items():
+                    if cell_of[v] != cell:
+                        targets.append(index[v])
+                        weights.append(w)
+                        kinds.append(-1)
+                offsets.append(len(targets))
         self.over_offsets = offsets
         self.over_targets = targets
         self.over_weights = weights
         self.over_kinds = kinds
-        self.metric = _network_is_metric(network) if metric is None else metric
-        self._bxs = [network.position(b).x for b in boundary_ids]
-        self._bys = [network.position(b).y for b in boundary_ids]
+        edges = getattr(network, "edges", None)
+        if undercut is None and edges is not None:
+            undercut = _undercut(network, edges())
+        self.undercut = undercut
+        self._version = getattr(network, "version", None)
+        # What _goal needs of them, or None when sweeps cannot be
+        # goal-directed: (tail, head, weight) per arc, and hop[i][j],
+        # the straight line from arc i's head to arc j's tail plus
+        # arc j's weight.
+        self._shortcuts = None
+        if undercut is not None and len(undercut) <= MAX_UNDERCUT_ARCS:
+            position = network.position
+            arcs = [
+                (position(u), position(v), w) for (u, v), w in undercut.items()
+            ]
+            self._shortcuts = arcs, [
+                [head.distance_to(tail) + w for tail, _head, w in arcs]
+                for _tail, head, _w in arcs
+            ]
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
+    @property
+    def metric(self) -> bool:
+        """Whether every edge weight is >= its Euclidean length."""
+        return self.undercut == {}
+
     @property
     def num_cells(self) -> int:
         """Number of cells."""
@@ -682,38 +798,114 @@ class OverlayGraph:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _local_forward(
-        self, cell: int, source: NodeId, extra: tuple, stats: SearchStats
-    ) -> dict[NodeId, PathResult]:
-        """Intra-cell paths from ``source`` to the cell's boundary (+extras)."""
-        targets: list[NodeId] = list(self.partition.boundary[cell])
-        targets.extend(extra)
+    def _local(
+        self, cell: int, node: NodeId, targets, stats: SearchStats,
+        reverse: bool = False,
+    ) -> _Local:
+        """Intra-cell search from ``node`` (``reverse``: *to* it) over ``targets``."""
         if self.kernel == "csr":
-            return csr_dijkstra_to_many(
-                self.network, source, targets,
-                csr=self._cell_csr[cell], stats=stats, strict=False,
-            )
-        view = _CellView(self.network, self.partition.cells[cell])
-        return dijkstra_to_many(view, source, targets, stats=stats, strict=False)
-
-    def _local_backward(
-        self, cell: int, destination: NodeId, stats: SearchStats
-    ) -> dict[NodeId, PathResult]:
-        """Intra-cell paths from the cell's boundary *to* ``destination``."""
-        boundary = self.partition.boundary[cell]
-        if self.kernel == "csr":
-            trees = csr_dijkstra_to_many(
-                self.network, destination, boundary,
-                csr=self._cell_rcsr[cell], stats=stats, strict=False,
-            )
+            csr = (self._cell_rcsr if reverse else self._cell_csr)[cell]
+            dist, path_to = csr_dijkstra_tree(csr, node, targets, stats)
         else:
             view = _CellView(
-                self.network, self.partition.cells[cell], reverse=True
+                self.network, self.partition.cells[cell], reverse=reverse
             )
             trees = dijkstra_to_many(
-                view, destination, boundary, stats=stats, strict=False
+                view, node, targets, stats=stats, strict=False
             )
-        return {b: _flip(path) for b, path in trees.items()}
+            dist = {target: path.distance for target, path in trees.items()}
+            path_to = trees.__getitem__
+        if reverse:
+            return _Local(dist, lambda target: _flip(path_to(target)))
+        return _Local(dist, path_to)
+
+    def _seeds(self, cell: int, fwd: _Local) -> list[tuple[int, float]]:
+        """``(boundary index, local distance)`` of the reached source boundary."""
+        index = self.boundary_index
+        dist = fwd.dist
+        return [
+            (index[b], dist[b]) for b in self.partition.boundary[cell] if b in dist
+        ]
+
+    def _sweep(
+        self, seeds, stats, target_offsets=None, best_bound=_INF, goal=None,
+        stop=None,
+    ):
+        """:func:`~repro.search.kernels.overlay_sweep` over this overlay.
+
+        ``goal`` is :meth:`_goal`'s pair.
+        """
+        point, shortcuts = goal or (None, ())
+        return overlay_sweep(
+            self.over_offsets, self.over_targets, self.over_weights,
+            self.over_kinds, seeds,
+            num_nodes=len(self.boundary_ids),
+            target_offsets=target_offsets,
+            best_bound=best_bound,
+            stats=stats,
+            goal=point,
+            xs=self._bxs,
+            ys=self._bys,
+            stop=stop,
+            shortcuts=shortcuts,
+        )
+
+    def _goal(self, destination: NodeId) -> tuple | None:
+        """What a point sweep towards ``destination`` aims at.
+
+        ``((x, y), shortcuts)`` for
+        :func:`~repro.search.kernels.overlay_sweep`, or ``None`` when
+        the sweep cannot be goal-directed (more than
+        :data:`MAX_UNDERCUT_ARCS` arcs undercut geometry, or nobody
+        could look).  A way to the destination is at least its straight
+        line unless it takes an arc of :attr:`undercut`, so each of
+        those contributes its tail's position and the least the rest of
+        the way costs from there: the arc's weight plus the same bound
+        from its head, chains of such arcs included (the closure below
+        is Bellman-Ford over a handful of arcs).  The minimum over the
+        direct line and the lines to those tails is the distance in a
+        metric that every edge weight dominates, hence consistent.
+        """
+        if self._shortcuts is None:
+            return None
+        arcs, hops = self._shortcuts
+        p = self.network.position(destination)
+        rest = [head.distance_to(p) for _tail, head, _w in arcs]
+        improved = bool(rest)
+        while improved:
+            improved = False
+            for i, row in enumerate(hops):
+                for j, hop in enumerate(row):
+                    if hop + rest[j] < rest[i]:
+                        rest[i] = hop + rest[j]
+                        improved = True
+        # An arc that does not lead towards the destination faster than
+        # the straight line from its tail can never be the minimum.
+        return (p.x, p.y), tuple(
+            (tail.x, tail.y, w + r)
+            for (tail, _head, w), r in zip(arcs, rest)
+            if w + r < tail.distance_to(p)
+        )
+
+    def _pair(
+        self, source, destination, fwd, bwd, seeds, target_offsets, goal, stats
+    ) -> PathResult | None:
+        """One early-stopping point sweep; ``None`` when unreachable.
+
+        Goal-directed when ``goal`` (see :meth:`_goal`) is given.
+        ``fwd`` carries the intra-cell direct candidate when both
+        endpoints share a cell (it bounds the sweep from the start).
+        """
+        direct = fwd.dist.get(destination, _INF)
+        best, meet, _dist, parent, via, _done = self._sweep(
+            seeds, stats, target_offsets=target_offsets, best_bound=direct,
+            goal=goal,
+        )
+        if meet >= 0:
+            return self._stitch(
+                source, destination, fwd, bwd, best, meet, parent, via
+            )
+        return fwd.path(destination) if direct < _INF else None
 
     def route(
         self,
@@ -739,37 +931,35 @@ class OverlayGraph:
         rec = _obs_record.RECORDER
         if rec is not None:
             rec.record("overlay_route", cells=(cs,) if ct == cs else (cs, ct))
-        extra = (destination,) if ct == cs else ()
-        fwd = self._local_forward(cs, source, extra, stats)
-        bwd = self._local_backward(ct, destination, stats)
-        direct = fwd.get(destination) if ct == cs else None
-        index = self.boundary_index
-        seeds = []
-        for b in self.partition.boundary[cs]:
-            path = fwd.get(b)
-            if path is not None:
-                seeds.append((index[b], path.distance))
-        target_offsets = {index[b]: path.distance for b, path in bwd.items()}
-        goal = None
-        if self.metric:
-            p = self.network.position(destination)
-            goal = (p.x, p.y)
-        best, meet, _dist, parent, via, _done = overlay_sweep(
-            self.over_offsets, self.over_targets, self.over_weights,
-            self.over_kinds, seeds,
-            num_nodes=len(self.boundary_ids),
-            target_offsets=target_offsets,
-            best_bound=direct.distance if direct is not None else _INF,
-            stats=stats,
-            goal=goal,
-            xs=self._bxs,
-            ys=self._bys,
+        boundary = self.partition.boundary
+        fwd = self._local(
+            cs, source,
+            boundary[cs] + ((destination,) if ct == cs else ()), stats,
         )
-        if meet < 0:
-            if direct is not None:
-                return direct
+        bwd = self._local(ct, destination, boundary[ct], stats, reverse=True)
+        index = self.boundary_index
+        path = self._pair(
+            source, destination, fwd, bwd, self._seeds(cs, fwd),
+            {index[b]: d for b, d in bwd.dist.items()},
+            self._goal(destination), stats,
+        )
+        if path is None:
             raise NoPathError(source, destination)
-        return self._stitch(source, destination, fwd, bwd, best, meet, parent, via)
+        return path
+
+    def _pairwise(self, destinations: Sequence[NodeId]) -> bool:
+        """Whether :meth:`many_to_many` answers pair by pair.
+
+        Decided by what the query shows on the wire — ``|T|`` — and by
+        whether the weights allow goal direction (:meth:`_goal`), never
+        by which pair is the true one: without the goal direction a
+        point sweep settles most of what the shared sweep does, ``|T|``
+        times over.
+        """
+        return (
+            self._shortcuts is not None
+            and len(destinations) <= PAIR_SWEEP_MAX_TARGETS
+        )
 
     def many_to_many(
         self,
@@ -779,8 +969,12 @@ class OverlayGraph:
     ) -> dict[tuple[NodeId, NodeId], PathResult]:
         """All-pairs shortest paths over the overlay (MSMD primitive).
 
-        One backward local search per destination, one forward local
-        search plus one exhaustive overlay sweep per source; unreachable
+        One backward local search per destination and one forward local
+        search per source; the boundary phase is either one
+        goal-directed point sweep per pair (few destinations, weights
+        that allow goal direction; see :meth:`_pairwise`) or one shared
+        sweep per source that runs until every destination cell's
+        boundary has settled.  Both produce the same table; unreachable
         pairs are omitted (mirrors
         :func:`~repro.search.kernels.csr_ch_many_to_many`).
         """
@@ -796,66 +990,78 @@ class OverlayGraph:
                 "overlay_msmd",
                 cells=set(src_cells.values()) | set(dst_cells.values()),
             )
+        boundary = partition.boundary
         backs = {
-            t: self._local_backward(dst_cells[t], t, stats)
+            t: self._local(
+                dst_cells[t], t, boundary[dst_cells[t]], stats, reverse=True
+            )
             for t in destinations
         }
+        offsets = {
+            t: {index[b]: d for b, d in backs[t].dist.items()}
+            for t in destinations
+        }
+        pairwise = self._pairwise(destinations)
+        stop = None if pairwise else {i for o in offsets.values() for i in o}
+        goals = {t: self._goal(t) for t in destinations} if pairwise else {}
         results: dict[tuple[NodeId, NodeId], PathResult] = {}
         for s in sources:
             cs = src_cells[s]
             extra = tuple(t for t in destinations if dst_cells[t] == cs)
-            fwd = self._local_forward(cs, s, extra, stats)
-            seeds = []
-            for b in partition.boundary[cs]:
-                path = fwd.get(b)
-                if path is not None:
-                    seeds.append((index[b], path.distance))
-            _best, _meet, dist, parent, via, done = overlay_sweep(
-                self.over_offsets, self.over_targets, self.over_weights,
-                self.over_kinds, seeds,
-                num_nodes=len(self.boundary_ids),
-                target_offsets=None,
-                stats=stats,
+            fwd = self._local(cs, s, boundary[cs] + extra, stats)
+            seeds = self._seeds(cs, fwd)
+            if pairwise:
+                for t in destinations:
+                    path = self._pair(
+                        s, t, fwd, backs[t], seeds, offsets[t], goals[t],
+                        stats,
+                    )
+                    if path is not None:
+                        results[(s, t)] = path
+                continue
+            _best, _meet, dist, parent, via, done = self._sweep(
+                seeds, stats, stop=stop
             )
             for t in destinations:
-                direct = fwd.get(t) if dst_cells[t] == cs else None
-                best = direct.distance if direct is not None else _INF
+                best = fwd.dist.get(t, _INF)
                 meet = -1
-                bwd = backs[t]
-                for b, tail in bwd.items():
-                    bi = index[b]
+                for bi, tail in offsets[t].items():
                     if done[bi]:
-                        candidate = float(dist[bi]) + tail.distance
+                        candidate = float(dist[bi]) + tail
                         if candidate < best:
                             best = candidate
                             meet = bi
                 if meet >= 0:
                     results[(s, t)] = self._stitch(
-                        s, t, fwd, bwd, best, meet, parent, via
+                        s, t, fwd, backs[t], best, meet, parent, via
                     )
-                elif direct is not None:
-                    results[(s, t)] = direct
+                elif best < _INF:
+                    results[(s, t)] = fwd.path(t)
         return results
 
-    def _stitch(
-        self, source, destination, fwd, bwd, best, meet, parent, via
-    ) -> PathResult:
-        """Expand an overlay tree chain into a full node path."""
-        ids = self.boundary_ids
+    def _chain(self, meet: int, parent, via) -> tuple[list[int], list[int]]:
+        """Boundary-index chain of a sweep tree path and its arc kinds."""
         chain = [meet]
         node = meet
         while parent[node] >= 0:
             node = parent[node]
             chain.append(node)
         chain.reverse()
-        nodes = list(fwd[ids[chain[0]]].nodes)
-        for prev, curr in zip(chain, chain[1:]):
-            kind = via[curr]
+        return chain, [via[node] for node in chain[1:]]
+
+    def _stitch(
+        self, source, destination, fwd, bwd, best, meet, parent, via
+    ) -> PathResult:
+        """Expand an overlay tree chain into a full node path."""
+        ids = self.boundary_ids
+        chain, kinds = self._chain(meet, parent, via)
+        nodes = list(fwd.path(ids[chain[0]]).nodes)
+        for prev, curr, kind in zip(chain, chain[1:], kinds):
             if kind < 0:  # cut arc: a real edge
                 nodes.append(ids[curr])
             else:  # clique arc: splice the stored intra-cell path
                 nodes.extend(self.cliques[kind][ids[prev]][ids[curr]].nodes[1:])
-        nodes.extend(bwd[ids[meet]].nodes[1:])
+        nodes.extend(bwd.path(ids[meet]).nodes[1:])
         return PathResult(
             source=source,
             destination=destination,
@@ -864,30 +1070,26 @@ class OverlayGraph:
         )
 
 
-def _edge_is_metric(network, u: NodeId, v: NodeId) -> bool:
-    """Whether edge ``(u, v)``'s current weight is >= its Euclidean length."""
-    w = network.neighbors(u)[v]
-    gap = network.position(u).distance_to(network.position(v))
-    return w >= gap - 1e-12 * (1.0 + gap)
+def _undercut(network, edges, known: dict | None = None) -> dict:
+    """``known`` after re-examining ``edges``: :attr:`OverlayGraph.undercut`.
 
-
-def _network_is_metric(network) -> bool:
-    """Whether every edge weight is >= its endpoints' Euclidean distance.
-
-    The admissibility precondition of the goal-directed overlay sweep;
-    networks without an ``edges()`` view conservatively report
-    ``False`` (the sweep then stays plain exact Dijkstra).
+    ``edges`` are ``(u, v, ...)`` tuples; an arc whose current weight
+    is at least its endpoints' Euclidean distance leaves the map, one
+    below it enters with that weight (an undirected edge as both of
+    its arcs).
     """
-    edges = getattr(network, "edges", None)
-    if edges is None:
-        return False
-    for u, v, w in edges():
-        p = network.position(u)
-        q = network.position(v)
-        gap = p.distance_to(q)
-        if w < gap - 1e-12 * (1.0 + gap):
-            return False
-    return True
+    arcs = dict(known or ())
+    both = not getattr(network, "directed", False)
+    for edge in edges:
+        u, v = edge[0], edge[1]
+        w = network.neighbors(u)[v]
+        gap = network.position(u).distance_to(network.position(v))
+        for arc in ((u, v), (v, u)) if both else ((u, v),):
+            if w >= gap - 1e-12 * (1.0 + gap):
+                arcs.pop(arc, None)
+            else:
+                arcs[arc] = w
+    return arcs
 
 
 def _through_boundary(network, path: PathResult, bset: frozenset) -> bool:
@@ -917,7 +1119,7 @@ def _cell_signature(network, members: Sequence[NodeId]) -> bytes:
     Digests the ``(u, v, w)`` triples in member order and adjacency
     insertion order — exactly the arcs a cell's clique depends on (cut
     arcs are excluded; their weights live only in the flat overlay
-    arrays, which every refresh re-reads).  :meth:`OverlayGraph
+    arrays, which a refresh re-reads).  :meth:`OverlayGraph
     .recustomized` compares fingerprints captured at customization time
     against the target network to skip no-op cells.  A collision would
     wrongly skip a cell and silently serve stale distances, so this is
@@ -1116,10 +1318,11 @@ class NestedOverlayGraph(OverlayGraph):
         cell_rcsr: list,
         customize_stats: SearchStats,
         customized_cells: int,
-        metric: bool | None = None,
+        undercut: dict | None = None,
         super_capacity: int | None = None,
         _reuse: tuple | None = None,
         _customizer=None,
+        _flat: tuple | None = None,
     ) -> None:
         # Set before super().__init__ — the base constructor runs
         # _assemble, which our override extends with the supercell level.
@@ -1127,17 +1330,19 @@ class NestedOverlayGraph(OverlayGraph):
         self._reuse = _reuse
         super().__init__(
             network, partition, kernel, cliques, cell_csr, cell_rcsr,
-            customize_stats, customized_cells, metric=metric,
-            _customizer=_customizer,
+            customize_stats, customized_cells, undercut=undercut,
+            _customizer=_customizer, _flat=_flat,
         )
         self._reuse = None
 
     # ------------------------------------------------------------------
     # Construction / customization
     # ------------------------------------------------------------------
-    def _assemble(self, metric: bool | None = None) -> None:
+    def _assemble(
+        self, undercut: dict | None = None, flat: tuple | None = None
+    ) -> None:
         """Freeze level 1, then partition and customize the boundary graph."""
-        super()._assemble(metric)
+        super()._assemble(undercut, flat)
         self._assemble_super()
 
     def _cell_quotient(self) -> tuple[list, list[float], list[float]]:
@@ -1293,15 +1498,16 @@ class NestedOverlayGraph(OverlayGraph):
 
     def _rebuilt(
         self, network, cliques, cell_csr, cell_rcsr, stats, touched,
-        metric, changed_edges, customizer=None,
+        undercut, changed_edges, customizer=None,
     ) -> "NestedOverlayGraph":
         """Recustomized copy sharing unaffected supercell tables."""
         return type(self)(
             network, self.partition, self.kernel, cliques, cell_csr,
-            cell_rcsr, stats, len(touched), metric=metric,
+            cell_rcsr, stats, len(touched), undercut=undercut,
             super_capacity=self.super_capacity,
             _reuse=(self, self._affected_supercells(touched, changed_edges)),
             _customizer=customizer,
+            _flat=self._reusable_flat(touched, changed_edges),
         )
 
     def _affected_supercells(self, touched, changed_edges):
@@ -1312,8 +1518,8 @@ class NestedOverlayGraph(OverlayGraph):
         one overlay arc directly, affecting its supercell when both
         endpoint cells share one (cross-supercell arcs live only in the
         always-rebuilt top arrays).  ``None`` (unknown changed edges —
-        cut-arc weights are re-read unconditionally, so any of them may
-        have moved) rebuilds every supercell.
+        every cut-arc weight is re-read, so any of them may have moved)
+        rebuilds every supercell.
         """
         if changed_edges is None:
             return None
@@ -1371,49 +1577,32 @@ class NestedOverlayGraph(OverlayGraph):
                 active[m] = 1
         return active
 
-    def route(
-        self,
-        source: NodeId,
-        destination: NodeId,
-        stats: SearchStats | None = None,
-    ) -> PathResult:
-        """Two-phase point query with the mixed two-level sweep.
+    def _pairwise(self, destinations: Sequence[NodeId]) -> bool:
+        """Never: a mixed sweep's float sums depend on its active set.
 
-        Raises
-        ------
-        NoPathError
-            If the destination is unreachable.
-        UnknownNodeError
-            If either endpoint is missing from the network.
+        A supercell clique arc adds its level-1 weights in another
+        order than walking them does, so a per-pair active set would
+        move the same pair's distance by an ulp from one ``|T|`` to the
+        next; :meth:`many_to_many` keeps one shared sweep per source.
         """
-        if stats is None:
-            stats = SearchStats()
-        cs = self.partition.cell_index(source)
-        ct = self.partition.cell_index(destination)
-        if source == destination:
-            return PathResult(source, source, (source,), 0.0)
-        rec = _obs_record.RECORDER
-        if rec is not None:
-            rec.record("overlay_route", cells=(cs,) if ct == cs else (cs, ct))
-        extra = (destination,) if ct == cs else ()
-        fwd = self._local_forward(cs, source, extra, stats)
-        bwd = self._local_backward(ct, destination, stats)
-        direct = fwd.get(destination) if ct == cs else None
-        index = self.boundary_index
-        seeds = []
-        for b in self.partition.boundary[cs]:
-            path = fwd.get(b)
-            if path is not None:
-                seeds.append((index[b], path.distance))
-        target_offsets = {index[b]: path.distance for b, path in bwd.items()}
-        active = self._active_for(
-            [i for i, _offset in seeds] + list(target_offsets)
-        )
-        goal = None
-        if self.metric:
-            p = self.network.position(destination)
-            goal = (p.x, p.y)
-        best, meet, _dist, parent, via, _done = nested_overlay_sweep(
+        return False
+
+    def _sweep(
+        self, seeds, stats, target_offsets=None, best_bound=_INF, goal=None,
+        stop=None,
+    ):
+        """The mixed two-level sweep in place of the flat one.
+
+        Every seed's and every destination-cell boundary node's
+        supercell stays active, so the distances read off there are
+        exact; ``stop`` only names those nodes (the mixed sweep settles
+        everything reachable in MSMD mode).  Its straight-line bound
+        knows no shortcuts, so it is goal-directed on :attr:`metric`
+        weights only.
+        """
+        ends = target_offsets if target_offsets is not None else stop
+        active = self._active_for([i for i, _offset in seeds] + list(ends))
+        return nested_overlay_sweep(
             (self.over_offsets, self.over_targets,
              self.over_weights, self.over_kinds),
             (self.top_offsets, self.top_targets,
@@ -1421,111 +1610,21 @@ class NestedOverlayGraph(OverlayGraph):
             active, seeds,
             num_nodes=len(self.boundary_ids),
             target_offsets=target_offsets,
-            best_bound=direct.distance if direct is not None else _INF,
+            best_bound=best_bound,
             stats=stats,
-            goal=goal,
+            goal=goal[0] if goal and not goal[1] else None,
             xs=self._bxs,
             ys=self._bys,
             top_np=self._top_np,
             xy_np=self._bxy_np,
         )
-        if meet < 0:
-            if direct is not None:
-                return direct
-            raise NoPathError(source, destination)
-        return self._stitch(source, destination, fwd, bwd, best, meet, parent, via)
 
-    def many_to_many(
-        self,
-        sources: Sequence[NodeId],
-        destinations: Sequence[NodeId],
-        stats: SearchStats | None = None,
-    ) -> dict[tuple[NodeId, NodeId], PathResult]:
-        """All-pairs shortest paths with per-source mixed sweeps.
-
-        Mirrors :meth:`OverlayGraph.many_to_many`; every destination
-        cell's supercells stay active in every sweep so the settled
-        distances read off for each target are exact.
-        """
-        if stats is None:
-            stats = SearchStats()
-        partition = self.partition
-        index = self.boundary_index
-        src_cells = {s: partition.cell_index(s) for s in sources}
-        dst_cells = {t: partition.cell_index(t) for t in destinations}
-        rec = _obs_record.RECORDER
-        if rec is not None:
-            rec.record(
-                "overlay_msmd",
-                cells=set(src_cells.values()) | set(dst_cells.values()),
-            )
-        backs = {
-            t: self._local_backward(dst_cells[t], t, stats)
-            for t in destinations
-        }
-        dst_idx = [
-            index[b] for bwd in backs.values() for b in bwd
-        ]
-        results: dict[tuple[NodeId, NodeId], PathResult] = {}
-        for s in sources:
-            cs = src_cells[s]
-            extra = tuple(t for t in destinations if dst_cells[t] == cs)
-            fwd = self._local_forward(cs, s, extra, stats)
-            seeds = []
-            for b in partition.boundary[cs]:
-                path = fwd.get(b)
-                if path is not None:
-                    seeds.append((index[b], path.distance))
-            active = self._active_for(
-                [i for i, _offset in seeds] + dst_idx
-            )
-            _best, _meet, dist, parent, via, done = nested_overlay_sweep(
-                (self.over_offsets, self.over_targets,
-                 self.over_weights, self.over_kinds),
-                (self.top_offsets, self.top_targets,
-                 self.top_weights, self.top_kinds),
-                active, seeds,
-                num_nodes=len(self.boundary_ids),
-                target_offsets=None,
-                stats=stats,
-                top_np=self._top_np,
-            )
-            for t in destinations:
-                direct = fwd.get(t) if dst_cells[t] == cs else None
-                best = direct.distance if direct is not None else _INF
-                meet = -1
-                bwd = backs[t]
-                for b, tail in bwd.items():
-                    bi = index[b]
-                    if done[bi]:
-                        candidate = float(dist[bi]) + tail.distance
-                        if candidate < best:
-                            best = candidate
-                            meet = bi
-                if meet >= 0:
-                    results[(s, t)] = self._stitch(
-                        s, t, fwd, bwd, best, meet, parent, via
-                    )
-                elif direct is not None:
-                    results[(s, t)] = direct
-        return results
-
-    def _stitch(
-        self, source, destination, fwd, bwd, best, meet, parent, via
-    ) -> PathResult:
-        """Expand a mixed two-level tree chain into a full node path."""
-        chain = [meet]
-        node = meet
-        while parent[node] >= 0:
-            node = parent[node]
-            chain.append(node)
-        chain.reverse()
-        # Flatten supercell clique arcs into their level-1 chains, then
-        # splice exactly like the flat overlay.
+    def _chain(self, meet: int, parent, via) -> tuple[list[int], list[int]]:
+        """Level-1 chain: supercell clique arcs flattened into theirs."""
+        chain, kinds = super()._chain(meet, parent, via)
         flat = [chain[0]]
         flat_kinds: list[int] = []
-        for prev, curr in zip(chain, chain[1:]):
-            kind = via[curr]
+        for prev, curr, kind in zip(chain, chain[1:], kinds):
             if kind <= -2:
                 arc = self.sup_cliques[-2 - kind][prev][curr]
                 flat.extend(arc.chain[1:])
@@ -1533,20 +1632,7 @@ class NestedOverlayGraph(OverlayGraph):
             else:
                 flat.append(curr)
                 flat_kinds.append(kind)
-        ids = self.boundary_ids
-        nodes = list(fwd[ids[flat[0]]].nodes)
-        for prev, curr, kind in zip(flat, flat[1:], flat_kinds):
-            if kind < 0:  # cut arc: a real edge
-                nodes.append(ids[curr])
-            else:  # clique arc: splice the stored intra-cell path
-                nodes.extend(self.cliques[kind][ids[prev]][ids[curr]].nodes[1:])
-        nodes.extend(bwd[ids[meet]].nodes[1:])
-        return PathResult(
-            source=source,
-            destination=destination,
-            nodes=tuple(nodes),
-            distance=best,
-        )
+        return flat, flat_kinds
 
 
 def build_nested_overlay(
@@ -1582,8 +1668,32 @@ def build_nested_overlay(
 # value-references-key leak.  Callers that want reuse hold the snapshot
 # (the engine registry's prepare/route contract and the serving layer's
 # PreprocessingCache both do).
-_OVERLAYS: "WeakKeyDictionary[object, tuple[int, dict]]" = WeakKeyDictionary()
+_OVERLAYS: "weakref.WeakKeyDictionary[object, tuple[int, dict]]" = (
+    weakref.WeakKeyDictionary()
+)
 _OVERLAY_LOCK = threading.Lock()
+
+
+def _memoized_overlay(network, key: tuple, build):
+    """``build()`` once per ``(network, version, key)`` while someone holds it."""
+    version = getattr(network, "version", None)
+    if version is None:
+        return build()
+    with _OVERLAY_LOCK:
+        memo = _OVERLAYS.get(network)
+        if memo is not None and memo[0] == version:
+            ref = memo[1].get(key)
+            overlay = ref() if ref is not None else None
+            if overlay is not None:
+                return overlay
+    overlay = build()
+    with _OVERLAY_LOCK:
+        memo = _OVERLAYS.get(network)
+        if memo is None or memo[0] != version:
+            memo = (version, {})
+            _OVERLAYS[network] = memo
+        memo[1][key] = weakref.ref(overlay)
+    return overlay
 
 
 def overlay_snapshot(
@@ -1601,27 +1711,13 @@ def overlay_snapshot(
     :meth:`repro.service.serving.ServingStack.reweight`) to pay only
     for the touched cells instead.
     """
-    import weakref
-
-    version = getattr(network, "version", None)
-    if version is None:
-        return build_overlay(network, cell_capacity=cell_capacity, kernel=kernel)
-    key = (kernel, cell_capacity)
-    with _OVERLAY_LOCK:
-        memo = _OVERLAYS.get(network)
-        if memo is not None and memo[0] == version:
-            ref = memo[1].get(key)
-            overlay = ref() if ref is not None else None
-            if overlay is not None:
-                return overlay
-    overlay = build_overlay(network, cell_capacity=cell_capacity, kernel=kernel)
-    with _OVERLAY_LOCK:
-        memo = _OVERLAYS.get(network)
-        if memo is None or memo[0] != version:
-            memo = (version, {})
-            _OVERLAYS[network] = memo
-        memo[1][key] = weakref.ref(overlay)
-    return overlay
+    return _memoized_overlay(
+        network,
+        (kernel, cell_capacity),
+        lambda: build_overlay(
+            network, cell_capacity=cell_capacity, kernel=kernel
+        ),
+    )
 
 
 def nested_overlay_snapshot(
@@ -1637,33 +1733,14 @@ def nested_overlay_snapshot(
     coexist); use :meth:`NestedOverlayGraph.recustomized` after
     re-weighting to pay only for the touched cells and supercells.
     """
-    import weakref
-
-    version = getattr(network, "version", None)
-    if version is None:
-        return build_nested_overlay(
+    return _memoized_overlay(
+        network,
+        ("nested", kernel, cell_capacity, super_capacity),
+        lambda: build_nested_overlay(
             network, cell_capacity=cell_capacity, kernel=kernel,
             super_capacity=super_capacity,
-        )
-    key = ("nested", kernel, cell_capacity, super_capacity)
-    with _OVERLAY_LOCK:
-        memo = _OVERLAYS.get(network)
-        if memo is not None and memo[0] == version:
-            ref = memo[1].get(key)
-            overlay = ref() if ref is not None else None
-            if overlay is not None:
-                return overlay
-    overlay = build_nested_overlay(
-        network, cell_capacity=cell_capacity, kernel=kernel,
-        super_capacity=super_capacity,
+        ),
     )
-    with _OVERLAY_LOCK:
-        memo = _OVERLAYS.get(network)
-        if memo is None or memo[0] != version:
-            memo = (version, {})
-            _OVERLAYS[network] = memo
-        memo[1][key] = weakref.ref(overlay)
-    return overlay
 
 
 # ----------------------------------------------------------------------

@@ -42,9 +42,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,10 +55,33 @@ from repro.search.multi import MSMDResult
 
 __all__ = [
     "network_fingerprint",
+    "updated_fingerprint",
     "CacheSnapshot",
     "PreprocessingCache",
     "ResultCache",
 ]
+
+
+_FINGERPRINT_MODULUS = 1 << 128
+
+
+def _row_digest(network, node: NodeId) -> int:
+    """128-bit digest of one node row: id, position, out-arcs with weights.
+
+    Arcs are hashed in sorted neighbour order (``repr`` order for ids
+    that do not compare), so adjacency insertion order never shows;
+    floats enter as their exact IEEE-754 bytes.
+    """
+    nbrs = network.neighbors(node)
+    try:
+        order = sorted(nbrs)
+    except TypeError:
+        order = sorted(nbrs, key=repr)
+    p = network.position(node)
+    row = repr((node, order)).encode("utf-8") + struct.pack(
+        f"<{len(order) + 2}d", p.x, p.y, *[nbrs[v] for v in order]
+    )
+    return int.from_bytes(hashlib.blake2b(row, digest_size=16).digest(), "big")
 
 
 def network_fingerprint(network) -> str:
@@ -67,42 +91,58 @@ def network_fingerprint(network) -> str:
     ----------
     network:
         Any object with the :class:`~repro.network.graph.RoadNetwork`
-        read API (``directed``, ``nodes()``, ``edges()``, ``position()``).
+        read API (``directed``, ``nodes()``, ``neighbors()``,
+        ``position()``).
 
     Returns
     -------
     str
-        A 32-hex-digit BLAKE2b digest over the directedness flag, every
-        node with its position, and every edge with its weight.  Two
-        networks with identical content share a fingerprint regardless of
-        object identity or insertion order; any mutation (new node, new
-        edge, changed weight) produces a different one.
+        32 hex digits: the sum modulo ``2**128`` of one BLAKE2b digest
+        per node row (id, position, every out-arc with its weight) plus
+        one for the directedness flag.  Two networks with identical
+        content share a fingerprint regardless of object identity or
+        insertion order; any mutation (new node, new edge, changed
+        weight) produces a different one.
 
     Notes
     -----
-    Computing the fingerprint is ``O((N + E) log(N + E))`` — cheap next
-    to any preprocessing it guards, and recomputed on every cache lookup
-    precisely so that in-place network mutations invalidate stale
-    artifacts.
+    ``O(N + E)`` from scratch, which a serving stack pays once per
+    network: :class:`~repro.service.serving.ServingStack` memoizes the
+    string by the network's mutation ``version``, and a copy-on-write
+    epoch derives the next one with :func:`updated_fingerprint` in
+    ``O(changed rows)`` — the row sum is what makes that possible, and
+    gateway, shard workers and a from-scratch hash of the same snapshot
+    all arrive at the same string.
+
+    This is a cache key, not an integrity check: a sum of digests does
+    not resist an adversary who can choose rows, and nothing verifies a
+    loaded artifact against it (blob checksums are a separate concern).
     """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(b"directed\x00" if network.directed else b"undirected\x00")
-    node_lines = []
+    total = int.from_bytes(
+        hashlib.blake2b(
+            b"directed" if network.directed else b"undirected", digest_size=16
+        ).digest(),
+        "big",
+    )
     for node in network.nodes():
-        p = network.position(node)
-        node_lines.append(f"n {node!r} {p.x!r} {p.y!r}")
-    for line in sorted(node_lines):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\x00")
-    edge_lines = []
-    for u, v, w in network.edges():
-        if not network.directed and repr(v) < repr(u):
-            u, v = v, u
-        edge_lines.append(f"e {u!r} {v!r} {w!r}")
-    for line in sorted(edge_lines):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+        total += _row_digest(network, node)
+    return format(total % _FINGERPRINT_MODULUS, "032x")
+
+
+def updated_fingerprint(
+    fingerprint: str, before, after, nodes: Iterable[NodeId]
+) -> str:
+    """:func:`network_fingerprint` of ``after`` without rehashing it all.
+
+    ``before`` is the network ``fingerprint`` was computed for and
+    ``after`` differs from it only in the rows of ``nodes`` (for a
+    re-weighted edge: both endpoints; unchanged rows listed anyway
+    cancel out).  Node set and directedness must be the same.
+    """
+    total = int(fingerprint, 16)
+    for node in set(nodes):
+        total += _row_digest(after, node) - _row_digest(before, node)
+    return format(total % _FINGERPRINT_MODULUS, "032x")
 
 
 @dataclass(frozen=True, slots=True)

@@ -66,6 +66,7 @@ from repro.service.cache import (
     PreprocessingCache,
     ResultCache,
     network_fingerprint,
+    updated_fingerprint,
 )
 from repro.service.stats import percentile
 
@@ -1317,7 +1318,14 @@ class ServingStack:
             # pool did not customize must still land in its delta map,
             # or the next pooled refresh serves pre-change weights.
             self.customizer.note_changes(snapshot, applied)
-        new_fingerprint = self.install_epoch(snapshot, artifact=overlay)
+        new_fingerprint = self.install_epoch(
+            snapshot,
+            artifact=overlay,
+            fingerprint=updated_fingerprint(
+                old_fingerprint, old_network, snapshot,
+                [node for u, v, _ in applied for node in (u, v)],
+            ),
+        )
         return ReweightOutcome(
             edges=len(applied),
             touched_cells=touched,

@@ -285,6 +285,62 @@ class TestSubgraphAndCopy:
         for u, v, w in tiny_triangle.edges():
             assert clone.edge_weight(u, v) == w
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_copy_keeps_adjacency_order_and_counts(self, directed):
+        net = RoadNetwork(directed=directed)
+        for node in range(4):
+            net.add_node(node, float(node), 0.0)
+        # insertion order a replay through edges() would not reproduce
+        for u, v in [(2, 1), (0, 1), (1, 3), (3, 0)]:
+            net.add_edge(u, v, 1.0 + u)
+        clone = net.copy()
+        assert clone.directed == directed
+        assert clone.version == net.version
+        assert clone.num_edges == net.num_edges == 4
+        assert list(clone.nodes()) == list(net.nodes())
+        for node in net.nodes():
+            assert list(clone.neighbors(node).items()) == list(
+                net.neighbors(node).items()
+            )
+        assert list(clone.edges()) == list(net.edges())
+
+    def test_mutating_a_copy_leaves_the_original_and_its_memos_alone(
+        self, small_grid
+    ):
+        """What copy-on-write epochs rely on: the old epoch's network,
+        its ``version``-keyed memos and its edge count never move."""
+        from repro.network.csr import csr_snapshot
+        from repro.network.partition import partition_snapshot
+        from repro.service.cache import network_fingerprint
+        from repro.service.serving import ServingStack
+
+        stack = ServingStack.from_config(small_grid)
+        weights = {(u, v): w for u, v, w in small_grid.edges()}
+        version, edges = small_grid.version, small_grid.num_edges
+        csr, partition = csr_snapshot(small_grid), partition_snapshot(small_grid)
+        fingerprint = stack._fingerprint()
+        assert fingerprint == network_fingerprint(small_grid)
+
+        clone = small_grid.copy()
+        (u, v), w = next(iter(weights.items()))
+        clone.add_edge(u, v, w * 3.0)
+        clone.remove_edge(*list(weights)[1])
+        clone.add_node("extra", 0.0, 0.0)
+        clone.add_edge("extra", u, 1.0)
+
+        assert {(a, b): c for a, b, c in small_grid.edges()} == weights
+        assert (small_grid.version, small_grid.num_edges) == (version, edges)
+        assert "extra" not in small_grid
+        assert csr_snapshot(small_grid) is csr
+        assert partition_snapshot(small_grid) is partition
+        assert stack._fingerprint_memo == (version, fingerprint)
+        assert network_fingerprint(small_grid) == fingerprint
+        assert clone.num_edges == edges  # +1 road, -1 road
+        assert clone.version > version
+        assert csr_snapshot(clone) is not csr
+        assert network_fingerprint(clone) != fingerprint
+        stack.close()
+
     def test_repr_mentions_counts(self, tiny_triangle):
         text = repr(tiny_triangle)
         assert "nodes=3" in text and "edges=3" in text

@@ -236,6 +236,41 @@ class TestRecustomize:
             pytest.approx(ref)
         )
 
+    def test_incomplete_changed_edges_are_not_trusted(self, kernel):
+        """``changed_edges`` shorter than the network's mutations since
+        the overlay read it (an out-of-band change): no flat segment is
+        reused, so the unlisted cut edge's new weight is served too."""
+        net = grid_network(8, 8, perturbation=0.1, seed=3)
+        ov = build_overlay(net, cell_capacity=16, kernel=kernel)
+        cell_of = ov.partition.cell_of
+        cuts = [
+            (u, v) for u, v, _w in net.edges() if cell_of[u] != cell_of[v]
+        ]
+        listed = cuts[0]
+        unlisted = next(
+            (u, v) for u, v in cuts
+            if {cell_of[u], cell_of[v]}.isdisjoint(
+                {cell_of[listed[0]], cell_of[listed[1]]}
+            )
+        )
+        for u, v in (listed, unlisted):
+            net.add_edge(u, v, net.edge_weight(u, v) * 0.25)
+        refreshed = ov.recustomized(set(), changed_edges=[listed])
+        scratch = build_overlay(net, partition=ov.partition, kernel=kernel)
+        assert refreshed.over_weights == scratch.over_weights
+        assert refreshed.undercut == scratch.undercut
+        assert set(refreshed.undercut) == {
+            arc for u, v in (listed, unlisted) for arc in ((u, v), (v, u))
+        }
+        # the complete list is trusted: only its cells are re-flattened
+        u, v = listed
+        net.add_edge(u, v, net.edge_weight(u, v) * 8.0)
+        again = refreshed.recustomized(set(), changed_edges=[listed])
+        assert again.over_weights == build_overlay(
+            net, partition=ov.partition, kernel=kernel
+        ).over_weights
+        assert set(again.undercut) == {unlisted, unlisted[::-1]}
+
     def test_rejects_unknown_cell(self, overlay):
         with pytest.raises(GraphError):
             overlay.recustomized([overlay.num_cells])

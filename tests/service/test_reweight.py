@@ -12,7 +12,7 @@ from repro.exceptions import EdgeError
 from repro.network.generators import grid_network
 from repro.search.dijkstra import dijkstra_path
 from repro.search.overlay import OverlayGraph, build_overlay, dumps_overlay
-from repro.service.cache import PreprocessingCache
+from repro.service.cache import PreprocessingCache, network_fingerprint
 from repro.service.serving import ReweightOutcome, ServingConfig, ServingStack
 
 
@@ -199,6 +199,54 @@ class TestReweight:
             assert not outcome.recustomized
             response = stack.answer(_query(net, 3, 140))
             _assert_exact(net, response)
+
+    def test_in_flight_batch_keeps_reading_its_own_epoch(self, net):
+        """A batch that captured epoch N (network, fingerprint, overlay)
+        must find all three untouched after N+1 and N+2 install: the
+        structural copy shares nothing mutable, and the new overlay's
+        reused flat segments are copies, not views."""
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+        ) as stack:
+            overlay_n = stack.warm()
+            captured, fingerprint = stack._epoch_view()
+            weights = {(u, v): w for u, v, w in captured.edges()}
+            flat = (
+                list(overlay_n.over_offsets), list(overlay_n.over_targets),
+                list(overlay_n.over_weights), list(overlay_n.over_kinds),
+            )
+            want = overlay_n.many_to_many([3, 17], [140, 99])
+            intra = [
+                (u, v, w) for u, v, w in captured.edges()
+                if overlay_n.touched_cells([(u, v)])
+            ]
+            cut = [
+                (u, v, w) for u, v, w in captured.edges()
+                if not overlay_n.touched_cells([(u, v)])
+            ]
+            for (u, v, w), factor in ((intra[0], 5.0), (cut[0], 0.1)):
+                outcome = stack.reweight([(u, v, w * factor)], epoch=True)
+                assert outcome.recustomized
+                assert outcome.previous_fingerprint != outcome.fingerprint
+            assert stack.epoch == 2 and stack.network is not captured
+            # epoch N, exactly as captured
+            assert {(u, v): w for u, v, w in captured.edges()} == weights
+            assert captured.num_edges == net.num_edges
+            assert network_fingerprint(captured) == fingerprint
+            assert overlay_n.network is captured and overlay_n.metric
+            assert flat == (
+                overlay_n.over_offsets, overlay_n.over_targets,
+                overlay_n.over_weights, overlay_n.over_kinds,
+            )
+            assert overlay_n.many_to_many([3, 17], [140, 99]) == want
+            # epoch N+2 took both changes and knows the cut edge undercuts
+            current = stack.warm()
+            assert current.network is stack.network and not current.metric
+            u, v, w = cut[0]
+            assert set(current.undercut) == {(u, v), (v, u)}
+            assert stack.network.edge_weight(u, v) == w * 0.1
+            _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
 
 
 @pytest.mark.skipif(
