@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.exceptions import ObfuscationError
 from repro.network.graph import NodeId, RoadNetwork
@@ -58,6 +58,11 @@ class SelectionContext:
         to bound the query's geometry.
     exclude:
         Nodes that must not be chosen (already-used endpoints).
+    scanned:
+        Index scans already done for this request, keyed by what was
+        scanned.  The obfuscator hands one dict to both sides of a
+        query: their true endpoints are the same set, so a strategy
+        whose candidate region depends only on that set scans it once.
     """
 
     network: RoadNetwork
@@ -66,6 +71,7 @@ class SelectionContext:
     anchors: Sequence[NodeId]
     counterparts: Sequence[NodeId]
     exclude: frozenset[NodeId]
+    scanned: dict = field(default_factory=dict)
 
 
 class FakeEndpointStrategy:
@@ -190,9 +196,10 @@ class CompactEndpointStrategy(FakeEndpointStrategy):
         extent = _query_extent(context)
         pad_x = max(pad_x, 0.1 * extent)
         pad_y = max(pad_y, 0.1 * extent)
-        candidates = context.index.nodes_in_box(
-            min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y
-        )
+        box = (min_x - pad_x, min_y - pad_y, max_x + pad_x, max_y + pad_y)
+        candidates = context.scanned.get(box)
+        if candidates is None:
+            candidates = context.scanned[box] = context.index.nodes_in_box(*box)
         try:
             return self._draw_unique(candidates, count, context.rng, context.exclude)
         except ObfuscationError:

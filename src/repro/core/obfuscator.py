@@ -20,8 +20,10 @@ to recover.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -39,6 +41,9 @@ from repro.network.spatial import GridSpatialIndex
 __all__ = ["ObfuscationRecord", "PathQueryObfuscator"]
 
 _record_counter = itertools.count(1)
+
+#: sticky queries one obfuscator remembers (least recently used go first)
+STICKY_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +116,12 @@ class PathQueryObfuscator:
         self._base_seed = seed
         self._rng = random.Random(seed)
         self._index = index if index is not None else GridSpatialIndex(network)
+        # digest of (sticky key, trip, setting) -> the Q(S, T) derived for
+        # it; see obfuscate_independent for why nothing else is kept
+        self._sticky_memo: OrderedDict[bytes, ObfuscatedPathQuery] = (
+            OrderedDict()
+        )
+        self._memo_key = repr(seed).encode()[:hashlib.blake2b.MAX_KEY_SIZE]
         #: records awaiting results, keyed by record id (Figure 6's
         #: "requests are kept for later result path filtering")
         self.pending: dict[int, ObfuscationRecord] = {}
@@ -146,11 +157,56 @@ class PathQueryObfuscator:
             intersects the candidate sets and isolates the true pair;
             sticky decoys make the intersection a fixpoint.
 
+            Repeats are served from an LRU of :data:`STICKY_MEMO_SIZE`
+            queries, so the common request costs one digest instead of
+            an index scan.  The memo maps a BLAKE2b digest of
+            ``(sticky_key, query, setting)``, keyed with the seed, to
+            the server-visible ``Q(S, T)`` and nothing else: the decoy
+            sets are recomputed as ``S - {s}`` and ``T - {t}`` and the
+            record is built anew, so the memo holds only what the seed
+            and the server's own log already determine, and a memoized
+            record equals a re-derived one field for field.
+
         Raises
         ------
         ObfuscationError
             If the map cannot supply enough distinct fakes.
         """
+        true_s = request.query.source
+        true_t = request.query.destination
+        if sticky_key is None:
+            query = self._derive_independent(request, None)
+        else:
+            setting = request.setting
+            digest = hashlib.blake2b(
+                repr(
+                    (sticky_key, true_s, true_t, setting.f_s, setting.f_t)
+                ).encode(),
+                key=self._memo_key,
+                digest_size=16,
+            ).digest()
+            query = self._sticky_memo.get(digest)
+            if query is None:
+                query = self._derive_independent(request, sticky_key)
+                if len(self._sticky_memo) >= STICKY_MEMO_SIZE:
+                    self._sticky_memo.popitem(last=False)
+            self._sticky_memo[digest] = query
+            self._sticky_memo.move_to_end(digest)
+        record = ObfuscationRecord(
+            record_id=next(_record_counter),
+            query=query,
+            requests=(request,),
+            fake_sources=frozenset(query.sources) - {true_s},
+            fake_destinations=frozenset(query.destinations) - {true_t},
+            kind="independent",
+        )
+        self.pending[record.record_id] = record
+        return record
+
+    def _derive_independent(
+        self, request: ClientRequest, sticky_key: str | None
+    ) -> ObfuscatedPathQuery:
+        """Draw the decoys and the endpoint order of one independent query."""
         true_s = request.query.source
         true_t = request.query.destination
         rng: random.Random | None = None
@@ -159,11 +215,13 @@ class PathQueryObfuscator:
                 f"{self._base_seed}:{sticky_key}:{true_s!r}->{true_t!r}"
                 f":{request.setting.f_s}x{request.setting.f_t}"
             )
+        scanned: dict = {}
         fake_sources = self._pick_fakes(
             anchors=[true_s],
             counterparts=[true_t],
             count=request.setting.f_s - 1,
             exclude=frozenset({true_s, true_t}),
+            scanned=scanned,
             rng=rng,
         )
         exclude_t = frozenset({true_s, true_t}) | frozenset(fake_sources)
@@ -172,20 +230,12 @@ class PathQueryObfuscator:
             counterparts=[true_s],
             count=request.setting.f_t - 1,
             exclude=exclude_t,
+            scanned=scanned,
             rng=rng,
         )
         sources = self._shuffled([true_s] + fake_sources, rng=rng)
         destinations = self._shuffled([true_t] + fake_destinations, rng=rng)
-        record = ObfuscationRecord(
-            record_id=next(_record_counter),
-            query=ObfuscatedPathQuery(tuple(sources), tuple(destinations)),
-            requests=(request,),
-            fake_sources=frozenset(fake_sources),
-            fake_destinations=frozenset(fake_destinations),
-            kind="independent",
-        )
-        self.pending[record.record_id] = record
-        return record
+        return ObfuscatedPathQuery(tuple(sources), tuple(destinations))
 
     # ------------------------------------------------------------------
     # Shared obfuscation
@@ -212,17 +262,20 @@ class PathQueryObfuscator:
         need_s = max(cluster.max_f_s - len(true_sources), 0)
         need_t = max(cluster.max_f_t - len(true_destinations), 0)
         used = frozenset(true_sources) | frozenset(true_destinations)
+        scanned: dict = {}
         fake_sources = self._pick_fakes(
             anchors=true_sources,
             counterparts=true_destinations,
             count=need_s,
             exclude=used,
+            scanned=scanned,
         )
         fake_destinations = self._pick_fakes(
             anchors=true_destinations,
             counterparts=true_sources,
             count=need_t,
             exclude=used | frozenset(fake_sources),
+            scanned=scanned,
         )
         sources = self._shuffled(true_sources + fake_sources)
         destinations = self._shuffled(true_destinations + fake_destinations)
@@ -285,6 +338,7 @@ class PathQueryObfuscator:
         counterparts: Sequence[NodeId],
         count: int,
         exclude: frozenset[NodeId],
+        scanned: dict,
         rng: random.Random | None = None,
     ) -> list[NodeId]:
         if count <= 0:
@@ -296,6 +350,7 @@ class PathQueryObfuscator:
             anchors=anchors,
             counterparts=counterparts,
             exclude=exclude,
+            scanned=scanned,
         )
         return self._strategy.select(context, count)
 

@@ -5,8 +5,9 @@ everything it sees.  Accordingly :class:`DirectionsServer` does two things:
 
 * evaluates obfuscated path queries with a pluggable MSMD strategy over a
   (optionally paged) road network, returning every candidate path, and
-* logs every query it observes (``observed_queries``), which is exactly
-  the adversary's view used by :mod:`repro.core.attacks`.
+* logs the queries it observes (``observed_queries``, the most recent
+  :data:`OBSERVED_WINDOW` of them), which is exactly the adversary's
+  view used by :mod:`repro.core.attacks`.
 
 When a :class:`~repro.service.serving.ServingStack` fronts the server,
 some responses are served from the result cache without a fresh search;
@@ -18,6 +19,7 @@ actually performed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.query import ObfuscatedPathQuery
@@ -31,7 +33,12 @@ from repro.search.multi import (
 )
 from repro.search.result import SearchStats
 
-__all__ = ["ServerResponse", "DirectionsServer"]
+__all__ = ["OBSERVED_WINDOW", "ServerResponse", "DirectionsServer"]
+
+#: queries the adversary log keeps.  A server that runs for days must
+#: hold O(1) memory per request served; attacks and experiments read a
+#: session's worth of queries, far fewer than this.
+OBSERVED_WINDOW = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,8 +148,11 @@ class DirectionsServer:
         self._processor = (
             processor if processor is not None else SharedTreeProcessor()
         )
-        #: the adversary's view: every Q(S, T) this server ever saw
-        self.observed_queries: list[ObfuscatedPathQuery] = []
+        #: the adversary's view: the last OBSERVED_WINDOW Q(S, T) seen,
+        #: oldest first
+        self.observed_queries: deque[ObfuscatedPathQuery] = deque(
+            maxlen=OBSERVED_WINDOW
+        )
         #: registry holding the live load counters (``repro_server_*``)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         reg = self.metrics

@@ -112,16 +112,30 @@ class GridSpatialIndex:
     def nodes_in_box(
         self, min_x: float, min_y: float, max_x: float, max_y: float
     ) -> list[NodeId]:
-        """All nodes with positions inside the closed axis-aligned box."""
-        lo = self._key(Point(min_x, min_y))
-        hi = self._key(Point(max_x, max_y))
+        """All nodes with positions inside the closed axis-aligned box.
+
+        Nodes come out bucket by bucket (column-major over the grid, in
+        insertion order within a bucket), so equal boxes give equal
+        lists — seeded sampling over the result is reproducible.
+        """
+        lo_x, lo_y = self._key(Point(min_x, min_y))
+        hi_x, hi_y = self._key(Point(max_x, max_y))
         # Clamp to the populated key range so oversized boxes stay cheap.
-        lo = (max(lo[0], self._key_bounds[0]), max(lo[1], self._key_bounds[1]))
-        hi = (min(hi[0], self._key_bounds[2]), min(hi[1], self._key_bounds[3]))
+        first_x, first_y = self._key_bounds[:2]
+        last_x, last_y = self._key_bounds[2:]
         out: list[NodeId] = []
-        for bx in range(lo[0], hi[0] + 1):
-            for by in range(lo[1], hi[1] + 1):
-                for node in self._buckets.get((bx, by), ()):
+        for bx in range(max(lo_x, first_x), min(hi_x, last_x) + 1):
+            inside_x = lo_x < bx < hi_x
+            for by in range(max(lo_y, first_y), min(hi_y, last_y) + 1):
+                bucket = self._buckets.get((bx, by))
+                if bucket is None:
+                    continue
+                if inside_x and lo_y < by < hi_y:
+                    # a bucket strictly between the box's corner keys
+                    # lies inside the box: keys are monotone in position
+                    out.extend(bucket)
+                    continue
+                for node in bucket:
                     p = self._network.position(node)
                     if min_x <= p.x <= max_x and min_y <= p.y <= max_y:
                         out.append(node)

@@ -26,7 +26,9 @@ the hot path.  This module provides the two thread-safe LRU caches the
   engine)``, holding whole :class:`~repro.search.multi.MSMDResult`
   tables.  Obfuscated queries recur (popular routes, shared-mode
   clusters, replayed workloads); a hit answers ``|S| x |T|`` path
-  queries with zero search work.
+  queries with zero search work — and, once the gateway has sent a
+  table, with zero encoding work: the entry keeps the table's wire
+  fragment (:func:`~repro.service.wire.encode_paths`) beside it.
 
 Both caches expose hit/miss/eviction counters, combined into a
 :class:`CacheSnapshot` that :class:`~repro.core.system.SessionReport`
@@ -52,6 +54,7 @@ from pathlib import Path
 from repro.network.graph import NodeId
 from repro.obs.metrics import MetricsRegistry
 from repro.search.multi import MSMDResult
+from repro.service.wire import encode_paths, table_paths
 
 __all__ = [
     "network_fingerprint",
@@ -549,6 +552,13 @@ class ResultCache:
     different networks safe, and invalidates every table when a network
     is mutated in place.
 
+    An entry is the table plus, from the first time it is sent over the
+    wire, its encoded ``"paths"`` fragment (:meth:`fragment`,
+    :meth:`hit`).  The fragment is a function of the key's ``S``/``T``
+    order and the table, lives in the entry and leaves with it —
+    eviction, :meth:`invalidate_fingerprint` and :meth:`clear` need no
+    second bookkeeping, and no body can outlive its table.
+
     Parameters
     ----------
     capacity:
@@ -569,8 +579,9 @@ class ResultCache:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self._capacity = capacity
+        # key -> [table, wire fragment or None until first sent]
         self._entries: OrderedDict[
-            tuple[str, tuple[NodeId, ...], tuple[NodeId, ...], str], MSMDResult
+            tuple[str, tuple[NodeId, ...], tuple[NodeId, ...], str], list
         ] = OrderedDict()
         self._lock = threading.RLock()
         #: registry holding the live hit/miss counters
@@ -635,13 +646,64 @@ class ResultCache:
         """
         key = self._key(fingerprint, sources, destinations, engine)
         with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
                 self._m_hits.inc()
-                return result
+                return entry[0]
             self._m_misses.inc()
             return None
+
+    def hit(
+        self,
+        fingerprint: str,
+        sources: Sequence[NodeId],
+        destinations: Sequence[NodeId],
+        engine: str,
+    ) -> tuple[MSMDResult, bytes] | None:
+        """The cached table and its wire fragment, or ``None``.
+
+        The lookup of a caller that answers hits itself and hands
+        everything else to a path that calls :meth:`get`: a hit counts
+        and refreshes recency exactly as :meth:`get` would, a miss
+        counts nothing, so each request moves one counter once.
+        """
+        key = self._key(fingerprint, sources, destinations, engine)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            self._m_hits.inc()
+            return entry[0], self._fragment(key, entry)
+
+    def fragment(
+        self,
+        fingerprint: str,
+        sources: Sequence[NodeId],
+        destinations: Sequence[NodeId],
+        engine: str,
+        result: MSMDResult,
+    ) -> bytes:
+        """Wire fragment of ``result``, the table just served for this key.
+
+        Encoded once and kept in the entry when the entry holds that
+        very table; a table the cache does not hold (capacity 0, already
+        evicted, an epoch that has moved on) is encoded and not kept.
+        No counter moves and recency is untouched.
+        """
+        key = self._key(fingerprint, sources, destinations, engine)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] is not result:
+                entry = [result, None]
+            return self._fragment(key, entry)
+
+    @staticmethod
+    def _fragment(key: tuple, entry: list) -> bytes:
+        if entry[1] is None:
+            entry[1] = encode_paths(table_paths(key[1], key[2], entry[0]))
+        return entry[1]
 
     def put(
         self,
@@ -658,7 +720,7 @@ class ResultCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = result
+            self._entries[key] = [result, None]
             if len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
                 self._m_evictions.inc()

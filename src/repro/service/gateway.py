@@ -9,12 +9,28 @@ schema (:mod:`repro.service.wire`) and answers them from
 
 Request path::
 
-    client ──HTTP──▶ middleware chain ──▶ router ──▶ shard queues
-                      │ request-id                     │ micro-batch
-                      │ route aliases                  ▼ window
-                      │ redacted access log     ShardWorkerPool
-                      │ admission control        (N processes, each a
-                      ▼ (429 + Retry-After)       warmed ServingStack)
+    client ──HTTP──▶ middleware chain ──▶ router ──▶ result cache? ──hit──▶ bytes
+                      │ request-id                     │ miss        (on the loop,
+                      │ route aliases                  ▼           in-process mode)
+                      │ redacted access log      shard queues
+                      │ admission control          │ micro-batch window
+                      ▼ (429 + Retry-After)        ▼
+                                            one lane thread per shard
+                                             │ in-process: the stack
+                                             ▼ workers: ShardWorkerPool
+                                            (N processes, each a warmed
+                                             ServingStack; bodies come
+                                             back through the pipe as
+                                             encoded bytes)
+
+A repeated ``Q(S, T)`` is the common request (sticky decoys make a
+commuter's repeat the identical query), so the in-process gateway asks
+the result cache first, on the event loop
+(:meth:`~repro.service.serving.ServingStack.answer_cached`): a hit is
+answered with the bytes encoded when its table was first sent — no
+queue, no thread hop, no encoder.  Searches never run on the loop.
+Every body is :func:`~repro.service.wire.route_body` around the table's
+one :func:`~repro.service.wire.encode_paths` fragment.
 
 Sharding: each query is routed by
 :meth:`~repro.service.serving.ServingStack.dispatch_hint` — the
@@ -59,6 +75,7 @@ from collections.abc import Awaitable, Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.core.query import ObfuscatedPathQuery
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FORBIDDEN_ATTR_KEYS
 from repro.service.serving import ServingConfig, ServingStack
@@ -67,9 +84,10 @@ from repro.service.wire import (
     BatchRequest,
     ErrorResponse,
     RouteRequest,
-    RouteResponse,
     WireError,
+    batch_body,
     canonical_json,
+    route_body,
 )
 
 __all__ = [
@@ -200,15 +218,21 @@ class _HTTPResponse:
     """One HTTP response about to be written (internal to the gateway)."""
 
     status: int
-    body: str
+    body: bytes
     headers: dict[str, str] = field(default_factory=dict)
+
+
+def _json_response(doc: dict) -> _HTTPResponse:
+    return _HTTPResponse(200, canonical_json(doc).encode("ascii"))
 
 
 def _error_response(
     code: str, retry_after_s: float | None = None
 ) -> _HTTPResponse:
     wire = ErrorResponse(code, retry_after_s=retry_after_s)
-    response = _HTTPResponse(_STATUS_FOR_CODE[code], wire.to_json())
+    response = _HTTPResponse(
+        _STATUS_FOR_CODE[code], wire.to_json().encode("ascii")
+    )
     if retry_after_s is not None:
         # RFC 9110 §10.2.3: Retry-After is integer delta-seconds; the
         # precise float hint stays in the JSON body (retry_after_s) for
@@ -219,21 +243,32 @@ def _error_response(
     return response
 
 
-def _evaluate_pairs(stack: ServingStack, pairs: list[tuple]) -> list[dict]:
-    """Answer decoded endpoint pairs; one result envelope per pair.
+def _evaluate_pairs(
+    stack: ServingStack, pairs: list[tuple]
+) -> list[bytes | str]:
+    """Answer decoded endpoint pairs; one encoded result per pair.
 
     The single evaluation routine used by both the in-process mode and
     every shard worker, so all modes encode answers identically (the
     byte-identity property the gateway gate checks).  A batch that
     fails as a whole is retried query-by-query so one failing query
-    cannot poison its window-mates: each pair independently yields
-    ``{"ok": <RouteResponse dict>}`` or ``{"err": <code>}``.
+    cannot poison its window-mates: each pair independently yields its
+    ``/v1/route`` body (``bytes``) or an error code (``str``).  A
+    table's fragment is encoded the first time it is sent and kept in
+    its result-cache entry, so a worker ships finished bytes through
+    the pipe and the gateway writes them as they are.
     """
-    from repro.core.query import ObfuscatedPathQuery
     from repro.exceptions import NoPathError, ReproError
 
-    def encode(response) -> dict:
-        return {"ok": RouteResponse.from_server(response).to_dict()}
+    def encode(response) -> bytes:
+        query = response.query
+        # the epoch as of now: if it moved since the answer, the entry
+        # is unreachable anyway and the fragment is simply not kept
+        fragment = stack.results.fragment(
+            stack._epoch_view()[1], query.sources, query.destinations,
+            stack.engine_name, response.candidates,
+        )
+        return route_body(fragment, response.from_cache, response.coalesced)
 
     try:
         queries = [
@@ -246,18 +281,18 @@ def _evaluate_pairs(stack: ServingStack, pairs: list[tuple]) -> list[dict]:
             return [encode(r) for r in stack.answer_batch(queries)]
         except ReproError:
             pass  # isolate the failing query below
-    out: list[dict] = []
+    out: list[bytes | str] = []
     for s, t in pairs:
         try:
             out.append(encode(
                 stack.answer(ObfuscatedPathQuery(tuple(s), tuple(t)))
             ))
         except NoPathError:
-            out.append({"err": "no_path"})
+            out.append("no_path")
         except ReproError:
-            out.append({"err": "invalid_request"})
+            out.append("invalid_request")
         except Exception:  # pragma: no cover - defensive
-            out.append({"err": "internal"})
+            out.append("internal")
     return out
 
 
@@ -600,15 +635,16 @@ class Gateway:
             self._m_request_seconds.observe(elapsed)
             if response.status >= 400:
                 self._m_errors.inc()
-            # redacted_fields refuses endpoint-bearing keys at write
-            # time — the HTTP edge of the obs redaction invariant.
-            self._log.info(canonical_json(redacted_fields(
-                request_id=request.request_id,
-                method=request.method,
-                route=request.route,
-                status=response.status,
-                duration_ms=round(elapsed * 1000.0, 3),
-            )))
+            if self._log.isEnabledFor(logging.INFO):
+                # redacted_fields refuses endpoint-bearing keys at write
+                # time — the HTTP edge of the obs redaction invariant.
+                self._log.info(canonical_json(redacted_fields(
+                    request_id=request.request_id,
+                    method=request.method,
+                    route=request.route,
+                    status=response.status,
+                    duration_ms=round(elapsed * 1000.0, 3),
+                )))
             return response
 
         return wrapped
@@ -647,32 +683,19 @@ class Gateway:
             return _error_response("internal")
 
     async def _handle_route(self, request: _HTTPRequest) -> _HTTPResponse:
-        decoded = RouteRequest.from_json(request.body)
-        decoded.to_query()  # validate before queueing
+        # to_query validates before anything is queued
         result = await self._submit(
-            (decoded.sources, decoded.destinations)
+            RouteRequest.from_json(request.body).to_query()
         )
-        if "err" in result:
-            return _error_response(result["err"])
-        return _HTTPResponse(200, canonical_json(result["ok"]))
+        if isinstance(result, str):
+            return _error_response(result)
+        return _HTTPResponse(200, result)
 
     async def _handle_batch(self, request: _HTTPRequest) -> _HTTPResponse:
-        decoded = BatchRequest.from_json(request.body)
-        for entry in decoded.queries:
-            entry.to_query()  # validate the whole batch before queueing
-        results = await asyncio.gather(*[
-            self._submit((entry.sources, entry.destinations))
-            for entry in decoded.queries
-        ])
-        body = {
-            "schema": WIRE_SCHEMA_VERSION,
-            "results": [
-                result["ok"] if "err" not in result
-                else {"error": result["err"]}
-                for result in results
-            ],
-        }
-        return _HTTPResponse(200, canonical_json(body))
+        # to_queries validates the whole batch before anything is queued
+        queries = BatchRequest.from_json(request.body).to_queries()
+        results = await asyncio.gather(*map(self._submit, queries))
+        return _HTTPResponse(200, batch_body(results))
 
     async def _handle_health(self, request: _HTTPRequest) -> _HTTPResponse:
         body = {
@@ -682,7 +705,7 @@ class Gateway:
             "workers": len(self.pool) if self.pool is not None else 0,
             "epoch": self.stack.epoch,
         }
-        return _HTTPResponse(200, canonical_json(body))
+        return _json_response(body)
 
     async def _handle_metrics(self, request: _HTTPRequest) -> _HTTPResponse:
         loop = asyncio.get_running_loop()
@@ -699,7 +722,7 @@ class Gateway:
             "config": self.serving.to_dict(),
             "shards": shards,
         }
-        return _HTTPResponse(200, canonical_json(body))
+        return _json_response(body)
 
     async def _handle_reweight(self, request: _HTTPRequest) -> _HTTPResponse:
         doc = json.loads(request.body) if request.body else None
@@ -732,25 +755,34 @@ class Gateway:
             "recustomized": outcome.recustomized,
             "epoch": outcome.epoch,
         }
-        return _HTTPResponse(200, canonical_json(body))
+        return _json_response(body)
 
     # -- shard dispatch ------------------------------------------------
 
-    def _shard_of(self, sources: tuple[int, ...]) -> int:
+    def _shard_of(self, query: ObfuscatedPathQuery) -> int:
         """Shard index for a query: overlay cell, else a stable hash."""
-        workers = len(self.pool) if self.pool is not None else 1
-        from repro.core.query import ObfuscatedPathQuery
-
-        hint = self.stack.dispatch_hint(
-            ObfuscatedPathQuery(tuple(sources), (sources[0],))
-        )
+        if self.pool is None:
+            return 0
+        hint = self.stack.dispatch_hint(query)
         if hint is None:
-            hint = hash(sources[0])
-        return hint % workers
+            hint = hash(query.sources[0])
+        return hint % len(self.pool)
 
-    async def _submit(self, pair: tuple) -> dict:
-        """Queue one endpoint pair on its shard; await its envelope."""
-        shard = self._shard_of(pair[0])
+    async def _submit(self, query: ObfuscatedPathQuery) -> bytes | str:
+        """Answer one query: its ``/v1/route`` body, or an error code.
+
+        In-process mode asks the result cache first, here on the loop;
+        with workers the tables live in the shards, so every query
+        crosses the pipe.  Anything but a hit is queued on its shard.
+        """
+        if self.pool is None:
+            cached = self.stack.answer_cached(query)
+            if cached is not None:
+                response, fragment = cached
+                return route_body(
+                    fragment, response.from_cache, response.coalesced
+                )
+        shard = self._shard_of(query)
         queue = self._queues.get(shard)
         if queue is None:
             queue = asyncio.Queue()
@@ -763,7 +795,7 @@ class Gateway:
                 asyncio.create_task(self._flush_shard(shard, queue, lane))
             )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await queue.put((future, pair))
+        await queue.put((future, (query.sources, query.destinations)))
         return await future
 
     async def _flush_shard(
@@ -807,7 +839,7 @@ class Gateway:
                         lane, _evaluate_pairs, self.stack, pairs
                     )
             except Exception:
-                results = [{"err": "internal"}] * len(batch)
+                results = ["internal"] * len(batch)
             for (future, _), result in zip(batch, results):
                 if not future.done():
                     future.set_result(result)
@@ -872,7 +904,7 @@ class Gateway:
         self, writer, response: _HTTPResponse, keep_alive: bool
     ) -> None:
         """Serialize one response (the body is already canonical JSON)."""
-        payload = response.body.encode("utf-8")
+        payload = response.body
         headers = {
             "Content-Type": "application/json",
             "Content-Length": str(len(payload)),

@@ -34,9 +34,12 @@ which must never see a stranger's error) and raises only toward the
 submitter of the failing query.
 
 The stack preserves the server's adversary model — every query (cache
-hit or not) is appended to ``server.observed_queries`` and counted in
-``server.counters``; only the *search work* is elided.  Privacy numbers
-are therefore unchanged while cost numbers drop.
+hit or not) is appended to ``server.observed_queries`` (a window of the
+most recent queries) and counted in ``server.counters``; only the
+*search work* is elided.  Privacy numbers are therefore unchanged while
+cost numbers drop.  :meth:`ServingStack.answer_cached` is the same
+accounting for a caller that wants only the hits (the HTTP gateway's
+event loop).
 """
 
 from __future__ import annotations
@@ -940,6 +943,44 @@ class ServingStack:
             return self._answer_batch_direct(queries)
         finally:
             self._m_batch_seconds.observe(time.perf_counter() - t0)
+
+    def answer_cached(
+        self, query: ObfuscatedPathQuery
+    ) -> tuple[ServerResponse, bytes] | None:
+        """Answer ``query`` if the result cache can, else ``None``.
+
+        The constant-work half of :meth:`answer`, cheap enough for an
+        event loop: the current epoch's fingerprint and one lookup under
+        the stack lock — no search, no pool, no window.  A hit is
+        accounted as :meth:`answer_batch` accounts it (one cache hit,
+        one ``from_cache`` response recorded by the server, one
+        batch-latency observation) and returns the response with its
+        table's wire fragment
+        (:meth:`~repro.service.cache.ResultCache.hit`).  A miss touches
+        no counter: the caller hands the query to :meth:`answer_batch`,
+        which counts it once.
+
+        Taking this path is a function of ``(S, T, epoch)``, the cache
+        key, so it shows the server nothing a cache hit does not.  Hits
+        answered here never enter a :class:`QueryCoalescer` window: the
+        coalescer's counters (``repro_coalesce_*``,
+        :class:`CoalesceSnapshot`) count queries that reached a window,
+        i.e. misses when submitted.  No span is recorded.
+        """
+        t0 = time.perf_counter()
+        with self._lock:
+            hit = self.results.hit(
+                self._fingerprint(), query.sources, query.destinations,
+                self.engine_name,
+            )
+            if hit is None:
+                return None
+            response = ServerResponse(
+                query=query, candidates=hit[0], from_cache=True
+            )
+            self.server.record(response)
+        self._m_batch_seconds.observe(time.perf_counter() - t0)
+        return response, hit[1]
 
     def _answer_batch_direct(
         self, queries: Sequence[ObfuscatedPathQuery]

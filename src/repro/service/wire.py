@@ -43,6 +43,10 @@ __all__ = [
     "BatchResponse",
     "ErrorResponse",
     "canonical_json",
+    "table_paths",
+    "encode_paths",
+    "route_body",
+    "batch_body",
 ]
 
 #: version stamp carried by every wire document
@@ -68,6 +72,86 @@ def canonical_json(doc: Any) -> str:
     equal byte strings.
     """
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def table_paths(
+    sources, destinations, table
+) -> tuple[tuple[int, int, tuple[int, ...], float], ...]:
+    """A result table as ``(source, destination, nodes, cost)`` entries
+    in the ``S x T`` wire order of the query that asked for it."""
+    paths = []
+    for source in sources:
+        for destination in destinations:
+            result = table.path_for(source, destination)
+            paths.append(
+                (source, destination, tuple(result.nodes),
+                 float(result.distance))
+            )
+    return tuple(paths)
+
+
+def _path_docs(paths) -> list[dict]:
+    return [
+        {
+            "source": source,
+            "destination": destination,
+            "nodes": list(nodes),
+            "cost": cost,
+        }
+        for source, destination, nodes, cost in paths
+    ]
+
+
+def encode_paths(paths) -> bytes:
+    """The canonical ``"paths":[...]`` fragment of a response body.
+
+    The one response encoder: every ``/v1/route`` and ``/v1/batch``
+    body is this fragment spliced between constant keys
+    (:func:`route_body`, :func:`batch_body`), so a table is walked and
+    encoded once however often it is sent — the result cache keeps the
+    fragment next to the table it encodes.
+    """
+    return ('"paths":' + canonical_json(_path_docs(paths))).encode("ascii")
+
+
+#: what precedes the fragment in a body, by (from_cache, coalesced)
+_BODY_HEADS = {
+    (from_cache, coalesced): (
+        '{"coalesced":%s,"from_cache":%s,'
+        % (canonical_json(coalesced), canonical_json(from_cache))
+    ).encode("ascii")
+    for from_cache in (False, True)
+    for coalesced in (False, True)
+}
+_SCHEMA_TAIL = b',"schema":%d}' % WIRE_SCHEMA_VERSION
+
+
+def route_body(
+    fragment: bytes, from_cache: bool = False, coalesced: bool = False
+) -> bytes:
+    """A ``/v1/route`` body around an :func:`encode_paths` fragment.
+
+    Byte-identical to ``canonical_json(RouteResponse.to_dict())`` of the
+    same table and flags (keys sort ``coalesced``, ``from_cache``,
+    ``paths``, ``schema``).
+    """
+    return _BODY_HEADS[from_cache, coalesced] + fragment + _SCHEMA_TAIL
+
+
+def batch_body(entries) -> bytes:
+    """A ``/v1/batch`` body from its entries, in submission order.
+
+    Each entry is a :func:`route_body` (``bytes``) or, for a query that
+    failed, its error code (``str``), which becomes ``{"error": code}``;
+    batch results carry no per-entry schema stamp.
+    """
+    results = [
+        canonical_json({"error": entry}).encode("ascii")
+        if isinstance(entry, str)
+        else entry[: -len(_SCHEMA_TAIL)] + b"}"
+        for entry in entries
+    ]
+    return b'{"results":[' + b",".join(results) + b"]" + _SCHEMA_TAIL
 
 
 class WireError(ValueError):
@@ -272,16 +356,8 @@ class RouteResponse:
     def from_server(cls, response: ServerResponse) -> "RouteResponse":
         """Wire form of a server answer, pairs in the query's wire order."""
         query = response.query
-        paths = []
-        for source in query.sources:
-            for destination in query.destinations:
-                result = response.candidates.path_for(source, destination)
-                paths.append(
-                    (source, destination, tuple(result.nodes),
-                     float(result.distance))
-                )
         return cls(
-            tuple(paths),
+            table_paths(query.sources, query.destinations, response.candidates),
             from_cache=response.from_cache,
             coalesced=response.coalesced,
         )
@@ -290,15 +366,7 @@ class RouteResponse:
         """The path/cost payload alone — the byte-identity surface."""
         return {
             "schema": WIRE_SCHEMA_VERSION,
-            "paths": [
-                {
-                    "source": source,
-                    "destination": destination,
-                    "nodes": list(nodes),
-                    "cost": cost,
-                }
-                for source, destination, nodes, cost in self.paths
-            ],
+            "paths": _path_docs(self.paths),
         }
 
     def payload_json(self) -> str:
@@ -312,9 +380,14 @@ class RouteResponse:
         doc["coalesced"] = self.coalesced
         return doc
 
+    def _body(self) -> bytes:
+        return route_body(
+            encode_paths(self.paths), self.from_cache, self.coalesced
+        )
+
     def to_json(self) -> str:
-        """Canonical JSON encoding."""
-        return canonical_json(self.to_dict())
+        """Canonical JSON encoding (what the gateway sends, byte for byte)."""
+        return self._body().decode("ascii")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RouteResponse":
@@ -376,8 +449,10 @@ class BatchResponse:
         }
 
     def to_json(self) -> str:
-        """Canonical JSON encoding."""
-        return canonical_json(self.to_dict())
+        """Canonical JSON encoding (what the gateway sends, byte for byte)."""
+        return batch_body(
+            result._body() for result in self.results
+        ).decode("ascii")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BatchResponse":

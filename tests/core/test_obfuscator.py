@@ -183,3 +183,111 @@ class TestDeterminism:
         assert (
             a.obfuscate_independent(req).query != b.obfuscate_independent(req).query
         )
+
+
+class TestStickyMemo:
+    """A sticky repeat is served from the memo and cannot be told from
+    a fresh derivation; the memo itself holds nothing secret."""
+
+    FIELDS = ("query", "fake_sources", "fake_destinations", "kind")
+
+    def test_repeat_equals_first_call_with_fresh_record(self, obfuscator):
+        first_request = request("alice", 0, 200, 4, 3)
+        first = obfuscator.obfuscate_independent(first_request, "alice")
+        again_request = request("alice", 0, 200, 4, 3)
+        again = obfuscator.obfuscate_independent(again_request, "alice")
+        for name in self.FIELDS:
+            assert getattr(again, name) == getattr(first, name)
+        assert again.record_id != first.record_id
+        assert again.requests == (again_request,)
+        assert again.requests[0] is again_request
+        assert obfuscator.pending[again.record_id] is again
+        assert len(obfuscator._sticky_memo) == 1
+
+    def test_memoized_record_equals_a_rederived_one(self, net):
+        """Field for field: the fakes recomputed as S - {s}, T - {t}
+        are the fakes the derivation drew."""
+        warm = PathQueryObfuscator(net, seed=5)
+        req = request("alice", 17, 203, 5, 4)
+        warm.obfuscate_independent(req, "alice")
+        memoized = warm.obfuscate_independent(req, "alice")
+        derived = PathQueryObfuscator(net, seed=5).obfuscate_independent(
+            req, "alice"
+        )
+        for name in self.FIELDS + ("requests",):
+            assert getattr(memoized, name) == getattr(derived, name)
+        assert memoized.fake_sources == set(derived.query.sources) - {17}
+        assert memoized.fake_destinations == (
+            set(derived.query.destinations) - {203}
+        )
+
+    def test_setting_trip_and_key_are_separate_entries(self, obfuscator):
+        base = obfuscator.obfuscate_independent(request("a", 0, 200), "a")
+        variants = [
+            obfuscator.obfuscate_independent(request("a", 0, 200, 4, 3), "a"),
+            obfuscator.obfuscate_independent(request("a", 0, 200, 3, 4), "a"),
+            obfuscator.obfuscate_independent(request("a", 1, 200), "a"),
+            obfuscator.obfuscate_independent(request("a", 0, 201), "a"),
+            obfuscator.obfuscate_independent(request("a", 0, 200), "b"),
+        ]
+        assert len(obfuscator._sticky_memo) == 1 + len(variants)
+        assert all(v.query != base.query for v in variants)
+
+    def test_non_sticky_requests_are_not_memoized(self, obfuscator):
+        obfuscator.obfuscate_independent(request("alice", 0, 200))
+        assert not obfuscator._sticky_memo
+
+    def test_lru_evicts_at_its_bound_and_rederives_identically(
+        self, net, monkeypatch
+    ):
+        import repro.core.obfuscator as module
+
+        monkeypatch.setattr(module, "STICKY_MEMO_SIZE", 3)
+        obfuscator = PathQueryObfuscator(net, seed=5)
+        trips = [request(f"u{k}", k, 200 + k) for k in range(5)]
+        first = [
+            obfuscator.obfuscate_independent(r, r.user).query for r in trips
+        ]
+        assert len(obfuscator._sticky_memo) == 3
+        # u0 was evicted: asking again derives — and derives the same Q
+        scans = []
+        real = obfuscator._derive_independent
+        monkeypatch.setattr(
+            obfuscator, "_derive_independent",
+            lambda *a: scans.append(a) or real(*a),
+        )
+        assert obfuscator.obfuscate_independent(trips[0], "u0").query == first[0]
+        assert len(scans) == 1
+        assert len(obfuscator._sticky_memo) == 3
+        # u4 is recent: served without deriving
+        assert obfuscator.obfuscate_independent(trips[4], "u4").query == first[4]
+        assert len(scans) == 1
+        # a hit refreshes recency: u3 is now the oldest and goes next
+        obfuscator.obfuscate_independent(request("new", 7, 100), "new")
+        obfuscator.obfuscate_independent(trips[4], "u4")
+        assert len(scans) == 2
+        obfuscator.obfuscate_independent(trips[3], "u3")
+        assert len(scans) == 3
+
+    def test_memo_holds_digests_and_server_visible_queries_only(self, net):
+        from repro.core.query import ObfuscatedPathQuery
+
+        obfuscator = PathQueryObfuscator(net, seed=5)
+        key = "commuter-key-73"
+        req = request("alice", 123, 211, 4, 4)
+        record = obfuscator.obfuscate_independent(req, key)
+        ((digest, value),) = obfuscator._sticky_memo.items()
+        # key: an opaque fixed-size digest — not the sticky key, not the
+        # pair, and not computable without the obfuscator's seed
+        assert type(digest) is bytes and len(digest) == 16
+        assert key.encode() not in digest
+        other = PathQueryObfuscator(net, seed=6)
+        other.obfuscate_independent(req, key)
+        assert digest not in other._sticky_memo
+        # value: exactly the Q(S, T) that went to the server — a frozen
+        # pair of endpoint tuples with no request, user, fake-set or
+        # true-pair field to tell s from the decoys
+        assert type(value) is ObfuscatedPathQuery
+        assert value is record.query
+        assert set(ObfuscatedPathQuery.__slots__) == {"sources", "destinations"}
+        assert len(value.sources) == 4 and len(value.destinations) == 4

@@ -50,7 +50,7 @@ class TestAnswer:
         server = DirectionsServer(net)
         server.answer(query)
         server.answer(query)
-        assert server.observed_queries == [query, query]
+        assert list(server.observed_queries) == [query, query]
 
     def test_counters_accumulate(self, net, query):
         server = DirectionsServer(net)
@@ -66,7 +66,7 @@ class TestAnswer:
         server.answer(query)
         server.reset_counters()
         assert server.counters.queries_served == 0
-        assert server.observed_queries == []
+        assert not server.observed_queries
 
 
 class TestPagedServer:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import UnknownNodeError
 from repro.network.generators import grid_network
@@ -76,6 +78,51 @@ class TestRangeQueries:
             if 2.0 <= net.position(n).x <= 5.0 and 2.0 <= net.position(n).y <= 6.0
         }
         assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corners=st.tuples(*[st.floats(-30.0, 40.0)] * 4),
+        cell_size=st.sampled_from([None, 0.37, 1.0, 5.0]),
+    )
+    def test_nodes_in_box_is_the_position_filter_in_bucket_order(
+        self, indexed_grid, corners, cell_size
+    ):
+        """Interior buckets are taken untested; the result — and its
+        order, which seeded decoy sampling depends on — must be what
+        testing every node gives.  Boxes larger than the map, boxes off
+        the map, points, lines and inverted boxes included."""
+        net, _ = indexed_grid
+        index = GridSpatialIndex(net, cell_size=cell_size)
+        min_x, min_y, max_x, max_y = corners
+        inside = [
+            n
+            for n in net.nodes()
+            if min_x <= net.position(n).x <= max_x
+            and min_y <= net.position(n).y <= max_y
+        ]
+        # buckets column by column, insertion order within a bucket
+        expected = sorted(inside, key=index.snap)
+        assert index.nodes_in_box(min_x, min_y, max_x, max_y) == expected
+
+    def test_nodes_in_box_on_exact_node_coordinates(self, indexed_grid):
+        """Box edges that coincide with node positions (the obfuscator's
+        boxes are built from them) keep the closed-box semantics."""
+        net, index = indexed_grid
+        nodes = sorted(net.nodes())
+        for a, b in [(nodes[0], nodes[-1]), (nodes[5], nodes[77]), (nodes[3], nodes[3])]:
+            pa, pb = net.position(a), net.position(b)
+            box = (min(pa.x, pb.x), min(pa.y, pb.y), max(pa.x, pb.x), max(pa.y, pb.y))
+            expected = sorted(
+                (
+                    n
+                    for n in net.nodes()
+                    if box[0] <= net.position(n).x <= box[2]
+                    and box[1] <= net.position(n).y <= box[3]
+                ),
+                key=index.snap,
+            )
+            assert index.nodes_in_box(*box) == expected
+            assert a in expected and b in expected
 
     def test_nodes_within_matches_brute_force(self, indexed_grid):
         net, index = indexed_grid

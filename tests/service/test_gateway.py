@@ -198,10 +198,12 @@ class TestShardLane:
                 )
                 assert status == 200
                 _request(fresh, "GET", f"{API_PREFIX}/metrics")
+                # every reweight changes the map (k + 1, never + 0), so
+                # every post is a result-cache miss and reaches the lane
                 _request(
                     fresh, "POST", f"{API_PREFIX}/reweight",
                     body=json.dumps(
-                        {"changes": [[nodes[0], neighbor, weight + k]]}
+                        {"changes": [[nodes[0], neighbor, weight + k + 1]]}
                     ),
                 )
         assert len(ran_on) == 6

@@ -56,6 +56,27 @@ class TestServingStack:
         # ...but cached responses add no search work.
         assert stack.server.counters.stats.settled_nodes == settled_after_cold
 
+    def test_answer_cached_is_the_hit_half_of_answer(self, small_grid):
+        (query,) = _queries(small_grid, n=1)
+        with ServingStack.from_config(
+            small_grid.copy(), ServingConfig(engine="dijkstra")
+        ) as stack:
+            assert stack.answer_cached(query) is None  # cold: not ours
+            assert stack.snapshot().result_misses == 0
+            assert stack.server.counters.queries_served == 0
+            cold = stack.answer(query)
+            response, fragment = stack.answer_cached(query)
+            assert response.from_cache and not response.coalesced
+            assert response.candidates is cold.candidates
+            assert fragment.startswith(b'"paths":[{"cost":')
+            assert list(stack.server.observed_queries) == [query, query]
+            assert stack.server.counters.queries_served == 2
+            snap = stack.snapshot()
+            assert (snap.result_hits, snap.result_misses) == (1, 1)
+            u, v, w = next(iter(stack.network.edges()))
+            stack.reweight([(u, v, w * 2.0)], epoch=True)
+            assert stack.answer_cached(query) is None  # new epoch, new key
+
     def test_concurrent_matches_serial(self, small_grid):
         queries = _queries(small_grid, n=8)
 

@@ -187,6 +187,88 @@ class TestResultCache:
         assert snap.result_hit_rate == pytest.approx(0.5)
 
 
+class TestResultCacheFragments:
+    """The encoded fragment is part of its table's entry: one LRU, one
+    capacity, one way out."""
+
+    KEY = ("fp", (1,), (2,), "ch")
+
+    def test_hit_counts_like_get_and_a_miss_counts_nothing(self):
+        cache = ResultCache(capacity=4)
+        assert cache.hit(*self.KEY) is None
+        assert (cache.hits, cache.misses) == (0, 0)
+        table = _table(1, 2)
+        cache.put(*self.KEY, table)
+        got, fragment = cache.hit(*self.KEY)
+        assert got is table
+        assert fragment == (
+            b'"paths":[{"cost":1.0,"destination":2,"nodes":[1,2],"source":1}]'
+        )
+        assert (cache.hits, cache.misses) == (1, 0)
+
+    def test_fragment_is_encoded_once_and_kept_in_the_entry(self, monkeypatch):
+        import repro.service.cache as module
+
+        calls = []
+        real = module.encode_paths
+        monkeypatch.setattr(
+            module, "encode_paths", lambda p: calls.append(p) or real(p)
+        )
+        cache = ResultCache(capacity=4)
+        table = _table(1, 2)
+        cache.put(*self.KEY, table)
+        first = cache.fragment(*self.KEY, table)
+        assert cache.fragment(*self.KEY, table) is first
+        assert cache.hit(*self.KEY)[1] is first
+        assert len(calls) == 1
+        assert (cache.hits, cache.misses) == (1, 0)  # fragment() counts nothing
+
+    def test_hit_refreshes_recency_and_fragment_does_not(self):
+        cache = ResultCache(capacity=2)
+        a, b = _table(1, 2), _table(3, 4)
+        cache.put("fp", (1,), (2,), "ch", a)
+        cache.put("fp", (3,), (4,), "ch", b)
+        cache.fragment("fp", (1,), (2,), "ch", a)  # a stays the oldest
+        cache.put("fp", (5,), (6,), "ch", _table(5, 6))
+        assert cache.hit("fp", (1,), (2,), "ch") is None
+        assert cache.hit("fp", (3,), (4,), "ch") is not None  # b refreshed
+        cache.put("fp", (7,), (8,), "ch", _table(7, 8))
+        assert cache.hit("fp", (3,), (4,), "ch") is not None
+
+    def test_a_table_the_cache_does_not_hold_is_encoded_but_not_kept(self):
+        cache = ResultCache(capacity=4)
+        held, stranger = _table(1, 2), _table(1, 2)
+        stranger.paths[(1, 2)] = PathResult(1, 2, (1, 9, 2), 7.0)
+        cache.put(*self.KEY, held)
+        assert b'"cost":7.0' in cache.fragment(*self.KEY, stranger)
+        assert b'"cost":1.0' in cache.hit(*self.KEY)[1]
+        disabled = ResultCache(capacity=0)
+        disabled.put(*self.KEY, held)
+        assert b'"cost":1.0' in disabled.fragment(*self.KEY, held)
+        assert len(disabled) == 0
+
+    @pytest.mark.parametrize("how", ["evict", "invalidate", "clear", "replace"])
+    def test_fragment_leaves_with_its_entry(self, how):
+        cache = ResultCache(capacity=1)
+        table = _table(1, 2)
+        cache.put(*self.KEY, table)
+        cache.fragment(*self.KEY, table)
+        if how == "evict":
+            cache.put("fp", (3,), (4,), "ch", _table(3, 4))
+        elif how == "invalidate":
+            assert cache.invalidate_fingerprint("fp") == 1
+        elif how == "clear":
+            cache.clear()
+        if how == "replace":
+            fresh = _table(1, 2)
+            fresh.paths[(1, 2)] = PathResult(1, 2, (1, 9, 2), 7.0)
+            cache.put(*self.KEY, fresh)
+            assert b'"cost":7.0' in cache.hit(*self.KEY)[1]
+        else:
+            assert cache.hit(*self.KEY) is None
+        assert all(entry[0] is not table for entry in cache._entries.values())
+
+
 class TestInvalidateFingerprint:
     def test_preprocessing_drops_all_engines_of_one_fingerprint(
         self, small_grid, tiger_net

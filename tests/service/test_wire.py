@@ -12,9 +12,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.query import ObfuscatedPathQuery
+from repro.core.server import ServerResponse
 from repro.network.generators import grid_network
+from repro.search import list_engines
+from repro.search.multi import MSMDResult
+from repro.search.result import PathResult
 from repro.service.serving import ServingConfig, ServingStack
 from repro.service.wire import (
     ERROR_CODES,
@@ -25,7 +31,11 @@ from repro.service.wire import (
     RouteRequest,
     RouteResponse,
     WireError,
+    batch_body,
     canonical_json,
+    encode_paths,
+    route_body,
+    table_paths,
 )
 
 
@@ -217,3 +227,111 @@ class TestErrorResponse:
 
     def test_retry_after_omitted_when_absent(self):
         assert "retry_after_s" not in ErrorResponse("internal").to_dict()
+
+
+FLAGS = [(False, False), (False, True), (True, False), (True, True)]
+
+
+def _dict_body(response: ServerResponse) -> bytes:
+    """The body as the dict envelope produced it before fragments."""
+    return canonical_json(
+        RouteResponse.from_server(response).to_dict()
+    ).encode()
+
+
+def _spliced_body(response: ServerResponse) -> bytes:
+    query = response.query
+    fragment = encode_paths(
+        table_paths(query.sources, query.destinations, response.candidates)
+    )
+    return route_body(fragment, response.from_cache, response.coalesced)
+
+
+#: costs whose text form is the risk: shortest-repr round trips,
+#: integers held as floats, exponents, the extremes
+_costs = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.integers(0, 10**6).map(float),
+    st.sampled_from([0.1 + 0.2, 1e-7, 1e16, 1e22, 5e-324, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _responses(draw):
+    """A synthetic answered query: any S x T, any costs, any path sizes."""
+    sources = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=4, unique=True))
+    destinations = draw(
+        st.lists(st.integers(0, 10**9), min_size=1, max_size=4, unique=True)
+    )
+    paths = {}
+    for s in sources:
+        for t in destinations:
+            middle = draw(
+                st.lists(st.integers(0, 10**9), max_size=draw(st.sampled_from([0, 3, 400])))
+            )
+            paths[(s, t)] = PathResult(s, t, (s, *middle, t), draw(_costs))
+    from_cache, coalesced = draw(st.sampled_from(FLAGS))
+    return ServerResponse(
+        ObfuscatedPathQuery(tuple(sources), tuple(destinations)),
+        MSMDResult(paths=paths),
+        from_cache=from_cache,
+        coalesced=coalesced,
+    )
+
+
+class TestSplicedBodies:
+    """One encoder: a body spliced around a table's fragment is the
+    canonical encoding of the response dict, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(response=_responses())
+    def test_route_body_equals_the_dict_encoding(self, response):
+        body = _spliced_body(response)
+        assert body == _dict_body(response)
+        assert RouteResponse.from_server(response).to_json().encode() == body
+        assert RouteResponse.from_json(body) == RouteResponse.from_server(response)
+
+    @pytest.mark.parametrize("engine", list_engines())
+    def test_route_body_for_every_engine_and_flag(self, engine):
+        network = grid_network(7, 7, perturbation=0.1, seed=3)
+        nodes = sorted(network.nodes())
+        query = ObfuscatedPathQuery(
+            (nodes[0], nodes[20], nodes[5]), (nodes[-1], nodes[30])
+        )
+        with ServingStack.from_config(
+            network, ServingConfig(engine=engine)
+        ) as stack:
+            table = stack.answer(query).candidates
+        for from_cache, coalesced in FLAGS:
+            response = ServerResponse(query, table, from_cache, coalesced)
+            assert _spliced_body(response) == _dict_body(response)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(_responses(), st.sampled_from(["no_path", "invalid_request", "internal"])),
+            min_size=1, max_size=5,
+        )
+    )
+    def test_batch_body_equals_the_dict_encoding(self, entries):
+        """Error entries included: ``{"error": code}`` between tables."""
+        expected = canonical_json({
+            "schema": WIRE_SCHEMA_VERSION,
+            "results": [
+                {"error": e} if isinstance(e, str) else {
+                    k: v
+                    for k, v in RouteResponse.from_server(e).to_dict().items()
+                    if k != "schema"
+                }
+                for e in entries
+            ],
+        }).encode()
+        got = batch_body(
+            e if isinstance(e, str) else _spliced_body(e) for e in entries
+        )
+        assert got == expected
+
+    def test_batch_response_to_json_uses_the_same_encoder(self, answered):
+        _, response = answered
+        batch = BatchResponse.from_server([response, response])
+        assert batch.to_json() == canonical_json(batch.to_dict())

