@@ -13,7 +13,6 @@ import pytest
 
 from repro.network.generators import one_way_grid_network
 from repro.search.alt import LandmarkIndex, alt_path
-from repro.search.bidirectional import bidirectional_dijkstra_path
 from repro.search.dijkstra import dijkstra_path
 from repro.search.multi import SharedTreeProcessor, SideSelectingProcessor
 
@@ -34,13 +33,6 @@ def reference_total():
 
 def test_directed_dijkstra(benchmark, reference_total):
     total = benchmark(_total, lambda s, t: dijkstra_path(_NET, s, t))
-    assert total == pytest.approx(reference_total)
-
-
-def test_directed_bidirectional(benchmark, reference_total):
-    total = benchmark(
-        _total, lambda s, t: bidirectional_dijkstra_path(_NET, s, t)
-    )
     assert total == pytest.approx(reference_total)
 
 

@@ -39,7 +39,7 @@ _PAIRS = [tuple(random.Random(seed).sample(_NODES, 2)) for seed in range(25)]
 def test_overlay_point_speedup():
     """overlay-csr >= 2x over dijkstra-csr on 10k-grid point queries."""
     csr = csr_snapshot(_NET)
-    overlay = build_overlay(_NET, kernel="csr")
+    overlay = build_overlay(_NET)
     t_csr, ref = _best_of(
         lambda: [csr_dijkstra_path(_NET, s, t, csr=csr).distance
                  for s, t in _PAIRS]
@@ -61,7 +61,7 @@ def test_overlay_point_speedup():
 
 def test_recustomize_vs_ch_rebuild():
     """Single-cell recustomization >= 10x faster than a full CH rebuild."""
-    overlay = build_overlay(_NET, kernel="csr")
+    overlay = build_overlay(_NET)
     u, v, w = next(_NET.edges())
     _NET.add_edge(u, v, w * 2.0)
     try:
@@ -71,7 +71,7 @@ def test_recustomize_vs_ch_rebuild():
             lambda: overlay.recustomized(touched)
         )
         assert dumps_overlay(refreshed) == dumps_overlay(
-            build_overlay(_NET, kernel="csr")
+            build_overlay(_NET)
         ), "recustomized overlay differs from a from-scratch build"
         t0 = time.perf_counter()
         contract_network(_NET)

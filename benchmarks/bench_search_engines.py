@@ -1,7 +1,7 @@
 """Ablation bench: point-to-point engines the server could run.
 
-Times Dijkstra, A* (Euclidean), bidirectional Dijkstra, ALT,
-Contraction Hierarchies and the flat CSR kernels on the same long-radius
+Times Dijkstra, A* (Euclidean), ALT, Contraction Hierarchies and the
+flat CSR kernels (bidirectional Dijkstra among them) on the same long-radius
 queries — the engine choice underneath the naive pairwise processor, and
 a sanity anchor for every settled-node comparison in the experiment
 suite.  Preprocessing (ALT landmarks, CH contraction, CSR snapshots) is
@@ -31,7 +31,6 @@ from repro.network.csr import csr_snapshot
 from repro.network.generators import grid_network, scale_free_network
 from repro.search.alt import LandmarkIndex, alt_path
 from repro.search.astar import astar_path
-from repro.search.bidirectional import bidirectional_dijkstra_path
 from repro.search.ch import ch_path, contract_network
 from repro.search.dijkstra import dijkstra_path
 from repro.search.kernels import (
@@ -73,13 +72,6 @@ def test_engine_dijkstra(benchmark, reference_total):
 
 def test_engine_astar_euclidean(benchmark, reference_total):
     total = benchmark(_run_all, lambda s, t: astar_path(_NET, s, t))
-    assert total == pytest.approx(reference_total)
-
-
-def test_engine_bidirectional(benchmark, reference_total):
-    total = benchmark(
-        _run_all, lambda s, t: bidirectional_dijkstra_path(_NET, s, t)
-    )
     assert total == pytest.approx(reference_total)
 
 

@@ -43,7 +43,6 @@ from repro.core.attacks import (
 )
 from repro.core.protocol import TrafficLog, estimate_message_bytes
 from repro.core.system import OpaqueSystem, SessionReport
-from repro.core.cache import CachingOpaqueSystem, PathCache
 from repro.core.planner import ProtectionPlan, candidate_splits, plan_protection
 from repro.core.verification import CandidatePathVerifier
 from repro.core.privacy import route_exposure
@@ -91,8 +90,6 @@ __all__ = [
     "estimate_message_bytes",
     "OpaqueSystem",
     "SessionReport",
-    "PathCache",
-    "CachingOpaqueSystem",
     "ProtectionPlan",
     "plan_protection",
     "candidate_splits",

@@ -48,8 +48,7 @@ class SessionReport:
         privacy overhead).
     candidate_results:
         The candidate paths themselves, in server-return order.  They
-        carry no user attribution, so the obfuscator may retain them
-        (e.g. for the :class:`repro.core.cache.PathCache`).
+        carry no user attribution, so the obfuscator may retain them.
     cached_queries:
         Obfuscated queries of this batch answered from the serving
         layer's result cache (0 without a serving stack).

@@ -75,7 +75,7 @@ def run(config: Config | None = None) -> ExperimentResult:
     )
     for capacity in config.cell_capacities:
         partition = partition_network(network, cell_capacity=capacity)
-        overlay = build_overlay(network, partition=partition, kernel="csr")
+        overlay = build_overlay(network, partition=partition)
 
         query_stats = SearchStats()
         for s, t in pairs:

@@ -39,7 +39,6 @@ class Config:
     #: default (forkserver where available).  Tests pass ``"fork"`` to
     #: keep pool warm-up off the suite's wall time.
     start_method: str | None = None
-    kernel: str = "csr"
     seed: int = 15
 
 
@@ -74,9 +73,7 @@ def run(config: Config | None = None) -> ExperimentResult:
     )
 
     t0 = time.perf_counter()
-    serial = build_overlay(
-        network, partition=partition, kernel=config.kernel
-    )
+    serial = build_overlay(network, partition=partition)
     serial_s = time.perf_counter() - t0
     serial_bytes = dumps_overlay(serial)
     cells = partition.num_cells
@@ -104,8 +101,7 @@ def run(config: Config | None = None) -> ExperimentResult:
             warm_s = customizer.warm()
             t0 = time.perf_counter()
             overlay = build_overlay(
-                network, partition=partition, kernel=config.kernel,
-                customizer=customizer,
+                network, partition=partition, customizer=customizer
             )
             build_s = time.perf_counter() - t0
         finally:
@@ -127,10 +123,9 @@ def run(config: Config | None = None) -> ExperimentResult:
 
     result.notes = (
         f"{config.grid_width}x{config.grid_height} grid, cell capacity "
-        f"{config.cell_capacity} ({cells} cells), kernel "
-        f"{config.kernel!r}; speedups are same-machine wall ratios and "
-        "depend on core count — the byte_identical column is the "
-        "machine-independent claim"
+        f"{config.cell_capacity} ({cells} cells); speedups are "
+        "same-machine wall ratios and depend on core count — the "
+        "byte_identical column is the machine-independent claim"
     )
     return result
 

@@ -1,14 +1,19 @@
 """Shortest-path search algorithms and the OPAQUE server-side processors.
 
-Point-to-point searches (Dijkstra, A*, bidirectional Dijkstra, ALT,
-Contraction Hierarchies), the single-source multi-destination (SSMD)
-primitive the paper's server builds on, the multi-source multi-destination
-(MSMD) processors that evaluate obfuscated path queries, and the Lemma 1
-analytic cost model.
+Point-to-point searches (Dijkstra, A*, ALT, Contraction Hierarchies, the
+flat CSR kernels, partition overlays), the single-source
+multi-destination (SSMD) primitive the paper's server builds on, the
+multi-source multi-destination (MSMD) processors that evaluate obfuscated
+path queries, and the Lemma 1 analytic cost model.
 
-The :data:`ENGINES` registry is the one catalogue of interchangeable
-search engines; the server, CLI and benchmarks all resolve engines through
-:func:`get_engine` so a new engine only needs to be registered here.
+The :data:`ENGINES` table is the one place a per-engine fact lives: each
+:class:`SearchEngine` row holds the engine's name and description, how to
+``prepare`` its artifact, how to ``route`` one point query, which MSMD
+processor answers batches (``make_processor``) and which persistent
+format the artifact spills in (``spill``).  The server, CLI, serving
+caches, benchmarks and the README's engine table (checked by
+``tools/check_docs.py``) all read engines through :func:`get_engine` and
+:func:`list_engines`, so adding or deleting an engine is one row here.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from repro.search.dijkstra import (
     dijkstra_to_many,
 )
 from repro.search.astar import astar_path, euclidean_heuristic
-from repro.search.bidirectional import bidirectional_dijkstra_path
 from repro.search.multi import (
     MSMDResult,
     MultiSourceMultiDestProcessor,
@@ -32,7 +36,6 @@ from repro.search.multi import (
     SharedTreeProcessor,
     SideSelectingProcessor,
     UnionPassResult,
-    get_processor,
 )
 from repro.search.cost_model import (
     lemma1_cost_estimate,
@@ -57,7 +60,6 @@ from repro.search.overlay import (
     NestedOverlayGraph,
     NestedOverlayProcessor,
     OverlayGraph,
-    OverlayProcessor,
     build_nested_overlay,
     build_overlay,
     nested_overlay_snapshot,
@@ -91,14 +93,12 @@ __all__ = [
     "dijkstra_to_many",
     "astar_path",
     "euclidean_heuristic",
-    "bidirectional_dijkstra_path",
     "MSMDResult",
     "UnionPassResult",
     "MultiSourceMultiDestProcessor",
     "NaivePairwiseProcessor",
     "SharedTreeProcessor",
     "SideSelectingProcessor",
-    "get_processor",
     "lemma1_cost_estimate",
     "point_query_cost_estimate",
     "LandmarkIndex",
@@ -126,7 +126,6 @@ __all__ = [
     "OverlayGraph",
     "build_overlay",
     "overlay_snapshot",
-    "OverlayProcessor",
     "CSROverlayProcessor",
     "NestedOverlayGraph",
     "build_nested_overlay",
@@ -147,7 +146,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchEngine:
-    """One interchangeable search engine.
+    """One interchangeable search engine: a row of :data:`ENGINES`.
 
     Attributes
     ----------
@@ -171,6 +170,12 @@ class SearchEngine:
         cannot batch honestly: Euclidean A*'s heuristic is inadmissible
         on travel-time networks, so the ``astar`` engine answers batches
         with the paper's exact shared SSMD trees instead.
+    spill:
+        Tag of the persistent format
+        :class:`~repro.service.cache.PreprocessingCache` spills this
+        engine's artifact in and reloads it from (``"csrb"``, ``"ovlb"``,
+        ``"ch"``, ``"ch-flat"``), or ``None`` when the artifact has none
+        and is rebuilt instead.
     """
 
     name: str
@@ -178,81 +183,42 @@ class SearchEngine:
     prepare: Callable[[Any], Any]
     route: Callable[..., PathResult]
     make_processor: Callable[[], MultiSourceMultiDestProcessor]
+    spill: str | None = None
 
 
-def _route_dijkstra(network, source, destination, context=None, stats=None):
-    return dijkstra_path(network, source, destination, stats=stats)
+def _on_network(function, keyword=None, prepare=None):
+    """``route`` for a point search over the network.
+
+    ``function(network, source, destination, stats=...)``, handed the
+    artifact as ``keyword`` when it takes one; an artifact it cannot do
+    without is built with ``prepare`` when the caller brings none.
+    """
+
+    def route(network, source, destination, context=None, stats=None):
+        if keyword is None:
+            return function(network, source, destination, stats=stats)
+        if context is None and prepare is not None:
+            context = prepare(network)
+        return function(
+            network, source, destination, stats=stats, **{keyword: context}
+        )
+
+    return route
 
 
-def _route_astar(network, source, destination, context=None, stats=None):
-    return astar_path(network, source, destination, stats=stats)
+def _on_artifact(prepare, query):
+    """``route`` for a point search over the artifact alone.
 
+    ``query(artifact, source, destination, stats=...)``; the artifact is
+    built with ``prepare`` when the caller brings none.
+    """
 
-def _route_bidirectional(network, source, destination, context=None, stats=None):
-    return bidirectional_dijkstra_path(network, source, destination, stats=stats)
+    def route(network, source, destination, context=None, stats=None):
+        if context is None:
+            context = prepare(network)
+        return query(context, source, destination, stats=stats)
 
-
-def _route_alt(network, source, destination, context=None, stats=None):
-    if context is None:
-        context = LandmarkIndex(network)
-    return alt_path(network, source, destination, context, stats=stats)
-
-
-def _route_ch(network, source, destination, context=None, stats=None):
-    if context is None:
-        context = contract_network(network)
-    return ch_path(context, source, destination, stats=stats)
-
-
-def _route_dijkstra_csr(network, source, destination, context=None, stats=None):
-    return csr_dijkstra_path(network, source, destination, csr=context, stats=stats)
-
-
-def _route_bidirectional_csr(network, source, destination, context=None, stats=None):
-    return csr_bidirectional_path(
-        network, source, destination, csr=context, stats=stats
-    )
-
-
-def _route_ch_csr(network, source, destination, context=None, stats=None):
-    if context is None:
-        context = ch_csr_hierarchy(network)
-    return csr_ch_path(context, source, destination, stats=stats)
-
-
-def _prepare_overlay(network):
-    return overlay_snapshot(network, kernel="dict")
-
-
-def _prepare_overlay_csr(network):
-    return overlay_snapshot(network, kernel="csr")
-
-
-def _route_overlay(network, source, destination, context=None, stats=None):
-    if context is None:
-        context = overlay_snapshot(network, kernel="dict")
-    return context.route(source, destination, stats=stats)
-
-
-def _route_overlay_csr(network, source, destination, context=None, stats=None):
-    if context is None:
-        context = overlay_snapshot(network, kernel="csr")
-    return context.route(source, destination, stats=stats)
-
-
-def _prepare_overlay_nested(network):
-    return nested_overlay_snapshot(network, kernel="csr")
-
-
-def _route_overlay_nested(network, source, destination, context=None, stats=None):
-    if context is None:
-        context = nested_overlay_snapshot(network, kernel="csr")
-    return context.route(source, destination, stats=stats)
-
-
-def _route_dijkstra_vec(network, source, destination, context=None, stats=None):
-    vec = None if context is None else vec_view(context)
-    return vec_dijkstra_path(network, source, destination, vec=vec, stats=stats)
+    return route
 
 
 #: every registered engine, keyed by name
@@ -263,7 +229,7 @@ ENGINES: dict[str, SearchEngine] = {
             name="dijkstra",
             description="plain Dijkstra (shared SSMD trees for batches)",
             prepare=lambda network: None,
-            route=_route_dijkstra,
+            route=_on_network(dijkstra_path),
             make_processor=SharedTreeProcessor,
         ),
         SearchEngine(
@@ -273,29 +239,23 @@ ENGINES: dict[str, SearchEngine] = {
                 "(batches fall back to shared SSMD trees)"
             ),
             prepare=lambda network: None,
-            route=_route_astar,
+            route=_on_network(astar_path),
             make_processor=SharedTreeProcessor,
-        ),
-        SearchEngine(
-            name="bidirectional",
-            description="bidirectional Dijkstra per pair",
-            prepare=lambda network: None,
-            route=_route_bidirectional,
-            make_processor=lambda: NaivePairwiseProcessor(engine="bidirectional"),
         ),
         SearchEngine(
             name="alt",
             description="A* with landmark lower bounds (preprocessed)",
             prepare=LandmarkIndex,
-            route=_route_alt,
+            route=_on_network(alt_path, "index", LandmarkIndex),
             make_processor=ALTPairwiseProcessor,
         ),
         SearchEngine(
             name="ch",
             description="Contraction Hierarchies (preprocessed, batch buckets)",
             prepare=contract_network,
-            route=_route_ch,
+            route=_on_artifact(contract_network, ch_path),
             make_processor=CHManyToManyProcessor,
+            spill="ch",
         ),
         SearchEngine(
             name="dijkstra-csr",
@@ -304,15 +264,17 @@ ENGINES: dict[str, SearchEngine] = {
                 "batches; large ones in one numpy sweep when available)"
             ),
             prepare=csr_snapshot,
-            route=_route_dijkstra_csr,
+            route=_on_network(csr_dijkstra_path, "csr"),
             make_processor=CSRSharedTreeProcessor,
+            spill="csrb",
         ),
         SearchEngine(
             name="bidirectional-csr",
             description="bidirectional Dijkstra on the flat CSR kernel, per pair",
             prepare=csr_snapshot,
-            route=_route_bidirectional_csr,
+            route=_on_network(csr_bidirectional_path, "csr"),
             make_processor=CSRBidirectionalPairwiseProcessor,
+            spill="csrb",
         ),
         SearchEngine(
             name="ch-csr",
@@ -321,28 +283,20 @@ ENGINES: dict[str, SearchEngine] = {
                 "(preprocessed, batch buckets)"
             ),
             prepare=ch_csr_hierarchy,
-            route=_route_ch_csr,
+            route=_on_artifact(ch_csr_hierarchy, csr_ch_path),
             make_processor=CSRCHManyToManyProcessor,
-        ),
-        SearchEngine(
-            name="overlay",
-            description=(
-                "partition + boundary-overlay two-phase queries "
-                "(CRP-style; per-cell recustomization)"
-            ),
-            prepare=_prepare_overlay,
-            route=_route_overlay,
-            make_processor=OverlayProcessor,
+            spill="ch-flat",
         ),
         SearchEngine(
             name="overlay-csr",
             description=(
                 "partition overlay with flat per-cell CSR kernels "
-                "(preprocessed, per-cell recustomization)"
+                "(CRP-style two-phase queries, per-cell recustomization)"
             ),
-            prepare=_prepare_overlay_csr,
-            route=_route_overlay_csr,
+            prepare=overlay_snapshot,
+            route=_on_artifact(overlay_snapshot, OverlayGraph.route),
             make_processor=CSROverlayProcessor,
+            spill="ovlb",
         ),
         SearchEngine(
             name="overlay-nested",
@@ -350,9 +304,12 @@ ENGINES: dict[str, SearchEngine] = {
                 "two-level nested partition overlay "
                 "(boundary-of-boundary sweeps, per-supercell recustomization)"
             ),
-            prepare=_prepare_overlay_nested,
-            route=_route_overlay_nested,
+            prepare=nested_overlay_snapshot,
+            route=_on_artifact(
+                nested_overlay_snapshot, NestedOverlayGraph.route
+            ),
             make_processor=NestedOverlayProcessor,
+            spill="ovlb",
         ),
     )
 }
@@ -368,7 +325,7 @@ if numpy_available():
             "(2-D distance tables; requires numpy)"
         ),
         prepare=csr_snapshot,
-        route=_route_dijkstra_vec,
+        route=_on_network(vec_dijkstra_path, "csr"),
         make_processor=VecSharedTreeProcessor,
     )
 

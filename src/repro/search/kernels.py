@@ -1,8 +1,7 @@
 """Index-space search kernels over flat CSR arrays.
 
 The dict-based engines (:mod:`repro.search.dijkstra`,
-:mod:`repro.search.bidirectional`, :mod:`repro.search.ch.query`) spend
-most of their time hashing node ids and unpacking ``dict.items()``
+:mod:`repro.search.ch.query`) spend most of their time hashing node ids and unpacking ``dict.items()``
 tuples.  The kernels here run the same algorithms over a
 :class:`~repro.network.csr.CSRGraph` snapshot — integer node indices,
 contiguous ``offsets``/``targets``/``weights`` arrays, ``heapq``
@@ -755,8 +754,9 @@ def csr_bidirectional_path(
 
     The backward frontier expands over the snapshot's reverse CSR view
     (aliasing the forward arrays on undirected networks), with the
-    classic ``min_f + min_b >= best`` stopping rule — same distances as
-    :func:`repro.search.bidirectional.bidirectional_dijkstra_path`.
+    classic ``min_f + min_b >= best`` stopping rule, which guarantees
+    optimality — same distances as
+    :func:`repro.search.dijkstra.dijkstra_path`.
     """
     if csr is None:
         csr = csr_snapshot(network)
@@ -1265,7 +1265,7 @@ def csr_ch_many_to_many(
 
 
 # ----------------------------------------------------------------------
-# MSMD processors (registered in repro.search.multi.get_processor)
+# MSMD processors (one per kernel row of repro.search.ENGINES)
 # ----------------------------------------------------------------------
 class CSRSharedTreeProcessor(PreprocessingProcessor):
     """The paper's shared SSMD trees on the CSR kernels (``"dijkstra-csr"``).

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import NoPathError, QueryError, ReproError
 from repro.network.graph import NodeId
-from repro.search.bidirectional import bidirectional_dijkstra_path
 from repro.search.dijkstra import dijkstra_path, dijkstra_to_many
 from repro.search.result import PathResult, SearchStats
 
@@ -41,7 +40,6 @@ __all__ = [
     "NaivePairwiseProcessor",
     "SharedTreeProcessor",
     "SideSelectingProcessor",
-    "get_processor",
 ]
 
 
@@ -278,7 +276,8 @@ class MultiSourceMultiDestProcessor:
     ``sources x destinations`` over ``network``.
     """
 
-    #: short identifier used by experiment configs and :func:`get_processor`
+    #: short identifier used in reports; an engine's processor carries
+    #: the engine's :data:`repro.search.ENGINES` name
     name: str = "abstract"
 
     def process(
@@ -373,21 +372,9 @@ class PreprocessingProcessor(MultiSourceMultiDestProcessor):
 
 
 class NaivePairwiseProcessor(MultiSourceMultiDestProcessor):
-    """One independent point-to-point search per (s, t) pair.
-
-    Parameters
-    ----------
-    engine:
-        ``"dijkstra"`` (default) or ``"bidirectional"`` — which
-        point-to-point algorithm answers each pair.
-    """
+    """One independent Dijkstra point search per (s, t) pair."""
 
     name = "naive"
-
-    def __init__(self, engine: str = "dijkstra") -> None:
-        if engine not in ("dijkstra", "bidirectional"):
-            raise ValueError(f"unknown engine {engine!r}")
-        self._engine = engine
 
     def process(self, network, sources, destinations) -> MSMDResult:
         """Answer every (s, t) pair with an independent point search."""
@@ -396,11 +383,7 @@ class NaivePairwiseProcessor(MultiSourceMultiDestProcessor):
         for s in sources:
             for t in destinations:
                 stats = SearchStats()
-                if self._engine == "bidirectional":
-                    path = bidirectional_dijkstra_path(network, s, t, stats=stats)
-                else:
-                    path = dijkstra_path(network, s, t, stats=stats)
-                result.paths[(s, t)] = path
+                result.paths[(s, t)] = dijkstra_path(network, s, t, stats=stats)
                 result.stats.merge(stats)
                 result.searches += 1
         return result
@@ -478,51 +461,3 @@ class SideSelectingProcessor(MultiSourceMultiDestProcessor):
                 distance=path.distance,
             )
         return result
-
-
-_PROCESSORS: dict[str, type[MultiSourceMultiDestProcessor]] = {
-    NaivePairwiseProcessor.name: NaivePairwiseProcessor,
-    SharedTreeProcessor.name: SharedTreeProcessor,
-    SideSelectingProcessor.name: SideSelectingProcessor,
-}
-
-# Processors that live above this module in the layering (they subclass
-# MultiSourceMultiDestProcessor), registered as import paths and resolved
-# on first use so this module never imports upwards.
-_LAZY_PROCESSORS: dict[str, tuple[str, str]] = {
-    "ch": ("repro.search.ch.manytomany", "CHManyToManyProcessor"),
-    "alt": ("repro.search.alt", "ALTPairwiseProcessor"),
-    "dijkstra-csr": ("repro.search.kernels", "CSRSharedTreeProcessor"),
-    "bidirectional-csr": (
-        "repro.search.kernels",
-        "CSRBidirectionalPairwiseProcessor",
-    ),
-    "ch-csr": ("repro.search.kernels", "CSRCHManyToManyProcessor"),
-    "overlay": ("repro.search.overlay", "OverlayProcessor"),
-    "overlay-csr": ("repro.search.overlay", "CSROverlayProcessor"),
-    "dijkstra-vec": ("repro.search.kernels", "VecSharedTreeProcessor"),
-    "overlay-nested": ("repro.search.overlay", "NestedOverlayProcessor"),
-}
-
-
-def get_processor(name: str) -> MultiSourceMultiDestProcessor:
-    """Instantiate a processor by its ``name`` attribute.
-
-    Raises
-    ------
-    KeyError
-        For unknown names; the message lists the valid ones.
-    """
-    lazy = _LAZY_PROCESSORS.get(name)
-    if lazy is not None:
-        import importlib
-
-        module_path, class_name = lazy
-        cls = getattr(importlib.import_module(module_path), class_name)
-        _PROCESSORS[name] = cls
-        del _LAZY_PROCESSORS[name]
-    try:
-        return _PROCESSORS[name]()
-    except KeyError:
-        valid = ", ".join(sorted([*_PROCESSORS, *_LAZY_PROCESSORS]))
-        raise KeyError(f"unknown processor {name!r}; valid: {valid}") from None

@@ -28,8 +28,8 @@ arcs compose to the same distances, which keeps the overlay sparse);
 cut arcs are the original edges.  Queries on the overlay therefore
 return the same distances as plain Dijkstra, on directed and
 disconnected networks alike, which the engine-conformance harness
-checks for the registered ``"overlay"`` (dict cell searches) and
-``"overlay-csr"`` (flat per-cell CSR kernels) engines.
+checks for the registered ``"overlay-csr"`` engine (cell searches run
+on flat per-cell CSR snapshots).
 
 **Goal direction.**  Customization records the arcs whose weight is
 below their endpoints' straight-line distance
@@ -54,21 +54,21 @@ less than one disc), and one shared sweep per source — stopped at the
 last destination-cell boundary node — beyond that; either way it
 returns the same table.
 
-Overlays serialize to a text format (``dumps_overlay``/``read_overlay``)
-so the serving layer's :class:`~repro.service.cache.PreprocessingCache`
-can spill them to disk and reload them without re-customizing.
+Overlays persist as the binary blobs of :mod:`repro.service.blob`
+(what :class:`~repro.service.cache.PreprocessingCache` spills and
+reloads without re-customizing); :func:`dumps_overlay` renders the same
+content as text, the byte-identity witness of the recustomization,
+parallel-build and epoch suites.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from collections import namedtuple
 from hashlib import blake2b
 from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
-from typing import TextIO
 
 from repro.exceptions import GraphError, NoPathError
 from repro.network.csr import CSRGraph
@@ -79,7 +79,6 @@ from repro.network.partition import (
     partition_snapshot,
 )
 from repro.obs import record as _obs_record
-from repro.search.dijkstra import dijkstra_to_many
 from repro.search.kernels import (
     csr_dijkstra_to_many,
     csr_dijkstra_tree,
@@ -101,17 +100,12 @@ __all__ = [
     "build_nested_overlay",
     "overlay_snapshot",
     "nested_overlay_snapshot",
-    "OverlayProcessor",
     "CSROverlayProcessor",
     "NestedOverlayProcessor",
-    "write_overlay",
-    "read_overlay",
     "dumps_overlay",
-    "loads_overlay",
 ]
 
 _INF = float("inf")
-_KERNELS = ("dict", "csr")
 
 #: Largest ``|T|`` a goal-directed overlay answers pair by pair (one
 #: point sweep each) instead of with one shared sweep per source;
@@ -133,45 +127,21 @@ class _CellView:
     """Induced-subgraph read view of one cell (no copying).
 
     Exposes the subset of the :class:`~repro.network.graph.RoadNetwork`
-    read interface the Dijkstra variants and
-    :meth:`~repro.network.csr.CSRGraph.from_network` use, restricted to
-    the cell's members.  With ``reverse=True`` on a directed network the
-    view serves the reversed intra-cell adjacency (for backward local
-    searches); on undirected networks the reverse view is the view.
+    read interface :meth:`~repro.network.csr.CSRGraph.from_network`
+    uses, restricted to the cell's members.
     """
 
-    __slots__ = ("_network", "_order", "_members", "_radj")
+    __slots__ = ("_network", "_order", "_members")
 
-    def __init__(self, network, members: Sequence[NodeId], reverse: bool = False):
+    def __init__(self, network, members: Sequence[NodeId]):
         self._network = network
         self._order = tuple(members)
         self._members = frozenset(members)
-        self._radj: dict[NodeId, dict[NodeId, float]] | None = None
-        if reverse and getattr(network, "directed", False):
-            radj: dict[NodeId, dict[NodeId, float]] = {
-                node: {} for node in self._order
-            }
-            for u in self._order:
-                for v, w in network.neighbors(u).items():
-                    if v in self._members:
-                        radj[v][u] = w
-            self._radj = radj
 
     @property
     def directed(self) -> bool:
         """Directedness of the backing network."""
         return bool(getattr(self._network, "directed", False))
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of cell members."""
-        return len(self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._members
 
     def nodes(self):
         """Iterate the cell's members in partition order."""
@@ -183,8 +153,6 @@ class _CellView:
 
     def neighbors(self, node: NodeId) -> dict[NodeId, float]:
         """Intra-cell adjacency of ``node`` (filtered per call)."""
-        if self._radj is not None:
-            return self._radj[node]
         return {
             v: w
             for v, w in self._network.neighbors(node).items()
@@ -233,9 +201,6 @@ class OverlayGraph:
     ----------
     network, partition:
         The backing network and its (weight-independent) partition.
-    kernel:
-        ``"dict"`` (reference cell searches over live views) or
-        ``"csr"`` (flat per-cell CSR kernels — the fast path).
     cliques:
         ``cliques[c][b][b2]`` is the intra-cell shortest
         :class:`~repro.search.result.PathResult` from boundary node
@@ -267,7 +232,6 @@ class OverlayGraph:
         "__weakref__",
         "network",
         "partition",
-        "kernel",
         "cliques",
         "_cell_csr",
         "_cell_rcsr",
@@ -292,7 +256,6 @@ class OverlayGraph:
         self,
         network,
         partition: Partition,
-        kernel: str,
         cliques: list[dict],
         cell_csr: list,
         cell_rcsr: list,
@@ -304,7 +267,6 @@ class OverlayGraph:
     ) -> None:
         self.network = network
         self.partition = partition
-        self.kernel = kernel
         self.cliques = cliques
         self._cell_csr = cell_csr
         self._cell_rcsr = cell_rcsr
@@ -331,7 +293,6 @@ class OverlayGraph:
         network,
         partition: Partition | None = None,
         cell_capacity: int | None = None,
-        kernel: str = "dict",
         parallel: int | None = None,
         customizer=None,
         **extra,
@@ -360,11 +321,8 @@ class OverlayGraph:
         Raises
         ------
         GraphError
-            For an unknown ``kernel``, or (parallel path) non-integer
-            node ids.
+            For non-integer node ids (parallel path).
         """
-        if kernel not in _KERNELS:
-            raise GraphError(f"unknown overlay kernel {kernel!r}")
         if partition is None:
             partition = partition_snapshot(network, cell_capacity)
         owned = None
@@ -380,13 +338,13 @@ class OverlayGraph:
             computed = None
             if customizer is not None and partition.num_cells > 1:
                 computed = customizer.customize(
-                    network, partition, kernel, range(partition.num_cells),
-                    stats, changed_edges=None,
+                    network, partition, range(partition.num_cells), stats,
+                    changed_edges=None,
                 )
             elif customizer is not None:
                 customizer.note_changes(network, None)
             for cell in range(partition.num_cells):
-                fcsr, rcsr = cls._cell_graphs(network, partition, cell, kernel)
+                fcsr, rcsr = cls._cell_graphs(network, partition, cell)
                 cell_csr.append(fcsr)
                 cell_rcsr.append(rcsr)
                 if computed is not None:
@@ -394,11 +352,11 @@ class OverlayGraph:
                 else:
                     cliques.append(
                         cls._customize_cell(
-                            network, partition, cell, kernel, fcsr, stats
+                            network, partition, cell, fcsr, stats
                         )
                     )
             overlay = cls(
-                network, partition, kernel, cliques, cell_csr, cell_rcsr,
+                network, partition, cliques, cell_csr, cell_rcsr,
                 stats, partition.num_cells, _customizer=customizer, **extra,
             )
         finally:
@@ -410,17 +368,14 @@ class OverlayGraph:
         return overlay
 
     @staticmethod
-    def _cell_graphs(network, partition: Partition, cell: int, kernel: str):
-        """Per-cell CSR snapshots (forward, reversed) for the csr kernel."""
-        if kernel != "csr":
-            return None, None
-        view = _CellView(network, partition.cells[cell])
-        fcsr = CSRGraph.from_network(view)
+    def _cell_graphs(network, partition: Partition, cell: int):
+        """One cell's CSR snapshots (forward, reversed)."""
+        fcsr = CSRGraph.from_network(_CellView(network, partition.cells[cell]))
         return fcsr, _reversed_csr(fcsr)
 
     @staticmethod
     def _customize_cell(
-        network, partition: Partition, cell: int, kernel: str, fcsr, stats
+        network, partition: Partition, cell: int, fcsr, stats
     ) -> dict:
         """Compute one cell's pruned boundary clique.
 
@@ -433,19 +388,11 @@ class OverlayGraph:
         """
         boundary = partition.boundary[cell]
         bset = frozenset(boundary)
-        view = None
-        if kernel != "csr":
-            view = _CellView(network, partition.cells[cell])
         clique: dict[NodeId, dict[NodeId, PathResult]] = {}
         for b in boundary:
-            if kernel == "csr":
-                trees = csr_dijkstra_to_many(
-                    network, b, boundary, csr=fcsr, stats=stats, strict=False
-                )
-            else:
-                trees = dijkstra_to_many(
-                    view, b, boundary, stats=stats, strict=False
-                )
+            trees = csr_dijkstra_to_many(
+                network, b, boundary, csr=fcsr, stats=stats, strict=False
+            )
             kept: dict[NodeId, PathResult] = {}
             for b2 in boundary:
                 if b2 == b:
@@ -609,18 +556,16 @@ class OverlayGraph:
                 # even when this refresh is handled serially.
                 customizer.note_changes(network, changed_edges)
             for cell in work:
-                fcsr, rcsr = self._cell_graphs(
-                    network, partition, cell, self.kernel
-                )
+                fcsr, rcsr = self._cell_graphs(network, partition, cell)
                 cell_csr[cell] = fcsr
                 cell_rcsr[cell] = rcsr
                 if not use_pool:
                     cliques[cell] = self._customize_cell(
-                        network, partition, cell, self.kernel, fcsr, stats
+                        network, partition, cell, fcsr, stats
                     )
             if use_pool:
                 computed = customizer.customize(
-                    network, partition, self.kernel, work, stats,
+                    network, partition, work, stats,
                     changed_edges=changed_edges,
                 )
                 for cell in work:
@@ -651,8 +596,8 @@ class OverlayGraph:
         pool when one is live for this refresh.
         """
         return type(self)(
-            network, self.partition, self.kernel, cliques, cell_csr,
-            cell_rcsr, stats, len(touched), undercut=undercut,
+            network, self.partition, cliques, cell_csr, cell_rcsr, stats,
+            len(touched), undercut=undercut,
             _flat=self._reusable_flat(touched, changed_edges),
         )
 
@@ -789,7 +734,7 @@ class OverlayGraph:
 
     def __repr__(self) -> str:
         return (
-            f"OverlayGraph(kernel={self.kernel!r}, cells={self.num_cells}, "
+            f"OverlayGraph(cells={self.num_cells}, "
             f"boundary={self.num_boundary_nodes}, "
             f"clique_arcs={self.num_clique_arcs}, "
             f"cut_arcs={self.num_cut_arcs})"
@@ -803,18 +748,8 @@ class OverlayGraph:
         reverse: bool = False,
     ) -> _Local:
         """Intra-cell search from ``node`` (``reverse``: *to* it) over ``targets``."""
-        if self.kernel == "csr":
-            csr = (self._cell_rcsr if reverse else self._cell_csr)[cell]
-            dist, path_to = csr_dijkstra_tree(csr, node, targets, stats)
-        else:
-            view = _CellView(
-                self.network, self.partition.cells[cell], reverse=reverse
-            )
-            trees = dijkstra_to_many(
-                view, node, targets, stats=stats, strict=False
-            )
-            dist = {target: path.distance for target, path in trees.items()}
-            path_to = trees.__getitem__
+        csr = (self._cell_rcsr if reverse else self._cell_csr)[cell]
+        dist, path_to = csr_dijkstra_tree(csr, node, targets, stats)
         if reverse:
             return _Local(dist, lambda target: _flip(path_to(target)))
         return _Local(dist, path_to)
@@ -1142,7 +1077,6 @@ def build_overlay(
     network,
     partition: Partition | None = None,
     cell_capacity: int | None = None,
-    kernel: str = "dict",
     parallel: int | None = None,
     customizer=None,
 ) -> OverlayGraph:
@@ -1154,7 +1088,7 @@ def build_overlay(
     """
     return OverlayGraph.build(
         network, partition=partition, cell_capacity=cell_capacity,
-        kernel=kernel, parallel=parallel, customizer=customizer,
+        parallel=parallel, customizer=customizer,
     )
 
 
@@ -1312,7 +1246,6 @@ class NestedOverlayGraph(OverlayGraph):
         self,
         network,
         partition: Partition,
-        kernel: str,
         cliques: list[dict],
         cell_csr: list,
         cell_rcsr: list,
@@ -1329,7 +1262,7 @@ class NestedOverlayGraph(OverlayGraph):
         self.super_capacity = super_capacity
         self._reuse = _reuse
         super().__init__(
-            network, partition, kernel, cliques, cell_csr, cell_rcsr,
+            network, partition, cliques, cell_csr, cell_rcsr,
             customize_stats, customized_cells, undercut=undercut,
             _customizer=_customizer, _flat=_flat,
         )
@@ -1502,8 +1435,8 @@ class NestedOverlayGraph(OverlayGraph):
     ) -> "NestedOverlayGraph":
         """Recustomized copy sharing unaffected supercell tables."""
         return type(self)(
-            network, self.partition, self.kernel, cliques, cell_csr,
-            cell_rcsr, stats, len(touched), undercut=undercut,
+            network, self.partition, cliques, cell_csr, cell_rcsr, stats,
+            len(touched), undercut=undercut,
             super_capacity=self.super_capacity,
             _reuse=(self, self._affected_supercells(touched, changed_edges)),
             _customizer=customizer,
@@ -1558,7 +1491,7 @@ class NestedOverlayGraph(OverlayGraph):
 
     def __repr__(self) -> str:
         return (
-            f"NestedOverlayGraph(kernel={self.kernel!r}, "
+            f"NestedOverlayGraph("
             f"cells={self.num_cells}, boundary={self.num_boundary_nodes}, "
             f"supercells={self.num_supercells}, "
             f"super_boundary={self.num_super_boundary_nodes}, "
@@ -1639,7 +1572,6 @@ def build_nested_overlay(
     network,
     partition: Partition | None = None,
     cell_capacity: int | None = None,
-    kernel: str = "csr",
     super_capacity: int | None = None,
     parallel: int | None = None,
     customizer=None,
@@ -1654,14 +1586,13 @@ def build_nested_overlay(
         network,
         partition=partition,
         cell_capacity=cell_capacity,
-        kernel=kernel,
         super_capacity=super_capacity,
         parallel=parallel,
         customizer=customizer,
     )
 
 
-# Per-network memo: network -> (version, {(kernel, capacity): weakref}).
+# Per-network memo: network -> (version, {capacity key: weakref}).
 # The overlays are held *weakly*: an OverlayGraph strongly references its
 # network, so a strong global cache would pin every network (and its
 # overlay) for process lifetime — the classic WeakKeyDictionary
@@ -1697,9 +1628,7 @@ def _memoized_overlay(network, key: tuple, build):
 
 
 def overlay_snapshot(
-    network,
-    kernel: str = "dict",
-    cell_capacity: int | None = None,
+    network, cell_capacity: int | None = None
 ) -> OverlayGraph:
     """The (memoized) :class:`OverlayGraph` of ``network``.
 
@@ -1713,16 +1642,13 @@ def overlay_snapshot(
     """
     return _memoized_overlay(
         network,
-        (kernel, cell_capacity),
-        lambda: build_overlay(
-            network, cell_capacity=cell_capacity, kernel=kernel
-        ),
+        ("flat", cell_capacity),
+        lambda: build_overlay(network, cell_capacity=cell_capacity),
     )
 
 
 def nested_overlay_snapshot(
     network,
-    kernel: str = "csr",
     cell_capacity: int | None = None,
     super_capacity: int | None = None,
 ) -> NestedOverlayGraph:
@@ -1735,19 +1661,19 @@ def nested_overlay_snapshot(
     """
     return _memoized_overlay(
         network,
-        ("nested", kernel, cell_capacity, super_capacity),
+        ("nested", cell_capacity, super_capacity),
         lambda: build_nested_overlay(
-            network, cell_capacity=cell_capacity, kernel=kernel,
+            network, cell_capacity=cell_capacity,
             super_capacity=super_capacity,
         ),
     )
 
 
 # ----------------------------------------------------------------------
-# MSMD processors (registered in repro.search.multi.get_processor)
+# MSMD processors (one per overlay row of repro.search.ENGINES)
 # ----------------------------------------------------------------------
-class OverlayProcessor(PreprocessingProcessor):
-    """Partition-overlay MSMD processor (``"overlay"``).
+class CSROverlayProcessor(PreprocessingProcessor):
+    """Partition-overlay MSMD processor (``"overlay-csr"``).
 
     The per-network artifact is the customized :class:`OverlayGraph`
     (built once, shared via the serving layer's
@@ -1756,8 +1682,7 @@ class OverlayProcessor(PreprocessingProcessor):
     :class:`~repro.exceptions.NoPathError`.
     """
 
-    name = "overlay"
-    _kernel = "dict"
+    name = "overlay-csr"
 
     def __init__(
         self,
@@ -1768,18 +1693,12 @@ class OverlayProcessor(PreprocessingProcessor):
         self._cell_capacity = cell_capacity
 
     def _build(self, network) -> OverlayGraph:
-        return overlay_snapshot(
-            network, kernel=self._kernel, cell_capacity=self._cell_capacity
-        )
-
-    def overlay_for(self, network) -> OverlayGraph:
-        """The overlay answering queries over ``network``."""
-        return self.artifact_for(network)
+        return overlay_snapshot(network, cell_capacity=self._cell_capacity)
 
     def process(self, network, sources, destinations) -> MSMDResult:
         """Answer S x T via local searches plus overlay sweeps."""
         _validate(sources, destinations)
-        overlay = self.overlay_for(network)
+        overlay = self.artifact_for(network)
         result = MSMDResult()
         paths = overlay.many_to_many(sources, destinations, stats=result.stats)
         for s in sources:
@@ -1792,52 +1711,37 @@ class OverlayProcessor(PreprocessingProcessor):
         return result
 
 
-class CSROverlayProcessor(OverlayProcessor):
-    """Flat-kernel partition-overlay processor (``"overlay-csr"``).
-
-    Identical strategy and distances to :class:`OverlayProcessor`; the
-    local cell phases run on per-cell CSR snapshots with the pooled
-    index-space kernels instead of dict searches.
-    """
-
-    name = "overlay-csr"
-    _kernel = "csr"
-
-
-class NestedOverlayProcessor(OverlayProcessor):
+class NestedOverlayProcessor(CSROverlayProcessor):
     """Two-level nested-overlay MSMD processor (``"overlay-nested"``).
 
-    Identical batch contract and distances to :class:`OverlayProcessor`;
-    the per-network artifact is the :class:`NestedOverlayGraph`, whose
-    sweeps skip interior boundary nodes of every supercell the query's
-    endpoints do not touch.
+    Identical batch contract and distances to
+    :class:`CSROverlayProcessor`; the per-network artifact is the
+    :class:`NestedOverlayGraph`, whose sweeps skip interior boundary
+    nodes of every supercell the query's endpoints do not touch.
     """
 
     name = "overlay-nested"
-    _kernel = "csr"
 
     def _build(self, network) -> NestedOverlayGraph:
         return nested_overlay_snapshot(
-            network, kernel=self._kernel, cell_capacity=self._cell_capacity
+            network, cell_capacity=self._cell_capacity
         )
 
 
-# ----------------------------------------------------------------------
-# Persistence (text format; integer node ids, like repro.network.io)
-# ----------------------------------------------------------------------
 def dumps_overlay(overlay: OverlayGraph) -> str:
-    """Serialize an overlay (partition + cliques) to a string.
+    """Render an overlay's partition and cliques as text.
 
-    The format carries everything customization computed, so loading
-    skips the clique searches entirely.  Node ids must be integers (the
-    same restriction as :mod:`repro.network.io`).  Two overlays with
-    identical partitions and cliques serialize byte-identically — the
-    equality witness the recustomization property tests rely on.
+    Two overlays with identical partitions and cliques render
+    byte-identically — the equality witness the recustomization,
+    parallel-build and epoch tests rely on.  (The persistent format is
+    :func:`repro.service.blob.write_overlay_blob`, which carries the
+    same content.)  Node ids must be integers, the same restriction as
+    :mod:`repro.network.io`.
     """
     from repro.network.io import partition_cell_lines
 
     lines = ["# repro overlay v1"]
-    lines.append(f"kernel {overlay.kernel}")
+    lines.append("kernel csr")
     lines.append(f"capacity {overlay.partition.cell_capacity}")
     lines.extend(partition_cell_lines(overlay.partition))
     for cell, clique in enumerate(overlay.cliques):
@@ -1846,98 +1750,3 @@ def dumps_overlay(overlay: OverlayGraph) -> str:
                 nodes = " ".join(str(n) for n in path.nodes)
                 lines.append(f"clique {cell} {path.distance!r} {nodes}")
     return "\n".join(lines) + "\n"
-
-
-def loads_overlay(text: str, network) -> OverlayGraph:
-    """Rebuild an overlay serialized by :func:`dumps_overlay`.
-
-    ``network`` must have the same content (nodes, edges) the overlay
-    was customized for — the serving layer guarantees this by keying
-    spill files on the network fingerprint.
-
-    Raises
-    ------
-    GraphError
-        For malformed input or a partition that does not match
-        ``network``.
-    """
-    import io as _io
-
-    return _read_overlay(_io.StringIO(text), network)
-
-
-def write_overlay(overlay: OverlayGraph, path: str | os.PathLike[str]) -> None:
-    """Write an overlay to ``path`` in the text format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_overlay(overlay))
-
-
-def read_overlay(path: str | os.PathLike[str], network) -> OverlayGraph:
-    """Read an overlay previously written by :func:`write_overlay`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _read_overlay(fh, network)
-
-
-def _read_overlay(fh: TextIO, network) -> OverlayGraph:
-    kernel: str | None = None
-    capacity: int | None = None
-    cells: list[tuple[int, list[int]]] = []
-    clique_lines: list[tuple[int, float, list[int]]] = []
-    for line_no, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "kernel":
-                if kernel is not None:
-                    raise GraphError("duplicate 'kernel' header")
-                if fields[1] not in _KERNELS:
-                    raise GraphError(f"unknown overlay kernel {fields[1]!r}")
-                kernel = fields[1]
-            elif kind == "capacity":
-                if capacity is not None:
-                    raise GraphError("duplicate 'capacity' header")
-                capacity = int(fields[1])
-            elif kind == "cell":
-                cells.append((int(fields[1]), [int(f) for f in fields[2:]]))
-            elif kind == "clique":
-                clique_lines.append(
-                    (int(fields[1]), float(fields[2]),
-                     [int(f) for f in fields[3:]])
-                )
-            else:
-                raise GraphError(f"unknown record kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise GraphError(f"malformed line {line_no}: {line!r}") from exc
-    from repro.network.io import parse_partition_cells
-
-    if kernel is None or capacity is None:
-        raise GraphError("missing overlay 'kernel' or 'capacity' header")
-    partition = parse_partition_cells(cells, network, capacity)
-    cliques: list[dict] = [
-        {b: {} for b in boundary} for boundary in partition.boundary
-    ]
-    for cell, distance, nodes in clique_lines:
-        if not 0 <= cell < partition.num_cells or len(nodes) < 2:
-            raise GraphError(f"malformed clique record for cell {cell}")
-        b, b2 = nodes[0], nodes[-1]
-        if b not in cliques[cell] or b2 not in cliques[cell]:
-            raise GraphError(
-                f"clique endpoints {b}, {b2} are not boundary nodes of "
-                f"cell {cell}"
-            )
-        cliques[cell][b][b2] = PathResult(
-            source=b, destination=b2, nodes=tuple(nodes), distance=distance
-        )
-    cell_csr: list = []
-    cell_rcsr: list = []
-    for cell in range(partition.num_cells):
-        fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell, kernel)
-        cell_csr.append(fcsr)
-        cell_rcsr.append(rcsr)
-    return OverlayGraph(
-        network, partition, kernel, cliques, cell_csr, cell_rcsr,
-        SearchStats(), 0,
-    )

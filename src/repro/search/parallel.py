@@ -250,7 +250,7 @@ def _merge_stats(stats: SearchStats, shipped: tuple) -> None:
 
 
 def _customize_cells_task(
-    spec: tuple, kernel: str, cells: Sequence[int], deltas: dict
+    spec: tuple, cells: Sequence[int], deltas: dict
 ) -> tuple:
     """Worker entry point: customize a chunk of cells from the blobs."""
     from repro.search.overlay import OverlayGraph
@@ -260,12 +260,10 @@ def _customize_cells_task(
     stats = SearchStats()
     out = []
     for cell in cells:
-        fcsr = None
-        if kernel == "csr":
-            fcsr, _rcsr = OverlayGraph._cell_graphs(net, part, cell, kernel)
+        fcsr, _rcsr = OverlayGraph._cell_graphs(net, part, cell)
         out.append(
             (cell, _encode_clique(
-                OverlayGraph._customize_cell(net, part, cell, kernel, fcsr, stats)
+                OverlayGraph._customize_cell(net, part, cell, fcsr, stats)
             ))
         )
     return out, _stats_tuple(stats)
@@ -654,7 +652,6 @@ class ParallelCustomizer:
         self,
         network,
         partition,
-        kernel: str,
         cells: Iterable[int],
         stats: SearchStats,
         changed_edges=None,
@@ -680,15 +677,14 @@ class ParallelCustomizer:
                 "customize.parallel", cells=len(work), workers=self.workers
             ) as span:
                 return self._run_cells(
-                    network, partition, kernel, work, stats,
-                    changed_edges, span,
+                    network, partition, work, stats, changed_edges, span
                 )
         return self._run_cells(
-            network, partition, kernel, work, stats, changed_edges, None
+            network, partition, work, stats, changed_edges, None
         )
 
     def _run_cells(
-        self, network, partition, kernel, work, stats, changed_edges, span
+        self, network, partition, work, stats, changed_edges, span
     ) -> dict:
         """Dispatch one prepared cell batch and reassemble the cliques."""
         pool = self._ensure_pool()
@@ -696,7 +692,7 @@ class ParallelCustomizer:
         spec = self._prepare(network, partition, changed_edges)
         deltas = dict(self._deltas)
         futures = [
-            pool.submit(_customize_cells_task, spec, kernel, chunk, deltas)
+            pool.submit(_customize_cells_task, spec, chunk, deltas)
             for chunk in self._chunks(work)
         ]
         out: dict = {}

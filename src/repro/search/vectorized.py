@@ -372,7 +372,7 @@ def vec_dijkstra_path(
     network,
     source: NodeId,
     destination: NodeId,
-    vec: VecGraph | None = None,
+    csr: CSRGraph | None = None,
     stats: SearchStats | None = None,
 ) -> PathResult:
     """Point-to-point query on the vectorized kernel.
@@ -382,6 +382,7 @@ def vec_dijkstra_path(
     :func:`vec_batch_paths` truncated at the single destination.
     """
     rows = vec_batch_paths(
-        network, [source], [[destination]], vec=vec, stats=stats
+        network, [source], [[destination]],
+        vec=None if csr is None else vec_view(csr), stats=stats,
     )
     return rows[0][destination]

@@ -1,11 +1,9 @@
 """Page-aligned binary artifact blobs with mmap-backed loading.
 
-The preprocessing spill channel (:class:`~repro.service.cache.PreprocessingCache`)
-originally persisted partition overlays through the text format of
-:mod:`repro.search.overlay` — correct, but a cold shard worker then pays
-float/int *parsing* for every clique path before it can serve.  This
-module replaces the spill wire format with a binary container purpose
-built for warm-starts:
+The spill format of the preprocessing cache
+(:class:`~repro.service.cache.PreprocessingCache`) for CSR snapshots and
+partition overlays: a binary container built for warm starts, so a cold
+shard worker parses no text before it can serve:
 
 * :func:`write_blob` / :func:`read_blob` — a generic container: an
   8-byte magic, a JSON header describing named typed sections, then the
@@ -31,9 +29,9 @@ built for warm-starts:
   tables load from the blob while the (cheap) supercell level is
   re-derived deterministically.
 
-Like the text formats, the codecs require integer node ids and raise
-:class:`~repro.exceptions.GraphError` otherwise — the cache treats
-spill as best-effort and simply rebuilds such artifacts.
+Like the network text format, the codecs require integer node ids and
+raise :class:`~repro.exceptions.GraphError` otherwise — the cache
+treats spill as best-effort and simply rebuilds such artifacts.
 """
 
 from __future__ import annotations
@@ -363,7 +361,7 @@ def write_overlay_blob(overlay, path: str | os.PathLike[str]) -> None:
                 clq_offsets.append(len(clq_nodes))
     meta = {
         "kind": "overlay",
-        "kernel": overlay.kernel,
+        "kernel": "csr",
         "capacity": partition.cell_capacity,
         "nested": isinstance(overlay, NestedOverlayGraph),
         "super_capacity": (
@@ -395,12 +393,13 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
     Raises
     ------
     GraphError
-        For a malformed blob, an unknown kernel, or a partition that
-        does not match ``network``.
+        For a malformed blob, a ``kernel`` other than ``"csr"`` (the
+        only cell kernel there is; the key stays in the header so blobs
+        written before and after its removal are the same bytes), or a
+        partition that does not match ``network``.
     """
     from repro.network.io import parse_partition_cells
     from repro.search.overlay import (
-        _KERNELS,
         NestedOverlayGraph,
         OverlayGraph,
         PathResult,
@@ -412,9 +411,10 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
         meta = blob.meta
         if meta.get("kind") != "overlay":
             raise GraphError(f"not an overlay blob: {path}")
-        kernel = meta.get("kernel")
-        if kernel not in _KERNELS:
-            raise GraphError(f"unknown overlay kernel {kernel!r}")
+        if meta.get("kernel") != "csr":
+            raise GraphError(
+                f"unknown overlay kernel {meta.get('kernel')!r}"
+            )
         capacity = int(meta["capacity"])
         s = blob.sections
         cell_offsets = s["cell_offsets"].tolist()
@@ -456,19 +456,18 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
     cell_csr: list = []
     cell_rcsr: list = []
     for cell in range(partition.num_cells):
-        fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell, kernel)
+        fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell)
         cell_csr.append(fcsr)
         cell_rcsr.append(rcsr)
     if meta.get("nested"):
         super_capacity = meta.get("super_capacity")
         return NestedOverlayGraph(
-            network, partition, kernel, cliques, cell_csr, cell_rcsr,
+            network, partition, cliques, cell_csr, cell_rcsr,
             SearchStats(), 0,
             super_capacity=(
                 int(super_capacity) if super_capacity is not None else None
             ),
         )
     return OverlayGraph(
-        network, partition, kernel, cliques, cell_csr, cell_rcsr,
-        SearchStats(), 0,
+        network, partition, cliques, cell_csr, cell_rcsr, SearchStats(), 0
     )

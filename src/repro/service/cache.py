@@ -51,9 +51,19 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.exceptions import GraphError
 from repro.network.graph import NodeId
 from repro.obs.metrics import MetricsRegistry
+from repro.search import ENGINES, get_engine
+from repro.search.ch.persist import read_contracted, write_contracted
+from repro.search.kernels import CSRHierarchy
 from repro.search.multi import MSMDResult
+from repro.service.blob import (
+    read_csr_blob,
+    read_overlay_blob,
+    write_csr_blob,
+    write_overlay_blob,
+)
 from repro.service.wire import encode_paths, table_paths
 
 __all__ = [
@@ -213,7 +223,9 @@ class PreprocessingCache:
         Maximum artifacts held in memory (>= 1).
     spill_dir:
         Optional directory for disk spill.  On eviction, artifacts with
-        a persistent format are written to ``<fingerprint>-<engine>``
+        a persistent format (the engine row's
+        :attr:`~repro.search.SearchEngine.spill` tag) are written to
+        ``<fingerprint>-<engine>``
         files (``.ch`` contracted graphs, ``.ovlb`` overlay blobs,
         ``.csrb`` CSR blobs); a later miss for the same key reloads the
         file instead of re-preprocessing.
@@ -317,8 +329,6 @@ class PreprocessingCache:
             The engine's preprocessing context, or ``None`` for engines
             without preprocessing.
         """
-        from repro.search import get_engine
-
         engine = get_engine(engine_name)  # validate before hashing work
         if fingerprint is None:
             fingerprint = network_fingerprint(network)
@@ -442,102 +452,63 @@ class PreprocessingCache:
             artifact = self._entries.get((fingerprint, engine_name))
         if artifact is None:
             return None
-        self._spill((fingerprint, engine_name), artifact)
-        path = self._spill_path((fingerprint, engine_name))
-        return path if path is not None and path.exists() else None
+        return self._spill((fingerprint, engine_name), artifact)
 
     # ------------------------------------------------------------------
-    # Disk spill (contracted graphs — directly for "ch", via the wrapped
-    # graph for "ch-csr" flat hierarchies, see repro.search.ch.persist;
-    # partition overlays and CSR snapshots via the page-aligned binary
-    # blobs of repro.service.blob, mmap-backed on reload)
+    # Disk spill: the engine's row names the format (SearchEngine.spill),
+    # _SPILL_FORMATS has its file suffix, writer and reader
     # ------------------------------------------------------------------
-    #: engines whose artifacts spill via the overlay blob format; the
-    #: one list both the path chooser and the loader consult, so the
-    #: two can never disagree on a key's on-disk format.
-    _OVERLAY_SPILL_ENGINES = ("overlay", "overlay-csr", "overlay-nested")
-
-    #: engines whose artifacts are plain CSR snapshots, spilled as CSR
-    #: blobs and reloaded with mmap-backed arrays (first query faults in
-    #: exactly the pages it walks — cold warm-up is O(nodes), not O(m)).
-    _CSR_SPILL_ENGINES = ("dijkstra-csr", "bidirectional-csr")
-
-    def _spill_path(self, key: tuple[str, str]) -> Path | None:
-        if self._spill_dir is None:
+    def _spill_format(self, key: tuple[str, str]) -> tuple | None:
+        """``(path, write, read)`` of a key's spill file, if it can have one."""
+        engine = ENGINES.get(key[1])  # put() takes names get() never saw
+        if self._spill_dir is None or engine is None or engine.spill is None:
             return None
-        fingerprint, engine_name = key
-        if engine_name in self._OVERLAY_SPILL_ENGINES:
-            suffix = "ovlb"
-        elif engine_name in self._CSR_SPILL_ENGINES:
-            suffix = "csrb"
-        else:
-            suffix = "ch"
-        return self._spill_dir / f"{fingerprint}-{engine_name}.{suffix}"
+        suffix, write, read = _SPILL_FORMATS[engine.spill]
+        return self._spill_dir / f"{key[0]}-{key[1]}.{suffix}", write, read
 
-    def _spill(self, key: tuple[str, str], artifact: object) -> None:
-        from repro.network.csr import CSRGraph
-        from repro.search.ch import ContractedGraph
-        from repro.search.kernels import CSRHierarchy
-        from repro.search.overlay import OverlayGraph
-
-        path = self._spill_path(key)
-        if path is None:
-            return
-        if path.exists():  # an earlier eviction already persisted it
-            return
-        if key[1] in self._OVERLAY_SPILL_ENGINES:
-            if isinstance(artifact, OverlayGraph):
-                from repro.exceptions import GraphError
-                from repro.service.blob import write_overlay_blob
-
-                self._spill_dir.mkdir(parents=True, exist_ok=True)
-                try:
-                    write_overlay_blob(artifact, path)
-                except GraphError:  # non-int node ids: spill is best-effort
-                    path.unlink(missing_ok=True)
-            return
-        if key[1] in self._CSR_SPILL_ENGINES:
-            if isinstance(artifact, CSRGraph):
-                from repro.exceptions import GraphError
-                from repro.service.blob import write_csr_blob
-
-                self._spill_dir.mkdir(parents=True, exist_ok=True)
-                try:
-                    write_csr_blob(artifact, path)
-                except GraphError:  # non-int node ids: spill is best-effort
-                    path.unlink(missing_ok=True)
-            return
-        if isinstance(artifact, CSRHierarchy):
-            # The flat arrays are a cheap derivative; persist the wrapped
-            # contracted graph and re-flatten on reload.
-            artifact = artifact.contracted
-        if not isinstance(artifact, ContractedGraph):
-            return
-        from repro.search.ch.persist import write_contracted
-
-        self._spill_dir.mkdir(parents=True, exist_ok=True)
-        write_contracted(artifact, path)
+    def _spill(self, key: tuple[str, str], artifact: object) -> Path | None:
+        """Persist ``artifact``; its spill file's path once there is one."""
+        spill = self._spill_format(key)
+        if spill is None:
+            return None
+        path, write, _read = spill
+        if not path.exists():  # else an earlier eviction persisted it
+            self._spill_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                write(artifact, path)
+            except GraphError:  # non-int node ids: spill is best-effort
+                path.unlink(missing_ok=True)
+                return None
+        return path
 
     def _load_spilled(self, key: tuple[str, str], network) -> object | None:
-        path = self._spill_path(key)
-        if path is None or not path.exists():
+        spill = self._spill_format(key)
+        if spill is None or not spill[0].exists():
             return None
-        if key[1] in self._OVERLAY_SPILL_ENGINES:
-            from repro.service.blob import read_overlay_blob
+        path, _write, read = spill
+        return read(path, network)
 
-            return read_overlay_blob(path, network)
-        if key[1] in self._CSR_SPILL_ENGINES:
-            from repro.service.blob import read_csr_blob
 
-            return read_csr_blob(path)
-        from repro.search.ch.persist import read_contracted
-
-        graph = read_contracted(path)
-        if key[1] == "ch-csr":
-            from repro.search.kernels import CSRHierarchy
-
-            return CSRHierarchy(graph)
-        return graph
+#: spill formats by :attr:`repro.search.SearchEngine.spill` tag:
+#: ``(file suffix, write(artifact, path), read(path, network))`` — the
+#: one table path chooser, writer and loader all consult, so they cannot
+#: disagree on a key's on-disk format.  CSR snapshots and overlays are
+#: :mod:`repro.service.blob` blobs (mmap-backed: a cold load faults in
+#: only the pages queries touch), contracted graphs the text of
+#: :mod:`repro.search.ch.persist`; a flat hierarchy persists the
+#: contracted graph it wraps and re-flattens on reload.
+_SPILL_FORMATS = {
+    "csrb": (
+        "csrb", write_csr_blob, lambda path, network: read_csr_blob(path)
+    ),
+    "ovlb": ("ovlb", write_overlay_blob, read_overlay_blob),
+    "ch": ("ch", write_contracted, lambda path, network: read_contracted(path)),
+    "ch-flat": (
+        "ch",
+        lambda hierarchy, path: write_contracted(hierarchy.contracted, path),
+        lambda path, network: CSRHierarchy(read_contracted(path)),
+    ),
+}
 
 
 class ResultCache:

@@ -336,7 +336,7 @@ def _worker_main(conn, network, config: ServingConfig) -> None:
                     conn.send(("ok", _evaluate_pairs(stack, message[1])))
                 elif op == "reweight":
                     outcome = stack.reweight(
-                        [tuple(c) for c in message[1]], epoch=True
+                        [tuple(c) for c in message[1]]
                     )
                     conn.send(("ok", {
                         "edges": outcome.edges,
@@ -740,7 +740,7 @@ class Gateway:
         try:
             outcome = await loop.run_in_executor(
                 None,
-                lambda: self.stack.reweight(changes, epoch=True),
+                lambda: self.stack.reweight(changes),
             )
             if self.pool is not None:
                 await loop.run_in_executor(

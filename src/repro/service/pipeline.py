@@ -276,7 +276,7 @@ class RecustomizeWorker:
     """Drains batches and installs epochs, on demand or on a thread.
 
     Each :meth:`step` takes one due batch, applies it through
-    ``stack.reweight(..., epoch=True)`` — copy-on-write snapshot,
+    ``stack.reweight(...)`` — copy-on-write snapshot,
     touched-cell recustomization, atomic epoch handoff — then observes
     per-event staleness and retires cache entries of epochs older than
     ``keep_epochs`` handoffs (in-flight batches that captured a recent
@@ -355,7 +355,7 @@ class RecustomizeWorker:
             batch_events=len(batch),
             unique_edges=len(batch.changes),
         ) as span:
-            outcome = self.stack.reweight(batch.changes, epoch=True)
+            outcome = self.stack.reweight(batch.changes)
             span.set("touched_cells", len(outcome.touched_cells))
             span.set("recustomized", outcome.recustomized)
             span.set("epoch", outcome.epoch)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-import warnings
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -108,14 +107,12 @@ class ReweightOutcome:
         the refreshed artifact is installed under (empty for a no-op
         update).
     previous_fingerprint:
-        Fingerprint before the update; with ``epoch=True`` this is the
-        retired epoch's key, which the caller (the live traffic
-        pipeline) may eventually pass to
+        Fingerprint before the update: the retired epoch's key, which
+        the caller (the live traffic pipeline) may eventually pass to
         :meth:`~repro.service.cache.PreprocessingCache.invalidate_fingerprint`
         once no in-flight batch can still reference it.
     epoch:
-        The stack's epoch sequence number after the update (0 for a
-        legacy in-place update, which does not advance the epoch).
+        The stack's epoch sequence number after the update.
     """
 
     edges: int
@@ -627,39 +624,22 @@ class ServingStack:
     server side alone.
 
     Construct stacks through :meth:`from_config`: one frozen
-    :class:`ServingConfig` carries every construction-time knob, and the
-    keyword arguments below that hold live collaborators (caches,
-    metrics, tracer) ride alongside it.  The legacy keyword form
-    (``ServingStack(net, engine=..., max_workers=...)``) still works but
-    emits a single :class:`DeprecationWarning`.
+    :class:`ServingConfig` carries every construction-time knob (engine,
+    pool sizes, spill directory, the cross-session
+    :class:`QueryCoalescer`'s window), and the keyword arguments below
+    that hold live collaborators (caches, metrics, tracer) ride
+    alongside it.
 
     Parameters
     ----------
     network:
         The server's road network (shared by every component).
     config:
-        A :class:`ServingConfig`; when ``None`` (the deprecated path)
-        one is synthesized from the legacy keyword arguments.
-    engine:
-        Name from the :data:`repro.search.ENGINES` registry; decides
-        both the preprocessing artifact and the per-worker MSMD handles.
-        *(deprecated — set on* :class:`ServingConfig` *)*
+        The :class:`ServingConfig` to build from.
     preprocessing_cache, result_cache:
         Preconfigured caches, e.g. shared across several stacks serving
-        different networks; fresh defaults otherwise.
-    max_workers:
-        Dispatcher thread-pool size (1 = serial).
-        *(deprecated — set on* :class:`ServingConfig` *)*
-    spill_dir:
-        Disk-spill directory for the default preprocessing cache
-        (ignored when ``preprocessing_cache`` is given).
-        *(deprecated — set on* :class:`ServingConfig` *)*
-    coalesce:
-        A :class:`CoalesceConfig` to enable the cross-session
-        :class:`QueryCoalescer`: concurrent queries (from any thread or
-        session) are merged into shared union kernel passes and sliced
-        back per session, byte-identical to serial answers.  ``None``
-        (default) keeps the per-query dispatch path.
+        different networks; fresh defaults (sized and spilled as
+        ``config`` says) otherwise.
     metrics:
         Shared :class:`~repro.obs.metrics.MetricsRegistry`; a private
         one is created otherwise.  The stack's server, coalescer and the
@@ -685,38 +665,15 @@ class ServingStack:
     def __init__(
         self,
         network,
-        engine: str = "dijkstra",
+        config: ServingConfig,
+        *,
         preprocessing_cache: PreprocessingCache | None = None,
         result_cache: ResultCache | None = None,
-        max_workers: int = 4,
-        spill_dir=None,
-        coalesce: CoalesceConfig | None = None,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        *,
-        config: ServingConfig | None = None,
     ) -> None:
         from repro.search import get_engine
 
-        if config is None:
-            # The single deprecation path: every legacy keyword
-            # construction funnels through here, so one filter catches
-            # them all (the test suite turns it into an error).
-            warnings.warn(
-                "ServingStack(engine=..., max_workers=...) keyword "
-                "construction is deprecated; build a ServingConfig and "
-                "call ServingStack.from_config(network, config)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServingConfig(
-                engine=engine,
-                max_workers=max_workers,
-                coalesce=coalesce,
-                spill_dir=(
-                    str(spill_dir) if spill_dir is not None else None
-                ),
-            )
         #: the frozen construction-time knobs this stack was built from
         self.config = config
         self.network = network
@@ -792,28 +749,26 @@ class ServingStack:
     ) -> "ServingStack":
         """Build a stack from a frozen :class:`ServingConfig`.
 
-        The non-deprecated constructor.  ``config`` defaults to
-        ``ServingConfig()``; the keyword arguments carry live
-        collaborators that cannot live on a frozen config (pre-built
-        caches shared across stacks, a shared metrics registry, a
-        tracer).
+        ``config`` defaults to ``ServingConfig()``; the keyword
+        arguments carry live collaborators that cannot live on a frozen
+        config (pre-built caches shared across stacks, a shared metrics
+        registry, a tracer).
         """
         return cls(
             network,
+            config if config is not None else ServingConfig(),
             preprocessing_cache=preprocessing_cache,
             result_cache=result_cache,
             metrics=metrics,
             tracer=tracer,
-            config=config if config is not None else ServingConfig(),
         )
 
     @property
     def epoch(self) -> int:
         """Sequence number of the currently installed network epoch.
 
-        0 until the first :meth:`install_epoch` (or
-        ``reweight(..., epoch=True)``); each atomic handoff increments
-        it.  Legacy in-place mutations do not advance the epoch.
+        0 until the first :meth:`install_epoch` (or :meth:`reweight`);
+        each atomic handoff increments it.
         """
         with self._lock:
             return self._epoch
@@ -835,9 +790,9 @@ class ServingStack:
     ) -> str:
         """Atomically switch serving to a new network snapshot.
 
-        The epoch-handoff write side, used by
-        ``reweight(..., epoch=True)`` and the live traffic pipeline
-        (:mod:`repro.service.pipeline`): the artifact (when given) is
+        The epoch-handoff write side, used by :meth:`reweight` and the
+        live traffic pipeline (:mod:`repro.service.pipeline`): the
+        artifact (when given) is
         installed in the preprocessing cache under the snapshot's
         fingerprint *first*, then the stack's ``network`` reference,
         fingerprint memo and epoch counter advance in one locked step.
@@ -1211,11 +1166,10 @@ class ServingStack:
         """Shard hint for ``query``: the partition cell of its first source.
 
         Available when the engine's cached artifact is a partition
-        overlay (``"overlay"``/``"overlay-csr"``); ``None`` otherwise.
-        A fleet of stacks can use the hint to route queries to the
-        replica owning that cell; a single stack uses it to group each
-        batch's misses by cell before dispatching (see
-        :meth:`answer_batch`).  Never builds preprocessing — a cold
+        overlay; ``None`` otherwise.  A fleet of stacks can use the hint
+        to route queries to the replica owning that cell; a single stack
+        uses it to group each batch's misses by cell before dispatching
+        (see :meth:`answer_batch`).  Never builds preprocessing — a cold
         cache simply yields ``None``.
         """
         _, fingerprint = self._epoch_view()
@@ -1228,104 +1182,57 @@ class ServingStack:
         self,
         changes: Sequence[tuple],
         recustomize: bool = True,
-        epoch: bool = False,
+        epoch: bool = True,
     ) -> ReweightOutcome:
-        """Apply a traffic update and refresh preprocessing incrementally.
+        """Apply a traffic update as a new copy-on-write epoch.
 
-        Each change ``(u, v, weight)`` re-weights an *existing* edge of
-        the serving network (both directions on undirected networks).
-        The mutation bumps the network's ``version``, so the content
-        fingerprint changes and every cached artifact and result table
-        for the old geometry stops matching — correctness needs nothing
-        else.  The point of this method is the cost: when the engine's
-        current artifact is a partition overlay, the touched cells'
-        cliques are recustomized against the new weights
-        (:meth:`~repro.search.overlay.OverlayGraph.recustomized`) and the
-        updated overlay is installed under the new fingerprint via
-        :meth:`~repro.service.cache.PreprocessingCache.put` — so the next
-        query pays a per-cell refresh instead of a full rebuild.
+        Each change ``(u, v, weight)`` re-weights an *existing* edge
+        (both directions on undirected networks).  The changes are
+        applied to a *copy* of the serving network and the copy is
+        installed atomically via :meth:`install_epoch`, so this is safe
+        to call while queries are in flight: batches that already
+        captured the old epoch finish on its untouched network, new
+        batches see the update.  The new content fingerprint means every
+        cached artifact and result table for the old geometry stops
+        matching — correctness needs nothing else.  The point of this
+        method is the cost: when the engine's current artifact is a
+        partition overlay, only the touched cells' cliques are
+        recustomized against the snapshot
+        (:meth:`~repro.search.overlay.OverlayGraph.recustomized_on`) and
+        the updated overlay is installed with it — so the next query
+        pays a per-cell refresh instead of a full rebuild.  Gateway,
+        shard workers and the live traffic pipeline
+        (:mod:`repro.service.pipeline`) all re-weight through here.
 
-        Two concurrency modes:
-
-        * ``epoch=False`` (legacy): the serving network is mutated in
-          place.  Call it between batches — mutating the network while
-          queries are in flight is a data race on the graph itself, same
-          as calling ``add_edge`` directly.
-        * ``epoch=True``: copy-on-write.  The changes are applied to a
-          *copy* of the serving network, the overlay is recustomized
-          from that snapshot
-          (:meth:`~repro.search.overlay.OverlayGraph.recustomized_on`),
-          and the snapshot is installed atomically via
-          :meth:`install_epoch`.  Safe to call while queries are in
-          flight: batches that already captured the old epoch finish on
-          its untouched network, new batches see the update.  This is
-          the path the live traffic pipeline
-          (:mod:`repro.service.pipeline`) drives from its background
-          worker.
+        ``epoch`` is what is left of the removed in-place mode: ``True``
+        is its only legal value.
 
         Raises
         ------
         EdgeError
             If any ``(u, v)`` is not an existing edge (re-weighting
-            never creates roads).
+            never creates roads) or a weight is negative or not finite;
+            nothing is applied.
+        ValueError
+            For ``epoch=False``.
         """
+        if not epoch:
+            raise ValueError(
+                "reweight(epoch=False), the in-place mode, was removed: "
+                "every re-weight installs a copy-on-write epoch (read "
+                "the new weights from stack.network)"
+            )
         applied = [(u, v, float(w)) for u, v, w in changes]
+        old_network, old_fingerprint = self._epoch_view()
         # Validate everything before applying anything: a bad entry must
-        # not leave the network half-updated.
+        # not produce a half-updated epoch.
         for u, v, w in applied:
-            if not self.network.has_edge(u, v):
+            if not old_network.has_edge(u, v):
                 raise EdgeError(f"cannot reweight missing edge ({u!r}, {v!r})")
             if w < 0 or math.isnan(w) or math.isinf(w):
                 raise EdgeError(
                     f"invalid weight {w} for edge ({u!r}, {v!r})"
                 )
-        if epoch:
-            return self._reweight_epoch(applied, recustomize)
-        old_fingerprint = self._fingerprint()
-        old_artifact = self.preprocessing.peek(old_fingerprint, self.engine_name)
-        for u, v, w in applied:
-            self.network.add_edge(u, v, w)
-        touched: tuple[int, ...] = ()
-        recustomized = False
-        if (
-            recustomize
-            and applied
-            and isinstance(old_artifact, OverlayGraph)
-            # A shared PreprocessingCache may hold an overlay built by a
-            # *different* stack over a content-identical network object;
-            # recustomizing it would read that other network's (un-mutated)
-            # weights.  Only the overlay bound to our network is usable.
-            and old_artifact.network is self.network
-        ):
-            cells = old_artifact.touched_cells(applied)
-            overlay = old_artifact.recustomized(
-                cells, changed_edges=applied, customizer=self.customizer
-            )
-            self.preprocessing.put(
-                self._fingerprint(), self.engine_name, overlay
-            )
-            touched = tuple(sorted(cells))
-            recustomized = True
-        elif applied and self.customizer is not None:
-            # The pool never saw this re-weight (recustomize off, the
-            # artifact evicted, or a foreign overlay in a shared cache):
-            # fold the changes into its cumulative delta map so the next
-            # pooled recustomize still computes from current weights
-            # instead of the blob's stale ones.
-            self.customizer.note_changes(self.network, applied)
-        return ReweightOutcome(
-            edges=len(applied),
-            touched_cells=touched,
-            recustomized=recustomized,
-            fingerprint=self._fingerprint() if applied else old_fingerprint,
-            previous_fingerprint=old_fingerprint,
-        )
-
-    def _reweight_epoch(
-        self, applied: list[tuple], recustomize: bool
-    ) -> ReweightOutcome:
-        """The copy-on-write half of :meth:`reweight` (``epoch=True``)."""
-        old_network, old_fingerprint = self._epoch_view()
         if not applied:
             return ReweightOutcome(
                 edges=0,
@@ -1344,8 +1251,10 @@ class ServingStack:
         if (
             recustomize
             and isinstance(old_artifact, OverlayGraph)
-            # Same binding guard as the in-place path: only an overlay
-            # reading *this* epoch's weights can donate untouched cells.
+            # A shared PreprocessingCache may hold an overlay built by a
+            # *different* stack over a content-identical network object;
+            # only an overlay reading *this* epoch's weights can donate
+            # its untouched cells.
             and old_artifact.network is old_network
         ):
             cells = old_artifact.touched_cells(applied)
@@ -1355,9 +1264,10 @@ class ServingStack:
             )
             touched = tuple(sorted(cells))
         elif self.customizer is not None:
-            # Same coherence rule as the in-place path: a re-weight the
-            # pool did not customize must still land in its delta map,
-            # or the next pooled refresh serves pre-change weights.
+            # The pool did not customize this re-weight (recustomize
+            # off, the artifact evicted, or a foreign overlay in a
+            # shared cache): fold the changes into its cumulative delta
+            # map, or the next pooled refresh serves pre-change weights.
             self.customizer.note_changes(snapshot, applied)
         new_fingerprint = self.install_epoch(
             snapshot,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 
 import pytest
 
@@ -27,6 +28,22 @@ from repro.service.serving import ServingConfig, ServingStack
 
 #: node ids no aggregate count on this graph can coincidentally equal
 _IDS = [9100001 + i for i in range(16)]
+
+
+def _leaked_ids(surface: str, ids=_IDS) -> list[int]:
+    """The ids that appear in ``surface`` as whole numeric tokens.
+
+    Surfaces export wall-clock floats (span starts, durations), and
+    seven marker digits inside one of those (``0.0019100012``,
+    ``41729100003.5``) are a timing, not an id: a match may not
+    continue a number (no digit or decimal point before it) nor be
+    continued by one (no digit after it).  An id rendered as a float
+    (``9100012.0``) still counts.
+    """
+    return [
+        node for node in ids
+        if re.search(rf"(?<![0-9.]){node}(?![0-9])", surface)
+    ]
 
 
 @pytest.fixture()
@@ -90,11 +107,29 @@ class TestTelemetryNeverLeaksEndpoints:
         surfaces = _instrumented_run(marked_network)
         assert any(surfaces), "instrumented run produced no telemetry"
         for surface in surfaces:
-            for node in _IDS:
-                assert str(node) not in surface, (
-                    f"telemetry output leaked node id {node}: "
-                    f"{surface[:400]}..."
-                )
+            leaked = _leaked_ids(surface)
+            assert not leaked, (
+                f"telemetry output leaked node ids {leaked}: {surface[:400]}..."
+            )
+
+    def test_the_scan_catches_a_planted_id(self):
+        """Negative control for :func:`_leaked_ids`: a real id in a span
+        attribute is found on every surface shape it could take, and
+        only digits that continue a longer number are let through."""
+        tracer = Tracer()
+        with tracer.span("probe", cell=_IDS[3]):
+            pass
+        assert _leaked_ids(tracer.export_jsonl()) == [_IDS[3]]
+        for leak in (
+            f'{{"node": {_IDS[5]}}}', f"[{_IDS[5]}, 4]", f"id={_IDS[5]}",
+            f'"{_IDS[5]}"', f"{_IDS[5]}.0", f"-{_IDS[5]}", str(_IDS[5]),
+        ):
+            assert _leaked_ids(leak) == [_IDS[5]], leak
+        for timing in (
+            f"0.00{_IDS[5]}", f"1.2{_IDS[5]}e-05", f"4172{_IDS[5]}.25",
+            f"{_IDS[5]}7",
+        ):
+            assert _leaked_ids(timing) == [], timing
 
     def test_surfaces_still_carry_aggregates(self, marked_network):
         metrics_json, _, traces, slow_log = _instrumented_run(marked_network)
@@ -130,10 +165,10 @@ class TestTelemetryNeverLeaksEndpoints:
         assert installs, "publishing traffic produced no install spans"
         assert "repro_pipeline_installs_total" in surfaces[0]
         for surface in surfaces:
-            for node in _IDS:
-                assert str(node) not in surface, (
-                    f"pipeline telemetry leaked node id {node}"
-                )
+            leaked = _leaked_ids(surface)
+            assert not leaked, (
+                f"pipeline telemetry leaked node ids {leaked}: {surface[:400]}..."
+            )
 
 
 class TestGatewayNeverLeaksEndpoints:
@@ -220,11 +255,10 @@ class TestGatewayNeverLeaksEndpoints:
         )
         surfaces = ["\n".join(lines), "\n".join(errors), metrics_body]
         for surface in surfaces:
-            for node in [*_IDS, island]:
-                assert str(node) not in surface, (
-                    f"gateway surface leaked node id {node}: "
-                    f"{surface[:400]}..."
-                )
+            leaked = _leaked_ids(surface, [*_IDS, island])
+            assert not leaked, (
+                f"gateway surface leaked node ids {leaked}: {surface[:400]}..."
+            )
 
     def test_access_log_lines_are_structured_and_useful(self, marked_network):
         import json

@@ -45,26 +45,23 @@ def update_sequences(draw):
     return name, batches
 
 
-def _assert_scratch_equal(stack, engine, kernel, outcome):
+def _assert_scratch_equal(stack, engine, outcome):
     snapshot = stack.network
     assert outcome.fingerprint == network_fingerprint(snapshot)
     installed = stack.preprocessing.peek(outcome.fingerprint, engine)
     assert installed.network is snapshot
-    scratch = build_overlay(
-        snapshot, partition=installed.partition, kernel=kernel
-    )
+    scratch = build_overlay(snapshot, partition=installed.partition)
     assert dumps_overlay(installed) == dumps_overlay(scratch)
     for name in ("over_offsets", "over_targets", "over_weights",
                  "over_kinds", "boundary_ids", "metric", "undercut"):
         assert getattr(installed, name) == getattr(scratch, name), name
 
 
-@given(drawn=update_sequences(), engine=st.sampled_from(["overlay", "overlay-csr"]))
+@given(drawn=update_sequences(), engine=st.sampled_from(["overlay-csr", "overlay-nested"]))
 @settings(max_examples=40, deadline=None)
 def test_every_installed_epoch_equals_a_scratch_build(drawn, engine):
     name, batches = drawn
     base, edges = _NETS[name], _EDGES[name]
-    kernel = "csr" if engine == "overlay-csr" else "dict"
     with ServingStack.from_config(
         base.copy(), ServingConfig(engine=engine, max_workers=1)
     ) as stack:
@@ -81,7 +78,7 @@ def test_every_installed_epoch_equals_a_scratch_build(drawn, engine):
             outcome = stack.reweight(changes, epoch=True)
             assert outcome.previous_fingerprint == previous
             assert stack.network is not before
-            _assert_scratch_equal(stack, engine, kernel, outcome)
+            _assert_scratch_equal(stack, engine, outcome)
     # the serving copy took every update; the map it was cut from, none
     assert network_fingerprint(base) == network_fingerprint(_NETS[name])
 

@@ -126,20 +126,19 @@ def _check_modes(net, kind, overlay, sources, destinations, exact=True):
 
 @given(
     drawn=networks(),
-    kernel=st.sampled_from(["dict", "csr"]),
     capacity=st.integers(min_value=3, max_value=12),
     max_arcs=st.sampled_from([MAX_UNDERCUT_ARCS, 5 * MAX_UNDERCUT_ARCS]),
     data=st.data(),
 )
 @settings(max_examples=150, deadline=None)
 def test_pair_sweeps_shared_sweeps_and_auto_agree(
-    drawn, kernel, capacity, max_arcs, data
+    drawn, capacity, max_arcs, data
 ):
     """``max_arcs`` above the shipped cap keeps sweeps goal-directed on
     nets where chains of undercut arcs decide the bound."""
     net, kind = drawn
     with mock.patch.object(overlay_module, "MAX_UNDERCUT_ARCS", max_arcs):
-        overlay = build_overlay(net, cell_capacity=capacity, kernel=kernel)
+        overlay = build_overlay(net, cell_capacity=capacity)
     assert overlay.metric == (overlay.undercut == {})
     assert overlay.metric or kind != "metric"
     assert (overlay._shortcuts is not None) == (len(overlay.undercut) <= max_arcs)
@@ -160,7 +159,7 @@ def test_nested_overlay_keeps_one_mode(drawn, capacity, data):
     set is one pair's) may differ from the table by an ulp."""
     net, kind = drawn
     overlay = build_nested_overlay(
-        net, cell_capacity=capacity, kernel="csr", super_capacity=3
+        net, cell_capacity=capacity, super_capacity=3
     )
     sources, destinations = _endpoints(data.draw, net)
     assert not overlay._pairwise(destinations[:1])
@@ -174,7 +173,7 @@ def test_same_cell_pairs_are_bounded_by_the_direct_path(data):
     yet a detour through a neighbouring cell must still win when it is
     shorter."""
     net = grid_network(8, 8, perturbation=0.1, seed=data.draw(st.integers(0, 50)))
-    overlay = build_overlay(net, cell_capacity=16, kernel="csr")
+    overlay = build_overlay(net, cell_capacity=16)
     cell = data.draw(st.sampled_from(overlay.partition.cells))
     s, t = data.draw(st.permutations(cell))[:2]
     # make the straight intra-cell route expensive so leaving pays off

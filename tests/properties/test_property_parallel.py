@@ -70,20 +70,17 @@ def networks(draw, min_nodes=4, max_nodes=28):
 @given(
     net=networks(),
     capacity=st.integers(min_value=2, max_value=10),
-    kernel=st.sampled_from(["dict", "csr"]),
     workers=st.sampled_from([2, 3]),
     reweight_seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=25, deadline=None)
 def test_parallel_byte_identical_to_serial(
-    net, capacity, kernel, workers, reweight_seed
+    net, capacity, workers, reweight_seed
 ):
     """Build and recustomize: pool output == serial output, bytewise."""
     pool = _pool(workers)
-    serial = build_overlay(net, cell_capacity=capacity, kernel=kernel)
-    par = build_overlay(
-        net, cell_capacity=capacity, kernel=kernel, customizer=pool
-    )
+    serial = build_overlay(net, cell_capacity=capacity)
+    par = build_overlay(net, cell_capacity=capacity, customizer=pool)
     assert dumps_overlay(par) == dumps_overlay(serial)
 
     # Re-weight a random slice of edges and recustomize both ways.
@@ -95,6 +92,6 @@ def test_parallel_byte_identical_to_serial(
             changed.append((u, v))
     serial2 = serial.recustomized(changed_edges=changed)
     par2 = par.recustomized(changed_edges=changed, customizer=pool)
-    fresh = build_overlay(net, cell_capacity=capacity, kernel=kernel)
+    fresh = build_overlay(net, cell_capacity=capacity)
     assert dumps_overlay(par2) == dumps_overlay(serial2)
     assert dumps_overlay(par2) == dumps_overlay(fresh)

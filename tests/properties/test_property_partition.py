@@ -70,22 +70,19 @@ def test_partition_invariants(net, capacity, method):
 @given(
     net=networks(min_nodes=3),
     capacity=st.integers(min_value=2, max_value=10),
-    kernel=st.sampled_from(["dict", "csr"]),
     edge_rank=st.integers(min_value=0, max_value=10_000),
     factor=st.floats(min_value=0.2, max_value=4.0),
 )
 @settings(max_examples=40, deadline=None)
-def test_recustomize_matches_scratch_build(
-    net, capacity, kernel, edge_rank, factor
-):
+def test_recustomize_matches_scratch_build(net, capacity, edge_rank, factor):
     """Recustomize after a re-weight == byte-identical from-scratch build."""
     edges = list(net.edges())
     if not edges:
         return
-    overlay = build_overlay(net, cell_capacity=capacity, kernel=kernel)
+    overlay = build_overlay(net, cell_capacity=capacity)
     u, v, w = edges[edge_rank % len(edges)]
     net.add_edge(u, v, w * factor)
     refreshed = overlay.recustomized(overlay.touched_cells([(u, v)]))
-    scratch = build_overlay(net, cell_capacity=capacity, kernel=kernel)
+    scratch = build_overlay(net, cell_capacity=capacity)
     assert dumps_overlay(refreshed) == dumps_overlay(scratch)
     assert refreshed.metric == scratch.metric

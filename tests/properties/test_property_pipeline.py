@@ -246,7 +246,7 @@ def test_every_response_is_exact_for_an_applied_stream_prefix(script):
         applied = _apply_prefix(reference, published, applied, len(published))
         assert dumps_overlay(
             stack.preprocessing.peek(stack._fingerprint(), "overlay-csr")
-        ) == dumps_overlay(build_overlay(reference, kernel="csr"))
+        ) == dumps_overlay(build_overlay(reference))
 
 
 @given(
@@ -283,7 +283,7 @@ def test_batch_partitioning_never_changes_the_final_state(updates, max_batch):
         for event in events:
             sequential.add_edge(event.u, event.v, event.weight)
         assert dumps_overlay(installed) == dumps_overlay(
-            build_overlay(sequential, kernel="csr")
+            build_overlay(sequential)
         )
         for u, v, w in sequential.edges():
             assert stack.network.edge_weight(u, v) == pytest.approx(w)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.network.graph import RoadNetwork
 from repro.search.astar import astar_path
-from repro.search.bidirectional import bidirectional_dijkstra_path
+from repro.search.kernels import csr_bidirectional_path
 from repro.search.dijkstra import dijkstra_path, dijkstra_sssp, dijkstra_to_many
 
 
@@ -57,7 +57,7 @@ def test_all_algorithms_agree(net, data):
     t = data.draw(st.sampled_from(nodes))
     d = dijkstra_path(net, s, t)
     a = astar_path(net, s, t)
-    b = bidirectional_dijkstra_path(net, s, t)
+    b = csr_bidirectional_path(net, s, t)
     assert abs(d.distance - a.distance) < 1e-6
     assert abs(d.distance - b.distance) < 1e-6
 

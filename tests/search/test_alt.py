@@ -163,7 +163,9 @@ class TestALTPairwiseProcessor:
         assert proc.index_for(net) is proc.index_for(net)
 
     def test_registered_in_processor_registry(self):
+        from repro.search import get_engine
         from repro.search.alt import ALTPairwiseProcessor
-        from repro.search.multi import get_processor
 
-        assert isinstance(get_processor("alt"), ALTPairwiseProcessor)
+        assert isinstance(
+            get_engine("alt").make_processor(), ALTPairwiseProcessor
+        )

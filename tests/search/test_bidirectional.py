@@ -1,4 +1,4 @@
-"""Unit tests for repro.search.bidirectional.
+"""Unit tests for bidirectional Dijkstra (``csr_bidirectional_path``).
 
 Oracle parity (bidirectional vs. Dijkstra on random
 directed/disconnected networks) lives in the engine-conformance harness
@@ -15,7 +15,7 @@ import pytest
 from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
-from repro.search.bidirectional import bidirectional_dijkstra_path
+from repro.search.kernels import csr_bidirectional_path
 from repro.search.dijkstra import dijkstra_path
 from repro.search.result import SearchStats
 
@@ -30,7 +30,7 @@ class TestCorrectness:
     def test_path_endpoints_and_walkability(self, oracle_pair):
         net, _g = oracle_pair
         nodes = list(net.nodes())
-        path = bidirectional_dijkstra_path(net, nodes[3], nodes[-4])
+        path = csr_bidirectional_path(net, nodes[3], nodes[-4])
         assert path.nodes[0] == nodes[3]
         assert path.nodes[-1] == nodes[-4]
         total = 0.0
@@ -42,11 +42,11 @@ class TestCorrectness:
     def test_source_equals_destination(self, oracle_pair):
         net, _g = oracle_pair
         node = next(net.nodes())
-        path = bidirectional_dijkstra_path(net, node, node)
+        path = csr_bidirectional_path(net, node, node)
         assert path.nodes == (node,)
 
     def test_adjacent_nodes(self, tiny_triangle):
-        path = bidirectional_dijkstra_path(tiny_triangle, "a", "b")
+        path = csr_bidirectional_path(tiny_triangle, "a", "b")
         assert path.distance == pytest.approx(1.0)
 
     def test_unreachable_raises(self):
@@ -54,7 +54,7 @@ class TestCorrectness:
         net.add_node(1, 0, 0)
         net.add_node(2, 1, 0)
         with pytest.raises(NoPathError):
-            bidirectional_dijkstra_path(net, 1, 2)
+            csr_bidirectional_path(net, 1, 2)
 
     def test_directed_network_supported(self):
         net = RoadNetwork(directed=True)
@@ -64,15 +64,15 @@ class TestCorrectness:
         net.add_edge(1, 2, 1.0)
         net.add_edge(2, 3, 1.0)
         net.add_edge(3, 1, 1.0)
-        path = bidirectional_dijkstra_path(net, 1, 3)
+        path = csr_bidirectional_path(net, 1, 3)
         assert path.nodes == (1, 2, 3)
         # The reverse trip must honor the one-way cycle.
-        assert bidirectional_dijkstra_path(net, 3, 1).distance == pytest.approx(1.0)
+        assert csr_bidirectional_path(net, 3, 1).distance == pytest.approx(1.0)
 
     def test_unknown_endpoints(self, oracle_pair):
         net, _g = oracle_pair
         with pytest.raises(UnknownNodeError):
-            bidirectional_dijkstra_path(net, -1, next(net.nodes()))
+            csr_bidirectional_path(net, -1, next(net.nodes()))
 
 
 class TestEfficiency:
@@ -84,7 +84,7 @@ class TestEfficiency:
         for _ in range(15):
             s, t = rng.sample(nodes, 2)
             sb, su = SearchStats(), SearchStats()
-            bidirectional_dijkstra_path(net, s, t, stats=sb)
+            csr_bidirectional_path(net, s, t, stats=sb)
             dijkstra_path(net, s, t, stats=su)
             bi_total += sb.settled_nodes
             uni_total += su.settled_nodes

@@ -9,7 +9,7 @@ import pytest
 from repro.exceptions import GraphError, NoPathError, UnknownNodeError
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
-from repro.search import ENGINES, get_engine, get_processor, list_engines
+from repro.search import ENGINES, get_engine, list_engines
 from repro.search.ch import (
     CHManyToManyProcessor,
     ch_many_to_many,
@@ -188,13 +188,13 @@ class TestManyToMany:
         assert first is again
 
     def test_registered_in_processor_registry(self):
-        proc = get_processor("ch")
+        proc = get_engine("ch").make_processor()
         assert isinstance(proc, CHManyToManyProcessor)
         assert proc.name == "ch"
 
     def test_unknown_processor_message_lists_ch(self):
         with pytest.raises(KeyError, match="ch"):
-            get_processor("bogus")
+            get_engine("bogus")
 
 
 class TestPersist:
@@ -251,7 +251,6 @@ class TestEngineRegistry:
         assert set(list_engines()) >= {
             "dijkstra",
             "astar",
-            "bidirectional",
             "alt",
             "ch",
         }

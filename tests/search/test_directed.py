@@ -16,7 +16,10 @@ from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
 from repro.core.system import OpaqueSystem
 from repro.network.generators import one_way_grid_network
 from repro.search.alt import LandmarkIndex
-from repro.search.bidirectional import bidirectional_dijkstra_path
+from repro.search.kernels import (
+    CSRBidirectionalPairwiseProcessor,
+    csr_bidirectional_path,
+)
 from repro.search.dijkstra import dijkstra_path
 from repro.search.multi import (
     NaivePairwiseProcessor,
@@ -91,7 +94,7 @@ class TestEnginesOnDirected:
     def test_bidirectional_paths_follow_one_ways(self, one_way, pairs):
         net, _g = one_way
         for s, t in pairs[:10]:
-            path = bidirectional_dijkstra_path(net, s, t)
+            path = csr_bidirectional_path(net, s, t)
             for u, v in path.edges():
                 assert net.has_edge(u, v), "path uses a street the wrong way"
 
@@ -108,7 +111,7 @@ class TestProcessorsOnDirected:
         "processor",
         [
             NaivePairwiseProcessor(),
-            NaivePairwiseProcessor(engine="bidirectional"),
+            CSRBidirectionalPairwiseProcessor(),
             SharedTreeProcessor(),
             SideSelectingProcessor(),
         ],

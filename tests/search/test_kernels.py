@@ -13,11 +13,12 @@ from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.csr import csr_snapshot
 from repro.network.graph import RoadNetwork
 from repro.search import ENGINES, get_engine
-from repro.search.bidirectional import bidirectional_dijkstra_path
 from repro.search.ch import ch_path, contract_network
 from repro.search.dijkstra import dijkstra_path, dijkstra_to_many
 from repro.search.kernels import (
     BATCH_MIN_SETTLED,
+    CSRBidirectionalPairwiseProcessor,
+    CSRCHManyToManyProcessor,
     CSRHierarchy,
     CSRSharedTreeProcessor,
     ch_csr_hierarchy,
@@ -28,7 +29,7 @@ from repro.search.kernels import (
     csr_dijkstra_to_many,
     scratch_for,
 )
-from repro.search.multi import SharedTreeProcessor, get_processor
+from repro.search.multi import SharedTreeProcessor
 from repro.search.result import SearchStats
 from repro.search.vectorized import estimated_settled, numpy_available
 
@@ -157,7 +158,7 @@ class TestCHKernels:
         table = csr_ch_many_to_many(hierarchy, [0], [1, 3])
         assert set(table) == {(0, 1)}
         with pytest.raises(NoPathError):
-            get_processor("ch-csr").process(net, [0], [1, 3])
+            CSRCHManyToManyProcessor().process(net, [0], [1, 3])
 
     def test_unknown_endpoint(self, small_grid):
         hierarchy = ch_csr_hierarchy(small_grid)
@@ -183,7 +184,7 @@ class TestProcessorsAndEngines:
         sources = rng.sample(nodes, 3)
         destinations = rng.sample(nodes, 3)
         ref = SharedTreeProcessor().process(small_grid, sources, destinations)
-        got = get_processor("dijkstra-csr").process(
+        got = CSRSharedTreeProcessor().process(
             small_grid, sources, destinations
         )
         assert set(got.paths) == set(ref.paths)
@@ -197,12 +198,15 @@ class TestProcessorsAndEngines:
         rng = random.Random(11)
         sources = rng.sample(nodes, 2)
         destinations = rng.sample(nodes, 3)
-        got = get_processor("bidirectional-csr").process(
+        got = CSRBidirectionalPairwiseProcessor().process(
             small_grid, sources, destinations
         )
         for (s, t), path in got.paths.items():
-            ref = bidirectional_dijkstra_path(small_grid, s, t)
-            assert path.distance == ref.distance
+            point = csr_bidirectional_path(small_grid, s, t)
+            assert path.distance == point.distance
+            assert path.distance == pytest.approx(
+                dijkstra_path(small_grid, s, t).distance, abs=1e-9
+            )
 
     @pytest.mark.parametrize("engine", ["dijkstra-csr", "ch-csr"])
     def test_end_to_end_through_opaque_system(self, small_grid, engine):

@@ -10,16 +10,17 @@ import pytest
 from repro.exceptions import QueryError
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
+from repro.search import get_engine, list_engines
+from repro.search.kernels import CSRBidirectionalPairwiseProcessor
 from repro.search.multi import (
     NaivePairwiseProcessor,
     SharedTreeProcessor,
     SideSelectingProcessor,
-    get_processor,
 )
 
 ALL_PROCESSORS = [
     NaivePairwiseProcessor(),
-    NaivePairwiseProcessor(engine="bidirectional"),
+    CSRBidirectionalPairwiseProcessor(),
     SharedTreeProcessor(),
     SideSelectingProcessor(),
 ]
@@ -97,18 +98,12 @@ class TestValidation:
         with pytest.raises(QueryError):
             NaivePairwiseProcessor().process(net, [nodes[0]], [nodes[1], nodes[1]])
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            NaivePairwiseProcessor(engine="warp-drive")
-
     def test_bidirectional_engine_works_on_directed(self):
         net = RoadNetwork(directed=True)
         net.add_node(1, 0, 0)
         net.add_node(2, 1, 0)
         net.add_edge(1, 2, 2.5)
-        result = NaivePairwiseProcessor(engine="bidirectional").process(
-            net, [1], [2]
-        )
+        result = CSRBidirectionalPairwiseProcessor().process(net, [1], [2])
         assert result.paths[(1, 2)].distance == pytest.approx(2.5)
 
 
@@ -170,10 +165,15 @@ class TestMSMDResult:
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("name", ["naive", "shared", "side-selecting"])
-    def test_get_processor_by_name(self, name):
-        assert get_processor(name).name == name
+    """``repro.search.ENGINES`` is the only registry: a processor is
+    reached through its engine's row, so the two cannot drift."""
 
-    def test_unknown_name_lists_valid(self):
-        with pytest.raises(KeyError, match="shared"):
-            get_processor("quantum")
+    @pytest.mark.parametrize("name", list_engines())
+    def test_engine_row_names_its_processor(self, name):
+        row = get_engine(name)
+        processor = row.make_processor()
+        if row.make_processor is SharedTreeProcessor:
+            # dijkstra and astar batch with the paper's processor itself
+            assert name in ("dijkstra", "astar") and processor.name == "shared"
+        else:
+            assert processor.name == row.name

@@ -1,9 +1,10 @@
 """Unit tests for repro.search.overlay.
 
 Oracle parity over random networks is covered for both overlay engines
-by tests/search/test_engine_conformance.py; these tests pin down the
-subsystem-specific behavior — customization sharing, the metric flag,
-persistence, and the targeted cases a conformance sweep may miss.
+(flat and nested) by tests/search/test_engine_conformance.py; these
+tests pin down the subsystem-specific behavior — customization sharing,
+the metric flag, the text witness, and the targeted cases a conformance
+sweep may miss.
 """
 
 from __future__ import annotations
@@ -15,28 +16,29 @@ import pytest
 from repro.exceptions import GraphError, NoPathError, UnknownNodeError
 from repro.network.generators import grid_network, tiger_like_network
 from repro.network.graph import RoadNetwork
-from repro.search import ENGINES, get_engine, get_processor
+from repro.search import ENGINES, get_engine
 from repro.search.dijkstra import dijkstra_path
 from repro.search.overlay import (
     CSROverlayProcessor,
     NestedOverlayGraph,
     NestedOverlayProcessor,
     OverlayGraph,
-    OverlayProcessor,
     build_nested_overlay,
     build_overlay,
     dumps_overlay,
-    loads_overlay,
     nested_overlay_snapshot,
     overlay_snapshot,
-    read_overlay,
-    write_overlay,
 )
 from repro.search.result import SearchStats
 
 
-@pytest.fixture(scope="module", params=["dict", "csr"])
+@pytest.fixture(scope="module", params=["csr"])
 def kernel(request):
+    """The one cell kernel there is (per-cell CSR snapshots).
+
+    Stays a one-value param so the ids of the tests below
+    (``test_x[csr]``) compare across the removal of ``"dict"``.
+    """
     return request.param
 
 
@@ -47,28 +49,22 @@ def net():
 
 @pytest.fixture(scope="module")
 def overlay(net, kernel):
-    return build_overlay(net, cell_capacity=24, kernel=kernel)
+    return build_overlay(net, cell_capacity=24)
 
 
 class TestBuild:
     def test_registry(self):
-        for name, cls in (
-            ("overlay", OverlayProcessor),
-            ("overlay-csr", CSROverlayProcessor),
-        ):
-            assert name in ENGINES
-            assert isinstance(get_processor(name), cls)
-
-    def test_unknown_kernel(self, net):
-        with pytest.raises(GraphError, match="kernel"):
-            build_overlay(net, kernel="gpu")
+        assert "overlay-csr" in ENGINES
+        assert isinstance(
+            get_engine("overlay-csr").make_processor(), CSROverlayProcessor
+        )
 
     def test_metric_flag(self, net, kernel):
         # Grid weights are Euclidean lengths -> metric holds.
-        assert build_overlay(net, kernel=kernel).metric
+        assert build_overlay(net).metric
         # Travel-time weights undercut geometry -> metric must be off.
         tiger = tiger_like_network(blocks=2, block_size=3, seed=4)
-        assert not build_overlay(tiger, kernel=kernel).metric
+        assert not build_overlay(tiger).metric
 
     def test_repr_and_counters(self, overlay):
         assert "OverlayGraph(" in repr(overlay)
@@ -83,10 +79,10 @@ class TestBuild:
 
     def test_snapshot_memoized(self, kernel):
         net = grid_network(6, 6, seed=2)
-        a = overlay_snapshot(net, kernel=kernel)
-        assert overlay_snapshot(net, kernel=kernel) is a
+        a = overlay_snapshot(net)
+        assert overlay_snapshot(net) is a
         net.add_edge(0, 7, 1.0)
-        assert overlay_snapshot(net, kernel=kernel) is not a
+        assert overlay_snapshot(net) is not a
 
     def test_snapshot_does_not_pin_network(self, kernel):
         # The memo must hold snapshots weakly: an OverlayGraph strongly
@@ -96,7 +92,7 @@ class TestBuild:
         import weakref
 
         net = grid_network(5, 5, seed=3)
-        overlay_snapshot(net, kernel=kernel)
+        overlay_snapshot(net)
         ref = weakref.ref(net)
         del net
         gc.collect()
@@ -118,7 +114,7 @@ class TestRoute:
             net.add_node(i, float(i), 0.0)
         net.add_edge(0, 1, 1.0)
         net.add_edge(2, 3, 1.0)
-        ov = build_overlay(net, cell_capacity=2, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=2)
         with pytest.raises(NoPathError):
             ov.route(0, 3)
 
@@ -134,12 +130,7 @@ class TestRoute:
         net.add_edge(0, 2, 1.0)
         net.add_edge(2, 3, 1.0)
         net.add_edge(3, 1, 1.0)
-        ov = build_overlay(
-            net,
-            partition=None,
-            cell_capacity=2,
-            kernel=kernel,
-        )
+        ov = build_overlay(net, cell_capacity=2)
         if ov.partition.cell_of[0] == ov.partition.cell_of[1]:
             path = ov.route(0, 1)
             assert path.distance == pytest.approx(3.0)
@@ -152,15 +143,14 @@ class TestRoute:
         assert stats.heap_pushes > 0
 
     def test_engine_route_builds_context(self, net, kernel):
-        name = "overlay" if kernel == "dict" else "overlay-csr"
-        engine = get_engine(name)
+        engine = get_engine("overlay-csr")
         ref = dijkstra_path(net, 3, 140).distance
         assert engine.route(net, 3, 140).distance == pytest.approx(ref)
 
 
 class TestRecustomize:
     def test_untouched_cells_are_shared(self, net, kernel):
-        ov = build_overlay(net, cell_capacity=24, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=24)
         mutated = net.copy()
         target = None
         for u, v, w in mutated.edges():
@@ -169,7 +159,7 @@ class TestRecustomize:
                 break
         assert target is not None
         u, v, w = target
-        ov = build_overlay(mutated, cell_capacity=24, kernel=kernel)
+        ov = build_overlay(mutated, cell_capacity=24)
         mutated.add_edge(u, v, w * 2.0)
         touched = ov.touched_cells([(u, v)])
         refreshed = ov.recustomized(touched)
@@ -184,7 +174,7 @@ class TestRecustomize:
         """Re-writing an edge with its *unchanged* weight leaves the
         intra-cell fingerprint intact: the cell is not recomputed and
         its clique tables are shared with the source overlay."""
-        ov = build_overlay(net, cell_capacity=24, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=24)
         u, v, w = next(
             (u, v, w)
             for u, v, w in net.edges()
@@ -202,13 +192,16 @@ class TestRecustomize:
         refreshed = ov.recustomized(touched, changed_edges=[(u, v)])
         assert refreshed.customized_cells == len(touched)
 
-    def test_deserialized_overlay_recomputes_conservatively(self, net, kernel):
+    def test_deserialized_overlay_recomputes_conservatively(
+        self, net, kernel, tmp_path
+    ):
         """Fingerprints do not survive serialization; a loaded overlay
         must recompute every touched cell rather than wrongly skip."""
-        from repro.search.overlay import dumps_overlay, loads_overlay
+        from repro.service.blob import read_overlay_blob, write_overlay_blob
 
-        ov = build_overlay(net, cell_capacity=24, kernel=kernel)
-        loaded = loads_overlay(dumps_overlay(ov), net)
+        ov = build_overlay(net, cell_capacity=24)
+        write_overlay_blob(ov, tmp_path / "o.ovlb")
+        loaded = read_overlay_blob(tmp_path / "o.ovlb", net)
         u, v, w = next(
             (u, v, w)
             for u, v, w in net.edges()
@@ -221,7 +214,7 @@ class TestRecustomize:
 
     def test_cut_edge_touches_no_cell_but_refreshes_weight(self, kernel):
         net = grid_network(8, 8, perturbation=0.1, seed=3)
-        ov = build_overlay(net, cell_capacity=16, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=16)
         cut = next(
             (u, v)
             for u, v, _w in net.edges()
@@ -241,7 +234,7 @@ class TestRecustomize:
         the overlay read it (an out-of-band change): no flat segment is
         reused, so the unlisted cut edge's new weight is served too."""
         net = grid_network(8, 8, perturbation=0.1, seed=3)
-        ov = build_overlay(net, cell_capacity=16, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=16)
         cell_of = ov.partition.cell_of
         cuts = [
             (u, v) for u, v, _w in net.edges() if cell_of[u] != cell_of[v]
@@ -256,7 +249,7 @@ class TestRecustomize:
         for u, v in (listed, unlisted):
             net.add_edge(u, v, net.edge_weight(u, v) * 0.25)
         refreshed = ov.recustomized(set(), changed_edges=[listed])
-        scratch = build_overlay(net, partition=ov.partition, kernel=kernel)
+        scratch = build_overlay(net, partition=ov.partition)
         assert refreshed.over_weights == scratch.over_weights
         assert refreshed.undercut == scratch.undercut
         assert set(refreshed.undercut) == {
@@ -267,7 +260,7 @@ class TestRecustomize:
         net.add_edge(u, v, net.edge_weight(u, v) * 8.0)
         again = refreshed.recustomized(set(), changed_edges=[listed])
         assert again.over_weights == build_overlay(
-            net, partition=ov.partition, kernel=kernel
+            net, partition=ov.partition
         ).over_weights
         assert set(again.undercut) == {unlisted, unlisted[::-1]}
 
@@ -277,48 +270,15 @@ class TestRecustomize:
 
 
 class TestPersistence:
-    def test_round_trip(self, net, overlay):
-        text = dumps_overlay(overlay)
-        loaded = loads_overlay(text, net)
-        assert dumps_overlay(loaded) == text
-        assert loaded.kernel == overlay.kernel
-        assert loaded.metric == overlay.metric
-        ref = dijkstra_path(net, 0, 143).distance
-        assert loaded.route(0, 143).distance == pytest.approx(ref)
-
-    def test_file_round_trip(self, net, overlay, tmp_path):
-        path = tmp_path / "grid.ovl"
-        write_overlay(overlay, path)
-        loaded = read_overlay(path, net)
-        assert dumps_overlay(loaded) == dumps_overlay(overlay)
-
-    def test_rejects_malformed(self, net):
-        with pytest.raises(GraphError, match="header"):
-            loads_overlay("cell 0 1\n", net)
-        with pytest.raises(GraphError, match="kernel"):
-            loads_overlay("kernel gpu\ncapacity 4\n", net)
-        with pytest.raises(GraphError, match="malformed"):
-            loads_overlay("kernel csr\ncapacity x\n", net)
-        with pytest.raises(GraphError, match="record kind"):
-            loads_overlay("kernel csr\ncapacity 4\nfrobnicate\n", net)
-
-    def test_rejects_clique_outside_boundary(self, kernel):
-        net = grid_network(4, 4, seed=1)
-        ov = build_overlay(net, cell_capacity=8, kernel=kernel)
-        interior = next(
-            n for n in net.nodes()
-            if n not in ov.boundary_index
-        )
-        text = dumps_overlay(ov) + f"clique 0 1.0 {interior} {interior + 1}\n"
-        with pytest.raises(GraphError):
-            loads_overlay(text, net)
+    """``dumps_overlay``, the byte-identity witness; the persistent
+    format is the blob (tests/service/test_blob.py)."""
 
     def test_rejects_non_integer_ids(self, kernel):
         net = RoadNetwork()
         net.add_node("a", 0.0, 0.0)
         net.add_node("b", 1.0, 0.0)
         net.add_edge("a", "b", 1.0)
-        ov = build_overlay(net, cell_capacity=1, kernel=kernel)
+        ov = build_overlay(net, cell_capacity=1)
         with pytest.raises(GraphError, match="integer"):
             dumps_overlay(ov)
 
@@ -330,14 +290,12 @@ class TestProcessor:
             net.add_node(i, float(i), 0.0)
         net.add_edge(0, 1, 1.0)
         net.add_edge(2, 3, 1.0)
-        name = "overlay" if kernel == "dict" else "overlay-csr"
-        processor = get_processor(name)
+        processor = CSROverlayProcessor()
         with pytest.raises(NoPathError):
             processor.process(net, [0], [1, 3])
 
     def test_wire_order_and_parity(self, net, kernel):
-        name = "overlay" if kernel == "dict" else "overlay-csr"
-        processor = get_processor(name)
+        processor = CSROverlayProcessor()
         rng = random.Random(4)
         nodes = list(net.nodes())
         sources = rng.sample(nodes, 3)
@@ -361,12 +319,13 @@ class TestNested:
 
     @pytest.fixture(scope="class")
     def nested(self, nnet):
-        return build_nested_overlay(nnet, kernel="csr")
+        return build_nested_overlay(nnet)
 
     def test_registry(self):
         assert "overlay-nested" in ENGINES
         assert isinstance(
-            get_processor("overlay-nested"), NestedOverlayProcessor
+            get_engine("overlay-nested").make_processor(),
+            NestedOverlayProcessor,
         )
 
     def test_repr_and_counters(self, nested):
@@ -402,12 +361,12 @@ class TestNested:
             assert got.nodes[0] == s and got.nodes[-1] == t
 
     def test_level1_byte_identical_to_flat(self, nnet, nested):
-        flat = build_overlay(nnet, kernel="csr")
+        flat = build_overlay(nnet)
         assert dumps_overlay(nested) == dumps_overlay(flat)
 
     def test_recustomized_shares_unaffected_supercells(self, nnet):
         net = nnet.copy()
-        nested = build_nested_overlay(net, kernel="csr")
+        nested = build_nested_overlay(net)
         u, v, w = next(
             (u, v, w) for u, v, w in net.edges()
             if nested.touched_cells([(u, v)])
@@ -427,7 +386,7 @@ class TestNested:
 
     def test_recustomized_byte_identical_to_fresh_build(self, nnet):
         net = nnet.copy()
-        nested = build_nested_overlay(net, kernel="csr")
+        nested = build_nested_overlay(net)
         u, v, w = next(
             (u, v, w) for u, v, w in net.edges()
             if nested.touched_cells([(u, v)])
@@ -436,7 +395,7 @@ class TestNested:
         refreshed = nested.recustomized(
             nested.touched_cells([(u, v)]), changed_edges=[(u, v)]
         )
-        fresh = build_nested_overlay(net, kernel="csr")
+        fresh = build_nested_overlay(net)
         assert dumps_overlay(refreshed) == dumps_overlay(fresh)
         assert refreshed.top_offsets == fresh.top_offsets
         assert refreshed.top_targets == fresh.top_targets
@@ -448,7 +407,7 @@ class TestNested:
         # level-1 overlay arcs and (for a crossing within one supercell)
         # that supercell's restricted cliques.
         net = nnet.copy()
-        nested = build_nested_overlay(net, kernel="csr")
+        nested = build_nested_overlay(net)
         cell_of = nested.partition.cell_of
         u, v = next(
             (u, v) for u, v, _w in net.edges()
@@ -457,7 +416,7 @@ class TestNested:
         net.add_edge(u, v, net.edge_weight(u, v) * 4.0)
         assert nested.touched_cells([(u, v)]) == set()
         refreshed = nested.recustomized(set(), changed_edges=[(u, v)])
-        fresh = build_nested_overlay(net, kernel="csr")
+        fresh = build_nested_overlay(net)
         assert dumps_overlay(refreshed) == dumps_overlay(fresh)
         assert refreshed.top_weights == fresh.top_weights
         rng = random.Random(2)
@@ -479,7 +438,7 @@ class TestNested:
 
         monkeypatch.setattr(overlay_mod, "_np", None)
         monkeypatch.setattr(kernels_mod, "_np", None)
-        scalar = build_nested_overlay(nnet, kernel="csr")
+        scalar = build_nested_overlay(nnet)
         assert scalar._top_np is None
         rng = random.Random(6)
         nodes = sorted(nnet.nodes())
@@ -495,12 +454,12 @@ class TestNested:
         net = grid_network(6, 6, seed=2)
         a = nested_overlay_snapshot(net)
         assert nested_overlay_snapshot(net) is a
-        assert overlay_snapshot(net, kernel="csr") is not a
+        assert overlay_snapshot(net) is not a
         net.add_edge(0, 7, 1.0)
         assert nested_overlay_snapshot(net) is not a
 
     def test_msmd_parity(self, nnet):
-        processor = get_processor("overlay-nested")
+        processor = NestedOverlayProcessor()
         rng = random.Random(4)
         nodes = sorted(nnet.nodes())
         sources = rng.sample(nodes, 3)

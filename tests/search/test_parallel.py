@@ -2,10 +2,10 @@
 
 The contract under test is *byte-identity*: an overlay customized on a
 worker pool must :func:`dumps_overlay` to exactly the bytes of the
-serial build, for every kernel and for both the flat and the nested
-overlay, on builds and on incremental recustomizations alike.  The pool
-must also survive sequential re-weights without re-spilling the CSR
-blob, and graphs must never cross the process boundary as pickles.
+serial build, for both the flat and the nested overlay, on builds and
+on incremental recustomizations alike.  The pool must also survive
+sequential re-weights without re-spilling the CSR blob, and graphs must
+never cross the process boundary as pickles.
 
 All pools here use the ``fork`` start method: the test process already
 has the code imported, so forking is cheap, and CI runs hundreds of
@@ -52,26 +52,26 @@ def net():
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("kernel", ["dict", "csr"])
+    # one value since the dict cell kernel went; kept so the test id
+    # (``[csr]``) compares across that removal
+    @pytest.mark.parametrize("kernel", ["csr"])
     def test_flat_build_matches_serial(self, net, pool, kernel):
-        serial = build_overlay(net, cell_capacity=10, kernel=kernel)
-        par = build_overlay(
-            net, cell_capacity=10, kernel=kernel, customizer=pool
-        )
+        serial = build_overlay(net, cell_capacity=10)
+        par = build_overlay(net, cell_capacity=10, customizer=pool)
         assert dumps_overlay(par) == dumps_overlay(serial)
 
     def test_flat_build_owned_pool(self, net):
         """``parallel=N`` without a caller pool owns and closes one."""
-        serial = build_overlay(net, cell_capacity=10, kernel="csr")
-        par = build_overlay(net, cell_capacity=10, kernel="csr", parallel=2)
+        serial = build_overlay(net, cell_capacity=10)
+        par = build_overlay(net, cell_capacity=10, parallel=2)
         assert dumps_overlay(par) == dumps_overlay(serial)
 
     def test_nested_build_matches_serial(self, net, pool):
         serial = build_nested_overlay(
-            net, cell_capacity=6, super_capacity=4, kernel="csr"
+            net, cell_capacity=6, super_capacity=4
         )
         par = build_nested_overlay(
-            net, cell_capacity=6, super_capacity=4, kernel="csr",
+            net, cell_capacity=6, super_capacity=4,
             customizer=pool,
         )
         assert dumps_overlay(par) == dumps_overlay(serial)
@@ -81,7 +81,7 @@ class TestByteIdentity:
         # logical network, exactly as a ServingStack owns its pool.
         customizer = ParallelCustomizer(2, start_method="fork")
         try:
-            base = build_overlay(net, cell_capacity=10, kernel="csr")
+            base = build_overlay(net, cell_capacity=10)
             changed = []
             for u, v, w in list(net.edges())[::7]:
                 net.add_edge(u, v, w * 1.7)
@@ -90,7 +90,7 @@ class TestByteIdentity:
             par = base.recustomized(
                 changed_edges=changed, customizer=customizer
             )
-            fresh = build_overlay(net, cell_capacity=10, kernel="csr")
+            fresh = build_overlay(net, cell_capacity=10)
             assert dumps_overlay(par) == dumps_overlay(serial)
             assert dumps_overlay(par) == dumps_overlay(fresh)
         finally:
@@ -100,7 +100,7 @@ class TestByteIdentity:
         customizer = ParallelCustomizer(2, start_method="fork")
         try:
             base = build_nested_overlay(
-                net, cell_capacity=6, super_capacity=4, kernel="csr"
+                net, cell_capacity=6, super_capacity=4
             )
             changed = []
             for u, v, w in list(net.edges())[::5]:
@@ -121,8 +121,8 @@ class TestByteIdentity:
         for i in range(16):
             net.add_edge(i, (i + 1) % 16, 1.0 + i * 0.25)
             net.add_edge(i, (i + 5) % 16, 2.0 + i * 0.125)
-        serial = build_overlay(net, cell_capacity=4, kernel="csr")
-        par = build_overlay(net, cell_capacity=4, kernel="csr", customizer=pool)
+        serial = build_overlay(net, cell_capacity=4)
+        par = build_overlay(net, cell_capacity=4, customizer=pool)
         assert dumps_overlay(par) == dumps_overlay(serial)
 
 
@@ -132,7 +132,7 @@ class TestPoolSurvival:
         customizer = ParallelCustomizer(2, start_method="fork")
         try:
             overlay = build_overlay(
-                net, cell_capacity=10, kernel="csr", customizer=customizer
+                net, cell_capacity=10, customizer=customizer
             )
             assert customizer.spills == 1
             for round_no in range(3):
@@ -143,7 +143,7 @@ class TestPoolSurvival:
                 overlay = overlay.recustomized(
                     changed_edges=changed, customizer=customizer
                 )
-                fresh = build_overlay(net, cell_capacity=10, kernel="csr")
+                fresh = build_overlay(net, cell_capacity=10)
                 assert dumps_overlay(overlay) == dumps_overlay(fresh)
             assert customizer.spills == 1
         finally:
@@ -157,7 +157,7 @@ class TestPoolSurvival:
         customizer = ParallelCustomizer(2, start_method="fork")
         try:
             overlay = build_overlay(
-                net, cell_capacity=10, kernel="csr", customizer=customizer
+                net, cell_capacity=10, customizer=customizer
             )
             assert customizer.spills == 1
             # A contract-breaking caller names a non-edge: absorbed as
@@ -171,7 +171,7 @@ class TestPoolSurvival:
                 changed_edges=changed, customizer=customizer
             )
             assert customizer.spills == 2
-            fresh = build_overlay(net, cell_capacity=10, kernel="csr")
+            fresh = build_overlay(net, cell_capacity=10)
             assert dumps_overlay(overlay) == dumps_overlay(fresh)
         finally:
             customizer.close()
@@ -182,7 +182,7 @@ class TestPoolSurvival:
         customizer = ParallelCustomizer(2, start_method="fork")
         try:
             overlay = build_overlay(
-                net, cell_capacity=10, kernel="csr", customizer=customizer
+                net, cell_capacity=10, customizer=customizer
             )
             # Touch a single edge: recustomized() takes the serial
             # bypass (one touched cell) but must notify the pool.
@@ -200,7 +200,7 @@ class TestPoolSurvival:
             overlay = overlay.recustomized(
                 changed_edges=changed, customizer=customizer
             )
-            fresh = build_overlay(net, cell_capacity=10, kernel="csr")
+            fresh = build_overlay(net, cell_capacity=10)
             assert dumps_overlay(overlay) == dumps_overlay(fresh)
         finally:
             customizer.close()
@@ -267,9 +267,9 @@ class TestNoPickling:
             serial = None
             with monkeypatch.context() as unpoisoned:
                 unpoisoned.undo()
-                serial = build_overlay(net, cell_capacity=10, kernel="csr")
+                serial = build_overlay(net, cell_capacity=10)
             par = build_overlay(
-                net, cell_capacity=10, kernel="csr", customizer=customizer
+                net, cell_capacity=10, customizer=customizer
             )
             assert dumps_overlay(par) == dumps_overlay(serial)
         finally:
@@ -287,14 +287,14 @@ class TestValidation:
         net.add_edge("b", "c", 1.0)
         net.add_edge("c", "d", 1.0)
         with pytest.raises(GraphError, match="integer node ids"):
-            build_overlay(net, cell_capacity=2, kernel="csr", customizer=pool)
+            build_overlay(net, cell_capacity=2, customizer=pool)
 
     def test_closed_pool_rejected(self, net):
         customizer = ParallelCustomizer(2, start_method="fork")
         customizer.close()
         with pytest.raises(RuntimeError, match="closed"):
             build_overlay(
-                net, cell_capacity=10, kernel="csr", customizer=customizer
+                net, cell_capacity=10, customizer=customizer
             )
 
     def test_worker_count_validated(self):
@@ -314,7 +314,7 @@ class TestValidation:
         )
         try:
             build_overlay(
-                net, cell_capacity=10, kernel="csr", customizer=customizer
+                net, cell_capacity=10, customizer=customizer
             )
         finally:
             customizer.close()

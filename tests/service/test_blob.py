@@ -16,7 +16,7 @@ from repro.exceptions import GraphError
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
-from repro.search import get_engine
+from repro.search import get_engine, list_engines
 from repro.search.overlay import (
     NestedOverlayGraph,
     build_nested_overlay,
@@ -193,19 +193,18 @@ class TestCSRBlob:
 
     def test_wrong_kind_rejected(self, net, tmp_path):
         path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay_snapshot(net, kernel="csr"), path)
+        write_overlay_blob(overlay_snapshot(net), path)
         with pytest.raises(GraphError, match="CSR blob"):
             read_csr_blob(path)
 
 
 class TestOverlayBlob:
     def test_flat_round_trip_byte_identical(self, net, tmp_path):
-        overlay = overlay_snapshot(net, kernel="csr")
+        overlay = overlay_snapshot(net)
         path = tmp_path / "o.ovlb"
         write_overlay_blob(overlay, path)
         loaded = read_overlay_blob(path, net)
         assert type(loaded) is type(overlay)
-        assert loaded.kernel == "csr"
         assert dumps_overlay(loaded) == dumps_overlay(overlay)
         nodes = sorted(net.nodes())
         got = loaded.route(nodes[0], nodes[-1])
@@ -214,7 +213,7 @@ class TestOverlayBlob:
         assert got.distance == pytest.approx(ref.distance, abs=1e-9)
 
     def test_identical_overlays_write_identical_blobs(self, net, tmp_path):
-        overlay = overlay_snapshot(net, kernel="csr")
+        overlay = overlay_snapshot(net)
         write_overlay_blob(overlay, tmp_path / "a.ovlb")
         write_overlay_blob(overlay, tmp_path / "b.ovlb")
         assert (
@@ -223,7 +222,7 @@ class TestOverlayBlob:
         )
 
     def test_nested_round_trip(self, net, tmp_path):
-        nested = build_nested_overlay(net, kernel="csr")
+        nested = build_nested_overlay(net)
         path = tmp_path / "n.ovlb"
         write_overlay_blob(nested, path)
         loaded = read_overlay_blob(path, net)
@@ -241,20 +240,62 @@ class TestOverlayBlob:
         ref = nested.route(nodes[2], nodes[-3])
         assert got.nodes == ref.nodes
 
-    def test_dict_kernel_round_trip(self, net, tmp_path):
-        overlay = overlay_snapshot(net, kernel="dict")
+    @staticmethod
+    def _rewritten(path, meta=(), extra_clique=None):
+        """``path``'s blob again, header keys replaced / one clique appended."""
+        blob = read_blob(path)
+        sections = {
+            name: array(view.format, view.tolist())
+            for name, view in blob.sections.items()
+        }
+        header = {**blob.meta, **dict(meta)}
+        blob.close()
+        if extra_clique is not None:
+            cell, distance, nodes = extra_clique
+            sections["clq_cell"].append(cell)
+            sections["clq_dist"].append(distance)
+            sections["clq_nodes"].extend(nodes)
+            sections["clq_offsets"].append(len(sections["clq_nodes"]))
+        out = path.with_name("rewritten.ovlb")
+        write_blob(out, header, [
+            (name, values.typecode, values)
+            for name, values in sections.items()
+        ])
+        return out
+
+    def test_unknown_kernel_rejected(self, net, tmp_path):
+        """``"csr"`` is the only cell kernel; a header naming another
+        (a ``"dict"`` blob an older build spilled) is refused, not
+        loaded as if it were."""
+        path = tmp_path / "o.ovlb"
+        write_overlay_blob(overlay_snapshot(net), path)
+        assert read_blob(path).meta["kernel"] == "csr"
+        for kernel in ("dict", "gpu", None):
+            with pytest.raises(GraphError, match="kernel"):
+                read_overlay_blob(
+                    self._rewritten(path, meta={"kernel": kernel}), net
+                )
+
+    def test_rejects_clique_outside_boundary(self, net, tmp_path):
+        overlay = overlay_snapshot(net)
         path = tmp_path / "o.ovlb"
         write_overlay_blob(overlay, path)
-        loaded = read_overlay_blob(path, net)
-        assert loaded.kernel == "dict"
-        assert dumps_overlay(loaded) == dumps_overlay(overlay)
+        interior = next(
+            n for n in overlay.partition.cells[0]
+            if n not in overlay.boundary_index
+        )
+        bad = self._rewritten(
+            path, extra_clique=(0, 1.0, [interior, interior + 1])
+        )
+        with pytest.raises(GraphError, match="boundary"):
+            read_overlay_blob(bad, net)
 
     def test_non_integer_ids_rejected(self, tmp_path):
         net = RoadNetwork()
         net.add_node("a", 0.0, 0.0)
         net.add_node("b", 1.0, 0.0)
         net.add_edge("a", "b", 1.0)
-        overlay = overlay_snapshot(net, kernel="dict")
+        overlay = overlay_snapshot(net)
         with pytest.raises(GraphError, match="integer"):
             write_overlay_blob(overlay, tmp_path / "x.ovlb")
 
@@ -266,7 +307,7 @@ class TestOverlayBlob:
 
     def test_mismatched_network_rejected(self, net, tmp_path):
         path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay_snapshot(net, kernel="csr"), path)
+        write_overlay_blob(overlay_snapshot(net), path)
         other = grid_network(5, 5, seed=1)
         with pytest.raises(GraphError):
             read_overlay_blob(path, other)
@@ -275,9 +316,7 @@ class TestOverlayBlob:
 class TestCacheIntegration:
     """The spill channel the gateway's shard-worker handoff rides on."""
 
-    @pytest.mark.parametrize("engine", [
-        "overlay-csr", "overlay-nested", "dijkstra-csr",
-    ])
+    @pytest.mark.parametrize("engine", list_engines())
     def test_spill_now_and_reload(self, net, tmp_path, engine):
         cache = PreprocessingCache(capacity=2, spill_dir=tmp_path)
         artifact = cache.get(net, engine)
@@ -285,6 +324,12 @@ class TestCacheIntegration:
 
         fingerprint = network_fingerprint(net)
         spilled = cache.spill_now(fingerprint, engine)
+        if get_engine(engine).spill is None:
+            # no persistent format: nothing is written (not even a file
+            # the loader could never read back), the artifact is rebuilt
+            assert spilled is None
+            assert not tmp_path.exists() or not list(tmp_path.iterdir())
+            return
         assert spilled is not None and spilled.exists()
         # a second cache on the same spill dir warms from disk
         cold = PreprocessingCache(capacity=2, spill_dir=tmp_path)
@@ -297,6 +342,19 @@ class TestCacheIntegration:
         ref = eng.route(net, nodes[1], nodes[-2], context=artifact)
         assert got.nodes == ref.nodes
         assert got.distance == pytest.approx(ref.distance, abs=1e-9)
+        # the reloaded artifact answers the oracle's table
+        sources, destinations = nodes[3:6], nodes[-6:-3]
+        processor = eng.make_processor()
+        processor.use_artifact(reloaded)
+        table = processor.process(net, sources, destinations)
+        want = get_engine("dijkstra").make_processor().process(
+            net, sources, destinations
+        )
+        assert list(table.paths) == list(want.paths)
+        for pair, path in want.paths.items():
+            assert table.paths[pair].distance == pytest.approx(
+                path.distance, abs=1e-9
+            )
 
     def test_spill_suffixes_by_engine(self, net, tmp_path):
         cache = PreprocessingCache(capacity=8, spill_dir=tmp_path)

@@ -142,7 +142,7 @@ class TestDeltaBatcher:
     def test_cells_attribution(self, net):
         stream = TrafficEventStream()
         batcher = DeltaBatcher(stream, debounce_s=0.0)
-        overlay = build_overlay(net, kernel="csr")
+        overlay = build_overlay(net)
         stream.publish_many(_events(net, 4))
         counts = batcher.drain().cells(overlay.partition.cell_of)
         assert sum(counts.values()) == 4
@@ -193,7 +193,7 @@ class TestEpochReweight:
                 outcome.fingerprint, "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(stack.network, kernel=installed.kernel)
+                build_overlay(stack.network)
             )
 
     def test_empty_change_set_is_a_no_op(self, net):
@@ -221,7 +221,7 @@ class TestEpochReweight:
             assert stack.network.edge_weight(u, v) == w
 
     def test_recustomized_on_rejects_mismatched_snapshot(self, net):
-        overlay = build_overlay(net, kernel="csr")
+        overlay = build_overlay(net)
         other = grid_network(5, 5, seed=1)
         with pytest.raises(GraphError):
             overlay.recustomized_on(other, cells=[0])
@@ -366,7 +366,7 @@ class TestTrafficPipeline:
                 stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(stack.network, kernel=installed.kernel)
+                build_overlay(stack.network)
             )
 
     def test_pipeline_metrics_registered_on_the_stack(self, net):

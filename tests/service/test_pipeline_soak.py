@@ -151,7 +151,7 @@ class TestPipelineSoak:
                 stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(stack.network, kernel=installed.kernel)
+                build_overlay(stack.network)
             )
             final = stack.answer_batch(_session_queries(1234))
             for response in final:

@@ -1,4 +1,8 @@
-"""Tests for the serving stack's traffic-reweight path and shard hints."""
+"""Tests for the serving stack's traffic-reweight path and shard hints.
+
+Every re-weight is a copy-on-write epoch: the network handed to the
+stack is never mutated, the new weights are read from ``stack.network``.
+"""
 
 from __future__ import annotations
 
@@ -78,21 +82,23 @@ class TestReweight:
             # ... and answers reflect the new weights exactly (the old
             # result table stopped matching via the fingerprint).
             assert not response.from_cache
-            _assert_exact(net, response)
+            _assert_exact(stack.network, response)
+            assert stack.network.edge_weight(u, v) == w * 4.0
+            assert net.edge_weight(u, v) == w  # the caller's copy: untouched
 
     def test_matches_scratch_build(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay", max_workers=1),
+            ServingConfig(engine="overlay-csr", max_workers=1),
         ) as stack:
             stack.warm()
             u, v, w = next(net.edges())
             stack.reweight([(u, v, w * 2.0)])
             installed = stack.preprocessing.peek(
-                stack._fingerprint(), "overlay"
+                stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(net, kernel="dict")
+                build_overlay(stack.network)
             )
 
     def test_missing_edge_rejected(self, net):
@@ -100,10 +106,27 @@ class TestReweight:
             net,
             ServingConfig(engine="overlay-csr", max_workers=1),
         ) as stack:
+            fingerprint = stack._fingerprint()
             with pytest.raises(EdgeError):
                 stack.reweight([(0, 0, 1.0)])
-            # Nothing was applied: the fingerprint did not move.
+            # Nothing was applied: no epoch, the fingerprint did not move.
+            assert stack.epoch == 0 and stack.network is net
+            assert stack._fingerprint() == fingerprint
             assert stack.preprocessing.misses == 0
+
+    def test_in_place_mode_is_gone(self, net):
+        """``epoch`` survives as a keyword whose only value is ``True``
+        (the request ledger passes it); the removed mode is refused by
+        name instead of silently becoming copy-on-write."""
+        u, v, w = next(net.edges())
+        with ServingStack.from_config(
+            net, ServingConfig(engine="overlay-csr", max_workers=1)
+        ) as stack:
+            with pytest.raises(ValueError, match="in-place"):
+                stack.reweight([(u, v, w * 2.0)], epoch=False)
+            assert stack.epoch == 0 and stack.network is net
+            assert stack.reweight([(u, v, w * 2.0)], epoch=True).epoch == 1
+        assert net.edge_weight(u, v) == w
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_invalid_weight_applies_nothing(self, net, bad):
@@ -115,7 +138,8 @@ class TestReweight:
         ) as stack:
             with pytest.raises(EdgeError):
                 stack.reweight([(u, v, w * 2.0), (u, v, bad)])
-        # Atomic: the valid leading change was not applied either.
+            # Atomic: the valid leading change was not applied either.
+            assert stack.epoch == 0 and stack.network is net
         assert net.edge_weight(u, v) == w
         assert net.version == version
 
@@ -139,14 +163,14 @@ class TestReweight:
                 stack._fingerprint(), "overlay-csr"
             )
             assert not dropped.metric
-            _assert_exact(net, stack.answer(_query(net, 3, 140)))
+            _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
             # ... and restoring the weight turns it back on.
             stack.reweight([(u, v, w)])
             restored = stack.preprocessing.peek(
                 stack._fingerprint(), "overlay-csr"
             )
             assert restored.metric
-            _assert_exact(net, stack.answer(_query(net, 3, 140)))
+            _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
 
     def test_non_overlay_engine_falls_back_to_rebuild(self, net):
         with ServingStack.from_config(
@@ -159,7 +183,7 @@ class TestReweight:
             assert not outcome.recustomized
             assert outcome.touched_cells == ()
             response = stack.answer(_query(net, 3, 140))
-            _assert_exact(net, response)
+            _assert_exact(stack.network, response)
 
     def test_shared_cache_never_recustomizes_foreign_overlay(self):
         # Two stacks over content-identical network *objects* share one
@@ -187,7 +211,9 @@ class TestReweight:
             )
             outcome = stack_a.reweight([(u, v, w * 10.0)])
             assert not outcome.recustomized
-            _assert_exact(net_a, stack_a.answer(_query(net_a, 3, 77)))
+            _assert_exact(
+                stack_a.network, stack_a.answer(_query(net_a, 3, 77))
+            )
 
     def test_cold_cache_falls_back_to_rebuild(self, net):
         with ServingStack.from_config(
@@ -198,7 +224,7 @@ class TestReweight:
             outcome = stack.reweight([(u, v, w * 2.0)])
             assert not outcome.recustomized
             response = stack.answer(_query(net, 3, 140))
-            _assert_exact(net, response)
+            _assert_exact(stack.network, response)
 
     def test_in_flight_batch_keeps_reading_its_own_epoch(self, net):
         """A batch that captured epoch N (network, fingerprint, overlay)
@@ -261,6 +287,8 @@ class TestReweightPoolCoherence:
     and silently serves wrong distances."""
 
     def test_bypassed_reweight_reaches_the_pool(self, net):
+        """The bypass here is an evicted artifact: nothing to recustomize
+        from, so the re-weight only moves the network."""
         with ServingStack.from_config(
             net,
             ServingConfig(
@@ -274,19 +302,28 @@ class TestReweightPoolCoherence:
             assert stack.reweight(r1).recustomized
             assert stack.customizer.spills == 1
             # Round 2: the pool is bypassed, but the network moves.
-            r2 = [(u, v, w * 3.0) for u, v, w in list(net.edges())[1::7]]
-            assert not stack.reweight(r2, recustomize=False).recustomized
-            # Round 3: back on the pool (the artifact was not refreshed
-            # in round 2, so rebuild it serially first).  The workers
-            # must observe round 2's weights too, not just round 3's.
+            assert stack.preprocessing.invalidate_fingerprint(
+                stack._fingerprint()
+            )
+            r2 = [
+                (u, v, w * 3.0)
+                for u, v, w in list(stack.network.edges())[1::7]
+            ]
+            assert not stack.reweight(r2).recustomized
+            # Round 3: back on the pool (rebuild the artifact serially
+            # first).  The workers must observe round 2's weights too,
+            # not just round 3's.
             stack.warm()
-            r3 = [(u, v, w * 0.8) for u, v, w in list(net.edges())[2::6]]
+            r3 = [
+                (u, v, w * 0.8)
+                for u, v, w in list(stack.network.edges())[2::6]
+            ]
             assert stack.reweight(r3).recustomized
             installed = stack.preprocessing.peek(
                 stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(net, kernel="csr")
+                build_overlay(stack.network)
             )
             # The bypass was absorbed into the delta map, not papered
             # over by a fresh spill.
@@ -320,7 +357,7 @@ class TestReweightPoolCoherence:
                 stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(stack.network, kernel="csr")
+                build_overlay(stack.network)
             )
             assert stack.customizer.spills == 1
 
@@ -397,7 +434,7 @@ class TestOverlaySpill:
         net.add_node("b", 1.0, 0.0)
         net.add_edge("a", "b", 1.0)
         cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)
-        cache.get(net, "overlay")
+        cache.get(net, "overlay-csr")
         other = grid_network(4, 4, seed=1)
         cache.get(other, "dijkstra")  # evicts; spill must not blow up
         assert not list(tmp_path.glob("*.ovlb"))

@@ -388,21 +388,3 @@ class TestServingConfig:
             queries = _queries(small_grid, n=2)
             assert stack.answer_batch(queries)
 
-    def test_legacy_kwargs_warn_once_and_still_work(self, small_grid):
-        with pytest.warns(DeprecationWarning, match="ServingStack"):
-            stack = ServingStack(small_grid, engine="dijkstra", max_workers=2)
-        with stack:
-            assert stack.config == ServingConfig(
-                engine="dijkstra", max_workers=2
-            )
-            queries = _queries(small_grid, n=2)
-            assert stack.answer_batch(queries)
-
-    def test_from_config_does_not_warn(self, small_grid, recwarn):
-        with ServingStack.from_config(
-            small_grid, ServingConfig(engine="dijkstra")
-        ):
-            pass
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]

@@ -191,7 +191,7 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
     # recustomizing the single cell containing a re-weighted edge vs the
     # full CH contraction above.  Cut/boundary/clique counters are
     # deterministic partitioner outputs; any change is a layout change.
-    overlay = build_overlay(net, kernel="csr")
+    overlay = build_overlay(net)
     t_overlay, got_overlay = _best_of(
         lambda: [overlay.route(s, t).distance for s, t in pairs], repeats
     )
@@ -660,10 +660,10 @@ def run_grid200(repeats: int = 3) -> dict:
         if math.hypot(sr - tr, sc - tc) >= 0.75 * diagonal:
             far_pairs.append((s, t))
     t0 = time.perf_counter()
-    flat = build_overlay(net, kernel="csr", cell_capacity=80)
+    flat = build_overlay(net, cell_capacity=80)
     t_flat_build = time.perf_counter() - t0
     t0 = time.perf_counter()
-    nested = build_nested_overlay(net, kernel="csr", cell_capacity=80)
+    nested = build_nested_overlay(net, cell_capacity=80)
     t_nested_build = time.perf_counter() - t0
     oracle = [
         csr_dijkstra_path(net, s, t, csr=csr).distance for s, t in far_pairs
@@ -924,7 +924,7 @@ def run_metro(
         pool_warm_s = customizer.warm()
         t0 = time.perf_counter()
         overlay = build_overlay(
-            net, kernel="csr", cell_capacity=capacity, customizer=customizer
+            net, cell_capacity=capacity, customizer=customizer
         )
         t_build = time.perf_counter() - t0
         cells_per_sec = customizer.last_cells_per_sec

@@ -5,7 +5,7 @@ Run from the repo root (CI's docs job does exactly this):
 
     PYTHONPATH=src python tools/check_docs.py
 
-Three checks, all stdlib-only:
+Four checks, all stdlib-only:
 
 1. every relative markdown link in ``docs/*.md`` and ``README.md``
    resolves to an existing file;
@@ -13,7 +13,11 @@ Three checks, all stdlib-only:
 3. every public module/class/function/method in the documented modules
    (the serving layer, the engine registry, the MSMD processors, the
    workload replay format) has a docstring — the stdlib mirror of
-   ruff's D1 rules, so the gate also runs where ruff isn't installed.
+   ruff's D1 rules, so the gate also runs where ruff isn't installed;
+4. the first column of README's engine table equals
+   ``repro.search.list_engines()``, so an engine added to or deleted
+   from the table in ``repro/search/__init__.py`` cannot leave the docs
+   behind.
 """
 
 from __future__ import annotations
@@ -121,13 +125,41 @@ def audit_docstrings() -> list[str]:
     return errors
 
 
+_ENGINE_ROW = re.compile(r"^\| `([a-z0-9-]+)`\s*\|")
+
+
+def check_engine_table() -> list[str]:
+    """Return the engines README's table and the registry disagree on."""
+    from repro.search import list_engines, numpy_available
+
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Search engines", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        match.group(1)
+        for match in map(_ENGINE_ROW.match, section.splitlines())
+        if match
+    }
+    registered = set(list_engines())
+    if not numpy_available():
+        registered.add("dijkstra-vec")  # registers only with numpy
+    return [
+        f"README.md engine table: {name!r} is {problem}"
+        for names, problem in (
+            (registered - documented, "registered but has no row"),
+            (documented - registered, "not a registered engine"),
+        )
+        for name in sorted(names)
+    ]
+
+
 def main() -> int:
-    """Run all three checks; print a summary and return an exit code."""
+    """Run all four checks; print a summary and return an exit code."""
     failures = []
     for label, check in (
         ("links", check_links),
         ("doctests", run_doctests),
         ("docstrings", audit_docstrings),
+        ("engine table", check_engine_table),
     ):
         errors = check()
         status = "ok" if not errors else f"{len(errors)} error(s)"

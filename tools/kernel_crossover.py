@@ -98,7 +98,7 @@ def undercut_table() -> None:
     """Print both modes' ms against the number of undercut arcs."""
     side, f = OVERLAY_SIDES[0], UNDERCUT_PROTECTION
     net = grid_network(side, side, perturbation=0.1, seed=7)
-    overlay = build_overlay(net, kernel="csr")
+    overlay = build_overlay(net)
     nodes = sorted(net.nodes())
     edges = sorted(net.edges())
     trips = distance_bounded_queries(
@@ -145,7 +145,7 @@ def overlay_table() -> int:
     print(f"PAIR_SWEEP_MAX_TARGETS = {PAIR_SWEEP_MAX_TARGETS}")
     for side in OVERLAY_SIDES:
         net = grid_network(side, side, perturbation=0.1, seed=7)
-        overlay = build_overlay(net, kernel="csr")
+        overlay = build_overlay(net)
         nodes = sorted(net.nodes())
         bands = [band for band in OVERLAY_BANDS if band[1] <= side * 1.2]
         trips = {
