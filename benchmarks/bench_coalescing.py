@@ -1,10 +1,10 @@
 """Cross-session coalescing bench: 8 concurrent sessions, shared passes.
 
-The acceptance anchor for the query coalescer: 8 concurrent sessions
-whose obfuscated queries overlap (hot origins and hotspot destinations —
-the mix sticky decoys produce for recurring traffic, see E12) must get
->= 2x faster when the :class:`~repro.service.serving.QueryCoalescer`
-merges their concurrent queries into shared union kernel passes than
+The acceptance anchor for coalescing: 8 concurrent sessions whose
+obfuscated queries overlap (hot origins and hotspot destinations — the
+mix sticky decoys produce for recurring traffic, see E12) must get
+>= 2x faster answered as one batch on a coalescing stack
+(``ServingConfig(coalesce=True)``: one shared union kernel pass) than
 under per-session dispatch — while every session's responses stay
 byte-identical to the uncoalesced answers.
 
@@ -15,12 +15,11 @@ Run by explicit path (benchmarks are excluded from tier-1 collection):
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.network.generators import grid_network
 from repro.service.cache import PreprocessingCache
-from repro.service.serving import CoalesceConfig, ServingConfig, ServingStack
+from repro.service.serving import ServingConfig, ServingStack
 from repro.workloads.queries import overlapping_session_queries
 
 _SESSIONS = 8
@@ -39,30 +38,18 @@ def _session_workloads():
     )
 
 
-def _run_concurrent(stack: ServingStack, sessions) -> tuple[float, list]:
-    """Answer every session's batch from its own thread; returns (s, tables)."""
-    outputs: list = [None] * len(sessions)
-
-    def session(i: int) -> None:
-        responses = stack.answer_batch(sessions[i])
-        outputs[i] = [
-            {
-                pair: (path.nodes, path.distance)
-                for pair, path in response.candidates.paths.items()
-            }
-            for response in responses
-        ]
-
-    threads = [
-        threading.Thread(target=session, args=(i,))
-        for i in range(len(sessions))
-    ]
+def _run(stack: ServingStack, batches) -> tuple[float, list]:
+    """Answer ``batches`` one after another; returns (s, flat tables)."""
     t0 = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return time.perf_counter() - t0, outputs
+    responses = [r for batch in batches for r in stack.answer_batch(batch)]
+    elapsed = time.perf_counter() - t0
+    return elapsed, [
+        {
+            pair: (path.nodes, path.distance)
+            for pair, path in response.candidates.paths.items()
+        }
+        for response in responses
+    ]
 
 
 def _bench_engine(engine: str) -> None:
@@ -75,17 +62,20 @@ def _bench_engine(engine: str) -> None:
         preprocessing_cache=_PREPROCESSING,
     )
     solo.warm()
-    t_solo, solo_outputs = _run_concurrent(solo, sessions)
+    t_solo, solo_outputs = _run(solo, sessions)
     settled_solo = solo.server.counters.stats.settled_nodes
     solo.close()
 
     coalesced = ServingStack.from_config(
         _NET,
-        ServingConfig(engine=engine, coalesce=CoalesceConfig(max_batch=total, max_wait_s=2.0)),
+        ServingConfig(engine=engine, coalesce=True),
         preprocessing_cache=_PREPROCESSING,
     )
     coalesced.warm()
-    t_co, co_outputs = _run_concurrent(coalesced, sessions)
+    # the batch is the window: the sessions meet in one answer_batch
+    t_co, co_outputs = _run(
+        coalesced, [[query for batch in sessions for query in batch]]
+    )
     settled_co = coalesced.server.counters.stats.settled_nodes
     snapshot = coalesced.coalesce_snapshot()
     coalesced.close()

@@ -15,7 +15,7 @@ Usage (also via ``python -m repro``):
     repro serve-replay city.txt rush.txt --engine ch --repeat 3
     repro serve-replay city.txt traffic.txt --engine overlay-csr
     repro serve-replay city.txt rush.txt --engine overlay-csr --churn-cells-per-min 120
-    repro serve-replay city.txt rush.txt --engine ch-csr --coalesce-window 8
+    repro serve-replay city.txt rush.txt --engine ch-csr --coalesce
     repro serve-replay city.txt rush.txt --metrics-out m.json --trace-out t.jsonl
     repro serve city.txt --port 8080 --engine overlay-csr --workers 4
     repro loadgen city.txt rush.txt --host 127.0.0.1 --port 8080 --clients 4
@@ -190,19 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for evicted preprocessing artifacts (CH graphs)",
     )
     serve.add_argument(
-        "--coalesce-window",
-        type=int,
-        default=0,
+        "--coalesce",
+        action="store_true",
         help=(
-            "coalesce up to N concurrent queries into one shared union "
-            "kernel pass (0 disables coalescing)"
+            "evaluate each batch's distinct misses in one shared union "
+            "kernel pass"
         ),
-    )
-    serve.add_argument(
-        "--coalesce-wait-ms",
-        type=float,
-        default=2.0,
-        help="max milliseconds a query waits for window-mates",
     )
     serve.add_argument(
         "--churn-cells-per-min",
@@ -343,10 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=8, help="queries per micro-batch"
     )
     gw.add_argument(
-        "--coalesce-window",
-        type=int,
-        default=0,
-        help="per-shard coalescer window size (0 disables coalescing)",
+        "--coalesce",
+        action="store_true",
+        help=(
+            "evaluate each micro-batch's distinct misses in one shared "
+            "union kernel pass"
+        ),
     )
     gw.add_argument(
         "--spill-dir",
@@ -574,12 +569,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     )
     from repro.obs.trace import SLOW_QUERY_LOGGER
     from repro.service.cache import ResultCache
-    from repro.service.serving import (
-        CoalesceConfig,
-        ServingConfig,
-        ServingStack,
-        replay,
-    )
+    from repro.service.serving import ServingConfig, ServingStack, replay
     from repro.workloads.replay import (
         TrafficEvent,
         WorkloadEntry,
@@ -594,12 +584,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         return 1
     if args.result_capacity < 0:
         print("error: --result-capacity must be >= 0", file=sys.stderr)
-        return 1
-    if args.coalesce_window < 0 or args.coalesce_wait_ms < 0:
-        print(
-            "error: --coalesce-window and --coalesce-wait-ms must be >= 0",
-            file=sys.stderr,
-        )
         return 1
     if args.churn_cells_per_min < 0 or args.debounce_ms < 0:
         print(
@@ -630,14 +614,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     ]
     live = bool(traffic) or args.churn_cells_per_min > 0
 
-    coalesce = (
-        CoalesceConfig(
-            max_batch=args.coalesce_window,
-            max_wait_s=args.coalesce_wait_ms / 1000.0,
-        )
-        if args.coalesce_window
-        else None
-    )
     tracer = None
     slow_handler = None
     if args.trace_out or args.slow_query_ms is not None:
@@ -657,7 +633,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         ServingConfig(
             engine=args.engine,
             max_workers=args.concurrency,
-            coalesce=coalesce,
+            coalesce=args.coalesce,
             spill_dir=args.spill_dir,
             customize_workers=args.customize_workers,
         ),
@@ -885,7 +861,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.gateway import GatewayConfig, run_gateway
-    from repro.service.serving import CoalesceConfig, ServingConfig
+    from repro.service.serving import ServingConfig
 
     if args.workers < 0 or args.concurrency < 1:
         print(
@@ -897,11 +873,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serving = ServingConfig(
         engine=args.engine,
         max_workers=args.concurrency,
-        coalesce=(
-            CoalesceConfig(max_batch=args.coalesce_window)
-            if args.coalesce_window
-            else None
-        ),
+        coalesce=args.coalesce,
         spill_dir=args.spill_dir,
     )
     config = GatewayConfig(

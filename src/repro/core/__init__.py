@@ -46,16 +46,6 @@ from repro.core.system import OpaqueSystem, SessionReport
 from repro.core.planner import ProtectionPlan, candidate_splits, plan_protection
 from repro.core.verification import CandidatePathVerifier
 from repro.core.privacy import route_exposure
-from repro.core.serialization import (
-    decode_candidate_batch,
-    decode_obfuscated_query,
-    decode_path,
-    decode_request,
-    encode_candidate_batch,
-    encode_obfuscated_query,
-    encode_path,
-    encode_request,
-)
 
 __all__ = [
     "PathQuery",
@@ -95,12 +85,4 @@ __all__ = [
     "candidate_splits",
     "CandidatePathVerifier",
     "route_exposure",
-    "encode_request",
-    "decode_request",
-    "encode_obfuscated_query",
-    "decode_obfuscated_query",
-    "encode_path",
-    "decode_path",
-    "encode_candidate_batch",
-    "decode_candidate_batch",
 ]

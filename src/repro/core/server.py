@@ -58,8 +58,8 @@ class ServerResponse:
         *original* computation, not work done for this response.
     coalesced:
         ``True`` when the table was sliced out of a shared union kernel
-        pass that merged >= 2 concurrent queries
-        (:class:`~repro.service.serving.QueryCoalescer`).  The pass's
+        pass that merged >= 2 queries of one batch
+        (:attr:`~repro.service.serving.ServingConfig.coalesce`).  The pass's
         total search work is attributed to the first sliced table, so
         the other coalesced responses carry zero stats and counters
         never double-count shared work.

@@ -20,9 +20,9 @@ collapses toward 0).
 The cross-session columns replay each window's server-visible
 obfuscated stream through the ``coalesce_engine`` twice more: once with
 per-session dispatch (every query pays its own bucket pass) and once
-through the :class:`~repro.service.serving.QueryCoalescer`, which
-merges all of the window's concurrent queries into one shared union
-kernel pass.  Hotspot destinations repeat across sessions, so the union
+as one batch on a coalescing stack (``ServingConfig(coalesce=True)``),
+which merges all of the window's concurrent queries into one shared
+union kernel pass.  Hotspot destinations repeat across sessions, so the union
 pass shares their backward sweeps and ``settled_coalesced`` drops below
 ``settled_solo`` while the per-session answers stay byte-identical.
 """
@@ -36,7 +36,7 @@ from repro.core.system import OpaqueSystem
 from repro.experiments.harness import ExperimentResult
 from repro.network.generators import grid_network
 from repro.service.cache import PreprocessingCache
-from repro.service.serving import CoalesceConfig, ServingConfig, ServingStack
+from repro.service.serving import ServingConfig, ServingStack
 from repro.service.simulator import BatchingObfuscationService, poisson_arrivals
 from repro.workloads.queries import hotspot_queries, requests_from_queries
 
@@ -142,9 +142,7 @@ def run(config: Config | None = None) -> ExperimentResult:
             settled_solo = solo_stack.server.counters.stats.settled_nodes
         with ServingStack.from_config(
             network,
-            ServingConfig(engine=config.coalesce_engine, coalesce=CoalesceConfig(
-                max_batch=max(len(observed), 1), max_wait_s=60.0
-            )),
+            ServingConfig(engine=config.coalesce_engine, coalesce=True),
             preprocessing_cache=preprocessing,
         ) as co_stack:
             co_stack.answer_batch(observed)

@@ -2,16 +2,14 @@
 
 A :class:`Tracer` produces :class:`Span` trees for the serving stack's
 per-query pipeline (``serve.answer_batch`` -> cache consult -> dispatch
-worker -> engine kernel; the coalesced path roots its own
-``serve.coalesce_window`` trees because one window may serve several
-sessions).  Context is *explicit*: a child span names its parent via the
+worker -> engine kernel, or one ``engine.union`` under the same root
+for a coalesced batch).  Context is *explicit*: a child span names its parent via the
 ``parent=`` argument instead of ambient thread-local state, so spans
 created on dispatcher worker threads attach to the batch span that
 spawned them without any contextvars plumbing.
 
-Determinism: the tracer's clock is injectable
-(:class:`~repro.service.serving.CoalesceConfig` set the pattern), so
-tests assert exact durations.
+Determinism: the tracer's clock is injectable, so tests assert exact
+durations.
 
 **Privacy.**  Span attributes carry aggregates — obfuscated-set sizes,
 settled-node counts, cache hit flags, window sizes, partition cell ids —

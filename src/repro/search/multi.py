@@ -104,7 +104,7 @@ class UnionPassResult:
         Per-query exception (:class:`~repro.exceptions.NoPathError`,
         :class:`~repro.exceptions.QueryError`, ...) or ``None``; a
         failing query matches what evaluating it alone would raise and
-        never poisons its window-mates.
+        never poisons its batch-mates.
     union_sources, union_destinations:
         First-seen-ordered unions of the queries' endpoint sets.
     union_stats:
@@ -151,7 +151,7 @@ def _screen_union_queries(container, set_queries) -> list[Exception | None]:
     network, a contracted graph, a CSR hierarchy — anything supporting
     ``in``).  A query that would fail on its own (empty or duplicated
     sets, unknown endpoint) gets the same exception recorded and is
-    excluded from the shared pass, instead of poisoning its window-mates.
+    excluded from the shared pass, instead of poisoning its batch-mates.
     """
     from repro.exceptions import UnknownNodeError
 
@@ -336,13 +336,16 @@ class PreprocessingProcessor(MultiSourceMultiDestProcessor):
     later query.  This base implements that lifecycle once: subclasses
     define :meth:`_build` and call :meth:`artifact_for`; a prebuilt
     artifact may be injected via the constructor (e.g. one loaded from
-    disk), otherwise artifacts are built on first use and memoized for the
-    network object's lifetime.
+    disk), otherwise artifacts are built on first use and memoized per
+    network object and mutation ``version`` — an in-place re-weight
+    rebuilds on the next query (version-less views such as
+    :class:`~repro.network.storage.PagedNetwork` are memoized by
+    identity alone).
     """
 
     def __init__(self, artifact: object | None = None) -> None:
         self._artifact = artifact
-        self._cache: "weakref.WeakKeyDictionary[object, object]" = (
+        self._cache: "weakref.WeakKeyDictionary[object, tuple]" = (
             weakref.WeakKeyDictionary()
         )
 
@@ -354,11 +357,12 @@ class PreprocessingProcessor(MultiSourceMultiDestProcessor):
         """The (injected, cached, or freshly built) artifact for ``network``."""
         if self._artifact is not None:
             return self._artifact
-        artifact = self._cache.get(network)
-        if artifact is None:
-            artifact = self._build(network)
-            self._cache[network] = artifact
-        return artifact
+        version = getattr(network, "version", None)
+        memo = self._cache.get(network)
+        if memo is None or memo[0] != version:
+            memo = (version, self._build(network))
+            self._cache[network] = memo
+        return memo[1]
 
     def use_artifact(self, artifact: object | None) -> None:
         """Inject (or clear) the prebuilt artifact every query should use.

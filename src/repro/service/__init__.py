@@ -10,11 +10,11 @@ subpackage models that dimension twice over:
 * :mod:`repro.service.serving` + :mod:`repro.service.cache` — the
   production serving layer: a thread-safe :class:`ServingStack` fronting
   the directions server with a preprocessing-artifact cache, a
-  many-to-many result cache, a concurrent dispatcher, and an optional
-  cross-session :class:`QueryCoalescer` merging concurrent obfuscated
-  queries into shared union kernel passes — so repeated traffic stops
-  paying preprocessing, repeated obfuscated queries stop paying search,
-  and concurrent overlapping queries share one pass;
+  many-to-many result cache, a concurrent dispatcher, and optional
+  coalescing of a batch's obfuscated queries into one shared union
+  kernel pass — so repeated traffic stops paying preprocessing,
+  repeated obfuscated queries stop paying search, and overlapping
+  queries of one batch share one pass;
 * :mod:`repro.service.pipeline` — the live traffic pipeline: an
   in-process event stream feeding a debounced :class:`DeltaBatcher`
   and a background :class:`RecustomizeWorker` that installs re-weights
@@ -49,10 +49,8 @@ from repro.service.pipeline import (
     TrafficPipeline,
 )
 from repro.service.serving import (
-    CoalesceConfig,
     CoalesceSnapshot,
     ConcurrentDispatcher,
-    QueryCoalescer,
     ReplayReport,
     ReweightOutcome,
     ServingConfig,
@@ -76,9 +74,7 @@ __all__ = [
     "PreprocessingCache",
     "ResultCache",
     "ConcurrentDispatcher",
-    "CoalesceConfig",
     "CoalesceSnapshot",
-    "QueryCoalescer",
     "ReweightOutcome",
     "ServingConfig",
     "ServingStack",

@@ -38,8 +38,9 @@ partition cell of its first source when the engine artifact is a
 partition overlay — modulo the worker count, falling back to a stable
 hash for engines without a partition.  Per-shard asyncio queues apply a
 micro-batch admission window, so one pipe round-trip carries several
-queries and the worker's own :class:`~repro.service.serving.QueryCoalescer`
-(when configured) sees real concurrent batches.
+queries and the worker answers them as one batch — the batch a
+coalescing stack (``ServingConfig.coalesce``) evaluates in one union
+pass.
 
 Worker handoff: the parent warms its stack once, force-spills the
 preprocessing artifact (:meth:`~repro.service.cache.PreprocessingCache.spill_now`)
@@ -73,7 +74,7 @@ import threading
 import uuid
 from collections.abc import Awaitable, Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.obs.metrics import MetricsRegistry
@@ -250,49 +251,43 @@ def _evaluate_pairs(
 
     The single evaluation routine used by both the in-process mode and
     every shard worker, so all modes encode answers identically (the
-    byte-identity property the gateway gate checks).  A batch that
-    fails as a whole is retried query-by-query so one failing query
-    cannot poison its window-mates: each pair independently yields its
-    ``/v1/route`` body (``bytes``) or an error code (``str``).  A
-    table's fragment is encoded the first time it is sent and kept in
-    its result-cache entry, so a worker ships finished bytes through
-    the pipe and the gateway writes them as they are.
+    byte-identity property the gateway gate checks).  The pairs are one
+    :meth:`~repro.service.serving.ServingStack.answer_each` batch, so a
+    failing query cannot poison its batch-mates: each pair
+    independently yields its ``/v1/route`` body (``bytes``) or an error
+    code (``str``); anything unexpected propagates to the caller's
+    boundary, which answers the whole batch ``internal``.  A table's
+    fragment is encoded the first time it is sent and kept in its
+    result-cache entry, so a worker ships finished bytes through the
+    pipe and the gateway writes them as they are.
     """
     from repro.exceptions import NoPathError, ReproError
 
-    def encode(response) -> bytes:
-        query = response.query
-        # the epoch as of now: if it moved since the answer, the entry
-        # is unreachable anyway and the fragment is simply not kept
-        fragment = stack.results.fragment(
-            stack._epoch_view()[1], query.sources, query.destinations,
-            stack.engine_name, response.candidates,
-        )
-        return route_body(fragment, response.from_cache, response.coalesced)
-
-    try:
-        queries = [
-            ObfuscatedPathQuery(tuple(s), tuple(t)) for s, t in pairs
-        ]
-    except ReproError:
-        queries = None
-    if queries is not None:
+    out: list[bytes | str | None] = [None] * len(pairs)
+    queries: dict[int, ObfuscatedPathQuery] = {}
+    for i, (s, t) in enumerate(pairs):
         try:
-            return [encode(r) for r in stack.answer_batch(queries)]
+            queries[i] = ObfuscatedPathQuery(tuple(s), tuple(t))
         except ReproError:
-            pass  # isolate the failing query below
-    out: list[bytes | str] = []
-    for s, t in pairs:
-        try:
-            out.append(encode(
-                stack.answer(ObfuscatedPathQuery(tuple(s), tuple(t)))
-            ))
-        except NoPathError:
-            out.append("no_path")
-        except ReproError:
-            out.append("invalid_request")
-        except Exception:  # pragma: no cover - defensive
-            out.append("internal")
+            out[i] = "invalid_request"
+    outcomes = stack.answer_each(list(queries.values()))
+    # the epoch as of now: if it moved since the answers, their entries
+    # are unreachable anyway and the fragments are not kept
+    fingerprint = stack._epoch_view()[1]
+    for i, outcome in zip(queries, outcomes):
+        if isinstance(outcome, NoPathError):
+            out[i] = "no_path"
+        elif isinstance(outcome, ReproError):
+            out[i] = "invalid_request"
+        else:
+            query = outcome.query
+            fragment = stack.results.fragment(
+                fingerprint, query.sources, query.destinations,
+                stack.engine_name, outcome.candidates,
+            )
+            out[i] = route_body(
+                fragment, outcome.from_cache, outcome.coalesced
+            )
     return out
 
 
@@ -470,14 +465,7 @@ class Gateway:
             self._tmp_spill = tempfile.TemporaryDirectory(
                 prefix="repro-gateway-"
             )
-            serving = ServingConfig(
-                engine=serving.engine,
-                max_workers=serving.max_workers,
-                coalesce=serving.coalesce,
-                spill_dir=self._tmp_spill.name,
-                preprocessing_capacity=serving.preprocessing_capacity,
-                result_capacity=serving.result_capacity,
-            )
+            serving = replace(serving, spill_dir=self._tmp_spill.name)
         else:
             self._tmp_spill = None
         self.serving = serving

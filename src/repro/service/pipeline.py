@@ -92,9 +92,8 @@ class TrafficEventStream:
     Parameters
     ----------
     clock:
-        Monotonic time source (the
-        :attr:`~repro.service.serving.CoalesceConfig.clock` pattern);
-        tests inject a stepping clock for deterministic staleness.
+        Monotonic time source; tests inject a stepping clock for
+        deterministic staleness.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:

@@ -13,25 +13,25 @@ deployment puts between the obfuscator and the
 3. a :class:`ConcurrentDispatcher` that evaluates independent obfuscated
    queries of one batch across a thread pool, each worker holding its
    own engine handle (MSMD processor) over the shared artifact;
-4. optionally a :class:`QueryCoalescer` (``coalesce=`` parameter) — a
-   micro-batching window that merges *concurrent* obfuscated queries,
-   across sessions, into one shared union kernel pass
+4. optionally (``ServingConfig.coalesce``) one shared union kernel pass
    (:meth:`~repro.search.multi.MultiSourceMultiDestProcessor.process_union`)
-   and slices the pair table back per session.
+   over the distinct misses of a batch in place of per-query dispatch,
+   the pair table sliced back per query.  The batch is the window:
+   sessions meet where a caller batches them (the gateway's per-shard
+   micro-batch, :meth:`~repro.core.system.OpaqueSystem.submit`).
 
-Results are deterministic: responses come back in submission order and
-each query is evaluated by the same pure search code concurrently or
-serially, so a concurrent batch is byte-identical to a serial one.  The
-coalescer keeps the same contract — sliced tables carry exactly each
-query's ``S x T`` pairs in its own wire order, so a coalesced response
-is byte-identical to the serial answer and nothing about a session's
-window-mates (who they were, how many, which of their pairs were real)
-leaks into any response.  One deliberate divergence on *failing*
-queries: serial ``answer_batch`` fails the whole batch before recording
-anything, while a coalesced window still answers, records and caches
-the failing query's window-mates (they may belong to other sessions,
-which must never see a stranger's error) and raises only toward the
-submitter of the failing query.
+Every batch takes one path, :meth:`ServingStack.answer_each`: capture
+the epoch, consult the result cache, evaluate the distinct misses, then
+cache and record.  Results are deterministic: responses come back in
+submission order and each query is evaluated by the same pure search
+code concurrently or serially, so a concurrent batch is byte-identical
+to a serial one.  Coalescing keeps the same contract — sliced tables
+carry exactly each query's ``S x T`` pairs in its own wire order, so a
+coalesced response is byte-identical to the serial answer and nothing
+about a query's batch-mates (who they were, how many, which of their
+pairs were real) leaks into any response.  A failing query never costs
+its batch-mates anything: they are answered, cached and recorded, and
+only the failing query's slot carries the error.
 
 The stack preserves the server's adversary model — every query (cache
 hit or not) is appended to ``server.observed_queries`` (a window of the
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.core.server import DirectionsServer, ServerResponse
-from repro.exceptions import EdgeError
+from repro.exceptions import EdgeError, ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.search.multi import (
@@ -74,9 +74,7 @@ from repro.service.stats import percentile
 
 __all__ = [
     "ConcurrentDispatcher",
-    "CoalesceConfig",
     "CoalesceSnapshot",
-    "QueryCoalescer",
     "ReweightOutcome",
     "ServingConfig",
     "ServingStack",
@@ -184,7 +182,7 @@ class ConcurrentDispatcher:
         tracer=NULL_TRACER,
         parent=None,
         cell: int | None = None,
-    ) -> MSMDResult:
+    ) -> MSMDResult | ReproError:
         handle = self._handle()
         if artifact is not None and isinstance(handle, PreprocessingProcessor):
             handle.use_artifact(artifact)
@@ -197,9 +195,12 @@ class ConcurrentDispatcher:
             if cell is not None:
                 worker.set("cell", cell)
             with tracer.span("engine.process", parent=worker) as kernel:
-                result = handle.process(
-                    network, list(query.sources), list(query.destinations)
-                )
+                try:
+                    result = handle.process(
+                        network, list(query.sources), list(query.destinations)
+                    )
+                except ReproError as exc:
+                    return exc
                 stats = result.stats
                 kernel.set("settled_nodes", stats.settled_nodes)
                 kernel.set("relaxed_edges", stats.relaxed_edges)
@@ -214,8 +215,8 @@ class ConcurrentDispatcher:
         tracer=None,
         parent=None,
         cells: Sequence[int | None] | None = None,
-    ) -> list[MSMDResult]:
-        """Evaluate every query, returning results in submission order.
+    ) -> list[MSMDResult | ReproError]:
+        """Evaluate every query, returning outcomes in submission order.
 
         Parameters
         ----------
@@ -230,7 +231,7 @@ class ConcurrentDispatcher:
         tracer, parent:
             Optional :class:`~repro.obs.trace.Tracer` and parent span:
             each evaluation then runs inside a ``serve.worker`` span
-            (child ``engine.kernel`` carries the search counters)
+            (child ``engine.process`` carries the search counters)
             attached under ``parent``, from whichever thread ran it.
         cells:
             Optional per-query partition cell hints (aligned with
@@ -238,9 +239,11 @@ class ConcurrentDispatcher:
 
         Returns
         -------
-        list of MSMDResult
-            ``results[i]`` answers ``queries[i]``; identical to what
-            serial evaluation would produce.
+        list of MSMDResult or ReproError
+            ``results[i]`` answers ``queries[i]``, identical to what
+            serial evaluation would produce — or is the
+            :class:`~repro.exceptions.ReproError` evaluating it raised
+            (no path, unknown endpoint), which never stops the others.
         """
         if not queries:
             return []
@@ -265,19 +268,28 @@ class ConcurrentDispatcher:
         network,
         set_queries: Sequence[tuple[tuple, tuple]],
         artifact: object = None,
+        tracer=NULL_TRACER,
+        parent=None,
     ) -> UnionPassResult:
         """Answer several set queries in one shared union pass.
 
         Runs on the calling thread with its private engine handle (a
         union pass is already the merged evaluation — there is nothing
-        left to parallelize across the pool); see
+        left to parallelize across the pool) inside one ``engine.union``
+        span under ``parent``; see
         :meth:`repro.search.multi.MultiSourceMultiDestProcessor.process_union`
         for the exactness contract.
         """
         handle = self._handle()
         if artifact is not None and isinstance(handle, PreprocessingProcessor):
             handle.use_artifact(artifact)
-        return handle.process_union(network, set_queries)
+        with tracer.span(
+            "engine.union", parent=parent, num_queries=len(set_queries)
+        ) as span:
+            union = handle.process_union(network, set_queries)
+            span.set("union_pairs", union.pairs_computed)
+            span.set("settled_nodes", union.union_stats.settled_nodes)
+        return union
 
     def shutdown(self) -> None:
         """Tear down the thread pool (idempotent; a later dispatch rebuilds it)."""
@@ -288,45 +300,18 @@ class ConcurrentDispatcher:
 
 
 @dataclass(frozen=True, slots=True)
-class CoalesceConfig:
-    """Knobs of the serving stack's cross-session query coalescer.
-
-    Attributes
-    ----------
-    max_batch:
-        Count threshold: a window flushes as soon as this many queries
-        are pending, evaluated as one shared union pass.
-    max_wait_s:
-        Time threshold: a submitter whose window has not filled by this
-        many seconds (measured on ``clock``) flushes whatever is
-        pending, bounding the latency cost of waiting for window-mates.
-    clock:
-        Monotonic time source used for the window deadline.  Tests
-        inject a fake clock to drive window expiry deterministically;
-        production uses :func:`time.monotonic`.
-    """
-
-    max_batch: int = 8
-    max_wait_s: float = 0.002
-    clock: Callable[[], float] = time.monotonic
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
 class CoalesceSnapshot:
-    """Point-in-time counters of a :class:`QueryCoalescer`.
+    """Point-in-time coalescing counters of a :class:`ServingStack`.
+
+    A *window* is one batch answered by a coalescing stack (the batch is
+    the window).
 
     Attributes
     ----------
     windows:
-        Micro-batch windows flushed so far.
+        Batches answered so far.
     queries:
-        Obfuscated queries answered through the coalescer.
+        Obfuscated queries those batches held.
     shared_windows:
         Windows whose union pass merged >= 2 distinct queries (actual
         cross-query sharing happened).
@@ -338,7 +323,7 @@ class CoalesceSnapshot:
         by union kernel passes (compare against the ``sum |S_i|x|T_i|``
         a per-session dispatch would have paid).
     max_window:
-        Largest window flushed.
+        Largest window answered.
     """
 
     windows: int = 0
@@ -350,7 +335,7 @@ class CoalesceSnapshot:
 
     @property
     def mean_window(self) -> float:
-        """Average queries per flushed window (0 when idle)."""
+        """Average queries per window (0 when idle)."""
         return self.queries / self.windows if self.windows else 0.0
 
     def to_dict(self) -> dict:
@@ -373,165 +358,6 @@ class CoalesceSnapshot:
         }
 
 
-class _Ticket:
-    """One in-flight coalesced query and its rendezvous event."""
-
-    __slots__ = ("query", "event", "response", "error")
-
-    def __init__(self, query: ObfuscatedPathQuery) -> None:
-        self.query = query
-        self.event = threading.Event()
-        self.response: ServerResponse | None = None
-        self.error: Exception | None = None
-
-
-class QueryCoalescer:
-    """Micro-batching window merging concurrent queries into union passes.
-
-    Arrivals from any thread (any session) are parked in a pending
-    window.  The window closes when ``max_batch`` queries are pending
-    (count threshold — the closing submitter evaluates inline) or when a
-    parked submitter's ``max_wait_s`` deadline expires (time threshold —
-    the earliest waiter flushes).  A closed window is answered by
-    :meth:`ServingStack._coalesced_window`: result-cache consultation
-    per query, one shared union kernel pass over the distinct misses,
-    exact per-query slicing, per-query cache population.
-
-    Determinism: the *partition* of arrivals into windows depends on
-    timing, but every response is byte-identical to the serial answer
-    for any partition, so concurrency never changes what a session
-    receives (the property suite locks this down for arbitrary
-    partitions).  Tests drive partitions explicitly via ``max_batch``,
-    :meth:`flush`, or an injected :attr:`CoalesceConfig.clock`.
-    """
-
-    def __init__(self, stack: "ServingStack", config: CoalesceConfig) -> None:
-        self._stack = stack
-        self.config = config
-        self._lock = threading.Lock()
-        self._pending: list[_Ticket] = []
-        # Live counters are registry instruments (``repro_coalesce_*``)
-        # on the stack's registry; snapshot() assembles the same
-        # CoalesceSnapshot shape as before from their values.
-        reg = stack.metrics
-        self._m_windows = reg.counter(
-            "repro_coalesce_windows_total",
-            desc="micro-batch windows flushed",
-        )
-        self._m_queries = reg.counter(
-            "repro_coalesce_queries_total",
-            desc="queries answered through the coalescer",
-        )
-        self._m_shared_windows = reg.counter(
-            "repro_coalesce_shared_windows_total",
-            desc="windows whose union pass merged >= 2 distinct queries",
-        )
-        self._m_coalesced_queries = reg.counter(
-            "repro_coalesce_coalesced_queries_total",
-            desc="queries answered by a shared union pass",
-        )
-        self._m_union_pairs = reg.counter(
-            "repro_coalesce_union_pairs_total",
-            desc="distinct (s, t) pairs evaluated by union passes",
-        )
-        self._m_max_window = reg.gauge(
-            "repro_coalesce_max_window",
-            desc="largest window flushed",
-        )
-
-    def submit_many(
-        self, queries: Sequence[ObfuscatedPathQuery]
-    ) -> list[ServerResponse]:
-        """Enqueue ``queries`` and block until every one is answered.
-
-        The whole argument enters the current window atomically (a
-        session's own batch always coalesces with itself).  Raises the
-        per-query error (e.g. :class:`~repro.exceptions.NoPathError`)
-        of the first failing query, like serial evaluation would.
-        """
-        if not queries:
-            return []
-        tickets = [_Ticket(query) for query in queries]
-        closed: list[_Ticket] | None = None
-        with self._lock:
-            self._pending.extend(tickets)
-            if len(self._pending) >= self.config.max_batch:
-                closed, self._pending = self._pending, []
-        if closed is not None:
-            self._run_window(closed)
-        clock = self.config.clock
-        deadline = clock() + self.config.max_wait_s
-        for ticket in tickets:
-            while not ticket.event.is_set():
-                remaining = deadline - clock()
-                if remaining > 0:
-                    ticket.event.wait(remaining)
-                    continue
-                self.flush()
-                if not ticket.event.is_set():
-                    # Drained by another thread's window, still being
-                    # evaluated there — wait for its result.
-                    ticket.event.wait()
-        responses: list[ServerResponse] = []
-        for ticket in tickets:
-            if ticket.error is not None:
-                raise ticket.error
-            assert ticket.response is not None
-            responses.append(ticket.response)
-        return responses
-
-    def flush(self) -> int:
-        """Force-close the open window; returns how many queries it held."""
-        with self._lock:
-            closed, self._pending = self._pending, []
-        if closed:
-            self._run_window(closed)
-        return len(closed)
-
-    def _run_window(self, tickets: list[_Ticket]) -> None:
-        """Answer one closed window and wake its submitters."""
-        try:
-            outcomes, unique_misses, union_pairs = (
-                self._stack._coalesced_window([t.query for t in tickets])
-            )
-        except BaseException as exc:  # never strand a parked submitter
-            for ticket in tickets:
-                ticket.error = exc if isinstance(exc, Exception) else (
-                    RuntimeError(f"coalesced window died: {exc!r}")
-                )
-                ticket.event.set()
-            raise
-        coalesced = 0
-        for ticket, outcome in zip(tickets, outcomes):
-            if isinstance(outcome, Exception):
-                ticket.error = outcome
-            else:
-                ticket.response = outcome
-                if outcome.coalesced:
-                    coalesced += 1
-            ticket.event.set()
-        with self._lock:
-            self._m_windows.inc()
-            self._m_queries.inc(len(tickets))
-            self._m_union_pairs.inc(union_pairs)
-            self._m_max_window.set_max(len(tickets))
-            if unique_misses >= 2:
-                self._m_shared_windows.inc()
-                self._m_coalesced_queries.inc(coalesced)
-
-    def snapshot(self) -> CoalesceSnapshot:
-        """Current counters as a :class:`CoalesceSnapshot`."""
-        with self._lock:
-            return CoalesceSnapshot(
-                windows=self._m_windows.value,
-                queries=self._m_queries.value,
-                shared_windows=self._m_shared_windows.value,
-                coalesced_queries=self._m_coalesced_queries.value,
-                union_pairs=self._m_union_pairs.value,
-                max_window=int(self._m_max_window.value),
-            )
-
-
 @dataclass(frozen=True, slots=True)
 class ServingConfig:
     """Frozen construction-time knobs of a :class:`ServingStack`.
@@ -552,8 +378,8 @@ class ServingConfig:
     max_workers:
         Dispatcher thread-pool size (1 = serial).
     coalesce:
-        Optional :class:`CoalesceConfig` enabling the cross-session
-        query coalescer.
+        Evaluate the distinct misses of a batch (two or more) in one
+        shared union kernel pass instead of per-query dispatch.
     spill_dir:
         Disk-spill directory for the preprocessing cache (also the
         artifact handoff channel between gateway shard workers).
@@ -572,7 +398,7 @@ class ServingConfig:
 
     engine: str = "dijkstra"
     max_workers: int = 4
-    coalesce: CoalesceConfig | None = None
+    coalesce: bool = False
     spill_dir: str | None = None
     preprocessing_capacity: int = 8
     result_capacity: int = 256
@@ -595,14 +421,7 @@ class ServingConfig:
             "kind": "serving_config",
             "engine": self.engine,
             "max_workers": self.max_workers,
-            "coalesce": (
-                None
-                if self.coalesce is None
-                else {
-                    "max_batch": self.coalesce.max_batch,
-                    "max_wait_s": self.coalesce.max_wait_s,
-                }
-            ),
+            "coalesce": self.coalesce,
             "spill_dir": (
                 str(self.spill_dir) if self.spill_dir is not None else None
             ),
@@ -625,9 +444,8 @@ class ServingStack:
 
     Construct stacks through :meth:`from_config`: one frozen
     :class:`ServingConfig` carries every construction-time knob (engine,
-    pool sizes, spill directory, the cross-session
-    :class:`QueryCoalescer`'s window), and the keyword arguments below
-    that hold live collaborators (caches, metrics, tracer) ride
+    pool sizes, spill directory, coalescing), and the keyword arguments
+    below that hold live collaborators (caches, metrics, tracer) ride
     alongside it.
 
     Parameters
@@ -642,18 +460,18 @@ class ServingStack:
         ``config`` says) otherwise.
     metrics:
         Shared :class:`~repro.obs.metrics.MetricsRegistry`; a private
-        one is created otherwise.  The stack's server, coalescer and the
+        one is created otherwise.  The stack, its server and the
         caches it creates (pre-supplied caches keep their own registry)
         all register their instruments here, so one
         ``registry.to_json()`` / ``to_prometheus()`` call exposes the
         whole stack.
     tracer:
         A :class:`~repro.obs.trace.Tracer` to record per-query span
-        trees (``serve.answer_batch`` → ``serve.cache_consult`` →
-        ``serve.worker`` → ``engine.process``; coalesced windows root
-        their own ``serve.coalesce_window`` trees since one window may
-        serve several sessions).  ``None`` (default) uses a shared no-op
-        tracer with no recording overhead.
+        trees (one ``serve.answer_batch`` root per batch, holding
+        ``serve.cache_consult`` and then either ``serve.worker`` →
+        ``engine.process`` per distinct miss or one ``engine.union``).
+        ``None`` (default) uses a shared no-op tracer with no recording
+        overhead.
 
     Notes
     -----
@@ -712,12 +530,37 @@ class ServingStack:
             processor=self._engine.make_processor(),
             metrics=self.metrics,
         )
-        #: cross-session micro-batching window, or None when disabled
-        self.coalescer = (
-            QueryCoalescer(self, config.coalesce)
-            if config.coalesce is not None
-            else None
-        )
+        #: the ``repro_coalesce_*`` instruments by :class:`CoalesceSnapshot`
+        #: field, or None when coalescing is off
+        self._coalesce_meters = None
+        if config.coalesce:
+            counter = self.metrics.counter
+            self._coalesce_meters = {
+                "windows": counter(
+                    "repro_coalesce_windows_total",
+                    desc="batches answered by a coalescing stack",
+                ),
+                "queries": counter(
+                    "repro_coalesce_queries_total",
+                    desc="queries those batches held",
+                ),
+                "shared_windows": counter(
+                    "repro_coalesce_shared_windows_total",
+                    desc="windows whose union pass merged >= 2 distinct queries",
+                ),
+                "coalesced_queries": counter(
+                    "repro_coalesce_coalesced_queries_total",
+                    desc="queries answered by a shared union pass",
+                ),
+                "union_pairs": counter(
+                    "repro_coalesce_union_pairs_total",
+                    desc="distinct (s, t) pairs evaluated by union passes",
+                ),
+                "max_window": self.metrics.gauge(
+                    "repro_coalesce_max_window",
+                    desc="largest window answered",
+                ),
+            }
         #: persistent parallel-customization pool, or None (serial)
         self.customizer = None
         if config.customize_workers >= 2:
@@ -848,35 +691,19 @@ class ServingStack:
         )
 
     def answer(self, query: ObfuscatedPathQuery) -> ServerResponse:
-        """Answer one obfuscated query through the caches.
-
-        With coalescing enabled the query is parked in the current
-        micro-batch window first, so it may share one union kernel pass
-        with other sessions' concurrent queries.
-        """
+        """Answer one obfuscated query through the caches."""
         return self.answer_batch([query])[0]
 
     def answer_batch(
         self, queries: Sequence[ObfuscatedPathQuery]
     ) -> list[ServerResponse]:
-        """Answer a batch of independent obfuscated queries.
+        """Answer a batch of independent obfuscated queries, or raise.
 
-        With coalescing enabled (``coalesce=`` constructor parameter)
-        the batch enters the :class:`QueryCoalescer` window — possibly
-        merging with concurrent callers — and each response comes back
-        byte-identical to what the per-query path below would produce.
-
-        Cache hits are returned without search work; distinct misses are
-        evaluated concurrently by the dispatcher (identical queries
-        within the batch are deduplicated and share one evaluation),
-        inserted into the result cache, and every query — hit or miss —
-        is recorded in the underlying server's adversary view and load
-        counters.
-
-        The network fingerprint keying both caches is memoized against
-        the network's mutation ``version``, so a warm batch costs O(1)
-        in graph size; the graph is only rehashed after a mutation —
-        which is exactly when stale tables must stop matching.
+        :meth:`answer_each` for callers that want every answer or none:
+        the first failing query's error (e.g.
+        :class:`~repro.exceptions.NoPathError`) is raised — after its
+        batch-mates were answered, cached and recorded, so retrying
+        them costs no search.
 
         Returns
         -------
@@ -885,19 +712,141 @@ class ServingStack:
             the table was served without fresh search work (result-cache
             hit, or duplicate of another query in the same batch).
         """
+        outcomes = self.answer_each(queries)
+        for outcome in outcomes:
+            if isinstance(outcome, ReproError):
+                raise outcome
+        return outcomes
+
+    def answer_each(
+        self, queries: Sequence[ObfuscatedPathQuery]
+    ) -> list[ServerResponse | ReproError]:
+        """Answer a batch; one response or error per query.
+
+        The stack's one answer path.  The batch captures the current
+        epoch, consults the result cache per query (identical queries
+        within the batch are deduplicated and share one evaluation),
+        evaluates the distinct misses, inserts their tables into the
+        result cache and records every answered query — hit or miss —
+        in the underlying server's adversary view and load counters.
+
+        Misses are evaluated concurrently by the dispatcher, or — with
+        :attr:`ServingConfig.coalesce` and at least two of them — by ONE
+        shared union kernel pass whose responses carry
+        ``coalesced=True``.  Either way each table holds exactly its
+        query's ``S x T`` pairs in that query's own wire order, so the
+        two are byte-identical and nothing about a query's batch-mates
+        is observable in any response.
+
+        The network fingerprint keying both caches is memoized against
+        the network's mutation ``version``, so a warm batch costs O(1)
+        in graph size; the graph is only rehashed after a mutation —
+        which is exactly when stale tables must stop matching.
+
+        Returns
+        -------
+        list of ServerResponse or ReproError
+            In submission order.  A query that fails on its own (no
+            path, unknown endpoint) yields the error evaluating it alone
+            would raise; it is neither cached nor recorded and costs its
+            batch-mates nothing.
+        """
         if not queries:
             return []
-        if self.coalescer is not None:
-            t0 = time.perf_counter()
-            try:
-                return self.coalescer.submit_many(list(queries))
-            finally:
-                self._m_batch_seconds.observe(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        try:
-            return self._answer_batch_direct(queries)
-        finally:
-            self._m_batch_seconds.observe(time.perf_counter() - t0)
+        with self._tracer.span(
+            "serve.answer_batch",
+            batch_size=len(queries),
+            engine=self.engine_name,
+        ) as root:
+            network, fingerprint = self._epoch_view()
+            outcomes: list[ServerResponse | ReproError | None] = (
+                [None] * len(queries)
+            )
+            # {(S, T): batch indices}: the first index of each distinct
+            # miss evaluates, later ones are in-batch duplicates
+            misses: dict[tuple[tuple, tuple], list[int]] = {}
+            with self._tracer.span(
+                "serve.cache_consult", parent=root
+            ) as consult:
+                with self._lock:
+                    for i, query in enumerate(queries):
+                        key = (query.sources, query.destinations)
+                        if key in misses:
+                            misses[key].append(i)
+                            self.results.count_shared_hit()
+                            continue
+                        cached = self.results.get(
+                            fingerprint, *key, self.engine_name
+                        )
+                        if cached is None:
+                            misses[key] = [i]
+                        else:
+                            outcomes[i] = ServerResponse(
+                                query=query, candidates=cached, from_cache=True
+                            )
+                consult.set("unique_misses", len(misses))
+                consult.set(
+                    "hits",
+                    len(queries) - sum(len(g) for g in misses.values()),
+                )
+            miss_groups = list(misses.values())
+            shared = self.config.coalesce and len(miss_groups) >= 2
+            union_pairs = 0
+            computed: Sequence[MSMDResult | ReproError] = ()
+            if miss_groups:
+                artifact = self.preprocessing.get(
+                    network, self.engine_name, fingerprint=fingerprint
+                )
+                if shared:
+                    union = self.dispatcher.evaluate_union(
+                        network, list(misses), artifact,
+                        tracer=self._tracer, parent=root,
+                    )
+                    union_pairs = union.pairs_computed
+                    computed = [
+                        table if error is None else error
+                        for table, error in zip(union.tables, union.errors)
+                    ]
+                else:
+                    computed = self._dispatch(
+                        network, queries, miss_groups, artifact, root
+                    )
+        with self._lock:
+            for indices, result in zip(miss_groups, computed, strict=True):
+                if isinstance(result, ReproError):
+                    for i in indices:
+                        outcomes[i] = result
+                    continue
+                first = queries[indices[0]]
+                self.results.put(
+                    fingerprint, first.sources, first.destinations,
+                    self.engine_name, result,
+                )
+                for rank, i in enumerate(indices):
+                    outcomes[i] = ServerResponse(
+                        query=queries[i],
+                        candidates=result,
+                        from_cache=rank > 0,  # duplicates share the work
+                        coalesced=shared,
+                    )
+            for outcome in outcomes:
+                if isinstance(outcome, ServerResponse):
+                    self.server.record(outcome)
+            meters = self._coalesce_meters
+            if meters is not None:
+                meters["windows"].inc()
+                meters["queries"].inc(len(queries))
+                meters["union_pairs"].inc(union_pairs)
+                meters["max_window"].set_max(len(queries))
+                if shared:
+                    meters["shared_windows"].inc()
+                    # errors carry no flag; cache hits carry False
+                    meters["coalesced_queries"].inc(
+                        sum(getattr(o, "coalesced", False) for o in outcomes)
+                    )
+        self._m_batch_seconds.observe(time.perf_counter() - t0)
+        return outcomes
 
     def answer_cached(
         self, query: ObfuscatedPathQuery
@@ -906,21 +855,20 @@ class ServingStack:
 
         The constant-work half of :meth:`answer`, cheap enough for an
         event loop: the current epoch's fingerprint and one lookup under
-        the stack lock — no search, no pool, no window.  A hit is
-        accounted as :meth:`answer_batch` accounts it (one cache hit,
-        one ``from_cache`` response recorded by the server, one
+        the stack lock — no search, no pool.  A hit is accounted as
+        :meth:`answer_each` accounts it (one cache hit, one
+        ``from_cache`` response recorded by the server, one
         batch-latency observation) and returns the response with its
         table's wire fragment
         (:meth:`~repro.service.cache.ResultCache.hit`).  A miss touches
-        no counter: the caller hands the query to :meth:`answer_batch`,
+        no counter: the caller hands the query to :meth:`answer_each`,
         which counts it once.
 
         Taking this path is a function of ``(S, T, epoch)``, the cache
         key, so it shows the server nothing a cache hit does not.  Hits
-        answered here never enter a :class:`QueryCoalescer` window: the
-        coalescer's counters (``repro_coalesce_*``,
-        :class:`CoalesceSnapshot`) count queries that reached a window,
-        i.e. misses when submitted.  No span is recorded.
+        answered here are no batch: the coalescing counters
+        (``repro_coalesce_*``, :class:`CoalesceSnapshot`) count queries
+        that reached :meth:`answer_each`.  No span is recorded.
         """
         t0 = time.perf_counter()
         with self._lock:
@@ -937,230 +885,44 @@ class ServingStack:
         self._m_batch_seconds.observe(time.perf_counter() - t0)
         return response, hit[1]
 
-    def _answer_batch_direct(
-        self, queries: Sequence[ObfuscatedPathQuery]
-    ) -> list[ServerResponse]:
-        """The per-query dispatch path of :meth:`answer_batch`."""
-        with self._tracer.span(
-            "serve.answer_batch",
-            batch_size=len(queries),
-            engine=self.engine_name,
-        ) as root:
-            network, fingerprint = self._epoch_view()
-            responses: list[ServerResponse | None] = [None] * len(queries)
-            with self._tracer.span(
-                "serve.cache_consult", parent=root
-            ) as consult:
-                misses = self._consult_result_cache(
-                    queries, fingerprint, responses
-                )
-                consult.set("unique_misses", len(misses))
-                consult.set(
-                    "hits",
-                    len(queries) - sum(len(g) for g in misses.values()),
-                )
-            artifact = None
-            if misses:
-                artifact = self.preprocessing.get(
-                    network, self.engine_name, fingerprint=fingerprint
-                )
-            miss_groups = list(misses.values())
-            cell_of = None
-            if isinstance(artifact, OverlayGraph):
-                cell_of = artifact.partition.cell_of
-            if len(miss_groups) > 1 and cell_of is not None:
-                # Shard-aware dispatch: group this batch's misses by the
-                # source cell so queries touching the same shard of the map
-                # run back to back (locality for per-worker scratch and any
-                # external sharding built on dispatch_hint).  Responses are
-                # reassembled by batch index, so ordering is unobservable.
-                miss_groups.sort(
-                    key=lambda indices: (
-                        _hint_sort_key(
-                            cell_of.get(queries[indices[0]].sources[0])
-                        ),
-                        indices[0],
-                    )
-                )
-            unique = [indices[0] for indices in miss_groups]
-            cells = None
-            if cell_of is not None:
-                cells = [
-                    cell_of.get(queries[i].sources[0]) for i in unique
-                ]
-            computed = self.dispatcher.dispatch(
-                network,
-                [queries[i] for i in unique],
-                artifact,
-                tracer=self._tracer,
-                parent=root,
-                cells=cells,
-            )
-            return self._record_batch(
-                queries, fingerprint, responses, miss_groups, computed
-            )
-
-    def _record_batch(
+    def _dispatch(
         self,
+        network,
         queries: Sequence[ObfuscatedPathQuery],
-        fingerprint: str,
-        responses: list[ServerResponse | None],
         miss_groups: list[list[int]],
-        computed: list[MSMDResult],
-    ) -> list[ServerResponse]:
-        """Cache, record and order the responses of one direct batch."""
-        with self._lock:
-            for indices, result in zip(miss_groups, computed):
-                first = queries[indices[0]]
-                self.results.put(
-                    fingerprint, first.sources, first.destinations,
-                    self.engine_name, result,
-                )
-                for rank, i in enumerate(indices):
-                    responses[i] = ServerResponse(
-                        query=queries[i],
-                        candidates=result,
-                        from_cache=rank > 0,  # duplicates share the work
-                    )
-            final: list[ServerResponse] = []
-            for i, response in enumerate(responses):
-                if response is None:  # pragma: no cover - invariant guard
-                    raise RuntimeError(
-                        f"query {i} left unanswered by answer_batch"
-                    )
-                self.server.record(response)
-                final.append(response)
-        return final
+        artifact: object,
+        root,
+    ) -> list[MSMDResult | ReproError]:
+        """Evaluate each miss group's first query on the dispatcher.
 
-    def _consult_result_cache(
-        self,
-        queries: Sequence[ObfuscatedPathQuery],
-        fingerprint: str,
-        outcomes: list,
-    ) -> dict[tuple[tuple, tuple], list[int]]:
-        """Resolve cache hits and collect the distinct misses of a batch.
-
-        Fills ``outcomes[i]`` with a ``from_cache`` response for every
-        result-cache hit and returns ``{(S, T): batch indices}`` for the
-        misses — the first index of each key evaluates, later ones are
-        in-batch duplicates counted as shared hits.  Shared by the
-        per-query dispatch path (:meth:`answer_batch`) and the coalesced
-        window path (:meth:`_coalesced_window`) so their cache semantics
-        can never drift apart.
+        Sorts ``miss_groups`` in place when the artifact has a partition;
+        outcomes align with the sorted groups.
         """
-        misses: dict[tuple[tuple, tuple], list[int]] = {}
-        with self._lock:
-            for i, query in enumerate(queries):
-                key = (query.sources, query.destinations)
-                if key in misses:  # in-batch duplicate: shares the work
-                    misses[key].append(i)
-                    self.results.count_shared_hit()
-                    continue
-                cached = self.results.get(
-                    fingerprint, query.sources, query.destinations,
-                    self.engine_name,
+        cell_of = None
+        if isinstance(artifact, OverlayGraph):
+            cell_of = artifact.partition.cell_of
+        if len(miss_groups) > 1 and cell_of is not None:
+            # Shard-aware dispatch: group this batch's misses by the
+            # source cell so queries touching the same shard of the map
+            # run back to back (locality for per-worker scratch and any
+            # external sharding built on dispatch_hint).  Responses are
+            # reassembled by batch index, so ordering is unobservable.
+            miss_groups.sort(
+                key=lambda indices: (
+                    _hint_sort_key(
+                        cell_of.get(queries[indices[0]].sources[0])
+                    ),
+                    indices[0],
                 )
-                if cached is not None:
-                    outcomes[i] = ServerResponse(
-                        query=query, candidates=cached, from_cache=True
-                    )
-                else:
-                    misses[key] = [i]
-        return misses
-
-    def _coalesced_window(
-        self, queries: Sequence[ObfuscatedPathQuery]
-    ) -> tuple[list[ServerResponse | Exception], int, int]:
-        """Answer one closed coalescing window.
-
-        The cache interplay mirrors :meth:`answer_batch` exactly —
-        result-cache consultation per query, in-window duplicate
-        deduplication, per-query cache population — but the distinct
-        misses are evaluated by ONE shared union kernel pass instead of
-        per-query dispatch.  Responses answered by a shared pass (>= 2
-        distinct misses in the window) carry ``coalesced=True``.
-
-        Returns ``(outcomes, unique_misses, union_pairs)`` where each
-        outcome is a :class:`~repro.core.server.ServerResponse` or the
-        exception evaluating that query alone would raise (an erroring
-        query never poisons its window-mates).  Privacy-ordering
-        invariant: each sliced table contains exactly its query's
-        ``S x T`` pairs in that query's own wire order, so nothing about
-        the window's other members is observable in any response.
-        """
-        with self._tracer.span(
-            "serve.coalesce_window",
-            window_size=len(queries),
-            engine=self.engine_name,
-        ) as root:
-            network, fingerprint = self._epoch_view()
-            outcomes: list[ServerResponse | Exception | None] = (
-                [None] * len(queries)
             )
-            with self._tracer.span(
-                "serve.cache_consult", parent=root
-            ) as consult:
-                misses = self._consult_result_cache(
-                    queries, fingerprint, outcomes
-                )
-                consult.set("unique_misses", len(misses))
-                consult.set(
-                    "hits",
-                    len(queries) - sum(len(g) for g in misses.values()),
-                )
-            union: UnionPassResult | None = None
-            if misses:
-                artifact = self.preprocessing.get(
-                    network, self.engine_name, fingerprint=fingerprint
-                )
-                unique = [queries[indices[0]] for indices in misses.values()]
-                with self._tracer.span(
-                    "engine.union",
-                    parent=root,
-                    num_queries=len(unique),
-                ) as union_span:
-                    union = self.dispatcher.evaluate_union(
-                        network,
-                        [(q.sources, q.destinations) for q in unique],
-                        artifact,
-                    )
-                    union_span.set("union_pairs", union.pairs_computed)
-                    union_span.set(
-                        "settled_nodes", union.union_stats.settled_nodes
-                    )
-            root.set("unique_misses", len(misses))
-        shared = len(misses) >= 2
-        with self._lock:
-            if union is not None:
-                for indices, table, error in zip(
-                    misses.values(), union.tables, union.errors
-                ):
-                    if error is not None:
-                        for i in indices:
-                            outcomes[i] = error
-                        continue
-                    first = queries[indices[0]]
-                    self.results.put(
-                        fingerprint, first.sources, first.destinations,
-                        self.engine_name, table,
-                    )
-                    for rank, i in enumerate(indices):
-                        outcomes[i] = ServerResponse(
-                            query=queries[i],
-                            candidates=table,
-                            from_cache=rank > 0,
-                            coalesced=shared,
-                        )
-            final: list[ServerResponse | Exception] = []
-            for i, outcome in enumerate(outcomes):
-                if outcome is None:  # pragma: no cover - invariant guard
-                    raise RuntimeError(
-                        f"query {i} left unanswered by the coalesced window"
-                    )
-                if isinstance(outcome, ServerResponse):
-                    self.server.record(outcome)
-                final.append(outcome)
-        return final, len(misses), union.pairs_computed if union else 0
+        unique = [queries[indices[0]] for indices in miss_groups]
+        cells = None
+        if cell_of is not None:
+            cells = [cell_of.get(query.sources[0]) for query in unique]
+        return self.dispatcher.dispatch(
+            network, unique, artifact,
+            tracer=self._tracer, parent=root, cells=cells,
+        )
 
     def dispatch_hint(self, query: ObfuscatedPathQuery) -> int | None:
         """Shard hint for ``query``: the partition cell of its first source.
@@ -1287,8 +1049,14 @@ class ServingStack:
         )
 
     def coalesce_snapshot(self) -> CoalesceSnapshot | None:
-        """The coalescer's counters, or ``None`` when coalescing is off."""
-        return self.coalescer.snapshot() if self.coalescer else None
+        """The coalescing counters, or ``None`` when coalescing is off."""
+        if self._coalesce_meters is None:
+            return None
+        with self._lock:
+            return CoalesceSnapshot(**{
+                name: int(meter.value)
+                for name, meter in self._coalesce_meters.items()
+            })
 
     def snapshot(self) -> CacheSnapshot:
         """Combined counters of both caches."""
@@ -1305,9 +1073,7 @@ class ServingStack:
         )
 
     def close(self) -> None:
-        """Flush any open coalescing window and shut down the pools."""
-        if self.coalescer is not None:
-            self.coalescer.flush()
+        """Shut down the pools."""
         self.dispatcher.shutdown()
         if self.customizer is not None:
             self.customizer.close()
@@ -1421,9 +1187,8 @@ def replay(
         Queries dispatched per :meth:`ServingStack.answer_batch` call
         (>= 1); the dispatcher parallelizes within a batch.
     clock:
-        Time source for the latency measurements (the
-        :attr:`CoalesceConfig.clock` pattern).  Tests inject a stepping
-        clock to assert exact report numbers; production uses
+        Time source for the latency measurements.  Tests inject a
+        stepping clock to assert exact report numbers; production uses
         :func:`time.perf_counter`.
 
     Returns

@@ -65,8 +65,9 @@ class ServiceReport:
         cache (0 when the system runs without one).
     coalesced_queries:
         Obfuscated queries answered by shared union kernel passes when
-        the serving stack runs a
-        :class:`~repro.service.serving.QueryCoalescer` (0 otherwise).
+        the serving stack coalesces
+        (:attr:`~repro.service.serving.ServingConfig.coalesce`; 0
+        otherwise).
     serving_caches:
         The serving stack's cumulative
         :class:`~repro.service.cache.CacheSnapshot` after the run, or

@@ -44,31 +44,6 @@ def rng() -> random.Random:
     return random.Random(1234)
 
 
-class SteppingClock:
-    """Fake monotonic clock; each call advances it by ``step`` seconds.
-
-    Injected as :attr:`repro.service.serving.CoalesceConfig.clock` to
-    drive coalescing-window expiry deterministically: stepping past
-    ``max_wait_s`` per call makes a parked submitter's deadline expire
-    on its first check, so every ``answer_batch`` call flushes as
-    exactly one window.
-    """
-
-    def __init__(self, step: float = 1.0) -> None:
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
-
-
-@pytest.fixture(scope="session")
-def stepping_clock() -> type[SteppingClock]:
-    """The :class:`SteppingClock` class (construct one per use)."""
-    return SteppingClock
-
-
 @pytest.fixture(scope="session")
 def tiny_triangle() -> RoadNetwork:
     """Three nodes, explicit weights — for hand-checkable assertions.

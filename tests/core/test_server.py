@@ -7,6 +7,7 @@ import pytest
 from repro.core.query import ObfuscatedPathQuery
 from repro.core.server import DirectionsServer
 from repro.network.generators import grid_network
+from repro.search import list_engines
 from repro.search.dijkstra import dijkstra_path
 from repro.search.multi import NaivePairwiseProcessor, SharedTreeProcessor
 
@@ -67,6 +68,38 @@ class TestAnswer:
         server.reset_counters()
         assert server.counters.queries_served == 0
         assert not server.observed_queries
+
+
+class TestInPlaceReweight:
+    @pytest.mark.parametrize("engine", list_engines())
+    def test_long_lived_server_sees_the_new_weights(self, engine):
+        """A processor's memoized artifact must not outlive a mutation."""
+        import random
+
+        network = grid_network(10, 10, perturbation=0.1, seed=7)
+        nodes = list(network.nodes())
+        rng = random.Random(5)
+        queries = [
+            ObfuscatedPathQuery(
+                tuple(rng.sample(nodes, 2)), tuple(rng.sample(nodes, 2))
+            )
+            for _ in range(10)
+        ]
+        server = DirectionsServer(network, engine=engine)
+
+        def agrees_with_dijkstra():
+            for query in queries:
+                table = server.answer(query).candidates
+                for (s, t), path in table.paths.items():
+                    assert path.distance == pytest.approx(
+                        dijkstra_path(network, s, t).distance
+                    ), (engine, s, t)
+
+        agrees_with_dijkstra()
+        edges = sorted(network.edges())
+        for u, v, weight in rng.sample(edges, 30):
+            network.add_edge(u, v, weight * 0.05)  # in place, same object
+        agrees_with_dijkstra()
 
 
 class TestPagedServer:

@@ -22,7 +22,13 @@ import pytest
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.network.graph import RoadNetwork
-from repro.obs import JSONLogFormatter, MetricsRecorder, Tracer, recording
+from repro.obs import (
+    JSONLogFormatter,
+    MetricsRecorder,
+    MetricsRegistry,
+    Tracer,
+    recording,
+)
 from repro.obs.trace import SLOW_QUERY_LOGGER
 from repro.service.serving import ServingConfig, ServingStack
 
@@ -83,20 +89,26 @@ def _instrumented_run(network: RoadNetwork) -> list[str]:
     logger = logging.getLogger(SLOW_QUERY_LOGGER)
     logger.addHandler(handler)
     tracer = Tracer(slow_threshold_s=0.0)  # every root is "slow"
+    metrics = MetricsRegistry()
     try:
-        with ServingStack.from_config(
-            network,
-            ServingConfig(engine="dijkstra", max_workers=2),
-            tracer=tracer,
-        ) as stack:
-            with recording(MetricsRecorder(stack.metrics)):
-                stack.answer_batch(queries)
-                stack.answer_batch(queries)  # warm pass: cache-hit spans
+        # both children of the one root: serve.worker, then engine.union
+        for coalesce in (False, True):
+            with ServingStack.from_config(
+                network,
+                ServingConfig(
+                    engine="dijkstra", max_workers=2, coalesce=coalesce
+                ),
+                metrics=metrics,
+                tracer=tracer,
+            ) as stack:
+                with recording(MetricsRecorder(metrics)):
+                    stack.answer_batch(queries)
+                    stack.answer_batch(queries)  # warm pass: cache-hit spans
     finally:
         logger.removeHandler(handler)
     return [
-        stack.metrics.to_json(),
-        stack.metrics.to_prometheus(),
+        metrics.to_json(),
+        metrics.to_prometheus(),
         tracer.export_jsonl(),
         "\n".join(handler.lines),
     ]
@@ -137,6 +149,7 @@ class TestTelemetryNeverLeaksEndpoints:
         assert "num_sources" in traces
         assert "settled_nodes" in traces
         assert "serve.answer_batch" in slow_log
+        assert "serve.worker" in traces and "engine.union" in traces
 
     def test_pipeline_install_spans_carry_only_counts(self, marked_network):
         """Traffic events name edges by node id; their install spans and

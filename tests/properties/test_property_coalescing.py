@@ -1,7 +1,8 @@
-"""Property-based tests: coalesced windows equal serial serving exactly.
+"""Property-based tests: coalesced batches equal serial serving exactly.
 
 For ANY stream of obfuscated queries and ANY partition of that stream
-into coalescing windows, the sliced responses must equal the serial
+into ``answer_batch`` calls (a batch is the window), the sliced
+responses of a coalescing stack must equal the serial
 ``ServingStack.answer_batch`` responses exactly — same pair tables in
 the same wire order, same paths, same distances, same ``from_cache``
 flags — and the result-cache hit/miss counters must stay consistent
@@ -19,12 +20,12 @@ from hypothesis import strategies as st
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.network.generators import grid_network
-from repro.service.serving import CoalesceConfig, ServingConfig, ServingStack
+from repro.service.serving import ServingConfig, ServingStack
 
 NET = grid_network(10, 10, perturbation=0.1, seed=4001)
 NODES = list(NET.nodes())
 # Small endpoint pools force cross-query overlap and exact duplicates,
-# the traffic shape the coalescer exists for.
+# the traffic shape coalescing exists for.
 SOURCE_POOL = NODES[:8]
 DEST_POOL = NODES[40:48]
 
@@ -70,16 +71,12 @@ def _table(response):
 
 @given(stream=query_streams())
 @settings(max_examples=40, deadline=None)
-def test_any_partition_matches_serial_batches(stepping_clock, stream):
+def test_any_partition_matches_serial_batches(stream):
     queries, windows = stream
     serial = ServingStack.from_config(NET, ServingConfig(engine="dijkstra"))
     coalesced = ServingStack.from_config(
         NET,
-        ServingConfig(engine="dijkstra", coalesce=CoalesceConfig(
-            max_batch=len(queries) + 1,  # only the clock closes windows
-            max_wait_s=0.5,
-            clock=stepping_clock(),
-        )),
+        ServingConfig(engine="dijkstra", coalesce=True),
     )
     try:
         for window in windows:
@@ -101,7 +98,7 @@ def test_any_partition_matches_serial_batches(stepping_clock, stream):
 
 @given(stream=query_streams())
 @settings(max_examples=30, deadline=None)
-def test_partition_invariant_cache_totals(stepping_clock, stream):
+def test_partition_invariant_cache_totals(stream):
     """hits+misses totals match fully-serial one-query-at-a-time serving."""
     queries, windows = stream
     one_by_one = ServingStack.from_config(
@@ -110,11 +107,7 @@ def test_partition_invariant_cache_totals(stepping_clock, stream):
     )
     coalesced = ServingStack.from_config(
         NET,
-        ServingConfig(engine="dijkstra", coalesce=CoalesceConfig(
-            max_batch=len(queries) + 1,
-            max_wait_s=0.5,
-            clock=stepping_clock(),
-        )),
+        ServingConfig(engine="dijkstra", coalesce=True),
     )
     try:
         reference = [one_by_one.answer_batch([q])[0] for q in queries]
@@ -135,17 +128,13 @@ def test_partition_invariant_cache_totals(stepping_clock, stream):
 
 @given(stream=query_streams())
 @settings(max_examples=30, deadline=None)
-def test_coalesced_work_never_exceeds_serial(stepping_clock, stream):
+def test_coalesced_work_never_exceeds_serial(stream):
     """Union passes settle at most what per-query dispatch settles."""
     queries, windows = stream
     serial = ServingStack.from_config(NET, ServingConfig(engine="dijkstra"))
     coalesced = ServingStack.from_config(
         NET,
-        ServingConfig(engine="dijkstra", coalesce=CoalesceConfig(
-            max_batch=len(queries) + 1,
-            max_wait_s=0.5,
-            clock=stepping_clock(),
-        )),
+        ServingConfig(engine="dijkstra", coalesce=True),
     )
     try:
         for window in windows:

@@ -3,7 +3,7 @@
 A single fixed network with hypothesis-driven workloads: whatever the
 requests, the pipeline must return exact paths, honor protection
 settings, keep the server ignorant of user identities, and keep the
-extension layers (planner, serialization, clustering) consistent.
+extension layers (planner, wire schema, clustering) consistent.
 """
 
 from __future__ import annotations
@@ -14,16 +14,11 @@ from hypothesis import strategies as st
 from repro.core.clustering import cluster_requests
 from repro.core.planner import plan_protection
 from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
-from repro.core.serialization import (
-    decode_obfuscated_query,
-    decode_request,
-    encode_obfuscated_query,
-    encode_request,
-)
 from repro.core.system import OpaqueSystem
 from repro.network.generators import grid_network
 from repro.search.dijkstra import dijkstra_path
 from repro.search.multi import NaivePairwiseProcessor, SharedTreeProcessor
+from repro.service.wire import RouteRequest
 
 NET = grid_network(12, 12, perturbation=0.1, seed=2001)
 NODES = list(NET.nodes())
@@ -123,12 +118,10 @@ def test_planner_plans_meet_target_and_sort(source, target, product):
 @settings(max_examples=30, deadline=None)
 def test_wire_round_trip_preserves_pipeline_semantics(batch):
     system = OpaqueSystem(NET, mode="independent", seed=5)
-    decoded = [decode_request(encode_request(r)) for r in batch]
-    # De-duplicate users after decode (hypothesis may repeat indices).
-    results = system.submit(decoded)
+    results = system.submit(batch)
     for record in system.last_report.records:
-        wire = encode_obfuscated_query(record.query)
-        assert decode_obfuscated_query(wire) == record.query
+        wire = RouteRequest.from_query(record.query).to_json()
+        assert RouteRequest.from_json(wire).to_query() == record.query
     assert set(results) == {r.user for r in batch}
 
 

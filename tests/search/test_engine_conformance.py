@@ -16,7 +16,7 @@ multi-component networks:
   slices back tables byte-identical (pairs, order, nodes, distances) to
   solo ``process`` calls, matching errors per query and never counting
   shared work twice — the exactness invariant the serving layer's
-  :class:`~repro.service.serving.QueryCoalescer` is built on.
+  coalescing (``ServingConfig(coalesce=True)``) is built on.
 
 The oracle is plain Dijkstra, itself cross-checked against networkx in
 ``tests/search/test_dijkstra.py``.  Engines whose correctness rests on

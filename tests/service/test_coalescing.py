@@ -1,8 +1,8 @@
-"""Unit tests for the cross-session query coalescer."""
+"""Unit tests for coalescing: a batch is the window, one answer path."""
 
 from __future__ import annotations
 
-import threading
+import time
 
 import pytest
 
@@ -16,7 +16,13 @@ from repro.core.query import (
 from repro.core.system import OpaqueSystem
 from repro.exceptions import NoPathError
 from repro.network.graph import RoadNetwork
-from repro.service.serving import CoalesceConfig, ServingConfig, ServingStack
+from repro.service.gateway import _evaluate_pairs
+from repro.service.serving import ServingConfig, ServingStack
+from repro.service.wire import RouteResponse
+
+COALESCE = pytest.mark.parametrize(
+    "coalesce", [False, True], ids=["dispatch", "coalesce"]
+)
 
 
 def _queries(network, n=6, seed=5, offset=40):
@@ -39,13 +45,28 @@ def _tables(responses):
     ]
 
 
+def _two_islands():
+    """Two 4-node lines with no road between them."""
+    net = RoadNetwork()
+    for i in range(8):
+        net.add_node(i, float(i), 0.0)
+    for i in (0, 1, 2, 4, 5, 6):
+        net.add_edge(i, i + 1, 1.0)
+    return net
+
+
+def _one_unreachable_batch():
+    """Eight distinct queries; index 3 crosses the islands."""
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (4, 5), (4, 6)]
+    return [ObfuscatedPathQuery((s,), (t,)) for s, t in pairs], 3
+
+
 class TestWindowSemantics:
-    def test_count_threshold_flushes_inline(self, small_grid):
+    def test_one_batch_is_one_window(self, small_grid):
         queries = _queries(small_grid)
-        config = CoalesceConfig(max_batch=len(queries), max_wait_s=60.0)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(coalesce=config),
+            ServingConfig(coalesce=True),
         ) as stack:
             responses = stack.answer_batch(queries)
             snap = stack.coalesce_snapshot()
@@ -54,16 +75,11 @@ class TestWindowSemantics:
         assert snap.shared_windows == 1
         assert all(r.coalesced for r in responses)
 
-    def test_time_threshold_flushes_via_injected_clock(
-        self, small_grid, stepping_clock
-    ):
+    def test_lone_query_shares_nothing(self, small_grid):
         query = _queries(small_grid, n=1)[0]
-        config = CoalesceConfig(
-            max_batch=64, max_wait_s=1.0, clock=stepping_clock(2.0)
-        )
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(coalesce=config),
+            ServingConfig(coalesce=True),
         ) as stack:
             response = stack.answer(query)
             snap = stack.coalesce_snapshot()
@@ -72,24 +88,25 @@ class TestWindowSemantics:
         assert not response.coalesced
         assert snap.shared_windows == 0 and snap.coalesced_queries == 0
 
-    def test_flush_on_empty_window_is_noop(self, small_grid):
-        with ServingStack.from_config(
-            small_grid,
-            ServingConfig(coalesce=CoalesceConfig(max_batch=4)),
-        ) as stack:
-            assert stack.coalescer.flush() == 0
-            assert stack.coalesce_snapshot().windows == 0
+    def test_lone_cached_query_never_waits(self, small_grid):
+        """No submitter is parked waiting for batch-mates that cannot come."""
+        query = _queries(small_grid, n=1)[0]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CoalesceConfig(max_batch=0)
-        with pytest.raises(ValueError):
-            CoalesceConfig(max_wait_s=-1.0)
+        def mean_cached_answer_ms(coalesce):
+            with ServingStack.from_config(
+                small_grid, ServingConfig(coalesce=coalesce)
+            ) as stack:
+                stack.answer(query)
+                t0 = time.perf_counter()
+                for _ in range(200):
+                    assert stack.answer(query).from_cache
+                return (time.perf_counter() - t0) / 200 * 1e3
+
+        assert mean_cached_answer_ms(True) < mean_cached_answer_ms(False) + 1.0
 
     def test_snapshot_none_without_coalescer(self, small_grid):
         with ServingStack.from_config(small_grid) as stack:
             assert stack.coalesce_snapshot() is None
-            assert stack.coalescer is None
 
 
 class TestExactness:
@@ -100,15 +117,14 @@ class TestExactness:
             ServingConfig(engine="dijkstra"),
         ) as serial:
             expected = _tables(serial.answer_batch(queries))
-        config = CoalesceConfig(max_batch=len(queries), max_wait_s=60.0)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="dijkstra", coalesce=config),
+            ServingConfig(engine="dijkstra", coalesce=True),
         ) as stack:
             got = _tables(stack.answer_batch(queries))
         assert got == expected
 
-    def test_cross_thread_sessions_share_one_union_pass(self, small_grid):
+    def test_sessions_in_one_batch_share_one_union_pass(self, small_grid):
         queries = _queries(small_grid, n=8)
         with ServingStack.from_config(
             small_grid,
@@ -116,55 +132,87 @@ class TestExactness:
         ) as serial:
             expected = _tables(serial.answer_batch(queries))
             settled_serial = serial.server.counters.stats.settled_nodes
-        config = CoalesceConfig(max_batch=len(queries), max_wait_s=10.0)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="ch-csr", coalesce=config),
+            ServingConfig(engine="ch-csr", coalesce=True),
         ) as stack:
-            outputs: list = [None] * 4
-            def session(i):
-                outputs[i] = stack.answer_batch(queries[i * 2 : (i + 1) * 2])
-            threads = [
-                threading.Thread(target=session, args=(i,)) for i in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            # four sessions of two queries each meet in one batch
+            responses = stack.answer_batch(queries)
             snap = stack.coalesce_snapshot()
             settled = stack.server.counters.stats.settled_nodes
             coalesced_counter = stack.server.counters.coalesced_queries
-        assert _tables([r for out in outputs for r in out]) == expected
+        assert _tables(responses) == expected
         assert snap.windows == 1 and snap.queries == 8
         assert coalesced_counter == 8
         # The union bucket pass shares backward/forward sweeps.
         assert settled <= settled_serial
 
-    def test_failing_query_does_not_poison_window_mates(self, stepping_clock):
-        net = RoadNetwork()
-        for i in range(4):
-            net.add_node(i, float(i), 0.0)
-        net.add_edge(0, 1, 1.0)
-        net.add_edge(2, 3, 1.0)
+    def test_failing_query_does_not_poison_window_mates(self):
+        net = _two_islands()
         good = ObfuscatedPathQuery((0,), (1,))
-        bad = ObfuscatedPathQuery((0,), (3,))
-        config = CoalesceConfig(
-            max_batch=2, max_wait_s=1.0, clock=stepping_clock(2.0)
-        )
-        with ServingStack.from_config(net, ServingConfig(coalesce=config)) as stack:
+        bad = ObfuscatedPathQuery((0,), (4,))
+        with ServingStack.from_config(
+            net, ServingConfig(coalesce=True)
+        ) as stack:
             with pytest.raises(NoPathError):
                 stack.answer_batch([good, bad])
-            # The good window-mate was evaluated and cached anyway; its
-            # lone follow-up window expires via the injected clock.
+            # The good batch-mate was evaluated and cached anyway.
             response = stack.answer(good)
         assert response.from_cache
 
+    @COALESCE
+    def test_one_unreachable_pair_costs_its_mates_nothing(self, coalesce):
+        queries, bad = _one_unreachable_batch()
+        good = [q for i, q in enumerate(queries) if i != bad]
+        with ServingStack.from_config(
+            _two_islands(), ServingConfig(coalesce=coalesce)
+        ) as stack:
+            outcomes = stack.answer_each(queries)
+            assert isinstance(outcomes[bad], NoPathError)
+            assert [o.query for i, o in enumerate(outcomes) if i != bad] == good
+            assert all(
+                o.coalesced == coalesce
+                for i, o in enumerate(outcomes) if i != bad
+            )
+            # each query consulted once; the good ones recorded once
+            assert (stack.results.hits, stack.results.misses) == (0, 8)
+            assert list(stack.server.observed_queries) == good
+            # answer_batch raises, with the mates already cached
+            with pytest.raises(NoPathError):
+                stack.answer_batch(queries)
+            assert (stack.results.hits, stack.results.misses) == (7, 9)
+            assert all(r.from_cache for r in stack.answer_batch(good))
+
+    @COALESCE
+    def test_gateway_maps_outcomes_without_a_second_search(self, coalesce):
+        queries, bad = _one_unreachable_batch()
+        pairs = [(q.sources, q.destinations) for q in queries]
+        with ServingStack.from_config(
+            _two_islands(), ServingConfig(coalesce=coalesce)
+        ) as stack:
+            bodies = _evaluate_pairs(stack, pairs)
+            assert bodies[bad] == "no_path"
+            for i, body in enumerate(bodies):
+                if i != bad:
+                    reply = RouteResponse.from_json(body)
+                    assert not reply.from_cache
+                    assert reply.coalesced == coalesce
+            assert (stack.results.hits, stack.results.misses) == (0, 8)
+            assert stack.server.counters.queries_served == 7
+            assert len(stack.server.observed_queries) == 7
+
+    def test_gateway_rejects_a_malformed_pair_alone(self):
+        with ServingStack.from_config(_two_islands()) as stack:
+            bodies = _evaluate_pairs(stack, [((0,), (1,)), ((), (1,)), ((9,), (1,))])
+            assert isinstance(bodies[0], bytes)
+            assert bodies[1:] == ["invalid_request", "invalid_request"]
+            assert stack.server.counters.queries_served == 1
+
     def test_work_attributed_once_across_slices(self, small_grid):
         queries = _queries(small_grid, n=4)
-        config = CoalesceConfig(max_batch=4, max_wait_s=60.0)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(coalesce=config),
+            ServingConfig(coalesce=True),
         ) as stack:
             responses = stack.answer_batch(queries)
             settled = stack.server.counters.stats.settled_nodes
@@ -178,10 +226,9 @@ class TestExactness:
 class TestCacheInterplay:
     def test_coalesced_results_populate_result_cache(self, small_grid):
         queries = _queries(small_grid, n=4)
-        config = CoalesceConfig(max_batch=4, max_wait_s=60.0)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(coalesce=config),
+            ServingConfig(coalesce=True),
         ) as stack:
             cold = stack.answer_batch(queries)
             warm = stack.answer_batch(queries)
@@ -194,23 +241,22 @@ class TestCacheInterplay:
         assert snap.result_misses == len(queries)
 
     def test_in_window_duplicates_share_one_slice(self, small_grid):
-        query = _queries(small_grid, n=1)[0]
-        config = CoalesceConfig(max_batch=3, max_wait_s=60.0)
+        query, other = _queries(small_grid, n=2)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(coalesce=config),
+            ServingConfig(coalesce=True),
         ) as stack:
-            responses = stack.answer_batch([query, query, query])
-        assert [r.from_cache for r in responses] == [False, True, True]
-        assert responses[0].candidates is responses[2].candidates
-        assert (stack.results.hits, stack.results.misses) == (2, 1)
+            responses = stack.answer_batch([query, other, query, query])
+        assert [r.from_cache for r in responses] == [False, False, True, True]
+        assert all(r.coalesced for r in responses)
+        assert responses[0].candidates is responses[3].candidates
+        assert (stack.results.hits, stack.results.misses) == (2, 2)
 
     def test_preprocessing_artifact_shared_with_union_pass(self, small_grid):
         queries = _queries(small_grid, n=4)
-        config = CoalesceConfig(max_batch=4, max_wait_s=60.0)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="ch", coalesce=config),
+            ServingConfig(engine="ch", coalesce=True),
         ) as stack:
             stack.answer_batch(queries)
             stack.answer_batch(_queries(small_grid, n=4, seed=9))
@@ -218,19 +264,14 @@ class TestCacheInterplay:
 
 
 class TestSystemIntegration:
-    def test_session_report_counts_coalesced_queries(
-        self, small_grid, stepping_clock
-    ):
+    def test_session_report_counts_coalesced_queries(self, small_grid):
         requests = [
             ClientRequest(f"u{i}", PathQuery(i, 40 + i), ProtectionSetting(3, 3))
             for i in range(6)
         ]
-        config = CoalesceConfig(
-            max_batch=64, max_wait_s=1.0, clock=stepping_clock(2.0)
-        )
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(coalesce=config),
+            ServingConfig(coalesce=True),
         ) as stack:
             system = OpaqueSystem(
                 small_grid, mode="independent", serving=stack, seed=1
@@ -247,9 +288,7 @@ class TestSystemIntegration:
         assert report.coalesced_queries == len(report.records)
         assert report.cached_queries == 0
 
-    def test_service_report_counts_coalesced_queries(
-        self, small_grid, stepping_clock
-    ):
+    def test_service_report_counts_coalesced_queries(self, small_grid):
         from repro.service.simulator import (
             BatchingObfuscationService,
             poisson_arrivals,
@@ -260,11 +299,9 @@ class TestSystemIntegration:
             for i in range(6)
         ]
         arrivals = poisson_arrivals(requests, rate=50.0, seed=0)
-        config = CoalesceConfig(max_batch=32, max_wait_s=0.5,
-                                clock=stepping_clock(1.0))
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(coalesce=config),
+            ServingConfig(coalesce=True),
         ) as stack:
             system = OpaqueSystem(small_grid, mode="shared", serving=stack, seed=3)
             _res, report = BatchingObfuscationService(system, window=10.0).run(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.network.generators import grid_network
 from repro.service.gateway import (
     API_PREFIX,
     ROUTE_ALIASES,
+    Gateway,
     GatewayConfig,
     GatewayServer,
     redacted_fields,
@@ -374,6 +376,18 @@ class TestGatewayConfig:
         config = GatewayConfig()
         with pytest.raises(AttributeError):
             config.workers = 3
+
+    def test_worker_mode_changes_only_the_spill_dir(self, network):
+        serving = ServingConfig(
+            engine="overlay-csr", max_workers=2, coalesce=True,
+            preprocessing_capacity=3, result_capacity=7, customize_workers=2,
+        )
+        gateway = Gateway(network, serving, GatewayConfig(workers=2))
+        try:
+            assert gateway.serving.spill_dir is not None
+            assert replace(gateway.serving, spill_dir=None) == serving
+        finally:
+            gateway._tmp_spill.cleanup()
 
 
 class TestShardWorkers:

@@ -31,7 +31,7 @@ from repro.service.gateway import (
     GatewayServer,
     _HTTPRequest,
 )
-from repro.service.serving import CoalesceConfig, ServingConfig, ServingStack
+from repro.service.serving import ServingConfig, ServingStack
 from repro.service.wire import RouteRequest, RouteResponse, canonical_json
 
 ENGINE = "dijkstra-csr"
@@ -220,14 +220,11 @@ class TestInlineConsultIsUnobservable:
         plain, _ = _through_gateway(
             network, stream, ServingConfig(engine=ENGINE)
         )
-        coalescing = ServingConfig(
-            engine=ENGINE,
-            coalesce=CoalesceConfig(max_batch=4, max_wait_s=0.001),
-        )
+        coalescing = ServingConfig(engine=ENGINE, coalesce=True)
         bodies, metrics = _through_gateway(network, stream, coalescing)
         assert bodies == plain
-        # only the five misses ever entered a window: a hit answered on
-        # the loop is not a coalescer query
+        # only the five misses ever reached a batch: a hit answered on
+        # the loop is not a coalesce-counter query
         assert metrics.counter("repro_coalesce_queries_total").value == 5
         assert _values(metrics)["repro_result_cache_hits_total"] == (
             len(stream) - 5

@@ -278,9 +278,9 @@ class TestReplay:
                 replay(stack, [], batch_size=0)
 
     def test_replay_with_injected_clock_is_deterministic(self, small_grid):
-        # The CoalesceConfig.clock pattern: a stepping fake clock makes
-        # every latency exactly one tick, so the report is assertable
-        # down to the numbers instead of "is positive".
+        # A stepping fake clock makes every latency exactly one tick, so
+        # the report is assertable down to the numbers instead of "is
+        # positive".
         ticks = iter(range(1000))
         clock = lambda: float(next(ticks))  # noqa: E731
         queries = _queries(small_grid, n=4)
@@ -348,7 +348,7 @@ class TestServingConfig:
         config = ServingConfig()
         assert config.engine == "dijkstra"
         assert config.max_workers == 4
-        assert config.coalesce is None
+        assert config.coalesce is False
         assert config.result_capacity == 256
 
     @pytest.mark.parametrize(
@@ -369,17 +369,15 @@ class TestServingConfig:
             config.engine = "overlay"
 
     def test_to_dict_shape(self, tmp_path):
-        from repro.service.serving import CoalesceConfig
-
         doc = ServingConfig(
             engine="overlay-csr",
-            coalesce=CoalesceConfig(max_batch=4, max_wait_s=0.1),
+            coalesce=True,
             spill_dir=str(tmp_path),
         ).to_dict()
         assert doc["schema"] == 1
         assert doc["kind"] == "serving_config"
         assert doc["engine"] == "overlay-csr"
-        assert doc["coalesce"] == {"max_batch": 4, "max_wait_s": 0.1}
+        assert doc["coalesce"] is True
 
     def test_from_config_builds_equivalent_stack(self, small_grid):
         config = ServingConfig(engine="dijkstra", max_workers=2)

@@ -242,18 +242,31 @@ class TestServeReplay:
         assert "preprocessing cache:" in out
 
     def test_replay_with_coalescing_reports_windows(
-        self, map_file, workload_file, capsys
+        self, map_file, workload_file, tmp_path, capsys
     ):
+        import json
+
+        trace_out = tmp_path / "traces.jsonl"
         assert main(
             [
                 "serve-replay", map_file, workload_file,
-                "--engine", "dijkstra", "--batch", "8",
-                "--coalesce-window", "8", "--coalesce-wait-ms", "50",
+                "--engine", "dijkstra", "--batch", "8", "--coalesce",
+                "--trace-out", str(trace_out),
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "coalescing:" in out
         assert "union passes" in out
+        # one root span per batch, coalesced or not
+        roots = [
+            json.loads(line)
+            for line in trace_out.read_text(encoding="utf-8").splitlines()
+        ]
+        assert all(r["name"] == "serve.answer_batch" for r in roots)
+        assert any(
+            child["name"] == "engine.union"
+            for r in roots for child in r["children"]
+        )
 
     def test_replay_without_coalescing_omits_window_report(
         self, map_file, workload_file, capsys
@@ -270,8 +283,7 @@ class TestServeReplay:
     @pytest.mark.parametrize(
         "flag,value",
         [("--batch", "0"), ("--repeat", "0"), ("--concurrency", "0"),
-         ("--result-capacity", "-1"), ("--coalesce-window", "-1"),
-         ("--coalesce-wait-ms", "-0.5")],
+         ("--result-capacity", "-1")],
     )
     def test_bad_flags_fail_cleanly(
         self, map_file, workload_file, capsys, flag, value

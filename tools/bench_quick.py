@@ -74,11 +74,7 @@ from repro.search.result import SearchStats  # noqa: E402
 from repro.service.cache import PreprocessingCache, ResultCache  # noqa: E402
 from repro.service.gateway import GatewayConfig, GatewayServer  # noqa: E402
 from repro.service.pipeline import TrafficPipeline  # noqa: E402
-from repro.service.serving import (
-    CoalesceConfig,
-    ServingConfig,
-    ServingStack  # noqa: E402,
-)
+from repro.service.serving import ServingConfig, ServingStack  # noqa: E402
 from repro.service.wire import RouteRequest, RouteResponse  # noqa: E402
 from repro.workloads.loadgen import run_load  # noqa: E402
 from repro.workloads.queries import overlapping_session_queries  # noqa: E402
@@ -218,10 +214,9 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
     # caching is disabled on both stacks so every timing repeat pays the
     # same cold search work.
     session_batches = overlapping_session_queries(net, seed=9)
-    total_queries = sum(len(batch) for batch in session_batches)
     preprocessing = PreprocessingCache()
 
-    def run_sessions(coalesce: CoalesceConfig | None):
+    def run_sessions(coalesce: bool):
         stack = ServingStack.from_config(
             net,
             ServingConfig(engine="dijkstra-csr", coalesce=coalesce),
@@ -230,13 +225,11 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
         )
         stack.warm()
         try:
-            if coalesce is None:
+            if not coalesce:
                 for batch in session_batches:
                     stack.answer_batch(batch)
             else:
-                # One answer_batch call holds every session's queries, so
-                # the count threshold closes the window inline --
-                # deterministic, no threads, no waiting.
+                # the batch is the window: every session's queries in one
                 stack.answer_batch(
                     [query for batch in session_batches for query in batch]
                 )
@@ -244,12 +237,9 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
         finally:
             stack.close()
 
-    t_sessions, _ = _best_of(lambda: run_sessions(None), repeats)
+    t_sessions, _ = _best_of(lambda: run_sessions(False), repeats)
     t_coalesced, coalesce_snapshot = _best_of(
-        lambda: run_sessions(
-            CoalesceConfig(max_batch=total_queries, max_wait_s=60.0)
-        ),
-        repeats,
+        lambda: run_sessions(True), repeats
     )
 
     # Live traffic pipeline: answer_batch throughput while the

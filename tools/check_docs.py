@@ -5,7 +5,7 @@ Run from the repo root (CI's docs job does exactly this):
 
     PYTHONPATH=src python tools/check_docs.py
 
-Four checks, all stdlib-only:
+Five checks, all stdlib-only:
 
 1. every relative markdown link in ``docs/*.md`` and ``README.md``
    resolves to an existing file;
@@ -17,7 +17,11 @@ Four checks, all stdlib-only:
 4. the first column of README's engine table equals
    ``repro.search.list_engines()``, so an engine added to or deleted
    from the table in ``repro/search/__init__.py`` cannot leave the docs
-   behind.
+   behind;
+5. every ``repro <subcommand> ... --flag`` written in README,
+   ``docs/*.md`` and the verify skill names a flag that subcommand's
+   parser in ``repro.cli`` accepts, so a removed or renamed flag cannot
+   survive in an example.
 """
 
 from __future__ import annotations
@@ -152,14 +156,62 @@ def check_engine_table() -> list[str]:
     ]
 
 
+VERIFY_SKILL = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+
+_FENCED = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_COMMAND = re.compile(r"\brepro\s+([a-z][a-z-]*)((?:[ \t]+[^\s#&|]+)*)")
+_FLAG = re.compile(r"(?<!\S)(--[a-z][a-z0-9-]*)")
+
+
+def _command_lines(text: str) -> list[str]:
+    """Lines of fenced blocks plus inline code spans (re-joined if wrapped)."""
+    text = text.replace("\\\n", " ")
+    lines = [
+        line for block in _FENCED.findall(text) for line in block.splitlines()
+    ]
+    prose = _FENCED.sub("", text)
+    return lines + [" ".join(s.split()) for s in _CODE_SPAN.findall(prose)]
+
+
+def check_cli_flags() -> list[str]:
+    """Return one error per documented ``repro`` flag the CLI lacks."""
+    import argparse
+
+    from repro.cli import build_parser
+
+    subcommands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    files = list(MARKDOWN_FILES)
+    if VERIFY_SKILL.exists():
+        files.append(VERIFY_SKILL)
+    errors = set()
+    for md in files:
+        for line in _command_lines(md.read_text(encoding="utf-8")):
+            for name, rest in _COMMAND.findall(line):
+                if name not in subcommands:
+                    continue
+                known = subcommands[name]._option_string_actions
+                errors.update(
+                    f"{md.relative_to(REPO)}: `repro {name}` has no {flag}"
+                    for flag in _FLAG.findall(rest)
+                    if flag not in known
+                )
+    return sorted(errors)
+
+
 def main() -> int:
-    """Run all four checks; print a summary and return an exit code."""
+    """Run all five checks; print a summary and return an exit code."""
     failures = []
     for label, check in (
         ("links", check_links),
         ("doctests", run_doctests),
         ("docstrings", audit_docstrings),
         ("engine table", check_engine_table),
+        ("cli flags", check_cli_flags),
     ):
         errors = check()
         status = "ok" if not errors else f"{len(errors)} error(s)"
