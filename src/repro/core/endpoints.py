@@ -100,16 +100,16 @@ class FakeEndpointStrategy:
         rng: random.Random,
         exclude: frozenset[NodeId],
     ) -> list[NodeId]:
-        pool = [n for n in candidates if n not in exclude]
-        # Dedup while preserving order so sampling stays unbiased over
-        # distinct nodes.
-        seen: set[NodeId] = set()
-        unique = [n for n in pool if not (n in seen or seen.add(n))]
+        # Dedup in first-seen order so sampling stays unbiased over
+        # distinct nodes and repeats the same draw for the same seed.
+        unique = dict.fromkeys(candidates)
+        for node in exclude:
+            unique.pop(node, None)
         if len(unique) < count:
             raise ObfuscationError(
                 f"need {count} fake endpoints but only {len(unique)} candidates"
             )
-        return rng.sample(unique, count)
+        return rng.sample(list(unique), count)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -272,9 +272,6 @@ def contract_network(
     # Working shortcut registry for edges still in the remaining overlay.
     live_middle: dict[tuple[NodeId, NodeId], NodeId] = {}
     deleted_neighbors: dict[NodeId, int] = dict.fromkeys(out_adj, 0)
-    # A node's priority and simulated shortcut list stay valid until a
-    # neighbor is contracted; the version stamp detects exactly that.
-    version: dict[NodeId, int] = dict.fromkeys(out_adj, 0)
 
     def priority(node: NodeId, num_shortcuts: int) -> int:
         edge_difference = (
@@ -282,15 +279,12 @@ def contract_network(
         )
         return edge_difference + deleted_neighbors[node]
 
-    Entry = tuple[int, int, NodeId, int, list[tuple[NodeId, NodeId, float]]]
-    heap: list[Entry] = []
+    heap: list[tuple[int, int, NodeId]] = []
     for node in out_adj:
         shortcuts = _shortcuts_for(
             node, out_adj, in_adj, witness_settled_limit, stats
         )
-        heap.append(
-            (priority(node, len(shortcuts)), order_index[node], node, 0, shortcuts)
-        )
+        heap.append((priority(node, len(shortcuts)), order_index[node], node))
     heapq.heapify(heap)
 
     rank: dict[NodeId, int] = {}
@@ -299,21 +293,20 @@ def contract_network(
     middles: dict[tuple[NodeId, NodeId], NodeId] = {}
 
     while heap:
-        _, _, node, stamp, shortcuts = heapq.heappop(heap)
+        _, _, node = heapq.heappop(heap)
         if node in rank:
             continue  # stale duplicate entry from a lazy re-queue
-        if stamp != version[node]:
-            # The neighborhood changed since this entry was simulated.
-            shortcuts = _shortcuts_for(
-                node, out_adj, in_adj, witness_settled_limit, stats
-            )
-            current = priority(node, len(shortcuts))
-            if heap and current > heap[0][0]:
-                heapq.heappush(
-                    heap,
-                    (current, order_index[node], node, version[node], shortcuts),
-                )
-                continue
+        # Simulate again at every pop, never from an earlier simulation:
+        # an earlier "no shortcut needed" rests on a witness path that
+        # may run through nodes contracted since — not only neighbours —
+        # and on tied maps that can take away the last equal-length path.
+        shortcuts = _shortcuts_for(
+            node, out_adj, in_adj, witness_settled_limit, stats
+        )
+        current = priority(node, len(shortcuts))
+        if heap and current > heap[0][0]:
+            heapq.heappush(heap, (current, order_index[node], node))
+            continue
 
         # Freeze the node's remaining edges as its upward adjacency.
         rank[node] = len(rank)
@@ -344,7 +337,6 @@ def contract_network(
                 stats.shortcuts_added += 1
         for nbr in neighbors:
             deleted_neighbors[nbr] += 1
-            version[nbr] += 1
 
     return ContractedGraph(
         rank=rank,

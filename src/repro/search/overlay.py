@@ -80,13 +80,15 @@ from repro.network.partition import (
 )
 from repro.obs import record as _obs_record
 from repro.search.kernels import (
-    csr_dijkstra_to_many,
+    _path_from_parents,
+    _shared_tree,
     csr_dijkstra_tree,
     nested_overlay_sweep,
     overlay_sweep,
 )
 from repro.search.multi import MSMDResult, PreprocessingProcessor, _validate
 from repro.search.result import PathResult, SearchStats
+from repro.search.vectorized import VecGraph, _sweep_tables, _tree_parents
 
 try:  # pragma: no cover - numpy-less interpreters skip the fast path
     import numpy as _np
@@ -351,9 +353,7 @@ class OverlayGraph:
                     cliques.append(computed[cell])
                 else:
                     cliques.append(
-                        cls._customize_cell(
-                            network, partition, cell, fcsr, stats
-                        )
+                        cls._customize_cell(partition, cell, fcsr, stats)
                     )
             overlay = cls(
                 network, partition, cliques, cell_csr, cell_rcsr,
@@ -374,9 +374,7 @@ class OverlayGraph:
         return fcsr, _reversed_csr(fcsr)
 
     @staticmethod
-    def _customize_cell(
-        network, partition: Partition, cell: int, fcsr, stats
-    ) -> dict:
+    def _customize_cell(partition: Partition, cell: int, fcsr, stats) -> dict:
         """Compute one cell's pruned boundary clique.
 
         One truncated SSMD tree per boundary node, over the cell-induced
@@ -384,25 +382,23 @@ class OverlayGraph:
         boundary node of the cell (with strictly positive prefix and
         remainder) is pruned — the surviving arcs compose to the same
         distances, so the overlay stays exact while much sparser than a
-        full clique.
+        full clique.  A path's prefix up to a node *is* that node's tree
+        label, so pruning reads labels along the parent pointers and
+        only kept arcs become :class:`PathResult` objects.
+
+        The trees grow as rows of one batched numpy sweep when numpy
+        imports and the cell snapshot is
+        :attr:`~repro.search.vectorized.VecGraph.strict` (the rule
+        :class:`~repro.search.kernels.CSRSharedTreeProcessor` uses: the
+        sweep then reproduces the heap's labels and parents, so the
+        clique is identical), and one scalar heap at a time otherwise.
         """
         boundary = partition.boundary[cell]
-        bset = frozenset(boundary)
-        clique: dict[NodeId, dict[NodeId, PathResult]] = {}
-        for b in boundary:
-            trees = csr_dijkstra_to_many(
-                network, b, boundary, csr=fcsr, stats=stats, strict=False
-            )
-            kept: dict[NodeId, PathResult] = {}
-            for b2 in boundary:
-                if b2 == b:
-                    continue
-                path = trees.get(b2)
-                if path is None or _through_boundary(network, path, bset):
-                    continue
-                kept[b2] = path
-            clique[b] = kept
-        return clique
+        if len(boundary) > 1 and _np is not None:
+            vec = VecGraph(fcsr)
+            if vec.strict:
+                return _swept_clique(vec, boundary, stats)
+        return _heap_clique(fcsr, boundary, stats)
 
     def touched_cells(self, edges: Iterable[Sequence[NodeId]]) -> set[int]:
         """Cells whose cliques depend on the given edges.
@@ -561,7 +557,7 @@ class OverlayGraph:
                 cell_rcsr[cell] = rcsr
                 if not use_pool:
                     cliques[cell] = self._customize_cell(
-                        network, partition, cell, fcsr, stats
+                        partition, cell, fcsr, stats
                     )
             if use_pool:
                 computed = customizer.customize(
@@ -1027,25 +1023,82 @@ def _undercut(network, edges, known: dict | None = None) -> dict:
     return arcs
 
 
-def _through_boundary(network, path: PathResult, bset: frozenset) -> bool:
-    """Whether an intra-cell path crosses another boundary node.
+def _heap_clique(csr: CSRGraph, boundary: Sequence[NodeId], stats) -> dict:
+    """:meth:`OverlayGraph._customize_cell` one scalar heap tree at a time.
 
-    True when some strict intermediate of ``path`` is a boundary node
-    with strictly positive prefix *and* remainder — the witness
-    condition that makes pruning the arc safe (the two halves are
-    strictly shorter boundary pairs, so kept arcs compose to the same
-    distance).
+    An arc to ``b2`` is pruned when a strict intermediate of its tree
+    path is a boundary node ``m`` with ``0 < label(m) < label(b2)`` —
+    the two halves are then strictly shorter boundary pairs, so kept
+    arcs compose to the same distance.  ``m`` settles before ``b2``, so
+    its label is in ``reached``.
     """
-    nodes = path.nodes
-    if len(nodes) < 3:
-        return False
-    total = path.distance
-    prefix = 0.0
-    for i in range(1, len(nodes) - 1):
-        prefix += network.neighbors(nodes[i - 1])[nodes[i]]
-        if nodes[i] in bset and 0.0 < prefix < total:
-            return True
-    return False
+    bidx = [csr.index_of[b] for b in boundary]
+    clique: dict[NodeId, dict[NodeId, PathResult]] = {}
+    for b, s in zip(boundary, bidx):
+        remaining = set(bidx)
+        remaining.discard(s)
+        reached, parent = _shared_tree(csr, s, remaining, stats)
+        kept: dict[NodeId, PathResult] = {}
+        for b2, t in zip(boundary, bidx):
+            total = reached.get(t)
+            if total is None:
+                continue
+            node = parent[t]
+            while node != s and not 0.0 < reached.get(node, 0.0) < total:
+                node = parent[node]
+            if node == s:
+                kept[b2] = _path_from_parents(csr, parent, s, t, total)
+        clique[b] = kept
+    return clique
+
+
+def _swept_clique(vec: VecGraph, boundary: Sequence[NodeId], stats) -> dict:
+    """:meth:`OverlayGraph._customize_cell` as one batched sweep.
+
+    Row ``i`` of the sweep is boundary node ``i``'s tree.  Pruning is
+    :func:`_heap_clique`'s rule over every row at once: pointer jumping
+    along the parent table carries, to each node, the smallest positive
+    label of a boundary node on its path from the root (itself
+    included); an arc to ``b2`` is kept when that value at ``b2``'s
+    parent is not below ``label(b2)``.
+    """
+    csr = vec.csr
+    n = csr.num_nodes
+    bidx = [csr.index_of[b] for b in boundary]
+    rows = len(bidx)
+    src = _np.array(bidx, dtype=_np.int64)
+    dist = _sweep_tables(vec, src, [bidx] * rows, stats)
+    parent = _tree_parents(csr, dist)
+    is_boundary = _np.zeros(n, dtype=bool)
+    is_boundary[src] = True
+    low = _np.where(is_boundary & (dist > 0.0), dist, _INF).ravel()
+    up = _np.where(
+        parent >= 0, parent + (_np.arange(rows) * n)[:, None], -1
+    ).ravel()
+    live = _np.flatnonzero(up >= 0)
+    while live.size:
+        hop = up[live]
+        low[live] = _np.minimum(low[live], low[hop])
+        up[live] = up[hop]
+        live = live[up[live] >= 0]
+    # pred[i, j]: boundary node j's parent in row i (-1: the row's root,
+    # or unreached)
+    pred = parent[:, src]
+    via = low.reshape(rows, n)[
+        _np.arange(rows)[:, None], _np.maximum(pred, 0)
+    ]
+    totals = dist[:, src]
+    keep = (pred >= 0) & ~(via < totals)
+    clique: dict[NodeId, dict[NodeId, PathResult]] = {}
+    for b, s, row, flags, labels in zip(
+        boundary, bidx, parent.tolist(), keep.tolist(), totals.tolist()
+    ):
+        clique[b] = {
+            b2: _path_from_parents(csr, row, s, t, total)
+            for b2, t, flag, total in zip(boundary, bidx, flags, labels)
+            if flag
+        }
+    return clique
 
 
 def _cell_signature(network, members: Sequence[NodeId]) -> bytes:

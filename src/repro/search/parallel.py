@@ -263,7 +263,7 @@ def _customize_cells_task(
         fcsr, _rcsr = OverlayGraph._cell_graphs(net, part, cell)
         out.append(
             (cell, _encode_clique(
-                OverlayGraph._customize_cell(net, part, cell, fcsr, stats)
+                OverlayGraph._customize_cell(part, cell, fcsr, stats)
             ))
         )
     return out, _stats_tuple(stats)

@@ -4,10 +4,10 @@ The scalar kernels in :mod:`repro.search.kernels` pay CPython's
 per-iteration interpreter cost on every relaxed arc.  This module trades
 the label-setting heap for label-correcting *frontier waves* evaluated
 as whole-array numpy operations: each iteration gathers the out-arcs of
-every frontier node in one shot (CSR slice arithmetic), relaxes them
-with a segment-minimum (``np.minimum.reduceat`` over target-sorted
-candidates — the ``np.add.at`` family without its per-element dispatch
-cost), and the nodes whose labels improved form the next frontier.
+every frontier node in one shot (CSR slice arithmetic), drops the
+candidates that cannot beat their target's label, relaxes the rest with
+one unbuffered ``np.minimum.at`` scatter, and the nodes whose labels
+improved form the next frontier.
 
 Batching is the point: the per-source sweeps of an MSMD batch (or of a
 coalesced union pass) share one 2-D distance table of shape
@@ -212,6 +212,7 @@ def _sweep_tables(
         pad = dests[0] if dests else int(src_idx[i])
         dest_pad[i, : len(dests)] = dests
         dest_pad[i, len(dests):] = pad
+    slot = np.empty(rows * n, dtype=np.int64)  # dedup buffer, see below
     settled = relaxed = 0
     pushes = rows
     maxd = 0.0
@@ -233,21 +234,21 @@ def _sweep_tables(
         e_idx = np.repeat(offsets[f_node] - prefix, d_e) + np.arange(total)
         cand = np.repeat(entry_vals, d_e) + weights[e_idx]
         key = np.repeat(frontier - f_node, d_e) + targets[e_idx]
-        # Segment-min per distinct (row, target) key (duplicates arise
-        # when two frontier nodes share a neighbor), one scatter a wave.
-        order = np.argsort(key, kind="stable")
-        ksorted = key[order]
-        bounds = np.nonzero(
-            np.concatenate(([True], ksorted[1:] != ksorted[:-1]))
-        )[0]
-        uniq = ksorted[bounds]
-        mins = np.minimum.reduceat(cand[order], bounds)
-        imp = mins < flat[uniq]
-        if not imp.any():
+        # Only candidates below the current label can improve it; many
+        # relaxations of a wave land on neighbours already as good.
+        better_than = cand < flat[key]
+        if not better_than.any():
             break
-        improved = uniq[imp]
-        better = mins[imp]
-        flat[improved] = better
+        cand = cand[better_than]
+        key = key[better_than]
+        # Min per (row, target) key, duplicates included (two frontier
+        # nodes sharing a neighbour); then each improved key once: of the
+        # positions that scattered into a slot, one reads itself back.
+        np.minimum.at(flat, key, cand)
+        pos = np.arange(key.size)
+        slot[key] = pos
+        improved = key[slot[key] == pos]
+        better = flat[improved]
         pushes += int(improved.size)
         # Truncation: an improved label re-enters the frontier only if
         # it could still improve a destination its row needs (the bound
@@ -263,6 +264,39 @@ def _sweep_tables(
     if rec is not None:
         rec.record("vec_sweep", settled, relaxed, pushes)
     return dist
+
+
+def _tree_parents(csr: CSRGraph, dist: "np.ndarray") -> "np.ndarray":
+    """Every row's tree parents from the converged labels, in one shot.
+
+    ``parent[i, v]`` is :func:`_walk_back`'s choice for ``v`` in row
+    ``i``: among the in-neighbours with ``dist[i, u] + w == dist[i, v]``,
+    the smallest ``(dist[i, u], u)``; ``-1`` where no in-arc is tight
+    (the row's source, unreached nodes).  On :attr:`VecGraph.strict`
+    snapshots that is the scalar heap's parent table, for every node
+    below the row's truncation bound.
+    """
+    rows, n = dist.shape
+    parent = np.full((rows, n), -1, dtype=np.int64)
+    roffsets = np.frombuffer(csr.roffsets, dtype=np.int64)
+    indeg = np.diff(roffsets)
+    heads = np.flatnonzero(indeg)
+    if not heads.size:
+        return parent
+    # Reverse CSR groups the in-arcs by head, so each head's arcs are one
+    # contiguous segment of the (rows, arcs) tables below.
+    tails = np.frombuffer(csr.rtargets, dtype=np.int64)
+    rweights = np.frombuffer(csr.rweights, dtype=np.float64)
+    tail_label = dist[:, tails]
+    tight = tail_label + rweights == dist[:, np.repeat(np.arange(n), indeg)]
+    tight &= tail_label < _INF  # inf + w == inf ties unreached nodes
+    tail_label[~tight] = _INF
+    starts = roffsets[heads]
+    best = np.minimum.reduceat(tail_label, starts, axis=1)
+    first = tight & (tail_label == np.repeat(best, indeg[heads], axis=1))
+    pick = np.minimum.reduceat(np.where(first, tails, n), starts, axis=1)
+    parent[:, heads] = np.where(pick < n, pick, -1)
+    return parent
 
 
 def _walk_back(csr: CSRGraph, label, s_idx: int, t_idx: int) -> PathResult:

@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.endpoints import (
     CompactEndpointStrategy,
+    FakeEndpointStrategy,
     PopularityWeightedStrategy,
     RingEndpointStrategy,
     SelectionContext,
@@ -78,6 +81,37 @@ class TestCommonBehaviour:
         nodes = list(net.nodes())
         ctx = make_context(net, index, [nodes[0]], [nodes[-1]])
         assert UniformEndpointStrategy().select(ctx, 0) == []
+
+    @given(
+        candidates=st.lists(st.integers(min_value=0, max_value=30), max_size=60),
+        exclude=st.frozensets(st.integers(min_value=0, max_value=30)),
+        count=st.integers(min_value=0, max_value=12),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_draw_unique_matches_the_comprehension_form(
+        self, candidates, exclude, count, seed
+    ):
+        """Same decoys, same order, same error as filtering then deduping
+        the candidate list with two comprehensions (the seeded ``rng``
+        must see the identical population)."""
+
+        def reference(candidates, count, rng, exclude):
+            pool = [n for n in candidates if n not in exclude]
+            seen = set()
+            unique = [n for n in pool if not (n in seen or seen.add(n))]
+            if len(unique) < count:
+                raise ObfuscationError("short")
+            return rng.sample(unique, count)
+
+        def outcome(draw):
+            rng = random.Random(seed)
+            try:
+                return draw(candidates, count, rng, exclude), rng.random()
+            except ObfuscationError:
+                return ObfuscationError
+
+        assert outcome(FakeEndpointStrategy._draw_unique) == outcome(reference)
 
     def test_insufficient_candidates_raise(self):
         net = RoadNetwork()

@@ -703,15 +703,15 @@ def run_grid200(repeats: int = 3) -> dict:
             serial_cliques = {}
             sstats = SearchStats()
             for cell in range(part.num_cells):
-                fcsr, _rcsr = OverlayGraph._cell_graphs(net, part, cell, "csr")
+                fcsr, _rcsr = OverlayGraph._cell_graphs(net, part, cell)
                 serial_cliques[cell] = OverlayGraph._customize_cell(
-                    net, part, cell, "csr", fcsr, sstats
+                    part, cell, fcsr, sstats
                 )
             t_cust_serial = min(t_cust_serial, time.perf_counter() - start)
             start = time.perf_counter()
             pstats = SearchStats()
             par_cliques = customizer.customize(
-                net, part, "csr", range(part.num_cells), pstats,
+                net, part, range(part.num_cells), pstats,
                 changed_edges=None if round_no == 0 else (),
             )
             t_cust_par = min(t_cust_par, time.perf_counter() - start)
