@@ -212,15 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="pipeline debounce window for traffic events (milliseconds)",
     )
-    serve.add_argument(
-        "--customize-workers",
-        type=int,
-        default=0,
-        help=(
-            "worker processes for parallel overlay recustomization "
-            "(0 = serial; results are byte-identical either way)"
-        ),
-    )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--metrics-out",
@@ -379,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the load report (LoadReport.to_dict) to this file",
     )
 
-    exp = sub.add_parser("experiment", help="run experiments (E1..E15)")
+    exp = sub.add_parser("experiment", help="run experiments (E1..E14)")
     exp.add_argument("ids", nargs="+", help="experiment ids, e.g. E1 E4")
     exp.add_argument(
         "--telemetry-dir",
@@ -635,7 +626,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             max_workers=args.concurrency,
             coalesce=args.coalesce,
             spill_dir=args.spill_dir,
-            customize_workers=args.customize_workers,
         ),
         result_cache=ResultCache(
             capacity=args.result_capacity, metrics=registry
@@ -720,12 +710,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             f"{pipeline_snap.staleness_p95_ms:.2f} / "
             f"{pipeline_snap.staleness_max_ms:.2f} ms"
         )
-        if pipeline_snap.customize_workers:
-            print(
-                f"customize pool:      "
-                f"{pipeline_snap.customize_workers} workers, "
-                f"{pipeline_snap.customize_spills} blob spills"
-            )
     return 0
 
 

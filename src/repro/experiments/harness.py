@@ -91,7 +91,6 @@ def run_all(
         e12_linkage,
         e13_partition_overlay,
         e14_pipeline,
-        e15_parallel_customization,
     )
 
     modules = {
@@ -109,7 +108,6 @@ def run_all(
         "E12": e12_linkage,
         "E13": e13_partition_overlay,
         "E14": e14_pipeline,
-        "E15": e15_parallel_customization,
     }
     if experiment_ids is None:
         selected = list(modules)

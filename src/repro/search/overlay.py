@@ -57,8 +57,8 @@ returns the same table.
 Overlays persist as the binary blobs of :mod:`repro.service.blob`
 (what :class:`~repro.service.cache.PreprocessingCache` spills and
 reloads without re-customizing); :func:`dumps_overlay` renders the same
-content as text, the byte-identity witness of the recustomization,
-parallel-build and epoch suites.
+content as text, the byte-identity witness of the recustomization
+and epoch suites.
 """
 
 from __future__ import annotations
@@ -251,7 +251,6 @@ class OverlayGraph:
         "customize_stats",
         "customized_cells",
         "_cell_sigs",
-        "_customizer",
     )
 
     def __init__(
@@ -264,7 +263,6 @@ class OverlayGraph:
         customize_stats: SearchStats,
         customized_cells: int,
         undercut: dict | None = None,
-        _customizer=None,
         _flat: tuple | None = None,
     ) -> None:
         self.network = network
@@ -279,12 +277,7 @@ class OverlayGraph:
         # fingerprint still matches the target network (no-op cells).
         # Deserialized overlays start empty and recompute conservatively.
         self._cell_sigs: dict[int, bytes] = {}
-        # Transient parallel-customization handle, only read during
-        # construction (the nested subclass's supercell pass); cleared
-        # immediately so an overlay never pins a worker pool.
-        self._customizer = _customizer
         self._assemble(undercut, _flat)
-        self._customizer = None
 
     # ------------------------------------------------------------------
     # Construction / customization
@@ -295,8 +288,6 @@ class OverlayGraph:
         network,
         partition: Partition | None = None,
         cell_capacity: int | None = None,
-        parallel: int | None = None,
-        customizer=None,
         **extra,
     ) -> "OverlayGraph":
         """Partition (if needed) and customize every cell.
@@ -304,64 +295,22 @@ class OverlayGraph:
         ``extra`` keyword arguments pass through to the constructor, so
         subclasses with additional knobs (:class:`NestedOverlayGraph`'s
         ``super_capacity``) build through this same entry point.
-
-        Parameters
-        ----------
-        parallel:
-            Fan the per-cell clique computations out to this many worker
-            processes via a transient
-            :class:`~repro.search.parallel.ParallelCustomizer` (closed
-            before returning).  The result is byte-identical
-            (:func:`dumps_overlay`) to the serial build.  ``None`` or
-            ``1`` keeps the serial loop.
-        customizer:
-            A caller-owned
-            :class:`~repro.search.parallel.ParallelCustomizer` to use
-            instead (kept open — the serving stack reuses one pool
-            across re-weights).  Takes precedence over ``parallel``.
-
-        Raises
-        ------
-        GraphError
-            For non-integer node ids (parallel path).
         """
         if partition is None:
             partition = partition_snapshot(network, cell_capacity)
-        owned = None
-        if customizer is None and parallel is not None and int(parallel) > 1:
-            from repro.search.parallel import ParallelCustomizer
-
-            owned = customizer = ParallelCustomizer(int(parallel))
-        try:
-            stats = SearchStats()
-            cliques: list[dict] = []
-            cell_csr: list = []
-            cell_rcsr: list = []
-            computed = None
-            if customizer is not None and partition.num_cells > 1:
-                computed = customizer.customize(
-                    network, partition, range(partition.num_cells), stats,
-                    changed_edges=None,
-                )
-            elif customizer is not None:
-                customizer.note_changes(network, None)
-            for cell in range(partition.num_cells):
-                fcsr, rcsr = cls._cell_graphs(network, partition, cell)
-                cell_csr.append(fcsr)
-                cell_rcsr.append(rcsr)
-                if computed is not None:
-                    cliques.append(computed[cell])
-                else:
-                    cliques.append(
-                        cls._customize_cell(partition, cell, fcsr, stats)
-                    )
-            overlay = cls(
-                network, partition, cliques, cell_csr, cell_rcsr,
-                stats, partition.num_cells, _customizer=customizer, **extra,
-            )
-        finally:
-            if owned is not None:
-                owned.close()
+        stats = SearchStats()
+        cliques: list[dict] = []
+        cell_csr: list = []
+        cell_rcsr: list = []
+        for cell in range(partition.num_cells):
+            fcsr, rcsr = cls._cell_graphs(network, partition, cell)
+            cell_csr.append(fcsr)
+            cell_rcsr.append(rcsr)
+            cliques.append(cls._customize_cell(partition, cell, fcsr, stats))
+        overlay = cls(
+            network, partition, cliques, cell_csr, cell_rcsr,
+            stats, partition.num_cells, **extra,
+        )
         sigs = overlay._cell_sigs
         for cell, members in enumerate(partition.cells):
             sigs[cell] = _cell_signature(network, members)
@@ -426,8 +375,6 @@ class OverlayGraph:
         self,
         cells: Iterable[int] | None = None,
         changed_edges: Iterable[Sequence[NodeId]] | None = None,
-        parallel: int | None = None,
-        customizer=None,
     ) -> "OverlayGraph":
         """A new overlay with only the given cells' cliques recomputed.
 
@@ -456,10 +403,6 @@ class OverlayGraph:
             is also what a list shorter than the mutations the network
             has seen since this overlay read it gets (an out-of-band
             change, a skipped epoch; counted by ``network.version``).
-        parallel, customizer:
-            Parallel-customization knobs, exactly as on :meth:`build`;
-            the touched cells' cliques are computed on the worker pool
-            when more than one cell actually needs recomputing.
 
         Raises
         ------
@@ -467,8 +410,7 @@ class OverlayGraph:
             For an out-of-range cell index.
         """
         return self.recustomized_on(
-            self.network, cells=cells, changed_edges=changed_edges,
-            parallel=parallel, customizer=customizer,
+            self.network, cells=cells, changed_edges=changed_edges
         )
 
     def recustomized_on(
@@ -476,8 +418,6 @@ class OverlayGraph:
         network,
         cells: Iterable[int] | None = None,
         changed_edges: Iterable[Sequence[NodeId]] | None = None,
-        parallel: int | None = None,
-        customizer=None,
     ) -> "OverlayGraph":
         """:meth:`recustomized`, but binding the result to ``network``.
 
@@ -540,56 +480,30 @@ class OverlayGraph:
                 continue
             new_sigs[cell] = sig
             work.append(cell)
-        owned = None
-        if customizer is None and parallel is not None and int(parallel) > 1:
-            from repro.search.parallel import ParallelCustomizer
-
-            owned = customizer = ParallelCustomizer(int(parallel))
-        try:
-            use_pool = customizer is not None and len(work) > 1
-            if customizer is not None and not use_pool:
-                # Keep a persistent pool's cumulative delta map coherent
-                # even when this refresh is handled serially.
-                customizer.note_changes(network, changed_edges)
-            for cell in work:
-                fcsr, rcsr = self._cell_graphs(network, partition, cell)
-                cell_csr[cell] = fcsr
-                cell_rcsr[cell] = rcsr
-                if not use_pool:
-                    cliques[cell] = self._customize_cell(
-                        partition, cell, fcsr, stats
-                    )
-            if use_pool:
-                computed = customizer.customize(
-                    network, partition, work, stats,
-                    changed_edges=changed_edges,
-                )
-                for cell in work:
-                    cliques[cell] = computed[cell]
-            undercut = None
-            if changed_edges is not None and self.undercut is not None:
-                undercut = _undercut(network, changed_edges, self.undercut)
-            result = self._rebuilt(
-                network, cliques, cell_csr, cell_rcsr, stats, set(work),
-                undercut, changed_edges, customizer if use_pool else None,
-            )
-        finally:
-            if owned is not None:
-                owned.close()
+        for cell in work:
+            fcsr, rcsr = self._cell_graphs(network, partition, cell)
+            cell_csr[cell] = fcsr
+            cell_rcsr[cell] = rcsr
+            cliques[cell] = self._customize_cell(partition, cell, fcsr, stats)
+        undercut = None
+        if changed_edges is not None and self.undercut is not None:
+            undercut = _undercut(network, changed_edges, self.undercut)
+        result = self._rebuilt(
+            network, cliques, cell_csr, cell_rcsr, stats, set(work),
+            undercut, changed_edges,
+        )
         result._cell_sigs = new_sigs
         return result
 
     def _rebuilt(
         self, network, cliques, cell_csr, cell_rcsr, stats, touched,
-        undercut, changed_edges, customizer=None,
+        undercut, changed_edges,
     ) -> "OverlayGraph":
         """Construct the recustomized copy (subclass hook).
 
         Subclasses carrying derived state (:class:`NestedOverlayGraph`'s
         supercell tables) override this to thread sharing information
-        from ``touched``/``changed_edges`` into their constructor, and
-        to fan an affected-supercell rebuild out to ``customizer``'s
-        pool when one is live for this refresh.
+        from ``touched``/``changed_edges`` into their constructor.
         """
         return type(self)(
             network, self.partition, cliques, cell_csr, cell_rcsr, stats,
@@ -1130,18 +1044,13 @@ def build_overlay(
     network,
     partition: Partition | None = None,
     cell_capacity: int | None = None,
-    parallel: int | None = None,
-    customizer=None,
 ) -> OverlayGraph:
     """Partition ``network`` (unless given) and customize every cell.
 
     See :class:`OverlayGraph`; this is the non-memoized entry point.
-    ``parallel``/``customizer`` fan the per-cell clique work out to a
-    worker pool (see :meth:`OverlayGraph.build`).
     """
     return OverlayGraph.build(
-        network, partition=partition, cell_capacity=cell_capacity,
-        parallel=parallel, customizer=customizer,
+        network, partition=partition, cell_capacity=cell_capacity
     )
 
 
@@ -1307,7 +1216,6 @@ class NestedOverlayGraph(OverlayGraph):
         undercut: dict | None = None,
         super_capacity: int | None = None,
         _reuse: tuple | None = None,
-        _customizer=None,
         _flat: tuple | None = None,
     ) -> None:
         # Set before super().__init__ — the base constructor runs
@@ -1317,7 +1225,7 @@ class NestedOverlayGraph(OverlayGraph):
         super().__init__(
             network, partition, cliques, cell_csr, cell_rcsr,
             customize_stats, customized_cells, undercut=undercut,
-            _customizer=_customizer, _flat=_flat,
+            _flat=_flat,
         )
         self._reuse = None
 
@@ -1406,35 +1314,18 @@ class NestedOverlayGraph(OverlayGraph):
             sc for sc in range(self.sup.num_cells)
             if old is None or affected is None or sc in affected
         ]
-        # Fan the supercell cliques out to the same worker pool as the
-        # cell pass when a customizer is live for this construction (a
-        # parallel full build, or a pooled recustomize whose churn spans
-        # more than one supercell).  Results are byte-identical — the
-        # workers run _super_customize over a spilled copy of the very
-        # arrays used here.
-        computed: dict = {}
-        if self._customizer is not None and len(todo) > 1:
-            computed = self._customizer.customize_super(
-                (self.over_offsets, self.over_targets,
-                 self.over_weights, self.over_kinds),
-                self._sup_members, self._sup_sboundary, todo,
-                self.customize_stats,
-            )
         sup_cliques: list[dict] = []
         customized = 0
         for sc in range(self.sup.num_cells):
             if old is not None and affected is not None and sc not in affected:
                 sup_cliques.append(old.sup_cliques[sc])
                 continue
-            clique = computed.get(sc)
-            if clique is None:
-                clique = _super_customize(
-                    self.over_offsets, self.over_targets,
-                    self.over_weights, self.over_kinds,
-                    self._sup_members[sc], self._sup_sboundary[sc],
-                    self.customize_stats,
-                )
-            sup_cliques.append(clique)
+            sup_cliques.append(_super_customize(
+                self.over_offsets, self.over_targets,
+                self.over_weights, self.over_kinds,
+                self._sup_members[sc], self._sup_sboundary[sc],
+                self.customize_stats,
+            ))
             customized += 1
         self.sup_cliques = sup_cliques
         self.customized_supercells = customized
@@ -1484,7 +1375,7 @@ class NestedOverlayGraph(OverlayGraph):
 
     def _rebuilt(
         self, network, cliques, cell_csr, cell_rcsr, stats, touched,
-        undercut, changed_edges, customizer=None,
+        undercut, changed_edges,
     ) -> "NestedOverlayGraph":
         """Recustomized copy sharing unaffected supercell tables."""
         return type(self)(
@@ -1492,7 +1383,6 @@ class NestedOverlayGraph(OverlayGraph):
             len(touched), undercut=undercut,
             super_capacity=self.super_capacity,
             _reuse=(self, self._affected_supercells(touched, changed_edges)),
-            _customizer=customizer,
             _flat=self._reusable_flat(touched, changed_edges),
         )
 
@@ -1626,22 +1516,13 @@ def build_nested_overlay(
     partition: Partition | None = None,
     cell_capacity: int | None = None,
     super_capacity: int | None = None,
-    parallel: int | None = None,
-    customizer=None,
 ) -> NestedOverlayGraph:
-    """Build a :class:`NestedOverlayGraph` (non-memoized entry point).
-
-    ``parallel``/``customizer`` fan both customization passes — cell
-    cliques and supercell cliques — out to a worker pool (see
-    :meth:`OverlayGraph.build`).
-    """
+    """Build a :class:`NestedOverlayGraph` (non-memoized entry point)."""
     return NestedOverlayGraph.build(
         network,
         partition=partition,
         cell_capacity=cell_capacity,
         super_capacity=super_capacity,
-        parallel=parallel,
-        customizer=customizer,
     )
 
 
@@ -1785,8 +1666,8 @@ def dumps_overlay(overlay: OverlayGraph) -> str:
     """Render an overlay's partition and cliques as text.
 
     Two overlays with identical partitions and cliques render
-    byte-identically — the equality witness the recustomization,
-    parallel-build and epoch tests rely on.  (The persistent format is
+    byte-identically — the equality witness the recustomization and
+    epoch tests rely on.  (The persistent format is
     :func:`repro.service.blob.write_overlay_blob`, which carries the
     same content.)  Node ids must be integers, the same restriction as
     :mod:`repro.network.io`.

@@ -456,13 +456,6 @@ class PipelineSnapshot:
         Percentiles of per-event publish→install latency, from the
         worker's bounded raw-sample window (milliseconds; 0 when no
         event has been installed yet).
-    customize_workers:
-        Parallel-customization worker processes behind the stack's
-        re-weights (0 = serial loops).
-    customize_spills:
-        CSR blob spills the stack's customizer pool has paid — pool
-        health: a healthy pool spills once and rides its cumulative
-        delta map through subsequent re-weights.
     """
 
     events: int = 0
@@ -474,8 +467,6 @@ class PipelineSnapshot:
     staleness_p50_ms: float = 0.0
     staleness_p95_ms: float = 0.0
     staleness_max_ms: float = 0.0
-    customize_workers: int = 0
-    customize_spills: int = 0
 
     def to_dict(self) -> dict:
         """Stable-key report shape (see ``docs/API.md``)."""
@@ -491,8 +482,6 @@ class PipelineSnapshot:
             "staleness_p50_ms": self.staleness_p50_ms,
             "staleness_p95_ms": self.staleness_p95_ms,
             "staleness_max_ms": self.staleness_max_ms,
-            "customize_workers": self.customize_workers,
-            "customize_spills": self.customize_spills,
         }
 
 
@@ -656,7 +645,6 @@ class TrafficPipeline:
         """Current counters as a :class:`PipelineSnapshot`."""
         samples = sorted(self.worker.staleness_samples())
         to_ms = 1000.0
-        customizer = getattr(self.stack, "customizer", None)
         return PipelineSnapshot(
             events=len(self.stream),
             pending=self.batcher.pending(),
@@ -667,8 +655,6 @@ class TrafficPipeline:
             staleness_p50_ms=percentile(samples, 0.50) * to_ms,
             staleness_p95_ms=percentile(samples, 0.95) * to_ms,
             staleness_max_ms=(samples[-1] * to_ms) if samples else 0.0,
-            customize_workers=customizer.workers if customizer else 0,
-            customize_spills=customizer.spills if customizer else 0,
         )
 
     @property

@@ -387,13 +387,6 @@ class ServingConfig:
         In-memory artifact slots of the preprocessing cache (>= 1).
     result_capacity:
         Result-table slots of the result cache (0 disables it).
-    customize_workers:
-        Worker *processes* for parallel overlay (re)customization
-        (:class:`~repro.search.parallel.ParallelCustomizer`).  ``0``
-        (default) and ``1`` keep the serial loops; ``>= 2`` gives the
-        stack a persistent pool that :meth:`ServingStack.reweight` fans
-        touched-cell clique work out to.  Results are byte-identical to
-        serial, so this is purely a throughput knob.
     """
 
     engine: str = "dijkstra"
@@ -402,7 +395,6 @@ class ServingConfig:
     spill_dir: str | None = None
     preprocessing_capacity: int = 8
     result_capacity: int = 256
-    customize_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -411,8 +403,6 @@ class ServingConfig:
             raise ValueError("preprocessing_capacity must be >= 1")
         if self.result_capacity < 0:
             raise ValueError("result_capacity must be >= 0")
-        if self.customize_workers < 0:
-            raise ValueError("customize_workers must be >= 0")
 
     def to_dict(self) -> dict:
         """Stable-key report shape (see ``docs/API.md``)."""
@@ -427,7 +417,6 @@ class ServingConfig:
             ),
             "preprocessing_capacity": self.preprocessing_capacity,
             "result_capacity": self.result_capacity,
-            "customize_workers": self.customize_workers,
         }
 
 
@@ -561,16 +550,6 @@ class ServingStack:
                     desc="largest window answered",
                 ),
             }
-        #: persistent parallel-customization pool, or None (serial)
-        self.customizer = None
-        if config.customize_workers >= 2:
-            from repro.search.parallel import ParallelCustomizer
-
-            self.customizer = ParallelCustomizer(
-                config.customize_workers,
-                metrics=self.metrics,
-                tracer=self._tracer,
-            )
         self._lock = threading.Lock()
         self._fingerprint_memo: tuple[int, str] | None = None
         self._epoch = 0
@@ -680,12 +659,8 @@ class ServingStack:
 
         Useful to pay the build cost at deploy time instead of on the
         first query; returns the artifact (``None`` for engines without
-        preprocessing).  A configured parallel-customization pool is
-        warmed here too, so the first re-weight window never pays the
-        fork/spawn cost.
+        preprocessing).
         """
-        if self.customizer is not None:
-            self.customizer.warm()
         return self.preprocessing.get(
             self.network, self.engine_name, fingerprint=self._fingerprint()
         )
@@ -1021,16 +996,9 @@ class ServingStack:
         ):
             cells = old_artifact.touched_cells(applied)
             overlay = old_artifact.recustomized_on(
-                snapshot, cells, changed_edges=applied,
-                customizer=self.customizer,
+                snapshot, cells, changed_edges=applied
             )
             touched = tuple(sorted(cells))
-        elif self.customizer is not None:
-            # The pool did not customize this re-weight (recustomize
-            # off, the artifact evicted, or a foreign overlay in a
-            # shared cache): fold the changes into its cumulative delta
-            # map, or the next pooled refresh serves pre-change weights.
-            self.customizer.note_changes(snapshot, applied)
         new_fingerprint = self.install_epoch(
             snapshot,
             artifact=overlay,
@@ -1073,10 +1041,8 @@ class ServingStack:
         )
 
     def close(self) -> None:
-        """Shut down the pools."""
+        """Shut down the dispatcher's thread pool."""
         self.dispatcher.shutdown()
-        if self.customizer is not None:
-            self.customizer.close()
 
     def __enter__(self) -> "ServingStack":
         """Enter a ``with`` block (no setup needed)."""

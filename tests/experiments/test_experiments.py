@@ -17,7 +17,6 @@ from repro.experiments import (
     e9_cost_model,
     e13_partition_overlay,
     e14_pipeline,
-    e15_parallel_customization,
 )
 from repro.experiments.harness import ExperimentResult, run_all
 from repro.experiments.tables import format_table, format_value
@@ -311,39 +310,6 @@ class TestE14Pipeline:
     def test_registered_with_harness(self):
         (res,) = run_all(["E14"])
         assert res.experiment_id == "E14"
-
-
-class TestE15ParallelCustomization:
-    @pytest.fixture(scope="class")
-    def result(self):
-        config = e15_parallel_customization.Config(
-            grid_width=10, grid_height=10, cell_capacity=12,
-            workers=[2], start_method="fork",
-        )
-        return e15_parallel_customization.run(config)
-
-    def test_serial_row_is_the_baseline(self, result):
-        first = result.rows[0]
-        assert first["workers"] == 0
-        assert first["speedup"] == 1.0
-        assert first["byte_identical"] is True
-
-    def test_parallel_rows_are_byte_identical(self, result):
-        # Speedups are machine-dependent (asserted only in the bench
-        # gate); byte identity is the machine-independent claim.
-        assert len(result.rows) == 2
-        for row in result.rows[1:]:
-            assert row["byte_identical"] is True
-            assert row["cells"] == result.rows[0]["cells"]
-            assert row["cells_per_sec"] > 0
-            assert row["pool_warm_ms"] >= 0
-
-    def test_registered_with_harness(self):
-        # Unknown ids are rejected before anything runs; E42 alone
-        # appearing in the error proves E15 resolved in the registry
-        # without paying for a full default-config run here.
-        with pytest.raises(KeyError, match=r"\['E42'\]"):
-            run_all(["E15", "E42"])
 
 
 class TestHarness:

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
 from repro.network.partition import Partition
 from repro.search import overlay as overlay_module
@@ -138,6 +139,25 @@ def test_swept_heap_and_frozen_cliques_render_identically(case):
     want = _dumps(net, partition, reference=True)
     assert _dumps(net, partition) == want
     assert _dumps(net, partition, numpy=False) == want
+
+
+def test_strict_cells_never_fall_back_to_the_heap():
+    """Wall time cannot tell the sweep from the heap at every scale, so
+    pin the path: with numpy, every strict cell with two or more
+    boundary nodes is swept."""
+    net = grid_network(12, 12)
+    sizes = []
+
+    def heap(csr, boundary, stats):
+        sizes.append(len(boundary))
+        return heap_clique(csr, boundary, stats)
+
+    heap_clique = overlay_module._heap_clique
+    with mock.patch.object(overlay_module, "_heap_clique", heap):
+        overlay = build_overlay(net, cell_capacity=16)
+    multi = sum(len(b) > 1 for b in overlay.partition.boundary)
+    assert multi > 1
+    assert all(size <= 1 for size in sizes)
 
 
 @given(case=partitioned_networks(), data=st.data())

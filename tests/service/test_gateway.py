@@ -380,7 +380,7 @@ class TestGatewayConfig:
     def test_worker_mode_changes_only_the_spill_dir(self, network):
         serving = ServingConfig(
             engine="overlay-csr", max_workers=2, coalesce=True,
-            preprocessing_capacity=3, result_capacity=7, customize_workers=2,
+            preprocessing_capacity=3, result_capacity=7,
         )
         gateway = Gateway(network, serving, GatewayConfig(workers=2))
         try:

@@ -254,38 +254,6 @@ class TestRecustomizeWorker:
             assert snap.staleness_p95_ms == pytest.approx(250.0)
             assert snap.staleness_max_ms == pytest.approx(250.0)
 
-    def test_snapshot_surfaces_customize_pool_health(self, net):
-        """A parallel-customization stack reports its worker count and
-        blob-spill count (a healthy pool spills exactly once)."""
-        with ServingStack.from_config(
-            net,
-            ServingConfig(
-                engine="overlay-csr", max_workers=1, customize_workers=2
-            ),
-        ) as stack:
-            assert stack.customizer is not None
-            stack.customizer._start_method = "fork"
-            stack.warm()
-            pipeline = TrafficPipeline(stack, debounce_ms=0.0)
-            for factor in (1.5, 2.0):
-                pipeline.publish_many(_events(net, 30, factor=factor))
-                pipeline.pump()
-            snap = pipeline.snapshot()
-            assert snap.customize_workers == 2
-            assert snap.customize_spills == 1
-            assert snap.to_dict()["customize_workers"] == 2
-
-    def test_snapshot_serial_stack_reports_zero_workers(self, net):
-        with ServingStack.from_config(
-            net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
-        ) as stack:
-            stack.warm()
-            pipeline = TrafficPipeline(stack, debounce_ms=0.0)
-            snap = pipeline.snapshot()
-            assert snap.customize_workers == 0
-            assert snap.customize_spills == 0
-
     def test_retirement_releases_old_epoch_cache_keys(self, net):
         with ServingStack.from_config(
             net,

@@ -6,8 +6,6 @@ stack is never mutated, the new weights are read from ``stack.network``.
 
 from __future__ import annotations
 
-import multiprocessing
-
 import pytest
 
 from repro.core.obfuscator import PathQueryObfuscator
@@ -275,33 +273,19 @@ class TestReweight:
             _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable on this platform",
-)
-class TestReweightPoolCoherence:
-    """Re-weights that bypass the pooled recustomize (``recustomize=
-    False``, an evicted artifact, a foreign overlay) must still reach
-    the persistent pool's cumulative delta map — otherwise the next
-    pooled refresh computes cliques from the blob's pre-change weights
-    and silently serves wrong distances."""
+class TestBypassedReweight:
+    """A re-weight that skips recustomization (an evicted artifact, or
+    ``recustomize=False``) only moves the network; the next refresh must
+    still customize from the current weights, byte-identical to a
+    rebuild."""
 
-    def test_bypassed_reweight_reaches_the_pool(self, net):
-        """The bypass here is an evicted artifact: nothing to recustomize
-        from, so the re-weight only moves the network."""
+    def test_evicted_artifact_then_recustomize_matches_rebuild(self, net):
         with ServingStack.from_config(
-            net,
-            ServingConfig(
-                engine="overlay-csr", max_workers=1, customize_workers=2
-            ),
+            net, ServingConfig(engine="overlay-csr", max_workers=1)
         ) as stack:
-            stack.customizer._start_method = "fork"
             stack.warm()
-            # Round 1: pooled recustomize — spills the blob.
             r1 = [(u, v, w * 1.5) for u, v, w in list(net.edges())[::5]]
             assert stack.reweight(r1).recustomized
-            assert stack.customizer.spills == 1
-            # Round 2: the pool is bypassed, but the network moves.
             assert stack.preprocessing.invalidate_fingerprint(
                 stack._fingerprint()
             )
@@ -310,9 +294,6 @@ class TestReweightPoolCoherence:
                 for u, v, w in list(stack.network.edges())[1::7]
             ]
             assert not stack.reweight(r2).recustomized
-            # Round 3: back on the pool (rebuild the artifact serially
-            # first).  The workers must observe round 2's weights too,
-            # not just round 3's.
             stack.warm()
             r3 = [
                 (u, v, w * 0.8)
@@ -325,41 +306,31 @@ class TestReweightPoolCoherence:
             assert dumps_overlay(installed) == dumps_overlay(
                 build_overlay(stack.network)
             )
-            # The bypass was absorbed into the delta map, not papered
-            # over by a fresh spill.
-            assert stack.customizer.spills == 1
 
-    def test_bypassed_epoch_reweight_reaches_the_pool(self, net):
+    def test_recustomize_false_then_recustomize_matches_rebuild(self, net):
         with ServingStack.from_config(
-            net,
-            ServingConfig(
-                engine="overlay-csr", max_workers=1, customize_workers=2
-            ),
+            net, ServingConfig(engine="overlay-csr", max_workers=1)
         ) as stack:
-            stack.customizer._start_method = "fork"
             stack.warm()
             r1 = [(u, v, w * 1.5) for u, v, w in list(net.edges())[::5]]
-            assert stack.reweight(r1, epoch=True).recustomized
-            assert stack.customizer.spills == 1
+            assert stack.reweight(r1).recustomized
             r2 = [
                 (u, v, w * 3.0)
                 for u, v, w in list(stack.network.edges())[1::7]
             ]
-            outcome = stack.reweight(r2, recustomize=False, epoch=True)
-            assert not outcome.recustomized
+            assert not stack.reweight(r2, recustomize=False).recustomized
             stack.warm()
             r3 = [
                 (u, v, w * 0.8)
                 for u, v, w in list(stack.network.edges())[2::6]
             ]
-            assert stack.reweight(r3, epoch=True).recustomized
+            assert stack.reweight(r3).recustomized
             installed = stack.preprocessing.peek(
                 stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
                 build_overlay(stack.network)
             )
-            assert stack.customizer.spills == 1
 
 
 class TestDispatchHint:

@@ -676,62 +676,6 @@ def run_grid200(repeats: int = 3) -> dict:
     for s, t in far_pairs:
         nested.route(s, t, stats=nested_stats)
 
-    # Process-parallel customization: the serial per-cell clique loop vs
-    # a warmed 4-worker ParallelCustomizer over the same cells of the
-    # capacity-80 partition.  Round 1 of the parallel side pays the CSR
-    # blob spill (changed_edges=None); later rounds pass an empty delta
-    # so they ride the mapped blob — the steady state a persistent
-    # serving pool lives in.  Rounds are interleaved and each side takes
-    # its best, the same noise shield as every ratio here.  The gated
-    # value is normalized per usable core: 0.625/core equals the
-    # 2.5x-at-4-workers target on a >= 4-core host, while the absolute
-    # floor below holds on CI's 2-core runners without demanding
-    # parallel speedup of a 1-CPU box.
-    from repro.search.overlay import OverlayGraph
-    from repro.search.parallel import ParallelCustomizer
-
-    part = flat.partition
-    customize_workers = 4
-    customizer = ParallelCustomizer(customize_workers)
-    pool_warm_s = customizer.warm()
-    t_cust_serial = t_cust_par = float("inf")
-    serial_cliques: dict = {}
-    par_cliques: dict = {}
-    try:
-        for round_no in range(max(repeats, 2)):
-            start = time.perf_counter()
-            serial_cliques = {}
-            sstats = SearchStats()
-            for cell in range(part.num_cells):
-                fcsr, _rcsr = OverlayGraph._cell_graphs(net, part, cell)
-                serial_cliques[cell] = OverlayGraph._customize_cell(
-                    part, cell, fcsr, sstats
-                )
-            t_cust_serial = min(t_cust_serial, time.perf_counter() - start)
-            start = time.perf_counter()
-            pstats = SearchStats()
-            par_cliques = customizer.customize(
-                net, part, range(part.num_cells), pstats,
-                changed_edges=None if round_no == 0 else (),
-            )
-            t_cust_par = min(t_cust_par, time.perf_counter() - start)
-            if pstats.settled_nodes != sstats.settled_nodes:
-                raise SystemExit(
-                    "FATAL: parallel customization settled-node totals "
-                    "diverge from the serial loop"
-                )
-        if par_cliques != serial_cliques:
-            raise SystemExit(
-                "FATAL: parallel customization cliques diverge from the "
-                "serial loop"
-            )
-        customize_spills = customizer.spills
-    finally:
-        customizer.close()
-    cores = os.cpu_count() or 1
-    customize_speedup = t_cust_serial / t_cust_par
-    customize_per_core = customize_speedup / min(customize_workers, cores)
-
     # Cold shard warm-up: a fresh PreprocessingCache pointed at a spill
     # dir holding the CSR blob a sibling process force-spilled — exactly
     # the gateway's worker handoff (gateway engine, dijkstra-csr).  The
@@ -803,18 +747,6 @@ def run_grid200(repeats: int = 3) -> dict:
                 "at 250ms)"
             ),
         },
-        "customize_parallel_speedup_per_core": {
-            "value": round(customize_per_core, 3),
-            "direction": "higher",
-            "min": 0.35,
-            "desc": (
-                "4-worker parallel overlay customization over the serial "
-                "cell loop, divided by min(4, cores) — 0.625/core is the "
-                "2.5x-at-4-workers target on a >=4-core host; the "
-                "absolute floor catches handoff pathologies without "
-                "demanding parallel speedup of CI's 2-core runners"
-            ),
-        },
         "settled_point_nested": {
             "value": nested_stats.settled_nodes,
             "direction": "lower",
@@ -851,49 +783,29 @@ def run_grid200(repeats: int = 3) -> dict:
             "shard_cold_warmup_ms": round(t_warm * 1000, 2),
             "overlay_blob_write_ms": round(t_ovl_write * 1000, 2),
             "overlay_blob_read_ms": round(t_ovl_read * 1000, 2),
-            "customize_workers": customize_workers,
-            "customize_cores": cores,
-            "customize_serial_ms": round(t_cust_serial * 1000, 2),
-            "customize_parallel_ms": round(t_cust_par * 1000, 2),
-            "customize_parallel_speedup": round(customize_speedup, 3),
-            "customize_pool_warm_ms": round(pool_warm_s * 1000, 2),
-            "customize_cells_per_sec": round(
-                part.num_cells / t_cust_par, 1
-            ),
-            "customize_spills": customize_spills,
         },
     }
 
 
 def run_metro(
     num_nodes: int = 60_000,
-    workers: int = 4,
     repeats: int = 1,
     cell_capacity: int | None = None,
 ) -> dict:
     """Run the metro-region build-time tier; returns the BENCH document.
 
-    The ROADMAP item-4 scale proof: generate a :func:`metro_network`,
-    build the partition overlay through a warmed
-    :class:`~repro.search.parallel.ParallelCustomizer` pool, and report
-    customization throughput (cells/sec), pool warm time and the
-    zero-copy handoff health (spill count stays 1 — the graph crossed
-    the process boundary as one mmapped blob, never as a pickle).  CI
-    runs this at the default 60k nodes against
-    ``benchmarks/baseline_metro.json``; the full 10⁶-node proof run is
+    Generate a :func:`metro_network`, build its partition overlay with
+    the serial per-cell customization and gate the build's wall time
+    under an absolute ceiling, so a customization regression that only
+    bites at scale still fails CI.  CI runs this at the default 60k
+    nodes against ``benchmarks/baseline_metro.json``; a larger run is
     the same command with ``--metro-nodes 1000000`` to a scratch file
     (its deterministic shape counters differ from the 60k baseline, so
     it is not gate-comparable — by design).
-
-    The parallel *speedup* is gated on the grid200 tier
-    (``customize_parallel_speedup_per_core``); this tier gates absolute
-    throughput floors so a handoff regression that only bites at scale
-    (e.g. per-task payload bloat) still fails CI.
     """
     from repro.network.generators import metro_network
     from repro.network.io import read_dimacs, write_dimacs
     from repro.network.partition import default_cell_capacity
-    from repro.search.parallel import ParallelCustomizer
 
     t0 = time.perf_counter()
     net = metro_network(num_nodes, seed=7)
@@ -909,18 +821,9 @@ def run_metro(
         else min(192, default_cell_capacity(len(net)))
     )
 
-    customizer = ParallelCustomizer(workers)
-    try:
-        pool_warm_s = customizer.warm()
-        t0 = time.perf_counter()
-        overlay = build_overlay(
-            net, cell_capacity=capacity, customizer=customizer
-        )
-        t_build = time.perf_counter() - t0
-        cells_per_sec = customizer.last_cells_per_sec
-        spills = customizer.spills
-    finally:
-        customizer.close()
+    t0 = time.perf_counter()
+    overlay = build_overlay(net, cell_capacity=capacity)
+    t_build = time.perf_counter() - t0
 
     # Correctness spot check: overlay answers match flat Dijkstra.
     csr = csr_snapshot(net)
@@ -959,33 +862,16 @@ def run_metro(
             raise SystemExit("FATAL: DIMACS round trip changed the node set")
 
     metrics = {
-        "metro_customize_cells_per_sec": {
-            "value": round(cells_per_sec, 2),
-            "direction": "higher",
-            "min": 1.0,
-            "desc": (
-                "parallel pool throughput over the metro build's cell "
-                "pass (absolute floor — catches per-task handoff bloat "
-                "that only bites at scale)"
-            ),
-        },
-        "metro_pool_warm_ms": {
-            "value": round(pool_warm_s * 1000.0, 2),
+        "metro_build_s": {
+            "value": round(t_build, 2),
             "direction": "lower",
-            "max": 10_000.0,
+            "max": 8.0,
             "desc": (
-                "wall time to start the customization worker pool "
-                "(gated absolutely at 10s)"
-            ),
-        },
-        "metro_blob_spills": {
-            "value": spills,
-            "direction": "lower",
-            "max": 1,
-            "desc": (
-                "CSR blob spills during the build — exactly one means "
-                "the graph crossed the process boundary as a single "
-                "mmapped blob (no pickling, no re-spills)"
+                "serial overlay build (partition plus every cell's "
+                "customization) of the metro network (absolute ceiling, "
+                "~2.5x the measured build; at this cell size the batched "
+                "sweep and the heap fallback cost about the same, so "
+                "the sweep's path is pinned by a test, not this ceiling)"
             ),
         },
         "metro_avg_degree": {
@@ -1019,11 +905,7 @@ def run_metro(
             "generate_s": round(t_gen, 2),
             "cell_capacity": capacity,
             "build_s": round(t_build, 2),
-            "customize_workers": workers,
-            "cores": os.cpu_count() or 1,
-            "pool_warm_ms": round(pool_warm_s * 1000.0, 2),
-            "cells_per_sec": round(cells_per_sec, 2),
-            "blob_spills": spills,
+            "cells_per_sec": round(overlay.num_cells / t_build, 2),
             "dimacs_roundtrip_ms": dimacs_ms,
         },
     }
@@ -1052,8 +934,8 @@ def main(argv: list[str] | None = None) -> int:
         "--metro",
         action="store_true",
         help=(
-            "run the metro-region build-time tier (parallel "
-            "customization throughput; baseline_metro.json)"
+            "run the metro-region build-time tier (serial overlay "
+            "build ceiling; baseline_metro.json)"
         ),
     )
     parser.add_argument(
@@ -1066,21 +948,11 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--metro-workers",
-        type=int,
-        default=4,
-        help="metro tier customization worker processes",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=3, help="best-of-N timing repeats"
     )
     args = parser.parse_args(argv)
     if args.metro:
-        doc = run_metro(
-            num_nodes=args.metro_nodes,
-            workers=args.metro_workers,
-            repeats=args.repeats,
-        )
+        doc = run_metro(num_nodes=args.metro_nodes, repeats=args.repeats)
     elif args.grid200:
         doc = run_grid200(repeats=args.repeats)
     else:
