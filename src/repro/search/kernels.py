@@ -108,7 +108,7 @@ _INF = float("inf")
 #: shared-tree query grows its trees in one batched numpy sweep instead
 #: of a scalar heap loop per source; measured, see "Kernel selection" in
 #: docs/ARCHITECTURE.md for the table and the command that remakes it.
-BATCH_MIN_SETTLED = 1500
+BATCH_MIN_SETTLED = 1000
 
 
 class KernelScratch:

@@ -4,10 +4,23 @@ The scalar kernels in :mod:`repro.search.kernels` pay CPython's
 per-iteration interpreter cost on every relaxed arc.  This module trades
 the label-setting heap for label-correcting *frontier waves* evaluated
 as whole-array numpy operations: each iteration gathers the out-arcs of
-every frontier node in one shot (CSR slice arithmetic), drops the
-candidates that cannot beat their target's label, relaxes the rest with
-one unbuffered ``np.minimum.at`` scatter, and the nodes whose labels
-improved form the next frontier.
+every frontier node in one shot, drops the candidates that cannot beat
+their target's label, relaxes the rest with one unbuffered
+``np.minimum.at`` scatter, and the nodes whose labels improved form the
+next frontier.
+
+A wave costs a fixed ~20 numpy calls plus a little per relaxed arc, and
+at the sizes a protected query produces the calls dominate.  So the
+gather takes whole rows of :meth:`VecGraph.neighbour_tables`, every
+node's out-arcs padded to the largest out-degree (pad slots: node 0,
+weight ``+inf``), in one ``np.take`` per table.  That is only worth it
+when the padding is small: :attr:`VecGraph.padded` holds when the
+tables cost at most twice the arc arrays (road grids 1.0x, 640 KB on a
+100x100 grid; metro maps 1.3x).  A skewed snapshot — a scale-free hub
+graph pads 36x at 2 000 nodes — expands its frontier by CSR slice
+arithmetic instead and never builds the tables.  Both expansions list a
+wave's candidates in the same order, so the choice cannot show in a
+table or a counter.
 
 Batching is the point: the per-source sweeps of an MSMD batch (or of a
 coalesced union pass) share one 2-D distance table of shape
@@ -85,7 +98,8 @@ def _require_numpy():
 class VecGraph:
     """A :class:`CSRGraph` plus the ndarray views the batch kernels read.
 
-    Thin and immutable: the read-only zero-copy views from
+    Thin and immutable (the padded neighbour tables aside, which are
+    built once, on first use): the read-only zero-copy views from
     :meth:`CSRGraph.as_numpy` (``offsets``/``targets``/``weights``), the
     precomputed out-degree array, and two whole-graph facts for kernel
     selection.  ``density`` is nodes per unit of bounding-box area
@@ -95,11 +109,15 @@ class VecGraph:
     absorption can tie a node with its parent — what :func:`_walk_back`
     needs to reproduce the scalar heap's parents.  Paths are walked on
     the wrapped snapshot's scalar reverse view, so one artifact serves
-    both phases.
+    both phases.  ``padded`` says the frontier sweep expands through
+    :meth:`neighbour_tables`: padding every node to the largest
+    out-degree costs at most twice the arc arrays (grids 1.0x, metro
+    maps 1.3x; a scale-free hub graph would pay 36x at 2 000 nodes).
     """
 
     __slots__ = (
         "csr", "offsets", "targets", "weights", "deg", "density", "strict",
+        "padded", "_tables",
     )
 
     def __init__(self, csr: CSRGraph) -> None:
@@ -116,6 +134,33 @@ class VecGraph:
         self.strict = bool(
             len(weights) == 0 or weights.min() > weights.sum() * 2.0 ** -52
         )
+        width = int(self.deg.max()) if len(self.deg) else 0
+        self.padded = len(self.deg) * width <= 2 * len(weights)
+        self._tables = None
+
+    def neighbour_tables(self):
+        """``(targets, weights)`` padded to ``(num_nodes, max out-degree)``.
+
+        Row ``u`` lists ``u``'s out-arcs in CSR order, then pad slots
+        that point at node 0 with weight ``+inf`` (no relaxation through
+        them can pass a ``<`` test).  Built on first use and kept; only
+        :attr:`padded` snapshots should ask.
+        """
+        tables = self._tables
+        if tables is None:
+            n, deg = len(self.deg), self.deg
+            width = int(deg.max()) if n else 0
+            # table slot of arc e: its row's start plus its rank in the row
+            at = np.repeat(np.arange(n) * width - self.offsets[:-1], deg)
+            at += np.arange(len(self.targets))
+            nbr = np.zeros(n * width, dtype=np.int64)
+            nbr[at] = self.targets
+            nbr_w = np.full(n * width, np.inf)
+            nbr_w[at] = self.weights
+            tables = self._tables = (
+                nbr.reshape(n, width), nbr_w.reshape(n, width),
+            )
+        return tables
 
     def __repr__(self) -> str:
         return f"VecGraph({self.csr!r})"
@@ -176,6 +221,27 @@ def estimated_settled(
     return total
 
 
+#: frontiers :func:`_sweep_tables` buffers before folding them into its
+#: counters: a fold is a few numpy calls, a buffered frontier ~16 bytes
+#: per entry
+_TALLY_WAVES = 8
+
+
+def _tally(deg, nodes, labels, relaxed, maxd):
+    """Fold buffered frontiers into ``(relaxed, maxd)``; empties the lists.
+
+    ``nodes`` and ``labels`` hold each wave's frontier nodes and their
+    labels: a frontier entry relaxes its node's out-degree of arcs, and
+    ``maxd`` is the largest label any frontier carried.
+    """
+    if nodes:
+        relaxed += int(deg.take(np.concatenate(nodes)).sum())
+        maxd = max(maxd, float(np.concatenate(labels).max()))
+        nodes.clear()
+        labels.clear()
+    return relaxed, maxd
+
+
 def _sweep_tables(
     vec: VecGraph,
     src_idx: "np.ndarray",
@@ -188,22 +254,35 @@ def _sweep_tables(
     the (exact, Dijkstra-identical) distances from ``src_idx[i]`` to
     every node that row settled.  ``dest_idx_rows`` gives each row's
     needed destination indices, where its sweep is truncated.
+
+    A wave's fixed cost is its numpy calls, so each wave makes as few as
+    it can.  On :attr:`VecGraph.padded` snapshots it expands the
+    frontier by taking whole rows of the padded neighbour tables (pad
+    slots carry weight ``+inf`` and never pass the ``cand < label``
+    filter); on skewed ones, where the padding would dwarf the arcs, by
+    CSR slice arithmetic.  Both list a wave's candidates in the same
+    order (frontier entry, then CSR arc order), so the relaxations, the
+    table and the counters are the same.  The counters are folded from
+    the buffered frontiers every :data:`_TALLY_WAVES` waves rather than
+    on each, and the truncation caps are only applied once some row has
+    reached all of its destinations: before that every cap is ``+inf``.
+    Improved keys are deduplicated through a slot buffer, not by reading
+    back which candidates equal the new label: on tied maps two
+    candidates can set the same label, and that test would push the key
+    twice, changing ``heap_pushes`` and the next wave.
     """
     n = vec.csr.num_nodes
     rows = len(src_idx)
-    offsets, targets, weights, deg = (
-        vec.offsets, vec.targets, vec.weights, vec.deg,
-    )
     dist = np.full((rows, n), np.inf)
     flat = dist.ravel()  # writable view: entry (row, v) lives at row*n + v
     row_ids = np.arange(rows)
-    dist[row_ids, src_idx] = 0.0
     # The frontier is a flat vector of (row, node) entries encoded as
     # row*n + node: every improved label is relaxed out on the very next
     # wave, so each wave's arrays are sized by the entries that actually
     # changed — no dense (rows, n) active plane and no cross-row waste
     # when the per-source wavefronts do not overlap.
     frontier = row_ids * n + src_idx
+    flat[frontier] = 0.0
     width = max(1, max(len(d) for d in dest_idx_rows))
     dest_pad = np.empty((rows, width), dtype=np.int64)
     for i, dests in enumerate(dest_idx_rows):
@@ -212,49 +291,74 @@ def _sweep_tables(
         pad = dests[0] if dests else int(src_idx[i])
         dest_pad[i, : len(dests)] = dests
         dest_pad[i, len(dests):] = pad
+    dest_keys = dest_pad + (row_ids * n)[:, None]
+    is_dest = np.zeros(rows * n, dtype=bool)
+    is_dest[dest_keys] = True
+    # A row's cap is its furthest needed destination's label; it only
+    # changes on a wave that improves one of those destinations, and
+    # once finite it stays finite.
+    caps = flat[dest_keys].max(axis=1)
+    truncating = bool(caps.min() < _INF)
+    if vec.padded:
+        nbr, nbr_w = vec.neighbour_tables()
+    else:
+        offsets, targets, weights, deg = (
+            vec.offsets, vec.targets, vec.weights, vec.deg,
+        )
     slot = np.empty(rows * n, dtype=np.int64)  # dedup buffer, see below
+    entry_vals = np.zeros(rows)
     settled = relaxed = 0
     pushes = rows
     maxd = 0.0
+    nodes, labels = [], []  # frontiers not yet in relaxed/maxd
     while frontier.size:
         f_node = frontier % n
-        entry_vals = flat[frontier]
-        settled += int(frontier.size)
-        wave_max = float(entry_vals.max())
-        if wave_max > maxd:
-            maxd = wave_max
-        d_e = deg[f_node]
-        total = int(d_e.sum())
-        relaxed += total
-        if total == 0:
-            break
-        # Flatten the CSR slices of every frontier entry into one edge
-        # list: e_idx[k] walks offsets[u]..offsets[u]+deg[u] per entry.
-        prefix = np.concatenate(([0], np.cumsum(d_e)[:-1]))
-        e_idx = np.repeat(offsets[f_node] - prefix, d_e) + np.arange(total)
-        cand = np.repeat(entry_vals, d_e) + weights[e_idx]
-        key = np.repeat(frontier - f_node, d_e) + targets[e_idx]
+        settled += frontier.size
+        nodes.append(f_node)
+        labels.append(entry_vals)
+        if len(nodes) == _TALLY_WAVES:
+            relaxed, maxd = _tally(vec.deg, nodes, labels, relaxed, maxd)
+        row_base = frontier - f_node
+        if vec.padded:
+            cand = entry_vals[:, None] + nbr_w.take(f_node, axis=0)
+            key = row_base[:, None] + nbr.take(f_node, axis=0)
+        else:
+            # Flatten the CSR slices of every frontier entry into one
+            # edge list: e_idx[k] walks offsets[u]..offsets[u]+deg[u].
+            d_e = deg[f_node]
+            total = int(d_e.sum())
+            prefix = np.concatenate(([0], np.cumsum(d_e)[:-1]))
+            e_idx = np.repeat(offsets[f_node] - prefix, d_e) + np.arange(total)
+            cand = np.repeat(entry_vals, d_e) + weights[e_idx]
+            key = np.repeat(row_base, d_e) + targets[e_idx]
         # Only candidates below the current label can improve it; many
         # relaxations of a wave land on neighbours already as good.
-        better_than = cand < flat[key]
-        if not better_than.any():
-            break
-        cand = cand[better_than]
-        key = key[better_than]
+        # (Selections go through flatnonzero + take: a boolean mask
+        # index of that size costs more than both, its branches being
+        # unpredictable.)
+        better_than = np.flatnonzero(cand < flat.take(key))
+        cand = cand.take(better_than)
+        key = key.take(better_than)
         # Min per (row, target) key, duplicates included (two frontier
         # nodes sharing a neighbour); then each improved key once: of the
         # positions that scattered into a slot, one reads itself back.
         np.minimum.at(flat, key, cand)
         pos = np.arange(key.size)
         slot[key] = pos
-        improved = key[slot[key] == pos]
-        better = flat[improved]
-        pushes += int(improved.size)
-        # Truncation: an improved label re-enters the frontier only if
-        # it could still improve a destination its row needs (the bound
-        # only shrinks, so dropped entries stay useless).
-        caps = dist[row_ids[:, None], dest_pad].max(axis=1)
-        frontier = improved[better < caps[improved // n]]
+        frontier = key.take(np.flatnonzero(slot.take(key) == pos))
+        entry_vals = flat.take(frontier)
+        pushes += int(frontier.size)
+        if is_dest.take(frontier).any():
+            caps = flat.take(dest_keys).max(axis=1)
+            truncating = bool(caps.min() < _INF)
+        if truncating:
+            # An improved label re-enters the frontier only if it could
+            # still improve a destination its row needs (the bound only
+            # shrinks, so dropped entries stay useless).
+            keep = np.flatnonzero(entry_vals < caps.take(frontier // n))
+            frontier = frontier.take(keep)
+            entry_vals = entry_vals.take(keep)
+    relaxed, maxd = _tally(vec.deg, nodes, labels, relaxed, maxd)
     stats.settled_nodes += settled
     stats.relaxed_edges += relaxed
     stats.heap_pushes += pushes

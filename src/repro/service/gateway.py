@@ -64,6 +64,7 @@ intermediary logs.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import logging
 import math
@@ -71,6 +72,7 @@ import multiprocessing
 import re
 import tempfile
 import threading
+import time
 import uuid
 from collections.abc import Awaitable, Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -309,49 +311,67 @@ def _worker_main(conn, network, config: ServingConfig) -> None:
     the shared spill dir — see :mod:`repro.service.blob`) and serves
     pipe requests until ``stop``.  The measured warm-up wall time is
     reported as ``warm_ms`` in every ``metrics`` reply, so the gateway
-    gate can assert cold workers start in milliseconds.
+    gate can assert cold workers start in milliseconds.  A request
+    frame is ``(seq, message)`` and its reply ``(seq, status,
+    payload)``: the worker echoes the caller's sequence number so
+    :class:`ShardWorkerPool` can tell its reply from a late one.
     """
-    import time
-
     stack = ServingStack.from_config(network, config)
     try:
         t0 = time.perf_counter()
         stack.warm()
         warm_ms = (time.perf_counter() - t0) * 1000.0
         while True:
-            message = conn.recv()
+            seq, message = conn.recv()
             op = message[0]
             if op == "stop":
-                conn.send(("ok", None))
+                conn.send((seq, "ok", None))
                 break
             try:
                 if op == "ping":
-                    conn.send(("ok", "pong"))
+                    payload = "pong"
                 elif op == "batch":
-                    conn.send(("ok", _evaluate_pairs(stack, message[1])))
+                    payload = _evaluate_pairs(stack, message[1])
                 elif op == "reweight":
                     outcome = stack.reweight(
                         [tuple(c) for c in message[1]]
                     )
-                    conn.send(("ok", {
+                    payload = {
                         "edges": outcome.edges,
                         "touched_cells": len(outcome.touched_cells),
                         "recustomized": outcome.recustomized,
                         "epoch": outcome.epoch,
-                    }))
+                    }
                 elif op == "metrics":
-                    report = _shard_report(stack)
-                    report["warm_ms"] = round(warm_ms, 3)
-                    conn.send(("ok", report))
+                    payload = _shard_report(stack)
+                    payload["warm_ms"] = round(warm_ms, 3)
                 else:
-                    conn.send(("err", "internal"))
+                    raise ValueError(f"unknown op {op!r}")
+                conn.send((seq, "ok", payload))
             except Exception:
-                conn.send(("err", "internal"))
+                conn.send((seq, "err", "internal"))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown
         pass
     finally:
         stack.close()
         conn.close()
+
+
+def _round_trip(conn, seq: int, message: tuple, timeout: float):
+    """Send ``message`` tagged ``seq``; its worker's ``(status, payload)``.
+
+    A reply tagged with another sequence number answers an earlier call
+    that gave up on its deadline: it is read and dropped, within this
+    call's own deadline.  Raises :class:`RuntimeError` when no matching
+    reply arrives in ``timeout`` seconds.
+    """
+    deadline = time.monotonic() + timeout
+    conn.send((seq, message))
+    while conn.poll(max(0.0, deadline - time.monotonic())):
+        reply_seq, status, payload = conn.recv()
+        if reply_seq == seq:
+            return status, payload
+    raise RuntimeError("worker timed out")
 
 
 class ShardWorkerPool:
@@ -362,7 +382,9 @@ class ShardWorkerPool:
     locks or threads) reload it from the shared spill directory instead
     of rebuilding.  Calls are pipe round-trips serialized per worker by
     a lock; the gateway runs them on executor threads so the event loop
-    never blocks on a pipe.
+    never blocks on a pipe.  Every frame carries a per-connection
+    sequence number that the worker echoes, so the late reply of a call
+    that timed out is dropped instead of answering the next caller.
     """
 
     def __init__(self, network, config: ServingConfig, workers: int) -> None:
@@ -379,7 +401,9 @@ class ShardWorkerPool:
             )
             process.start()
             child_conn.close()
-            self._workers.append((process, parent_conn, threading.Lock()))
+            self._workers.append(
+                (process, parent_conn, threading.Lock(), itertools.count())
+            )
 
     def __len__(self) -> int:
         """Number of shard workers."""
@@ -392,14 +416,13 @@ class ShardWorkerPool:
         (mapped to an ``internal`` error upstream) when the worker is
         gone or over deadline.
         """
-        process, conn, lock = self._workers[shard % len(self._workers)]
+        _, conn, lock, seqs = self._workers[shard % len(self._workers)]
         with lock:
             try:
-                conn.send(message)
-                if not conn.poll(timeout):
-                    raise RuntimeError("worker timed out")
-                status, payload = conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
+                status, payload = _round_trip(
+                    conn, next(seqs), message, timeout
+                )
+            except (EOFError, OSError) as exc:
                 raise RuntimeError("worker unavailable") from exc
         if status != "ok":
             raise RuntimeError("worker error")
@@ -418,12 +441,11 @@ class ShardWorkerPool:
 
     def close(self) -> None:
         """Stop every worker process (idempotent)."""
-        for process, conn, lock in self._workers:
+        for process, conn, lock, seqs in self._workers:
             with lock:
                 try:
-                    conn.send(("stop",))
-                    conn.poll(5.0)
-                except (BrokenPipeError, OSError):
+                    _round_trip(conn, next(seqs), ("stop",), 5.0)
+                except (EOFError, OSError, RuntimeError):
                     pass
                 finally:
                     conn.close()

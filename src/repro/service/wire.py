@@ -406,7 +406,7 @@ class RouteResponse:
                 paths.append((
                     int(entry["source"]),
                     int(entry["destination"]),
-                    tuple(int(n) for n in entry["nodes"]),
+                    tuple(map(int, entry["nodes"])),
                     float(entry["cost"]),
                 ))
             except (KeyError, TypeError, ValueError) as exc:

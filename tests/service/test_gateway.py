@@ -25,6 +25,7 @@ from repro.service.gateway import (
     Gateway,
     GatewayConfig,
     GatewayServer,
+    ShardWorkerPool,
     redacted_fields,
 )
 from repro.service.serving import ServingConfig, ServingStack
@@ -455,3 +456,30 @@ class TestShardWorkers:
             # the parent's pre-spilled blob it is a disk load, not a
             # rebuild, so it is bounded and strictly positive
             assert all(shard["warm_ms"] > 0.0 for shard in shards)
+
+    def test_late_reply_never_answers_the_next_call(self):
+        # A call that gives up on its deadline leaves its reply in the
+        # pipe; the next call on that shard must get its own answer, and
+        # close() must see the worker's own stop ack.
+        network = grid_network(8, 8, perturbation=0.1, seed=11)
+        nodes = sorted(network.nodes())
+        pairs = [
+            ((nodes[i], nodes[i + 9]), (nodes[-1 - i], nodes[-10 - i]))
+            for i in range(4)
+        ]
+        pool = ShardWorkerPool(
+            network, ServingConfig(engine="dijkstra-csr"), workers=1
+        )
+        try:
+            pool.wait_ready()
+            process = pool._workers[0][0]
+            with pytest.raises(RuntimeError, match="timed out"):
+                pool.call(0, ("batch", pairs), timeout=0.0)
+            assert pool.call(0, ("ping",)) == "pong"
+            bodies = pool.call(0, ("batch", pairs))
+            assert len(bodies) == len(pairs)
+            assert all(isinstance(body, bytes) for body in bodies)
+        finally:
+            pool.close()
+        process.join(timeout=10.0)
+        assert process.exitcode == 0

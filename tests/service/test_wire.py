@@ -191,6 +191,22 @@ class TestRouteResponse:
             RouteResponse.from_dict({"paths": [{"source": 1}]})
         assert err.value.code == "invalid_request"
 
+    @pytest.mark.parametrize("bad", ["x", None, [3], {"id": 3}])
+    def test_malformed_node_rejected_after_round_trip(self, answered, bad):
+        _, server_response = answered
+        doc = json.loads(RouteResponse.from_server(server_response).to_json())
+        doc["paths"][0]["nodes"][-1] = bad
+        with pytest.raises(WireError) as err:
+            RouteResponse.from_json(json.dumps(doc))
+        assert err.value.code == "invalid_request"
+
+    def test_node_list_must_be_iterable(self, answered):
+        _, server_response = answered
+        doc = json.loads(RouteResponse.from_server(server_response).to_json())
+        doc["paths"][0]["nodes"] = 7
+        with pytest.raises(WireError):
+            RouteResponse.from_dict(doc)
+
 
 class TestBatchResponse:
     def test_json_round_trip(self, answered):
