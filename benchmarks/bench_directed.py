@@ -12,14 +12,12 @@ import random
 import pytest
 
 from repro.network.generators import one_way_grid_network
-from repro.search.alt import LandmarkIndex, alt_path
 from repro.search.dijkstra import dijkstra_path
 from repro.search.multi import SharedTreeProcessor, SideSelectingProcessor
 
 _NET = one_way_grid_network(40, 40, perturbation=0.05, seed=99)
 _NODES = list(_NET.nodes())
 _PAIRS = [tuple(random.Random(seed).sample(_NODES, 2)) for seed in range(6)]
-_INDEX = LandmarkIndex(_NET, num_landmarks=4)
 
 
 def _total(engine) -> float:
@@ -33,11 +31,6 @@ def reference_total():
 
 def test_directed_dijkstra(benchmark, reference_total):
     total = benchmark(_total, lambda s, t: dijkstra_path(_NET, s, t))
-    assert total == pytest.approx(reference_total)
-
-
-def test_directed_alt(benchmark, reference_total):
-    total = benchmark(_total, lambda s, t: alt_path(_NET, s, t, _INDEX))
     assert total == pytest.approx(reference_total)
 
 

@@ -1,10 +1,10 @@
 """Ablation bench: point-to-point engines the server could run.
 
-Times Dijkstra, A* (Euclidean), ALT, Contraction Hierarchies and the
-flat CSR kernels (bidirectional Dijkstra among them) on the same long-radius
-queries — the engine choice underneath the naive pairwise processor, and
-a sanity anchor for every settled-node comparison in the experiment
-suite.  Preprocessing (ALT landmarks, CH contraction, CSR snapshots) is
+Times Dijkstra, Contraction Hierarchies and the flat CSR kernels on the
+same long-radius queries — the engine choice underneath the naive
+pairwise processor, and a sanity anchor for every settled-node
+comparison in the experiment suite.  Preprocessing (CH contraction, CSR
+snapshots) is
 deliberately excluded from the timed query regions — it is a build-time
 cost — and reported separately by the dedicated preprocessing/speedup
 tests below, which cover a >= 10k-node grid and a hub-heavy scale-free
@@ -29,14 +29,11 @@ from timing import best_of as _best_of
 
 from repro.network.csr import csr_snapshot
 from repro.network.generators import grid_network, scale_free_network
-from repro.search.alt import LandmarkIndex, alt_path
-from repro.search.astar import astar_path
 from repro.search.ch import ch_path, contract_network
 from repro.search.dijkstra import dijkstra_path
 from repro.search.kernels import (
     CSRHierarchy,
     CSRSharedTreeProcessor,
-    csr_bidirectional_path,
     csr_ch_path,
     csr_dijkstra_path,
 )
@@ -44,7 +41,6 @@ from repro.search.multi import SharedTreeProcessor
 
 _NET = grid_network(50, 50, perturbation=0.1, seed=77)
 _NODES = list(_NET.nodes())
-_INDEX = LandmarkIndex(_NET, num_landmarks=6)
 _CH = contract_network(_NET)
 _CSR = csr_snapshot(_NET)
 _CSR_CH = CSRHierarchy(_CH)
@@ -70,16 +66,6 @@ def test_engine_dijkstra(benchmark, reference_total):
     assert total == pytest.approx(reference_total)
 
 
-def test_engine_astar_euclidean(benchmark, reference_total):
-    total = benchmark(_run_all, lambda s, t: astar_path(_NET, s, t))
-    assert total == pytest.approx(reference_total)
-
-
-def test_engine_alt(benchmark, reference_total):
-    total = benchmark(_run_all, lambda s, t: alt_path(_NET, s, t, _INDEX))
-    assert total == pytest.approx(reference_total)
-
-
 def test_engine_ch(benchmark, reference_total):
     total = benchmark(_run_all, lambda s, t: ch_path(_CH, s, t))
     assert total == pytest.approx(reference_total)
@@ -88,13 +74,6 @@ def test_engine_ch(benchmark, reference_total):
 def test_engine_dijkstra_csr(benchmark, reference_total):
     total = benchmark(
         _run_all, lambda s, t: csr_dijkstra_path(_NET, s, t, csr=_CSR)
-    )
-    assert total == pytest.approx(reference_total)
-
-
-def test_engine_bidirectional_csr(benchmark, reference_total):
-    total = benchmark(
-        _run_all, lambda s, t: csr_bidirectional_path(_NET, s, t, csr=_CSR)
     )
     assert total == pytest.approx(reference_total)
 
@@ -113,8 +92,8 @@ def test_ch_preprocessing_cost(benchmark):
     assert graph.num_nodes == net.num_nodes
 
 
-def _speedup_report(label, net, num_pairs, seed, alt_landmarks=6):
-    """Time Dijkstra vs. ALT vs. CH on shared pairs; return the timings."""
+def _speedup_report(label, net, num_pairs, seed):
+    """Time Dijkstra vs. CH on shared pairs; return the timings."""
     nodes = list(net.nodes())
     rng = random.Random(seed)
     pairs = [tuple(rng.sample(nodes, 2)) for _ in range(num_pairs)]
@@ -122,32 +101,24 @@ def _speedup_report(label, net, num_pairs, seed, alt_landmarks=6):
     t0 = time.perf_counter()
     graph = contract_network(net)
     prep_ch = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    index = LandmarkIndex(net, num_landmarks=alt_landmarks)
-    prep_alt = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     ref = [dijkstra_path(net, s, t).distance for s, t in pairs]
     t_dij = time.perf_counter() - t0
     t0 = time.perf_counter()
-    via_alt = [alt_path(net, s, t, index).distance for s, t in pairs]
-    t_alt = time.perf_counter() - t0
-    t0 = time.perf_counter()
     via_ch = [ch_path(graph, s, t).distance for s, t in pairs]
     t_ch = time.perf_counter() - t0
 
-    for a, b, c in zip(ref, via_alt, via_ch):
-        assert abs(a - b) < 1e-6 and abs(a - c) < 1e-6
+    for a, c in zip(ref, via_ch):
+        assert abs(a - c) < 1e-6
     per = num_pairs / 1000.0  # ms per query
     print(
         f"\n[{label}] nodes={net.num_nodes} shortcuts={graph.num_shortcuts}\n"
-        f"  preprocessing: ch={prep_ch:.1f}s alt={prep_alt:.1f}s\n"
-        f"  query: dijkstra={t_dij / per:.2f}ms alt={t_alt / per:.2f}ms "
-        f"ch={t_ch / per:.2f}ms\n"
-        f"  speedup: ch-vs-dijkstra={t_dij / t_ch:.1f}x "
-        f"ch-vs-alt={t_alt / t_ch:.1f}x"
+        f"  preprocessing: ch={prep_ch:.1f}s\n"
+        f"  query: dijkstra={t_dij / per:.2f}ms ch={t_ch / per:.2f}ms\n"
+        f"  speedup: ch-vs-dijkstra={t_dij / t_ch:.1f}x"
     )
-    return t_dij, t_alt, t_ch
+    return t_dij, t_ch
 
 
 def test_ch_speedup_grid_10k():
@@ -155,7 +126,7 @@ def test_ch_speedup_grid_10k():
     >= 10k-node network, preprocessing excluded."""
     net = grid_network(100, 100, perturbation=0.1, seed=7)
     assert net.num_nodes >= 10_000
-    t_dij, _t_alt, t_ch = _speedup_report("grid-100x100", net, 20, seed=1)
+    t_dij, t_ch = _speedup_report("grid-100x100", net, 20, seed=1)
     assert t_dij / t_ch >= 5.0
 
 
@@ -163,7 +134,7 @@ def test_ch_speedup_scale_free():
     """Hub-heavy topology: contraction is harder (hubs are expensive to
     bypass) but query speedups are even larger than on grids."""
     net = scale_free_network(2000, attachment=2, seed=3)
-    t_dij, _t_alt, t_ch = _speedup_report("scale-free-2k", net, 30, seed=2)
+    t_dij, t_ch = _speedup_report("scale-free-2k", net, 30, seed=2)
     assert t_dij / t_ch >= 5.0
 
 

@@ -5,7 +5,6 @@ Usage (also via ``python -m repro``):
     repro generate grid --width 20 --height 20 -o city.txt
     repro summarize city.txt
     repro partition city.txt --cell-capacity 64 -o city.part
-    repro route city.txt 21 352 --engine astar
     repro route city.txt 21 352 --engine dijkstra-csr   # flat CSR kernel
     repro route city.txt 21 352 --engine overlay-csr    # partition overlay
     repro route city.txt 21 352 --avoid-highways

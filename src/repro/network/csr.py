@@ -55,8 +55,8 @@ class CSRGraph:
         searches.  For undirected networks these alias the forward
         arrays — the reverse view is free.
     xs, ys:
-        Node coordinates by index (kept for heuristic kernels and for
-        the :meth:`to_network` round trip).
+        Node coordinates by index (kept for the batched sweep's cost
+        estimate and for the :meth:`to_network` round trip).
     directed:
         Directedness of the source network.
 

@@ -357,9 +357,10 @@ def tiger_like_network(
     neighborhoods are stitched together by arterial roads whose traversal
     cost is their Euclidean length divided by ``arterial_speedup`` — i.e.
     arterials are faster, creating the highway-hierarchy effect real route
-    planners see.  Weights are travel times, not distances, so the A*
-    Euclidean heuristic must be scaled by callers (see
-    :func:`repro.search.astar.euclidean_heuristic`).
+    planners see.  Weights are travel times, not distances, so arterial
+    edges run below their straight-line length (the overlay's
+    goal-directed sweeps track such arcs in
+    :attr:`~repro.search.overlay.OverlayGraph.undercut`).
 
     Parameters
     ----------

@@ -45,7 +45,6 @@ from repro.network.graph import NodeId
 __all__ = [
     "Partition",
     "default_cell_capacity",
-    "partition_adjacency",
     "partition_network",
     "partition_snapshot",
 ]
@@ -407,95 +406,6 @@ def partition_network(
         rebuilt[cell_of[node]].append(node)
     rebuilt = [members for members in rebuilt if members]
     return Partition.from_cells(network, rebuilt, cell_capacity)
-
-
-@dataclass(frozen=True)
-class _FlatPoint:
-    """Minimal ``x``/``y`` position record for :class:`_AdjacencyView`."""
-
-    x: float
-    y: float
-
-
-class _AdjacencyView:
-    """Read view over an explicit adjacency on dense int nodes ``0..n-1``.
-
-    Adapts a plain neighbor-list structure (``adjacency[u]`` iterates
-    ``u``'s neighbors) to the :class:`~repro.network.graph.RoadNetwork`
-    read interface the partitioner consumes, so graphs that exist only
-    as flat arrays — the nested overlay's boundary graph — can be
-    partitioned without materializing a ``RoadNetwork``.
-    """
-
-    __slots__ = ("_adjacency", "_xs", "_ys", "directed")
-
-    def __init__(self, adjacency, xs=None, ys=None, directed: bool = False):
-        self._adjacency = adjacency
-        self._xs = xs
-        self._ys = ys
-        self.directed = directed
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes (the adjacency's length)."""
-        return len(self._adjacency)
-
-    def __len__(self) -> int:
-        return len(self._adjacency)
-
-    def __contains__(self, node) -> bool:
-        return isinstance(node, int) and 0 <= node < len(self._adjacency)
-
-    def nodes(self):
-        """Iterate node indices in order."""
-        return iter(range(len(self._adjacency)))
-
-    def position(self, node: int) -> _FlatPoint:
-        """Position of ``node`` (requires the coordinate arrays)."""
-        return _FlatPoint(self._xs[node], self._ys[node])
-
-    def neighbors(self, node: int) -> dict[int, float]:
-        """Unit-weight adjacency of ``node`` (the partitioner ignores weights)."""
-        return {v: 1.0 for v in self._adjacency[node]}
-
-
-def partition_adjacency(
-    adjacency: Sequence,
-    xs: Sequence[float] | None = None,
-    ys: Sequence[float] | None = None,
-    cell_capacity: int | None = None,
-    refine_rounds: int = 2,
-    directed: bool = False,
-) -> Partition:
-    """Partition an explicit adjacency over dense int nodes ``0..n-1``.
-
-    The nested-overlay entry point: the overlay's *boundary graph* (its
-    nodes are boundary indices, its edges the structural clique/cut
-    adjacency) is partitioned into supercells with the same
-    deterministic grow + refine machinery as the base network — and,
-    like it, without ever reading weights, so the super-partition also
-    survives re-weighting unchanged.  Node ids in the returned
-    :class:`Partition` are the adjacency indices.
-
-    Parameters
-    ----------
-    adjacency:
-        ``adjacency[u]`` iterates ``u``'s neighbor indices (set, list,
-        or tuple).  Only structure is read, never weights.
-    xs, ys:
-        Optional per-node coordinates; given, the grow phase uses
-        inertial bisection, otherwise BFS packing.
-    cell_capacity, refine_rounds, directed:
-        As :func:`partition_network`.
-    """
-    view = _AdjacencyView(adjacency, xs=xs, ys=ys, directed=directed)
-    method = "inertial" if xs is not None and ys is not None else "bfs"
-    return partition_network(
-        view,
-        cell_capacity=cell_capacity,
-        refine_rounds=refine_rounds,
-        method=method,
-    )
 
 
 # Per-network memo: network -> (version stamp, {(capacity, rounds): P}).

@@ -1,10 +1,10 @@
 """Shortest-path search algorithms and the OPAQUE server-side processors.
 
-Point-to-point searches (Dijkstra, A*, ALT, Contraction Hierarchies, the
-flat CSR kernels, partition overlays), the single-source
-multi-destination (SSMD) primitive the paper's server builds on, the
-multi-source multi-destination (MSMD) processors that evaluate obfuscated
-path queries, and the Lemma 1 analytic cost model.
+Point-to-point searches (Dijkstra, Contraction Hierarchies, the flat CSR
+kernels, the partition overlay), the single-source multi-destination
+(SSMD) primitive the paper's server builds on, the multi-source
+multi-destination (MSMD) processors that evaluate obfuscated path
+queries, and the Lemma 1 analytic cost model.
 
 The :data:`ENGINES` table is the one place a per-engine fact lives: each
 :class:`SearchEngine` row holds the engine's name and description, how to
@@ -14,6 +14,17 @@ format the artifact spills in (``spill``).  The server, CLI, serving
 caches, benchmarks and the README's engine table (checked by
 ``tools/check_docs.py``) all read engines through :func:`get_engine` and
 :func:`list_engines`, so adding or deleting an engine is one row here.
+
+**Census rule.**  An engine stays in the table only if a workload of the
+request ledger (``benchmarks/ledger``) or a named paper experiment
+(``repro.experiments``) needs it.  Plain ``dijkstra`` is the exactness
+oracle every other engine is checked against.  ``dijkstra-csr`` and
+``overlay-csr`` serve ledger workloads, and the ledger's per-engine
+table also times ``ch-csr`` and ``dijkstra-vec`` (the always-batched
+form of ``dijkstra-csr``).  Dict ``ch`` backs the ledger's CH tie probe
+and experiment E6, which counts ``ch-csr`` beside it.  A point-query
+speed-up alone does not keep an engine: the paper's server only ever
+evaluates ``|S| x |T|`` batches.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ from repro.search.dijkstra import (
     dijkstra_sssp,
     dijkstra_to_many,
 )
-from repro.search.astar import astar_path, euclidean_heuristic
 from repro.search.multi import (
     MSMDResult,
     MultiSourceMultiDestProcessor,
@@ -41,12 +51,6 @@ from repro.search.cost_model import (
     lemma1_cost_estimate,
     point_query_cost_estimate,
 )
-from repro.search.alt import (
-    ALTPairwiseProcessor,
-    LandmarkIndex,
-    alt_path,
-    select_landmarks_farthest,
-)
 from repro.search.ch import (
     CHManyToManyProcessor,
     ContractedGraph,
@@ -57,22 +61,16 @@ from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.partition import Partition, partition_network, partition_snapshot
 from repro.search.overlay import (
     CSROverlayProcessor,
-    NestedOverlayGraph,
-    NestedOverlayProcessor,
     OverlayGraph,
-    build_nested_overlay,
     build_overlay,
-    nested_overlay_snapshot,
     overlay_snapshot,
 )
 from repro.search.kernels import (
-    CSRBidirectionalPairwiseProcessor,
     CSRCHManyToManyProcessor,
     CSRHierarchy,
     CSRSharedTreeProcessor,
     VecSharedTreeProcessor,
     ch_csr_hierarchy,
-    csr_bidirectional_path,
     csr_ch_path,
     csr_dijkstra_path,
     csr_dijkstra_to_many,
@@ -91,8 +89,6 @@ __all__ = [
     "dijkstra_path",
     "dijkstra_sssp",
     "dijkstra_to_many",
-    "astar_path",
-    "euclidean_heuristic",
     "MSMDResult",
     "UnionPassResult",
     "MultiSourceMultiDestProcessor",
@@ -101,10 +97,6 @@ __all__ = [
     "SideSelectingProcessor",
     "lemma1_cost_estimate",
     "point_query_cost_estimate",
-    "LandmarkIndex",
-    "alt_path",
-    "select_landmarks_farthest",
-    "ALTPairwiseProcessor",
     "ContractedGraph",
     "contract_network",
     "ch_path",
@@ -115,10 +107,8 @@ __all__ = [
     "ch_csr_hierarchy",
     "csr_dijkstra_path",
     "csr_dijkstra_to_many",
-    "csr_bidirectional_path",
     "csr_ch_path",
     "CSRSharedTreeProcessor",
-    "CSRBidirectionalPairwiseProcessor",
     "CSRCHManyToManyProcessor",
     "Partition",
     "partition_network",
@@ -127,10 +117,6 @@ __all__ = [
     "build_overlay",
     "overlay_snapshot",
     "CSROverlayProcessor",
-    "NestedOverlayGraph",
-    "build_nested_overlay",
-    "nested_overlay_snapshot",
-    "NestedOverlayProcessor",
     "VecGraph",
     "VecSharedTreeProcessor",
     "numpy_available",
@@ -156,7 +142,7 @@ class SearchEngine:
         One-line summary for ``--help`` texts and reports.
     prepare:
         ``prepare(network) -> context`` builds the engine's preprocessing
-        artifact (landmark index, contracted graph, ...), or ``None`` for
+        artifact (contracted graph, partition overlay, ...), or ``None`` for
         engines that need none.  Build it once, reuse it across queries.
     route:
         ``route(network, source, destination, context=None, stats=None)``
@@ -166,10 +152,7 @@ class SearchEngine:
     make_processor:
         Factory for the MSMD processor that runs this engine's strategy
         on obfuscated batches (used by
-        :class:`~repro.core.server.DirectionsServer`).  One engine
-        cannot batch honestly: Euclidean A*'s heuristic is inadmissible
-        on travel-time networks, so the ``astar`` engine answers batches
-        with the paper's exact shared SSMD trees instead.
+        :class:`~repro.core.server.DirectionsServer`).
     spill:
         Tag of the persistent format
         :class:`~repro.service.cache.PreprocessingCache` spills this
@@ -233,23 +216,6 @@ ENGINES: dict[str, SearchEngine] = {
             make_processor=SharedTreeProcessor,
         ),
         SearchEngine(
-            name="astar",
-            description=(
-                "A* with the Euclidean heuristic "
-                "(batches fall back to shared SSMD trees)"
-            ),
-            prepare=lambda network: None,
-            route=_on_network(astar_path),
-            make_processor=SharedTreeProcessor,
-        ),
-        SearchEngine(
-            name="alt",
-            description="A* with landmark lower bounds (preprocessed)",
-            prepare=LandmarkIndex,
-            route=_on_network(alt_path, "index", LandmarkIndex),
-            make_processor=ALTPairwiseProcessor,
-        ),
-        SearchEngine(
             name="ch",
             description="Contraction Hierarchies (preprocessed, batch buckets)",
             prepare=contract_network,
@@ -266,14 +232,6 @@ ENGINES: dict[str, SearchEngine] = {
             prepare=csr_snapshot,
             route=_on_network(csr_dijkstra_path, "csr"),
             make_processor=CSRSharedTreeProcessor,
-            spill="csrb",
-        ),
-        SearchEngine(
-            name="bidirectional-csr",
-            description="bidirectional Dijkstra on the flat CSR kernel, per pair",
-            prepare=csr_snapshot,
-            route=_on_network(csr_bidirectional_path, "csr"),
-            make_processor=CSRBidirectionalPairwiseProcessor,
             spill="csrb",
         ),
         SearchEngine(
@@ -296,19 +254,6 @@ ENGINES: dict[str, SearchEngine] = {
             prepare=overlay_snapshot,
             route=_on_artifact(overlay_snapshot, OverlayGraph.route),
             make_processor=CSROverlayProcessor,
-            spill="ovlb",
-        ),
-        SearchEngine(
-            name="overlay-nested",
-            description=(
-                "two-level nested partition overlay "
-                "(boundary-of-boundary sweeps, per-supercell recustomization)"
-            ),
-            prepare=nested_overlay_snapshot,
-            route=_on_artifact(
-                nested_overlay_snapshot, NestedOverlayGraph.route
-            ),
-            make_processor=NestedOverlayProcessor,
             spill="ovlb",
         ),
     )

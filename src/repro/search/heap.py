@@ -1,6 +1,6 @@
 """Indexed binary min-heap with decrease-key.
 
-Dijkstra and A* need a priority queue that can lower the priority of an
+Dijkstra needs a priority queue that can lower the priority of an
 already-enqueued node.  The standard-library ``heapq`` handles this only by
 lazy deletion; an addressable heap keeps the frontier size equal to the
 number of live nodes, which keeps the ``SearchStats.heap_pushes`` counter

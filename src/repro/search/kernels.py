@@ -16,8 +16,6 @@ These engines are registered from this module in
   (:class:`CSRSharedTreeProcessor`) on the flat forward adjacency; a
   query with large trees grows them in one batched numpy sweep
   (:mod:`repro.search.vectorized`), and ``"dijkstra-vec"`` always does;
-* ``"bidirectional-csr"`` — per-pair bidirectional Dijkstra using the
-  snapshot's reverse CSR view for the backward frontier;
 * ``"ch-csr"`` — the Contraction Hierarchies upward/downward query
   loops and the bucket many-to-many algorithm over a
   :class:`CSRHierarchy` (flat-array view of a
@@ -48,7 +46,6 @@ CPython.
 from __future__ import annotations
 
 import threading
-from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial
 from heapq import heappop, heappush
@@ -90,7 +87,6 @@ __all__ = [
     "csr_dijkstra_path",
     "csr_dijkstra_to_many",
     "csr_dijkstra_tree",
-    "csr_bidirectional_path",
     "CSRHierarchy",
     "ch_csr_hierarchy",
     "csr_ch_path",
@@ -98,7 +94,6 @@ __all__ = [
     "BATCH_MIN_SETTLED",
     "CSRSharedTreeProcessor",
     "VecSharedTreeProcessor",
-    "CSRBidirectionalPairwiseProcessor",
     "CSRCHManyToManyProcessor",
 ]
 
@@ -114,8 +109,8 @@ BATCH_MIN_SETTLED = 1000
 class KernelScratch:
     """Preallocated work arrays for one thread and one graph size.
 
-    Two full banks (``*_f`` forward, ``*_b`` backward) so the
-    bidirectional and CH kernels run both frontiers without aliasing.
+    Two full banks (``*_f`` forward, ``*_b`` backward) so the CH point
+    query runs both frontiers without aliasing.
     ``stamp`` marks slots whose ``dist``/``parent`` are valid for the
     current generation; ``done`` marks settled slots.  :meth:`bump`
     starts a fresh query by invalidating everything in O(1).
@@ -351,209 +346,6 @@ def overlay_sweep(
     return best, meet, dist, parent, via, done
 
 
-def nested_overlay_sweep(
-    level1: tuple,
-    top: tuple,
-    active: bytearray,
-    seeds: Iterable[tuple[int, float]],
-    num_nodes: int,
-    target_offsets: dict[int, float] | None = None,
-    best_bound: float = _INF,
-    stats: SearchStats | None = None,
-    goal: tuple[float, float] | None = None,
-    xs: Sequence[float] | None = None,
-    ys: Sequence[float] | None = None,
-    top_np: tuple | None = None,
-    xy_np: tuple | None = None,
-) -> tuple[float, int, Sequence[float], list[int], list[int], bytearray]:
-    """Two-level mixed sweep over a nested overlay (CRP-style).
-
-    The boundary phase of the nested overlay
-    (:class:`repro.search.overlay.NestedOverlayGraph`): the same
-    multi-source, optionally goal-directed Dijkstra as
-    :func:`overlay_sweep`, except each settled node relaxes one of *two*
-    CSR arc sets chosen by supercell membership.  ``active[u]`` flags
-    boundary nodes inside the query's source/target supercells — those
-    relax the full ``level1`` overlay adjacency (clique shortcuts + cut
-    arcs); every other node relaxes the far sparser ``top`` adjacency
-    (supercell clique shortcuts + cross-supercell arcs), so the sweep
-    settles O(boundary-of-boundary) nodes outside the endpoint regions.
-    Exactness is the standard CRP argument: between consecutive
-    super-boundary visits a shortest path stays inside one supercell,
-    and the supercell cliques carry exactly those restricted distances.
-
-    Parameters
-    ----------
-    level1, top:
-        Each an ``(offsets, targets, weights, kinds)`` CSR quadruple
-        over boundary-node indices.  ``top`` kinds ``<= -2`` encode the
-        owning supercell as ``-2 - supercell`` (expanded by the nested
-        stitcher); cut/clique kinds pass through from ``level1``.
-    active:
-        Per-node flags selecting the ``level1`` arc set.
-    seeds, num_nodes, target_offsets, best_bound, goal, xs, ys:
-        As :func:`overlay_sweep` (same admissibility contract).
-    top_np:
-        Optional ``(targets, weights)`` numpy mirrors of the ``top``
-        arrays.  When given (and numpy imported), the dense top-level
-        relaxations run as whole-slice array compares — one C pass finds
-        the improving arcs, and only those re-enter the Python push
-        loop.  Distances are unchanged: the array ops perform the same
-        IEEE float64 adds and compares as the scalar loop.
-    xy_np:
-        Optional ``(xs, ys)`` numpy mirrors of the node coordinates,
-        required for the vectorized path when ``goal`` is set (the A*
-        heuristic is then precomputed for all nodes in one
-        ``np.hypot``).
-
-    Returns
-    -------
-    (best, meet, dist, parent, via, done)
-        As :func:`overlay_sweep` (``dist`` is a numpy array on the
-        vectorized path, a list otherwise — reads yield the same
-        float64 values either way).
-    """
-    if stats is None:
-        stats = SearchStats()
-    o1, t1, w1, k1 = level1
-    o2, t2, w2, k2 = top
-    vec = None
-    if _np is not None and top_np is not None:
-        if goal is None or target_offsets is None or xy_np is not None:
-            vec = top_np
-    if vec is not None:
-        tt, tw = vec
-        # One buffer, two views: the heap loop indexes the C-double
-        # array (list-speed scalar reads), the relax step compares
-        # whole slices through the zero-copy numpy view.
-        dist = array("d", (_INF,)) * num_nodes
-        dist_np = _np.frombuffer(dist)
-    else:
-        tt = tw = dist_np = None
-        dist = [_INF] * num_nodes
-    parent = [-1] * num_nodes
-    via = [-1] * num_nodes
-    done = bytearray(num_nodes)
-    heap: list[tuple[float, float, int]] = []
-    pop, push = heappop, heappush
-    pushes = 0
-    hmemo: list[float] | None = None
-    harr: list[float] | None = None
-    gx = gy = 0.0
-    if goal is not None and target_offsets is not None:
-        gx, gy = goal
-        if vec is not None:
-            bx, by = xy_np
-            harr = _np.hypot(bx - gx, by - gy).tolist()
-        else:
-            hmemo = [-1.0] * num_nodes
-    for i, offset in seeds:
-        if offset < dist[i]:
-            dist[i] = offset
-            if harr is not None:
-                push(heap, (offset + harr[i], offset, i))
-            elif hmemo is not None:
-                h = hypot(xs[i] - gx, ys[i] - gy)
-                hmemo[i] = h
-                push(heap, (offset + h, offset, i))
-            else:
-                push(heap, (offset, offset, i))
-            pushes += 1
-    best = best_bound
-    meet = -1
-    settled = relaxed = 0
-    maxd = 0.0
-    while heap:
-        key, d, u = pop(heap)
-        if done[u]:
-            continue
-        if target_offsets is not None and key >= best:
-            break
-        done[u] = 1
-        settled += 1
-        if d > maxd:
-            maxd = d
-        if target_offsets is not None:
-            offset = target_offsets.get(u)
-            if offset is not None:
-                candidate = d + offset
-                if candidate < best:
-                    best = candidate
-                    meet = u
-        if vec is not None and not active[u]:
-            start = o2[u]
-            end = o2[u + 1]
-            relaxed += end - start
-            if end > start:
-                nds = d + tw[start:end]
-                sel = (nds < dist_np[tt[start:end]]).nonzero()[0]
-                for j in sel.tolist():
-                    e = start + j
-                    v = t2[e]
-                    nd = nds[j]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent[v] = u
-                        via[v] = k2[e]
-                        nd = float(nd)
-                        if harr is not None:
-                            push(heap, (nd + harr[v], nd, v))
-                        else:
-                            push(heap, (nd, nd, v))
-                        pushes += 1
-            continue
-        if active[u]:
-            offsets, targets, weights, kinds = o1, t1, w1, k1
-        else:
-            offsets, targets, weights, kinds = o2, t2, w2, k2
-        start = offsets[u]
-        end = offsets[u + 1]
-        relaxed += end - start
-        if harr is not None:
-            for e in range(start, end):
-                v = targets[e]
-                nd = d + weights[e]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    via[v] = kinds[e]
-                    push(heap, (nd + harr[v], nd, v))
-                    pushes += 1
-        elif hmemo is None:
-            for e in range(start, end):
-                v = targets[e]
-                nd = d + weights[e]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    via[v] = kinds[e]
-                    push(heap, (nd, nd, v))
-                    pushes += 1
-        else:
-            for e in range(start, end):
-                v = targets[e]
-                nd = d + weights[e]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    via[v] = kinds[e]
-                    h = hmemo[v]
-                    if h < 0.0:
-                        h = hypot(xs[v] - gx, ys[v] - gy)
-                        hmemo[v] = h
-                    push(heap, (nd + h, nd, v))
-                    pushes += 1
-    stats.settled_nodes += settled
-    stats.relaxed_edges += relaxed
-    stats.heap_pushes += pushes
-    if maxd > stats.max_settled_distance:
-        stats.max_settled_distance = maxd
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        rec.record("nested_sweep", settled, relaxed, pushes)
-    return best, meet, dist, parent, via, done
-
-
 # ----------------------------------------------------------------------
 # Dijkstra kernels
 # ----------------------------------------------------------------------
@@ -741,128 +533,6 @@ def csr_dijkstra_tree(
         return _path_from_parents(csr, parent, s, index_of[node], dist[node])
 
     return dist, path_to
-
-
-def csr_bidirectional_path(
-    network,
-    source: NodeId,
-    destination: NodeId,
-    csr: CSRGraph | None = None,
-    stats: SearchStats | None = None,
-) -> PathResult:
-    """Bidirectional Dijkstra on the CSR kernel.
-
-    The backward frontier expands over the snapshot's reverse CSR view
-    (aliasing the forward arrays on undirected networks), with the
-    classic ``min_f + min_b >= best`` stopping rule, which guarantees
-    optimality — same distances as
-    :func:`repro.search.dijkstra.dijkstra_path`.
-    """
-    if csr is None:
-        csr = csr_snapshot(network)
-    s = csr.index(source)
-    t = csr.index(destination)
-    if stats is None:
-        stats = SearchStats()
-    if s == t:
-        return _trivial(source)
-
-    fwd_view = csr.kernel_view()
-    bwd_view = csr.reverse_kernel_view()
-    offs = (fwd_view[0], bwd_view[0])
-    heads = (fwd_view[1], bwd_view[1])
-    wts = (fwd_view[2], bwd_view[2])
-    scratch = scratch_for(csr.num_nodes)
-    dists = (scratch.dist_f, scratch.dist_b)
-    parents = (scratch.parent_f, scratch.parent_b)
-    stamps = (scratch.stamp_f, scratch.stamp_b)
-    dones = (scratch.done_f, scratch.done_b)
-    gen = scratch.bump()
-    for side, start in ((0, s), (1, t)):
-        dists[side][start] = 0.0
-        stamps[side][start] = gen
-        parents[side][start] = -1
-    heaps: tuple[list, list] = ([(0.0, s)], [(0.0, t)])
-    pop, push = heappop, heappush
-    settled = relaxed = 0
-    pushes = 2
-    maxd = 0.0
-    best = _INF
-    meet = -1
-
-    while heaps[0] and heaps[1]:
-        for heap, done in zip(heaps, dones):
-            while heap and done[heap[0][1]] == gen:
-                pop(heap)
-        if not heaps[0] or not heaps[1]:
-            break
-        min0 = heaps[0][0][0]
-        min1 = heaps[1][0][0]
-        if min0 + min1 >= best:
-            break
-        side = 0 if min0 <= min1 else 1
-        d, u = pop(heaps[side])
-        my_done = dones[side]
-        my_done[u] = gen
-        settled += 1
-        if d > maxd:
-            maxd = d
-        my_dist, my_parent, my_stamp = dists[side], parents[side], stamps[side]
-        other_dist, other_stamp = dists[1 - side], stamps[1 - side]
-        my_heap = heaps[side]
-        off, head, wt = offs[side], heads[side], wts[side]
-        start = off[u]
-        end = off[u + 1]
-        relaxed += end - start
-        for e in range(start, end):
-            v = head[e]
-            nd = d + wt[e]
-            if my_stamp[v] != gen:
-                my_stamp[v] = gen
-                my_dist[v] = nd
-                my_parent[v] = u
-                push(my_heap, (nd, v))
-                pushes += 1
-            elif nd < my_dist[v]:
-                my_dist[v] = nd
-                my_parent[v] = u
-                push(my_heap, (nd, v))
-                pushes += 1
-            if other_stamp[v] == gen:
-                total = my_dist[v] + other_dist[v]
-                if total < best:
-                    best = total
-                    meet = v
-
-    stats.settled_nodes += settled
-    stats.relaxed_edges += relaxed
-    stats.heap_pushes += pushes
-    if maxd > stats.max_settled_distance:
-        stats.max_settled_distance = maxd
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        rec.record("csr_bidirectional", settled, relaxed, pushes)
-    if meet < 0:
-        raise NoPathError(source, destination)
-
-    sequence = [meet]
-    node = meet
-    parent_f, parent_b = parents
-    while node != s:
-        node = parent_f[node]
-        sequence.append(node)
-    sequence.reverse()
-    node = meet
-    while node != t:
-        node = parent_b[node]
-        sequence.append(node)
-    node_ids = csr.node_ids
-    return PathResult(
-        source=source,
-        destination=destination,
-        nodes=tuple(node_ids[i] for i in sequence),
-        distance=best,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1355,30 +1025,6 @@ class VecSharedTreeProcessor(CSRSharedTreeProcessor):
 
     name = "dijkstra-vec"
     batch_min_settled = 0
-
-
-class CSRBidirectionalPairwiseProcessor(PreprocessingProcessor):
-    """One CSR bidirectional search per pair (``"bidirectional-csr"``)."""
-
-    name = "bidirectional-csr"
-
-    def _build(self, network) -> CSRGraph:
-        return csr_snapshot(network)
-
-    def process(self, network, sources, destinations) -> MSMDResult:
-        """Answer every pair with an independent bidirectional query."""
-        _validate(sources, destinations)
-        csr = self.artifact_for(network)
-        result = MSMDResult()
-        for s in sources:
-            for t in destinations:
-                stats = SearchStats()
-                result.paths[(s, t)] = csr_bidirectional_path(
-                    network, s, t, csr=csr, stats=stats
-                )
-                result.stats.merge(stats)
-                result.searches += 1
-        return result
 
 
 class CSRCHManyToManyProcessor(PreprocessingProcessor):

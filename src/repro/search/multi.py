@@ -331,7 +331,7 @@ class MultiSourceMultiDestProcessor:
 class PreprocessingProcessor(MultiSourceMultiDestProcessor):
     """Base for processors that query a per-network preprocessed artifact.
 
-    A preprocessing engine (landmark index, contracted graph, ...) pays a
+    A preprocessing engine (contracted graph, partition overlay, ...) pays a
     one-time build cost per road network and reuses the artifact for every
     later query.  This base implements that lifecycle once: subclasses
     define :meth:`_build` and call :meth:`artifact_for`; a prebuilt

@@ -45,8 +45,8 @@ distances.  A traffic update that undercuts geometry therefore costs
 one more straight line per touched node, not the goal direction; past
 :data:`MAX_UNDERCUT_ARCS` of them (travel times faster than geometry
 everywhere, a network without an ``edges()`` view) the sweep is the
-plain exact Dijkstra — which is why the conformance harness holds these
-engines to arbitrary weights.
+plain exact Dijkstra — which is why the conformance harness holds this
+engine to arbitrary weights.
 :meth:`OverlayGraph.many_to_many` runs the same point sweep pair by
 pair while a goal-directed query has at most
 :data:`PAIR_SWEEP_MAX_TARGETS` destinations (``|T|`` corridors settle
@@ -68,22 +68,16 @@ import weakref
 from collections import namedtuple
 from hashlib import blake2b
 from collections.abc import Iterable, Sequence
-from heapq import heappop, heappush
 
 from repro.exceptions import GraphError, NoPathError
 from repro.network.csr import CSRGraph
 from repro.network.graph import NodeId
-from repro.network.partition import (
-    Partition,
-    partition_adjacency,
-    partition_snapshot,
-)
+from repro.network.partition import Partition, partition_snapshot
 from repro.obs import record as _obs_record
 from repro.search.kernels import (
     _path_from_parents,
     _shared_tree,
     csr_dijkstra_tree,
-    nested_overlay_sweep,
     overlay_sweep,
 )
 from repro.search.multi import MSMDResult, PreprocessingProcessor, _validate
@@ -97,13 +91,9 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "OverlayGraph",
-    "NestedOverlayGraph",
     "build_overlay",
-    "build_nested_overlay",
     "overlay_snapshot",
-    "nested_overlay_snapshot",
     "CSROverlayProcessor",
-    "NestedOverlayProcessor",
     "dumps_overlay",
 ]
 
@@ -288,14 +278,8 @@ class OverlayGraph:
         network,
         partition: Partition | None = None,
         cell_capacity: int | None = None,
-        **extra,
     ) -> "OverlayGraph":
-        """Partition (if needed) and customize every cell.
-
-        ``extra`` keyword arguments pass through to the constructor, so
-        subclasses with additional knobs (:class:`NestedOverlayGraph`'s
-        ``super_capacity``) build through this same entry point.
-        """
+        """Partition (if needed) and customize every cell."""
         if partition is None:
             partition = partition_snapshot(network, cell_capacity)
         stats = SearchStats()
@@ -309,7 +293,7 @@ class OverlayGraph:
             cliques.append(cls._customize_cell(partition, cell, fcsr, stats))
         overlay = cls(
             network, partition, cliques, cell_csr, cell_rcsr,
-            stats, partition.num_cells, **extra,
+            stats, partition.num_cells,
         )
         sigs = overlay._cell_sigs
         for cell, members in enumerate(partition.cells):
@@ -488,28 +472,13 @@ class OverlayGraph:
         undercut = None
         if changed_edges is not None and self.undercut is not None:
             undercut = _undercut(network, changed_edges, self.undercut)
-        result = self._rebuilt(
-            network, cliques, cell_csr, cell_rcsr, stats, set(work),
-            undercut, changed_edges,
+        result = OverlayGraph(
+            network, partition, cliques, cell_csr, cell_rcsr, stats,
+            len(work), undercut=undercut,
+            _flat=self._reusable_flat(work, changed_edges),
         )
         result._cell_sigs = new_sigs
         return result
-
-    def _rebuilt(
-        self, network, cliques, cell_csr, cell_rcsr, stats, touched,
-        undercut, changed_edges,
-    ) -> "OverlayGraph":
-        """Construct the recustomized copy (subclass hook).
-
-        Subclasses carrying derived state (:class:`NestedOverlayGraph`'s
-        supercell tables) override this to thread sharing information
-        from ``touched``/``changed_edges`` into their constructor.
-        """
-        return type(self)(
-            network, self.partition, cliques, cell_csr, cell_rcsr, stats,
-            len(touched), undercut=undercut,
-            _flat=self._reusable_flat(touched, changed_edges),
-        )
 
     def _reusable_flat(self, touched, changed_edges) -> tuple | None:
         """``(self, dirty cells)`` for the recustomized copy's :meth:`_assemble`.
@@ -884,24 +853,20 @@ class OverlayGraph:
                     results[(s, t)] = fwd.path(t)
         return results
 
-    def _chain(self, meet: int, parent, via) -> tuple[list[int], list[int]]:
-        """Boundary-index chain of a sweep tree path and its arc kinds."""
+    def _stitch(
+        self, source, destination, fwd, bwd, best, meet, parent, via
+    ) -> PathResult:
+        """Expand an overlay tree chain into a full node path."""
+        ids = self.boundary_ids
         chain = [meet]
         node = meet
         while parent[node] >= 0:
             node = parent[node]
             chain.append(node)
         chain.reverse()
-        return chain, [via[node] for node in chain[1:]]
-
-    def _stitch(
-        self, source, destination, fwd, bwd, best, meet, parent, via
-    ) -> PathResult:
-        """Expand an overlay tree chain into a full node path."""
-        ids = self.boundary_ids
-        chain, kinds = self._chain(meet, parent, via)
         nodes = list(fwd.path(ids[chain[0]]).nodes)
-        for prev, curr, kind in zip(chain, chain[1:], kinds):
+        for prev, curr in zip(chain, chain[1:]):
+            kind = via[curr]
             if kind < 0:  # cut arc: a real edge
                 nodes.append(ids[curr])
             else:  # clique arc: splice the stored intra-cell path
@@ -1054,479 +1019,7 @@ def build_overlay(
     )
 
 
-#: one supercell clique arc: restricted distance between two
-#: super-boundary nodes, its level-1 boundary-index chain, and the
-#: level-1 via kinds of each chain arc (for path stitching).
-_SuperArc = namedtuple("_SuperArc", ("distance", "chain", "kinds"))
-
-
-def _super_customize(
-    offsets, targets, weights, kinds, members, sboundary, stats
-) -> dict:
-    """Compute one supercell's pruned super-boundary clique.
-
-    One restricted Dijkstra per super-boundary node, over the level-1
-    overlay arcs whose heads stay inside the supercell — the exact
-    analogue of :meth:`OverlayGraph._customize_cell` one level up.  An
-    arc whose tree path runs through another super-boundary node of the
-    supercell (strictly positive prefix and remainder) is pruned; the
-    surviving arcs compose to the same distances.
-    """
-    mset = frozenset(members)
-    sbset = frozenset(sboundary)
-    clique: dict[int, dict[int, _SuperArc]] = {}
-    settled = relaxed = pushes = 0
-    maxd = 0.0
-    for b in sboundary:
-        dist: dict[int, float] = {b: 0.0}
-        parent: dict[int, int] = {}
-        via: dict[int, int] = {}
-        done: set[int] = set()
-        remaining = len(sbset)
-        heap: list[tuple[float, int]] = [(0.0, b)]
-        pushes += 1
-        while heap and remaining:
-            d, u = heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            settled += 1
-            if d > maxd:
-                maxd = d
-            if u in sbset:
-                remaining -= 1
-            for e in range(offsets[u], offsets[u + 1]):
-                v = targets[e]
-                if v not in mset:
-                    continue
-                relaxed += 1
-                nd = d + weights[e]
-                if nd < dist.get(v, _INF):
-                    dist[v] = nd
-                    parent[v] = u
-                    via[v] = kinds[e]
-                    heappush(heap, (nd, v))
-                    pushes += 1
-        kept: dict[int, _SuperArc] = {}
-        for b2 in sboundary:
-            if b2 == b or b2 not in done:
-                continue
-            chain = [b2]
-            node = b2
-            while node != b:
-                node = parent[node]
-                chain.append(node)
-            chain.reverse()
-            total = dist[b2]
-            if any(
-                m in sbset and 0.0 < dist[m] < total for m in chain[1:-1]
-            ):
-                continue
-            kept[b2] = _SuperArc(
-                total, tuple(chain), tuple(via[n] for n in chain[1:])
-            )
-        clique[b] = kept
-    stats.settled_nodes += settled
-    stats.relaxed_edges += relaxed
-    stats.heap_pushes += pushes
-    if maxd > stats.max_settled_distance:
-        stats.max_settled_distance = maxd
-    return clique
-
-
-class NestedOverlayGraph(OverlayGraph):
-    """Two-level overlay: the boundary graph is itself partitioned.
-
-    Level 1 is byte-identical to :class:`OverlayGraph` — same
-    partition, same cliques, same :func:`dumps_overlay` text.  On top of
-    it, the boundary graph is partitioned into *supercells* aligned on
-    whole base cells: the cell-quotient graph (cells adjacent when a
-    cut edge joins them — structure only, deliberately
-    weight-independent, so the super-partition survives re-weighting
-    exactly like the base partition) goes through
-    :func:`repro.network.partition.partition_adjacency`, and a
-    supercell's members are all boundary nodes of its cells.  Aligning
-    on cells means clique arcs never cross supercells, so the
-    *super-boundary* — members with a cut arc leaving the supercell —
-    is just the supercell's perimeter, a small fraction of its
-    boundary nodes.  Each supercell gets a pruned clique between its
-    super-boundary nodes computed over the level-1 overlay arcs
-    restricted to the supercell.
-
-    Point queries then run the mixed sweep
-    (:func:`repro.search.kernels.nested_overlay_sweep`): level-1 arcs
-    inside the source/target supercells, supercell cliques plus
-    cross-supercell arcs everywhere else — settling
-    O(boundary-of-boundary) nodes outside the endpoint regions instead
-    of walking the whole boundary graph.  Distances are exact (the
-    standard CRP argument; the engine-conformance harness checks the
-    registered ``"overlay-nested"`` engine against plain Dijkstra).
-
-    :meth:`recustomized` stays cell-local on both levels: untouched
-    base cells share their cliques as before, and only supercells whose
-    members' overlay arcs could have changed are re-customized — the
-    rest share their super-clique tables with this instance.
-
-    Attributes
-    ----------
-    super_capacity:
-        Supercell capacity in *base cells* (defaults to
-        :func:`~repro.network.partition.default_cell_capacity` of the
-        cell count).
-    sup:
-        The cell-quotient :class:`~repro.network.partition.Partition`
-        (node ids are base-cell indices).
-    sup_cliques:
-        ``sup_cliques[sc][b][b2]`` is the ``_SuperArc`` from
-        super-boundary index ``b`` to ``b2`` of supercell ``sc``.
-    top_offsets, top_targets, top_weights, top_kinds:
-        CSR adjacency over boundary indices at the top level: supercell
-        clique arcs (kind ``-2 - sc``) and cross-supercell cut arcs
-        (their level-1 kind).
-    customized_supercells:
-        How many supercells this instance customized itself.
-    """
-
-    __slots__ = (
-        "super_capacity",
-        "sup",
-        "sup_cliques",
-        "top_offsets",
-        "top_targets",
-        "top_weights",
-        "top_kinds",
-        "customized_supercells",
-        "_sup_of",
-        "_sup_members",
-        "_sup_sboundary",
-        "_top_np",
-        "_bxy_np",
-        "_reuse",
-    )
-
-    def __init__(
-        self,
-        network,
-        partition: Partition,
-        cliques: list[dict],
-        cell_csr: list,
-        cell_rcsr: list,
-        customize_stats: SearchStats,
-        customized_cells: int,
-        undercut: dict | None = None,
-        super_capacity: int | None = None,
-        _reuse: tuple | None = None,
-        _flat: tuple | None = None,
-    ) -> None:
-        # Set before super().__init__ — the base constructor runs
-        # _assemble, which our override extends with the supercell level.
-        self.super_capacity = super_capacity
-        self._reuse = _reuse
-        super().__init__(
-            network, partition, cliques, cell_csr, cell_rcsr,
-            customize_stats, customized_cells, undercut=undercut,
-            _flat=_flat,
-        )
-        self._reuse = None
-
-    # ------------------------------------------------------------------
-    # Construction / customization
-    # ------------------------------------------------------------------
-    def _assemble(
-        self, undercut: dict | None = None, flat: tuple | None = None
-    ) -> None:
-        """Freeze level 1, then partition and customize the boundary graph."""
-        super()._assemble(undercut, flat)
-        self._assemble_super()
-
-    def _cell_quotient(self) -> tuple[list, list[float], list[float]]:
-        """The weight-independent cell-quotient graph plus cell centroids.
-
-        Cells are adjacent when a cut edge joins them; the adjacency
-        comes from :attr:`Partition.cut_edges` (structure only), so
-        re-weighting cannot move the super-partition.
-        """
-        partition = self.partition
-        adj: list[set[int]] = [set() for _ in range(partition.num_cells)]
-        cell_of = partition.cell_of
-        for u, v in partition.cut_edges:
-            cu, cv = cell_of[u], cell_of[v]
-            adj[cu].add(cv)
-            adj[cv].add(cu)
-        network = self.network
-        xs: list[float] = []
-        ys: list[float] = []
-        for members in partition.cells:
-            xs.append(
-                sum(network.position(m).x for m in members) / len(members)
-            )
-            ys.append(
-                sum(network.position(m).y for m in members) / len(members)
-            )
-        return [sorted(neighbors) for neighbors in adj], xs, ys
-
-    def _assemble_super(self) -> None:
-        """Partition the cell-quotient graph and customize every supercell."""
-        reuse = self._reuse
-        old = affected = None
-        if reuse is not None:
-            old, affected = reuse
-            if self.super_capacity is None:
-                self.super_capacity = old.super_capacity
-            self.sup = old.sup
-        else:
-            adj, cxs, cys = self._cell_quotient()
-            self.sup = partition_adjacency(
-                adj, xs=cxs, ys=cys, cell_capacity=self.super_capacity
-            )
-            if self.super_capacity is None:
-                self.super_capacity = self.sup.cell_capacity
-        partition = self.partition
-        index = self.boundary_index
-        num = len(self.boundary_ids)
-        sup_of = [0] * num
-        for sc, cells in enumerate(self.sup.cells):
-            for cell in cells:
-                for b in partition.boundary[cell]:
-                    sup_of[index[b]] = sc
-        # Super-boundary: members with a cut arc leaving the supercell
-        # (clique arcs never cross supercells — they are cell-internal,
-        # and supercells are unions of whole cells).
-        is_sb = bytearray(num)
-        offsets, targets, kinds = (
-            self.over_offsets, self.over_targets, self.over_kinds
-        )
-        for b in range(num):
-            for e in range(offsets[b], offsets[b + 1]):
-                if kinds[e] < 0 and sup_of[targets[e]] != sup_of[b]:
-                    is_sb[b] = 1
-                    is_sb[targets[e]] = 1
-        members: list[list[int]] = [[] for _ in range(self.sup.num_cells)]
-        sboundary: list[list[int]] = [[] for _ in range(self.sup.num_cells)]
-        for b in range(num):
-            members[sup_of[b]].append(b)
-            if is_sb[b]:
-                sboundary[sup_of[b]].append(b)
-        self._sup_of = sup_of
-        self._sup_members = [tuple(m) for m in members]
-        self._sup_sboundary = [tuple(sb) for sb in sboundary]
-        todo = [
-            sc for sc in range(self.sup.num_cells)
-            if old is None or affected is None or sc in affected
-        ]
-        sup_cliques: list[dict] = []
-        customized = 0
-        for sc in range(self.sup.num_cells):
-            if old is not None and affected is not None and sc not in affected:
-                sup_cliques.append(old.sup_cliques[sc])
-                continue
-            sup_cliques.append(_super_customize(
-                self.over_offsets, self.over_targets,
-                self.over_weights, self.over_kinds,
-                self._sup_members[sc], self._sup_sboundary[sc],
-                self.customize_stats,
-            ))
-            customized += 1
-        self.sup_cliques = sup_cliques
-        self.customized_supercells = customized
-        self._assemble_top(is_sb)
-
-    def _assemble_top(self, is_sb: bytearray) -> None:
-        """Freeze the top level into flat CSR arrays over boundary indices."""
-        num = len(self.boundary_ids)
-        sup_of = self._sup_of
-        offsets = [0]
-        targets: list[int] = []
-        weights: list[float] = []
-        kinds: list[int] = []
-        for b in range(num):
-            if is_sb[b]:
-                sc = sup_of[b]
-                for b2, arc in self.sup_cliques[sc][b].items():
-                    targets.append(b2)
-                    weights.append(arc.distance)
-                    kinds.append(-2 - sc)
-                for e in range(self.over_offsets[b], self.over_offsets[b + 1]):
-                    t = self.over_targets[e]
-                    if sup_of[t] != sc:
-                        targets.append(t)
-                        weights.append(self.over_weights[e])
-                        kinds.append(self.over_kinds[e])
-            offsets.append(len(targets))
-        self.top_offsets = offsets
-        self.top_targets = targets
-        self.top_weights = weights
-        self.top_kinds = kinds
-        # Numpy mirrors for the vectorized relax path of
-        # nested_overlay_sweep; plain lists stay authoritative so the
-        # engine runs (and round-trips) identically without numpy.
-        if _np is not None:
-            self._top_np = (
-                _np.asarray(targets, dtype=_np.intp),
-                _np.asarray(weights, dtype=_np.float64),
-            )
-            self._bxy_np = (
-                _np.asarray(self._bxs, dtype=_np.float64),
-                _np.asarray(self._bys, dtype=_np.float64),
-            )
-        else:
-            self._top_np = None
-            self._bxy_np = None
-
-    def _rebuilt(
-        self, network, cliques, cell_csr, cell_rcsr, stats, touched,
-        undercut, changed_edges,
-    ) -> "NestedOverlayGraph":
-        """Recustomized copy sharing unaffected supercell tables."""
-        return type(self)(
-            network, self.partition, cliques, cell_csr, cell_rcsr, stats,
-            len(touched), undercut=undercut,
-            super_capacity=self.super_capacity,
-            _reuse=(self, self._affected_supercells(touched, changed_edges)),
-            _flat=self._reusable_flat(touched, changed_edges),
-        )
-
-    def _affected_supercells(self, touched, changed_edges):
-        """Supercells whose restricted arcs a recustomization may change.
-
-        A touched base cell re-weights its boundary nodes' clique arcs,
-        so its supercell is affected; a changed *cut* edge re-weights
-        one overlay arc directly, affecting its supercell when both
-        endpoint cells share one (cross-supercell arcs live only in the
-        always-rebuilt top arrays).  ``None`` (unknown changed edges —
-        every cut-arc weight is re-read, so any of them may have moved)
-        rebuilds every supercell.
-        """
-        if changed_edges is None:
-            return None
-        sup_of_cell = self.sup.cell_of
-        affected = {sup_of_cell[cell] for cell in touched}
-        cell_of = self.partition.cell_of
-        for edge in changed_edges:
-            u, v = edge[0], edge[1]
-            cu = cell_of.get(u)
-            cv = cell_of.get(v)
-            if cu == cv:
-                continue  # intra-cell: covered by touched above
-            if cu is not None and cv is not None:
-                su = sup_of_cell[cu]
-                if su == sup_of_cell[cv]:
-                    affected.add(su)
-        return affected
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    @property
-    def num_supercells(self) -> int:
-        """Number of supercells in the boundary-graph partition."""
-        return self.sup.num_cells
-
-    @property
-    def num_super_boundary_nodes(self) -> int:
-        """Boundary nodes participating in the top level."""
-        return sum(len(sb) for sb in self._sup_sboundary)
-
-    @property
-    def num_top_arcs(self) -> int:
-        """Arcs in the top-level adjacency (super cliques + cross arcs)."""
-        return len(self.top_targets)
-
-    def __repr__(self) -> str:
-        return (
-            f"NestedOverlayGraph("
-            f"cells={self.num_cells}, boundary={self.num_boundary_nodes}, "
-            f"supercells={self.num_supercells}, "
-            f"super_boundary={self.num_super_boundary_nodes}, "
-            f"top_arcs={self.num_top_arcs})"
-        )
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def _active_for(self, indices: Iterable[int]) -> bytearray:
-        """Level-1 flags for every member of the given indices' supercells."""
-        active = bytearray(len(self.boundary_ids))
-        sup_of = self._sup_of
-        for sc in {sup_of[i] for i in indices}:
-            for m in self._sup_members[sc]:
-                active[m] = 1
-        return active
-
-    def _pairwise(self, destinations: Sequence[NodeId]) -> bool:
-        """Never: a mixed sweep's float sums depend on its active set.
-
-        A supercell clique arc adds its level-1 weights in another
-        order than walking them does, so a per-pair active set would
-        move the same pair's distance by an ulp from one ``|T|`` to the
-        next; :meth:`many_to_many` keeps one shared sweep per source.
-        """
-        return False
-
-    def _sweep(
-        self, seeds, stats, target_offsets=None, best_bound=_INF, goal=None,
-        stop=None,
-    ):
-        """The mixed two-level sweep in place of the flat one.
-
-        Every seed's and every destination-cell boundary node's
-        supercell stays active, so the distances read off there are
-        exact; ``stop`` only names those nodes (the mixed sweep settles
-        everything reachable in MSMD mode).  Its straight-line bound
-        knows no shortcuts, so it is goal-directed on :attr:`metric`
-        weights only.
-        """
-        ends = target_offsets if target_offsets is not None else stop
-        active = self._active_for([i for i, _offset in seeds] + list(ends))
-        return nested_overlay_sweep(
-            (self.over_offsets, self.over_targets,
-             self.over_weights, self.over_kinds),
-            (self.top_offsets, self.top_targets,
-             self.top_weights, self.top_kinds),
-            active, seeds,
-            num_nodes=len(self.boundary_ids),
-            target_offsets=target_offsets,
-            best_bound=best_bound,
-            stats=stats,
-            goal=goal[0] if goal and not goal[1] else None,
-            xs=self._bxs,
-            ys=self._bys,
-            top_np=self._top_np,
-            xy_np=self._bxy_np,
-        )
-
-    def _chain(self, meet: int, parent, via) -> tuple[list[int], list[int]]:
-        """Level-1 chain: supercell clique arcs flattened into theirs."""
-        chain, kinds = super()._chain(meet, parent, via)
-        flat = [chain[0]]
-        flat_kinds: list[int] = []
-        for prev, curr, kind in zip(chain, chain[1:], kinds):
-            if kind <= -2:
-                arc = self.sup_cliques[-2 - kind][prev][curr]
-                flat.extend(arc.chain[1:])
-                flat_kinds.extend(arc.kinds)
-            else:
-                flat.append(curr)
-                flat_kinds.append(kind)
-        return flat, flat_kinds
-
-
-def build_nested_overlay(
-    network,
-    partition: Partition | None = None,
-    cell_capacity: int | None = None,
-    super_capacity: int | None = None,
-) -> NestedOverlayGraph:
-    """Build a :class:`NestedOverlayGraph` (non-memoized entry point)."""
-    return NestedOverlayGraph.build(
-        network,
-        partition=partition,
-        cell_capacity=cell_capacity,
-        super_capacity=super_capacity,
-    )
-
-
-# Per-network memo: network -> (version, {capacity key: weakref}).
+# Per-network memo: network -> (version, {cell capacity: weakref}).
 # The overlays are held *weakly*: an OverlayGraph strongly references its
 # network, so a strong global cache would pin every network (and its
 # overlay) for process lifetime — the classic WeakKeyDictionary
@@ -1537,28 +1030,6 @@ _OVERLAYS: "weakref.WeakKeyDictionary[object, tuple[int, dict]]" = (
     weakref.WeakKeyDictionary()
 )
 _OVERLAY_LOCK = threading.Lock()
-
-
-def _memoized_overlay(network, key: tuple, build):
-    """``build()`` once per ``(network, version, key)`` while someone holds it."""
-    version = getattr(network, "version", None)
-    if version is None:
-        return build()
-    with _OVERLAY_LOCK:
-        memo = _OVERLAYS.get(network)
-        if memo is not None and memo[0] == version:
-            ref = memo[1].get(key)
-            overlay = ref() if ref is not None else None
-            if overlay is not None:
-                return overlay
-    overlay = build()
-    with _OVERLAY_LOCK:
-        memo = _OVERLAYS.get(network)
-        if memo is None or memo[0] != version:
-            memo = (version, {})
-            _OVERLAYS[network] = memo
-        memo[1][key] = weakref.ref(overlay)
-    return overlay
 
 
 def overlay_snapshot(
@@ -1574,37 +1045,28 @@ def overlay_snapshot(
     :meth:`repro.service.serving.ServingStack.reweight`) to pay only
     for the touched cells instead.
     """
-    return _memoized_overlay(
-        network,
-        ("flat", cell_capacity),
-        lambda: build_overlay(network, cell_capacity=cell_capacity),
-    )
-
-
-def nested_overlay_snapshot(
-    network,
-    cell_capacity: int | None = None,
-    super_capacity: int | None = None,
-) -> NestedOverlayGraph:
-    """The (memoized) :class:`NestedOverlayGraph` of ``network``.
-
-    Same weak, version-stamped memo as :func:`overlay_snapshot` (the
-    key spaces are disjoint, so flat and nested overlays of one network
-    coexist); use :meth:`NestedOverlayGraph.recustomized` after
-    re-weighting to pay only for the touched cells and supercells.
-    """
-    return _memoized_overlay(
-        network,
-        ("nested", cell_capacity, super_capacity),
-        lambda: build_nested_overlay(
-            network, cell_capacity=cell_capacity,
-            super_capacity=super_capacity,
-        ),
-    )
+    version = getattr(network, "version", None)
+    if version is None:
+        return build_overlay(network, cell_capacity=cell_capacity)
+    with _OVERLAY_LOCK:
+        memo = _OVERLAYS.get(network)
+        if memo is not None and memo[0] == version:
+            ref = memo[1].get(cell_capacity)
+            overlay = ref() if ref is not None else None
+            if overlay is not None:
+                return overlay
+    overlay = build_overlay(network, cell_capacity=cell_capacity)
+    with _OVERLAY_LOCK:
+        memo = _OVERLAYS.get(network)
+        if memo is None or memo[0] != version:
+            memo = (version, {})
+            _OVERLAYS[network] = memo
+        memo[1][cell_capacity] = weakref.ref(overlay)
+    return overlay
 
 
 # ----------------------------------------------------------------------
-# MSMD processors (one per overlay row of repro.search.ENGINES)
+# MSMD processor (the overlay-csr row of repro.search.ENGINES)
 # ----------------------------------------------------------------------
 class CSROverlayProcessor(PreprocessingProcessor):
     """Partition-overlay MSMD processor (``"overlay-csr"``).
@@ -1643,23 +1105,6 @@ class CSROverlayProcessor(PreprocessingProcessor):
                 result.paths[(s, t)] = path
         result.searches = len(sources) + len(destinations)
         return result
-
-
-class NestedOverlayProcessor(CSROverlayProcessor):
-    """Two-level nested-overlay MSMD processor (``"overlay-nested"``).
-
-    Identical batch contract and distances to
-    :class:`CSROverlayProcessor`; the per-network artifact is the
-    :class:`NestedOverlayGraph`, whose sweeps skip interior boundary
-    nodes of every supercell the query's endpoints do not touch.
-    """
-
-    name = "overlay-nested"
-
-    def _build(self, network) -> NestedOverlayGraph:
-        return nested_overlay_snapshot(
-            network, cell_capacity=self._cell_capacity
-        )
 
 
 def dumps_overlay(overlay: OverlayGraph) -> str:

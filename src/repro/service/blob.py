@@ -21,13 +21,9 @@ shard worker parses no text before it can serve:
   ``kernel_view()`` materialization works unchanged, and the first
   query faults in exactly the pages it walks.
 * :func:`write_overlay_blob` / :func:`read_overlay_blob` — an
-  :class:`~repro.search.overlay.OverlayGraph` (or its nested subclass)
-  with partition cells and clique paths flattened into CSR-shaped
-  arrays.  Loading slices path tuples out of the mapping without any
-  text parsing; a ``nested`` header flag round-trips
-  :class:`~repro.search.overlay.NestedOverlayGraph`, whose level-1
-  tables load from the blob while the (cheap) supercell level is
-  re-derived deterministically.
+  :class:`~repro.search.overlay.OverlayGraph` with partition cells and
+  clique paths flattened into CSR-shaped arrays.  Loading slices path
+  tuples out of the mapping without any text parsing.
 
 Like the network text format, the codecs require integer node ids and
 raise :class:`~repro.exceptions.GraphError` otherwise — the cache
@@ -317,26 +313,21 @@ def read_csr_blob(path: str | os.PathLike[str]):
 
 
 # ----------------------------------------------------------------------
-# Partition overlays (flat and nested)
+# Partition overlays
 # ----------------------------------------------------------------------
 def write_overlay_blob(overlay, path: str | os.PathLike[str]) -> None:
-    """Persist an overlay (flat or nested) as a blob.
+    """Persist an overlay as a blob.
 
     Carries exactly what :func:`repro.search.overlay.dumps_overlay`
     carries — partition cells plus every customized clique path, in the
-    same deterministic order, so two overlays with identical level-1
-    tables write byte-identical blobs.  A nested overlay additionally
-    records its ``super_capacity``; the supercell level itself is
-    re-derived on load (it is weight-independent in structure and cheap
-    next to the clique searches the blob saves).
+    same deterministic order, so two overlays with identical tables
+    write byte-identical blobs.
 
     Raises
     ------
     GraphError
         For non-integer node ids.
     """
-    from repro.search.overlay import NestedOverlayGraph
-
     partition = overlay.partition
     cell_offsets = array("q", [0])
     cell_nodes = array("q")
@@ -363,12 +354,6 @@ def write_overlay_blob(overlay, path: str | os.PathLike[str]) -> None:
         "kind": "overlay",
         "kernel": "csr",
         "capacity": partition.cell_capacity,
-        "nested": isinstance(overlay, NestedOverlayGraph),
-        "super_capacity": (
-            overlay.super_capacity
-            if isinstance(overlay, NestedOverlayGraph)
-            else None
-        ),
     }
     write_blob(path, meta, [
         ("cell_offsets", "q", cell_offsets),
@@ -386,9 +371,7 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
     ``network`` must have the same content the overlay was customized
     for (the cache guarantees this by keying spill files on the network
     fingerprint).  Returns an
-    :class:`~repro.search.overlay.OverlayGraph`, or a
-    :class:`~repro.search.overlay.NestedOverlayGraph` when the blob's
-    ``nested`` flag is set.
+    :class:`~repro.search.overlay.OverlayGraph`.
 
     Raises
     ------
@@ -399,12 +382,7 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
         partition that does not match ``network``.
     """
     from repro.network.io import parse_partition_cells
-    from repro.search.overlay import (
-        NestedOverlayGraph,
-        OverlayGraph,
-        PathResult,
-        SearchStats,
-    )
+    from repro.search.overlay import OverlayGraph, PathResult, SearchStats
 
     blob = read_blob(path)
     try:
@@ -459,15 +437,6 @@ def read_overlay_blob(path: str | os.PathLike[str], network):
         fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell)
         cell_csr.append(fcsr)
         cell_rcsr.append(rcsr)
-    if meta.get("nested"):
-        super_capacity = meta.get("super_capacity")
-        return NestedOverlayGraph(
-            network, partition, cliques, cell_csr, cell_rcsr,
-            SearchStats(), 0,
-            super_capacity=(
-                int(super_capacity) if super_capacity is not None else None
-            ),
-        )
     return OverlayGraph(
         network, partition, cliques, cell_csr, cell_rcsr, SearchStats(), 0
     )

@@ -1,8 +1,8 @@
 """Serving-layer caches: preprocessing artifacts and many-to-many results.
 
 A production directions service answers the same road network for
-millions of sessions, so paying preprocessing (CH contraction, ALT
-landmark selection) per session — as a fresh
+millions of sessions, so paying preprocessing (CH contraction, overlay
+customization) per session — as a fresh
 :class:`~repro.core.system.OpaqueSystem` does — is the dominant waste on
 the hot path.  This module provides the two thread-safe LRU caches the
 :class:`~repro.service.serving.ServingStack` puts in front of the
@@ -10,7 +10,7 @@ the hot path.  This module provides the two thread-safe LRU caches the
 
 * :class:`PreprocessingCache` — keyed by ``(network fingerprint,
   engine)``, holding whatever :meth:`SearchEngine.prepare` built
-  (contracted graph, landmark index, partition overlay).  Contracted
+  (contracted graph, CSR snapshot, partition overlay).  Contracted
   graphs evicted from memory spill to disk via
   :mod:`repro.search.ch.persist`; partition overlays and CSR snapshots
   spill as the page-aligned binary blobs of :mod:`repro.service.blob`

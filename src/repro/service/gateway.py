@@ -79,6 +79,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.core.query import ObfuscatedPathQuery
+from repro.exceptions import EdgeError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import FORBIDDEN_ATTR_KEYS
 from repro.service.serving import ServingConfig, ServingStack
@@ -735,7 +736,17 @@ class Gateway:
         return _json_response(body)
 
     async def _handle_reweight(self, request: _HTTPRequest) -> _HTTPResponse:
-        doc = json.loads(request.body) if request.body else None
+        """Install a reweight epoch here, then in every shard.
+
+        A body that is not JSON answers ``invalid_json`` and a change
+        the stack refuses (a missing edge, a bad weight) answers
+        ``invalid_request``; a failing broadcast is the server's fault
+        and reaches :meth:`_route_request` as ``internal``.
+        """
+        try:
+            doc = json.loads(request.body) if request.body else None
+        except ValueError:
+            return _error_response("invalid_json")
         if not isinstance(doc, dict) or not isinstance(
             doc.get("changes"), list
         ):
@@ -752,12 +763,12 @@ class Gateway:
                 None,
                 lambda: self.stack.reweight(changes),
             )
-            if self.pool is not None:
-                await loop.run_in_executor(
-                    None, self.pool.broadcast, ("reweight", changes)
-                )
-        except Exception:
+        except EdgeError:
             return _error_response("invalid_request")
+        if self.pool is not None:
+            await loop.run_in_executor(
+                None, self.pool.broadcast, ("reweight", changes)
+            )
         body = {
             "schema": WIRE_SCHEMA_VERSION,
             "edges": outcome.edges,

@@ -5,7 +5,7 @@ deployment puts between the obfuscator and the
 :class:`~repro.core.server.DirectionsServer`:
 
 1. a :class:`~repro.service.cache.PreprocessingCache` so a road
-   network's engine artifact (contracted graph, landmark index) is built
+   network's engine artifact (contracted graph, partition overlay) is built
    once and shared by every later session on that network — turning
    ``O(preprocess * sessions)`` into ``O(preprocess)``;
 2. a :class:`~repro.service.cache.ResultCache` so a repeated obfuscated

@@ -45,10 +45,10 @@ def update_sequences(draw):
     return name, batches
 
 
-def _assert_scratch_equal(stack, engine, outcome):
+def _assert_scratch_equal(stack, outcome):
     snapshot = stack.network
     assert outcome.fingerprint == network_fingerprint(snapshot)
-    installed = stack.preprocessing.peek(outcome.fingerprint, engine)
+    installed = stack.preprocessing.peek(outcome.fingerprint, "overlay-csr")
     assert installed.network is snapshot
     scratch = build_overlay(snapshot, partition=installed.partition)
     assert dumps_overlay(installed) == dumps_overlay(scratch)
@@ -57,13 +57,13 @@ def _assert_scratch_equal(stack, engine, outcome):
         assert getattr(installed, name) == getattr(scratch, name), name
 
 
-@given(drawn=update_sequences(), engine=st.sampled_from(["overlay-csr", "overlay-nested"]))
+@given(drawn=update_sequences())
 @settings(max_examples=40, deadline=None)
-def test_every_installed_epoch_equals_a_scratch_build(drawn, engine):
+def test_every_installed_epoch_equals_a_scratch_build(drawn):
     name, batches = drawn
     base, edges = _NETS[name], _EDGES[name]
     with ServingStack.from_config(
-        base.copy(), ServingConfig(engine=engine, max_workers=1)
+        base.copy(), ServingConfig(engine="overlay-csr", max_workers=1)
     ) as stack:
         stack.warm()
         for batch in batches:
@@ -78,7 +78,7 @@ def test_every_installed_epoch_equals_a_scratch_build(drawn, engine):
             outcome = stack.reweight(changes, epoch=True)
             assert outcome.previous_fingerprint == previous
             assert stack.network is not before
-            _assert_scratch_equal(stack, engine, outcome)
+            _assert_scratch_equal(stack, outcome)
     # the serving copy took every update; the map it was cut from, none
     assert network_fingerprint(base) == network_fingerprint(_NETS[name])
 

@@ -30,7 +30,6 @@ from repro.search.dijkstra import dijkstra_path
 from repro.search.overlay import (
     MAX_UNDERCUT_ARCS,
     PAIR_SWEEP_MAX_TARGETS,
-    build_nested_overlay,
     build_overlay,
 )
 from repro.service.serving import ServingConfig, ServingStack
@@ -49,11 +48,11 @@ _WEIGHTS = {
 
 
 @st.composite
-def networks(draw, kinds=tuple(_WEIGHTS), max_nodes=40):
+def networks(draw, max_nodes=40):
     """Random net: maybe directed, maybe disconnected, several cells."""
     n = draw(st.integers(min_value=4, max_value=max_nodes))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(tuple(_WEIGHTS)))
     net = RoadNetwork(directed=draw(st.booleans()))
     for node in range(n):
         net.add_node(node, rng.uniform(0, 10), rng.uniform(0, 10))
@@ -96,7 +95,7 @@ def _assert_walk(net, path):
     ) == pytest.approx(path.distance, abs=1e-9)
 
 
-def _check_modes(net, kind, overlay, sources, destinations, exact=True):
+def _check_modes(net, kind, overlay, sources, destinations):
     pairs = _table(overlay, sources, destinations, math.inf)
     sweep = _table(overlay, sources, destinations, 0)
     auto = _table(overlay, sources, destinations, PAIR_SWEEP_MAX_TARGETS)
@@ -121,7 +120,7 @@ def _check_modes(net, kind, overlay, sources, destinations, exact=True):
         for (s, t), path in sweep.items():
             routed = overlay.route(s, t)
             assert routed.nodes == path.nodes == dijkstra_path(net, s, t).nodes
-            assert not exact or routed.distance == path.distance
+            assert routed.distance == path.distance
 
 
 @given(
@@ -144,26 +143,6 @@ def test_pair_sweeps_shared_sweeps_and_auto_agree(
     assert (overlay._shortcuts is not None) == (len(overlay.undercut) <= max_arcs)
     sources, destinations = _endpoints(data.draw, net)
     _check_modes(net, kind, overlay, sources, destinations)
-
-
-@given(
-    drawn=networks(kinds=("metric", "shortcut", "float")),
-    capacity=st.integers(min_value=3, max_value=8),
-    data=st.data(),
-)
-@settings(max_examples=40, deadline=None)
-def test_nested_overlay_keeps_one_mode(drawn, capacity, data):
-    """The nested overlay shares ``many_to_many`` and the stitcher but
-    never pairs: its mixed sweep sums a supercell arc's weights in
-    another order than the level-1 walk, so ``route()`` (whose active
-    set is one pair's) may differ from the table by an ulp."""
-    net, kind = drawn
-    overlay = build_nested_overlay(
-        net, cell_capacity=capacity, super_capacity=3
-    )
-    sources, destinations = _endpoints(data.draw, net)
-    assert not overlay._pairwise(destinations[:1])
-    _check_modes(net, kind, overlay, sources, destinations, exact=False)
 
 
 @given(data=st.data())

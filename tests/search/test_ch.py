@@ -9,7 +9,7 @@ import pytest
 from repro.exceptions import GraphError, NoPathError, UnknownNodeError
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
-from repro.search import ENGINES, get_engine, list_engines
+from repro.search import ENGINES, get_engine, list_engines, numpy_available
 from repro.search.ch import (
     CHManyToManyProcessor,
     ch_many_to_many,
@@ -263,12 +263,10 @@ class TestPersist:
 
 class TestEngineRegistry:
     def test_all_engines_registered(self):
-        assert set(list_engines()) >= {
-            "dijkstra",
-            "astar",
-            "alt",
-            "ch",
-        }
+        expected = {"dijkstra", "ch", "dijkstra-csr", "ch-csr", "overlay-csr"}
+        if numpy_available():
+            expected.add("dijkstra-vec")
+        assert set(list_engines()) == expected
 
     def test_unknown_engine_raises(self):
         with pytest.raises(KeyError, match="valid"):

@@ -15,11 +15,6 @@ import pytest
 from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
 from repro.core.system import OpaqueSystem
 from repro.network.generators import one_way_grid_network
-from repro.search.alt import LandmarkIndex
-from repro.search.kernels import (
-    CSRBidirectionalPairwiseProcessor,
-    csr_bidirectional_path,
-)
 from repro.search.dijkstra import dijkstra_path
 from repro.search.multi import (
     NaivePairwiseProcessor,
@@ -91,31 +86,16 @@ class TestEnginesOnDirected:
             theirs = nx.shortest_path_length(g, s, t, weight="weight")
             assert ours == pytest.approx(theirs)
 
-    def test_bidirectional_paths_follow_one_ways(self, one_way, pairs):
-        net, _g = one_way
-        for s, t in pairs[:10]:
-            path = csr_bidirectional_path(net, s, t)
-            for u, v in path.edges():
-                assert net.has_edge(u, v), "path uses a street the wrong way"
-
-    def test_alt_heuristic_admissible_on_directed(self, one_way, pairs):
-        net, _g = one_way
-        index = LandmarkIndex(net, num_landmarks=4)
-        for s, t in pairs[:10]:
-            h = index.heuristic_for(t)
-            assert h(s) <= dijkstra_path(net, s, t).distance + 1e-9
-
 
 class TestProcessorsOnDirected:
     @pytest.mark.parametrize(
         "processor",
         [
             NaivePairwiseProcessor(),
-            CSRBidirectionalPairwiseProcessor(),
             SharedTreeProcessor(),
             SideSelectingProcessor(),
         ],
-        ids=["naive", "naive-bidir", "shared", "side-selecting"],
+        ids=["naive", "shared", "side-selecting"],
     )
     def test_processor_matches_oracle(self, one_way, processor):
         net, g = one_way

@@ -19,14 +19,16 @@ multi-component networks:
   coalescing (``ServingConfig(coalesce=True)``) is built on.
 
 The oracle is plain Dijkstra, itself cross-checked against networkx in
-``tests/search/test_dijkstra.py``.  Engines whose correctness rests on
-an admissible Euclidean heuristic (``_METRIC_ONLY``, today just
-``astar`` — see the inadmissibility caveat in
-:data:`repro.search.ENGINES`) are fed Euclidean-consistent weights
-(``weight >= straight-line distance``); every other engine is also
-exercised on arbitrary positive weights, the harsher input space.  A
-future heuristic engine must add itself to ``_METRIC_ONLY``; everything
-else conforms (or fails) with zero new test code.
+``tests/search/test_dijkstra.py``.  Every engine is held to two weight
+regimes: arbitrary positive floats, and a **tie-heavy** one — integer
+weights drawn from ``{0, 1, 2, 3}`` (zero-weight arcs included) on the
+same random directed and disconnected maps, plus unit-weight grids,
+where nearly every pair has many shortest paths and an engine's
+tie-breaking is all that tells them apart.  Distances must agree with
+the oracle's to ``1e-9`` and every returned path must be a walk whose
+arc weights add up to its distance; which of the tied paths an engine
+picks is its own business.  A newly registered engine conforms (or
+fails) with zero new test code.
 """
 
 from __future__ import annotations
@@ -38,28 +40,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import NoPathError, ReproError
+from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
 from repro.search import ENGINES, get_engine
 from repro.search.dijkstra import dijkstra_path
 
 ENGINE_NAMES = sorted(ENGINES)
 
-#: engines only exact on Euclidean-consistent weights (admissible h)
-_METRIC_ONLY = {"astar"}
+#: weight regimes of the random maps: arbitrary positive floats, or
+#: small integers with zero-weight arcs (many tied shortest paths)
+WEIGHT_KINDS = ("float", "ties")
 
 
-def _add_edge(net: RoadNetwork, rng: random.Random, u, v, metric: bool) -> None:
+def _add_edge(
+    net: RoadNetwork, rng: random.Random, u, v, weights: str
+) -> None:
     if u == v or net.has_edge(u, v):
         return
-    if metric:
-        weight = net.euclidean_distance(u, v) * rng.uniform(1.0, 2.0) + 1e-9
+    if weights == "ties":
+        weight = rng.randrange(4)
     else:
         weight = rng.uniform(0.1, 5.0)
     net.add_edge(u, v, weight)
 
 
 @st.composite
-def conformance_networks(draw, metric, min_nodes=2, max_nodes=18):
+def conformance_networks(draw, weights, min_nodes=2, max_nodes=18):
     """Random weighted network — possibly directed, possibly disconnected."""
     n = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -70,12 +76,12 @@ def conformance_networks(draw, metric, min_nodes=2, max_nodes=18):
     for node in range(n):
         net.add_node(node, rng.uniform(0, 10), rng.uniform(0, 10))
     for _ in range(int(density * n)):
-        _add_edge(net, rng, rng.randrange(n), rng.randrange(n), metric)
+        _add_edge(net, rng, rng.randrange(n), rng.randrange(n), weights)
     return net
 
 
 @st.composite
-def multi_component_networks(draw, metric):
+def multi_component_networks(draw, weights):
     """2-3 separately connected islands with no edges between them."""
     num_components = draw(st.integers(min_value=2, max_value=3))
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -93,30 +99,32 @@ def multi_component_networks(draw, metric):
             node += 1
         for current in members[1:]:  # spanning tree: island is connected
             anchor = rng.choice(members[: members.index(current)])
-            _add_edge(net, rng, current, anchor, metric)
+            _add_edge(net, rng, current, anchor, weights)
             if directed:
-                _add_edge(net, rng, anchor, current, metric)
+                _add_edge(net, rng, anchor, current, weights)
         for _ in range(size):
             _add_edge(
-                net, rng, rng.choice(members), rng.choice(members), metric
+                net, rng, rng.choice(members), rng.choice(members), weights
             )
     return net
 
 
-def _networks_for(name: str):
-    """The network strategy an engine is held to.
+def unit_grids():
+    """A ``w x h`` grid with unit spacing and unit weights."""
+    return st.builds(
+        grid_network,
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=2, max_value=6),
+    )
 
-    Metric weights for heuristic engines; metric *or* arbitrary
-    positive weights for everything else.
-    """
-    metric_choices = [True] if name in _METRIC_ONLY else [True, False]
-    return st.booleans().flatmap(
-        lambda multi: st.sampled_from(metric_choices).flatmap(
-            lambda metric: (
-                multi_component_networks(metric)
-                if multi
-                else conformance_networks(metric)
-            )
+
+def _networks():
+    """A random map under either weight regime, or a unit grid."""
+    return st.sampled_from(WEIGHT_KINDS + ("grid",)).flatmap(
+        lambda kind: unit_grids()
+        if kind == "grid"
+        else st.one_of(
+            conformance_networks(kind), multi_component_networks(kind)
         )
     )
 
@@ -141,7 +149,7 @@ def _assert_walkable(net, path) -> None:
 @settings(max_examples=20, deadline=None)
 def test_point_queries_conform(name, data):
     """route() matches the oracle's distance/reachability on every pair."""
-    net = data.draw(_networks_for(name))
+    net = data.draw(_networks())
     engine = get_engine(name)
     context = engine.prepare(net)
     nodes = list(net.nodes())
@@ -164,7 +172,7 @@ def test_point_queries_conform(name, data):
 @settings(max_examples=20, deadline=None)
 def test_msmd_batches_conform(name, data):
     """process() answers S x T in wire order with oracle distances."""
-    net = data.draw(_networks_for(name))
+    net = data.draw(_networks())
     engine = get_engine(name)
     processor = engine.make_processor()
     nodes = list(net.nodes())
@@ -197,7 +205,7 @@ def test_msmd_batches_conform(name, data):
 @settings(max_examples=15, deadline=None)
 def test_union_passes_conform(name, data):
     """process_union() slices back exactly what solo process() returns."""
-    net = data.draw(_networks_for(name))
+    net = data.draw(_networks())
     engine = get_engine(name)
     nodes = list(net.nodes())
     set_queries = data.draw(
@@ -258,19 +266,24 @@ def test_trace_settled_counts_match_server_counters(name):
     from repro.obs.trace import Tracer
     from repro.service.serving import ServingConfig, ServingStack
 
-    # Euclidean-consistent weights (the harness's metric convention)
-    # keep the heuristic engines exact alongside everything else, and
-    # the jitter avoids the all-ties weight landscape.
+    # Weights at or above the straight line keep overlay-csr on its
+    # goal-directed pair sweeps, and the jitter avoids the all-ties
+    # weight landscape.
     rng = random.Random(4)
     net = RoadNetwork()
     side = 6
     for i in range(side * side):
         net.add_node(i, float(i % side), float(i // side))
+
+    def add(u, v):
+        weight = net.euclidean_distance(u, v) * rng.uniform(1.0, 2.0)
+        net.add_edge(u, v, weight + 1e-9)
+
     for i in range(side * side):
         if i % side != side - 1:
-            _add_edge(net, rng, i, i + 1, metric=True)
+            add(i, i + 1)
         if i + side < side * side:
-            _add_edge(net, rng, i, i + side, metric=True)
+            add(i, i + side)
     nodes = sorted(net.nodes())
     queries = [
         ObfuscatedPathQuery(

@@ -17,12 +17,10 @@ from repro.search.ch import ch_path, contract_network
 from repro.search.dijkstra import dijkstra_path, dijkstra_to_many
 from repro.search.kernels import (
     BATCH_MIN_SETTLED,
-    CSRBidirectionalPairwiseProcessor,
     CSRCHManyToManyProcessor,
     CSRHierarchy,
     CSRSharedTreeProcessor,
     ch_csr_hierarchy,
-    csr_bidirectional_path,
     csr_ch_many_to_many,
     csr_ch_path,
     csr_dijkstra_path,
@@ -67,11 +65,10 @@ class TestPointKernels:
 
     def test_trivial_and_errors(self, small_grid):
         assert csr_dijkstra_path(small_grid, 5, 5).nodes == (5,)
-        assert csr_bidirectional_path(small_grid, 5, 5).nodes == (5,)
         with pytest.raises(UnknownNodeError):
             csr_dijkstra_path(small_grid, 5, "missing")
         with pytest.raises(UnknownNodeError):
-            csr_bidirectional_path(small_grid, "missing", 5)
+            csr_dijkstra_path(small_grid, "missing", 5)
 
     def test_no_path_raises(self):
         net = RoadNetwork()
@@ -81,8 +78,6 @@ class TestPointKernels:
         net.add_edge(2, 3, 1.0)
         with pytest.raises(NoPathError):
             csr_dijkstra_path(net, 0, 3)
-        with pytest.raises(NoPathError):
-            csr_bidirectional_path(net, 0, 3)
 
     def test_stats_settled_parity_with_dict_engine(self, small_grid):
         for s, t in _sample_pairs(small_grid, 10, seed=42):
@@ -170,7 +165,7 @@ class TestCHKernels:
 
 class TestProcessorsAndEngines:
     def test_registry_contains_csr_engines(self):
-        for name in ("dijkstra-csr", "bidirectional-csr", "ch-csr"):
+        for name in ("dijkstra-csr", "ch-csr"):
             engine = get_engine(name)
             assert engine.name == name
             assert ENGINES[name] is engine
@@ -192,21 +187,6 @@ class TestProcessorsAndEngines:
             assert got.paths[pair].distance == path.distance
         assert got.stats.settled_nodes == ref.stats.settled_nodes
         assert got.searches == ref.searches
-
-    def test_bidirectional_processor_matches_dict(self, small_grid):
-        nodes = list(small_grid.nodes())
-        rng = random.Random(11)
-        sources = rng.sample(nodes, 2)
-        destinations = rng.sample(nodes, 3)
-        got = CSRBidirectionalPairwiseProcessor().process(
-            small_grid, sources, destinations
-        )
-        for (s, t), path in got.paths.items():
-            point = csr_bidirectional_path(small_grid, s, t)
-            assert path.distance == point.distance
-            assert path.distance == pytest.approx(
-                dijkstra_path(small_grid, s, t).distance, abs=1e-9
-            )
 
     @pytest.mark.parametrize("engine", ["dijkstra-csr", "ch-csr"])
     def test_end_to_end_through_opaque_system(self, small_grid, engine):

@@ -9,9 +9,7 @@ import pytest
 
 from repro.exceptions import QueryError
 from repro.network.generators import grid_network
-from repro.network.graph import RoadNetwork
 from repro.search import get_engine, list_engines
-from repro.search.kernels import CSRBidirectionalPairwiseProcessor
 from repro.search.multi import (
     NaivePairwiseProcessor,
     SharedTreeProcessor,
@@ -20,7 +18,6 @@ from repro.search.multi import (
 
 ALL_PROCESSORS = [
     NaivePairwiseProcessor(),
-    CSRBidirectionalPairwiseProcessor(),
     SharedTreeProcessor(),
     SideSelectingProcessor(),
 ]
@@ -98,14 +95,6 @@ class TestValidation:
         with pytest.raises(QueryError):
             NaivePairwiseProcessor().process(net, [nodes[0]], [nodes[1], nodes[1]])
 
-    def test_bidirectional_engine_works_on_directed(self):
-        net = RoadNetwork(directed=True)
-        net.add_node(1, 0, 0)
-        net.add_node(2, 1, 0)
-        net.add_edge(1, 2, 2.5)
-        result = CSRBidirectionalPairwiseProcessor().process(net, [1], [2])
-        assert result.paths[(1, 2)].distance == pytest.approx(2.5)
-
 
 class TestCostOrdering:
     def test_shared_never_costlier_than_naive(self, oracle_pair, query_sets):
@@ -173,7 +162,7 @@ class TestRegistry:
         row = get_engine(name)
         processor = row.make_processor()
         if row.make_processor is SharedTreeProcessor:
-            # dijkstra and astar batch with the paper's processor itself
-            assert name in ("dijkstra", "astar") and processor.name == "shared"
+            # the oracle batches with the paper's processor itself
+            assert name == "dijkstra" and processor.name == "shared"
         else:
             assert processor.name == row.name

@@ -1,10 +1,9 @@
 """Unit tests for repro.search.overlay.
 
-Oracle parity over random networks is covered for both overlay engines
-(flat and nested) by tests/search/test_engine_conformance.py; these
-tests pin down the subsystem-specific behavior — customization sharing,
-the metric flag, the text witness, and the targeted cases a conformance
-sweep may miss.
+Oracle parity over random networks is covered for the overlay engine by
+tests/search/test_engine_conformance.py; these tests pin down the
+subsystem-specific behavior — customization sharing, the metric flag,
+the text witness, and the targeted cases a conformance sweep may miss.
 """
 
 from __future__ import annotations
@@ -20,13 +19,8 @@ from repro.search import ENGINES, get_engine
 from repro.search.dijkstra import dijkstra_path
 from repro.search.overlay import (
     CSROverlayProcessor,
-    NestedOverlayGraph,
-    NestedOverlayProcessor,
-    OverlayGraph,
-    build_nested_overlay,
     build_overlay,
     dumps_overlay,
-    nested_overlay_snapshot,
     overlay_snapshot,
 )
 from repro.search.result import SearchStats
@@ -308,166 +302,3 @@ class TestProcessor:
             ref = dijkstra_path(net, s, t).distance
             assert path.distance == pytest.approx(ref, abs=1e-9)
         assert result.searches == len(sources) + len(destinations)
-
-
-class TestNested:
-    """The two-level nested overlay (NestedOverlayGraph)."""
-
-    @pytest.fixture(scope="class")
-    def nnet(self):
-        return grid_network(20, 20, perturbation=0.1, seed=3)
-
-    @pytest.fixture(scope="class")
-    def nested(self, nnet):
-        return build_nested_overlay(nnet)
-
-    def test_registry(self):
-        assert "overlay-nested" in ENGINES
-        assert isinstance(
-            get_engine("overlay-nested").make_processor(),
-            NestedOverlayProcessor,
-        )
-
-    def test_repr_and_counters(self, nested):
-        assert "supercells=" in repr(nested)
-        assert nested.num_supercells == nested.sup.num_cells
-        assert 2 <= nested.num_supercells <= nested.num_cells
-        assert (
-            0 < nested.num_super_boundary_nodes < nested.num_boundary_nodes
-        )
-        assert nested.num_top_arcs == len(nested.top_targets)
-        assert nested.customized_supercells == nested.num_supercells
-
-    def test_super_partition_is_cell_aligned(self, nested):
-        # Supercells are unions of whole base cells, so a level-1 clique
-        # arc (kind >= 0) can never cross a supercell -- the invariant
-        # the mixed sweep's exactness argument rests on.
-        sup_of = nested._sup_of
-        for b in range(len(nested.boundary_ids)):
-            for e in range(nested.over_offsets[b], nested.over_offsets[b + 1]):
-                if nested.over_kinds[e] >= 0:
-                    assert sup_of[nested.over_targets[e]] == sup_of[b]
-
-    def test_oracle_parity(self, nnet, nested):
-        rng = random.Random(8)
-        nodes = sorted(nnet.nodes())
-        for _ in range(25):
-            s, t = rng.choice(nodes), rng.choice(nodes)
-            if s == t:
-                continue
-            ref = dijkstra_path(nnet, s, t).distance
-            got = nested.route(s, t)
-            assert got.distance == pytest.approx(ref, abs=1e-9)
-            assert got.nodes[0] == s and got.nodes[-1] == t
-
-    def test_level1_byte_identical_to_flat(self, nnet, nested):
-        flat = build_overlay(nnet)
-        assert dumps_overlay(nested) == dumps_overlay(flat)
-
-    def test_recustomized_shares_unaffected_supercells(self, nnet):
-        net = nnet.copy()
-        nested = build_nested_overlay(net)
-        u, v, w = next(
-            (u, v, w) for u, v, w in net.edges()
-            if nested.touched_cells([(u, v)])
-        )
-        net.add_edge(u, v, w * 2.0)
-        touched = nested.touched_cells([(u, v)])
-        refreshed = nested.recustomized(touched, changed_edges=[(u, v)])
-        assert isinstance(refreshed, NestedOverlayGraph)
-        assert refreshed.sup is nested.sup
-        affected = {nested.sup.cell_of[cell] for cell in touched}
-        assert refreshed.customized_supercells == len(affected)
-        for sc in range(nested.num_supercells):
-            if sc in affected:
-                assert refreshed.sup_cliques[sc] is not nested.sup_cliques[sc]
-            else:
-                assert refreshed.sup_cliques[sc] is nested.sup_cliques[sc]
-
-    def test_recustomized_byte_identical_to_fresh_build(self, nnet):
-        net = nnet.copy()
-        nested = build_nested_overlay(net)
-        u, v, w = next(
-            (u, v, w) for u, v, w in net.edges()
-            if nested.touched_cells([(u, v)])
-        )
-        net.add_edge(u, v, w * 3.0)
-        refreshed = nested.recustomized(
-            nested.touched_cells([(u, v)]), changed_edges=[(u, v)]
-        )
-        fresh = build_nested_overlay(net)
-        assert dumps_overlay(refreshed) == dumps_overlay(fresh)
-        assert refreshed.top_offsets == fresh.top_offsets
-        assert refreshed.top_targets == fresh.top_targets
-        assert refreshed.top_weights == fresh.top_weights
-        assert refreshed.top_kinds == fresh.top_kinds
-
-    def test_cut_edge_recustomize_refreshes_top_weights(self, nnet):
-        # A cut edge touches no base cell, but its weight feeds both the
-        # level-1 overlay arcs and (for a crossing within one supercell)
-        # that supercell's restricted cliques.
-        net = nnet.copy()
-        nested = build_nested_overlay(net)
-        cell_of = nested.partition.cell_of
-        u, v = next(
-            (u, v) for u, v, _w in net.edges()
-            if cell_of[u] != cell_of[v]
-        )
-        net.add_edge(u, v, net.edge_weight(u, v) * 4.0)
-        assert nested.touched_cells([(u, v)]) == set()
-        refreshed = nested.recustomized(set(), changed_edges=[(u, v)])
-        fresh = build_nested_overlay(net)
-        assert dumps_overlay(refreshed) == dumps_overlay(fresh)
-        assert refreshed.top_weights == fresh.top_weights
-        rng = random.Random(2)
-        nodes = sorted(net.nodes())
-        for _ in range(10):
-            s, t = rng.choice(nodes), rng.choice(nodes)
-            if s == t:
-                continue
-            ref = dijkstra_path(net, s, t).distance
-            assert refreshed.route(s, t).distance == (
-                pytest.approx(ref, abs=1e-9)
-            )
-
-    def test_scalar_fallback_matches_fast_path(self, nnet, nested, monkeypatch):
-        # Without numpy the engine must answer identically through the
-        # pure-scalar sweep (and build no mirrors at all).
-        from repro.search import kernels as kernels_mod
-        from repro.search import overlay as overlay_mod
-
-        monkeypatch.setattr(overlay_mod, "_np", None)
-        monkeypatch.setattr(kernels_mod, "_np", None)
-        scalar = build_nested_overlay(nnet)
-        assert scalar._top_np is None
-        rng = random.Random(6)
-        nodes = sorted(nnet.nodes())
-        for _ in range(12):
-            s, t = rng.choice(nodes), rng.choice(nodes)
-            if s == t:
-                continue
-            assert scalar.route(s, t).distance == pytest.approx(
-                nested.route(s, t).distance, abs=1e-9
-            )
-
-    def test_snapshot_memoized(self):
-        net = grid_network(6, 6, seed=2)
-        a = nested_overlay_snapshot(net)
-        assert nested_overlay_snapshot(net) is a
-        assert overlay_snapshot(net) is not a
-        net.add_edge(0, 7, 1.0)
-        assert nested_overlay_snapshot(net) is not a
-
-    def test_msmd_parity(self, nnet):
-        processor = NestedOverlayProcessor()
-        rng = random.Random(4)
-        nodes = sorted(nnet.nodes())
-        sources = rng.sample(nodes, 3)
-        destinations = rng.sample(nodes, 3)
-        result = processor.process(nnet, sources, destinations)
-        assert list(result.paths) == [
-            (s, t) for s in sources for t in destinations
-        ]
-        for (s, t), path in result.paths.items():
-            ref = dijkstra_path(nnet, s, t).distance
-            assert path.distance == pytest.approx(ref, abs=1e-9)

@@ -18,8 +18,6 @@ from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
 from repro.search import get_engine, list_engines
 from repro.search.overlay import (
-    NestedOverlayGraph,
-    build_nested_overlay,
     dumps_overlay,
     overlay_snapshot,
 )
@@ -221,25 +219,6 @@ class TestOverlayBlob:
             == (tmp_path / "b.ovlb").read_bytes()
         )
 
-    def test_nested_round_trip(self, net, tmp_path):
-        nested = build_nested_overlay(net)
-        path = tmp_path / "n.ovlb"
-        write_overlay_blob(nested, path)
-        loaded = read_overlay_blob(path, net)
-        assert isinstance(loaded, NestedOverlayGraph)
-        assert loaded.super_capacity == nested.super_capacity
-        # level 1 loads from the blob; the re-derived supercell level is
-        # deterministic, so the top arrays match the original exactly
-        assert dumps_overlay(loaded) == dumps_overlay(nested)
-        assert list(loaded.top_offsets) == list(nested.top_offsets)
-        assert list(loaded.top_targets) == list(nested.top_targets)
-        assert list(loaded.top_weights) == list(nested.top_weights)
-        assert list(loaded.top_kinds) == list(nested.top_kinds)
-        nodes = sorted(net.nodes())
-        got = loaded.route(nodes[2], nodes[-3])
-        ref = nested.route(nodes[2], nodes[-3])
-        assert got.nodes == ref.nodes
-
     @staticmethod
     def _rewritten(path, meta=(), extra_clique=None):
         """``path``'s blob again, header keys replaced / one clique appended."""
@@ -362,7 +341,7 @@ class TestCacheIntegration:
 
         fingerprint = network_fingerprint(net)
         for engine, suffix in [
-            ("overlay-nested", "ovlb"),
+            ("overlay-csr", "ovlb"),
             ("dijkstra-csr", "csrb"),
             ("ch", "ch"),
         ]:
@@ -370,14 +349,3 @@ class TestCacheIntegration:
             path = cache.spill_now(fingerprint, engine)
             assert path is not None
             assert path.suffix == f".{suffix}"
-
-    def test_nested_spill_round_trips_level_one_bytes(self, net, tmp_path):
-        cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)
-        nested = cache.get(net, "overlay-nested")
-        other = grid_network(4, 4, seed=2)
-        cache.get(other, "dijkstra")  # evicts (and spills) the nested overlay
-        assert list(tmp_path.glob("*.ovlb"))
-        reloaded = cache.get(net, "overlay-nested")
-        assert cache.disk_loads == 1
-        assert isinstance(reloaded, NestedOverlayGraph)
-        assert dumps_overlay(reloaded) == dumps_overlay(nested)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -223,6 +224,45 @@ class TestErrors:
         )
         assert status == 400
         assert json.loads(body)["error"] == "invalid_json"
+
+    def test_malformed_reweight_body_is_invalid_json(self, server):
+        status, _, body = _request(
+            server, "POST", f"{API_PREFIX}/reweight", body="{not json"
+        )
+        assert status == 400
+        assert json.loads(body)["error"] == "invalid_json"
+
+    def test_reweight_of_a_missing_edge_is_invalid_request(self, server):
+        status, _, body = _request(
+            server,
+            "POST",
+            f"{API_PREFIX}/reweight",
+            body=json.dumps({"changes": [[0, 999_999, 1.0]]}),
+        )
+        assert status == 400
+        assert json.loads(body)["error"] == "invalid_request"
+
+    def test_failed_reweight_broadcast_is_internal(self, network):
+        nodes = sorted(network.nodes())
+        neighbor, weight = next(iter(network.neighbors(nodes[0]).items()))
+        with GatewayServer(
+            network.copy(),
+            ServingConfig(engine=ENGINE),
+            GatewayConfig(workers=1),
+        ) as srv:
+            with mock.patch.object(
+                srv.gateway.pool, "broadcast", side_effect=RuntimeError("down")
+            ):
+                status, _, body = _request(
+                    srv,
+                    "POST",
+                    f"{API_PREFIX}/reweight",
+                    body=json.dumps(
+                        {"changes": [[nodes[0], neighbor, weight * 2.0]]}
+                    ),
+                )
+        assert status == 500
+        assert json.loads(body)["error"] == "internal"
 
     def test_unknown_route_is_404(self, server):
         status, _, body = _request(server, "GET", f"{API_PREFIX}/nope")

@@ -58,7 +58,7 @@ class TestPreprocessingCache:
     def test_engine_is_part_of_the_key(self, small_grid):
         cache = PreprocessingCache(capacity=4)
         cache.get(small_grid, "ch")
-        cache.get(small_grid, "alt")
+        cache.get(small_grid, "ch-csr")
         assert cache.misses == 2 and len(cache) == 2
 
     def test_mutated_network_misses(self, small_grid):

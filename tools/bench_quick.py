@@ -25,8 +25,7 @@ never gated.  Usage::
 
 ``--grid200`` runs a separate 40k-node tier (``mode: "grid200"``, gated
 against ``benchmarks/baseline_200.json``) for the wins that only show up
-at scale: the batched numpy MSMD sweep vs the scalar CSR kernel, the
-nested two-level overlay vs the flat one on far pairs, and the
+at scale: the batched numpy MSMD sweep vs the scalar CSR kernel and the
 mmap-backed cold shard warm-up from a spilled CSR blob.  It requires
 numpy — the quick suite stays numpy-free so both CI matrix legs run it.
 
@@ -574,17 +573,14 @@ def run_grid200(repeats: int = 3) -> dict:
     documents of different modes).  The tier exists because its three
     headline wins are invisible at quick-suite scale: the batched numpy
     sweep amortizes per-node python overhead only when frontiers are
-    wide, the nested overlay's supercell level only pays once the flat
-    boundary graph is large, and mmap warm-up only matters when a
-    rebuild costs seconds.  All speedups are measured with the two
-    sides interleaved round by round, taking each side's best round —
-    one quiet round per side recovers the truth on a noisy box.
+    wide, and mmap warm-up only matters when a rebuild costs seconds.
+    All speedups are measured with the two sides interleaved round by
+    round, taking each side's best round — one quiet round per side
+    recovers the truth on a noisy box.
     """
-    import math
     import tempfile
 
     from repro.search.kernels import VecSharedTreeProcessor
-    from repro.search.overlay import build_nested_overlay
     from repro.search.vectorized import numpy_available
     from repro.service.blob import read_overlay_blob, write_overlay_blob
     from repro.service.cache import network_fingerprint
@@ -633,48 +629,10 @@ def run_grid200(repeats: int = 3) -> dict:
                 "FATAL: dijkstra-vec MSMD diverges from the CSR shared trees"
             )
 
-    # Nested vs flat overlay on far pairs (both endpoints >= 75% of the
-    # grid diagonal apart) — the regime the supercell level targets; a
-    # near pair's two-phase search never leaves one supercell, so a
-    # uniform workload would dilute the win with queries the level
-    # cannot help, and the win grows with distance (1.95x at 60% of the
-    # diagonal, 2.5x at 80%).  Capacity 80 keeps cells small enough
-    # that the flat boundary graph dominates flat query time.
-    diagonal = math.hypot(side - 1, side - 1)
-    far_rng = random.Random(1)
-    far_pairs = []
-    while len(far_pairs) < 10:
-        s, t = far_rng.sample(nodes, 2)
-        sr, sc = divmod(s, side)
-        tr, tc = divmod(t, side)
-        if math.hypot(sr - tr, sc - tc) >= 0.75 * diagonal:
-            far_pairs.append((s, t))
+    # The flat overlay the blob round trip below writes and reads.
     t0 = time.perf_counter()
     flat = build_overlay(net, cell_capacity=80)
     t_flat_build = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    nested = build_nested_overlay(net, cell_capacity=80)
-    t_nested_build = time.perf_counter() - t0
-    oracle = [
-        csr_dijkstra_path(net, s, t, csr=csr).distance for s, t in far_pairs
-    ]
-    t_flat = t_nested = float("inf")
-    got_flat = got_nested = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        got_flat = [flat.route(s, t).distance for s, t in far_pairs]
-        t_flat = min(t_flat, time.perf_counter() - start)
-        start = time.perf_counter()
-        got_nested = [nested.route(s, t).distance for s, t in far_pairs]
-        t_nested = min(t_nested, time.perf_counter() - start)
-    for ref, a, b in zip(oracle, got_flat, got_nested):
-        if abs(a - ref) > 1e-9 or abs(b - ref) > 1e-9:
-            raise SystemExit(
-                "FATAL: overlay far-pair distances diverge from dijkstra-csr"
-            )
-    nested_stats = SearchStats()
-    for s, t in far_pairs:
-        nested.route(s, t, stats=nested_stats)
 
     # Cold shard warm-up: a fresh PreprocessingCache pointed at a spill
     # dir holding the CSR blob a sibling process force-spilled — exactly
@@ -701,9 +659,10 @@ def run_grid200(repeats: int = 3) -> dict:
                     "FATAL: the cold cache rebuilt the CSR snapshot instead "
                     "of loading the spilled blob"
                 )
-        s0, t0_node = far_pairs[0]
+        s0, t0_node = nodes[0], nodes[-1]
+        want = csr_dijkstra_path(net, s0, t0_node, csr=csr).distance
         got = csr_dijkstra_path(net, s0, t0_node, csr=loaded).distance
-        if abs(got - oracle[0]) > 1e-9:
+        if abs(got - want) > 1e-9:
             raise SystemExit(
                 "FATAL: the blob-loaded CSR snapshot diverges from the "
                 "in-memory one"
@@ -728,15 +687,6 @@ def run_grid200(repeats: int = 3) -> dict:
                 "batched numpy sweep (gated absolutely at 3x)"
             ),
         },
-        "nested_point_speedup": {
-            "value": round(t_flat / t_nested, 3),
-            "direction": "higher",
-            "min": 2.0,
-            "desc": (
-                "far-pair point-query wall ratio, flat vs nested overlay "
-                "at cell capacity 80 (gated absolutely at 2x)"
-            ),
-        },
         "shard_cold_warmup_ms": {
             "value": round(t_warm * 1000.0, 2),
             "direction": "lower",
@@ -745,22 +695,6 @@ def run_grid200(repeats: int = 3) -> dict:
                 "cold PreprocessingCache.get satisfied from the spilled "
                 "CSR blob — the gateway worker handoff (gated absolutely "
                 "at 250ms)"
-            ),
-        },
-        "settled_point_nested": {
-            "value": nested_stats.settled_nodes,
-            "direction": "lower",
-            "desc": (
-                "nodes settled by the nested overlay over the far-pair "
-                "workload (deterministic)"
-            ),
-        },
-        "nested_top_arcs": {
-            "value": len(nested.top_targets),
-            "direction": "lower",
-            "desc": (
-                "arcs in the nested overlay's top search graph "
-                "(deterministic layout output)"
             ),
         },
     }
@@ -775,11 +709,7 @@ def run_grid200(repeats: int = 3) -> dict:
             "msmd_csr_ms": round(t_msmd_csr * 1000, 2),
             "msmd_vec_ms": round(t_msmd_vec * 1000, 2),
             "flat_build_ms": round(t_flat_build * 1000, 2),
-            "nested_build_ms": round(t_nested_build * 1000, 2),
-            "flat_point_ms": round(t_flat * 1000, 2),
-            "nested_point_ms": round(t_nested * 1000, 2),
             "flat_cells": flat.num_cells,
-            "nested_cells": nested.num_cells,
             "shard_cold_warmup_ms": round(t_warm * 1000, 2),
             "overlay_blob_write_ms": round(t_ovl_write * 1000, 2),
             "overlay_blob_read_ms": round(t_ovl_read * 1000, 2),
@@ -926,7 +856,7 @@ def main(argv: list[str] | None = None) -> int:
         "--grid200",
         action="store_true",
         help=(
-            "run the 40k-node tier gating the vectorized/nested/mmap "
+            "run the 40k-node tier gating the vectorized/mmap "
             "wins (requires numpy; baseline_200.json)"
         ),
     )
