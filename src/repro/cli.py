@@ -13,7 +13,6 @@ Usage (also via ``python -m repro``):
     repro scenario morning-rush city.txt -o traffic.txt --merge-workload rush.txt
     repro serve-replay city.txt rush.txt --engine ch --repeat 3
     repro serve-replay city.txt traffic.txt --engine overlay-csr
-    repro serve-replay city.txt rush.txt --engine overlay-csr --churn-cells-per-min 120
     repro serve-replay city.txt rush.txt --engine ch-csr --coalesce
     repro serve-replay city.txt rush.txt --metrics-out m.json --trace-out t.jsonl
     repro serve city.txt --port 8080 --engine overlay-csr --workers 4
@@ -196,21 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
             "kernel pass"
         ),
     )
-    serve.add_argument(
-        "--churn-cells-per-min",
-        type=float,
-        default=0.0,
-        help=(
-            "publish this many random edge re-weights per minute through "
-            "the live traffic pipeline while the replay runs (0 disables)"
-        ),
-    )
-    serve.add_argument(
-        "--debounce-ms",
-        type=float,
-        default=5.0,
-        help="pipeline debounce window for traffic events (milliseconds)",
-    )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--metrics-out",
@@ -369,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the load report (LoadReport.to_dict) to this file",
     )
 
-    exp = sub.add_parser("experiment", help="run experiments (E1..E14)")
+    exp = sub.add_parser("experiment", help="run experiments (E1..E13)")
     exp.add_argument("ids", nargs="+", help="experiment ids, e.g. E1 E4")
     exp.add_argument(
         "--telemetry-dir",
@@ -575,12 +559,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     if args.result_capacity < 0:
         print("error: --result-capacity must be >= 0", file=sys.stderr)
         return 1
-    if args.churn_cells_per_min < 0 or args.debounce_ms < 0:
-        print(
-            "error: --churn-cells-per-min and --debounce-ms must be >= 0",
-            file=sys.stderr,
-        )
-        return 1
     net = read_network(args.network)
     items = read_workload_items(args.workload)
     entries = [item for item in items if isinstance(item, WorkloadEntry)]
@@ -602,7 +580,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         item if isinstance(item, TrafficEvent) else next(obfuscated)
         for item in items
     ]
-    live = bool(traffic) or args.churn_cells_per_min > 0
 
     tracer = None
     slow_handler = None
@@ -635,26 +612,24 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         recorder = (
             MetricsRecorder(stack.metrics) if args.metrics_out else None
         )
-        pipeline_snap = None
         try:
             with recording(recorder):
-                if live:
-                    report, pipeline_snap = _run_live_replay(
-                        stack, net, mixed, args
-                    )
-                else:
-                    report = replay(
-                        stack,
-                        queries,
-                        repeats=args.repeat,
-                        batch_size=args.batch,
-                    )
+                if traffic:
+                    # Warm before the first epoch, so each reweight
+                    # recustomizes the touched cells instead of leaving
+                    # a full rebuild to the next query.
+                    stack.warm()
+                report = replay(
+                    stack, mixed, repeats=args.repeat, batch_size=args.batch
+                )
         finally:
             if slow_handler is not None:
                 logging.getLogger(SLOW_QUERY_LOGGER).removeHandler(
                     slow_handler
                 )
         coalescing = stack.coalesce_snapshot()
+        epoch = stack.epoch
+        installs = stack.metrics.histogram("repro_serve_reweight_seconds")
         if args.metrics_out:
             from pathlib import Path
 
@@ -696,69 +671,13 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
             f"{coalescing.shared_windows} union passes "
             f"({coalescing.union_pairs} union pairs)"
         )
-    if pipeline_snap is not None:
+    if traffic:
         print(
-            f"traffic pipeline:    {pipeline_snap.events} events -> "
-            f"{pipeline_snap.installs} epoch installs "
-            f"({pipeline_snap.edges_applied} edges, "
-            f"{pipeline_snap.cells_recustomized} cells recustomized, "
-            f"epoch {pipeline_snap.epoch})"
-        )
-        print(
-            f"staleness p50/p95/max: {pipeline_snap.staleness_p50_ms:.2f} / "
-            f"{pipeline_snap.staleness_p95_ms:.2f} / "
-            f"{pipeline_snap.staleness_max_ms:.2f} ms"
+            f"traffic epochs:      {len(traffic) * args.repeat} events "
+            f"-> epoch {epoch} "
+            f"(install mean {installs.sum / installs.count * 1e3:.2f} ms)"
         )
     return 0
-
-
-def _run_live_replay(stack, net, mixed, args):
-    """Replay a mixed stream with the traffic pipeline (and churn feeder)."""
-    import random
-    import threading
-
-    from repro.service.pipeline import TrafficPipeline, replay_with_traffic
-    from repro.workloads.replay import TrafficEvent
-
-    # Warm before the first install: the worker recustomizes from the
-    # current epoch's overlay, so without an artifact bound to epoch 0
-    # a fast churn stream outruns query-time builds and every install
-    # degrades to the full-rebuild path.
-    stack.warm()
-    pipeline = TrafficPipeline(stack, debounce_ms=args.debounce_ms)
-    pipeline.start()
-    stop_feeder = threading.Event()
-    feeder = None
-    if args.churn_cells_per_min > 0:
-        interval = 60.0 / args.churn_cells_per_min
-
-        def feed() -> None:
-            rng = random.Random(args.seed + 1)
-            edges = list(net.edges())
-            while not stop_feeder.wait(interval):
-                u, v, w = rng.choice(edges)
-                pipeline.publish(
-                    TrafficEvent(u, v, w * (0.5 + rng.random()), 0)
-                )
-
-        feeder = threading.Thread(
-            target=feed, name="repro-churn", daemon=True
-        )
-        feeder.start()
-    try:
-        report = replay_with_traffic(
-            stack,
-            mixed,
-            pipeline,
-            repeats=args.repeat,
-            batch_size=args.batch,
-        )
-    finally:
-        stop_feeder.set()
-        if feeder is not None:
-            feeder.join()
-        pipeline.stop()
-    return report, pipeline.snapshot()
 
 
 def _walk_span_dicts(doc: dict):

@@ -90,7 +90,6 @@ def run_all(
         e11_protection_sizing,
         e12_linkage,
         e13_partition_overlay,
-        e14_pipeline,
     )
 
     modules = {
@@ -107,7 +106,6 @@ def run_all(
         "E11": e11_protection_sizing,
         "E12": e12_linkage,
         "E13": e13_partition_overlay,
-        "E14": e14_pipeline,
     }
     if experiment_ids is None:
         selected = list(modules)

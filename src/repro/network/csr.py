@@ -78,7 +78,8 @@ class CSRGraph:
         "directed",
         "_kview",
         "_rkview",
-        "__weakref__",  # derived views (search.vectorized) memoize per snapshot
+        "_vec",  # search.vectorized.vec_view's memo
+        "__weakref__",
     )
 
     def __init__(
@@ -110,6 +111,7 @@ class CSRGraph:
         self.rweights = weights if rweights is None else rweights
         self._kview: tuple[list, list, list] | None = None
         self._rkview: tuple[list, list, list] | None = None
+        self._vec = None
 
     # ------------------------------------------------------------------
     # Construction

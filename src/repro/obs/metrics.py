@@ -250,9 +250,8 @@ class Histogram(_Instrument):
         covered and report that bucket's upper bound.  Returns 0.0 for
         an empty histogram; samples beyond the last finite bound
         estimate as that last finite bound (there is no useful number
-        for "+Inf").  The live traffic pipeline reads its staleness
-        p95 through this — a conservative (never under-reporting)
-        estimate as long as the bucket grid brackets the real latency.
+        for "+Inf").  A conservative (never under-reporting) estimate as
+        long as the bucket grid brackets the real latency.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be within [0, 1]")

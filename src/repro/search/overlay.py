@@ -405,8 +405,9 @@ class OverlayGraph:
     ) -> "OverlayGraph":
         """:meth:`recustomized`, but binding the result to ``network``.
 
-        The epoch-handoff entry point of the live traffic pipeline
-        (:mod:`repro.service.pipeline`): ``network`` is a *snapshot* —
+        The epoch-handoff entry point of
+        :meth:`~repro.service.serving.ServingStack.reweight`:
+        ``network`` is a *snapshot* —
         a copy of :attr:`network` with the re-weights already applied —
         and the returned overlay reads every weight from that snapshot
         while this instance (and the network queries are still in

@@ -56,9 +56,7 @@ every kernel raises ``ImportError`` instead.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 from repro.exceptions import NoPathError
 from repro.network.csr import CSRGraph, csr_snapshot
@@ -166,24 +164,19 @@ class VecGraph:
         return f"VecGraph({self.csr!r})"
 
 
-# One wrapper per CSR snapshot, weakly keyed: csr_snapshot rebuilds per
-# network version, so vec_view(csr_snapshot(network)) follows it for free.
-_VEC_VIEWS: "WeakKeyDictionary[CSRGraph, VecGraph]" = WeakKeyDictionary()
-_VEC_LOCK = threading.Lock()
-
-
 def vec_view(csr: CSRGraph) -> VecGraph:
     """The (memoized) :class:`VecGraph` over ``csr``.
 
+    Kept in the snapshot's own ``_vec`` slot, so the view lives and
+    dies with its snapshot (``csr_snapshot`` rebuilds per network
+    version, and ``vec_view(csr_snapshot(network))`` follows it).  Two
+    threads racing a first call may both build; one view wins the slot.
     Raises ``ImportError`` when numpy is missing.
     """
     _require_numpy()
-    with _VEC_LOCK:
-        vec = _VEC_VIEWS.get(csr)
+    vec = csr._vec
     if vec is None:
-        vec = VecGraph(csr)
-        with _VEC_LOCK:
-            _VEC_VIEWS[csr] = vec
+        vec = csr._vec = VecGraph(csr)
     return vec
 
 

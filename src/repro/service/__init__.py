@@ -14,11 +14,10 @@ subpackage models that dimension twice over:
   coalescing of a batch's obfuscated queries into one shared union
   kernel pass — so repeated traffic stops paying preprocessing,
   repeated obfuscated queries stop paying search, and overlapping
-  queries of one batch share one pass;
-* :mod:`repro.service.pipeline` — the live traffic pipeline: an
-  in-process event stream feeding a debounced :class:`DeltaBatcher`
-  and a background :class:`RecustomizeWorker` that installs re-weights
-  as atomic network epochs while queries keep serving;
+  queries of one batch share one pass.  Traffic re-weights install as
+  atomic copy-on-write network epochs through
+  :meth:`ServingStack.reweight`, the one epoch writer, while queries
+  keep serving;
 * :mod:`repro.service.gateway` + :mod:`repro.service.wire` — the HTTP
   network boundary: an asyncio gateway speaking a versioned canonical
   JSON wire schema, with shard worker processes, admission control and
@@ -39,14 +38,6 @@ from repro.service.cache import (
     PreprocessingCache,
     ResultCache,
     network_fingerprint,
-)
-from repro.service.pipeline import (
-    DeltaBatch,
-    DeltaBatcher,
-    PipelineSnapshot,
-    RecustomizeWorker,
-    TrafficEventStream,
-    TrafficPipeline,
 )
 from repro.service.serving import (
     CoalesceSnapshot,
@@ -80,12 +71,6 @@ __all__ = [
     "ServingStack",
     "ReplayReport",
     "replay",
-    "TrafficEventStream",
-    "DeltaBatch",
-    "DeltaBatcher",
-    "RecustomizeWorker",
-    "TrafficPipeline",
-    "PipelineSnapshot",
     "Blob",
     "read_blob",
     "write_blob",

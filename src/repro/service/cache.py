@@ -403,13 +403,13 @@ class PreprocessingCache:
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Drop every in-memory artifact keyed by ``fingerprint``.
 
-        The epoch-retirement hook of the live traffic pipeline
-        (:mod:`repro.service.pipeline`): once no in-flight batch can
-        still be serving a retired epoch, its artifacts — across all
-        engines — are released in one call.  Returns the number of
-        entries dropped.  Spilled files stay on disk (still correct for
-        that fingerprint, and harmless: the fingerprint of a mutated
-        network never recurs).
+        The epoch-retirement hook of
+        :meth:`~repro.service.serving.ServingStack.reweight`: once a
+        retired epoch leaves the retirement window, its artifacts —
+        across all engines — are released in one call.  Returns the
+        number of entries dropped.  Spilled files stay on disk (still
+        correct for that fingerprint, which recurs when a weight is put
+        back).
         """
         with self._lock:
             doomed = [k for k in self._entries if k[0] == fingerprint]
@@ -700,11 +700,11 @@ class ResultCache:
         """Drop every cached table keyed by ``fingerprint``.
 
         Companion to
-        :meth:`PreprocessingCache.invalidate_fingerprint`: when the
-        pipeline retires an epoch it also releases that epoch's result
-        tables, which no future lookup can hit (content fingerprints of
-        mutated networks never recur).  Returns the number of tables
-        dropped; no hit/miss/eviction counter moves.
+        :meth:`PreprocessingCache.invalidate_fingerprint`: when a
+        reweight releases a retired epoch it also releases that epoch's
+        result tables (a restored weight brings the fingerprint back,
+        and its tables are recomputed on demand).  Returns the number
+        of tables dropped; no hit/miss/eviction counter moves.
         """
         with self._lock:
             doomed = [k for k in self._entries if k[0] == fingerprint]

@@ -518,6 +518,7 @@ class Gateway:
         self._flushers: list[asyncio.Task] = []
         self._lanes: list[ThreadPoolExecutor] = []
         self._inflight = 0
+        self._reweight_lock = asyncio.Lock()
         self._handlers = {
             ("POST", "route"): self._handle_route,
             ("POST", "batch"): self._handle_batch,
@@ -758,17 +759,20 @@ class Gateway:
         except (TypeError, ValueError):
             return _error_response("invalid_request")
         loop = asyncio.get_running_loop()
-        try:
-            outcome = await loop.run_in_executor(
-                None,
-                lambda: self.stack.reweight(changes),
-            )
-        except EdgeError:
-            return _error_response("invalid_request")
-        if self.pool is not None:
-            await loop.run_in_executor(
-                None, self.pool.broadcast, ("reweight", changes)
-            )
+        # One reweight at a time from the install through the broadcast,
+        # so every process applies the epochs in the same order.
+        async with self._reweight_lock:
+            try:
+                outcome = await loop.run_in_executor(
+                    None,
+                    lambda: self.stack.reweight(changes),
+                )
+            except EdgeError:
+                return _error_response("invalid_request")
+            if self.pool is not None:
+                await loop.run_in_executor(
+                    None, self.pool.broadcast, ("reweight", changes)
+                )
         body = {
             "schema": WIRE_SCHEMA_VERSION,
             "edges": outcome.edges,

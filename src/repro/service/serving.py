@@ -33,6 +33,12 @@ pairs were real) leaks into any response.  A failing query never costs
 its batch-mates anything: they are answered, cached and recorded, and
 only the failing query's slot carries the error.
 
+Traffic updates take one path too: :meth:`ServingStack.reweight`, the
+only code that creates a network epoch.  It serializes writers, installs
+a copy-on-write snapshot that in-flight batches never see change, keeps
+the cache entries of the last :data:`KEEP_RETIRED_EPOCHS` retired
+epochs and releases older ones.
+
 The stack preserves the server's adversary model — every query (cache
 hit or not) is appended to ``server.observed_queries`` (a window of the
 most recent queries) and counted in ``server.counters``; only the
@@ -47,6 +53,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -71,6 +78,7 @@ from repro.service.cache import (
     updated_fingerprint,
 )
 from repro.service.stats import percentile
+from repro.workloads.replay import TrafficEvent
 
 __all__ = [
     "ConcurrentDispatcher",
@@ -81,6 +89,10 @@ __all__ = [
     "ReplayReport",
     "replay",
 ]
+
+#: retired epochs whose cache entries :meth:`ServingStack.reweight`
+#: keeps for batches that captured them before the handoff
+KEEP_RETIRED_EPOCHS = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,13 +114,8 @@ class ReweightOutcome:
         engine, or no cached artifact to start from).
     fingerprint:
         Content fingerprint of the network *after* the update — the key
-        the refreshed artifact is installed under (empty for a no-op
-        update).
-    previous_fingerprint:
-        Fingerprint before the update: the retired epoch's key, which
-        the caller (the live traffic pipeline) may eventually pass to
-        :meth:`~repro.service.cache.PreprocessingCache.invalidate_fingerprint`
-        once no in-flight batch can still reference it.
+        the refreshed artifact is installed under (the current one for
+        an empty update).
     epoch:
         The stack's epoch sequence number after the update.
     """
@@ -117,7 +124,6 @@ class ReweightOutcome:
     touched_cells: tuple[int, ...]
     recustomized: bool
     fingerprint: str = ""
-    previous_fingerprint: str = ""
     epoch: int = 0
 
 
@@ -495,6 +501,10 @@ class ServingStack:
             "repro_serve_batch_seconds",
             desc="answer_batch wall latency (seconds)",
         )
+        self._m_reweight_seconds = self.metrics.histogram(
+            "repro_serve_reweight_seconds",
+            desc="reweight wall latency, epoch view to install (seconds)",
+        )
         self.preprocessing = (
             preprocessing_cache
             if preprocessing_cache is not None
@@ -551,6 +561,11 @@ class ServingStack:
                 ),
             }
         self._lock = threading.Lock()
+        # Held by reweight from the epoch view to the install, so only
+        # one writer copies an epoch at a time; readers take _lock only.
+        self._writer_lock = threading.Lock()
+        #: retired fingerprints still cached, oldest first (writer lock)
+        self._retired: deque[str] = deque()
         self._fingerprint_memo: tuple[int, str] | None = None
         self._epoch = 0
         self._m_epoch = self.metrics.gauge(
@@ -589,8 +604,8 @@ class ServingStack:
     def epoch(self) -> int:
         """Sequence number of the currently installed network epoch.
 
-        0 until the first :meth:`install_epoch` (or :meth:`reweight`);
-        each atomic handoff increments it.
+        0 until the first :meth:`reweight`; each atomic handoff
+        increments it.
         """
         with self._lock:
             return self._epoch
@@ -599,43 +614,13 @@ class ServingStack:
         """Atomically capture ``(network, fingerprint)`` for one batch.
 
         The epoch-handoff read side: a batch resolves both under the
-        stack lock so a concurrent :meth:`install_epoch` can never hand
-        it network A with network B's fingerprint.  The batch then runs
+        stack lock so a concurrent :meth:`reweight` can never hand it
+        network A with network B's fingerprint.  The batch then runs
         entirely against the captured pair — in-flight work finishes on
         the old epoch's snapshot while new batches pick up the new one.
         """
         with self._lock:
             return self.network, self._fingerprint()
-
-    def install_epoch(
-        self, network, artifact: object = None, fingerprint: str | None = None
-    ) -> str:
-        """Atomically switch serving to a new network snapshot.
-
-        The epoch-handoff write side, used by :meth:`reweight` and the
-        live traffic pipeline (:mod:`repro.service.pipeline`): the
-        artifact (when given) is
-        installed in the preprocessing cache under the snapshot's
-        fingerprint *first*, then the stack's ``network`` reference,
-        fingerprint memo and epoch counter advance in one locked step.
-        Batches that captured the previous epoch's view keep serving its
-        (now unreferenced, still immutable) snapshot; the next
-        :meth:`answer_batch` sees the new one.  Returns the new epoch's
-        fingerprint.
-        """
-        if fingerprint is None:
-            fingerprint = network_fingerprint(network)
-        if artifact is not None:
-            self.preprocessing.put(fingerprint, self.engine_name, artifact)
-        version = getattr(network, "version", None)
-        with self._lock:
-            self.network = network
-            self._fingerprint_memo = (
-                (version, fingerprint) if version is not None else None
-            )
-            self._epoch += 1
-            self._m_epoch.set(self._epoch)
-        return fingerprint
 
     def _fingerprint(self) -> str:
         """This network's content fingerprint, memoized by mutation version.
@@ -923,23 +908,31 @@ class ServingStack:
     ) -> ReweightOutcome:
         """Apply a traffic update as a new copy-on-write epoch.
 
-        Each change ``(u, v, weight)`` re-weights an *existing* edge
-        (both directions on undirected networks).  The changes are
+        The one writer of epochs: the gateway's ``/v1/reweight``, the
+        shard workers and :func:`replay`'s traffic events all come
+        here.  Each change ``(u, v, weight)`` re-weights an *existing*
+        edge (both directions on undirected networks).  The changes are
         applied to a *copy* of the serving network and the copy is
-        installed atomically via :meth:`install_epoch`, so this is safe
-        to call while queries are in flight: batches that already
-        captured the old epoch finish on its untouched network, new
-        batches see the update.  The new content fingerprint means every
-        cached artifact and result table for the old geometry stops
-        matching — correctness needs nothing else.  The point of this
-        method is the cost: when the engine's current artifact is a
+        installed atomically, so this is safe to call while queries are
+        in flight: batches that already captured the old epoch finish
+        on its untouched network, new batches see the update.  Writers
+        are serialized from the epoch view to the install, so
+        concurrent calls never both copy epoch N and lose an update;
+        readers never wait on a writer.  A list of changes installs as
+        one epoch, which is how a caller coalesces a burst.
+
+        The new content fingerprint means every cached artifact and
+        result table for the old geometry stops matching — correctness
+        needs nothing else.  When the engine's current artifact is a
         partition overlay, only the touched cells' cliques are
         recustomized against the snapshot
         (:meth:`~repro.search.overlay.OverlayGraph.recustomized_on`) and
-        the updated overlay is installed with it — so the next query
-        pays a per-cell refresh instead of a full rebuild.  Gateway,
-        shard workers and the live traffic pipeline
-        (:mod:`repro.service.pipeline`) all re-weight through here.
+        the updated overlay is installed with it, so the next query pays
+        a per-cell refresh instead of a full rebuild.  The last
+        :data:`KEEP_RETIRED_EPOCHS` retired epochs keep their cache
+        entries for batches still reading them; older ones are released
+        from both caches.  Each call's wall time goes to the
+        ``repro_serve_reweight_seconds`` histogram.
 
         ``epoch`` is what is left of the removed in-place mode: ``True``
         is its only legal value.
@@ -960,6 +953,19 @@ class ServingStack:
                 "the new weights from stack.network)"
             )
         applied = [(u, v, float(w)) for u, v, w in changes]
+        started = time.perf_counter()
+        with self._writer_lock, self._tracer.span(
+            "serve.reweight", edges=len(applied)
+        ) as span:
+            outcome = self._install(applied, recustomize)
+            span.set("touched_cells", len(outcome.touched_cells))
+            span.set("recustomized", outcome.recustomized)
+            span.set("epoch", outcome.epoch)
+        self._m_reweight_seconds.observe(time.perf_counter() - started)
+        return outcome
+
+    def _install(self, applied: list, recustomize: bool) -> ReweightOutcome:
+        """Copy, re-weight and install one epoch (writer lock held)."""
         old_network, old_fingerprint = self._epoch_view()
         # Validate everything before applying anything: a bad entry must
         # not produce a half-updated epoch.
@@ -976,7 +982,6 @@ class ServingStack:
                 touched_cells=(),
                 recustomized=False,
                 fingerprint=old_fingerprint,
-                previous_fingerprint=old_fingerprint,
                 epoch=self.epoch,
             )
         old_artifact = self.preprocessing.peek(old_fingerprint, self.engine_name)
@@ -999,22 +1004,48 @@ class ServingStack:
                 snapshot, cells, changed_edges=applied
             )
             touched = tuple(sorted(cells))
-        new_fingerprint = self.install_epoch(
-            snapshot,
-            artifact=overlay,
-            fingerprint=updated_fingerprint(
-                old_fingerprint, old_network, snapshot,
-                [node for u, v, _ in applied for node in (u, v)],
-            ),
+        fingerprint = updated_fingerprint(
+            old_fingerprint, old_network, snapshot,
+            [node for u, v, _ in applied for node in (u, v)],
         )
+        # Cache first, then the pointer: a batch that sees the new
+        # network finds its artifact already installed.
+        if overlay is not None:
+            self.preprocessing.put(fingerprint, self.engine_name, overlay)
+        with self._lock:
+            self.network = snapshot
+            self._fingerprint_memo = (
+                getattr(snapshot, "version", None), fingerprint
+            )
+            self._epoch += 1
+            installed = self._epoch
+            self._m_epoch.set(installed)
+        self._retire(old_fingerprint, fingerprint)
         return ReweightOutcome(
             edges=len(applied),
             touched_cells=touched,
             recustomized=overlay is not None,
-            fingerprint=new_fingerprint,
-            previous_fingerprint=old_fingerprint,
-            epoch=self.epoch,
+            fingerprint=fingerprint,
+            epoch=installed,
         )
+
+    def _retire(self, old: str, current: str) -> None:
+        """Retire epoch ``old``; release what falls out of the window.
+
+        A weight put back brings an old fingerprint back, so the window
+        holds each fingerprint once and never the ``current`` one: what
+        it releases is neither serving nor recently retired.
+        """
+        retired = self._retired
+        if old in retired:
+            retired.remove(old)
+        retired.append(old)
+        if current in retired:
+            retired.remove(current)
+        while len(retired) > KEEP_RETIRED_EPOCHS:
+            released = retired.popleft()
+            self.preprocessing.invalidate_fingerprint(released)
+            self.results.invalidate_fingerprint(released)
 
     def coalesce_snapshot(self) -> CoalesceSnapshot | None:
         """The coalescing counters, or ``None`` when coalescing is off."""
@@ -1128,30 +1159,39 @@ class ReplayReport:
 
 def replay(
     stack: ServingStack,
-    queries: Sequence[ObfuscatedPathQuery],
+    items: Sequence,
     repeats: int = 1,
     batch_size: int = 1,
     clock: Callable[[], float] = time.perf_counter,
 ) -> ReplayReport:
-    """Replay a fixed obfuscated-query workload through a serving stack.
+    """Replay a fixed server-visible stream through a serving stack.
 
     The stream is served ``repeats`` times in order, ``batch_size``
-    queries per concurrent batch.  The first pass is the cold run (cache
-    misses build the artifact and fill the result cache); later passes
-    measure the warm behavior a long-lived service sees.
+    queries per :meth:`ServingStack.answer_batch` call.  The first pass
+    is the cold run (cache misses build the artifact and fill the
+    result cache); later passes measure the warm behavior a long-lived
+    service sees.
+
+    ``items`` may interleave
+    :class:`~repro.workloads.replay.TrafficEvent` re-weights with the
+    queries (a v2 workload).  An event flushes the open batch, so the
+    queries around it see the states the stream order implies, and each
+    run of consecutive events installs as one
+    :meth:`ServingStack.reweight` epoch.  Weights are absolute, so
+    repeated passes are idempotent on the final state.
 
     Parameters
     ----------
     stack:
         The serving stack under test.
-    queries:
+    items:
         The server-visible workload (e.g. obfuscated once from a
-        workload file; see :mod:`repro.workloads.replay`).
+        workload file; see :mod:`repro.workloads.replay`), optionally
+        mixed with traffic events.
     repeats:
         Total passes over the stream (>= 1).
     batch_size:
-        Queries dispatched per :meth:`ServingStack.answer_batch` call
-        (>= 1); the dispatcher parallelizes within a batch.
+        Queries per :meth:`ServingStack.answer_batch` call (>= 1).
     clock:
         Time source for the latency measurements.  Tests inject a
         stepping clock to assert exact report numbers; production uses
@@ -1167,15 +1207,36 @@ def replay(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     report = ReplayReport()
-    start = clock()
-    for _ in range(repeats):
-        for offset in range(0, len(queries), batch_size):
-            batch = list(queries[offset : offset + batch_size])
+    batch: list = []
+    changes: list[tuple] = []
+
+    def answer() -> None:
+        if batch:
             t0 = clock()
             stack.answer_batch(batch)
             elapsed = clock() - t0
             report.latencies.extend([elapsed] * len(batch))
             report.queries += len(batch)
+            batch.clear()
+
+    def install() -> None:
+        if changes:
+            stack.reweight(changes)
+            changes.clear()
+
+    start = clock()
+    for _ in range(repeats):
+        for item in items:
+            if isinstance(item, TrafficEvent):
+                answer()
+                changes.append(item.as_change())
+                continue
+            install()
+            batch.append(item)
+            if len(batch) >= batch_size:
+                answer()
+        install()
+        answer()
     report.total_seconds = clock() - start
     report.cache = stack.snapshot()
     return report

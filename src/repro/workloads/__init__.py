@@ -7,7 +7,7 @@ an endpoint-popularity map for prior-aware adversaries.  The replay
 module adds the on-disk workload formats (protected queries, and v2's
 interleaved traffic events); :mod:`repro.workloads.scenarios` generates
 the timed traffic-event waves (rush hours, incidents, uniform churn)
-the live pipeline replays.
+a v2 replay installs as network epochs.
 """
 
 from repro.workloads.queries import (

@@ -9,9 +9,9 @@ is one protected path query per line:
 q <source> <destination> <f_s> <f_t>
 ```
 
-Format v2 additionally interleaves traffic events — edge re-weights the
-live pipeline (:mod:`repro.service.pipeline`) applies while the query
-stream is served:
+Format v2 additionally interleaves traffic events — edge re-weights
+:func:`repro.service.serving.replay` installs as epochs between the
+queries around them:
 
 ```
 # repro workload v2
@@ -78,8 +78,8 @@ class TrafficEvent:
         The edge's new non-negative weight.
     at_ms:
         Event timestamp in milliseconds since stream start — the moment
-        the update became known, from which the pipeline measures
-        staleness (event to installed-epoch latency).
+        the update became known.  Replays apply events in stream
+        order; the timestamp shapes scenarios and is kept on disk.
     """
 
     u: NodeId

@@ -1,4 +1,4 @@
-"""Seeded traffic-event scenario generators for the live pipeline.
+"""Seeded traffic-event scenario generators for v2 workload replays.
 
 Where :mod:`repro.workloads.queries` synthesizes the *query* side of a
 replay, this module synthesizes the *traffic* side: timed streams of
@@ -13,16 +13,14 @@ like the situations a city's feed actually produces —
   weights of every edge around a random center for a bounded window,
   then restores them;
 * :func:`uniform_churn`: a steady background drizzle re-weighting
-  random edges at a constant rate — the knob behind
-  ``repro serve-replay --churn-cells-per-min`` and the soak/bench
-  gates.
+  random edges at a constant rate.
 
 Every generator is seeded and pure (same arguments, same event list),
 emits events sorted by ``at_ms``, and only ever re-weights edges that
 exist — so a stream can be written to a v2 workload file
 (:func:`~repro.workloads.replay.write_workload_items`), replayed
-through :meth:`~repro.service.pipeline.TrafficPipeline.publish`, or
-applied directly via
+with :func:`~repro.service.serving.replay` (``repro serve-replay``),
+or applied directly via
 :meth:`~repro.service.serving.ServingStack.reweight`.
 """
 
@@ -143,8 +141,7 @@ def incident_spike(
     Picks a random center node, multiplies the weight of every edge
     with an endpoint within ``radius`` of it (default: 10% of the map
     diagonal) at ``t=0``, and emits the restoring re-weights at
-    ``duration_ms`` — a burst shape that stresses the pipeline's
-    debounce window with two dense cell-local batches.
+    ``duration_ms`` — a burst shape of two dense cell-local batches.
     """
     if duration_ms <= 0:
         raise ExperimentError("duration_ms must be positive")

@@ -16,7 +16,6 @@ from repro.experiments import (
     e8_clustering,
     e9_cost_model,
     e13_partition_overlay,
-    e14_pipeline,
 )
 from repro.experiments.harness import ExperimentResult, run_all
 from repro.experiments.tables import format_table, format_value
@@ -279,37 +278,6 @@ class TestE13PartitionOverlay:
     def test_two_phase_queries_beat_dijkstra_at_best_capacity(self, result):
         best = min(row["overlay_settled"] for row in result.rows)
         assert best < result.rows[0]["dijkstra_settled"]
-
-
-class TestE14Pipeline:
-    @pytest.fixture(scope="class")
-    def result(self):
-        config = e14_pipeline.Config(
-            grid_width=12, grid_height=12,
-            churn_per_min=[0, 3000], duration_s=0.15, num_queries=8,
-        )
-        return e14_pipeline.run(config)
-
-    def test_no_churn_row_is_the_baseline(self, result):
-        first = result.rows[0]
-        assert first["churn_per_min"] == 0
-        assert first["installs"] == 0
-        assert first["cells_per_min"] == 0
-        assert first["throughput_pct"] == 100.0
-
-    def test_churn_rows_install_and_measure_staleness(self, result):
-        # Timing-sensitive ratios (throughput_pct) are asserted only in
-        # the soak test and the bench gate; here we pin the shape.
-        for row in result.rows[1:]:
-            assert row["events"] > 0
-            assert row["installs"] > 0
-            assert row["cells_per_min"] > 0
-            assert row["staleness_max_ms"] >= row["staleness_p95_ms"] > 0
-            assert row["queries_per_s"] > 0
-
-    def test_registered_with_harness(self):
-        (res,) = run_all(["E14"])
-        assert res.experiment_id == "E14"
 
 
 class TestHarness:

@@ -151,13 +151,10 @@ class TestTelemetryNeverLeaksEndpoints:
         assert "serve.answer_batch" in slow_log
         assert "serve.worker" in traces and "engine.union" in traces
 
-    def test_pipeline_install_spans_carry_only_counts(self, marked_network):
-        """Traffic events name edges by node id; their install spans and
-        the ``repro_pipeline_*`` instruments must only ever export
-        counts (events, edges, cells, epochs) — never the ids."""
-        from repro.service.pipeline import TrafficPipeline
-        from repro.workloads.replay import TrafficEvent
-
+    def test_reweight_spans_carry_only_counts(self, marked_network):
+        """Traffic changes name edges by node id; their ``serve.reweight``
+        spans and the ``repro_serve_reweight_seconds`` histogram must only
+        ever export counts (edges, cells, epochs) — never the ids."""
         tracer = Tracer()
         with ServingStack.from_config(
             marked_network,
@@ -165,22 +162,20 @@ class TestTelemetryNeverLeaksEndpoints:
             tracer=tracer,
         ) as stack:
             stack.warm()
-            pipeline = TrafficPipeline(stack, debounce_ms=0.0)
             for u, v, w in list(marked_network.edges())[:6]:
-                pipeline.publish(TrafficEvent(u, v, w * 2.0))
-                pipeline.pump()
+                stack.reweight([(u, v, w * 2.0)])
             surfaces = [
                 stack.metrics.to_json(),
                 stack.metrics.to_prometheus(),
                 tracer.export_jsonl(),
             ]
-        installs = [r for r in tracer.roots if r.name == "pipeline.install"]
-        assert installs, "publishing traffic produced no install spans"
-        assert "repro_pipeline_installs_total" in surfaces[0]
+        installs = [r for r in tracer.roots if r.name == "serve.reweight"]
+        assert len(installs) == 6, "reweights produced no install spans"
+        assert "repro_serve_reweight_seconds" in surfaces[0]
         for surface in surfaces:
             leaked = _leaked_ids(surface)
             assert not leaked, (
-                f"pipeline telemetry leaked node ids {leaked}: {surface[:400]}..."
+                f"reweight telemetry leaked node ids {leaked}: {surface[:400]}..."
             )
 
 

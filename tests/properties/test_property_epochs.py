@@ -74,9 +74,8 @@ def test_every_installed_epoch_equals_a_scratch_build(drawn):
                 changes.append(
                     (u, v, original if factor is None else original * factor)
                 )
-            before, previous = stack.network, stack._fingerprint()
+            before = stack.network
             outcome = stack.reweight(changes, epoch=True)
-            assert outcome.previous_fingerprint == previous
             assert stack.network is not before
             _assert_scratch_equal(stack, outcome)
     # the serving copy took every update; the map it was cut from, none

@@ -142,38 +142,29 @@ def test_processors_agree_on_arbitrary_sets(source_idx, dest_idx):
 
 
 # ---------------------------------------------------------------------------
-# Live traffic pipeline: epoch handoff under arbitrary interleavings
+# Epoch handoff under arbitrary interleavings of reweights and queries
 # ---------------------------------------------------------------------------
+
+import queue  # noqa: E402
+import threading  # noqa: E402
 
 import pytest  # noqa: E402
 
 from repro.core.query import ObfuscatedPathQuery  # noqa: E402
 from repro.search.overlay import build_overlay, dumps_overlay  # noqa: E402
-from repro.service.pipeline import TrafficPipeline  # noqa: E402
 from repro.service.serving import ServingConfig, ServingStack  # noqa: E402
-from repro.workloads.replay import TrafficEvent  # noqa: E402
 
 PIPE_NET = grid_network(8, 8, perturbation=0.1, seed=77)
 PIPE_NODES = list(PIPE_NET.nodes())
 PIPE_EDGES = list(PIPE_NET.edges())
 
 
-class _ManualClock:
-    """Settable clock so staleness stamps are deterministic."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 @st.composite
-def pipeline_scripts(draw, max_size=24):
-    """Interleavings of traffic events, queries, installs and clock steps."""
+def traffic_scripts(draw, max_size=24):
+    """Interleavings of edge changes, queries and run flushes."""
     item = st.one_of(
         st.tuples(
-            st.just("event"),
+            st.just("change"),
             st.integers(0, len(PIPE_EDGES) - 1),
             st.floats(min_value=0.5, max_value=3.0),
         ),
@@ -182,64 +173,85 @@ def pipeline_scripts(draw, max_size=24):
             st.integers(0, len(PIPE_NODES) - 1),
             st.integers(0, len(PIPE_NODES) - 1),
         ),
-        st.just(("pump",)),
-        st.tuples(st.just("tick"), st.floats(min_value=0.001, max_value=2.0)),
+        st.just(("flush",)),
     )
     return draw(st.lists(item, min_size=1, max_size=max_size))
 
 
-def _apply_prefix(reference, published, applied_so_far, target):
-    for event in published[applied_so_far:target]:
-        reference.add_edge(event.u, event.v, event.weight)
-    return target
+def _state_after(changes):
+    network = PIPE_NET.copy()
+    for u, v, w in changes:
+        network.add_edge(u, v, w)
+    return network
 
 
-@given(pipeline_scripts())
+@given(traffic_scripts())
 @settings(max_examples=15, deadline=None)
 def test_every_response_is_exact_for_an_applied_stream_prefix(script):
-    clock = _ManualClock()
+    """A feeder thread installs each flushed run of changes with one
+    ``stack.reweight`` while queries run on this thread: every answer
+    is exact for the weights after some whole run that was queued by
+    the time it returned and not installed before it was asked — never
+    a torn mix of a run."""
     with ServingStack.from_config(
         PIPE_NET.copy(),
         ServingConfig(engine="overlay-csr", max_workers=1),
     ) as stack:
         stack.warm()
-        pipeline = TrafficPipeline(stack, debounce_ms=0.0, clock=clock)
-        published: list[TrafficEvent] = []
-        reference = PIPE_NET.copy()
-        applied = 0
-        for item in script:
-            if item[0] == "event":
-                _, idx, factor = item
-                u, v, w = PIPE_EDGES[idx]
-                event = TrafficEvent(u, v, round(w * factor, 6))
-                pipeline.publish(event)
-                published.append(event)
-            elif item[0] == "pump":
-                pipeline.pump()
-            elif item[0] == "tick":
-                clock.now += item[1]
-            else:
-                _, si, ti = item
-                s, t = PIPE_NODES[si], PIPE_NODES[ti]
-                if s == t:
-                    continue
-                # The serving state is exactly the stream prefix the
-                # batcher has drained — never a torn mix of a batch.
-                prefix = pipeline.batcher.offset
-                applied = _apply_prefix(reference, published, applied, prefix)
-                response = stack.answer(ObfuscatedPathQuery((s,), (t,)))
-                truth = dijkstra_path(reference, s, t)
-                got = response.candidates.paths[(s, t)]
-                assert got.distance == pytest.approx(truth.distance, abs=1e-9)
-        # Quiesce: everything published must land, and the installed
-        # overlay must be byte-identical to a scratch build on the
-        # final weights (shared-cell reuse can never leak stale state).
-        pipeline.pump()
-        assert pipeline.snapshot().pending == 0
-        applied = _apply_prefix(reference, published, applied, len(published))
+        runs: queue.Queue = queue.Queue()
+        installed = [0]  # stream offsets of the installed runs' ends
+        errors: list[BaseException] = []
+
+        def feed():
+            while (run := runs.get()) is not None:
+                try:
+                    stack.reweight(run[1])
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+                installed.append(run[0])
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        stream: list[tuple] = []
+        ends = [0]  # stream offsets where queued runs end
+        try:
+            for item in script:
+                if item[0] == "change":
+                    _, idx, factor = item
+                    u, v, w = PIPE_EDGES[idx]
+                    stream.append((u, v, round(w * factor, 6)))
+                elif item[0] == "flush":
+                    if len(stream) > ends[-1]:
+                        runs.put((len(stream), stream[ends[-1]:]))
+                        ends.append(len(stream))
+                else:
+                    _, si, ti = item
+                    s, t = PIPE_NODES[si], PIPE_NODES[ti]
+                    if s == t:
+                        continue
+                    low = installed[-1]
+                    response = stack.answer(ObfuscatedPathQuery((s,), (t,)))
+                    got = response.candidates.paths[(s, t)].distance
+                    truths = [
+                        dijkstra_path(_state_after(stream[:end]), s, t).distance
+                        for end in ends
+                        if end >= low
+                    ]
+                    assert any(
+                        got == pytest.approx(truth, abs=1e-9)
+                        for truth in truths
+                    )
+        finally:
+            runs.put((len(stream), stream[ends[-1]:]))
+            runs.put(None)
+            feeder.join()
+        assert errors == []
+        # Everything queued landed, and the installed overlay is
+        # byte-identical to a scratch build on the final weights
+        # (shared-cell reuse can never leak stale state).
         assert dumps_overlay(
             stack.preprocessing.peek(stack._fingerprint(), "overlay-csr")
-        ) == dumps_overlay(build_overlay(reference))
+        ) == dumps_overlay(build_overlay(_state_after(stream)))
 
 
 @given(
@@ -254,12 +266,13 @@ def test_every_response_is_exact_for_an_applied_stream_prefix(script):
     st.integers(1, 8),
 )
 @settings(max_examples=15, deadline=None)
-def test_batch_partitioning_never_changes_the_final_state(updates, max_batch):
-    """Any batch partitioning (max_batch sweep) converges to the same
-    overlay as applying the events one by one — last-writer-wins within
-    a contiguous batch is state-equivalent to sequential application."""
-    events = [
-        TrafficEvent(*PIPE_EDGES[idx][:2], round(PIPE_EDGES[idx][2] * f, 6))
+def test_batch_partitioning_never_changes_the_final_state(updates, run):
+    """Any partitioning of a change stream into ``reweight`` calls of
+    ``run`` changes converges to the same overlay as applying the changes
+    one by one — last-writer-wins within a call is state-equivalent to
+    sequential application."""
+    changes = [
+        (*PIPE_EDGES[idx][:2], round(PIPE_EDGES[idx][2] * f, 6))
         for idx, f in updates
     ]
     with ServingStack.from_config(
@@ -267,14 +280,10 @@ def test_batch_partitioning_never_changes_the_final_state(updates, max_batch):
         ServingConfig(engine="overlay-csr", max_workers=1),
     ) as stack:
         stack.warm()
-        pipeline = TrafficPipeline(stack, debounce_ms=0.0, max_batch=max_batch)
-        for event in events:
-            pipeline.publish(event)
-        pipeline.pump()
+        for offset in range(0, len(changes), run):
+            stack.reweight(changes[offset : offset + run])
         installed = stack.preprocessing.peek(stack._fingerprint(), "overlay-csr")
-        sequential = PIPE_NET.copy()
-        for event in events:
-            sequential.add_edge(event.u, event.v, event.weight)
+        sequential = _state_after(changes)
         assert dumps_overlay(installed) == dumps_overlay(
             build_overlay(sequential)
         )

@@ -14,11 +14,14 @@ called anyway.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import repro.search.vectorized as vectorized
 from repro.exceptions import NoPathError
-from repro.network.csr import csr_snapshot
+from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.generators import grid_network
 from repro.search import ENGINES
 from repro.search.dijkstra import dijkstra_path
@@ -101,6 +104,17 @@ class TestVectorizedKernels:
         u, v, w = next(net.edges())
         net.add_edge(u, v, w * 2.0)
         assert vec_view(csr_snapshot(net)) is not first
+
+    def test_view_dies_with_its_snapshot(self, net):
+        """The memo must not keep its snapshot alive: every reweight
+        epoch makes a new snapshot, so a view that pins its key leaks a
+        snapshot and its padded tables per epoch."""
+        csr = CSRGraph.from_network(net)
+        vec_view(csr).neighbour_tables()
+        dead = weakref.ref(csr)
+        del csr
+        gc.collect()
+        assert dead() is None
 
 
 class TestNumpyAbsent:

@@ -1,14 +1,17 @@
-"""Concurrency soak: 8 sessions serving while the pipeline churns cells.
+"""Concurrency soak: 8 sessions serving while a feeder thread churns cells.
 
-The live-pipeline acceptance criteria in one place:
+The epoch writer's acceptance criteria in one place:
 
-* thousands of traffic events install through the background
-  :class:`~repro.service.pipeline.RecustomizeWorker` while concurrent
-  sessions hammer ``answer_batch`` — no exceptions, no torn tables;
-* telemetry is consistent: the ``pipeline.install`` trace spans agree
-  with the ``repro_pipeline_*`` counters attribute for attribute;
-* after quiescing, the installed overlay is byte-identical to a
-  from-scratch build on the final weights;
+* thousands of traffic events install through
+  :meth:`~repro.service.serving.ServingStack.reweight`, called from a
+  feeder thread one burst at a time, while concurrent sessions hammer
+  ``answer_batch`` — no exceptions, no torn tables;
+* telemetry is consistent: the ``serve.reweight`` trace spans agree
+  with the feeder's outcomes and the ``repro_serve_reweight_seconds``
+  histogram attribute for attribute;
+* after the feeder finishes, the installed overlay is byte-identical to
+  a from-scratch build on the final weights, and retirement has kept
+  the preprocessing cache bounded;
 * a churn rate far above 5% of cells per minute keeps ``answer_batch``
   throughput at >= 80% of the no-churn baseline (measured as the
   cleanest of several idle/churn round pairs, the same noise shield the
@@ -31,9 +34,11 @@ from repro.obs.trace import Tracer
 from repro.search.dijkstra import dijkstra_path
 from repro.search.overlay import build_overlay, dumps_overlay
 from repro.service.cache import ResultCache
-from repro.service.pipeline import TrafficPipeline
-from repro.service.serving import ServingConfig, ServingStack
-from repro.workloads.replay import TrafficEvent
+from repro.service.serving import (
+    KEEP_RETIRED_EPOCHS,
+    ServingConfig,
+    ServingStack,
+)
 
 NET = grid_network(14, 14, perturbation=0.1, seed=404)
 NODES = list(NET.nodes())
@@ -56,16 +61,16 @@ def _session_queries(seed, count=6):
     return queries
 
 
-def _churn_events(seed, count):
+def _churn_changes(seed, count):
     rng = random.Random(seed)
     return [
-        TrafficEvent(u, v, round(w * (0.5 + rng.random()), 6))
+        (u, v, round(w * (0.5 + rng.random()), 6))
         for u, v, w in (rng.choice(EDGES) for _ in range(count))
     ]
 
 
-class TestPipelineSoak:
-    def test_concurrent_sessions_survive_thousands_of_churn_events(self):
+class TestEpochSoak:
+    def test_concurrent_sessions_survive_thousands_of_changes(self):
         tracer = Tracer(max_roots=100_000)
         stack = ServingStack.from_config(
             NET.copy(),
@@ -75,6 +80,7 @@ class TestPipelineSoak:
         errors: list[BaseException] = []
         responses: list = []
         responses_lock = threading.Lock()
+        outcomes: list = []
         stop = threading.Event()
 
         def session(seed):
@@ -88,30 +94,36 @@ class TestPipelineSoak:
             with responses_lock:
                 responses.extend(local)
 
+        def feed(changes):
+            try:
+                for i in range(0, EVENTS_TOTAL, BURST):
+                    outcomes.append(stack.reweight(changes[i : i + BURST]))
+                    time.sleep(0.001)
+            except BaseException as exc:  # noqa: BLE001 - the assertion target
+                errors.append(exc)
+
         with stack:
             stack.warm()
-            events = _churn_events(99, EVENTS_TOTAL)
-            with TrafficPipeline(stack, debounce_ms=1.0) as pipeline:
-                threads = [
-                    threading.Thread(target=session, args=(i,))
-                    for i in range(NUM_SESSIONS)
-                ]
-                for t in threads:
-                    t.start()
-                for i in range(0, EVENTS_TOTAL, BURST):
-                    pipeline.publish_many(events[i : i + BURST])
-                    time.sleep(0.001)
-                pipeline.quiesce(timeout_s=60.0)
-                stop.set()
-                for t in threads:
-                    t.join()
-                snap = pipeline.snapshot()
+            threads = [
+                threading.Thread(target=session, args=(i,))
+                for i in range(NUM_SESSIONS)
+            ]
+            for t in threads:
+                t.start()
+            feeder = threading.Thread(
+                target=feed, args=(_churn_changes(99, EVENTS_TOTAL),)
+            )
+            feeder.start()
+            feeder.join()
+            stop.set()
+            for t in threads:
+                t.join()
 
             assert errors == []
-            assert snap.events == EVENTS_TOTAL
-            assert snap.pending == 0
-            assert snap.installs > 0
-            assert stack.epoch == snap.installs
+            installs = EVENTS_TOTAL // BURST
+            assert len(outcomes) == installs
+            assert stack.epoch == installs
+            assert all(outcome.recustomized for outcome in outcomes)
 
             # No torn tables: every response carries its full |S|x|T|
             # candidate table with finite distances for valid pairs.
@@ -126,33 +138,30 @@ class TestPipelineSoak:
                     assert math.isfinite(path.distance)
                     assert path.distance >= 0.0
 
-            # Trace-vs-counters: the pipeline.install spans must agree
-            # with the repro_pipeline_* counters attribute by attribute.
-            installs = [r for r in tracer.roots if r.name == "pipeline.install"]
-            assert len(installs) == snap.installs
-            assert sum(s.attrs["batch_events"] for s in installs) == EVENTS_TOTAL
-            assert (
-                sum(s.attrs["unique_edges"] for s in installs)
-                == snap.edges_applied
+            # Trace-vs-outcomes: the serve.reweight spans must agree
+            # with what the feeder saw, attribute by attribute.
+            spans = [r for r in tracer.roots if r.name == "serve.reweight"]
+            assert len(spans) == installs
+            assert sum(s.attrs["edges"] for s in spans) == EVENTS_TOTAL
+            assert sum(s.attrs["touched_cells"] for s in spans) == sum(
+                len(outcome.touched_cells) for outcome in outcomes
             )
-            assert (
-                sum(s.attrs["touched_cells"] for s in installs)
-                == snap.cells_recustomized
+            assert [s.attrs["epoch"] for s in spans] == list(
+                range(1, installs + 1)
             )
-            assert sorted(s.attrs["epoch"] for s in installs) == list(
-                range(1, snap.installs + 1)
-            )
-            # Staleness was measured for every event.
-            assert snap.staleness_max_ms >= snap.staleness_p95_ms > 0.0
+            # Install latency was measured for every epoch.
+            latency = stack.metrics.histogram("repro_serve_reweight_seconds")
+            assert latency.count == installs and latency.sum > 0.0
 
-            # Quiesced state: byte-identical to a scratch build, and
-            # answers are exact against the final weights.
+            # Final state: byte-identical to a scratch build, answers
+            # exact against the final weights, old epochs released.
             installed = stack.preprocessing.peek(
                 stack._fingerprint(), "overlay-csr"
             )
             assert dumps_overlay(installed) == dumps_overlay(
                 build_overlay(stack.network)
             )
+            assert len(stack.preprocessing) <= KEEP_RETIRED_EPOCHS + 1
             final = stack.answer_batch(_session_queries(1234))
             for response in final:
                 for (s, t), path in response.candidates.paths.items():
@@ -164,49 +173,51 @@ class TestPipelineSoak:
         rounds = 3
         queries = _session_queries(7, count=12)
 
-        def run(events):
+        def run(changes):
             stack = ServingStack.from_config(
                 NET.copy(),
                 ServingConfig(engine="overlay-csr", max_workers=2),
                 result_cache=ResultCache(capacity=0),
             )
+            cells = []
+            stop = threading.Event()
+
+            def feed():
+                interval = duration_s / max(1, len(changes))
+                for change in changes:
+                    if stop.wait(interval):
+                        return
+                    cells.append(len(stack.reweight([change]).touched_cells))
+
             with stack:
                 overlay = stack.warm()
-                pipeline = TrafficPipeline(stack, debounce_ms=2.0)
-                pipeline.start()
-                served = cursor = 0
-                interval = duration_s / max(1, len(events))
+                feeder = threading.Thread(target=feed)
+                served = 0
                 start = time.perf_counter()
+                feeder.start()
                 try:
-                    while True:
-                        elapsed = time.perf_counter() - start
-                        if elapsed >= duration_s:
-                            break
-                        while (
-                            cursor < len(events)
-                            and cursor * interval <= elapsed
-                        ):
-                            pipeline.publish(events[cursor])
-                            cursor += 1
+                    while time.perf_counter() - start < duration_s:
                         stack.answer_batch(queries)
                         served += len(queries)
                     elapsed = time.perf_counter() - start
                 finally:
-                    pipeline.stop()
-                return served / elapsed, pipeline.snapshot(), overlay
+                    stop.set()
+                    feeder.join()
+                return served / elapsed, sum(cells), stack.epoch, overlay
 
-        churn = _churn_events(5, 3)
+        churn = _churn_changes(5, 3)
         best_ratio = 0.0
-        best_snap = best_overlay = None
+        best = None
         for _ in range(rounds):
-            idle_qps, _, _ = run([])
-            churn_qps, snap, overlay = run(churn)
+            idle_qps, _, _, _ = run([])
+            churn_qps, cells, epochs, overlay = run(churn)
             if churn_qps / idle_qps > best_ratio:
                 best_ratio = churn_qps / idle_qps
-                best_snap, best_overlay = snap, overlay
+                best = cells, epochs, overlay
+        cells, epochs, overlay = best
         # The churn rate dwarfs the 5%-of-cells-per-minute floor ...
-        cells_per_min = best_snap.cells_recustomized / (duration_s / 60.0)
-        assert best_snap.installs > 0
-        assert cells_per_min >= 0.05 * best_overlay.num_cells
+        cells_per_min = cells / (duration_s / 60.0)
+        assert epochs > 0
+        assert cells_per_min >= 0.05 * overlay.num_cells
         # ... while throughput keeps the absolute 80% floor.
         assert best_ratio >= 0.8

@@ -11,6 +11,7 @@ byte-identical to in-process
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 from dataclasses import replace
@@ -27,6 +28,7 @@ from repro.service.gateway import (
     GatewayConfig,
     GatewayServer,
     ShardWorkerPool,
+    _HTTPRequest,
     redacted_fields,
 )
 from repro.service.serving import ServingConfig, ServingStack
@@ -168,6 +170,76 @@ class TestRouting:
             assert doc["epoch"] == 1
             _, _, health = _request(fresh, "GET", f"{API_PREFIX}/health")
             assert json.loads(health)["epoch"] == 1
+            # the install latency shows in the live metrics
+            _, _, metrics = _request(fresh, "GET", f"{API_PREFIX}/metrics")
+            gateway = json.loads(metrics)["gateway"]["metrics"]
+            assert gateway["repro_serve_reweight_seconds"]["count"] == 1
+
+
+    def test_concurrent_reweights_broadcast_in_install_order(self, network):
+        """Every process must apply epochs in one order, so a reweight
+        holds the gateway from its install through its broadcast.  The
+        executor is scripted: each round runs every queued job newest
+        first, which interleaves unserialized handlers into installing
+        A, B, C and broadcasting C, B, A."""
+        gateway = Gateway(network.copy(), ServingConfig(engine=ENGINE))
+        gateway.stack = ServingStack.from_config(
+            gateway.network, gateway.serving
+        )
+        installed, broadcast = [], []
+        real_reweight = gateway.stack.reweight
+
+        def reweight(changes):
+            installed.append(changes)
+            return real_reweight(changes)
+
+        class Pool:
+            def __len__(self):
+                return 1
+
+            def broadcast(self, message):
+                broadcast.append(message[1])
+
+        gateway.stack.reweight = reweight
+        gateway.pool = Pool()
+        nodes = sorted(network.nodes())
+        neighbor, weight = next(iter(network.neighbors(nodes[0]).items()))
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            jobs = []
+
+            def run_in_executor(executor, fn, *args):
+                future = loop.create_future()
+                jobs.append((future, fn, args))
+                return future
+
+            loop.run_in_executor = run_in_executor
+            tasks = [
+                asyncio.ensure_future(
+                    gateway._handle_reweight(
+                        _HTTPRequest(
+                            "POST", "reweight", {}, json.dumps(
+                                {"changes": [[nodes[0], neighbor, weight + k]]}
+                            ).encode(),
+                        )
+                    )
+                )
+                for k in (1, 2, 3)
+            ]
+            while not all(task.done() for task in tasks):
+                for _ in range(10):  # let every task reach its next await
+                    await asyncio.sleep(0)
+                queued = jobs[:]
+                jobs.clear()
+                for future, fn, args in reversed(queued):
+                    future.set_result(fn(*args))
+            return [json.loads(task.result().body) for task in tasks]
+
+        bodies = asyncio.run(drive())
+        assert sorted(body["epoch"] for body in bodies) == [1, 2, 3]
+        assert len(installed) == 3
+        assert broadcast == installed
 
 
 class TestShardLane:

@@ -2,20 +2,31 @@
 
 Every re-weight is a copy-on-write epoch: the network handed to the
 stack is never mutated, the new weights are read from ``stack.network``.
+:meth:`ServingStack.reweight` is the one epoch writer: it serializes
+concurrent writers and retires old epochs from both caches.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.core.obfuscator import PathQueryObfuscator
 from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
-from repro.exceptions import EdgeError
+from repro.exceptions import EdgeError, GraphError
 from repro.network.generators import grid_network
+from repro.network.graph import RoadNetwork
+from repro.obs.trace import Tracer
 from repro.search.dijkstra import dijkstra_path
 from repro.search.overlay import OverlayGraph, build_overlay, dumps_overlay
 from repro.service.cache import PreprocessingCache, network_fingerprint
-from repro.service.serving import ReweightOutcome, ServingConfig, ServingStack
+from repro.service.serving import (
+    KEEP_RETIRED_EPOCHS,
+    ReweightOutcome,
+    ServingConfig,
+    ServingStack,
+)
 
 
 @pytest.fixture()
@@ -250,9 +261,10 @@ class TestReweight:
                 if not overlay_n.touched_cells([(u, v)])
             ]
             for (u, v, w), factor in ((intra[0], 5.0), (cut[0], 0.1)):
+                previous = stack._fingerprint()
                 outcome = stack.reweight([(u, v, w * factor)], epoch=True)
                 assert outcome.recustomized
-                assert outcome.previous_fingerprint != outcome.fingerprint
+                assert previous != outcome.fingerprint
             assert stack.epoch == 2 and stack.network is not captured
             # epoch N, exactly as captured
             assert {(u, v): w for u, v, w in captured.edges()} == weights
@@ -271,6 +283,204 @@ class TestReweight:
             assert set(current.undercut) == {(u, v), (v, u)}
             assert stack.network.edge_weight(u, v) == w * 0.1
             _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
+
+
+class TestEpochReweight:
+    def test_install_swaps_network_without_mutating_the_old(self, net):
+        u, v, w = next(net.edges())
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+        ) as stack:
+            stack.warm()
+            old_network = stack.network
+            old_epoch = stack.epoch
+            previous = stack._fingerprint()
+            outcome = stack.reweight([(u, v, w * 2.0)], epoch=True)
+            assert stack.epoch == old_epoch + 1
+            assert outcome.epoch == stack.epoch
+            assert outcome.fingerprint != previous
+            # Copy-on-write: the old epoch's snapshot is untouched, the
+            # serving pointer moved to a new object with the new weight.
+            assert stack.network is not old_network
+            assert old_network.edge_weight(u, v) == w
+            assert stack.network.edge_weight(u, v) == w * 2.0
+            _assert_exact(
+                stack.network, stack.answer(_query(stack.network, 3, 77))
+            )
+
+    def test_recustomized_install_matches_scratch_build(self, net):
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+        ) as stack:
+            overlay = stack.warm()
+            u, v, w = next(
+                (u, v, w)
+                for u, v, w in net.edges()
+                if overlay.touched_cells([(u, v)])
+            )
+            outcome = stack.reweight([(u, v, w * 3.0)], epoch=True)
+            assert outcome.recustomized
+            installed = stack.preprocessing.peek(
+                outcome.fingerprint, "overlay-csr"
+            )
+            assert dumps_overlay(installed) == dumps_overlay(
+                build_overlay(stack.network)
+            )
+
+    def test_empty_change_set_is_a_no_op(self, net):
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+        ) as stack:
+            stack.warm()
+            epoch = stack.epoch
+            outcome = stack.reweight([], epoch=True)
+            assert outcome.edges == 0
+            assert stack.epoch == epoch
+
+    def test_epoch_validation_is_atomic(self, net):
+        u, v, w = next(net.edges())
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+        ) as stack:
+            stack.warm()
+            epoch = stack.epoch
+            with pytest.raises(EdgeError):
+                stack.reweight([(u, v, w * 2.0), (0, 0, 1.0)], epoch=True)
+            assert stack.epoch == epoch
+            assert stack.network.edge_weight(u, v) == w
+
+    def test_recustomized_on_rejects_mismatched_snapshot(self, net):
+        overlay = build_overlay(net)
+        other = grid_network(5, 5, seed=1)
+        with pytest.raises(GraphError):
+            overlay.recustomized_on(other, cells=[0])
+
+    def test_install_latency_and_span_are_recorded(self, net):
+        tracer = Tracer()
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+            tracer=tracer,
+        ) as stack:
+            stack.warm()
+            changes = [(u, v, w * 2.0) for u, v, w in list(net.edges())[:3]]
+            outcome = stack.reweight(changes)
+            stack.reweight([])
+        installs = stack.metrics.histogram("repro_serve_reweight_seconds")
+        assert installs.count == 2 and installs.sum > 0.0
+        spans = [r for r in tracer.roots if r.name == "serve.reweight"]
+        assert [s.attrs["edges"] for s in spans] == [3, 0]
+        assert spans[0].attrs["epoch"] == outcome.epoch == 1
+        assert spans[0].attrs["touched_cells"] == len(outcome.touched_cells)
+        assert spans[0].attrs["recustomized"] is outcome.recustomized
+
+
+class TestConcurrentWriters:
+    def test_concurrent_reweights_lose_no_update(self, net, monkeypatch):
+        """Two writers each meet the other inside ``RoadNetwork.copy``
+        when they can: a stack that lets both copy epoch N installs one
+        update over the other.  With writers serialized the first one
+        waits out the barrier alone and the second copies epoch N+1."""
+        barrier = threading.Barrier(2, timeout=1.0)
+        real_copy = RoadNetwork.copy
+
+        def meeting_copy(network):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return real_copy(network)
+
+        monkeypatch.setattr(RoadNetwork, "copy", meeting_copy)
+        (a, b, wa), (c, d, wc) = list(net.edges())[:2]
+        errors = []
+        with ServingStack.from_config(
+            net, ServingConfig(engine="dijkstra-csr", max_workers=1)
+        ) as stack:
+
+            def write(u, v, w):
+                try:
+                    stack.reweight([(u, v, w)])
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=write, args=(a, b, wa * 2.0)),
+                threading.Thread(target=write, args=(c, d, wc * 3.0)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert stack.epoch == 2
+            assert stack.network.edge_weight(a, b) == wa * 2.0
+            assert stack.network.edge_weight(c, d) == wc * 3.0
+            assert stack._fingerprint() == network_fingerprint(stack.network)
+
+
+class TestEpochRetirement:
+    def test_retirement_releases_old_epoch_cache_keys(self, net):
+        edges = list(net.edges())
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+        ) as stack:
+            stack.warm()
+            fingerprints = [stack._fingerprint()]
+            for k, (u, v, w) in enumerate(edges[:4]):
+                stack.answer(_query(stack.network, 3, 77))
+                stack.reweight([(u, v, w * (2.0 + k))])
+                fingerprints.append(stack._fingerprint())
+            # Epochs beyond the retired window are released from both
+            # caches; the window and the current epoch stay serveable.
+            keep = KEEP_RETIRED_EPOCHS + 1
+            for fp in fingerprints[:-keep]:
+                assert stack.preprocessing.peek(fp, "overlay-csr") is None
+                assert stack.results.invalidate_fingerprint(fp) == 0
+            for fp in fingerprints[-keep:]:
+                assert stack.preprocessing.peek(fp, "overlay-csr") is not None
+
+    def test_restored_weight_keeps_the_live_artifact(self, net):
+        """``w -> 2w -> 3w -> w`` brings the first fingerprint back as
+        the current epoch: retiring it would drop the overlay the last
+        install just put, and the next reweight could not recustomize."""
+        with ServingStack.from_config(
+            net,
+            ServingConfig(engine="overlay-csr", max_workers=1),
+        ) as stack:
+            overlay = stack.warm()
+            u, v, w = next(
+                (u, v, w)
+                for u, v, w in net.edges()
+                if overlay.touched_cells([(u, v)])
+            )
+            first = stack._fingerprint()
+            for factor in (2.0, 3.0, 1.0):
+                assert stack.reweight([(u, v, w * factor)]).recustomized
+            current = stack._fingerprint()
+            assert current == first
+            assert stack.preprocessing.peek(current, "overlay-csr") is not None
+            misses = stack.preprocessing.misses
+            _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
+            assert stack.preprocessing.misses == misses
+            assert stack.reweight([(u, v, w * 4.0)]).recustomized
+
+    @pytest.mark.parametrize("engine", ["overlay-csr", "dijkstra-csr"])
+    def test_ten_reweights_keep_a_bounded_cache(self, net, engine):
+        edges = list(net.edges())
+        with ServingStack.from_config(
+            net, ServingConfig(engine=engine, max_workers=1)
+        ) as stack:
+            for k, (u, v, w) in enumerate(edges[:10]):
+                stack.answer(_query(stack.network, 3, 140))
+                stack.reweight([(u, v, w * (1.5 + k))])
+            assert len(stack.preprocessing) <= KEEP_RETIRED_EPOCHS + 1
+            assert len(stack.results) <= KEEP_RETIRED_EPOCHS + 1
 
 
 class TestBypassedReweight:

@@ -277,6 +277,35 @@ class TestReplay:
             with pytest.raises(ValueError):
                 replay(stack, [], batch_size=0)
 
+    def test_mixed_stream_serves_and_installs_in_order(self, small_grid):
+        """A traffic event flushes the open batch, and each run of
+        consecutive events installs as one epoch."""
+        from repro.search.dijkstra import dijkstra_path
+        from repro.workloads.replay import TrafficEvent
+
+        (u, v, w), (x, y, z) = list(small_grid.edges())[:2]
+        q = _queries(small_grid, n=3)
+        items = [
+            q[0], q[1],
+            TrafficEvent(u, v, w * 2.5), TrafficEvent(x, y, z * 3.0),
+            q[2],
+        ]
+        with ServingStack.from_config(
+            small_grid, ServingConfig(engine="overlay-csr", max_workers=1)
+        ) as stack:
+            stack.warm()
+            report = replay(stack, items, repeats=2, batch_size=2)
+            assert report.queries == 6
+            assert len(report.latencies) == 6
+            assert stack.epoch == 2  # one epoch per run, per pass
+            assert stack.network.edge_weight(u, v) == w * 2.5
+            assert stack.network.edge_weight(x, y) == z * 3.0
+            assert small_grid.edge_weight(u, v) == w
+            response = stack.answer(q[2])
+            for (s, t), path in response.candidates.paths.items():
+                ref = dijkstra_path(stack.network, s, t).distance
+                assert path.distance == pytest.approx(ref, abs=1e-9)
+
     def test_replay_with_injected_clock_is_deterministic(self, small_grid):
         # A stepping fake clock makes every latency exactly one tick, so
         # the report is assertable down to the numbers instead of "is

@@ -320,7 +320,7 @@ class TestServeReplay:
         assert roots
         assert all(r["name"] == "serve.answer_batch" for r in roots)
 
-    def test_mixed_workload_drives_the_traffic_pipeline(
+    def test_mixed_workload_installs_traffic_epochs(
         self, map_file, workload_file, tmp_path, capsys
     ):
         mixed = str(tmp_path / "mixed.txt")
@@ -339,39 +339,15 @@ class TestServeReplay:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "traffic pipeline:" in out
-        assert "20 events" in out  # 10 per repeat, re-published each pass
-        assert "staleness p50/p95/max" in out
+        assert "traffic epochs:" in out
+        assert "20 events" in out  # 10 per repeat, re-applied each pass
+        assert "install mean" in out
 
-    def test_churn_flag_feeds_synthetic_traffic(
-        self, map_file, workload_file, capsys
-    ):
-        assert main(
-            [
-                "serve-replay", map_file, workload_file,
-                "--engine", "overlay-csr", "--repeat", "2",
-                "--churn-cells-per-min", "6000",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "traffic pipeline:" in out
-        assert "staleness p50/p95/max" in out
-
-    def test_query_only_replay_omits_pipeline_report(
+    def test_query_only_replay_omits_traffic_report(
         self, map_file, workload_file, capsys
     ):
         assert main(["serve-replay", map_file, workload_file]) == 0
-        assert "traffic pipeline:" not in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "flag,value",
-        [("--churn-cells-per-min", "-1"), ("--debounce-ms", "-0.5")],
-    )
-    def test_bad_pipeline_flags_fail_cleanly(
-        self, map_file, workload_file, capsys, flag, value
-    ):
-        assert main(["serve-replay", map_file, workload_file, flag, value]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert "traffic epochs:" not in capsys.readouterr().out
 
     def test_slow_query_log_emits_json(
         self, map_file, workload_file, capsys

@@ -11,7 +11,7 @@ on a >25% regression.  Two metric kinds are tracked:
 * **ratios** (``speedup_*``) — same-machine wall-clock ratios (best-of-N
   on both sides), which transfer across hardware far better than
   absolute times;
-* **budgets** (``telemetry_overhead_pct``, ``staleness_p95_ms``,
+* **budgets** (``telemetry_overhead_pct``,
   ``throughput_under_churn_pct``) — quantities with a hard absolute
   ceiling or floor, gated by a ``max``/``min`` field on the baseline
   entry instead of the relative tolerance.
@@ -72,7 +72,6 @@ from repro.core.query import ObfuscatedPathQuery  # noqa: E402
 from repro.search.result import SearchStats  # noqa: E402
 from repro.service.cache import PreprocessingCache, ResultCache  # noqa: E402
 from repro.service.gateway import GatewayConfig, GatewayServer  # noqa: E402
-from repro.service.pipeline import TrafficPipeline  # noqa: E402
 from repro.service.serving import ServingConfig, ServingStack  # noqa: E402
 from repro.service.wire import RouteRequest, RouteResponse  # noqa: E402
 from repro.workloads.loadgen import run_load  # noqa: E402
@@ -241,87 +240,78 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
         lambda: run_sessions(True), repeats
     )
 
-    # Live traffic pipeline: answer_batch throughput while the
-    # background RecustomizeWorker churns cells, against an idle
-    # (pipeline started, zero events) baseline on a fresh copy of the
-    # same grid.  The result cache is off on both sides — churn changes
-    # the serving fingerprint on every epoch install, so a cache-hit
-    # baseline would compare cached-table lookups against real searches.
-    # Both metrics are absolute gates (a hard budget, not a ratio to a
-    # noisy committed number): staleness p95 must stay under its
-    # ceiling, and churned throughput must keep an absolute floor of
-    # the idle baseline measured in the same process.  Each round times
-    # idle and churn back-to-back and the metric takes the *cleanest
-    # round's* ratio — the same trick the telemetry-overhead metric
-    # uses — so sustained machine noise spanning one whole run cannot
-    # masquerade as churn cost.  Even two events in a 0.6s window is
-    # ~200 churned cells per minute, orders of magnitude above the 5%
-    # cells-per-minute churn floor the serving SLO targets.
-    pipeline_duration_s = 0.6
+    # Traffic churn: answer_batch throughput while a churn schedule
+    # installs epochs through stack.reweight between batches, against
+    # an idle (zero events) baseline on a fresh copy of the same grid.
+    # The result cache is off on both sides — churn changes the serving
+    # fingerprint on every epoch install, so a cache-hit baseline would
+    # compare cached-table lookups against real searches.  The metric
+    # is an absolute gate (a hard budget, not a ratio to a noisy
+    # committed number): churned throughput must keep an absolute floor
+    # of the idle baseline measured in the same process.  Each round
+    # times idle and churn back-to-back and the metric takes the
+    # *cleanest round's* ratio — the same trick the telemetry-overhead
+    # metric uses — so sustained machine noise spanning one whole run
+    # cannot masquerade as churn cost.  Even two events in a 0.6s
+    # window is ~200 churned cells per minute, orders of magnitude
+    # above the 5% cells-per-minute churn floor the serving SLO targets.
+    churn_duration_s = 0.6
     churn_events_n = 3 if full else 2
-    pipeline_rounds = 3
+    churn_rounds = 3
     rng3 = random.Random(11)
-    pipeline_queries = [
+    churn_queries = [
         ObfuscatedPathQuery(
             tuple(rng3.sample(nodes, 3)), tuple(rng3.sample(nodes, 3))
         )
         for _ in range(16)
     ]
 
-    def run_pipeline(churn_events):
+    def run_churn(churn_events):
         stack = ServingStack.from_config(
             net.copy(),
             ServingConfig(engine="overlay-csr", max_workers=2),
             result_cache=ResultCache(capacity=0),
         )
         stack.warm()
-        pipeline = TrafficPipeline(stack, debounce_ms=2.0)
-        pipeline.start()
         served = cursor = 0
         start = time.perf_counter()
         try:
             while True:
                 elapsed = time.perf_counter() - start
-                if elapsed >= pipeline_duration_s:
+                if elapsed >= churn_duration_s:
                     break
                 due_ms = elapsed * 1000.0
+                due = []
                 while (
                     cursor < len(churn_events)
                     and churn_events[cursor].at_ms <= due_ms
                 ):
-                    pipeline.publish(churn_events[cursor])
+                    due.append(churn_events[cursor].as_change())
                     cursor += 1
+                if due:
+                    stack.reweight(due)
                 stack.answer_batch(
                     [
-                        pipeline_queries[(served + i) % len(pipeline_queries)]
+                        churn_queries[(served + i) % len(churn_queries)]
                         for i in range(8)
                     ]
                 )
                 served += 8
             elapsed = time.perf_counter() - start
         finally:
-            pipeline.stop()
             stack.close()
-        return served / elapsed, pipeline.snapshot()
+        return served / elapsed
 
     churn_schedule = uniform_churn(
         net,
-        duration_ms=round(pipeline_duration_s * 1000.0),
+        duration_ms=round(churn_duration_s * 1000.0),
         events=churn_events_n,
         seed=13,
     )
-    qps_idle = qps_churn = 0.0
     churn_ratio = 0.0
-    pipe_snap = None
-    for _ in range(pipeline_rounds):
-        round_idle, _ = run_pipeline([])
-        round_churn, round_snap = run_pipeline(churn_schedule)
-        if round_churn / round_idle > churn_ratio:
-            churn_ratio = round_churn / round_idle
-            qps_idle, qps_churn, pipe_snap = round_idle, round_churn, round_snap
-    cells_per_min = (
-        pipe_snap.cells_recustomized / (pipeline_duration_s / 60.0)
-    )
+    for _ in range(churn_rounds):
+        round_idle = run_churn([])
+        churn_ratio = max(churn_ratio, run_churn(churn_schedule) / round_idle)
 
     # Network gateway: RPS and tail latency over real HTTP through the
     # asyncio front-end, single-process vs shard workers.  Every
@@ -335,7 +325,7 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
     # 0.16-0.51 on untouched code besides.  Each side is gated on its
     # own absolute floor; the ratio stays under "info" for humans.
     gateway_engine = "dijkstra-csr"
-    gateway_queries = pipeline_queries
+    gateway_queries = churn_queries
     gateway_requests = [RouteRequest.from_query(q) for q in gateway_queries]
     gateway_repeats = 3 if full else 2
     with ServingStack.from_config(
@@ -467,22 +457,13 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
             "direction": "lower",
             "desc": "distinct pairs the coalesced union passes evaluated",
         },
-        "staleness_p95_ms": {
-            "value": round(pipe_snap.staleness_p95_ms, 2),
-            "direction": "lower",
-            "max": 500.0,
-            "desc": (
-                "event->install staleness p95 (ms) under churn through "
-                "the live pipeline (gated absolutely at 500ms)"
-            ),
-        },
         "throughput_under_churn_pct": {
             "value": round(min(100.0, 100.0 * churn_ratio), 1),
             "direction": "higher",
             "min": 80.0,
             "desc": (
                 "answer_batch throughput under cell churn as % of the "
-                "idle-pipeline baseline (gated absolutely at 80%)"
+                "idle baseline (gated absolutely at 80%)"
             ),
         },
         "telemetry_overhead_pct": {
@@ -546,11 +527,6 @@ def run_suite(full: bool = False, repeats: int = 3) -> dict:
             "coalesce_coalesced_ms": round(t_coalesced * 1000, 2),
             "telemetry_hooks_off_ms": round(t_hooks_off * 1000, 2),
             "telemetry_hooks_on_ms": round(t_hooks_on * 1000, 2),
-            "pipeline_idle_qps": round(qps_idle, 1),
-            "pipeline_churn_qps": round(qps_churn, 1),
-            "pipeline_installs": pipe_snap.installs,
-            "pipeline_cells_per_min": round(cells_per_min, 1),
-            "pipeline_staleness_max_ms": round(pipe_snap.staleness_max_ms, 2),
             "gateway_cores": cores,
             "gateway_workers": gateway_workers,
             "gateway_rps_single": round(gateway_single.rps, 1),

@@ -59,7 +59,6 @@ DOCSTRING_AUDIT_FILES = [
     "src/repro/service/blob.py",
     "src/repro/service/cache.py",
     "src/repro/service/gateway.py",
-    "src/repro/service/pipeline.py",
     "src/repro/service/serving.py",
     "src/repro/service/simulator.py",
     "src/repro/service/stats.py",
