@@ -718,7 +718,7 @@ class OverlayGraph:
         )
         if meet >= 0:
             return self._stitch(
-                source, destination, fwd, bwd, best, meet, parent, via
+                source, destination, fwd, bwd, meet, parent, via
             )
         return fwd.path(destination) if direct < _INF else None
 
@@ -848,16 +848,22 @@ class OverlayGraph:
                             meet = bi
                 if meet >= 0:
                     results[(s, t)] = self._stitch(
-                        s, t, fwd, backs[t], best, meet, parent, via
+                        s, t, fwd, backs[t], meet, parent, via
                     )
                 elif best < _INF:
                     results[(s, t)] = fwd.path(t)
         return results
 
     def _stitch(
-        self, source, destination, fwd, bwd, best, meet, parent, via
+        self, source, destination, fwd, bwd, meet, parent, via
     ) -> PathResult:
-        """Expand an overlay tree chain into a full node path."""
+        """Expand an overlay tree chain into a full node path.
+
+        The distance is the left fold of the path's arc weights from
+        the source, the label Dijkstra gives the destination, not the
+        sweep's meet sum: the same path then reports the same distance
+        whichever sweep found it and wherever the sweeps met.
+        """
         ids = self.boundary_ids
         chain = [meet]
         node = meet
@@ -865,7 +871,9 @@ class OverlayGraph:
             node = parent[node]
             chain.append(node)
         chain.reverse()
-        nodes = list(fwd.path(ids[chain[0]]).nodes)
+        first = ids[chain[0]]
+        nodes = list(fwd.path(first).nodes)
+        folded = len(nodes) - 1
         for prev, curr in zip(chain, chain[1:]):
             kind = via[curr]
             if kind < 0:  # cut arc: a real edge
@@ -873,11 +881,15 @@ class OverlayGraph:
             else:  # clique arc: splice the stored intra-cell path
                 nodes.extend(self.cliques[kind][ids[prev]][ids[curr]].nodes[1:])
         nodes.extend(bwd.path(ids[meet]).nodes[1:])
+        distance = fwd.dist[first]  # the local search's left fold
+        neighbors = self.network.neighbors
+        for u, v in zip(nodes[folded:], nodes[folded + 1:]):
+            distance += neighbors(u)[v]
         return PathResult(
             source=source,
             destination=destination,
             nodes=tuple(nodes),
-            distance=best,
+            distance=distance,
         )
 
 
