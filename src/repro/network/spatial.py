@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 
 from repro.exceptions import UnknownNodeError
 from repro.network.graph import NodeId, Point, RoadNetwork
@@ -20,6 +21,15 @@ __all__ = ["GridSpatialIndex"]
 
 class GridSpatialIndex:
     """Uniform grid of node buckets supporting nearest/range/ring queries.
+
+    Box queries read *column runs*, built once: for every populated
+    bucket column, its nodes in bucket order (rows ascending, insertion
+    order within a bucket) with their positions beside them, and where
+    each populated row of the column starts in that run.  A box is then
+    one run slice per column it crosses: nodes of buckets strictly
+    inside the box are taken whole, and only the buckets on its border
+    are filtered by position.  Every box, circle and ring query lists
+    its nodes in that one bucket order, which :meth:`rank` numbers.
 
     Parameters
     ----------
@@ -51,13 +61,26 @@ class GridSpatialIndex:
         self._buckets: dict[tuple[int, int], list[NodeId]] = {}
         for node in network.nodes():
             self._buckets.setdefault(self._key(network.position(node)), []).append(node)
-        keys = list(self._buckets)
-        self._key_bounds = (
-            min(k[0] for k in keys),
-            min(k[1] for k in keys),
-            max(k[0] for k in keys),
-            max(k[1] for k in keys),
-        )
+        # column runs, see the class docstring: _col_keys[c] is the c-th
+        # populated column; _runs[c] = (nodes, xs, ys, row keys, starts),
+        # row key r's nodes being nodes[starts[i]:starts[i + 1]] where
+        # rows[i] == r (starts ends with the run's length)
+        self._col_keys: list[int] = []
+        self._runs: list[tuple[list, list, list, list, list]] = []
+        self._rank: dict[NodeId, int] = {}
+        for bx, by in sorted(self._buckets):
+            if not self._col_keys or self._col_keys[-1] != bx:
+                self._col_keys.append(bx)
+                self._runs.append(([], [], [], [], [0]))
+            nodes, xs, ys, rows, starts = self._runs[-1]
+            for node in self._buckets[(bx, by)]:
+                p = network.position(node)
+                self._rank[node] = len(self._rank)
+                nodes.append(node)
+                xs.append(p.x)
+                ys.append(p.y)
+            rows.append(by)
+            starts.append(len(nodes))
 
     @property
     def cell_size(self) -> float:
@@ -116,29 +139,40 @@ class GridSpatialIndex:
 
         Nodes come out bucket by bucket (column-major over the grid, in
         insertion order within a bucket), so equal boxes give equal
-        lists — seeded sampling over the result is reproducible.
+        lists — seeded sampling over the result is reproducible — and
+        :meth:`rank` ascends along every result.
         """
         lo_x, lo_y = self._key(Point(min_x, min_y))
         hi_x, hi_y = self._key(Point(max_x, max_y))
-        # Clamp to the populated key range so oversized boxes stay cheap.
-        first_x, first_y = self._key_bounds[:2]
-        last_x, last_y = self._key_bounds[2:]
+        cols = self._col_keys
         out: list[NodeId] = []
-        for bx in range(max(lo_x, first_x), min(hi_x, last_x) + 1):
-            inside_x = lo_x < bx < hi_x
-            for by in range(max(lo_y, first_y), min(hi_y, last_y) + 1):
-                bucket = self._buckets.get((bx, by))
-                if bucket is None:
-                    continue
-                if inside_x and lo_y < by < hi_y:
-                    # a bucket strictly between the box's corner keys
-                    # lies inside the box: keys are monotone in position
-                    out.extend(bucket)
-                    continue
-                for node in bucket:
-                    p = self._network.position(node)
-                    if min_x <= p.x <= max_x and min_y <= p.y <= max_y:
-                        out.append(node)
+        for c in range(bisect_left(cols, lo_x), bisect_right(cols, hi_x)):
+            nodes, xs, ys, rows, starts = self._runs[c]
+            i = starts[bisect_left(rows, lo_y)]
+            j = starts[bisect_right(rows, hi_y)]
+            if lo_x < cols[c] < hi_x and lo_y < hi_y:
+                # Keys are monotone in position, so this column's nodes
+                # lie inside the box's x range, and so do the y values
+                # of buckets strictly between the corner rows: only the
+                # bottom bucket's nodes can lie below the box and only
+                # the top bucket's above it.
+                lo = starts[bisect_right(rows, lo_y)]
+                hi = starts[bisect_left(rows, hi_y)]
+                out.extend([
+                    node for node, y in zip(nodes[i:lo], ys[i:lo])
+                    if y >= min_y
+                ])
+                out.extend(nodes[lo:hi])
+                out.extend([
+                    node for node, y in zip(nodes[hi:j], ys[hi:j])
+                    if y <= max_y
+                ])
+            elif i < j:
+                out.extend([
+                    node
+                    for node, x, y in zip(nodes[i:j], xs[i:j], ys[i:j])
+                    if min_x <= x <= max_x and min_y <= y <= max_y
+                ])
         return out
 
     def nodes_within(self, x: float, y: float, radius: float) -> list[NodeId]:
@@ -192,6 +226,15 @@ class GridSpatialIndex:
         if node not in self._network:
             raise UnknownNodeError(node)
         return self._key(self._network.position(node))
+
+    def rank(self, node: NodeId) -> int:
+        """``node``'s position in the bucket order box queries list in.
+
+        Every result of :meth:`nodes_in_box`, :meth:`nodes_within` and
+        :meth:`nodes_in_ring` ascends in it, so a node can be found in
+        one by bisection.  ``-1`` for a node the index does not hold.
+        """
+        return self._rank.get(node, -1)
 
     def cell_members(self, cell: tuple[int, int]) -> list[NodeId]:
         """Nodes stored in a grid cell (empty list for unknown cells)."""

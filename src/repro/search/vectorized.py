@@ -9,11 +9,16 @@ their target's label, relaxes the rest with one unbuffered
 ``np.minimum.at`` scatter, and the nodes whose labels improved form the
 next frontier.
 
-A wave costs a fixed ~20 numpy calls plus a little per relaxed arc, and
-at the sizes a protected query produces the calls dominate.  So the
-gather takes whole rows of :meth:`VecGraph.neighbour_tables`, every
-node's out-arcs padded to the largest out-degree (pad slots: node 0,
-weight ``+inf``), in one ``np.take`` per table.  That is only worth it
+A wave costs a fixed ~30 numpy operations plus a little per relaxed
+arc, and at the sizes a protected query produces (a few hundred frontier
+entries per wave) the calls dominate: on a 100x100 grid a one-row sweep
+costs about as much as a two-row one.  So every operation is a direct
+C-level call — ndarray methods and ufuncs, never a Python-level wrapper
+such as ``np.flatnonzero`` or ``ndarray.any``, which at these sizes cost
+more than the work they do — and the gather takes whole rows of
+:meth:`VecGraph.neighbour_tables`, every node's out-arcs padded to the
+largest out-degree (pad slots: node 0, weight ``+inf``), in one
+``np.take`` per table.  That is only worth it
 when the padding is small: :attr:`VecGraph.padded` holds when the
 tables cost at most twice the arc arrays (road grids 1.0x, 640 KB on a
 100x100 grid; metro maps 1.3x).  A skewed snapshot — a scale-free hub
@@ -56,6 +61,7 @@ every kernel raises ``ImportError`` instead.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Iterable, Sequence
 
 from repro.exceptions import NoPathError
@@ -93,6 +99,40 @@ def _require_numpy():
         )
 
 
+class _SnapshotArrays:
+    """The ndarray state of one snapshot that its views share.
+
+    Kept by :func:`vec_view` in the snapshot's ``_vec`` slot.  It holds
+    no reference back to the snapshot — a :class:`VecGraph` does, and
+    the slot only refers to the latest memoized view weakly — so a
+    snapshot and its views form no cycle, and a retired snapshot is
+    freed on its last reference instead of at the next cyclic
+    collection.
+    """
+
+    __slots__ = (
+        "offsets", "targets", "weights", "deg", "density", "strict",
+        "padded", "tables", "view",
+    )
+
+    def __init__(self, csr: CSRGraph) -> None:
+        views = csr.as_numpy()
+        self.offsets = views["offsets"]
+        self.targets = views["targets"]
+        self.weights = weights = views["weights"]
+        self.deg = np.diff(self.offsets)
+        xs, ys = views["xs"], views["ys"]
+        area = float(np.ptp(xs) * np.ptp(ys)) if len(xs) else 0.0
+        self.density = len(xs) / area if area > 0.0 else _INF
+        self.strict = bool(
+            len(weights) == 0 or weights.min() > weights.sum() * 2.0 ** -52
+        )
+        width = int(self.deg.max()) if len(self.deg) else 0
+        self.padded = len(self.deg) * width <= 2 * len(weights)
+        self.tables = None
+        self.view = None  # weakref to the memoized VecGraph
+
+
 class VecGraph:
     """A :class:`CSRGraph` plus the ndarray views the batch kernels read.
 
@@ -111,41 +151,43 @@ class VecGraph:
     :meth:`neighbour_tables`: padding every node to the largest
     out-degree costs at most twice the arc arrays (grids 1.0x, metro
     maps 1.3x; a scale-free hub graph would pay 36x at 2 000 nodes).
+
+    ``VecGraph(csr)`` computes its arrays afresh; :func:`vec_view` hands
+    out views that share them (:class:`_SnapshotArrays`).
     """
 
     __slots__ = (
         "csr", "offsets", "targets", "weights", "deg", "density", "strict",
-        "padded", "_tables",
+        "padded", "_arrays", "__weakref__",
     )
 
-    def __init__(self, csr: CSRGraph) -> None:
+    def __init__(
+        self, csr: CSRGraph, arrays: _SnapshotArrays | None = None
+    ) -> None:
         _require_numpy()
-        views = csr.as_numpy()
+        if arrays is None:
+            arrays = _SnapshotArrays(csr)
         self.csr = csr
-        self.offsets = views["offsets"]
-        self.targets = views["targets"]
-        self.weights = weights = views["weights"]
-        self.deg = np.diff(self.offsets)
-        xs, ys = views["xs"], views["ys"]
-        area = float(np.ptp(xs) * np.ptp(ys)) if len(xs) else 0.0
-        self.density = len(xs) / area if area > 0.0 else _INF
-        self.strict = bool(
-            len(weights) == 0 or weights.min() > weights.sum() * 2.0 ** -52
-        )
-        width = int(self.deg.max()) if len(self.deg) else 0
-        self.padded = len(self.deg) * width <= 2 * len(weights)
-        self._tables = None
+        self._arrays = arrays
+        self.offsets = arrays.offsets
+        self.targets = arrays.targets
+        self.weights = arrays.weights
+        self.deg = arrays.deg
+        self.density = arrays.density
+        self.strict = arrays.strict
+        self.padded = arrays.padded
 
     def neighbour_tables(self):
         """``(targets, weights)`` padded to ``(num_nodes, max out-degree)``.
 
         Row ``u`` lists ``u``'s out-arcs in CSR order, then pad slots
         that point at node 0 with weight ``+inf`` (no relaxation through
-        them can pass a ``<`` test).  Built on first use and kept; only
-        :attr:`padded` snapshots should ask.
+        them can pass a ``<`` test).  Built on first use and kept (with
+        the snapshot's other shared arrays); only :attr:`padded`
+        snapshots should ask.
         """
-        tables = self._tables
-        if tables is None:
+        arrays = self._arrays
+        if arrays.tables is None:
             n, deg = len(self.deg), self.deg
             width = int(deg.max()) if n else 0
             # table slot of arc e: its row's start plus its rank in the row
@@ -155,10 +197,8 @@ class VecGraph:
             nbr[at] = self.targets
             nbr_w = np.full(n * width, np.inf)
             nbr_w[at] = self.weights
-            tables = self._tables = (
-                nbr.reshape(n, width), nbr_w.reshape(n, width),
-            )
-        return tables
+            arrays.tables = (nbr.reshape(n, width), nbr_w.reshape(n, width))
+        return arrays.tables
 
     def __repr__(self) -> str:
         return f"VecGraph({self.csr!r})"
@@ -167,16 +207,22 @@ class VecGraph:
 def vec_view(csr: CSRGraph) -> VecGraph:
     """The (memoized) :class:`VecGraph` over ``csr``.
 
-    Kept in the snapshot's own ``_vec`` slot, so the view lives and
-    dies with its snapshot (``csr_snapshot`` rebuilds per network
-    version, and ``vec_view(csr_snapshot(network))`` follows it).  Two
-    threads racing a first call may both build; one view wins the slot.
-    Raises ``ImportError`` when numpy is missing.
+    The arrays are kept in the snapshot's own ``_vec`` slot, so they
+    live and die with their snapshot (``csr_snapshot`` rebuilds per
+    network version, and ``vec_view(csr_snapshot(network))`` follows
+    it), and every call returns the same view for as long as someone
+    holds it; a view keeps its snapshot alive.  Two threads racing a
+    first call may both build; one wins the slot.  Raises
+    ``ImportError`` when numpy is missing.
     """
     _require_numpy()
-    vec = csr._vec
+    arrays = csr._vec
+    if arrays is None:
+        arrays = csr._vec = _SnapshotArrays(csr)
+    vec = arrays.view() if arrays.view is not None else None
     if vec is None:
-        vec = csr._vec = VecGraph(csr)
+        vec = VecGraph(csr, arrays)
+        arrays.view = weakref.ref(vec)
     return vec
 
 
@@ -326,10 +372,13 @@ def _sweep_tables(
             key = np.repeat(row_base, d_e) + targets[e_idx]
         # Only candidates below the current label can improve it; many
         # relaxations of a wave land on neighbours already as good.
-        # (Selections go through flatnonzero + take: a boolean mask
-        # index of that size costs more than both, its branches being
-        # unpredictable.)
-        better_than = np.flatnonzero(cand < flat.take(key))
+        # (Selections go through nonzero + take: a boolean mask index of
+        # that size costs more than both, its branches being
+        # unpredictable.  The ndarray methods, not np.flatnonzero or
+        # .any(): at a few hundred entries per wave those Python-level
+        # wrappers cost more than the C work they call.  The padded
+        # candidates are 2-D, hence the ravel; take reads them flat.)
+        better_than = (cand < flat.take(key)).ravel().nonzero()[0]
         cand = cand.take(better_than)
         key = key.take(better_than)
         # Min per (row, target) key, duplicates included (two frontier
@@ -338,17 +387,17 @@ def _sweep_tables(
         np.minimum.at(flat, key, cand)
         pos = np.arange(key.size)
         slot[key] = pos
-        frontier = key.take(np.flatnonzero(slot.take(key) == pos))
+        frontier = key.take((slot.take(key) == pos).nonzero()[0])
         entry_vals = flat.take(frontier)
         pushes += int(frontier.size)
-        if is_dest.take(frontier).any():
+        if np.logical_or.reduce(is_dest.take(frontier)):
             caps = flat.take(dest_keys).max(axis=1)
             truncating = bool(caps.min() < _INF)
         if truncating:
             # An improved label re-enters the frontier only if it could
             # still improve a destination its row needs (the bound only
             # shrinks, so dropped entries stay useless).
-            keep = np.flatnonzero(entry_vals < caps.take(frontier // n))
+            keep = (entry_vals < caps.take(frontier // n)).nonzero()[0]
             frontier = frontier.take(keep)
             entry_vals = entry_vals.take(keep)
     relaxed, maxd = _tally(vec.deg, nodes, labels, relaxed, maxd)
@@ -399,11 +448,13 @@ def _tree_parents(csr: CSRGraph, dist: "np.ndarray") -> "np.ndarray":
 def _walk_back(csr: CSRGraph, label, s_idx: int, t_idx: int) -> PathResult:
     """Reconstruct one tree path from the converged labels.
 
-    ``label(i)`` reads node ``i``'s distance.  Each hop takes, among the
-    in-neighbours with ``label(u) + w == label(v)``, the smallest
-    ``(label(u), u)``: the first a heap ordered on ``(d, u)`` settles
-    and, relaxations being strict improvements, the parent it keeps — as
-    long as settle order is ``(d, u)`` order, which
+    ``label[i]`` is node ``i``'s distance as a Python float (a
+    ``memoryview`` of a dist row: a hop reads a few labels, and a
+    subscript costs far less than a method call per read).  Each hop
+    takes, among the in-neighbours with ``label[u] + w == label[v]``,
+    the smallest ``(label[u], u)``: the first a heap ordered on
+    ``(d, u)`` settles and, relaxations being strict improvements, the
+    parent it keeps — as long as settle order is ``(d, u)`` order, which
     :attr:`VecGraph.strict` guarantees.  Other snapshots (zero-weight
     arcs) still get *a* shortest path: the walk never re-enters a node
     and backtracks out of zero-weight dead ends.
@@ -414,12 +465,12 @@ def _walk_back(csr: CSRGraph, label, s_idx: int, t_idx: int) -> PathResult:
     seen = {t_idx}
     while sequence[-1] != s_idx:
         v = sequence[-1]
-        dv = label(v)
+        dv = label[v]
         parent = -1
         best = _INF
         for e in range(roffsets[v], roffsets[v + 1]):
             u = rtargets[e]
-            du = label(u)
+            du = label[u]
             if du + rweights[e] == dv and u not in seen and (
                 du < best or (du == best and u < parent)
             ):
@@ -436,8 +487,8 @@ def _walk_back(csr: CSRGraph, label, s_idx: int, t_idx: int) -> PathResult:
     return PathResult(
         source=node_ids[s_idx],
         destination=node_ids[t_idx],
-        nodes=tuple(node_ids[i] for i in sequence),
-        distance=label(t_idx),
+        nodes=tuple(map(node_ids.__getitem__, sequence)),
+        distance=label[t_idx],
     )
 
 
@@ -484,13 +535,13 @@ def vec_batch_paths(
     dist = _sweep_tables(vec, src_idx, dest_idx_rows, stats)
     out: list[dict[NodeId, PathResult]] = []
     for i, dests in enumerate(dest_ids_rows):
-        # .item reads one label as a Python float; a path touches a few
-        # hundred, so boxing the whole n-wide row would dominate
-        label = dist[i].item
+        # a memoryview reads one label as a Python float; a path touches
+        # a few hundred, so boxing the whole n-wide row would dominate
+        label = memoryview(dist[i])
         s_idx = int(src_idx[i])
         paths: dict[NodeId, PathResult] = {}
         for t, t_idx in zip(dests, dest_idx_rows[i]):
-            if label(t_idx) == _INF:
+            if label[t_idx] == _INF:
                 if strict:
                     raise NoPathError(sources[i], t)
                 continue

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import endpoints
 from repro.core.endpoints import (
     CompactEndpointStrategy,
     FakeEndpointStrategy,
@@ -122,6 +125,145 @@ class TestCommonBehaviour:
         ctx = make_context(net, index, [1], [2], exclude={1, 2})
         with pytest.raises(ObfuscationError):
             UniformEndpointStrategy().select(ctx, 1)
+
+
+def _dedup_draw(candidates, count, rng, exclude):
+    """The O(len(candidates)) draw the ranked draw replaced, verbatim."""
+    unique = dict.fromkeys(candidates)
+    for node in exclude:
+        unique.pop(node, None)
+    if len(unique) < count:
+        raise ObfuscationError(
+            f"need {count} fake endpoints but only {len(unique)} candidates"
+        )
+    return rng.sample(list(unique), count)
+
+
+def _draw_outcome(draw, seed, candidates, count, exclude, *rank):
+    """Decoys (or the error) and the generator's state after the draw."""
+    rng = random.Random(seed)
+    try:
+        picked = draw(candidates, count, rng, exclude, *rank)
+    except ObfuscationError:
+        picked = ObfuscationError
+    return picked, rng.getstate()
+
+
+class TestRankedDraw:
+    """``_draw_unique`` with a ``rank`` samples a lazy view of the
+    candidates minus ``exclude`` (or, below ``_BISECT_FROM`` candidates,
+    a filtered copy): it must pick what deduplicating first picks and
+    leave the generator in the same state, at population sizes on both
+    sides of ``random.sample``'s set-size switch (21)."""
+
+    @given(
+        population=st.lists(
+            st.integers(min_value=0, max_value=400), unique=True, max_size=60
+        ),
+        outside=st.frozensets(st.integers(min_value=401, max_value=450)),
+        data=st.data(),
+        count=st.integers(min_value=0, max_value=12),
+        seed=st.integers(min_value=0, max_value=10_000),
+        bisect_from=st.sampled_from([0, endpoints._BISECT_FROM]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_decoys_and_rng_state_as_deduplicating(
+        self, population, outside, data, count, seed, bisect_from
+    ):
+        candidates = sorted(population)  # ascending in the rank below
+        inside = data.draw(
+            st.frozensets(st.sampled_from(candidates)) if candidates
+            else st.just(frozenset())
+        )
+        exclude = inside | outside
+        with mock.patch.object(endpoints, "_BISECT_FROM", bisect_from):
+            ranked = _draw_outcome(
+                FakeEndpointStrategy._draw_unique, seed, candidates, count,
+                exclude, lambda node: node,
+            )
+        assert ranked == _draw_outcome(
+            _dedup_draw, seed, candidates, count, exclude
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corners=st.tuples(*[st.floats(-2.0, 22.0)] * 4),
+        picks=st.lists(st.integers(min_value=0, max_value=399), max_size=8),
+        count=st.integers(min_value=1, max_value=30),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_index_rank_draws_like_deduplicating(
+        self, env, corners, picks, count, seed
+    ):
+        """Candidates straight from a box query, ranked by the index."""
+        net, index = env
+        nodes = list(net.nodes())
+        min_x, min_y = min(corners[0], corners[2]), min(corners[1], corners[3])
+        max_x, max_y = max(corners[0], corners[2]), max(corners[1], corners[3])
+        candidates = index.nodes_in_box(min_x, min_y, max_x, max_y)
+        exclude = frozenset(nodes[i] for i in picks) | {-7}
+        ranked = _draw_outcome(
+            FakeEndpointStrategy._draw_unique, seed, candidates, count,
+            exclude, index.rank,
+        )
+        assert ranked == _draw_outcome(
+            _dedup_draw, seed, candidates, count, exclude
+        )
+
+    @pytest.mark.parametrize("bisect_from", [0, 128])
+    def test_short_population_raises(self, bisect_from):
+        with mock.patch.object(endpoints, "_BISECT_FROM", bisect_from):
+            with pytest.raises(ObfuscationError, match="only 2 candidates"):
+                FakeEndpointStrategy._draw_unique(
+                    [1, 2, 3, 4], 3, random.Random(0), frozenset({2, 4, 9}),
+                    lambda node: node,
+                )
+
+    @pytest.mark.parametrize("name", ["ring", "compact"])
+    def test_strategies_draw_what_they_drew_before(self, env, name):
+        """Ring (one anchor) and compact pass the index rank; their
+        picks must equal the deduplicating draw over the same scan."""
+        net, index = env
+        nodes = list(net.nodes())
+        strategy = get_strategy(name)
+        for k in range(30):
+            s, t = nodes[(7 * k) % 400], nodes[(131 * k + 50) % 400]
+            exclude = {s, t, nodes[(13 * k) % 400]}
+            got = strategy.select(
+                make_context(net, index, [s], [t], exclude, seed=k), 3
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    FakeEndpointStrategy, "_draw_unique",
+                    staticmethod(
+                        lambda c, n, rng, ex, rank=None: _dedup_draw(c, n, rng, ex)
+                    ),
+                )
+                want = strategy.select(
+                    make_context(net, index, [s], [t], exclude, seed=k), 3
+                )
+            assert got == want
+
+
+#: sha256 over the first 200 cold_far-shaped queries' ``repr((S, T))``
+#: (100x100 perturbed grid, uniform trips, f = 4, compact decoys,
+#: obfuscator seed 11), recorded before the ranked draw landed
+COLD_FAR_QUERIES_SHA256 = "cff725dd14674df9fab1bcfb71f3d22a65259a30bc0b0cddb68bcca6f49756f6"
+
+
+def test_cold_far_shaped_queries_keep_their_decoys():
+    from repro.core.obfuscator import PathQueryObfuscator
+    from repro.core.query import ClientRequest, ProtectionSetting
+    from repro.workloads.queries import uniform_queries
+
+    net = grid_network(100, 100, perturbation=0.1, seed=7)
+    obfuscator = PathQueryObfuscator(net, seed=11)
+    digest = hashlib.sha256()
+    for k, trip in enumerate(uniform_queries(net, 200, seed=11)):
+        request = ClientRequest(f"u{k}", trip, ProtectionSetting(4, 4))
+        query = obfuscator.obfuscate_independent(request).query
+        digest.update(repr((query.sources, query.destinations)).encode())
+    assert digest.hexdigest() == COLD_FAR_QUERIES_SHA256
 
 
 class TestCompactStrategy:

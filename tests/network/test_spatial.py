@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import UnknownNodeError
-from repro.network.generators import grid_network
+from repro.network.generators import grid_network, metro_network
 from repro.network.graph import RoadNetwork
 from repro.network.spatial import GridSpatialIndex
 
@@ -18,6 +18,12 @@ from repro.network.spatial import GridSpatialIndex
 def indexed_grid():
     net = grid_network(12, 12, perturbation=0.1, seed=2)
     return net, GridSpatialIndex(net)
+
+
+@pytest.fixture(scope="module")
+def sparse_map():
+    """Jittered streets whose 0.37-wide bucket grid has empty columns."""
+    return metro_network(600, seed=4)
 
 
 class TestConstruction:
@@ -123,6 +129,69 @@ class TestRangeQueries:
             )
             assert index.nodes_in_box(*box) == expected
             assert a in expected and b in expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_column_runs_are_the_position_filter_in_bucket_order(
+        self, indexed_grid, sparse_map, data
+    ):
+        """The box query slices prebuilt column runs and tests only the
+        border buckets; it must list exactly what testing every node
+        lists, in bucket order, on a grid and on a jittered map with
+        empty buckets and empty columns.  Boxes off the map, inverted,
+        zero-width and with edges on node coordinates included."""
+        net = data.draw(st.sampled_from([indexed_grid[0], sparse_map]))
+        index = GridSpatialIndex(
+            net, cell_size=data.draw(st.sampled_from([None, 0.37, 1.0]))
+        )
+        nodes = sorted(net.nodes())
+        min_x, min_y, max_x, max_y = net.bounding_box()
+        on_node = st.sampled_from(nodes).map(net.position)
+        coord_x = st.one_of(
+            st.floats(min_x - 5.0, max_x + 5.0), on_node.map(lambda p: p.x)
+        )
+        coord_y = st.one_of(
+            st.floats(min_y - 5.0, max_y + 5.0), on_node.map(lambda p: p.y)
+        )
+        x0, x1 = data.draw(coord_x), data.draw(coord_x)
+        y0, y1 = data.draw(coord_y), data.draw(coord_y)
+        shape = data.draw(st.sampled_from(["box", "inverted", "zero-width"]))
+        if shape == "box":
+            x0, x1 = sorted((x0, x1))
+            y0, y1 = sorted((y0, y1))
+        elif shape == "inverted":
+            x0, x1 = sorted((x0, x1), reverse=True)
+        else:
+            x1 = x0
+        # buckets column by column, insertion order within a bucket
+        expected = sorted(
+            (
+                n
+                for n in net.nodes()
+                if x0 <= net.position(n).x <= x1
+                and y0 <= net.position(n).y <= y1
+            ),
+            key=index.snap,
+        )
+        got = index.nodes_in_box(x0, y0, x1, y1)
+        assert got == expected
+        ranks = [index.rank(n) for n in got]
+        assert ranks == sorted(ranks)
+
+    def test_sparse_map_has_empty_buckets_and_columns(self, sparse_map):
+        index = GridSpatialIndex(sparse_map, cell_size=0.37)
+        keys = {index.snap(n) for n in sparse_map.nodes()}
+        columns = {x for x, _ in keys}
+        rows = {y for _, y in keys}
+        assert len(columns) < max(columns) - min(columns) + 1
+        assert len(keys) < len(columns) * len(rows)
+
+    def test_rank_numbers_every_node_once_in_bucket_order(self, indexed_grid):
+        net, index = indexed_grid
+        order = sorted(net.nodes(), key=index.rank)
+        assert [index.rank(n) for n in order] == list(range(net.num_nodes))
+        assert index.nodes_in_box(-1e9, -1e9, 1e9, 1e9) == order
+        assert index.rank(-42) == -1
 
     def test_nodes_within_matches_brute_force(self, indexed_grid):
         net, index = indexed_grid
