@@ -21,8 +21,7 @@ identifies:
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.exceptions import ObfuscationError
@@ -75,12 +74,6 @@ class SelectionContext:
     scanned: dict = field(default_factory=dict)
 
 
-#: shortest candidate list the ranked draw bisects into: below it one
-#: filtering pass costs less than finding the excluded nodes and
-#: sampling through a view (they cross at ~150 candidates)
-_BISECT_FROM = 128
-
-
 class FakeEndpointStrategy:
     """Interface: produce ``count`` distinct decoy nodes for one side."""
 
@@ -106,37 +99,25 @@ class FakeEndpointStrategy:
         count: int,
         rng: random.Random,
         exclude: frozenset[NodeId],
-        rank: Callable[[NodeId], int] | None = None,
+        distinct: bool = False,
     ) -> list[NodeId]:
         """``count`` distinct nodes sampled from ``candidates - exclude``.
 
         The population is the distinct candidates outside ``exclude`` in
         first-seen order, so the same seed draws the same decoys and
-        leaves ``rng`` in the same state.  Without ``rank`` the
-        candidates are deduplicated first, O(len(candidates)).  With it,
-        the candidates must be distinct and ascend in ``rank`` (every
-        :class:`GridSpatialIndex` box, circle or ring result does, under
-        :meth:`GridSpatialIndex.rank`): the excluded nodes are found by
-        bisection and ``random.sample`` reads only the positions it
-        draws from a view that skips them — no copy of the candidates.
-        A list shorter than :data:`_BISECT_FROM` is filtered outright.
+        leaves ``rng`` in the same state.  A caller whose candidates hold
+        no repeats (the whole map, an index box, one anchor's ring)
+        passes ``distinct`` and skips deduplicating thousands of them.
         """
-        if rank is None:
+        if distinct:
+            pool = [node for node in candidates if node not in exclude]
+        else:
             # Dedup in first-seen order so sampling stays unbiased over
             # distinct nodes.
             unique = dict.fromkeys(candidates)
             for node in exclude:
                 unique.pop(node, None)
-            pool: Sequence[NodeId] = list(unique)
-        elif len(candidates) < _BISECT_FROM:
-            pool = [node for node in candidates if node not in exclude]
-        else:
-            gaps = []
-            for node in exclude:
-                at = bisect_left(candidates, rank(node), key=rank)
-                if at < len(candidates) and candidates[at] == node:
-                    gaps.append(at)
-            pool = _Skipping(candidates, sorted(gaps)) if gaps else candidates
+            pool = list(unique)
         if len(pool) < count:
             raise ObfuscationError(
                 f"need {count} fake endpoints but only {len(pool)} candidates"
@@ -145,41 +126,6 @@ class FakeEndpointStrategy:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-class _Skipping(Sequence):
-    """``items`` without the entries at the ascending positions ``gaps``.
-
-    A lazy view: indexing maps past the gaps, so sampling from it reads
-    only the entries it draws.
-    """
-
-    __slots__ = ("_items", "_gaps")
-
-    def __init__(self, items: Sequence[NodeId], gaps: list[int]) -> None:
-        self._items = items
-        self._gaps = gaps
-
-    def __len__(self) -> int:
-        return len(self._items) - len(self._gaps)
-
-    def __getitem__(self, i: int) -> NodeId:
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        for gap in self._gaps:
-            if gap > i:
-                break
-            i += 1
-        return self._items[i]
-
-    def __iter__(self) -> Iterator[NodeId]:
-        # random.sample copies a small population whole: by runs, not
-        # one __getitem__ per entry
-        start = 0
-        for gap in self._gaps:
-            yield from self._items[start:gap]
-            start = gap + 1
-        yield from self._items[start:]
 
 
 class UniformEndpointStrategy(FakeEndpointStrategy):
@@ -193,7 +139,9 @@ class UniformEndpointStrategy(FakeEndpointStrategy):
 
     def select(self, context: SelectionContext, count: int) -> list[NodeId]:
         all_nodes = list(context.network.nodes())
-        return self._draw_unique(all_nodes, count, context.rng, context.exclude)
+        return self._draw_unique(
+            all_nodes, count, context.rng, context.exclude, distinct=True
+        )
 
 
 class RingEndpointStrategy(FakeEndpointStrategy):
@@ -224,17 +172,18 @@ class RingEndpointStrategy(FakeEndpointStrategy):
                     p.x, p.y, self._inner * extent, self._outer * extent
                 )
             )
-        # one anchor's ring is distinct and in index order; several may
-        # overlap, and the draw deduplicates them
-        rank = context.index.rank if len(context.anchors) == 1 else None
+        # several anchors' rings may overlap; one ring holds no repeats
         try:
             return self._draw_unique(
-                candidates, count, context.rng, context.exclude, rank
+                candidates, count, context.rng, context.exclude,
+                distinct=len(context.anchors) == 1,
             )
         except ObfuscationError:
             # Small maps may not populate the annulus; widen to everything.
             all_nodes = list(context.network.nodes())
-            return self._draw_unique(all_nodes, count, context.rng, context.exclude)
+            return self._draw_unique(
+                all_nodes, count, context.rng, context.exclude, distinct=True
+            )
 
 
 class CompactEndpointStrategy(FakeEndpointStrategy):
@@ -274,12 +223,13 @@ class CompactEndpointStrategy(FakeEndpointStrategy):
             candidates = context.scanned[box] = context.index.nodes_in_box(*box)
         try:
             return self._draw_unique(
-                candidates, count, context.rng, context.exclude,
-                context.index.rank,
+                candidates, count, context.rng, context.exclude, distinct=True
             )
         except ObfuscationError:
             all_nodes = list(context.network.nodes())
-            return self._draw_unique(all_nodes, count, context.rng, context.exclude)
+            return self._draw_unique(
+                all_nodes, count, context.rng, context.exclude, distinct=True
+            )
 
 
 class PopularityWeightedStrategy(FakeEndpointStrategy):

@@ -28,8 +28,7 @@ class GridSpatialIndex:
     each populated row of the column starts in that run.  A box is then
     one run slice per column it crosses: nodes of buckets strictly
     inside the box are taken whole, and only the buckets on its border
-    are filtered by position.  Every box, circle and ring query lists
-    its nodes in that one bucket order, which :meth:`rank` numbers.
+    are filtered by position.
 
     Parameters
     ----------
@@ -67,7 +66,6 @@ class GridSpatialIndex:
         # rows[i] == r (starts ends with the run's length)
         self._col_keys: list[int] = []
         self._runs: list[tuple[list, list, list, list, list]] = []
-        self._rank: dict[NodeId, int] = {}
         for bx, by in sorted(self._buckets):
             if not self._col_keys or self._col_keys[-1] != bx:
                 self._col_keys.append(bx)
@@ -75,7 +73,6 @@ class GridSpatialIndex:
             nodes, xs, ys, rows, starts = self._runs[-1]
             for node in self._buckets[(bx, by)]:
                 p = network.position(node)
-                self._rank[node] = len(self._rank)
                 nodes.append(node)
                 xs.append(p.x)
                 ys.append(p.y)
@@ -139,8 +136,7 @@ class GridSpatialIndex:
 
         Nodes come out bucket by bucket (column-major over the grid, in
         insertion order within a bucket), so equal boxes give equal
-        lists — seeded sampling over the result is reproducible — and
-        :meth:`rank` ascends along every result.
+        lists — seeded sampling over the result is reproducible.
         """
         lo_x, lo_y = self._key(Point(min_x, min_y))
         hi_x, hi_y = self._key(Point(max_x, max_y))
@@ -226,15 +222,6 @@ class GridSpatialIndex:
         if node not in self._network:
             raise UnknownNodeError(node)
         return self._key(self._network.position(node))
-
-    def rank(self, node: NodeId) -> int:
-        """``node``'s position in the bucket order box queries list in.
-
-        Every result of :meth:`nodes_in_box`, :meth:`nodes_within` and
-        :meth:`nodes_in_ring` ascends in it, so a node can be found in
-        one by bisection.  ``-1`` for a node the index does not hold.
-        """
-        return self._rank.get(node, -1)
 
     def cell_members(self, cell: tuple[int, int]) -> list[NodeId]:
         """Nodes stored in a grid cell (empty list for unknown cells)."""

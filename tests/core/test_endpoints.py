@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import endpoints
 from repro.core.endpoints import (
     CompactEndpointStrategy,
     FakeEndpointStrategy,
@@ -128,7 +126,7 @@ class TestCommonBehaviour:
 
 
 def _dedup_draw(candidates, count, rng, exclude):
-    """The O(len(candidates)) draw the ranked draw replaced, verbatim."""
+    """The deduplicating draw every strategy used before, verbatim."""
     unique = dict.fromkeys(candidates)
     for node in exclude:
         unique.pop(node, None)
@@ -139,22 +137,22 @@ def _dedup_draw(candidates, count, rng, exclude):
     return rng.sample(list(unique), count)
 
 
-def _draw_outcome(draw, seed, candidates, count, exclude, *rank):
+def _draw_outcome(draw, seed, candidates, count, exclude, **flags):
     """Decoys (or the error) and the generator's state after the draw."""
     rng = random.Random(seed)
     try:
-        picked = draw(candidates, count, rng, exclude, *rank)
+        picked = draw(candidates, count, rng, exclude, **flags)
     except ObfuscationError:
         picked = ObfuscationError
     return picked, rng.getstate()
 
 
-class TestRankedDraw:
-    """``_draw_unique`` with a ``rank`` samples a lazy view of the
-    candidates minus ``exclude`` (or, below ``_BISECT_FROM`` candidates,
-    a filtered copy): it must pick what deduplicating first picks and
-    leave the generator in the same state, at population sizes on both
-    sides of ``random.sample``'s set-size switch (21)."""
+class TestDistinctDraw:
+    """``_draw_unique(..., distinct=True)`` filters the candidates without
+    deduplicating them: on candidates with no repeats it must pick what
+    deduplicating first picks and leave the generator in the same
+    state, at population sizes on both sides of ``random.sample``'s
+    set-size switch (21)."""
 
     @given(
         population=st.lists(
@@ -164,26 +162,20 @@ class TestRankedDraw:
         data=st.data(),
         count=st.integers(min_value=0, max_value=12),
         seed=st.integers(min_value=0, max_value=10_000),
-        bisect_from=st.sampled_from([0, endpoints._BISECT_FROM]),
     )
     @settings(max_examples=400, deadline=None)
     def test_same_decoys_and_rng_state_as_deduplicating(
-        self, population, outside, data, count, seed, bisect_from
+        self, population, outside, data, count, seed
     ):
-        candidates = sorted(population)  # ascending in the rank below
         inside = data.draw(
-            st.frozensets(st.sampled_from(candidates)) if candidates
+            st.frozensets(st.sampled_from(population)) if population
             else st.just(frozenset())
         )
         exclude = inside | outside
-        with mock.patch.object(endpoints, "_BISECT_FROM", bisect_from):
-            ranked = _draw_outcome(
-                FakeEndpointStrategy._draw_unique, seed, candidates, count,
-                exclude, lambda node: node,
-            )
-        assert ranked == _draw_outcome(
-            _dedup_draw, seed, candidates, count, exclude
-        )
+        assert _draw_outcome(
+            FakeEndpointStrategy._draw_unique, seed, population, count,
+            exclude, distinct=True,
+        ) == _draw_outcome(_dedup_draw, seed, population, count, exclude)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -192,62 +184,64 @@ class TestRankedDraw:
         count=st.integers(min_value=1, max_value=30),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    def test_index_rank_draws_like_deduplicating(
+    def test_box_candidates_draw_like_deduplicating(
         self, env, corners, picks, count, seed
     ):
-        """Candidates straight from a box query, ranked by the index."""
+        """Candidates straight from a box query, as compact draws them."""
         net, index = env
         nodes = list(net.nodes())
         min_x, min_y = min(corners[0], corners[2]), min(corners[1], corners[3])
         max_x, max_y = max(corners[0], corners[2]), max(corners[1], corners[3])
         candidates = index.nodes_in_box(min_x, min_y, max_x, max_y)
         exclude = frozenset(nodes[i] for i in picks) | {-7}
-        ranked = _draw_outcome(
+        assert _draw_outcome(
             FakeEndpointStrategy._draw_unique, seed, candidates, count,
-            exclude, index.rank,
-        )
-        assert ranked == _draw_outcome(
-            _dedup_draw, seed, candidates, count, exclude
-        )
+            exclude, distinct=True,
+        ) == _draw_outcome(_dedup_draw, seed, candidates, count, exclude)
 
-    @pytest.mark.parametrize("bisect_from", [0, 128])
-    def test_short_population_raises(self, bisect_from):
-        with mock.patch.object(endpoints, "_BISECT_FROM", bisect_from):
-            with pytest.raises(ObfuscationError, match="only 2 candidates"):
-                FakeEndpointStrategy._draw_unique(
-                    [1, 2, 3, 4], 3, random.Random(0), frozenset({2, 4, 9}),
-                    lambda node: node,
-                )
+    def test_short_population_raises(self):
+        with pytest.raises(ObfuscationError, match="only 2 candidates"):
+            FakeEndpointStrategy._draw_unique(
+                [1, 2, 3, 4], 3, random.Random(0), frozenset({2, 4, 9}),
+                distinct=True,
+            )
 
-    @pytest.mark.parametrize("name", ["ring", "compact"])
-    def test_strategies_draw_what_they_drew_before(self, env, name):
-        """Ring (one anchor) and compact pass the index rank; their
-        picks must equal the deduplicating draw over the same scan."""
+    @pytest.mark.parametrize(
+        "name, anchors",
+        [("uniform", 1), ("ring", 1), ("ring", 2), ("compact", 1), ("compact", 2)],
+    )
+    def test_strategies_draw_what_they_drew_before(self, env, name, anchors):
+        """Every strategy's picks equal the deduplicating draw over the
+        same candidates, including a ring around two anchors, whose
+        annuli overlap and are deduplicated."""
         net, index = env
         nodes = list(net.nodes())
         strategy = get_strategy(name)
         for k in range(30):
-            s, t = nodes[(7 * k) % 400], nodes[(131 * k + 50) % 400]
-            exclude = {s, t, nodes[(13 * k) % 400]}
+            sources = [nodes[(7 * k + 19 * i) % 400] for i in range(anchors)]
+            t = nodes[(131 * k + 50) % 400]
+            exclude = {*sources, t, nodes[(13 * k) % 400]}
             got = strategy.select(
-                make_context(net, index, [s], [t], exclude, seed=k), 3
+                make_context(net, index, sources, [t], exclude, seed=k), 3
             )
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(
                     FakeEndpointStrategy, "_draw_unique",
                     staticmethod(
-                        lambda c, n, rng, ex, rank=None: _dedup_draw(c, n, rng, ex)
+                        lambda c, n, rng, ex, distinct=False: _dedup_draw(
+                            c, n, rng, ex
+                        )
                     ),
                 )
                 want = strategy.select(
-                    make_context(net, index, [s], [t], exclude, seed=k), 3
+                    make_context(net, index, sources, [t], exclude, seed=k), 3
                 )
             assert got == want
 
 
 #: sha256 over the first 200 cold_far-shaped queries' ``repr((S, T))``
 #: (100x100 perturbed grid, uniform trips, f = 4, compact decoys,
-#: obfuscator seed 11), recorded before the ranked draw landed
+#: obfuscator seed 11), recorded before the draw stopped deduplicating
 COLD_FAR_QUERIES_SHA256 = "cff725dd14674df9fab1bcfb71f3d22a65259a30bc0b0cddb68bcca6f49756f6"
 
 

@@ -175,8 +175,6 @@ class TestRangeQueries:
         )
         got = index.nodes_in_box(x0, y0, x1, y1)
         assert got == expected
-        ranks = [index.rank(n) for n in got]
-        assert ranks == sorted(ranks)
 
     def test_sparse_map_has_empty_buckets_and_columns(self, sparse_map):
         index = GridSpatialIndex(sparse_map, cell_size=0.37)
@@ -185,13 +183,6 @@ class TestRangeQueries:
         rows = {y for _, y in keys}
         assert len(columns) < max(columns) - min(columns) + 1
         assert len(keys) < len(columns) * len(rows)
-
-    def test_rank_numbers_every_node_once_in_bucket_order(self, indexed_grid):
-        net, index = indexed_grid
-        order = sorted(net.nodes(), key=index.rank)
-        assert [index.rank(n) for n in order] == list(range(net.num_nodes))
-        assert index.nodes_in_box(-1e9, -1e9, 1e9, 1e9) == order
-        assert index.rank(-42) == -1
 
     def test_nodes_within_matches_brute_force(self, indexed_grid):
         net, index = indexed_grid
