@@ -14,10 +14,9 @@ counters are merged into :class:`~repro.search.result.SearchStats`:
 
 Disabled (the default, ``RECORDER is None``) the hook costs one module
 attribute read and one ``is None`` branch per kernel call — never
-anything inside the search loops.  The CI perf gate holds the
-``telemetry_overhead_pct`` metric of ``tools/bench_quick.py`` under 5%
-even with a *recording* collector attached, which upper-bounds the
-disabled cost.
+anything inside the search loops.  ``tests/test_work_counters.py``
+checks that a recording collector sees exactly one ``record`` call per
+kernel invocation.
 
 Recorders receive aggregate counters and partition cell ids only —
 never node ids — matching the package-wide privacy invariant.

@@ -27,7 +27,11 @@ from collections.abc import Sequence
 from repro.exceptions import NoPathError
 from repro.network.graph import NodeId
 from repro.search.ch.contract import ContractedGraph, contract_network
-from repro.search.ch.query import _overlay_route, _upward_sweep, unpack_path
+from repro.search.ch.query import (
+    _overlay_route,
+    _unpacked_result,
+    _upward_sweep,
+)
 from repro.search.multi import (
     MSMDResult,
     PreprocessingProcessor,
@@ -99,18 +103,13 @@ def ch_many_to_many(
 
     # Phase 3: rebuild and unpack one path per reachable pair.
     results: dict[tuple[NodeId, NodeId], PathResult] = {}
-    for (i, j), (distance, meeting) in best.items():
+    for (i, j), (_, meeting) in best.items():
         s, t = sources[i], destinations[j]
         if s == t:
             results[(s, t)] = PathResult(s, t, (s,), 0.0)
             continue
         overlay = _overlay_route(meeting, s, t, forward[i][1], backward[j][1])
-        results[(s, t)] = PathResult(
-            source=s,
-            destination=t,
-            nodes=tuple(unpack_path(graph, overlay)),
-            distance=distance,
-        )
+        results[(s, t)] = _unpacked_result(graph, s, t, overlay)
     return results
 
 

@@ -246,12 +246,7 @@ def ch_path(
         raise NoPathError(source, destination)
 
     overlay = _overlay_route(meeting, source, destination, pred[0], pred[1])
-    return PathResult(
-        source=source,
-        destination=destination,
-        nodes=tuple(unpack_path(graph, overlay)),
-        distance=best,
-    )
+    return _unpacked_result(graph, source, destination, overlay)
 
 
 def ch_distance(
@@ -272,18 +267,58 @@ def unpack_path(graph: ContractedGraph, overlay_nodes: list[NodeId]) -> list[Nod
     by ``(u, m)`` and ``(m, v)``.  Implemented with an explicit stack so
     deeply nested shortcuts cannot hit the interpreter recursion limit.
     """
+    return _unpack(graph, overlay_nodes)[0]
+
+
+def _unpack(
+    graph: ContractedGraph, overlay_nodes: list[NodeId]
+) -> tuple[list[NodeId], float]:
+    """:func:`unpack_path` and the left fold of the unpacked arc weights.
+
+    Original edges are reached in path order, so the fold is the label
+    Dijkstra gives the destination.  An original arc is stored upward
+    from its lower-ranked end.
+    """
     if not overlay_nodes:
-        return []
+        return [], 0.0
+    middles, rank = graph._middles, graph._rank
+    up_out, up_in = graph._up_out, graph._up_in
     result: list[NodeId] = [overlay_nodes[0]]
+    distance = 0.0
     stack: list[tuple[NodeId, NodeId]] = []
     for u, v in zip(reversed(overlay_nodes[:-1]), reversed(overlay_nodes[1:])):
         stack.append((u, v))
     while stack:
         u, v = stack.pop()
-        mid = graph.middle(u, v)
+        mid = middles.get((u, v))
         if mid is None:
             result.append(v)
+            if rank[v] > rank[u]:
+                distance += up_out[u][v]
+            else:
+                distance += up_in[v][u]
         else:
             stack.append((mid, v))
             stack.append((u, mid))
-    return result
+    return result, distance
+
+
+def _unpacked_result(
+    graph: ContractedGraph,
+    source: NodeId,
+    destination: NodeId,
+    overlay_nodes: list[NodeId],
+) -> PathResult:
+    """The :class:`PathResult` of an overlay path, unpacked.
+
+    The distance is the left fold of the unpacked path's arc weights
+    from the source, not the up-down meet sum: a path reports the same
+    distance whichever engine found it.
+    """
+    nodes, distance = _unpack(graph, overlay_nodes)
+    return PathResult(
+        source=source,
+        destination=destination,
+        nodes=tuple(nodes),
+        distance=distance,
+    )

@@ -16,13 +16,13 @@ The model describes *memoryless* Dijkstra-family searches.  Engines that
 preprocess the network sidestep it: a Contraction Hierarchies query
 (:mod:`repro.search.ch.query`) is bounded by the two upward search cones,
 not by the ``||s,t||^2`` disc, so its settled-node count barely depends on
-the query radius.  Measured on perturbed grids (long-radius queries,
-``benchmarks/bench_search_engines.py``): 625-node grid — Dijkstra settles
-~625, CH ~168; 10,000-node grid — Dijkstra ~6,300, CH ~450 (both cones,
-stall-on-demand on).  The gap against this module's disc-area estimate is
-exactly the amortized value of preprocessing, which is why experiment E2
-reports ``ch_settled`` next to the Lemma 1 prediction and E6 tracks how
-the CH speedup widens with network size.
+the query radius.  Measured on perturbed grids (long-radius queries):
+625-node grid — Dijkstra settles ~625, CH ~168; 10,000-node grid —
+Dijkstra ~6,300, CH ~450 (both cones, stall-on-demand on).  The gap
+against this module's disc-area estimate is exactly the amortized value
+of preprocessing, which is why experiment E2 reports ``ch_settled`` next
+to the Lemma 1 prediction and E6 tracks how the CH speedup widens with
+network size.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.graph import NodeId
 from repro.obs import record as _obs_record
 from repro.search.ch.contract import ContractedGraph, contract_network
-from repro.search.ch.query import unpack_path
+from repro.search.ch.query import _unpacked_result
 from repro.search.multi import (
     MSMDResult,
     PreprocessingProcessor,
@@ -752,11 +752,8 @@ def csr_ch_path(
         node = parent_b[node]
         overlay.append(node)
     overlay_ids = [node_ids[i] for i in overlay]
-    return PathResult(
-        source=source,
-        destination=destination,
-        nodes=tuple(unpack_path(hierarchy.contracted, overlay_ids)),
-        distance=best,
+    return _unpacked_result(
+        hierarchy.contracted, source, destination, overlay_ids
     )
 
 
@@ -907,7 +904,7 @@ def csr_ch_many_to_many(
 
     node_ids = hierarchy.node_ids
     results: dict[tuple[NodeId, NodeId], PathResult] = {}
-    for (i, j), (distance, meet) in best.items():
+    for (i, j), (_, meet) in best.items():
         s_id, t_id = sources[i], destinations[j]
         if s_id == t_id:
             results[(s_id, t_id)] = _trivial(s_id)
@@ -925,11 +922,8 @@ def csr_ch_many_to_many(
             node = bwd[node]
             overlay.append(node)
         overlay_ids = [node_ids[k] for k in overlay]
-        results[(s_id, t_id)] = PathResult(
-            source=s_id,
-            destination=t_id,
-            nodes=tuple(unpack_path(hierarchy.contracted, overlay_ids)),
-            distance=distance,
+        results[(s_id, t_id)] = _unpacked_result(
+            hierarchy.contracted, s_id, t_id, overlay_ids
         )
     return results
 

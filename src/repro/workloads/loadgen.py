@@ -4,15 +4,15 @@ A zero-dependency client for :mod:`repro.service.gateway`: N concurrent
 clients, each holding one keep-alive HTTP/1.1 connection, replay a
 fixed stream of wire-schema route requests and record per-request
 latency, status and (optionally) the raw response payloads — the
-byte-identity evidence the bench gate compares against in-process
-answers.
+byte-identity evidence the gateway soak tests compare against
+in-process answers.
 
 The request stream is split round-robin across clients, so the gateway
 sees genuinely concurrent traffic with a deterministic overall request
 multiset regardless of client count.
 
-Use programmatically (:func:`run_load`) from benchmarks and tests, or
-from the command line via ``repro loadgen`` / ``tools/loadgen.py``.
+Use programmatically (:func:`run_load`) from tests, or from the
+command line via ``repro loadgen``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ from collections.abc import Sequence
 
 from repro.core.query import (
     ClientRequest,
-    ObfuscatedPathQuery,
     PathQuery,
     ProtectionSetting,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "uniform_queries",
     "distance_bounded_queries",
     "hotspot_queries",
-    "overlapping_session_queries",
     "popularity_map",
     "requests_from_queries",
 ]
@@ -154,51 +152,6 @@ def popularity_weighted_queries(
         if s != t:
             queries.append(PathQuery(s, t))
     return queries
-
-
-def overlapping_session_queries(
-    network: RoadNetwork,
-    sessions: int = 8,
-    queries_per_session: int = 6,
-    num_origins: int = 20,
-    num_hotspots: int = 10,
-    set_size: int = 3,
-    seed: int = 0,
-) -> list[list[ObfuscatedPathQuery]]:
-    """Concurrent-session obfuscated workloads with hot endpoint pools.
-
-    Every session draws its obfuscated queries' source sets from one
-    shared pool of ``num_origins`` origins and its destination sets from
-    ``num_hotspots`` hotspots — the recurring-traffic shape (commuter
-    origins, popular destinations, sticky decoys; see E12) that makes
-    cross-session endpoint unions far smaller than the sum of the
-    per-session sets.  This is the canonical workload of the coalescing
-    benchmarks (`benchmarks/bench_coalescing.py`) and the CI perf gate
-    (`tools/bench_quick.py`), shared so both measure the same scenario.
-    """
-    if sessions < 1 or queries_per_session < 1:
-        raise ExperimentError("sessions and queries_per_session must be >= 1")
-    if set_size < 1:
-        raise ExperimentError("set_size must be >= 1")
-    if num_origins < set_size or num_hotspots < set_size:
-        raise ExperimentError("endpoint pools must hold at least set_size nodes")
-    rng = random.Random(seed)
-    nodes = list(network.nodes())
-    if len(nodes) < num_origins + num_hotspots:
-        raise ExperimentError("network too small for the requested pools")
-    origins = rng.sample(nodes, num_origins)
-    taken = set(origins)
-    hotspots = rng.sample([n for n in nodes if n not in taken], num_hotspots)
-    return [
-        [
-            ObfuscatedPathQuery(
-                sources=tuple(rng.sample(origins, set_size)),
-                destinations=tuple(rng.sample(hotspots, set_size)),
-            )
-            for _ in range(queries_per_session)
-        ]
-        for _ in range(sessions)
-    ]
 
 
 def popularity_map(

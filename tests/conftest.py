@@ -7,9 +7,8 @@ import random
 import sys
 
 # Allow a bare `pytest` from a plain checkout: put the src layout on the
-# import path (mirrored in benchmarks/conftest.py).  The checkout is
-# prepended, so the working tree shadows any pip-installed copy — tests
-# always exercise the code being edited.
+# import path.  The checkout is prepended, so the working tree shadows
+# any pip-installed copy — tests always exercise the code being edited.
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)

@@ -144,4 +144,5 @@ class TestE12Experiment:
         first, last = result.rows[0], result.rows[-1]
         assert last["fresh_breach"] > first["fresh_breach"]
         assert last["sticky_breach"] == pytest.approx(first["sticky_breach"])
+        assert last["fresh_exposed"] == 1.0
         assert last["sticky_exposed"] == 0.0

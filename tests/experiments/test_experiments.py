@@ -15,6 +15,7 @@ from repro.experiments import (
     e7_endpoint_strategies,
     e8_clustering,
     e9_cost_model,
+    e11_protection_sizing,
     e13_partition_overlay,
 )
 from repro.experiments.harness import ExperimentResult, run_all
@@ -66,6 +67,7 @@ class TestE2ProcessingCost:
     def test_shared_never_worse_than_naive(self, result):
         for row in result.rows:
             assert row["shared_settled"] <= row["naive_settled"]
+            assert row["shared_faults"] <= row["naive_faults"]
 
     def test_speedup_widens_with_f_t(self, result):
         speedups = result.column("speedup")
@@ -205,8 +207,9 @@ class TestE7EndpointStrategies:
 
     def test_popularity_restores_breach_bound(self, result):
         pop = self._row(result, "popularity")
-        uni = self._row(result, "uniform")
-        assert abs(pop["breach_excess"]) < abs(uni["breach_excess"])
+        for other in ("uniform", "compact"):
+            excess = self._row(result, other)["breach_excess"]
+            assert abs(pop["breach_excess"]) < abs(excess)
 
 
 class TestE8Clustering:
@@ -249,6 +252,22 @@ class TestE9CostModel:
         assert "R^2" in result.notes
         r2 = float(result.notes.split("R^2 = ")[1].split()[0])
         assert r2 > 0.7
+
+
+class TestE11ProtectionSizing:
+    @pytest.fixture(scope="class")
+    def result(self):
+        # The default workload: its 8 queries average the split's cost
+        # enough to order all six (3-6 queries leave two splits swapped).
+        return e11_protection_sizing.run()
+
+    def test_cost_grows_as_protection_moves_to_the_sources(self, result):
+        settled = result.column("measured_settled")
+        assert settled == sorted(settled)
+
+    def test_planner_top_pick_is_the_measured_cheapest(self, result):
+        best = min(result.rows, key=lambda row: row["measured_settled"])
+        assert best["planner_rank"] == 1
 
 
 class TestE13PartitionOverlay:

@@ -24,16 +24,22 @@ regimes: arbitrary positive floats, and a **tie-heavy** one — integer
 weights drawn from ``{0, 1, 2, 3}`` (zero-weight arcs included) on the
 same random directed and disconnected maps, plus unit-weight grids,
 where nearly every pair has many shortest paths and an engine's
-tie-breaking is all that tells them apart.  Distances must agree with
-the oracle's to ``1e-9`` and every returned path must be a walk whose
-arc weights add up to its distance; which of the tied paths an engine
-picks is its own business.  A newly registered engine conforms (or
-fails) with zero new test code.
+tie-breaking is all that tells them apart.  The tie tier also reads its
+maps back from a DIMACS ``.gr``/``.co`` round trip, and a perturbed
+10x10 grid gives float paths long enough for the order of the sum to
+show in the last bit.  Distances must equal the oracle's exactly, and
+every returned path must be a walk whose distance is the left fold of
+its arc weights from the source — the label Dijkstra assigns — so an
+engine's distance never depends on how it found the path.  Which of the tied paths an engine picks is its
+own business.  A newly registered engine conforms (or fails) with zero
+new test code.
 """
 
 from __future__ import annotations
 
+import pathlib
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +48,7 @@ from hypothesis import strategies as st
 from repro.exceptions import NoPathError, ReproError
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
+from repro.network.io import read_dimacs, write_dimacs
 from repro.search import ENGINES, get_engine
 from repro.search.dijkstra import dijkstra_path
 
@@ -118,15 +125,48 @@ def unit_grids():
     )
 
 
-def _networks():
-    """A random map under either weight regime, or a unit grid."""
-    return st.sampled_from(WEIGHT_KINDS + ("grid",)).flatmap(
-        lambda kind: unit_grids()
-        if kind == "grid"
-        else st.one_of(
-            conformance_networks(kind), multi_component_networks(kind)
+@st.composite
+def dimacs_round_trips(draw):
+    """A tie-heavy map written with ``write_dimacs`` and read back.
+
+    Integer travel times on the 1-based node ids the format requires;
+    an undirected map is written as both arcs of every edge and folded
+    back into one edge on reading.
+    """
+    net = draw(
+        st.one_of(
+            conformance_networks("ties"), multi_component_networks("ties")
         )
     )
+    renamed = RoadNetwork(directed=net.directed)
+    for node in net.nodes():
+        position = net.position(node)
+        renamed.add_node(node + 1, position.x, position.y)
+    for u, v, weight in net.edges():
+        renamed.add_edge(u + 1, v + 1, weight)
+    with tempfile.TemporaryDirectory() as tmp:
+        gr, co = pathlib.Path(tmp, "map.gr"), pathlib.Path(tmp, "map.co")
+        write_dimacs(renamed, gr, co)
+        return read_dimacs(gr, co, directed=net.directed)
+
+
+def _networks():
+    """A random map under either weight regime, a unit grid, a
+    tie-heavy map round-tripped through DIMACS, or a perturbed grid."""
+    by_kind = {
+        kind: st.one_of(
+            conformance_networks(kind), multi_component_networks(kind)
+        )
+        for kind in WEIGHT_KINDS
+    }
+    by_kind["grid"] = unit_grids()
+    by_kind["dimacs"] = dimacs_round_trips()
+    # float paths long enough for a CH up-down meet sum to round
+    # differently from the left fold
+    by_kind["perturbed"] = st.just(
+        grid_network(10, 10, perturbation=0.3, seed=5)
+    )
+    return st.sampled_from(list(by_kind)).flatmap(by_kind.__getitem__)
 
 
 def _oracle_distance(net, s, t):
@@ -137,11 +177,12 @@ def _oracle_distance(net, s, t):
 
 
 def _assert_walkable(net, path) -> None:
+    """A walk whose distance is the left fold of its arc weights."""
     total = 0.0
     for u, v in path.edges():
         assert net.has_edge(u, v), "path uses a missing (or one-way) edge"
         total += net.edge_weight(u, v)
-    assert abs(total - path.distance) < 1e-9
+    assert total == path.distance
 
 
 @pytest.mark.parametrize("name", ENGINE_NAMES)
@@ -162,9 +203,9 @@ def test_point_queries_conform(name, data):
                 engine.route(net, s, t, context=context)
             continue
         path = engine.route(net, s, t, context=context)
-        assert abs(path.distance - expected) < 1e-9
         assert path.nodes[0] == s and path.nodes[-1] == t
         _assert_walkable(net, path)
+        assert path.distance == expected
 
 
 @pytest.mark.parametrize("name", ENGINE_NAMES)
@@ -196,8 +237,8 @@ def test_msmd_batches_conform(name, data):
         (s, t) for s in sources for t in destinations
     ], "pair table must be in the query's own wire order"
     for pair, path in result.paths.items():
-        assert abs(path.distance - expected[pair]) < 1e-9
         _assert_walkable(net, path)
+        assert path.distance == expected[pair]
 
 
 @pytest.mark.parametrize("name", ENGINE_NAMES)

@@ -569,6 +569,20 @@ class TestShardWorkers:
             # rebuild, so it is bounded and strictly positive
             assert all(shard["warm_ms"] > 0.0 for shard in shards)
 
+    def test_worker_warms_from_the_spilled_blob(self, network):
+        # The handoff a cold worker rides on: the parent spills its
+        # dijkstra-csr snapshot, the worker's one preprocessing miss is
+        # answered by that blob, and nothing is rebuilt.
+        with GatewayServer(
+            network,
+            ServingConfig(engine="dijkstra-csr"),
+            GatewayConfig(workers=1),
+        ) as srv:
+            _, _, metrics = _request(srv, "GET", f"{API_PREFIX}/metrics")
+        (shard,) = json.loads(metrics)["shards"]
+        assert shard["cache"]["preprocessing_misses"] == 1
+        assert shard["cache"]["preprocessing_disk_loads"] == 1
+
     def test_late_reply_never_answers_the_next_call(self):
         # A call that gives up on its deadline leaves its reply in the
         # pipe; the next call on that shard must get its own answer, and

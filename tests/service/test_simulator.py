@@ -158,6 +158,7 @@ class TestE10Experiment:
         first, last = result.rows[0], result.rows[-1]
         assert last["mean_latency_s"] > first["mean_latency_s"]
         assert last["mean_breach"] <= first["mean_breach"]
+        assert last["settled_cold"] <= first["settled_cold"]
         assert last["obfuscated_queries"] <= first["obfuscated_queries"]
         for row in result.rows:
             # Cross-session coalescing never costs more than per-session
