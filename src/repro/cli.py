@@ -13,7 +13,7 @@ Usage (also via ``python -m repro``):
     repro scenario morning-rush city.txt -o traffic.txt --merge-workload rush.txt
     repro serve-replay city.txt rush.txt --engine ch --repeat 3
     repro serve-replay city.txt traffic.txt --engine overlay-csr
-    repro serve-replay city.txt rush.txt --engine ch-csr --coalesce
+    repro serve-replay city.txt rush.txt --engine ch-csr --batch 8
     repro serve-replay city.txt rush.txt --metrics-out m.json --trace-out t.jsonl
     repro serve city.txt --port 8080 --engine overlay-csr --workers 4
     repro loadgen city.txt rush.txt --host 127.0.0.1 --port 8080 --clients 4
@@ -174,10 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="passes over the stream (pass 1 is cold, later ones warm)",
     )
     serve.add_argument(
-        "--batch", type=int, default=8, help="queries per concurrent batch"
-    )
-    serve.add_argument(
-        "--concurrency", type=int, default=4, help="dispatcher worker threads"
+        "--batch",
+        type=int,
+        default=8,
+        help="queries per batch (its distinct misses share one union pass)",
     )
     serve.add_argument(
         "--result-capacity", type=int, default=256, help="result-cache entries"
@@ -186,14 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill-dir",
         default=None,
         help="directory for evicted preprocessing artifacts (CH graphs)",
-    )
-    serve.add_argument(
-        "--coalesce",
-        action="store_true",
-        help=(
-            "evaluate each batch's distinct misses in one shared union "
-            "kernel pass"
-        ),
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
@@ -292,9 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="server-side search engine in every shard",
     )
     gw.add_argument(
-        "--concurrency", type=int, default=4, help="dispatcher threads/shard"
-    )
-    gw.add_argument(
         "--max-inflight",
         type=int,
         default=64,
@@ -307,15 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch admission window per shard (milliseconds)",
     )
     gw.add_argument(
-        "--max-batch", type=int, default=8, help="queries per micro-batch"
-    )
-    gw.add_argument(
-        "--coalesce",
-        action="store_true",
-        help=(
-            "evaluate each micro-batch's distinct misses in one shared "
-            "union kernel pass"
-        ),
+        "--max-batch",
+        type=int,
+        default=8,
+        help="queries per micro-batch (its distinct misses share one pass)",
     )
     gw.add_argument(
         "--spill-dir",
@@ -550,11 +534,8 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         read_workload_items,
     )
 
-    if args.repeat < 1 or args.batch < 1 or args.concurrency < 1:
-        print(
-            "error: --repeat, --batch and --concurrency must be >= 1",
-            file=sys.stderr,
-        )
+    if args.repeat < 1 or args.batch < 1:
+        print("error: --repeat and --batch must be >= 1", file=sys.stderr)
         return 1
     if args.result_capacity < 0:
         print("error: --result-capacity must be >= 0", file=sys.stderr)
@@ -597,12 +578,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     with ServingStack.from_config(
         net,
-        ServingConfig(
-            engine=args.engine,
-            max_workers=args.concurrency,
-            coalesce=args.coalesce,
-            spill_dir=args.spill_dir,
-        ),
+        ServingConfig(engine=args.engine, spill_dir=args.spill_dir),
         result_cache=ResultCache(
             capacity=args.result_capacity, metrics=registry
         ),
@@ -627,7 +603,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
                 logging.getLogger(SLOW_QUERY_LOGGER).removeHandler(
                     slow_handler
                 )
-        coalescing = stack.coalesce_snapshot()
         epoch = stack.epoch
         installs = stack.metrics.histogram("repro_serve_reweight_seconds")
         if args.metrics_out:
@@ -644,7 +619,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     print(
         f"replayed {report.queries} obfuscated queries "
         f"({len(queries)} unique x {args.repeat} passes, "
-        f"engine={args.engine}, workers={args.concurrency}) "
+        f"engine={args.engine}, batch={args.batch}) "
         f"in {report.total_seconds:.3f}s"
     )
     print(
@@ -662,15 +637,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         f"{cache.preprocessing_disk_loads} disk loads "
         f"(hit rate {cache.preprocessing_hit_rate:.0%})"
     )
-    if coalescing is not None:
-        print(
-            f"coalescing:          {coalescing.windows} windows "
-            f"(mean batch {coalescing.mean_window:.1f}, "
-            f"max {coalescing.max_window}), "
-            f"{coalescing.coalesced_queries} queries shared "
-            f"{coalescing.shared_windows} union passes "
-            f"({coalescing.union_pairs} union pairs)"
-        )
     if traffic:
         print(
             f"traffic epochs:      {len(traffic) * args.repeat} events "
@@ -765,19 +731,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.gateway import GatewayConfig, run_gateway
     from repro.service.serving import ServingConfig
 
-    if args.workers < 0 or args.concurrency < 1:
-        print(
-            "error: --workers must be >= 0 and --concurrency >= 1",
-            file=sys.stderr,
-        )
+    if args.workers < 0:
+        print("error: --workers must be >= 0", file=sys.stderr)
         return 1
     net = read_network(args.network)
-    serving = ServingConfig(
-        engine=args.engine,
-        max_workers=args.concurrency,
-        coalesce=args.coalesce,
-        spill_dir=args.spill_dir,
-    )
+    serving = ServingConfig(engine=args.engine, spill_dir=args.spill_dir)
     config = GatewayConfig(
         host=args.host,
         port=args.port,

@@ -54,9 +54,8 @@ class SessionReport:
         layer's result cache (0 without a serving stack).
     coalesced_queries:
         Obfuscated queries of this batch answered by a shared union
-        kernel pass merged with its batch-mates
-        (:attr:`~repro.service.serving.ServingConfig.coalesce`; 0
-        without a coalescing serving stack).  ``server_stats`` still totals the
+        kernel pass merged with its batch-mates (0 without a serving
+        stack).  ``server_stats`` still totals the
         work exactly once: a shared pass's cost rides on its first
         sliced response.
     serving_caches:

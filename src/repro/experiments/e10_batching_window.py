@@ -18,13 +18,13 @@ turning repeated workloads into result-cache hits (``settled_warm``
 collapses toward 0).
 
 The cross-session columns replay each window's server-visible
-obfuscated stream through the ``coalesce_engine`` twice more: once with
-per-session dispatch (every query pays its own bucket pass) and once
-as one batch on a coalescing stack (``ServingConfig(coalesce=True)``),
-which merges all of the window's concurrent queries into one shared
-union kernel pass.  Hotspot destinations repeat across sessions, so the union
-pass shares their backward sweeps and ``settled_coalesced`` drops below
-``settled_solo`` while the per-session answers stay byte-identical.
+obfuscated stream through the ``coalesce_engine`` twice more, on the
+same config: once one ``answer_batch([q])`` per query (every query pays
+its own bucket pass) and once as one batch, whose distinct misses share
+one union kernel pass.  Hotspot destinations repeat across sessions, so
+the union pass shares their backward sweeps and ``settled_coalesced``
+drops below ``settled_solo`` while the per-session answers stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def run(config: Config | None = None) -> ExperimentResult:
             "cost fall as more requests share each window; the warm pass "
             "serves repeated queries from cache (settled_warm << cold); "
             "coalescing the window's concurrent queries into one union "
-            "pass never exceeds per-session dispatch "
+            "pass never exceeds one batch per query "
             "(settled_coalesced <= settled_solo)"
         ),
     )
@@ -131,19 +131,17 @@ def run(config: Config | None = None) -> ExperimentResult:
         _warm_results, warm_report = warm_service.run(arrivals)
         stack.close()
 
-        # Cross-session columns: per-session dispatch vs one coalesced
-        # union pass over the same stream, on the bucket engine.
+        # Cross-session columns: one batch per query vs the window as one
+        # batch (one union pass) over the same stream, on the bucket engine.
+        bucket = ServingConfig(engine=config.coalesce_engine)
         with ServingStack.from_config(
-            network,
-            ServingConfig(engine=config.coalesce_engine),
-            preprocessing_cache=preprocessing,
+            network, bucket, preprocessing_cache=preprocessing
         ) as solo_stack:
-            solo_stack.answer_batch(observed)
+            for query in observed:
+                solo_stack.answer_batch([query])
             settled_solo = solo_stack.server.counters.stats.settled_nodes
         with ServingStack.from_config(
-            network,
-            ServingConfig(engine=config.coalesce_engine, coalesce=True),
-            preprocessing_cache=preprocessing,
+            network, bucket, preprocessing_cache=preprocessing
         ) as co_stack:
             co_stack.answer_batch(observed)
             settled_coalesced = co_stack.server.counters.stats.settled_nodes

@@ -211,8 +211,8 @@ class CSRGraph:
         compact arrays remain the canonical storage.
 
         Safe under concurrent first calls: the completed tuple is
-        published with one slot assignment behind a lock, so dispatcher
-        worker threads racing here share a single O(m) build and every
+        published with one slot assignment behind a lock, so concurrent
+        callers racing here share a single O(m) build and every
         caller gets the same tuple object.
         """
         view = self._kview

@@ -5,8 +5,8 @@ modules:
 
 * :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
   of counters, gauges and fixed-bucket histograms whose write path is
-  per-thread sharded (lock-free increments under the dispatcher's worker
-  threads, exact totals on merge), with JSON and Prometheus-text
+  per-thread sharded (lock-free increments from concurrent callers such
+  as gateway lanes, exact totals on merge), with JSON and Prometheus-text
   exposition;
 * :mod:`repro.obs.trace` — explicit-context span trees
   (:class:`~repro.obs.trace.Tracer`) with JSONL export and a

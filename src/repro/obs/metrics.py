@@ -1,9 +1,8 @@
 """Thread-sharded metrics registry with JSON and Prometheus exposition.
 
-The serving stack's :class:`~repro.service.serving.ConcurrentDispatcher`
-answers one batch across several worker threads, so a naive
-lock-per-increment counter would serialize the hottest code path on its
-own instrumentation.  Every instrument here keeps **per-thread shards**
+Several threads answer through one serving stack (the gateway's shard
+lanes, sessions sharing a stack), so a naive lock-per-increment counter
+would serialize the hottest code path on its own instrumentation.  Every instrument here keeps **per-thread shards**
 instead: a thread's first touch registers its own cell (one short
 lock acquisition), after which increments are plain list-index writes on
 the owning thread — no locks, no contention, and exact totals whenever
@@ -14,8 +13,8 @@ Three instrument kinds cover the serving stack's needs:
 
 * :class:`Counter` — monotonically increasing totals (cache hits,
   queries served, settled nodes);
-* :class:`Gauge` — last-written or maximum values (largest coalescing
-  window, search-tree radius);
+* :class:`Gauge` — last-written or maximum values (installed epoch,
+  search-tree radius);
 * :class:`Histogram` — fixed-bucket latency/size distributions
   (batch latencies), merged shard-by-shard.
 

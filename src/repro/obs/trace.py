@@ -1,12 +1,12 @@
 """Explicit-context span trees with JSONL export and a slow-query log.
 
 A :class:`Tracer` produces :class:`Span` trees for the serving stack's
-per-query pipeline (``serve.answer_batch`` -> cache consult -> dispatch
-worker -> engine kernel, or one ``engine.union`` under the same root
-for a coalesced batch).  Context is *explicit*: a child span names its parent via the
-``parent=`` argument instead of ambient thread-local state, so spans
-created on dispatcher worker threads attach to the batch span that
-spawned them without any contextvars plumbing.
+per-query pipeline (``serve.answer_batch`` -> cache consult -> one
+``engine.process`` or ``engine.union`` kernel span).  Context is
+*explicit*: a child span names its parent via the ``parent=`` argument
+instead of ambient thread-local state, so a span opened on another
+thread (a gateway lane, a session) attaches to whatever span it names
+without any contextvars plumbing.
 
 Determinism: the tracer's clock is injectable, so tests assert exact
 durations.
@@ -177,8 +177,8 @@ class Tracer:
         """Open a span as a context manager.
 
         ``parent=None`` makes a root; otherwise the new span is attached
-        under ``parent`` (thread-safe — dispatcher workers attach
-        children to the same batch span concurrently).  Keyword
+        under ``parent`` (thread-safe — concurrent callers may attach
+        children to one span).  Keyword
         arguments become initial attributes, validated like
         :meth:`Span.set`.
         """

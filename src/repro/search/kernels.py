@@ -27,9 +27,9 @@ to the graph.  Allocating them per call would dominate small queries, so
 size) and resets it in O(1) with a generation stamp: a slot is valid
 only when its ``stamp`` equals the current generation, so "clearing"
 the arrays is a single integer increment.  Because
-:class:`~repro.service.serving.ConcurrentDispatcher` gives every worker
+:class:`~repro.service.serving.ConcurrentDispatcher` gives every calling
 thread its own processor handle, the thread-local pool doubles as a
-per-worker scratch pool — no locks on the hot path.
+per-caller scratch pool — no locks on the hot path.
 
 **Cost-counter parity.**  ``settled_nodes`` and
 ``max_settled_distance`` match the dict engines (same algorithm, same
@@ -153,8 +153,8 @@ _TLS = threading.local()
 def scratch_for(size: int) -> KernelScratch:
     """This thread's pooled :class:`KernelScratch` for graphs of ``size``.
 
-    One scratch per (thread, size); dispatcher worker threads therefore
-    each own their buffers and never contend.
+    One scratch per (thread, size); concurrent callers (gateway lanes,
+    sessions) therefore each own their buffers and never contend.
     """
     pool = getattr(_TLS, "pool", None)
     if pool is None:

@@ -1,4 +1,4 @@
-"""Online serving: timed arrivals, windowed batching, caches, concurrency.
+"""Online serving: timed arrivals, windowed batching, caches, union passes.
 
 The paper's obfuscator is an online middle tier: requests arrive over
 time, and shared obfuscated path queries only exist if several requests
@@ -10,9 +10,8 @@ subpackage models that dimension twice over:
 * :mod:`repro.service.serving` + :mod:`repro.service.cache` — the
   production serving layer: a thread-safe :class:`ServingStack` fronting
   the directions server with a preprocessing-artifact cache, a
-  many-to-many result cache, a concurrent dispatcher, and optional
-  coalescing of a batch's obfuscated queries into one shared union
-  kernel pass — so repeated traffic stops paying preprocessing,
+  many-to-many result cache, and one shared union kernel pass over a
+  batch's distinct misses — so repeated traffic stops paying preprocessing,
   repeated obfuscated queries stop paying search, and overlapping
   queries of one batch share one pass.  Traffic re-weights install as
   atomic copy-on-write network epochs through
@@ -40,7 +39,6 @@ from repro.service.cache import (
     network_fingerprint,
 )
 from repro.service.serving import (
-    CoalesceSnapshot,
     ConcurrentDispatcher,
     ReplayReport,
     ReweightOutcome,
@@ -65,7 +63,6 @@ __all__ = [
     "PreprocessingCache",
     "ResultCache",
     "ConcurrentDispatcher",
-    "CoalesceSnapshot",
     "ReweightOutcome",
     "ServingConfig",
     "ServingStack",

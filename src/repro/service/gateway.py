@@ -32,15 +32,11 @@ queue, no thread hop, no encoder.  Searches never run on the loop.
 Every body is :func:`~repro.service.wire.route_body` around the table's
 one :func:`~repro.service.wire.encode_paths` fragment.
 
-Sharding: each query is routed by
-:meth:`~repro.service.serving.ServingStack.dispatch_hint` — the
-partition cell of its first source when the engine artifact is a
-partition overlay — modulo the worker count, falling back to a stable
-hash for engines without a partition.  Per-shard asyncio queues apply a
-micro-batch admission window, so one pipe round-trip carries several
-queries and the worker answers them as one batch — the batch a
-coalescing stack (``ServingConfig.coalesce``) evaluates in one union
-pass.
+Sharding: each query is routed by a stable hash of its first source
+modulo the worker count.  Per-shard asyncio queues apply a micro-batch
+admission window, so one pipe round-trip carries several queries and
+the worker answers them as one batch — whose distinct misses the stack
+evaluates in one union pass.
 
 Worker handoff: the parent warms its stack once, force-spills the
 preprocessing artifact (:meth:`~repro.service.cache.PreprocessingCache.spill_now`)
@@ -296,12 +292,7 @@ def _evaluate_pairs(
 
 def _shard_report(stack: ServingStack) -> dict:
     """One worker's contribution to ``/v1/metrics`` (counts only)."""
-    coalesce = stack.coalesce_snapshot()
-    return {
-        "epoch": stack.epoch,
-        "cache": stack.snapshot().to_dict(),
-        "coalesce": coalesce.to_dict() if coalesce is not None else None,
-    }
+    return {"epoch": stack.epoch, "cache": stack.snapshot().to_dict()}
 
 
 def _worker_main(conn, network, config: ServingConfig) -> None:
@@ -785,13 +776,10 @@ class Gateway:
     # -- shard dispatch ------------------------------------------------
 
     def _shard_of(self, query: ObfuscatedPathQuery) -> int:
-        """Shard index for a query: overlay cell, else a stable hash."""
+        """Shard index for a query: a stable hash of its first source."""
         if self.pool is None:
             return 0
-        hint = self.stack.dispatch_hint(query)
-        if hint is None:
-            hint = hash(query.sources[0])
-        return hint % len(self.pool)
+        return hash(query.sources[0]) % len(self.pool)
 
     async def _submit(self, query: ObfuscatedPathQuery) -> bytes | str:
         """Answer one query: its ``/v1/route`` body, or an error code.
@@ -878,6 +866,10 @@ class Gateway:
                 request = await self._read_request(reader)
                 if request is None:
                     break
+                if isinstance(request, _HTTPResponse):
+                    # unframeable: the rest of the stream is unreadable
+                    await self._write_response(writer, request, False)
+                    break
                 response = await self._handler(request)
                 keep_alive = (
                     request.headers.get("connection", "keep-alive").lower()
@@ -899,8 +891,15 @@ class Gateway:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _read_request(self, reader) -> _HTTPRequest | None:
-        """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
+    async def _read_request(
+        self, reader
+    ) -> _HTTPRequest | _HTTPResponse | None:
+        """Parse one HTTP/1.1 request; ``None`` on clean EOF.
+
+        A ``Content-Length`` that is not a decimal count up to
+        ``_MAX_BODY_BYTES`` yields the 400 ``invalid_request`` response
+        to send before closing, since the body cannot be framed.
+        """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -917,9 +916,10 @@ class Gateway:
             if ":" in line:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY_BYTES:
-            return None
+        raw = headers.get("content-length", "0") or "0"
+        if not (raw.isascii() and raw.isdigit()) or int(raw) > _MAX_BODY_BYTES:
+            return _error_response("invalid_request")
+        length = int(raw)
         body = await reader.readexactly(length) if length else b""
         return _HTTPRequest(
             method=method.upper(), path=path, headers=headers, body=body

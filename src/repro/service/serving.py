@@ -1,4 +1,4 @@
-"""Concurrent serving stack fronting the directions server.
+"""Caching serving stack fronting the directions server.
 
 :class:`ServingStack` is the serving layer a production OPAQUE
 deployment puts between the obfuscator and the
@@ -10,28 +10,21 @@ deployment puts between the obfuscator and the
    ``O(preprocess * sessions)`` into ``O(preprocess)``;
 2. a :class:`~repro.service.cache.ResultCache` so a repeated obfuscated
    query ``Q(S, T)`` is answered with zero search work;
-3. a :class:`ConcurrentDispatcher` that evaluates independent obfuscated
-   queries of one batch across a thread pool, each worker holding its
-   own engine handle (MSMD processor) over the shared artifact;
-4. optionally (``ServingConfig.coalesce``) one shared union kernel pass
+3. one evaluation of a batch's distinct misses: a lone miss is one
+   ``process`` call, two or more are one shared union kernel pass
    (:meth:`~repro.search.multi.MultiSourceMultiDestProcessor.process_union`)
-   over the distinct misses of a batch in place of per-query dispatch,
-   the pair table sliced back per query.  The batch is the window:
-   sessions meet where a caller batches them (the gateway's per-shard
-   micro-batch, :meth:`~repro.core.system.OpaqueSystem.submit`).
+   — the paper's shared obfuscated query (Section IV) on the server.
+   The batch is the window: sessions meet where a caller batches them
+   (the gateway's micro-batch, :meth:`~repro.core.system.OpaqueSystem.submit`).
 
 Every batch takes one path, :meth:`ServingStack.answer_each`: capture
 the epoch, consult the result cache, evaluate the distinct misses, then
-cache and record.  Results are deterministic: responses come back in
-submission order and each query is evaluated by the same pure search
-code concurrently or serially, so a concurrent batch is byte-identical
-to a serial one.  Coalescing keeps the same contract — sliced tables
-carry exactly each query's ``S x T`` pairs in its own wire order, so a
-coalesced response is byte-identical to the serial answer and nothing
-about a query's batch-mates (who they were, how many, which of their
-pairs were real) leaks into any response.  A failing query never costs
-its batch-mates anything: they are answered, cached and recorded, and
-only the failing query's slot carries the error.
+cache and record.  A union pass is held to byte-identity with solo
+``process`` calls, so a batch answers exactly as one batch per query
+does and nothing about a query's batch-mates (who they were, how many,
+which of their pairs were real) leaks into any response.  A failing
+query never costs its batch-mates anything: only its slot carries the
+error.
 
 Traffic updates take one path too: :meth:`ServingStack.reweight`, the
 only code that creates a network epoch.  It serializes writers, installs
@@ -55,7 +48,6 @@ import threading
 import time
 from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.core.query import ObfuscatedPathQuery
@@ -67,7 +59,6 @@ from repro.search.multi import (
     MSMDResult,
     MultiSourceMultiDestProcessor,
     PreprocessingProcessor,
-    UnionPassResult,
 )
 from repro.search.overlay import OverlayGraph
 from repro.service.cache import (
@@ -82,7 +73,6 @@ from repro.workloads.replay import TrafficEvent
 
 __all__ = [
     "ConcurrentDispatcher",
-    "CoalesceSnapshot",
     "ReweightOutcome",
     "ServingConfig",
     "ServingStack",
@@ -93,6 +83,15 @@ __all__ = [
 #: retired epochs whose cache entries :meth:`ServingStack.reweight`
 #: keeps for batches that captured them before the handoff
 KEEP_RETIRED_EPOCHS = 2
+
+
+def _check_max_workers(max_workers: int) -> None:
+    """Refuse every ``max_workers`` but 1 (the removed thread pool)."""
+    if max_workers != 1:
+        raise ValueError(
+            "max_workers must be 1: a batch's misses are evaluated in "
+            "one pass on the calling thread (the thread pool was removed)"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,12 +127,15 @@ class ReweightOutcome:
 
 
 class ConcurrentDispatcher:
-    """Evaluates independent obfuscated queries across a thread pool.
+    """Evaluates a batch's distinct misses on the calling thread's handle.
 
-    Each worker thread lazily builds its own MSMD processor handle via
-    ``handle_factory`` (processors are cheap; artifacts are shared
-    through the :class:`~repro.service.cache.PreprocessingCache`), so no
-    processor instance is ever shared between threads.
+    Each thread lazily builds its own MSMD processor handle via
+    ``handle_factory`` (artifacts are shared through the
+    :class:`~repro.service.cache.PreprocessingCache`), so concurrent
+    callers — gateway lanes, sessions sharing one stack — never share a
+    processor.  The class name and ``max_workers`` outlive the removed
+    thread pool because the request ledger builds its clocked
+    dispatcher by both.
 
     Parameters
     ----------
@@ -141,27 +143,13 @@ class ConcurrentDispatcher:
         Zero-argument callable returning a fresh
         :class:`~repro.search.multi.MultiSourceMultiDestProcessor`.
     max_workers:
-        Thread-pool size; 1 degenerates to serial evaluation (no pool is
-        created), which is the determinism baseline.
+        Must be 1 (anything else raises :class:`ValueError`).
     """
 
-    def __init__(
-        self,
-        handle_factory,
-        max_workers: int = 4,
-    ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+    def __init__(self, handle_factory, max_workers: int = 1) -> None:
+        _check_max_workers(max_workers)
         self._factory = handle_factory
-        self._max_workers = max_workers
         self._local = threading.local()
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
-
-    @property
-    def max_workers(self) -> int:
-        """Configured thread-pool size."""
-        return self._max_workers
 
     def _handle(self) -> MultiSourceMultiDestProcessor:
         """This thread's private engine handle (built on first use)."""
@@ -171,221 +159,73 @@ class ConcurrentDispatcher:
             self._local.handle = handle
         return handle
 
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-serving",
-                )
-            return self._executor
-
-    def _evaluate(
-        self,
-        network,
-        query: ObfuscatedPathQuery,
-        artifact: object,
-        tracer=NULL_TRACER,
-        parent=None,
-        cell: int | None = None,
-    ) -> MSMDResult | ReproError:
-        handle = self._handle()
-        if artifact is not None and isinstance(handle, PreprocessingProcessor):
-            handle.use_artifact(artifact)
-        with tracer.span(
-            "serve.worker",
-            parent=parent,
-            num_sources=len(query.sources),
-            num_destinations=len(query.destinations),
-        ) as worker:
-            if cell is not None:
-                worker.set("cell", cell)
-            with tracer.span("engine.process", parent=worker) as kernel:
-                try:
-                    result = handle.process(
-                        network, list(query.sources), list(query.destinations)
-                    )
-                except ReproError as exc:
-                    return exc
-                stats = result.stats
-                kernel.set("settled_nodes", stats.settled_nodes)
-                kernel.set("relaxed_edges", stats.relaxed_edges)
-                kernel.set("heap_pushes", stats.heap_pushes)
-        return result
-
-    def dispatch(
-        self,
-        network,
-        queries: Sequence[ObfuscatedPathQuery],
-        artifact: object = None,
-        tracer=None,
-        parent=None,
-        cells: Sequence[int | None] | None = None,
-    ) -> list[MSMDResult | ReproError]:
-        """Evaluate every query, returning outcomes in submission order.
-
-        Parameters
-        ----------
-        network:
-            Road network the queries run against.
-        queries:
-            Independent obfuscated queries (no ordering constraints
-            between them; each is a self-contained MSMD evaluation).
-        artifact:
-            Optional preprocessing artifact injected into each worker's
-            handle (from the serving stack's preprocessing cache).
-        tracer, parent:
-            Optional :class:`~repro.obs.trace.Tracer` and parent span:
-            each evaluation then runs inside a ``serve.worker`` span
-            (child ``engine.process`` carries the search counters)
-            attached under ``parent``, from whichever thread ran it.
-        cells:
-            Optional per-query partition cell hints (aligned with
-            ``queries``), recorded as the worker span's ``cell`` attr.
-
-        Returns
-        -------
-        list of MSMDResult or ReproError
-            ``results[i]`` answers ``queries[i]``, identical to what
-            serial evaluation would produce — or is the
-            :class:`~repro.exceptions.ReproError` evaluating it raised
-            (no path, unknown endpoint), which never stops the others.
-        """
-        if not queries:
-            return []
-        if tracer is None:
-            tracer = NULL_TRACER
-        if cells is None:
-            cells = [None] * len(queries)
-        if self._max_workers == 1 or len(queries) == 1:
-            return [
-                self._evaluate(network, q, artifact, tracer, parent, cell)
-                for q, cell in zip(queries, cells)
-            ]
-        pool = self._pool()
-        futures = [
-            pool.submit(self._evaluate, network, q, artifact, tracer, parent, cell)
-            for q, cell in zip(queries, cells)
-        ]
-        return [f.result() for f in futures]
-
-    def evaluate_union(
+    def evaluate(
         self,
         network,
         set_queries: Sequence[tuple[tuple, tuple]],
         artifact: object = None,
         tracer=NULL_TRACER,
         parent=None,
-    ) -> UnionPassResult:
-        """Answer several set queries in one shared union pass.
+    ) -> list[MSMDResult | ReproError]:
+        """Answer distinct ``(S, T)`` set queries; one outcome per query.
 
-        Runs on the calling thread with its private engine handle (a
-        union pass is already the merged evaluation — there is nothing
-        left to parallelize across the pool) inside one ``engine.union``
-        span under ``parent``; see
-        :meth:`repro.search.multi.MultiSourceMultiDestProcessor.process_union`
-        for the exactness contract.
+        One query is one ``handle.process`` call in an ``engine.process``
+        span, two or more one ``handle.process_union`` pass in an
+        ``engine.union`` span, under ``parent``.  ``artifact`` (from the
+        stack's preprocessing cache) is injected into the handle first.
+        ``outcomes[i]`` answers ``set_queries[i]``, or is the
+        :class:`~repro.exceptions.ReproError` evaluating it alone raises.
         """
         handle = self._handle()
         if artifact is not None and isinstance(handle, PreprocessingProcessor):
             handle.use_artifact(artifact)
+        if len(set_queries) > 1:
+            with tracer.span(
+                "engine.union", parent=parent, num_queries=len(set_queries)
+            ) as span:
+                union = handle.process_union(network, set_queries)
+                span.set("union_pairs", union.pairs_computed)
+                span.set("settled_nodes", union.union_stats.settled_nodes)
+            return [
+                table if error is None else error
+                for table, error in zip(union.tables, union.errors)
+            ]
+        (sources, destinations), = set_queries
         with tracer.span(
-            "engine.union", parent=parent, num_queries=len(set_queries)
+            "engine.process", parent=parent,
+            num_sources=len(sources), num_destinations=len(destinations),
         ) as span:
-            union = handle.process_union(network, set_queries)
-            span.set("union_pairs", union.pairs_computed)
-            span.set("settled_nodes", union.union_stats.settled_nodes)
-        return union
-
-    def shutdown(self) -> None:
-        """Tear down the thread pool (idempotent; a later dispatch rebuilds it)."""
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-
-
-@dataclass(frozen=True, slots=True)
-class CoalesceSnapshot:
-    """Point-in-time coalescing counters of a :class:`ServingStack`.
-
-    A *window* is one batch answered by a coalescing stack (the batch is
-    the window).
-
-    Attributes
-    ----------
-    windows:
-        Batches answered so far.
-    queries:
-        Obfuscated queries those batches held.
-    shared_windows:
-        Windows whose union pass merged >= 2 distinct queries (actual
-        cross-query sharing happened).
-    coalesced_queries:
-        Queries answered by a shared union pass (their responses carry
-        ``coalesced=True``).
-    union_pairs:
-        Deterministic work counter: distinct ``(s, t)`` pairs evaluated
-        by union kernel passes (compare against the ``sum |S_i|x|T_i|``
-        a per-session dispatch would have paid).
-    max_window:
-        Largest window answered.
-    """
-
-    windows: int = 0
-    queries: int = 0
-    shared_windows: int = 0
-    coalesced_queries: int = 0
-    union_pairs: int = 0
-    max_window: int = 0
-
-    @property
-    def mean_window(self) -> float:
-        """Average queries per window (0 when idle)."""
-        return self.queries / self.windows if self.windows else 0.0
-
-    def to_dict(self) -> dict:
-        """Stable-key report shape (see ``docs/API.md``).
-
-        Every report surface (``serve-replay``, ``obs-report``, the
-        gateway's ``/v1/metrics``) emits this one shape: a ``schema``
-        version stamp, a ``kind`` discriminator and flat counters.
-        """
-        return {
-            "schema": 1,
-            "kind": "coalesce_snapshot",
-            "windows": self.windows,
-            "queries": self.queries,
-            "shared_windows": self.shared_windows,
-            "coalesced_queries": self.coalesced_queries,
-            "union_pairs": self.union_pairs,
-            "max_window": self.max_window,
-            "mean_window": self.mean_window,
-        }
+            try:
+                result = handle.process(
+                    network, list(sources), list(destinations)
+                )
+            except ReproError as exc:
+                return [exc]
+            stats = result.stats
+            span.set("settled_nodes", stats.settled_nodes)
+            span.set("relaxed_edges", stats.relaxed_edges)
+            span.set("heap_pushes", stats.heap_pushes)
+        return [result]
 
 
 @dataclass(frozen=True, slots=True)
 class ServingConfig:
     """Frozen construction-time knobs of a :class:`ServingStack`.
 
-    The one value that describes how to build a stack — pass it to
-    :meth:`ServingStack.from_config`, ship it across process boundaries
-    (it is picklable; the network gateway sends it to shard workers), or
-    embed it in a deployment manifest.  Runtime collaborators that hold
-    live state (pre-built caches, a shared
-    :class:`~repro.obs.metrics.MetricsRegistry`, a tracer) stay keyword
-    arguments of :meth:`~ServingStack.from_config` — they are wiring,
-    not configuration.
+    Pass it to :meth:`ServingStack.from_config` or ship it across
+    process boundaries (it is picklable; the gateway sends it to shard
+    workers).  Live collaborators (pre-built caches, a shared
+    :class:`~repro.obs.metrics.MetricsRegistry`, a tracer) are keyword
+    arguments of :meth:`~ServingStack.from_config` instead.
 
     Attributes
     ----------
     engine:
         Name from the :data:`repro.search.ENGINES` registry.
     max_workers:
-        Dispatcher thread-pool size (1 = serial).
-    coalesce:
-        Evaluate the distinct misses of a batch (two or more) in one
-        shared union kernel pass instead of per-query dispatch.
+        Must be 1 (anything else raises :class:`ValueError`): what is
+        left of the removed dispatcher thread pool, kept because the
+        request ledger reads it.
     spill_dir:
         Disk-spill directory for the preprocessing cache (also the
         artifact handoff channel between gateway shard workers).
@@ -396,15 +236,13 @@ class ServingConfig:
     """
 
     engine: str = "dijkstra"
-    max_workers: int = 4
-    coalesce: bool = False
+    max_workers: int = 1
     spill_dir: str | None = None
     preprocessing_capacity: int = 8
     result_capacity: int = 256
 
     def __post_init__(self) -> None:
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+        _check_max_workers(self.max_workers)
         if self.preprocessing_capacity < 1:
             raise ValueError("preprocessing_capacity must be >= 1")
         if self.result_capacity < 0:
@@ -417,7 +255,6 @@ class ServingConfig:
             "kind": "serving_config",
             "engine": self.engine,
             "max_workers": self.max_workers,
-            "coalesce": self.coalesce,
             "spill_dir": (
                 str(self.spill_dir) if self.spill_dir is not None else None
             ),
@@ -427,7 +264,7 @@ class ServingConfig:
 
 
 class ServingStack:
-    """Thread-safe caching/concurrency layer in front of a directions server.
+    """Thread-safe caching layer in front of a directions server.
 
     The stack owns a :class:`~repro.core.server.DirectionsServer` and
     answers obfuscated queries through two caches and a dispatcher; see
@@ -437,11 +274,8 @@ class ServingStack:
     call :meth:`answer`/:meth:`answer_batch` directly to drive the
     server side alone.
 
-    Construct stacks through :meth:`from_config`: one frozen
-    :class:`ServingConfig` carries every construction-time knob (engine,
-    pool sizes, spill directory, coalescing), and the keyword arguments
-    below that hold live collaborators (caches, metrics, tracer) ride
-    alongside it.
+    Construct stacks through :meth:`from_config` with one frozen
+    :class:`ServingConfig`; live collaborators ride alongside it.
 
     Parameters
     ----------
@@ -461,10 +295,9 @@ class ServingStack:
         ``registry.to_json()`` / ``to_prometheus()`` call exposes the
         whole stack.
     tracer:
-        A :class:`~repro.obs.trace.Tracer` to record per-query span
-        trees (one ``serve.answer_batch`` root per batch, holding
-        ``serve.cache_consult`` and then either ``serve.worker`` →
-        ``engine.process`` per distinct miss or one ``engine.union``).
+        A :class:`~repro.obs.trace.Tracer` recording one
+        ``serve.answer_batch`` tree per batch: ``serve.cache_consult``,
+        then ``engine.process`` (one miss) or ``engine.union`` (more).
         ``None`` (default) uses a shared no-op tracer with no recording
         overhead.
 
@@ -521,45 +354,13 @@ class ServingStack:
                 capacity=config.result_capacity, metrics=self.metrics
             )
         )
-        self.dispatcher = ConcurrentDispatcher(
-            self._engine.make_processor, max_workers=config.max_workers
-        )
+        #: what :meth:`answer_each` evaluates misses through
+        self.dispatcher = ConcurrentDispatcher(self._engine.make_processor)
         self.server = DirectionsServer(
             network,
             processor=self._engine.make_processor(),
             metrics=self.metrics,
         )
-        #: the ``repro_coalesce_*`` instruments by :class:`CoalesceSnapshot`
-        #: field, or None when coalescing is off
-        self._coalesce_meters = None
-        if config.coalesce:
-            counter = self.metrics.counter
-            self._coalesce_meters = {
-                "windows": counter(
-                    "repro_coalesce_windows_total",
-                    desc="batches answered by a coalescing stack",
-                ),
-                "queries": counter(
-                    "repro_coalesce_queries_total",
-                    desc="queries those batches held",
-                ),
-                "shared_windows": counter(
-                    "repro_coalesce_shared_windows_total",
-                    desc="windows whose union pass merged >= 2 distinct queries",
-                ),
-                "coalesced_queries": counter(
-                    "repro_coalesce_coalesced_queries_total",
-                    desc="queries answered by a shared union pass",
-                ),
-                "union_pairs": counter(
-                    "repro_coalesce_union_pairs_total",
-                    desc="distinct (s, t) pairs evaluated by union passes",
-                ),
-                "max_window": self.metrics.gauge(
-                    "repro_coalesce_max_window",
-                    desc="largest window answered",
-                ),
-            }
         self._lock = threading.Lock()
         # Held by reweight from the epoch view to the install, so only
         # one writer copies an epoch at a time; readers take _lock only.
@@ -690,18 +491,13 @@ class ServingStack:
         result cache and records every answered query — hit or miss —
         in the underlying server's adversary view and load counters.
 
-        Misses are evaluated concurrently by the dispatcher, or — with
-        :attr:`ServingConfig.coalesce` and at least two of them — by ONE
-        shared union kernel pass whose responses carry
-        ``coalesced=True``.  Either way each table holds exactly its
-        query's ``S x T`` pairs in that query's own wire order, so the
-        two are byte-identical and nothing about a query's batch-mates
-        is observable in any response.
-
-        The network fingerprint keying both caches is memoized against
-        the network's mutation ``version``, so a warm batch costs O(1)
-        in graph size; the graph is only rehashed after a mutation —
-        which is exactly when stale tables must stop matching.
+        The misses are evaluated through :attr:`dispatcher` on this
+        thread's engine handle: a lone miss is one ``process`` call, two
+        or more are ONE shared union kernel pass whose responses carry
+        ``coalesced=True``.  Each sliced table holds exactly its query's
+        ``S x T`` pairs in that query's own wire order, so it is
+        byte-identical to the query's solo answer and nothing about its
+        batch-mates is observable in any response.
 
         Returns
         -------
@@ -751,27 +547,16 @@ class ServingStack:
                     len(queries) - sum(len(g) for g in misses.values()),
                 )
             miss_groups = list(misses.values())
-            shared = self.config.coalesce and len(miss_groups) >= 2
-            union_pairs = 0
+            shared = len(miss_groups) >= 2
             computed: Sequence[MSMDResult | ReproError] = ()
             if miss_groups:
                 artifact = self.preprocessing.get(
                     network, self.engine_name, fingerprint=fingerprint
                 )
-                if shared:
-                    union = self.dispatcher.evaluate_union(
-                        network, list(misses), artifact,
-                        tracer=self._tracer, parent=root,
-                    )
-                    union_pairs = union.pairs_computed
-                    computed = [
-                        table if error is None else error
-                        for table, error in zip(union.tables, union.errors)
-                    ]
-                else:
-                    computed = self._dispatch(
-                        network, queries, miss_groups, artifact, root
-                    )
+                computed = self.dispatcher.evaluate(
+                    network, list(misses), artifact,
+                    tracer=self._tracer, parent=root,
+                )
         with self._lock:
             for indices, result in zip(miss_groups, computed, strict=True):
                 if isinstance(result, ReproError):
@@ -793,18 +578,6 @@ class ServingStack:
             for outcome in outcomes:
                 if isinstance(outcome, ServerResponse):
                     self.server.record(outcome)
-            meters = self._coalesce_meters
-            if meters is not None:
-                meters["windows"].inc()
-                meters["queries"].inc(len(queries))
-                meters["union_pairs"].inc(union_pairs)
-                meters["max_window"].set_max(len(queries))
-                if shared:
-                    meters["shared_windows"].inc()
-                    # errors carry no flag; cache hits carry False
-                    meters["coalesced_queries"].inc(
-                        sum(getattr(o, "coalesced", False) for o in outcomes)
-                    )
         self._m_batch_seconds.observe(time.perf_counter() - t0)
         return outcomes
 
@@ -815,7 +588,7 @@ class ServingStack:
 
         The constant-work half of :meth:`answer`, cheap enough for an
         event loop: the current epoch's fingerprint and one lookup under
-        the stack lock — no search, no pool.  A hit is accounted as
+        the stack lock — no search.  A hit is accounted as
         :meth:`answer_each` accounts it (one cache hit, one
         ``from_cache`` response recorded by the server, one
         batch-latency observation) and returns the response with its
@@ -825,10 +598,8 @@ class ServingStack:
         which counts it once.
 
         Taking this path is a function of ``(S, T, epoch)``, the cache
-        key, so it shows the server nothing a cache hit does not.  Hits
-        answered here are no batch: the coalescing counters
-        (``repro_coalesce_*``, :class:`CoalesceSnapshot`) count queries
-        that reached :meth:`answer_each`.  No span is recorded.
+        key, so it shows the server nothing a cache hit does not.  No
+        span is recorded.
         """
         t0 = time.perf_counter()
         with self._lock:
@@ -844,61 +615,6 @@ class ServingStack:
             self.server.record(response)
         self._m_batch_seconds.observe(time.perf_counter() - t0)
         return response, hit[1]
-
-    def _dispatch(
-        self,
-        network,
-        queries: Sequence[ObfuscatedPathQuery],
-        miss_groups: list[list[int]],
-        artifact: object,
-        root,
-    ) -> list[MSMDResult | ReproError]:
-        """Evaluate each miss group's first query on the dispatcher.
-
-        Sorts ``miss_groups`` in place when the artifact has a partition;
-        outcomes align with the sorted groups.
-        """
-        cell_of = None
-        if isinstance(artifact, OverlayGraph):
-            cell_of = artifact.partition.cell_of
-        if len(miss_groups) > 1 and cell_of is not None:
-            # Shard-aware dispatch: group this batch's misses by the
-            # source cell so queries touching the same shard of the map
-            # run back to back (locality for per-worker scratch and any
-            # external sharding built on dispatch_hint).  Responses are
-            # reassembled by batch index, so ordering is unobservable.
-            miss_groups.sort(
-                key=lambda indices: (
-                    _hint_sort_key(
-                        cell_of.get(queries[indices[0]].sources[0])
-                    ),
-                    indices[0],
-                )
-            )
-        unique = [queries[indices[0]] for indices in miss_groups]
-        cells = None
-        if cell_of is not None:
-            cells = [cell_of.get(query.sources[0]) for query in unique]
-        return self.dispatcher.dispatch(
-            network, unique, artifact,
-            tracer=self._tracer, parent=root, cells=cells,
-        )
-
-    def dispatch_hint(self, query: ObfuscatedPathQuery) -> int | None:
-        """Shard hint for ``query``: the partition cell of its first source.
-
-        Available when the engine's cached artifact is a partition
-        overlay; ``None`` otherwise.  A fleet of stacks can use the hint
-        to route queries to the replica owning that cell; a single stack
-        uses it to group each batch's misses by cell before dispatching
-        (see :meth:`answer_batch`).  Never builds preprocessing — a cold
-        cache simply yields ``None``.
-        """
-        _, fingerprint = self._epoch_view()
-        artifact = self.preprocessing.peek(fingerprint, self.engine_name)
-        if isinstance(artifact, OverlayGraph):
-            return artifact.partition.cell_of.get(query.sources[0])
-        return None
 
     def reweight(
         self,
@@ -1047,16 +763,6 @@ class ServingStack:
             self.preprocessing.invalidate_fingerprint(released)
             self.results.invalidate_fingerprint(released)
 
-    def coalesce_snapshot(self) -> CoalesceSnapshot | None:
-        """The coalescing counters, or ``None`` when coalescing is off."""
-        if self._coalesce_meters is None:
-            return None
-        with self._lock:
-            return CoalesceSnapshot(**{
-                name: int(meter.value)
-                for name, meter in self._coalesce_meters.items()
-            })
-
     def snapshot(self) -> CacheSnapshot:
         """Combined counters of both caches."""
         pre = self.preprocessing.snapshot()
@@ -1072,28 +778,25 @@ class ServingStack:
         )
 
     def close(self) -> None:
-        """Shut down the dispatcher's thread pool."""
-        self.dispatcher.shutdown()
+        """Release the stack: nothing is held, misses run on the caller.
+
+        Kept so owners keep one lifecycle (the gateway, ``with`` blocks
+        and the request ledger close their stacks).
+        """
 
     def __enter__(self) -> "ServingStack":
         """Enter a ``with`` block (no setup needed)."""
         return self
 
     def __exit__(self, *exc_info) -> None:
-        """Leave a ``with`` block, shutting the thread pool down."""
+        """Leave a ``with`` block (see :meth:`close`)."""
         self.close()
 
     def __repr__(self) -> str:
         return (
             f"ServingStack(engine={self.engine_name!r}, "
-            f"workers={self.dispatcher.max_workers}, "
             f"network={self.network!r})"
         )
-
-
-def _hint_sort_key(hint: int | None) -> tuple[int, int]:
-    """Sortable form of a dispatch hint (``None`` groups last)."""
-    return (1, 0) if hint is None else (0, hint)
 
 
 @dataclass(slots=True)

@@ -64,10 +64,8 @@ class ServiceReport:
         Obfuscated queries answered from the serving stack's result
         cache (0 when the system runs without one).
     coalesced_queries:
-        Obfuscated queries answered by shared union kernel passes when
-        the serving stack coalesces
-        (:attr:`~repro.service.serving.ServingConfig.coalesce`; 0
-        otherwise).
+        Obfuscated queries answered by shared union kernel passes of
+        >= 2 distinct misses (0 without a serving stack).
     serving_caches:
         The serving stack's cumulative
         :class:`~repro.service.cache.CacheSnapshot` after the run, or
@@ -156,8 +154,8 @@ class BatchingObfuscationService:
         The deployment handling each window's batch (its ``mode`` decides
         independent vs. shared obfuscation).  Build it with a
         :class:`~repro.service.serving.ServingStack` (``serving=``) to
-        serve windows through the preprocessing/result caches and the
-        concurrent dispatcher; the report then carries cache counters.
+        serve windows through the preprocessing/result caches and one
+        union pass per window; the report then carries cache counters.
     window:
         Batching window length in seconds (> 0).  Window boundaries sit at
         multiples of ``window``; a request arriving at time ``a`` is

@@ -23,8 +23,35 @@ def obfuscator(net):
     return PathQueryObfuscator(net, seed=5)
 
 
+#: chi-square critical values at p = 0.001 by degrees of freedom
+_CHI2_P001 = {1: 10.828, 2: 13.816, 3: 16.266}
+
+
 def request(user, s, t, f_s=3, f_t=3):
     return ClientRequest(user, PathQuery(s, t), ProtectionSetting(f_s, f_t))
+
+
+def _true_position_counts(net, mode, f, draws):
+    """How often the true source (node 0) and destination (node 200)
+    sit at each wire position over ``draws`` obfuscations."""
+    obfuscator = PathQueryObfuscator(net, seed=12 + f)
+    counts = {"s": [0] * f, "t": [0] * f}
+    for i in range(draws):
+        mine = request(f"u{i}", 0, 200, f, f)
+        if mode == "independent":
+            query = obfuscator.obfuscate_independent(mine).query
+        else:
+            other = request(f"v{i}", 1, 201, f, f)
+            query = obfuscator.obfuscate_shared([mine, other]).query
+        assert len(query.sources) == len(query.destinations) == f
+        counts["s"][query.sources.index(0)] += 1
+        counts["t"][query.destinations.index(200)] += 1
+    return counts
+
+
+def _chi_square(observed):
+    expected = sum(observed) / len(observed)
+    return sum((o - expected) ** 2 / expected for o in observed)
 
 
 class TestIndependentObfuscation:
@@ -66,14 +93,17 @@ class TestIndependentObfuscation:
         assert a.record_id != b.record_id
 
     def test_true_position_is_shuffled(self, net):
-        """Over many obfuscations the true source must not always sit at
-        index 0 (order would leak the secret)."""
-        obfuscator = PathQueryObfuscator(net, seed=12)
-        positions = set()
-        for i in range(30):
-            record = obfuscator.obfuscate_independent(request(f"u{i}", 0, 200, 4, 4))
-            positions.add(record.query.sources.index(0))
-        assert len(positions) > 1
+        """The true endpoints' wire positions are uniform over the ``f``
+        slots (order would leak the secret): a chi-square test at
+        p = 0.001 for f = 2, 3, 4 in both modes, over fixed seeds, so it
+        is deterministic."""
+        for f in (2, 3, 4):
+            for mode in ("independent", "shared"):
+                counts = _true_position_counts(net, mode, f, draws=2000)
+                for side, observed in counts.items():
+                    assert _chi_square(observed) < _CHI2_P001[f - 1], (
+                        mode, f, side, observed,
+                    )
 
     def test_tiny_network_raises_when_out_of_fakes(self):
         net = RoadNetwork()

@@ -188,8 +188,9 @@ class TestThreadExactness:
         assert counter.value == per_thread * n_threads
 
     def test_histogram_exact_under_dispatcher_load(self, small_grid):
-        """Satellite: histogram shards merge exactly when observed from
-        :class:`~repro.service.serving.ConcurrentDispatcher` workers."""
+        """Histogram shards merge exactly when four threads evaluate
+        through one :class:`~repro.service.serving.ConcurrentDispatcher`,
+        each on its own engine handle."""
         from repro.search import get_engine
         from repro.service.serving import ConcurrentDispatcher
 
@@ -218,11 +219,22 @@ class TestThreadExactness:
             )
             for _ in range(12)
         ]
-        dispatcher = ConcurrentDispatcher(ObservingHandle, max_workers=4)
-        try:
-            results = dispatcher.dispatch(small_grid, queries)
-        finally:
-            dispatcher.shutdown()
+        dispatcher = ConcurrentDispatcher(ObservingHandle)
+        results = [None] * len(queries)
+
+        def work(offset):
+            for i in range(offset, len(queries), 4):
+                q = queries[i]
+                (results[i],) = dispatcher.evaluate(
+                    small_grid, [(q.sources, q.destinations)]
+                )
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
         expected = [r.stats.settled_nodes for r in results]
         assert hist.count == len(queries)
         assert hist.sum == sum(expected)

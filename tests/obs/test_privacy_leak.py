@@ -91,19 +91,19 @@ def _instrumented_run(network: RoadNetwork) -> list[str]:
     tracer = Tracer(slow_threshold_s=0.0)  # every root is "slow"
     metrics = MetricsRegistry()
     try:
-        # both children of the one root: serve.worker, then engine.union
-        for coalesce in (False, True):
+        # both kernel spans: one batch per query (engine.process), then
+        # one batch of all (engine.union)
+        for batches in ([[q] for q in queries], [queries]):
             with ServingStack.from_config(
                 network,
-                ServingConfig(
-                    engine="dijkstra", max_workers=2, coalesce=coalesce
-                ),
+                ServingConfig(engine="dijkstra"),
                 metrics=metrics,
                 tracer=tracer,
             ) as stack:
                 with recording(MetricsRecorder(metrics)):
-                    stack.answer_batch(queries)
-                    stack.answer_batch(queries)  # warm pass: cache-hit spans
+                    for _ in range(2):  # warm pass: cache-hit spans
+                        for batch in batches:
+                            stack.answer_batch(batch)
     finally:
         logger.removeHandler(handler)
     return [
@@ -149,7 +149,7 @@ class TestTelemetryNeverLeaksEndpoints:
         assert "num_sources" in traces
         assert "settled_nodes" in traces
         assert "serve.answer_batch" in slow_log
-        assert "serve.worker" in traces and "engine.union" in traces
+        assert "engine.process" in traces and "engine.union" in traces
 
     def test_reweight_spans_carry_only_counts(self, marked_network):
         """Traffic changes name edges by node id; their ``serve.reweight``
@@ -158,7 +158,7 @@ class TestTelemetryNeverLeaksEndpoints:
         tracer = Tracer()
         with ServingStack.from_config(
             marked_network,
-            ServingConfig(engine="overlay-csr", max_workers=2),
+            ServingConfig(engine="overlay-csr"),
             tracer=tracer,
         ) as stack:
             stack.warm()

@@ -63,7 +63,7 @@ def test_every_installed_epoch_equals_a_scratch_build(drawn):
     name, batches = drawn
     base, edges = _NETS[name], _EDGES[name]
     with ServingStack.from_config(
-        base.copy(), ServingConfig(engine="overlay-csr", max_workers=1)
+        base.copy(), ServingConfig(engine="overlay-csr")
     ) as stack:
         stack.warm()
         for batch in batches:

@@ -171,7 +171,7 @@ def test_undercut_edges_keep_goal_direction_and_stay_exact():
     brings ``metric`` back."""
     net = grid_network(10, 10, perturbation=0.1, seed=4)
     with ServingStack.from_config(
-        net, ServingConfig(engine="overlay-csr", max_workers=1)
+        net, ServingConfig(engine="overlay-csr")
     ) as stack:
         before = stack.warm()
         assert before.metric and before._pairwise([0, 1])

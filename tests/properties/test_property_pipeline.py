@@ -195,7 +195,7 @@ def test_every_response_is_exact_for_an_applied_stream_prefix(script):
     a torn mix of a run."""
     with ServingStack.from_config(
         PIPE_NET.copy(),
-        ServingConfig(engine="overlay-csr", max_workers=1),
+        ServingConfig(engine="overlay-csr"),
     ) as stack:
         stack.warm()
         runs: queue.Queue = queue.Queue()
@@ -277,7 +277,7 @@ def test_batch_partitioning_never_changes_the_final_state(updates, run):
     ]
     with ServingStack.from_config(
         PIPE_NET.copy(),
-        ServingConfig(engine="overlay-csr", max_workers=1),
+        ServingConfig(engine="overlay-csr"),
     ) as stack:
         stack.warm()
         for offset in range(0, len(changes), run):

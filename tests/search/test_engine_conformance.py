@@ -15,8 +15,9 @@ multi-component networks:
 * **union passes** — ``process_union`` over any batch of set queries
   slices back tables byte-identical (pairs, order, nodes, distances) to
   solo ``process`` calls, matching errors per query and never counting
-  shared work twice — the exactness invariant the serving layer's
-  coalescing (``ServingConfig(coalesce=True)``) is built on.
+  shared work twice — the exactness invariant the serving layer's one
+  evaluation path (a batch's distinct misses are one union pass) is
+  built on.
 
 The oracle is plain Dijkstra, itself cross-checked against networkx in
 ``tests/search/test_dijkstra.py``.  Every engine is held to two weight
@@ -295,13 +296,14 @@ def test_trace_settled_counts_match_server_counters(name):
     """Trace-based regression check: every engine's span tree agrees
     with the existing load counters.
 
-    Serves a batch of distinct obfuscated queries through a traced
-    :class:`~repro.service.serving.ServingStack` and asserts that the
-    ``settled_nodes`` attributes of the ``engine.process`` spans sum to
-    exactly ``server.counters.stats.settled_nodes`` — the two
+    Serves a batch of distinct obfuscated queries (one ``engine.union``
+    span), then one more query alone (one ``engine.process`` span),
+    through a traced :class:`~repro.service.serving.ServingStack` and
+    asserts that the spans' ``settled_nodes`` attributes equal
+    ``server.counters.stats.settled_nodes`` after each — the two
     accounting paths (per-result stats merged by ``_account`` vs. span
-    attributes stamped on worker threads) can never drift apart without
-    this failing for the drifting engine.
+    attributes) can never drift apart without this failing for the
+    drifting engine.
     """
     from repro.core.query import ObfuscatedPathQuery
     from repro.obs.trace import Tracer
@@ -330,23 +332,32 @@ def test_trace_settled_counts_match_server_counters(name):
         ObfuscatedPathQuery(
             tuple(rng.sample(nodes, 2)), tuple(rng.sample(nodes, 2))
         )
-        for _ in range(6)
+        for _ in range(7)
     ]
     assert len({(q.sources, q.destinations) for q in queries}) == len(queries)
 
+    def kernel_spans():
+        return [
+            span
+            for root in tracer.roots
+            for span in root.walk()
+            if span.name.startswith("engine.")
+        ]
+
     tracer = Tracer()
     with ServingStack.from_config(
-        net,
-        ServingConfig(engine=name, max_workers=2),
-        tracer=tracer,
+        net, ServingConfig(engine=name), tracer=tracer
     ) as stack:
-        stack.answer_batch(queries)
-    spans = [
-        span
-        for root in tracer.roots
-        for span in root.walk()
-        if span.name == "engine.process"
-    ]
-    assert len(spans) == len(queries)
-    traced_settled = sum(span.attrs["settled_nodes"] for span in spans)
-    assert traced_settled == stack.server.counters.stats.settled_nodes
+        stack.answer_batch(queries[:-1])
+        (union,) = kernel_spans()
+        assert union.name == "engine.union"
+        assert union.attrs["num_queries"] == len(queries) - 1
+        settled = stack.server.counters.stats.settled_nodes
+        assert union.attrs["settled_nodes"] == settled
+        stack.answer_batch(queries[-1:])
+        (_, solo) = kernel_spans()
+    assert solo.name == "engine.process"
+    assert (
+        union.attrs["settled_nodes"] + solo.attrs["settled_nodes"]
+        == stack.server.counters.stats.settled_nodes
+    )

@@ -1,4 +1,8 @@
-"""Unit tests for coalescing: a batch is the window, one answer path."""
+"""Unit tests for coalescing: a batch is the window, one answer path.
+
+A batch's distinct misses are one union pass (two or more) or one solo
+``process`` call (one), so "serial" here means one batch per query.
+"""
 
 from __future__ import annotations
 
@@ -16,13 +20,26 @@ from repro.core.query import (
 from repro.core.system import OpaqueSystem
 from repro.exceptions import NoPathError
 from repro.network.graph import RoadNetwork
+from repro.obs.trace import Tracer
 from repro.service.gateway import _evaluate_pairs
 from repro.service.serving import ServingConfig, ServingStack
 from repro.service.wire import RouteResponse
 
+#: one batch per query (solo ``process`` calls) or one batch for all
+#: (one union pass)
 COALESCE = pytest.mark.parametrize(
     "coalesce", [False, True], ids=["dispatch", "coalesce"]
 )
+
+
+def _answer_each(stack, queries, coalesce):
+    if coalesce:
+        return stack.answer_each(queries)
+    return [stack.answer_each([q])[0] for q in queries]
+
+
+def _one_by_one(stack, queries):
+    return [stack.answer_batch([q])[0] for q in queries]
 
 
 def _queries(network, n=6, seed=5, offset=40):
@@ -64,49 +81,55 @@ def _one_unreachable_batch():
 class TestWindowSemantics:
     def test_one_batch_is_one_window(self, small_grid):
         queries = _queries(small_grid)
-        with ServingStack.from_config(
-            small_grid,
-            ServingConfig(coalesce=True),
-        ) as stack:
+        tracer = Tracer()
+        with ServingStack.from_config(small_grid, tracer=tracer) as stack:
             responses = stack.answer_batch(queries)
-            snap = stack.coalesce_snapshot()
-        assert snap.windows == 1
-        assert snap.max_window == len(queries)
-        assert snap.shared_windows == 1
+            coalesced = stack.server.counters.coalesced_queries
+        (root,) = tracer.roots
+        kernels = [s.name for s in root.walk() if s.name.startswith("engine.")]
+        assert kernels == ["engine.union"]
+        assert coalesced == len(queries)
         assert all(r.coalesced for r in responses)
 
     def test_lone_query_shares_nothing(self, small_grid):
         query = _queries(small_grid, n=1)[0]
-        with ServingStack.from_config(
-            small_grid,
-            ServingConfig(coalesce=True),
-        ) as stack:
+        tracer = Tracer()
+        with ServingStack.from_config(small_grid, tracer=tracer) as stack:
             response = stack.answer(query)
-            snap = stack.coalesce_snapshot()
-        assert snap.windows == 1 and snap.queries == 1
-        # A window of one shares nothing: no coalesced marking.
+            coalesced = stack.server.counters.coalesced_queries
+        (root,) = tracer.roots
+        kernels = [s.name for s in root.walk() if s.name.startswith("engine.")]
+        # A window of one shares nothing: a solo pass, no coalesced marking.
+        assert kernels == ["engine.process"]
         assert not response.coalesced
-        assert snap.shared_windows == 0 and snap.coalesced_queries == 0
+        assert coalesced == 0
 
     def test_lone_cached_query_never_waits(self, small_grid):
-        """No submitter is parked waiting for batch-mates that cannot come."""
+        """No submitter is parked waiting for batch-mates that cannot come:
+        a cached ``answer`` costs what the constant-work hit path costs."""
         query = _queries(small_grid, n=1)[0]
 
-        def mean_cached_answer_ms(coalesce):
-            with ServingStack.from_config(
-                small_grid, ServingConfig(coalesce=coalesce)
-            ) as stack:
-                stack.answer(query)
-                t0 = time.perf_counter()
-                for _ in range(200):
-                    assert stack.answer(query).from_cache
-                return (time.perf_counter() - t0) / 200 * 1e3
+        def mean_cached_answer_ms(answer):
+            t0 = time.perf_counter()
+            for _ in range(200):
+                assert answer(query)
+            return (time.perf_counter() - t0) / 200 * 1e3
 
-        assert mean_cached_answer_ms(True) < mean_cached_answer_ms(False) + 1.0
-
-    def test_snapshot_none_without_coalescer(self, small_grid):
         with ServingStack.from_config(small_grid) as stack:
-            assert stack.coalesce_snapshot() is None
+            stack.answer(query)
+            batch = mean_cached_answer_ms(
+                lambda q: stack.answer(q).from_cache
+            )
+            hit = mean_cached_answer_ms(stack.answer_cached)
+        assert batch < hit + 1.0
+
+    def test_server_counter_reports_sharing(self, small_grid):
+        queries = _queries(small_grid, n=4)
+        with ServingStack.from_config(small_grid) as stack:
+            stack.answer_batch(queries)
+            names = stack.metrics.to_json()
+        assert "repro_server_coalesced_queries_total" in names
+        assert "repro_coalesce" not in names
 
 
 class TestExactness:
@@ -116,10 +139,10 @@ class TestExactness:
             small_grid,
             ServingConfig(engine="dijkstra"),
         ) as serial:
-            expected = _tables(serial.answer_batch(queries))
+            expected = _tables(_one_by_one(serial, queries))
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="dijkstra", coalesce=True),
+            ServingConfig(engine="dijkstra"),
         ) as stack:
             got = _tables(stack.answer_batch(queries))
         assert got == expected
@@ -130,19 +153,17 @@ class TestExactness:
             small_grid,
             ServingConfig(engine="ch-csr"),
         ) as serial:
-            expected = _tables(serial.answer_batch(queries))
+            expected = _tables(_one_by_one(serial, queries))
             settled_serial = serial.server.counters.stats.settled_nodes
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="ch-csr", coalesce=True),
+            ServingConfig(engine="ch-csr"),
         ) as stack:
             # four sessions of two queries each meet in one batch
             responses = stack.answer_batch(queries)
-            snap = stack.coalesce_snapshot()
             settled = stack.server.counters.stats.settled_nodes
             coalesced_counter = stack.server.counters.coalesced_queries
         assert _tables(responses) == expected
-        assert snap.windows == 1 and snap.queries == 8
         assert coalesced_counter == 8
         # The union bucket pass shares backward/forward sweeps.
         assert settled <= settled_serial
@@ -151,9 +172,7 @@ class TestExactness:
         net = _two_islands()
         good = ObfuscatedPathQuery((0,), (1,))
         bad = ObfuscatedPathQuery((0,), (4,))
-        with ServingStack.from_config(
-            net, ServingConfig(coalesce=True)
-        ) as stack:
+        with ServingStack.from_config(net) as stack:
             with pytest.raises(NoPathError):
                 stack.answer_batch([good, bad])
             # The good batch-mate was evaluated and cached anyway.
@@ -164,10 +183,8 @@ class TestExactness:
     def test_one_unreachable_pair_costs_its_mates_nothing(self, coalesce):
         queries, bad = _one_unreachable_batch()
         good = [q for i, q in enumerate(queries) if i != bad]
-        with ServingStack.from_config(
-            _two_islands(), ServingConfig(coalesce=coalesce)
-        ) as stack:
-            outcomes = stack.answer_each(queries)
+        with ServingStack.from_config(_two_islands()) as stack:
+            outcomes = _answer_each(stack, queries, coalesce)
             assert isinstance(outcomes[bad], NoPathError)
             assert [o.query for i, o in enumerate(outcomes) if i != bad] == good
             assert all(
@@ -187,10 +204,11 @@ class TestExactness:
     def test_gateway_maps_outcomes_without_a_second_search(self, coalesce):
         queries, bad = _one_unreachable_batch()
         pairs = [(q.sources, q.destinations) for q in queries]
-        with ServingStack.from_config(
-            _two_islands(), ServingConfig(coalesce=coalesce)
-        ) as stack:
-            bodies = _evaluate_pairs(stack, pairs)
+        with ServingStack.from_config(_two_islands()) as stack:
+            if coalesce:
+                bodies = _evaluate_pairs(stack, pairs)
+            else:
+                bodies = [_evaluate_pairs(stack, [p])[0] for p in pairs]
             assert bodies[bad] == "no_path"
             for i, body in enumerate(bodies):
                 if i != bad:
@@ -210,10 +228,7 @@ class TestExactness:
 
     def test_work_attributed_once_across_slices(self, small_grid):
         queries = _queries(small_grid, n=4)
-        with ServingStack.from_config(
-            small_grid,
-            ServingConfig(coalesce=True),
-        ) as stack:
+        with ServingStack.from_config(small_grid) as stack:
             responses = stack.answer_batch(queries)
             settled = stack.server.counters.stats.settled_nodes
         per_response = [r.candidates.stats.settled_nodes for r in responses]
@@ -226,10 +241,7 @@ class TestExactness:
 class TestCacheInterplay:
     def test_coalesced_results_populate_result_cache(self, small_grid):
         queries = _queries(small_grid, n=4)
-        with ServingStack.from_config(
-            small_grid,
-            ServingConfig(coalesce=True),
-        ) as stack:
+        with ServingStack.from_config(small_grid) as stack:
             cold = stack.answer_batch(queries)
             warm = stack.answer_batch(queries)
             snap = stack.snapshot()
@@ -242,10 +254,7 @@ class TestCacheInterplay:
 
     def test_in_window_duplicates_share_one_slice(self, small_grid):
         query, other = _queries(small_grid, n=2)
-        with ServingStack.from_config(
-            small_grid,
-            ServingConfig(coalesce=True),
-        ) as stack:
+        with ServingStack.from_config(small_grid) as stack:
             responses = stack.answer_batch([query, other, query, query])
         assert [r.from_cache for r in responses] == [False, False, True, True]
         assert all(r.coalesced for r in responses)
@@ -256,7 +265,7 @@ class TestCacheInterplay:
         queries = _queries(small_grid, n=4)
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="ch", coalesce=True),
+            ServingConfig(engine="ch"),
         ) as stack:
             stack.answer_batch(queries)
             stack.answer_batch(_queries(small_grid, n=4, seed=9))
@@ -269,10 +278,7 @@ class TestSystemIntegration:
             ClientRequest(f"u{i}", PathQuery(i, 40 + i), ProtectionSetting(3, 3))
             for i in range(6)
         ]
-        with ServingStack.from_config(
-            small_grid,
-            ServingConfig(coalesce=True),
-        ) as stack:
+        with ServingStack.from_config(small_grid) as stack:
             system = OpaqueSystem(
                 small_grid, mode="independent", serving=stack, seed=1
             )
@@ -299,10 +305,7 @@ class TestSystemIntegration:
             for i in range(6)
         ]
         arrivals = poisson_arrivals(requests, rate=50.0, seed=0)
-        with ServingStack.from_config(
-            small_grid,
-            ServingConfig(coalesce=True),
-        ) as stack:
+        with ServingStack.from_config(small_grid) as stack:
             system = OpaqueSystem(small_grid, mode="shared", serving=stack, seed=3)
             _res, report = BatchingObfuscationService(system, window=10.0).run(
                 arrivals

@@ -87,7 +87,7 @@ class TestEpochSoak:
         tracer = Tracer(max_roots=100_000)
         stack = ServingStack.from_config(
             NET.copy(),
-            ServingConfig(engine="overlay-csr", max_workers=4),
+            ServingConfig(engine="overlay-csr"),
             tracer=tracer,
         )
         errors: list[BaseException] = []
@@ -180,7 +180,7 @@ class TestEpochSoak:
         def run(changes):
             stack = ServingStack.from_config(
                 NET.copy(),
-                ServingConfig(engine="overlay-csr", max_workers=2),
+                ServingConfig(engine="overlay-csr"),
                 result_cache=ResultCache(capacity=0),
             )
             cells = []

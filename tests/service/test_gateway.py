@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 from dataclasses import replace
 from unittest import mock
 
@@ -29,6 +30,7 @@ from repro.service.gateway import (
     GatewayServer,
     ShardWorkerPool,
     _HTTPRequest,
+    _MAX_BODY_BYTES,
     redacted_fields,
 )
 from repro.service.serving import ServingConfig, ServingStack
@@ -297,6 +299,29 @@ class TestErrors:
         assert status == 400
         assert json.loads(body)["error"] == "invalid_json"
 
+    @pytest.mark.parametrize(
+        "length", ["abc", "-5", "1e3", str(_MAX_BODY_BYTES + 1)]
+    )
+    def test_unframeable_content_length_is_400_then_close(
+        self, server, length
+    ):
+        head = (
+            f"POST {API_PREFIX}/route HTTP/1.1\r\n"
+            f"Host: x\r\nContent-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection(
+            (server.host, server.port), timeout=30
+        ) as sock:
+            sock.sendall(head.encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        headers, _, body = rest.partition(b"\r\n\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        assert b"Connection: close" in headers.split(b"\r\n")
+        assert json.loads(body)["error"] == "invalid_request"
+
     def test_malformed_reweight_body_is_invalid_json(self, server):
         status, _, body = _request(
             server, "POST", f"{API_PREFIX}/reweight", body="{not json"
@@ -492,8 +517,7 @@ class TestGatewayConfig:
 
     def test_worker_mode_changes_only_the_spill_dir(self, network):
         serving = ServingConfig(
-            engine="overlay-csr", max_workers=2, coalesce=True,
-            preprocessing_capacity=3, result_capacity=7,
+            engine="overlay-csr", preprocessing_capacity=3, result_capacity=7,
         )
         gateway = Gateway(network, serving, GatewayConfig(workers=2))
         try:

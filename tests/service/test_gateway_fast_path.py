@@ -220,15 +220,20 @@ class TestInlineConsultIsUnobservable:
         plain, _ = _through_gateway(
             network, stream, ServingConfig(engine=ENGINE)
         )
-        coalescing = ServingConfig(engine=ENGINE, coalesce=True)
-        bodies, metrics = _through_gateway(network, stream, coalescing)
+        windowed = GatewayConfig(window_ms=2.0, max_batch=8)
+        bodies, metrics = _through_gateway(
+            network, stream, ServingConfig(engine=ENGINE), windowed
+        )
         assert bodies == plain
-        # only the five misses ever reached a batch: a hit answered on
-        # the loop is not a coalesce-counter query
-        assert metrics.counter("repro_coalesce_queries_total").value == 5
+        # only the five misses ever reached a batch, one at a time: a
+        # hit answered on the loop never waits for window-mates, and a
+        # lone miss shares no union pass
+        assert _values(metrics)["repro_result_cache_misses_total"] == 5
         assert _values(metrics)["repro_result_cache_hits_total"] == (
             len(stream) - 5
         )
+        coalesced = metrics.counter("repro_server_coalesced_queries_total")
+        assert coalesced.value == 0
 
 
 def _oracle_matches(body: bytes, query, network) -> None:

@@ -52,7 +52,7 @@ class TestReweight:
     def test_incremental_recustomization(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             old_overlay = stack.warm()
             assert isinstance(old_overlay, OverlayGraph)
@@ -98,7 +98,7 @@ class TestReweight:
     def test_matches_scratch_build(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             stack.warm()
             u, v, w = next(net.edges())
@@ -113,7 +113,7 @@ class TestReweight:
     def test_missing_edge_rejected(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             fingerprint = stack._fingerprint()
             with pytest.raises(EdgeError):
@@ -129,7 +129,7 @@ class TestReweight:
         name instead of silently becoming copy-on-write."""
         u, v, w = next(net.edges())
         with ServingStack.from_config(
-            net, ServingConfig(engine="overlay-csr", max_workers=1)
+            net, ServingConfig(engine="overlay-csr")
         ) as stack:
             with pytest.raises(ValueError, match="in-place"):
                 stack.reweight([(u, v, w * 2.0)], epoch=False)
@@ -143,7 +143,7 @@ class TestReweight:
         version = net.version
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             with pytest.raises(EdgeError):
                 stack.reweight([(u, v, w * 2.0), (u, v, bad)])
@@ -155,7 +155,7 @@ class TestReweight:
     def test_metric_flag_tracks_reweights(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             overlay = stack.warm()
             assert overlay.metric  # grid weights are Euclidean lengths
@@ -184,7 +184,7 @@ class TestReweight:
     def test_non_overlay_engine_falls_back_to_rebuild(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="dijkstra-csr", max_workers=1),
+            ServingConfig(engine="dijkstra-csr"),
         ) as stack:
             stack.warm()
             u, v, w = next(net.edges())
@@ -204,11 +204,11 @@ class TestReweight:
         cache = PreprocessingCache()
         with ServingStack.from_config(
             net_b,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
             preprocessing_cache=cache,
         ) as stack_b, ServingStack.from_config(
             net_a,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
             preprocessing_cache=cache,
         ) as stack_a:
             foreign = stack_b.warm()
@@ -227,7 +227,7 @@ class TestReweight:
     def test_cold_cache_falls_back_to_rebuild(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             u, v, w = next(net.edges())
             outcome = stack.reweight([(u, v, w * 2.0)])
@@ -242,7 +242,7 @@ class TestReweight:
         reused flat segments are copies, not views."""
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             overlay_n = stack.warm()
             captured, fingerprint = stack._epoch_view()
@@ -290,7 +290,7 @@ class TestEpochReweight:
         u, v, w = next(net.edges())
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             stack.warm()
             old_network = stack.network
@@ -312,7 +312,7 @@ class TestEpochReweight:
     def test_recustomized_install_matches_scratch_build(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             overlay = stack.warm()
             u, v, w = next(
@@ -332,7 +332,7 @@ class TestEpochReweight:
     def test_empty_change_set_is_a_no_op(self, net):
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             stack.warm()
             epoch = stack.epoch
@@ -344,7 +344,7 @@ class TestEpochReweight:
         u, v, w = next(net.edges())
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             stack.warm()
             epoch = stack.epoch
@@ -363,7 +363,7 @@ class TestEpochReweight:
         tracer = Tracer()
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
             tracer=tracer,
         ) as stack:
             stack.warm()
@@ -399,7 +399,7 @@ class TestConcurrentWriters:
         (a, b, wa), (c, d, wc) = list(net.edges())[:2]
         errors = []
         with ServingStack.from_config(
-            net, ServingConfig(engine="dijkstra-csr", max_workers=1)
+            net, ServingConfig(engine="dijkstra-csr")
         ) as stack:
 
             def write(u, v, w):
@@ -428,7 +428,7 @@ class TestEpochRetirement:
         edges = list(net.edges())
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             stack.warm()
             fingerprints = [stack._fingerprint()]
@@ -451,7 +451,7 @@ class TestEpochRetirement:
         install just put, and the next reweight could not recustomize."""
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             overlay = stack.warm()
             u, v, w = next(
@@ -474,7 +474,7 @@ class TestEpochRetirement:
     def test_ten_reweights_keep_a_bounded_cache(self, net, engine):
         edges = list(net.edges())
         with ServingStack.from_config(
-            net, ServingConfig(engine=engine, max_workers=1)
+            net, ServingConfig(engine=engine)
         ) as stack:
             for k, (u, v, w) in enumerate(edges[:10]):
                 stack.answer(_query(stack.network, 3, 140))
@@ -491,7 +491,7 @@ class TestBypassedReweight:
 
     def test_evicted_artifact_then_recustomize_matches_rebuild(self, net):
         with ServingStack.from_config(
-            net, ServingConfig(engine="overlay-csr", max_workers=1)
+            net, ServingConfig(engine="overlay-csr")
         ) as stack:
             stack.warm()
             r1 = [(u, v, w * 1.5) for u, v, w in list(net.edges())[::5]]
@@ -519,7 +519,7 @@ class TestBypassedReweight:
 
     def test_recustomize_false_then_recustomize_matches_rebuild(self, net):
         with ServingStack.from_config(
-            net, ServingConfig(engine="overlay-csr", max_workers=1)
+            net, ServingConfig(engine="overlay-csr")
         ) as stack:
             stack.warm()
             r1 = [(u, v, w * 1.5) for u, v, w in list(net.edges())[::5]]
@@ -544,32 +544,6 @@ class TestBypassedReweight:
 
 
 class TestDispatchHint:
-    def test_hint_is_source_cell(self, net):
-        with ServingStack.from_config(
-            net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
-        ) as stack:
-            overlay = stack.warm()
-            query = _query(net, 3, 140)
-            hint = stack.dispatch_hint(query)
-            assert hint == overlay.partition.cell_of[query.sources[0]]
-
-    def test_hint_none_without_overlay(self, net):
-        with ServingStack.from_config(
-            net,
-            ServingConfig(engine="ch", max_workers=1),
-        ) as stack:
-            stack.warm()
-            assert stack.dispatch_hint(_query(net, 3, 140)) is None
-
-    def test_hint_none_on_cold_cache(self, net):
-        with ServingStack.from_config(
-            net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
-        ) as stack:
-            assert stack.dispatch_hint(_query(net, 3, 140)) is None
-            assert stack.preprocessing.misses == 0
-
     def test_batches_group_by_cell_byte_identically(self, net):
         queries = [
             _query(net, s, t, seed=i)
@@ -577,13 +551,13 @@ class TestDispatchHint:
         ]
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             stack.warm()
             batched = stack.answer_batch(queries)
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="overlay-csr", max_workers=1),
+            ServingConfig(engine="overlay-csr"),
         ) as stack:
             stack.warm()
             solo = [stack.answer(q) for q in queries]

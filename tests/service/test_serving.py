@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.obfuscator import PathQueryObfuscator
 from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
 from repro.core.system import OpaqueSystem
 from repro.service.cache import PreprocessingCache, ResultCache
-from repro.service.serving import ServingConfig, ServingStack, replay
+from repro.service.serving import (
+    ConcurrentDispatcher,
+    ServingConfig,
+    ServingStack,
+    replay,
+)
 
 
 def _requests(n=6, offset=40):
@@ -78,31 +85,48 @@ class TestServingStack:
             assert stack.answer_cached(query) is None  # new epoch, new key
 
     def test_concurrent_matches_serial(self, small_grid):
+        """Four threads answering through one stack (each on its own
+        engine handle) get the tables one serial batch per query gets."""
         queries = _queries(small_grid, n=8)
 
-        def run(workers):
-            with ServingStack.from_config(
-                small_grid,
-                ServingConfig(engine="dijkstra", max_workers=workers),
-            ) as stack:
-                responses = stack.answer_batch(queries)
+        def tables(responses):
             return [
                 {k: (p.nodes, p.distance) for k, p in r.candidates.paths.items()}
                 for r in responses
             ]
 
-        serial = run(1)
-        assert run(4) == serial
+        with ServingStack.from_config(
+            small_grid, ServingConfig(engine="dijkstra")
+        ) as stack:
+            serial = tables(stack.answer_batch([q])[0] for q in queries)
+        responses = [None] * len(queries)
+        with ServingStack.from_config(
+            small_grid, ServingConfig(engine="dijkstra")
+        ) as stack:
+
+            def work(offset):
+                for i in range(offset, len(queries), 4):
+                    (responses[i],) = stack.answer_batch([queries[i]])
+
+            threads = [
+                threading.Thread(target=work, args=(k,)) for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        assert tables(responses) == serial
 
     def test_preprocessed_engine_shares_artifact(self, small_grid):
         pre = PreprocessingCache()
         with ServingStack.from_config(
             small_grid,
-            ServingConfig(engine="ch", max_workers=2),
+            ServingConfig(engine="ch"),
             preprocessing_cache=pre,
         ) as stack:
             stack.answer_batch(_queries(small_grid, n=4))
-        # One contraction total, regardless of worker count.
+        # One contraction total.
         assert pre.misses == 1
 
     def test_empty_batch(self, small_grid):
@@ -291,7 +315,7 @@ class TestReplay:
             q[2],
         ]
         with ServingStack.from_config(
-            small_grid, ServingConfig(engine="overlay-csr", max_workers=1)
+            small_grid, ServingConfig(engine="overlay-csr")
         ) as stack:
             stack.warm()
             report = replay(stack, items, repeats=2, batch_size=2)
@@ -376,8 +400,8 @@ class TestServingConfig:
     def test_defaults(self):
         config = ServingConfig()
         assert config.engine == "dijkstra"
-        assert config.max_workers == 4
-        assert config.coalesce is False
+        assert config.max_workers == 1
+        assert not hasattr(config, "coalesce")
         assert config.result_capacity == 256
 
     @pytest.mark.parametrize(
@@ -386,6 +410,7 @@ class TestServingConfig:
             {"max_workers": 0},
             {"preprocessing_capacity": 0},
             {"result_capacity": -1},
+            {"max_workers": 4},
         ],
     )
     def test_validation(self, kwargs):
@@ -397,19 +422,24 @@ class TestServingConfig:
         with pytest.raises(AttributeError):
             config.engine = "overlay"
 
+    def test_dispatcher_takes_one_worker_only(self):
+        ConcurrentDispatcher(object, max_workers=1)
+        with pytest.raises(ValueError, match="max_workers must be 1"):
+            ConcurrentDispatcher(object, max_workers=4)
+
     def test_to_dict_shape(self, tmp_path):
         doc = ServingConfig(
             engine="overlay-csr",
-            coalesce=True,
             spill_dir=str(tmp_path),
         ).to_dict()
         assert doc["schema"] == 1
         assert doc["kind"] == "serving_config"
         assert doc["engine"] == "overlay-csr"
-        assert doc["coalesce"] is True
+        assert doc["max_workers"] == 1
+        assert "coalesce" not in doc
 
     def test_from_config_builds_equivalent_stack(self, small_grid):
-        config = ServingConfig(engine="dijkstra", max_workers=2)
+        config = ServingConfig(engine="dijkstra")
         with ServingStack.from_config(small_grid, config) as stack:
             assert stack.config == config
             queries = _queries(small_grid, n=2)

@@ -161,8 +161,8 @@ class TestE10Experiment:
         assert last["settled_cold"] <= first["settled_cold"]
         assert last["obfuscated_queries"] <= first["obfuscated_queries"]
         for row in result.rows:
-            # Cross-session coalescing never costs more than per-session
-            # dispatch.  A window marks either every query coalesced
+            # Cross-session coalescing never costs more than one batch
+            # per query.  A window marks either every query coalesced
             # (>= 2 distinct queries shared a pass) or none (a lone
             # query, or all-identical duplicates of one).
             assert row["settled_coalesced"] <= row["settled_solo"]

@@ -250,14 +250,13 @@ class TestServeReplay:
         assert main(
             [
                 "serve-replay", map_file, workload_file,
-                "--engine", "dijkstra", "--batch", "8", "--coalesce",
+                "--engine", "dijkstra", "--batch", "8",
                 "--trace-out", str(trace_out),
             ]
         ) == 0
-        out = capsys.readouterr().out
-        assert "coalescing:" in out
-        assert "union passes" in out
-        # one root span per batch, coalesced or not
+        assert "batch=8" in capsys.readouterr().out
+        # the trace reports the windows: one root span per batch, its
+        # distinct misses one engine.union
         roots = [
             json.loads(line)
             for line in trace_out.read_text(encoding="utf-8").splitlines()
@@ -269,10 +268,25 @@ class TestServeReplay:
         )
 
     def test_replay_without_coalescing_omits_window_report(
-        self, map_file, workload_file, capsys
+        self, map_file, workload_file, tmp_path, capsys
     ):
-        assert main(["serve-replay", map_file, workload_file]) == 0
+        import json
+
+        trace_out = tmp_path / "traces.jsonl"
+        assert main(
+            [
+                "serve-replay", map_file, workload_file, "--batch", "1",
+                "--trace-out", str(trace_out),
+            ]
+        ) == 0
         assert "coalescing:" not in capsys.readouterr().out
+        # a batch of one never shares a pass
+        kernels = {
+            child["name"]
+            for line in trace_out.read_text(encoding="utf-8").splitlines()
+            for child in json.loads(line)["children"]
+        } - {"serve.cache_consult"}
+        assert kernels == {"engine.process"}
 
     def test_empty_workload_fails_cleanly(self, map_file, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -282,8 +296,7 @@ class TestServeReplay:
 
     @pytest.mark.parametrize(
         "flag,value",
-        [("--batch", "0"), ("--repeat", "0"), ("--concurrency", "0"),
-         ("--result-capacity", "-1")],
+        [("--batch", "0"), ("--repeat", "0"), ("--result-capacity", "-1")],
     )
     def test_bad_flags_fail_cleanly(
         self, map_file, workload_file, capsys, flag, value

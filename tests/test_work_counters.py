@@ -21,6 +21,7 @@ from repro.network.csr import csr_snapshot
 from repro.network.generators import grid_network, metro_network
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.record import MetricsRecorder, recording
+from repro.obs.trace import Tracer
 from repro.search.ch import contract_network
 from repro.search.kernels import (
     CSRHierarchy,
@@ -143,19 +144,24 @@ def _tables(responses):
 def test_one_union_pass_evaluates_the_distinct_pairs(net):
     sessions = _session_batches(net)
 
-    def serve(coalesce, batches):
+    def serve(batches):
+        tracer = Tracer()
         with ServingStack.from_config(
             net,
-            ServingConfig(engine="dijkstra-csr", coalesce=coalesce),
+            ServingConfig(engine="dijkstra-csr"),
             result_cache=ResultCache(capacity=0),
+            tracer=tracer,
         ) as stack:
             tables = [t for b in batches for t in _tables(stack.answer_batch(b))]
-            return tables, stack.server.counters, stack.coalesce_snapshot()
+            return tables, stack.server.counters, tracer
 
-    solo, solo_counters, _ = serve(False, sessions)
+    queries = sum(sessions, [])
+    solo, solo_counters, _ = serve([[q] for q in queries])
     # the batch is the window: every session's queries in one call
-    union, counters, snapshot = serve(True, [sum(sessions, [])])
-    assert snapshot.union_pairs == 180
+    union, counters, tracer = serve([queries])
+    (root,) = tracer.roots
+    (span,) = [s for s in root.walk() if s.name == "engine.union"]
+    assert span.attrs["union_pairs"] == 180
     assert union == solo
     assert counters.stats.settled_nodes <= solo_counters.stats.settled_nodes
 

@@ -19,9 +19,10 @@ Five checks, all stdlib-only:
    from the table in ``repro/search/__init__.py`` cannot leave the docs
    behind;
 5. every ``repro <subcommand> ... --flag`` written in README,
-   ``docs/*.md`` and the verify skill names a flag that subcommand's
-   parser in ``repro.cli`` accepts, so a removed or renamed flag cannot
-   survive in an example.
+   ``docs/*.md``, the verify skill and the ``python -m repro ...``
+   commands of ``.github/workflows/ci.yml`` names a flag that
+   subcommand's parser in ``repro.cli`` accepts, so a removed or renamed
+   flag cannot survive in an example or fail only when CI runs.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ def check_engine_table() -> list[str]:
 
 
 VERIFY_SKILL = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+CI_WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
 
 _FENCED = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 _CODE_SPAN = re.compile(r"`([^`]+)`")
@@ -173,7 +175,13 @@ def _command_lines(text: str) -> list[str]:
     return lines + [" ".join(s.split()) for s in _CODE_SPAN.findall(prose)]
 
 
-def check_cli_flags() -> list[str]:
+def _ci_command_lines(text: str) -> list[str]:
+    """The workflow's ``python -m repro ...`` lines, ``\\``-continuations joined."""
+    text = re.sub(r"\\\n\s*", " ", text)
+    return [line for line in text.splitlines() if "python -m repro " in line]
+
+
+def check_cli_flags(ci_workflow: Path = CI_WORKFLOW) -> list[str]:
     """Return one error per documented ``repro`` flag the CLI lacks."""
     import argparse
 
@@ -184,18 +192,25 @@ def check_cli_flags() -> list[str]:
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    files = list(MARKDOWN_FILES)
-    if VERIFY_SKILL.exists():
-        files.append(VERIFY_SKILL)
+    sources = [
+        (md, _command_lines(md.read_text(encoding="utf-8")))
+        for md in MARKDOWN_FILES + [VERIFY_SKILL]
+        if md.exists()
+    ]
+    if ci_workflow.exists():
+        sources.append(
+            (ci_workflow, _ci_command_lines(ci_workflow.read_text("utf-8")))
+        )
     errors = set()
-    for md in files:
-        for line in _command_lines(md.read_text(encoding="utf-8")):
+    for path, lines in sources:
+        where = path.relative_to(REPO) if path.is_relative_to(REPO) else path
+        for line in lines:
             for name, rest in _COMMAND.findall(line):
                 if name not in subcommands:
                     continue
                 known = subcommands[name]._option_string_actions
                 errors.update(
-                    f"{md.relative_to(REPO)}: `repro {name}` has no {flag}"
+                    f"{where}: `repro {name}` has no {flag}"
                     for flag in _FLAG.findall(rest)
                     if flag not in known
                 )
