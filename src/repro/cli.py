@@ -18,7 +18,7 @@ Usage (also via ``python -m repro``):
     repro serve city.txt --port 8080 --engine overlay-csr --workers 4
     repro loadgen city.txt rush.txt --host 127.0.0.1 --port 8080 --clients 4
     repro obs-report --metrics m.json --traces t.jsonl
-    repro experiment E1 E4 --telemetry-dir telemetry/
+    repro experiment E1 E4
 """
 
 from __future__ import annotations
@@ -339,14 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run experiments (E1..E13)")
     exp.add_argument("ids", nargs="+", help="experiment ids, e.g. E1 E4")
-    exp.add_argument(
-        "--telemetry-dir",
-        default=None,
-        help=(
-            "also write metrics.json and traces.jsonl for the run into "
-            "this directory (created if missing)"
-        ),
-    )
 
     return parser
 
@@ -518,13 +510,7 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
     import logging
 
     from repro.core.obfuscator import PathQueryObfuscator
-    from repro.obs import (
-        JSONLogFormatter,
-        MetricsRecorder,
-        MetricsRegistry,
-        Tracer,
-        recording,
-    )
+    from repro.obs import JSONLogFormatter, MetricsRegistry, Tracer
     from repro.obs.trace import SLOW_QUERY_LOGGER
     from repro.service.cache import ResultCache
     from repro.service.serving import ServingConfig, ServingStack, replay
@@ -585,19 +571,15 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         metrics=registry,
         tracer=tracer,
     ) as stack:
-        recorder = (
-            MetricsRecorder(stack.metrics) if args.metrics_out else None
-        )
         try:
-            with recording(recorder):
-                if traffic:
-                    # Warm before the first epoch, so each reweight
-                    # recustomizes the touched cells instead of leaving
-                    # a full rebuild to the next query.
-                    stack.warm()
-                report = replay(
-                    stack, mixed, repeats=args.repeat, batch_size=args.batch
-                )
+            if traffic:
+                # Warm before the first epoch, so each reweight
+                # recustomizes the touched cells instead of leaving a
+                # full rebuild to the next query.
+                stack.warm()
+            report = replay(
+                stack, mixed, repeats=args.repeat, batch_size=args.batch
+            )
         finally:
             if slow_handler is not None:
                 logging.getLogger(SLOW_QUERY_LOGGER).removeHandler(
@@ -716,14 +698,9 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments.harness import run_all
 
-    for result in run_all(
-        [eid.upper() for eid in args.ids],
-        telemetry_dir=args.telemetry_dir,
-    ):
+    for result in run_all([eid.upper() for eid in args.ids]):
         print(result)
         print()
-    if args.telemetry_dir:
-        print(f"telemetry written to {args.telemetry_dir}")
     return 0
 
 

@@ -57,7 +57,6 @@ class ExperimentResult:
 
 def run_all(
     experiment_ids: Sequence[str] | None = None,
-    telemetry_dir=None,
 ) -> list[ExperimentResult]:
     """Run the full suite (or a subset by id) with default configs.
 
@@ -67,14 +66,6 @@ def run_all(
     ----------
     experiment_ids:
         Subset of ids to run (``None`` = the whole suite, in order).
-    telemetry_dir:
-        When given, the run is instrumented: kernel counters are
-        collected through a
-        :class:`~repro.obs.record.MetricsRecorder` and each experiment
-        runs inside an ``experiment.<id>`` root span; ``metrics.json``
-        and ``traces.jsonl`` are written into this directory (created
-        if missing).  Outputs contain aggregates only — the package's
-        privacy redaction invariant applies.
     """
     from repro.experiments import (
         e1_breach,
@@ -114,26 +105,4 @@ def run_all(
         if unknown:
             raise KeyError(f"unknown experiment ids: {unknown}")
         selected = list(experiment_ids)
-    if telemetry_dir is None:
-        return [modules[eid].run() for eid in selected]
-
-    from pathlib import Path
-
-    from repro.obs import MetricsRecorder, Tracer, recording
-
-    out = Path(telemetry_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    recorder = MetricsRecorder()
-    tracer = Tracer()
-    results: list[ExperimentResult] = []
-    with recording(recorder):
-        for eid in selected:
-            with tracer.span(f"experiment.{eid}") as span:
-                result = modules[eid].run()
-                span.set("rows", len(result.rows))
-            results.append(result)
-    (out / "metrics.json").write_text(
-        recorder.registry.to_json(), encoding="utf-8"
-    )
-    tracer.write_jsonl(out / "traces.jsonl")
-    return results
+    return [modules[eid].run() for eid in selected]

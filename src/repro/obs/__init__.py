@@ -1,21 +1,21 @@
-"""Privacy-aware telemetry: metrics, trace spans, and kernel recorders.
+"""Privacy-aware telemetry: metrics and trace spans.
 
-The observability layer of the serving stack, in three stdlib-only
+The observability layer of the serving stack, in two stdlib-only
 modules:
 
 * :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  of counters, gauges and fixed-bucket histograms whose write path is
-  per-thread sharded (lock-free increments from concurrent callers such
-  as gateway lanes, exact totals on merge), with JSON and Prometheus-text
-  exposition;
+  of counters, gauges and fixed-bucket histograms, one locked value cell
+  per instrument (exact totals from concurrent callers such as gateway
+  lanes), with JSON and Prometheus-text exposition;
 * :mod:`repro.obs.trace` — explicit-context span trees
   (:class:`~repro.obs.trace.Tracer`) with JSONL export and a
-  threshold-configurable slow-query log on stdlib ``logging``;
-* :mod:`repro.obs.record` — the kernel profiling hook: a
-  :class:`~repro.obs.record.Recorder` protocol with a zero-overhead
-  disabled default, consulted once per kernel invocation by
-  :mod:`repro.search.kernels`, :mod:`repro.search.overlay` and
-  :mod:`repro.search.ch.query`.
+  threshold-configurable slow-query log on stdlib ``logging``.
+
+Search work is counted once, in the
+:class:`~repro.search.result.SearchStats` each kernel fills; the serving
+stack reads those counts into its ``repro_server_*`` counters and onto
+its ``engine.process``/``engine.union`` span attributes, so the metrics
+and the traces are the same instrumentation read two ways.
 
 **Privacy invariant.**  The serving stack answers obfuscated queries
 ``Q(S, T)`` whose whole point is that the server never learns the true
@@ -27,18 +27,10 @@ attribute keys that smell like endpoint payloads, and
 node ids of an obfuscated workload.
 
 This package never imports :mod:`repro.search` or :mod:`repro.service`
-(they import *us*), so the hooks can sit on the hottest kernels without
-import cycles.
+(they import *us*).
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.record import (
-    MetricsRecorder,
-    Recorder,
-    get_recorder,
-    recording,
-    set_recorder,
-)
 from repro.obs.trace import JSONLogFormatter, Span, Tracer
 
 __all__ = [
@@ -46,11 +38,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Recorder",
-    "MetricsRecorder",
-    "set_recorder",
-    "get_recorder",
-    "recording",
     "Span",
     "Tracer",
     "JSONLogFormatter",

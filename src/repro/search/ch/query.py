@@ -34,7 +34,6 @@ from heapq import heappop, heappush
 
 from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.graph import NodeId
-from repro.obs import record as _obs_record
 from repro.search.ch.contract import ContractedGraph
 from repro.search.result import PathResult, SearchStats
 
@@ -83,9 +82,6 @@ def _upward_sweep(
     query below interleaves two bounded sweeps instead).  Runs on a lazy
     ``heapq`` frontier — the hot loop of every CH operation.
     """
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        base = (stats.settled_nodes, stats.relaxed_edges, stats.heap_pushes)
     relax_adj = graph._up_out if forward else graph._up_in
     against_adj = graph._up_in if forward else graph._up_out
     dist: dict[NodeId, float] = {start: 0.0}
@@ -126,13 +122,6 @@ def _upward_sweep(
                 counter += 1
                 stats.heap_pushes += 1
     stats.max_settled_distance = max_d
-    if rec is not None:
-        rec.record(
-            "ch_upward",
-            stats.settled_nodes - base[0],
-            stats.relaxed_edges - base[1],
-            stats.heap_pushes - base[2],
-        )
     return settled, pred, stalled
 
 
@@ -163,9 +152,6 @@ def ch_path(
         stats = SearchStats()
     if source == destination:
         return PathResult(source, destination, (source,), 0.0)
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        base = (stats.settled_nodes, stats.relaxed_edges, stats.heap_pushes)
 
     relaxers = (graph._up_out, graph._up_in)
     stallers = (graph._up_in, graph._up_out)
@@ -235,13 +221,6 @@ def ch_path(
                 counter += 1
                 stats.heap_pushes += 1
 
-    if rec is not None:
-        rec.record(
-            "ch_query",
-            stats.settled_nodes - base[0],
-            stats.relaxed_edges - base[1],
-            stats.heap_pushes - base[2],
-        )
     if meeting is None:
         raise NoPathError(source, destination)
 

@@ -54,7 +54,6 @@ from math import hypot
 from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.graph import NodeId
-from repro.obs import record as _obs_record
 from repro.search.ch.contract import ContractedGraph, contract_network
 from repro.search.ch.query import _unpacked_result
 from repro.search.multi import (
@@ -340,9 +339,6 @@ def overlay_sweep(
     stats.heap_pushes += pushes
     if maxd > stats.max_settled_distance:
         stats.max_settled_distance = maxd
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        rec.record("overlay_sweep", settled, relaxed, pushes)
     return best, meet, dist, parent, via, done
 
 
@@ -376,7 +372,6 @@ def _shared_tree(
     s: int,
     remaining: set[int],
     stats: SearchStats,
-    kernel: str = "csr_dijkstra_to_many",
 ) -> tuple[dict[int, float], list[int]]:
     """Grow one tree from index ``s`` until ``remaining`` has settled.
 
@@ -433,9 +428,6 @@ def _shared_tree(
     stats.heap_pushes += pushes
     if maxd > stats.max_settled_distance:
         stats.max_settled_distance = maxd
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        rec.record(kernel, settled, relaxed, pushes)
     return reached, parent
 
 
@@ -468,7 +460,7 @@ def csr_dijkstra_path(
         stats = SearchStats()
     if s == t:
         return _trivial(source)
-    reached, parent = _shared_tree(csr, s, {t}, stats, "csr_dijkstra")
+    reached, parent = _shared_tree(csr, s, {t}, stats)
     if t not in reached:
         raise NoPathError(source, destination)
     return _path_from_parents(csr, parent, s, t, reached[t])
@@ -733,9 +725,6 @@ def csr_ch_path(
     stats.heap_pushes += pushes
     if maxd > stats.max_settled_distance:
         stats.max_settled_distance = maxd
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        rec.record("csr_ch", settled, relaxed, pushes)
     if meet < 0:
         raise NoPathError(source, destination)
 
@@ -845,9 +834,6 @@ def _csr_upward_sweep(
     stats.heap_pushes += pushes
     if maxd > stats.max_settled_distance:
         stats.max_settled_distance = maxd
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        rec.record("csr_ch_upward", settled, relaxed, pushes)
     preds = {i: parent[i] for i in settled_map}
     return settled_map, preds, stalled
 

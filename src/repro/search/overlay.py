@@ -73,7 +73,6 @@ from repro.exceptions import GraphError, NoPathError
 from repro.network.csr import CSRGraph
 from repro.network.graph import NodeId
 from repro.network.partition import Partition, partition_snapshot
-from repro.obs import record as _obs_record
 from repro.search.kernels import (
     _path_from_parents,
     _shared_tree,
@@ -743,9 +742,6 @@ class OverlayGraph:
         ct = self.partition.cell_index(destination)
         if source == destination:
             return PathResult(source, source, (source,), 0.0)
-        rec = _obs_record.RECORDER
-        if rec is not None:
-            rec.record("overlay_route", cells=(cs,) if ct == cs else (cs, ct))
         boundary = self.partition.boundary
         fwd = self._local(
             cs, source,
@@ -799,12 +795,6 @@ class OverlayGraph:
         index = self.boundary_index
         src_cells = {s: partition.cell_index(s) for s in sources}
         dst_cells = {t: partition.cell_index(t) for t in destinations}
-        rec = _obs_record.RECORDER
-        if rec is not None:
-            rec.record(
-                "overlay_msmd",
-                cells=set(src_cells.values()) | set(dst_cells.values()),
-            )
         boundary = partition.boundary
         backs = {
             t: self._local(

@@ -67,7 +67,6 @@ from collections.abc import Iterable, Sequence
 from repro.exceptions import NoPathError
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.graph import NodeId
-from repro.obs import record as _obs_record
 from repro.search.result import PathResult, SearchStats
 
 try:  # pragma: no cover - exercised via numpy_available()
@@ -406,9 +405,6 @@ def _sweep_tables(
     stats.heap_pushes += pushes
     if maxd > stats.max_settled_distance:
         stats.max_settled_distance = maxd
-    rec = _obs_record.RECORDER
-    if rec is not None:
-        rec.record("vec_sweep", settled, relaxed, pushes)
     return dist
 
 

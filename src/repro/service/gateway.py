@@ -291,7 +291,7 @@ def _evaluate_pairs(
 
 
 def _shard_report(stack: ServingStack) -> dict:
-    """One worker's contribution to ``/v1/metrics`` (counts only)."""
+    """A stack's epoch and cache counts for ``/v1/metrics``."""
     return {"epoch": stack.epoch, "cache": stack.snapshot().to_dict()}
 
 
@@ -301,12 +301,14 @@ def _worker_main(conn, network, config: ServingConfig) -> None:
     Builds a stack from the pickled ``(network, config)`` pair, warms
     it (an mmap blob load when the parent pre-spilled the artifact into
     the shared spill dir — see :mod:`repro.service.blob`) and serves
-    pipe requests until ``stop``.  The measured warm-up wall time is
-    reported as ``warm_ms`` in every ``metrics`` reply, so the gateway
-    gate can assert cold workers start in milliseconds.  A request
-    frame is ``(seq, message)`` and its reply ``(seq, status,
-    payload)``: the worker echoes the caller's sequence number so
-    :class:`ShardWorkerPool` can tell its reply from a late one.
+    pipe requests until ``stop``.  Every ``metrics`` reply carries the
+    stack's registry (``metrics``, so the shards' ``repro_server_*``
+    counters reach ``/v1/metrics``) and the measured warm-up wall time
+    (``warm_ms``, so cold workers can be seen to start in
+    milliseconds).  A request frame is ``(seq, message)`` and its reply
+    ``(seq, status, payload)``: the worker echoes the caller's sequence
+    number so :class:`ShardWorkerPool` can tell its reply from a late
+    one.
     """
     stack = ServingStack.from_config(network, config)
     try:
@@ -337,6 +339,7 @@ def _worker_main(conn, network, config: ServingConfig) -> None:
                 elif op == "metrics":
                     payload = _shard_report(stack)
                     payload["warm_ms"] = round(warm_ms, 3)
+                    payload["metrics"] = stack.metrics.collect()
                 else:
                     raise ValueError(f"unknown op {op!r}")
                 conn.send((seq, "ok", payload))
@@ -896,9 +899,12 @@ class Gateway:
     ) -> _HTTPRequest | _HTTPResponse | None:
         """Parse one HTTP/1.1 request; ``None`` on clean EOF.
 
-        A ``Content-Length`` that is not a decimal count up to
-        ``_MAX_BODY_BYTES`` yields the 400 ``invalid_request`` response
-        to send before closing, since the body cannot be framed.
+        A request line that is not ``METHOD PATH VERSION``, any
+        ``Transfer-Encoding`` (chunked bodies are not read) and a
+        ``Content-Length`` that is not a decimal count up to
+        ``_MAX_BODY_BYTES`` each yield the 400 ``invalid_request``
+        response to send before closing, since the request cannot be
+        framed.
         """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
@@ -910,14 +916,18 @@ class Gateway:
         try:
             method, path, _ = lines[0].split(" ", 2)
         except ValueError:
-            return None
+            return _error_response("invalid_request")
         headers: dict[str, str] = {}
         for line in lines[1:]:
             if ":" in line:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
         raw = headers.get("content-length", "0") or "0"
-        if not (raw.isascii() and raw.isdigit()) or int(raw) > _MAX_BODY_BYTES:
+        if (
+            "transfer-encoding" in headers
+            or not (raw.isascii() and raw.isdigit())
+            or int(raw) > _MAX_BODY_BYTES
+        ):
             return _error_response("invalid_request")
         length = int(raw)
         body = await reader.readexactly(length) if length else b""

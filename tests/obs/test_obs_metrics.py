@@ -1,4 +1,4 @@
-"""Tests for the thread-sharded metrics registry."""
+"""Tests for the metrics registry."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    sanitize_metric_name,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -160,15 +154,8 @@ class TestRegistry:
         assert "repro_h_seconds_count 1" in text
 
 
-class TestSanitizeName:
-    def test_replaces_illegal_characters(self):
-        assert sanitize_metric_name("overlay.route") == "overlay_route"
-        assert sanitize_metric_name("ch-query") == "ch_query"
-        assert sanitize_metric_name("9lives") == "_9lives"
-
-
 class TestThreadExactness:
-    """Per-thread shards must merge to exact totals under contention."""
+    """Instruments stay exact, and snapshots consistent, under contention."""
 
     def test_counter_exact_across_raw_threads(self):
         counter = Counter("repro_test_total")
@@ -188,9 +175,9 @@ class TestThreadExactness:
         assert counter.value == per_thread * n_threads
 
     def test_histogram_exact_under_dispatcher_load(self, small_grid):
-        """Histogram shards merge exactly when four threads evaluate
-        through one :class:`~repro.service.serving.ConcurrentDispatcher`,
-        each on its own engine handle."""
+        """A histogram counts exactly when four threads evaluate through
+        one :class:`~repro.service.serving.ConcurrentDispatcher`, each on
+        its own engine handle."""
         from repro.search import get_engine
         from repro.service.serving import ConcurrentDispatcher
 
@@ -241,3 +228,31 @@ class TestThreadExactness:
         # Cumulative bucket counts agree with a serial recount.
         for bound, merged_count in hist.bucket_counts():
             assert merged_count == sum(1 for v in expected if v <= bound)
+
+    def test_collect_snapshots_are_consistent_under_writes(self):
+        """``collect`` reads a histogram's count, sum and buckets in one
+        snapshot: the exported ``count`` always equals the ``+Inf``
+        bucket, however many observations land between the reads."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("repro_test_seconds", buckets=(1.0, 2.0))
+        stop = threading.Event()
+
+        def work():
+            while not stop.is_set():
+                for value in (0.5, 1.5, 2.5):
+                    hist.observe(value)
+
+        writers = [threading.Thread(target=work) for _ in range(3)]
+        for t in writers:
+            t.start()
+        try:
+            snapshots = [
+                registry.collect()["repro_test_seconds"] for _ in range(2000)
+            ]
+        finally:
+            stop.set()
+            for t in writers:
+                t.join(timeout=30)
+        assert snapshots[-1]["count"] > 0
+        for doc in snapshots:
+            assert doc["count"] == doc["buckets"][-1][1]

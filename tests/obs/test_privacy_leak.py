@@ -3,8 +3,8 @@
 Builds a road network whose node ids are distinctive 7-digit numbers
 (never produced by counting settled nodes on a 16-node graph), runs an
 obfuscated workload through a fully instrumented serving stack — shared
-metrics registry, tracer with a zero slow-query threshold, recording
-``MetricsRecorder`` — and then scans every serialized output (metrics
+metrics registry, tracer with a zero slow-query threshold — and then
+scans every serialized output (metrics
 JSON, Prometheus text, trace JSONL, slow-query log lines) for every
 node id: the true endpoints, the decoys, everything.  This is the
 enforcement end of the redaction invariant documented in
@@ -22,13 +22,7 @@ import pytest
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.network.graph import RoadNetwork
-from repro.obs import (
-    JSONLogFormatter,
-    MetricsRecorder,
-    MetricsRegistry,
-    Tracer,
-    recording,
-)
+from repro.obs import JSONLogFormatter, MetricsRegistry, Tracer
 from repro.obs.trace import SLOW_QUERY_LOGGER
 from repro.service.serving import ServingConfig, ServingStack
 
@@ -100,10 +94,9 @@ def _instrumented_run(network: RoadNetwork) -> list[str]:
                 metrics=metrics,
                 tracer=tracer,
             ) as stack:
-                with recording(MetricsRecorder(metrics)):
-                    for _ in range(2):  # warm pass: cache-hit spans
-                        for batch in batches:
-                            stack.answer_batch(batch)
+                for _ in range(2):  # warm pass: cache-hit spans
+                    for batch in batches:
+                        stack.answer_batch(batch)
     finally:
         logger.removeHandler(handler)
     return [

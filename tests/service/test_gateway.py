@@ -50,6 +50,25 @@ def _request(server, method, path, body=None, headers=None):
         conn.close()
 
 
+def _raw_exchange(server, data: bytes) -> bytes:
+    """Send ``data`` over a raw socket; every byte until the server closes."""
+    with socket.create_connection((server.host, server.port), timeout=30) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def _assert_400_then_close(reply: bytes) -> None:
+    """``reply`` is exactly one 400 ``invalid_request`` with ``Connection: close``."""
+    status_line, _, rest = reply.partition(b"\r\n")
+    headers, _, body = rest.partition(b"\r\n\r\n")
+    assert status_line == b"HTTP/1.1 400 Bad Request"
+    assert b"Connection: close" in headers.split(b"\r\n")
+    assert json.loads(body)["error"] == "invalid_request"
+
+
 @pytest.fixture(scope="module")
 def network():
     return grid_network(8, 8, perturbation=0.1, seed=7)
@@ -309,18 +328,25 @@ class TestErrors:
             f"POST {API_PREFIX}/route HTTP/1.1\r\n"
             f"Host: x\r\nContent-Length: {length}\r\n\r\n"
         )
-        with socket.create_connection(
-            (server.host, server.port), timeout=30
-        ) as sock:
-            sock.sendall(head.encode("ascii"))
-            reply = b""
-            while chunk := sock.recv(65536):
-                reply += chunk
-        status_line, _, rest = reply.partition(b"\r\n")
-        headers, _, body = rest.partition(b"\r\n\r\n")
-        assert status_line == b"HTTP/1.1 400 Bad Request"
-        assert b"Connection: close" in headers.split(b"\r\n")
-        assert json.loads(body)["error"] == "invalid_request"
+        _assert_400_then_close(_raw_exchange(server, head.encode("ascii")))
+
+    def test_unparseable_request_line_is_400_then_close(self, server):
+        _assert_400_then_close(_raw_exchange(server, b"GARBAGE\r\n\r\n"))
+
+    def test_transfer_encoding_is_400_then_close(self, server):
+        # The chunk holds a whole request: were the chunked body left on
+        # the stream, it would be parsed as the connection's next head.
+        smuggled = f"GET {API_PREFIX}/health HTTP/1.1\r\nHost: x\r\n\r\n"
+        data = (
+            f"POST {API_PREFIX}/route HTTP/1.1\r\nHost: x\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n"
+            f"{len(smuggled):x}\r\n{smuggled}\r\n0\r\n\r\n"
+            # and a well-framed request pipelined behind it
+            + smuggled
+        )
+        reply = _raw_exchange(server, data.encode("ascii"))
+        assert reply.count(b"HTTP/1.1 ") == 1
+        _assert_400_then_close(reply)
 
     def test_malformed_reweight_body_is_invalid_json(self, server):
         status, _, body = _request(
@@ -565,6 +591,36 @@ class TestShardWorkers:
         assert [r.payload_json() for r in over_http] == [
             r.payload_json() for r in expected
         ]
+
+    def test_shard_metrics_carry_each_stacks_server_counters(self):
+        network = grid_network(8, 8, perturbation=0.1, seed=11)
+        nodes = sorted(network.nodes())
+        queries = [
+            ObfuscatedPathQuery((nodes[i], nodes[i + 9]), (nodes[-1 - i],))
+            for i in range(6)
+        ]
+        with GatewayServer(
+            network,
+            ServingConfig(engine="dijkstra-csr"),
+            GatewayConfig(workers=2),
+        ) as srv:
+            for query in queries:
+                status, _, _ = _request(
+                    srv,
+                    "POST",
+                    f"{API_PREFIX}/route",
+                    body=RouteRequest.from_query(query).to_json(),
+                )
+                assert status == 200
+            _, _, metrics = _request(srv, "GET", f"{API_PREFIX}/metrics")
+        shards = json.loads(metrics)["shards"]
+        assert len(shards) == 2
+        served = "repro_server_queries_served_total"
+        assert sum(
+            shard["metrics"][served]["value"] for shard in shards
+        ) == len(queries)
+        # the keys the shard report already carried stay
+        assert all({"epoch", "cache", "warm_ms"} <= set(s) for s in shards)
 
     def test_reweight_broadcast_reaches_every_shard(self):
         network = grid_network(8, 8, seed=5)

@@ -325,13 +325,28 @@ class TestServeReplay:
         doc = json.loads(metrics_out.read_text(encoding="utf-8"))
         assert "repro_server_queries_served_total" in doc["metrics"]
         assert "repro_result_cache_hits_total" in doc["metrics"]
-        assert "repro_kernel_csr_dijkstra_to_many_calls_total" in doc["metrics"]
         roots = [
             json.loads(line)
             for line in trace_out.read_text(encoding="utf-8").splitlines()
         ]
         assert roots
         assert all(r["name"] == "serve.answer_batch" for r in roots)
+
+        # One instrumentation path: the server counter and the kernel
+        # spans both read the SearchStats the engine filled.
+        def walk(span):
+            yield span
+            for child in span["children"]:
+                yield from walk(child)
+
+        span_settled = sum(
+            span["attrs"]["settled_nodes"]
+            for root in roots
+            for span in walk(root)
+            if span["name"] in ("engine.process", "engine.union")
+        )
+        settled = doc["metrics"]["repro_server_settled_nodes_total"]["value"]
+        assert settled == span_settled > 0
 
     def test_mixed_workload_installs_traffic_epochs(
         self, map_file, workload_file, tmp_path, capsys

@@ -19,8 +19,6 @@ import pytest
 from repro.core.query import ObfuscatedPathQuery
 from repro.network.csr import csr_snapshot
 from repro.network.generators import grid_network, metro_network
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.record import MetricsRecorder, recording
 from repro.obs.trace import Tracer
 from repro.search.ch import contract_network
 from repro.search.kernels import (
@@ -164,25 +162,6 @@ def test_one_union_pass_evaluates_the_distinct_pairs(net):
     assert span.attrs["union_pairs"] == 180
     assert union == solo
     assert counters.stats.settled_nodes <= solo_counters.stats.settled_nodes
-
-
-def test_recording_sees_one_call_per_kernel_invocation(net, pairs):
-    calls = []
-
-    class Counting(MetricsRecorder):
-        def record(self, kernel, *args, **kwargs):
-            calls.append(kernel)
-            super().record(kernel, *args, **kwargs)
-
-    registry = MetricsRegistry()
-    stats = SearchStats()
-    csr = csr_snapshot(net)
-    with recording(Counting(registry)):
-        for s, t in pairs:
-            csr_dijkstra_path(net, s, t, csr=csr, stats=stats)
-    assert calls == ["csr_dijkstra"] * len(pairs)
-    settled = registry.counter("repro_kernel_csr_dijkstra_settled_total")
-    assert settled.value == stats.settled_nodes == 9274
 
 
 def test_metro_shape():

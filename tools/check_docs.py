@@ -49,7 +49,6 @@ DOCSTRING_AUDIT_FILES = [
     "src/repro/network/partition.py",
     "src/repro/obs/__init__.py",
     "src/repro/obs/metrics.py",
-    "src/repro/obs/record.py",
     "src/repro/obs/trace.py",
     "src/repro/search/__init__.py",
     "src/repro/search/kernels.py",
