@@ -646,7 +646,10 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self._m_hits.inc()
-            return entry[0], self._fragment(key, entry)
+            result, fragment = entry
+        if fragment is None:
+            fragment = self._encode(key, result)
+        return result, fragment
 
     def fragment(
         self,
@@ -661,20 +664,26 @@ class ResultCache:
         Encoded once and kept in the entry when the entry holds that
         very table; a table the cache does not hold (capacity 0, already
         evicted, an epoch that has moved on) is encoded and not kept.
-        No counter moves and recency is untouched.
+        No counter moves and recency is untouched.  The encode runs
+        outside the lock (:meth:`_encode`).
         """
         key = self._key(fingerprint, sources, destinations, engine)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or entry[0] is not result:
-                entry = [result, None]
-            return self._fragment(key, entry)
+            if entry is not None and entry[0] is result and entry[1]:
+                return entry[1]
+        return self._encode(key, result)
 
-    @staticmethod
-    def _fragment(key: tuple, entry: list) -> bytes:
-        if entry[1] is None:
-            entry[1] = encode_paths(table_paths(key[1], key[2], entry[0]))
-        return entry[1]
+    def _encode(self, key: tuple, result: MSMDResult) -> bytes:
+        """Encode ``result`` outside the lock, so a lookup on the event
+        loop never waits behind an encode on a lane thread; keep the
+        bytes only while the entry still holds that very table."""
+        fragment = encode_paths(table_paths(key[1], key[2], result))
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is result and not entry[1]:
+                entry[1] = fragment
+        return fragment
 
     def put(
         self,

@@ -12,6 +12,10 @@ Schema rules:
 * requests name endpoints (``sources``/``destinations``) — that is the
   client talking to the server, exactly what the OPAQUE protocol
   obfuscates before it leaves the client;
+* a response's path table travels as *shared paths* (schema 2): each
+  entry repeats the prefix and the suffix it shares with an earlier
+  entry of the same table by reference and lists only the nodes in
+  between (:func:`encode_paths`);
 * error bodies carry a machine-readable ``code`` from
   :data:`ERROR_CODES` and a *generic* human message — exception text is
   never echoed, because :class:`~repro.exceptions.NoPathError` and
@@ -27,6 +31,7 @@ gateway maps straight onto a 4xx response.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -50,7 +55,7 @@ __all__ = [
 ]
 
 #: version stamp carried by every wire document
-WIRE_SCHEMA_VERSION = 1
+WIRE_SCHEMA_VERSION = 2
 
 #: machine-readable error codes an :class:`ErrorResponse` may carry,
 #: mapped to the generic message the HTTP boundary is allowed to show.
@@ -65,13 +70,31 @@ ERROR_CODES = {
 }
 
 
+class WireError(ValueError):
+    """A wire document failed schema validation.
+
+    Attributes
+    ----------
+    code:
+        Machine-readable error code from :data:`ERROR_CODES` (always
+        ``invalid_request`` or ``invalid_json``).
+    """
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc: Any) -> str:
     """Serialize ``doc`` canonically: sorted keys, no whitespace.
 
     The single encoder used for every wire body, so equal documents are
     equal byte strings.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 def table_paths(
@@ -90,16 +113,89 @@ def table_paths(
     return tuple(paths)
 
 
-def _path_docs(paths) -> list[dict]:
-    return [
-        {
-            "source": source,
-            "destination": destination,
-            "nodes": list(nodes),
-            "cost": cost,
-        }
-        for source, destination, nodes, cost in paths
-    ]
+def _longest_prefix(
+    nodes: tuple, earlier: list, limit: int
+) -> tuple[int, int]:
+    """``(entry, length)`` of the longest prefix of ``nodes``, at most
+    ``limit`` long, that one of the ``earlier`` ``(entry, nodes)`` pairs
+    starts with; ``(0, 0)`` when none does (ties: the latest entry).
+
+    Paths from one source are branches of one shortest-path tree: two
+    of them agree position by position up to their fork and never meet
+    again, so ``nodes[k] == other[k]`` flips once.  That is bisected,
+    and an entry is bisected only where it beats the best so far.  The
+    winner is confirmed by slice comparison; a table that is not
+    tree-shaped (equal-cost ties broken differently per pair) is
+    walked instead.
+    """
+    best = length = 0
+    match = ()
+    for j, other in reversed(earlier):
+        hi = len(other)
+        if hi > limit:
+            hi = limit
+        if length < hi and nodes[length] == other[length]:
+            lo = length + 1
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if nodes[mid] == other[mid]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            best, length, match = j, lo, other
+    if length and nodes[:length] != match[:length]:
+        best = length = 0
+        for j, other in reversed(earlier):
+            k = 0
+            for x, y in zip(nodes, other):
+                if x != y or k == limit:
+                    break
+                k += 1
+            if k > length:
+                best, length = j, k
+    return best, length
+
+
+def _path_entries(paths) -> list[list]:
+    """A table's schema-2 entries, in the table's order.
+
+    Entry ``i`` is ``[cost, pb, pk, sb, sk, *middle]``: the path is the
+    first ``pk`` nodes of entry ``i - pb``, then ``middle``, then the
+    last ``sk`` nodes of entry ``i - sb`` (``pb``/``sb`` are 0 exactly
+    when their length is).  Each reference is the longest one an
+    earlier entry of the *same* table offers (the nearest on a tie),
+    with the prefix chosen first and the suffix cut to the rest; so the
+    entries of a table depend on that table alone, and the slice of a
+    union pass encodes exactly as the solo answer does.
+    """
+    entries = []
+    rows: dict[int, list] = {}  # first node -> (entry, nodes) starting there
+    cols: dict[int, list] = {}  # last node -> (entry, reversed nodes)
+    for i, (_, _, nodes, cost) in enumerate(paths):
+        n = len(nodes)
+        backwards = nodes[::-1]
+        row = rows.get(nodes[0])
+        if row is None:
+            row = rows[nodes[0]] = []
+            pb = pk = 0
+        else:
+            j, pk = _longest_prefix(nodes, row, n)
+            pb = i - j if pk else 0
+        col = cols.get(backwards[0])
+        if col is None:
+            col = cols[backwards[0]] = []
+            sb = sk = 0
+        else:
+            j, sk = _longest_prefix(backwards, col, n - pk)
+            if sk and pk + sk == n and nodes[pk - 1] == nodes[pk]:
+                # prefix and suffix would meet on a repeated node, which
+                # a decoder refuses as an overlap: list that node instead
+                sk -= 1
+            sb = i - j if sk else 0
+        row.append((i, nodes))
+        col.append((i, backwards))
+        entries.append([cost, pb, pk, sb, sk, *nodes[pk:n - sk]])
+    return entries
 
 
 def encode_paths(paths) -> bytes:
@@ -109,9 +205,64 @@ def encode_paths(paths) -> bytes:
     body is this fragment spliced between constant keys
     (:func:`route_body`, :func:`batch_body`), so a table is walked and
     encoded once however often it is sent — the result cache keeps the
-    fragment next to the table it encodes.
+    fragment next to the table it encodes.  Entries are shared paths
+    (:func:`_path_entries`); :func:`_decode_paths` inverts them.
     """
-    return ('"paths":' + canonical_json(_path_docs(paths))).encode("ascii")
+    return ('"paths":' + _CANONICAL.encode(_path_entries(paths))).encode(
+        "ascii"
+    )
+
+
+_INT = frozenset((int,))
+_NUMBER = frozenset((int, float))
+_MAX_COST = sys.float_info.max
+
+
+def _bad_entry(i: int, why: str) -> WireError:
+    return WireError("invalid_request", f"path entry {i}: {why}")
+
+
+def _decode_paths(entries: Any) -> tuple:
+    """Strictly invert :func:`_path_entries`.
+
+    Node ids and reference fields must be ``int`` (never ``bool``), a
+    cost a finite non-negative number, a reference an earlier entry
+    with at least the nodes it repeats, and a prefix and a suffix that
+    meet must not overlap (share their meeting node); a path has at
+    least one node.  Anything else raises :class:`WireError`.
+    """
+    if type(entries) is not list:
+        raise WireError("invalid_request", "paths must be an array")
+    paths = []
+    decoded: list[tuple] = []
+    for i, entry in enumerate(entries):
+        if type(entry) is not list or len(entry) < 5:
+            raise _bad_entry(i, "not an array of at least five numbers")
+        cost, pb, pk, sb, sk, *middle = entry
+        if not (
+            type(pb) is type(pk) is type(sb) is type(sk) is int
+            and _INT.issuperset(map(type, middle))
+        ):
+            raise _bad_entry(i, "node ids and references must be integers")
+        if type(cost) not in _NUMBER or not 0 <= cost <= _MAX_COST:
+            raise _bad_entry(i, "cost must be a finite number >= 0")
+        head = tail = ()
+        if pb or pk:
+            if not (0 < pb <= i and 0 < pk <= len(decoded[i - pb])):
+                raise _bad_entry(i, "prefix outside an earlier entry")
+            head = decoded[i - pb][:pk]
+        if sb or sk:
+            if not (0 < sb <= i and 0 < sk <= len(decoded[i - sb])):
+                raise _bad_entry(i, "suffix outside an earlier entry")
+            tail = decoded[i - sb][-sk:]
+            if head and not middle and head[-1] == tail[0]:
+                raise _bad_entry(i, "prefix and suffix overlap")
+        nodes = (*head, *middle, *tail)
+        if not nodes:
+            raise _bad_entry(i, "a path has at least one node")
+        decoded.append(nodes)
+        paths.append((nodes[0], nodes[-1], nodes, float(cost)))
+    return tuple(paths)
 
 
 #: what precedes the fragment in a body, by (from_cache, coalesced)
@@ -152,21 +303,6 @@ def batch_body(entries) -> bytes:
         for entry in entries
     ]
     return b'{"results":[' + b",".join(results) + b"]" + _SCHEMA_TAIL
-
-
-class WireError(ValueError):
-    """A wire document failed schema validation.
-
-    Attributes
-    ----------
-    code:
-        Machine-readable error code from :data:`ERROR_CODES` (always
-        ``invalid_request`` or ``invalid_json``).
-    """
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 def _require_schema(doc: dict) -> None:
@@ -342,7 +478,9 @@ class RouteResponse:
     ``paths`` entries are ``(source, destination, nodes, cost)`` tuples
     ordered by the query's ``S x T`` wire order, so the canonical
     encoding of the same answer is byte-identical no matter which
-    process produced it.  ``from_cache``/``coalesced`` mirror the
+    process produced it.  On the wire they are shared-path entries
+    (:func:`encode_paths`), whose endpoints are each path's first and
+    last node.  ``from_cache``/``coalesced`` mirror the
     :class:`~repro.core.server.ServerResponse` flags; they are serving
     metadata, *not* part of the byte-identity contract
     (:meth:`payload_dict` excludes them).
@@ -366,7 +504,7 @@ class RouteResponse:
         """The path/cost payload alone — the byte-identity surface."""
         return {
             "schema": WIRE_SCHEMA_VERSION,
-            "paths": _path_docs(self.paths),
+            "paths": _path_entries(self.paths),
         }
 
     def payload_json(self) -> str:
@@ -391,33 +529,15 @@ class RouteResponse:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RouteResponse":
-        """Decode a parsed JSON object (used by the load generator)."""
+        """Strictly decode a parsed JSON object (used by the ledger)."""
         _require_schema(doc)
-        entries = doc.get("paths")
-        if not isinstance(entries, list):
-            raise WireError("invalid_request", "paths must be an array")
-        paths = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                raise WireError(
-                    "invalid_request", "each path must be an object"
-                )
-            try:
-                paths.append((
-                    int(entry["source"]),
-                    int(entry["destination"]),
-                    tuple(map(int, entry["nodes"])),
-                    float(entry["cost"]),
-                ))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise WireError(
-                    "invalid_request", "malformed path entry"
-                ) from exc
-        return cls(
-            tuple(paths),
-            from_cache=bool(doc.get("from_cache", False)),
-            coalesced=bool(doc.get("coalesced", False)),
-        )
+        from_cache = doc.get("from_cache", False)
+        coalesced = doc.get("coalesced", False)
+        if type(from_cache) is not bool or type(coalesced) is not bool:
+            raise WireError(
+                "invalid_request", "from_cache/coalesced must be booleans"
+            )
+        return cls(_decode_paths(doc.get("paths")), from_cache, coalesced)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "RouteResponse":
@@ -461,10 +581,16 @@ class BatchResponse:
         entries = doc.get("results")
         if not isinstance(entries, list):
             raise WireError("invalid_request", "results must be an array")
-        return cls(tuple(
-            RouteResponse.from_dict({"schema": WIRE_SCHEMA_VERSION, **entry})
-            for entry in entries
-        ))
+        results = []
+        for entry in entries:
+            if type(entry) is not dict:
+                raise WireError(
+                    "invalid_request", "each result must be an object"
+                )
+            results.append(RouteResponse.from_dict(
+                {"schema": WIRE_SCHEMA_VERSION, **entry}
+            ))
+        return cls(tuple(results))
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "BatchResponse":

@@ -32,7 +32,12 @@ from repro.service.gateway import (
     _HTTPRequest,
 )
 from repro.service.serving import ServingConfig, ServingStack
-from repro.service.wire import RouteRequest, RouteResponse, canonical_json
+from repro.service.wire import (
+    WIRE_SCHEMA_VERSION,
+    RouteRequest,
+    RouteResponse,
+    canonical_json,
+)
 
 ENGINE = "dijkstra-csr"
 
@@ -176,7 +181,8 @@ class TestInlineConsultIsUnobservable:
         assert status == 200
         doc = json.loads(body)
         assert body == canonical_json(doc).encode()
-        assert doc["schema"] == 1 and len(doc["results"]) == len(queries)
+        assert doc["schema"] == WIRE_SCHEMA_VERSION
+        assert len(doc["results"]) == len(queries)
         with ServingStack.from_config(
             network.copy(), ServingConfig(engine=ENGINE)
         ) as stack:

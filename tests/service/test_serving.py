@@ -75,7 +75,7 @@ class TestServingStack:
             response, fragment = stack.answer_cached(query)
             assert response.from_cache and not response.coalesced
             assert response.candidates is cold.candidates
-            assert fragment.startswith(b'"paths":[{"cost":')
+            assert fragment.startswith(b'"paths":[[')
             assert list(stack.server.observed_queries) == [query, query]
             assert stack.server.counters.queries_served == 2
             snap = stack.snapshot()

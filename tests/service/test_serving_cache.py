@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.network.generators import grid_network
@@ -202,7 +205,7 @@ class TestResultCacheFragments:
         got, fragment = cache.hit(*self.KEY)
         assert got is table
         assert fragment == (
-            b'"paths":[{"cost":1.0,"destination":2,"nodes":[1,2],"source":1}]'
+            b'"paths":[[1.0,0,0,0,0,1,2]]'
         )
         assert (cache.hits, cache.misses) == (1, 0)
 
@@ -223,6 +226,115 @@ class TestResultCacheFragments:
         assert len(calls) == 1
         assert (cache.hits, cache.misses) == (1, 0)  # fragment() counts nothing
 
+    def test_encoding_holds_no_lock(self, monkeypatch):
+        """A lane thread's encode never holds up a lookup: while the
+        encoder of one key blocks, a hit on another key returns."""
+        import repro.service.cache as module
+
+        cache = ResultCache(capacity=4)
+        other = _table(3, 4)
+        cache.put("fp", (3,), (4,), "ch", other)
+        cache.fragment("fp", (3,), (4,), "ch", other)
+        table = _table(1, 2)
+        cache.put(*self.KEY, table)
+        entered, release = threading.Event(), threading.Event()
+        real = module.encode_paths
+
+        def blocking(paths):
+            entered.set()
+            assert release.wait(10)
+            return real(paths)
+
+        monkeypatch.setattr(module, "encode_paths", blocking)
+        lane = threading.Thread(
+            target=cache.fragment, args=(*self.KEY, table)
+        )
+        lane.start()
+        try:
+            assert entered.wait(10)
+            answered = []
+            reader = threading.Thread(
+                target=lambda: answered.append(
+                    cache.hit("fp", (3,), (4,), "ch")
+                )
+            )
+            reader.start()
+            reader.join(5)
+            assert not reader.is_alive()
+            assert answered[0][0] is other
+            assert answered[0][1] == b'"paths":[[1.0,0,0,0,0,3,4]]'
+        finally:
+            release.set()
+            lane.join(10)
+        assert not lane.is_alive()
+        # the bytes are kept once the encode finishes
+        assert cache.hit(*self.KEY)[1] == b'"paths":[[1.0,0,0,0,0,1,2]]'
+        assert cache._entries[self.KEY][1] is not None
+
+    def test_bytes_of_a_replaced_table_are_not_kept(self, monkeypatch):
+        """The entry changed while the encoder ran: its new table keeps
+        no fragment of the old one."""
+        import repro.service.cache as module
+
+        cache = ResultCache(capacity=4)
+        table, fresh = _table(1, 2), _table(1, 2)
+        cache.put(*self.KEY, table)
+        real = module.encode_paths
+
+        def replacing(paths):
+            cache.put(*self.KEY, fresh)
+            return real(paths)
+
+        monkeypatch.setattr(module, "encode_paths", replacing)
+        cache.fragment(*self.KEY, table)
+        assert cache._entries[self.KEY] == [fresh, None]
+
+    def test_kept_bytes_always_encode_their_own_table(self):
+        """Six threads replace, hit and encode two keys at once: every
+        fragment handed out or kept is the encoding of the table it
+        came with, never of a table that replaced it."""
+        from repro.service.wire import encode_paths, table_paths
+
+        cache = ResultCache(capacity=4)
+        tables = [_table(1, 2), _table(1, 2), _table(3, 4), _table(3, 4)]
+        tables[1].paths[(1, 2)] = PathResult(1, 2, (1, 9, 2), 7.0)
+        tables[3].paths[(3, 4)] = PathResult(3, 4, (3, 8, 4), 5.0)
+        keys = [("fp", (1,), (2,), "ch")] * 2 + [("fp", (3,), (4,), "ch")] * 2
+        want = {
+            id(t): encode_paths(table_paths(k[1], k[2], t))
+            for k, t in zip(keys, tables)
+        }
+        wrong = []
+
+        def churn(seed):
+            for step in range(400):
+                i = (seed + step) % 4
+                if step % 3 == 0:
+                    cache.put(*keys[i], tables[i])
+                got = cache.hit(*keys[i])
+                if got is not None and got[1] != want[id(got[0])]:
+                    wrong.append(got)
+                fragment = cache.fragment(*keys[i], tables[i])
+                if fragment != want[id(tables[i])]:
+                    wrong.append(fragment)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(n,)) for n in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        for entry in cache._entries.values():
+            assert entry[1] in (None, want[id(entry[0])])
+
     def test_hit_refreshes_recency_and_fragment_does_not(self):
         cache = ResultCache(capacity=2)
         a, b = _table(1, 2), _table(3, 4)
@@ -240,11 +352,11 @@ class TestResultCacheFragments:
         held, stranger = _table(1, 2), _table(1, 2)
         stranger.paths[(1, 2)] = PathResult(1, 2, (1, 9, 2), 7.0)
         cache.put(*self.KEY, held)
-        assert b'"cost":7.0' in cache.fragment(*self.KEY, stranger)
-        assert b'"cost":1.0' in cache.hit(*self.KEY)[1]
+        assert b'"paths":[[7.0,' in cache.fragment(*self.KEY, stranger)
+        assert b'"paths":[[1.0,' in cache.hit(*self.KEY)[1]
         disabled = ResultCache(capacity=0)
         disabled.put(*self.KEY, held)
-        assert b'"cost":1.0' in disabled.fragment(*self.KEY, held)
+        assert b'"paths":[[1.0,' in disabled.fragment(*self.KEY, held)
         assert len(disabled) == 0
 
     @pytest.mark.parametrize("how", ["evict", "invalidate", "clear", "replace"])
@@ -263,7 +375,7 @@ class TestResultCacheFragments:
             fresh = _table(1, 2)
             fresh.paths[(1, 2)] = PathResult(1, 2, (1, 9, 2), 7.0)
             cache.put(*self.KEY, fresh)
-            assert b'"cost":7.0' in cache.hit(*self.KEY)[1]
+            assert b'"paths":[[7.0,' in cache.hit(*self.KEY)[1]
         else:
             assert cache.hit(*self.KEY) is None
         assert all(entry[0] is not table for entry in cache._entries.values())

@@ -1,15 +1,20 @@
 """Wire schema tests: round trips, strict decoding, error codes.
 
 The wire layer is the gateway's contract with clients; these tests pin
-the canonical encoding (sorted keys, no whitespace), the strict decode
-rules (unknown fields and malformed endpoints are rejected with
-machine-readable codes), and the redaction property that error bodies
-never carry free-form exception text.
+the canonical encoding (sorted keys, no whitespace), the shared-path
+table layout (every engine's table decodes to itself), the strict
+decode rules (unknown fields, malformed endpoints, coerced numbers and
+bad references are rejected with machine-readable codes), and the
+redaction property that error bodies never carry free-form exception
+text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -195,7 +200,7 @@ class TestRouteResponse:
     def test_malformed_node_rejected_after_round_trip(self, answered, bad):
         _, server_response = answered
         doc = json.loads(RouteResponse.from_server(server_response).to_json())
-        doc["paths"][0]["nodes"][-1] = bad
+        doc["paths"][0][-1] = bad  # entry 0's last listed node
         with pytest.raises(WireError) as err:
             RouteResponse.from_json(json.dumps(doc))
         assert err.value.code == "invalid_request"
@@ -203,7 +208,7 @@ class TestRouteResponse:
     def test_node_list_must_be_iterable(self, answered):
         _, server_response = answered
         doc = json.loads(RouteResponse.from_server(server_response).to_json())
-        doc["paths"][0]["nodes"] = 7
+        doc["paths"][0] = 7
         with pytest.raises(WireError):
             RouteResponse.from_dict(doc)
 
@@ -351,3 +356,305 @@ class TestSplicedBodies:
         _, response = answered
         batch = BatchResponse.from_server([response, response])
         assert batch.to_json() == canonical_json(batch.to_dict())
+
+
+#: the worked example of docs/API.md: S = (17, 4), T = (55, 2)
+EXAMPLE_PATHS = (
+    (17, 55, (17, 18, 19, 55), 3.0),
+    (17, 2, (17, 18, 2), 2.0),
+    (4, 55, (4, 19, 55), 2.5),
+    (4, 2, (4, 19, 18, 2), 3.5),
+)
+EXAMPLE_ENTRIES = [
+    [3.0, 0, 0, 0, 0, 17, 18, 19, 55],
+    [2.0, 1, 2, 0, 0, 2],  # 17, 18 from entry 0, then 2
+    [2.5, 0, 0, 2, 2, 4],  # 4, then 19, 55 from entry 0
+    [3.5, 1, 2, 2, 2],  # 4, 19 from entry 2 meet 18, 2 from entry 1
+]
+
+
+def _example_doc(swaps: dict) -> dict:
+    """The worked example's body with ``{entry index: entry}`` swapped in."""
+    entries = [swaps.get(i, list(e)) for i, e in enumerate(EXAMPLE_ENTRIES)]
+    return {"schema": WIRE_SCHEMA_VERSION, "paths": entries}
+
+
+def _round_trip(paths) -> tuple:
+    return RouteResponse.from_json(route_body(encode_paths(paths))).paths
+
+
+class TestSharedPathEntries:
+    def test_worked_example(self):
+        fragment = encode_paths(EXAMPLE_PATHS)
+        assert json.loads(b"{" + fragment + b"}")["paths"] == EXAMPLE_ENTRIES
+        assert _round_trip(EXAMPLE_PATHS) == EXAMPLE_PATHS
+
+    def test_a_repeated_node_where_prefix_meets_suffix_is_listed(self):
+        """Not a shortest path, but a table the encoder may be handed:
+        ``(9, 9)`` would otherwise be prefix ``9`` meeting suffix ``9``,
+        which the decoder refuses as an overlap."""
+        paths = ((9, 7, (9, 7), 1.0), (8, 9, (8, 9), 1.0), (9, 9, (9, 9), 0.0))
+        entries = json.loads(b"{" + encode_paths(paths) + b"}")["paths"]
+        assert entries[2] == [0.0, 2, 1, 0, 0, 9]
+        assert _round_trip(paths) == paths
+
+
+class TestStrictResponseDecoding:
+    """Numbers are taken as they are sent, never coerced."""
+
+    def test_a_coerced_v1_entry_is_refused(self):
+        # the schema-1 decoder read this as (17, 55, (17, 18, 1, 55), 2.0)
+        doc = {"schema": WIRE_SCHEMA_VERSION, "paths": [{
+            "source": "17", "destination": 55.9,
+            "nodes": [17, 18.7, True, "55"], "cost": "2.0",
+        }]}
+        with pytest.raises(WireError) as err:
+            RouteResponse.from_dict(doc)
+        assert err.value.code == "invalid_request"
+
+    @pytest.mark.parametrize("flag", ["from_cache", "coalesced"])
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_serving_flags_must_be_booleans(self, flag, value):
+        doc = {"schema": WIRE_SCHEMA_VERSION, "paths": [], flag: value}
+        with pytest.raises(WireError):
+            RouteResponse.from_dict(doc)
+
+    @pytest.mark.parametrize("node", [18.7, True, False, "55", None, [18]])
+    def test_node_ids_must_be_ints(self, node):
+        doc = _example_doc({0: [3.0, 0, 0, 0, 0, 17, node, 19, 55]})
+        with pytest.raises(WireError):
+            RouteResponse.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "cost", ["2.0", True, None, -1.0, -0.5, math.nan, math.inf, 10**400]
+    )
+    def test_costs_must_be_finite_and_non_negative(self, cost):
+        doc = _example_doc({1: [cost, 1, 2, 0, 0, 2]})
+        with pytest.raises(WireError):
+            RouteResponse.from_dict(doc)
+
+    def test_an_integer_cost_is_a_float(self):
+        doc = _example_doc({1: [2, 1, 2, 0, 0, 2]})
+        assert RouteResponse.from_dict(doc).paths == EXAMPLE_PATHS
+
+    @pytest.mark.parametrize("field", [1, 2, 3, 4])
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_references_must_be_ints(self, field, value):
+        entry = list(EXAMPLE_ENTRIES[3])
+        entry[field] = value
+        with pytest.raises(WireError):
+            RouteResponse.from_dict(_example_doc({3: entry}))
+
+    @pytest.mark.parametrize(
+        "index, entry",
+        [
+            (0, [3.0, 0, 1, 0, 0, 17, 18]),  # a prefix of no entry
+            (0, [3.0, 1, 1, 0, 0, 17, 18]),  # entry -1
+            (1, [2.0, 2, 2, 0, 0, 2]),  # before the table
+            (1, [2.0, 0, 2, 0, 0, 2]),  # a length without an entry
+            (1, [2.0, 1, 0, 0, 0, 17, 18, 2]),  # an entry without a length
+            (1, [2.0, 1, 5, 0, 0, 2]),  # longer than entry 0
+            (1, [2.0, -1, 2, 0, 0, 2]),  # a later entry
+            (1, [2.0, 1, -2, 0, 0, 2]),
+            (2, [2.5, 0, 0, 3, 2, 4]),  # before the table
+            (2, [2.5, 0, 0, 2, 9, 4]),  # longer than entry 0
+            (2, [2.5, 0, 0, 0, 2, 4]),
+            (2, [2.5, 0, 0, 1, 0, 4, 19, 55]),
+            (2, [2.5, 0, 0, -2, 2, 4]),
+            (3, [3.5, 1, 2, 3, 2]),  # 4, 19 then 19, 55: overlap
+            (3, [3.5, 0, 0, 0, 0]),  # no node at all
+            (3, [3.5, 1, 2, 2]),  # too short
+            (3, (3.5, 1, 2, 2, 2)),  # not a JSON array
+        ],
+    )
+    def test_bad_references_are_refused(self, index, entry):
+        with pytest.raises(WireError) as err:
+            RouteResponse.from_dict(_example_doc({index: entry}))
+        assert err.value.code == "invalid_request"
+
+    @pytest.mark.parametrize("paths", [None, {}, "[]", [[]], [7]])
+    def test_paths_must_be_an_array_of_arrays(self, paths):
+        with pytest.raises(WireError):
+            RouteResponse.from_dict(
+                {"schema": WIRE_SCHEMA_VERSION, "paths": paths}
+            )
+
+    def test_a_batch_result_must_be_an_object(self):
+        with pytest.raises(WireError):
+            BatchResponse.from_dict(
+                {"schema": WIRE_SCHEMA_VERSION, "results": [[1]]}
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(-1, 4), st.integers(-1, 5),
+                st.integers(-1, 4), st.integers(-1, 5),
+                st.lists(st.integers(0, 4), max_size=3),
+            ),
+            max_size=6,
+        )
+    )
+    def test_fuzzed_references_decode_exactly_when_the_rules_allow(
+        self, entries
+    ):
+        doc = {
+            "schema": WIRE_SCHEMA_VERSION,
+            "paths": [[1.0, pb, pk, sb, sk, *middle]
+                      for pb, pk, sb, sk, middle in entries],
+        }
+        want = _plain_decode(entries)
+        if want is None:
+            with pytest.raises(WireError):
+                RouteResponse.from_json(json.dumps(doc))
+        else:
+            got = RouteResponse.from_json(json.dumps(doc)).paths
+            assert [nodes for _, _, nodes, _ in got] == want
+
+
+def _plain_decode(entries):
+    """The decode rules restated without shortcuts: the node tuples, or
+    ``None`` when an entry breaks a rule."""
+    out = []
+    for i, (pb, pk, sb, sk, middle) in enumerate(entries):
+        head, tail = (), ()
+        for back, length, is_prefix in ((pb, pk, True), (sb, sk, False)):
+            if back == 0 and length == 0:
+                continue
+            if not (1 <= back <= i and 1 <= length <= len(out[i - back])):
+                return None
+            ref = out[i - back]
+            if is_prefix:
+                head = ref[:length]
+            else:
+                tail = ref[len(ref) - length:]
+        if head and tail and not middle and head[-1] == tail[0]:
+            return None
+        nodes = (*head, *middle, *tail)
+        if not nodes:
+            return None
+        out.append(nodes)
+    return out
+
+
+#: an unperturbed grid (equal-cost ties everywhere, so CH and overlay
+#: tables need not be tree-shaped) and perturbed ones
+_MAPS = {
+    "ties": lambda: grid_network(7, 7),
+    **{
+        f"perturbed-{seed}": functools.partial(
+            grid_network, 7, 7, perturbation=0.2, seed=seed
+        )
+        for seed in range(3)
+    },
+}
+_ENGINES = ["dijkstra-csr", "ch-csr", "overlay-csr"]
+
+
+@functools.lru_cache(maxsize=None)
+def _map(name):
+    return _MAPS[name]()
+
+
+@functools.lru_cache(maxsize=None)
+def _stack(name, engine):
+    return ServingStack.from_config(_map(name), ServingConfig(engine=engine))
+
+
+def _layout_cases(paths) -> set[str]:
+    """Which layout cases a table's entries exercise."""
+    cases = set()
+    entries = json.loads(b"{" + encode_paths(paths) + b"}")["paths"]
+    for (_, _, nodes, _), (_, _, pk, _, sk, *middle) in zip(paths, entries):
+        if len(nodes) == 1:
+            cases.add("single node")
+        if pk == len(nodes) > 1:
+            cases.add("whole-path prefix")
+        if pk and sk and not middle:
+            cases.add("prefix meets suffix")
+    if all(e[1:5] == [0, 0, 0, 0] for e in entries):
+        cases.add("no sharing")
+    return cases
+
+
+class TestRoundTrip:
+    """``decode(encode(table)) == table`` for every engine's tables."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_MAPS)),
+        engine=st.sampled_from(_ENGINES),
+        data=st.data(),
+    )
+    def test_engine_tables_round_trip(self, name, engine, data):
+        nodes = sorted(_map(name).nodes())
+        sources = data.draw(st.lists(
+            st.sampled_from(nodes), min_size=1, max_size=4, unique=True
+        ))
+        destinations = data.draw(st.lists(
+            st.sampled_from(nodes), min_size=1, max_size=4, unique=True
+        ))
+        query = ObfuscatedPathQuery(tuple(sources), tuple(destinations))
+        table = _stack(name, engine).answer(query).candidates
+        paths = table_paths(query.sources, query.destinations, table)
+        assert _round_trip(paths) == paths
+
+    @settings(max_examples=100, deadline=None)
+    @given(response=_responses())
+    def test_synthetic_tables_round_trip(self, response):
+        """Random node ids: no sharing beyond the endpoints."""
+        paths = RouteResponse.from_server(response).paths
+        assert _round_trip(paths) == paths
+
+    def test_every_layout_case_occurs(self):
+        seen = set()
+        for name in sorted(_MAPS):
+            nodes = sorted(_map(name).nodes())
+            rng = random.Random(name)
+            for engine in _ENGINES:
+                for size in (1, 2, 3, 4):
+                    s = tuple(rng.sample(nodes, size))
+                    # T shares a node with S: some s == t paths
+                    t = (s[0], *rng.sample(nodes, size))
+                    t = tuple(dict.fromkeys(t))
+                    query = ObfuscatedPathQuery(s, t)
+                    table = _stack(name, engine).answer(query).candidates
+                    paths = table_paths(s, t, table)
+                    assert _round_trip(paths) == paths
+                    seen |= _layout_cases(paths)
+                single = ObfuscatedPathQuery((nodes[3],), (nodes[-3],))
+                paths = table_paths(
+                    single.sources, single.destinations,
+                    _stack(name, engine).answer(single).candidates,
+                )
+                seen |= _layout_cases(paths)
+        assert seen == {
+            "single node", "whole-path prefix", "prefix meets suffix",
+            "no sharing",
+        }
+
+    @pytest.mark.parametrize("name", ["ties", "perturbed-0"])
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_a_union_pass_slice_encodes_as_the_solo_answer(
+        self, name, engine
+    ):
+        nodes = sorted(_map(name).nodes())
+        rng = random.Random(f"{name}:{engine}")
+        queries = [
+            ObfuscatedPathQuery(
+                tuple(rng.sample(nodes, 3)), tuple(rng.sample(nodes, 3))
+            )
+            for _ in range(4)
+        ]
+        config = ServingConfig(engine=engine)
+        with ServingStack.from_config(_map(name), config) as together:
+            union = together.answer_batch(queries)
+        assert all(response.coalesced for response in union)
+        with ServingStack.from_config(_map(name), config) as solo:
+            alone = [solo.answer_batch([q])[0] for q in queries]
+        assert not any(response.coalesced for response in alone)
+        for a, b in zip(union, alone):
+            assert _spliced_body(
+                ServerResponse(a.query, a.candidates)
+            ) == _spliced_body(ServerResponse(b.query, b.candidates))

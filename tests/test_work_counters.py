@@ -1,9 +1,9 @@
 """Deterministic work counters, pinned exactly.
 
-Settled nodes, partition shape and union-pass size do not depend on the
-machine, so each is held with ``==`` at the value the code produces: a
-change to one of them is a change of behaviour, and the commit that
-makes it updates the number here.  How fast the work runs is measured
+Settled nodes, partition shape, union-pass size and response bytes do
+not depend on the machine, so each is held with ``==`` at the value the
+code produces: a change to one of them is a change of behaviour, and
+the commit that makes it updates the number here.  How fast the work runs is measured
 end to end by the request ledger (``benchmarks/ledger``), not here.
 
 The map is a 40x40 perturbed grid with seeded point pairs and one seeded
@@ -32,6 +32,7 @@ from repro.search.overlay import build_overlay, dumps_overlay
 from repro.search.result import SearchStats
 from repro.service.cache import ResultCache
 from repro.service.serving import ServingConfig, ServingStack
+from repro.service.wire import encode_paths, table_paths
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,18 @@ def test_overlay_point_queries_settle(overlay, pairs):
     for s, t in pairs:
         overlay.route(s, t, stats=stats)
     assert stats.settled_nodes == 2567
+
+
+def _fragment_bytes(net, sources, destinations):
+    table = CSRSharedTreeProcessor().process(net, sources, destinations)
+    return len(encode_paths(table_paths(sources, destinations, table)))
+
+
+def test_response_bytes(net, batch, pairs):
+    """Bytes of the ``"paths"`` fragment: shared-path entries (schema 1,
+    one object per path, sent 3178 and 2409)."""
+    assert _fragment_bytes(net, *batch) == 1894
+    assert sum(_fragment_bytes(net, (s,), (t,)) for s, t in pairs) == 1923
 
 
 @pytest.mark.parametrize("kernel, settled", [("heap", 653), ("sweep", 639)])

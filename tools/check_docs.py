@@ -5,7 +5,7 @@ Run from the repo root (CI's docs job does exactly this):
 
     PYTHONPATH=src python tools/check_docs.py
 
-Five checks, all stdlib-only:
+Six checks, all stdlib-only:
 
 1. every relative markdown link in ``docs/*.md`` and ``README.md``
    resolves to an existing file;
@@ -22,7 +22,12 @@ Five checks, all stdlib-only:
    ``docs/*.md``, the verify skill and the ``python -m repro ...``
    commands of ``.github/workflows/ci.yml`` names a flag that
    subcommand's parser in ``repro.cli`` accepts, so a removed or renamed
-   flag cannot survive in an example or fail only when CI runs.
+   flag cannot survive in an example or fail only when CI runs;
+6. every ``json`` example under "Request documents", "Response
+   documents" and "Errors" in ``docs/API.md`` decodes with the live wire
+   class named nearest above it (``RouteRequest``, ``BatchRequest``,
+   ``RouteResponse``, ``BatchResponse`` or ``ErrorResponse``), so an
+   example cannot outlive a schema change.
 """
 
 from __future__ import annotations
@@ -216,8 +221,47 @@ def check_cli_flags(ci_workflow: Path = CI_WORKFLOW) -> list[str]:
     return sorted(errors)
 
 
+API_DOC = REPO / "docs" / "API.md"
+WIRE_SECTIONS = ("Request documents", "Response documents", "Errors")
+WIRE_CLASSES = (
+    "RouteRequest", "BatchRequest", "RouteResponse", "BatchResponse",
+    "ErrorResponse",
+)
+_JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def check_wire_examples(api_doc: Path = API_DOC) -> list[str]:
+    """Return one error per API example its wire class does not decode."""
+    from repro.service import wire
+
+    text = api_doc.read_text(encoding="utf-8")
+    errors = []
+    for section in WIRE_SECTIONS:
+        parts = text.split(f"\n## {section}\n", 1)
+        if len(parts) < 2:
+            errors.append(f"{api_doc.name}: no section {section!r}")
+            continue
+        body = parts[1].split("\n## ", 1)[0]
+        for block in _JSON_BLOCK.finditer(body):
+            above = body[: block.start()]
+            at, name = max((above.rfind(f"`{c}`"), c) for c in WIRE_CLASSES)
+            if at < 0:
+                errors.append(
+                    f"{api_doc.name} {section}: example names no wire class"
+                )
+                continue
+            try:
+                getattr(wire, name).from_json(block.group(1))
+            except wire.WireError as exc:
+                errors.append(
+                    f"{api_doc.name} {section}: {name} example does not "
+                    f"decode ({exc})"
+                )
+    return errors
+
+
 def main() -> int:
-    """Run all five checks; print a summary and return an exit code."""
+    """Run all six checks; print a summary and return an exit code."""
     failures = []
     for label, check in (
         ("links", check_links),
@@ -225,6 +269,7 @@ def main() -> int:
         ("docstrings", audit_docstrings),
         ("engine table", check_engine_table),
         ("cli flags", check_cli_flags),
+        ("wire examples", check_wire_examples),
     ):
         errors = check()
         status = "ok" if not errors else f"{len(errors)} error(s)"
