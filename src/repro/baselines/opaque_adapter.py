@@ -14,7 +14,6 @@ from repro.core.privacy import breach_probability
 from repro.core.query import ClientRequest
 from repro.core.system import OpaqueSystem
 from repro.network.graph import RoadNetwork
-from repro.search.multi import MultiSourceMultiDestProcessor
 
 __all__ = ["OpaqueMechanism"]
 
@@ -29,8 +28,6 @@ class OpaqueMechanism(PrivacyMechanism):
     strategy:
         Fake endpoint strategy (default compact; see
         :mod:`repro.core.endpoints`).
-    processor:
-        Server-side MSMD strategy (default shared-tree).
     seed:
         Obfuscator seed.
     """
@@ -41,7 +38,6 @@ class OpaqueMechanism(PrivacyMechanism):
         self,
         network: RoadNetwork,
         strategy=None,
-        processor: MultiSourceMultiDestProcessor | None = None,
         seed: int = 0,
     ) -> None:
         super().__init__(network)
@@ -49,7 +45,6 @@ class OpaqueMechanism(PrivacyMechanism):
             network,
             mode="independent",
             strategy=strategy,
-            processor=processor,
             seed=seed,
         )
 

@@ -3,18 +3,20 @@
 The server is semi-trusted: it answers queries honestly but may analyze
 everything it sees.  Accordingly :class:`DirectionsServer` does two things:
 
-* evaluates obfuscated path queries with a pluggable MSMD strategy over a
-  (optionally paged) road network, returning every candidate path, and
+* evaluates obfuscated path queries with a registered search engine's
+  MSMD processor over its road network, returning every candidate path,
+  and
 * logs the queries it observes (``observed_queries``, the most recent
   :data:`OBSERVED_WINDOW` of them), which is exactly the adversary's
   view used by :mod:`repro.core.attacks`.
 
 When a :class:`~repro.service.serving.ServingStack` fronts the server,
-some responses are served from the result cache without a fresh search;
-those responses carry ``from_cache=True`` and are recorded through
-:meth:`DirectionsServer.record` so the adversary's view and the load
-counters stay complete while the search-cost counters only reflect work
-actually performed.
+the stack owns the server's :attr:`~DirectionsServer.network` (each
+reweight epoch swaps it) and some responses are served from the result
+cache without a fresh search; those responses carry ``from_cache=True``
+and are recorded through :meth:`DirectionsServer.record` so the
+adversary's view and the load counters stay complete while the
+search-cost counters only reflect work actually performed.
 """
 
 from __future__ import annotations
@@ -24,13 +26,9 @@ from dataclasses import dataclass, field
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.network.graph import RoadNetwork
-from repro.network.storage import PagedNetwork
 from repro.obs.metrics import MetricsRegistry
-from repro.search.multi import (
-    MSMDResult,
-    MultiSourceMultiDestProcessor,
-    SharedTreeProcessor,
-)
+from repro.search import get_engine
+from repro.search.multi import MSMDResult, MultiSourceMultiDestProcessor
 from repro.search.result import SearchStats
 
 __all__ = ["OBSERVED_WINDOW", "ServerResponse", "DirectionsServer"]
@@ -89,7 +87,9 @@ class ServerCounters:
     server's :class:`~repro.obs.metrics.MetricsRegistry`) and
     :attr:`DirectionsServer.counters` assembles them on read, so the
     public shape is unchanged while exposition formats get the same
-    numbers.
+    numbers.  Page I/O is not a server counter (``stats.page_faults``
+    stays 0): experiment E2 measures it by running a processor over its
+    own :class:`~repro.network.storage.PagedNetwork`.
     """
 
     queries_served: int = 0
@@ -99,55 +99,32 @@ class ServerCounters:
 
 
 class DirectionsServer:
-    """Directions search server running an MSMD processor.
+    """Directions search server running one engine's MSMD processor.
 
     Parameters
     ----------
     network:
         The server's sophisticated road map.
-    processor:
-        MSMD evaluation strategy (defaults to the paper's
-        :class:`~repro.search.multi.SharedTreeProcessor`).
     engine:
-        Name from the :data:`repro.search.ENGINES` registry (e.g.
-        ``"ch"``); resolved to that engine's MSMD processor.  Mutually
-        exclusive with ``processor``.
-    paged:
-        When ``True`` the map is wrapped in a
-        :class:`~repro.network.storage.PagedNetwork` so responses carry
-        page-fault counts (the paper's I/O cost).
-    page_capacity, buffer_capacity:
-        Storage-simulator knobs, used only when ``paged``.
+        Name from the :data:`repro.search.ENGINES` registry; the server
+        answers through that engine's MSMD processor (``"dijkstra"``,
+        the default, is the paper's
+        :class:`~repro.search.multi.SharedTreeProcessor`).
+    metrics:
+        Shared :class:`~repro.obs.metrics.MetricsRegistry` for the
+        ``repro_server_*`` counters; a private one otherwise.
     """
 
     def __init__(
         self,
         network: RoadNetwork,
-        processor: MultiSourceMultiDestProcessor | None = None,
-        engine: str | None = None,
-        paged: bool = False,
-        page_capacity: int = 64,
-        buffer_capacity: int = 32,
+        engine: str = "dijkstra",
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self._base_network = network
-        if paged:
-            self._network = PagedNetwork(
-                network,
-                page_capacity=page_capacity,
-                buffer_capacity=buffer_capacity,
-            )
-        else:
-            self._network = network
-        if processor is not None and engine is not None:
-            raise ValueError("pass either processor or engine, not both")
-        if processor is None and engine is not None:
-            from repro.search import get_engine
-
-            processor = get_engine(engine).make_processor()
-        self._processor = (
-            processor if processor is not None else SharedTreeProcessor()
-        )
+        #: the map queries run against; a serving stack installs each
+        #: reweight epoch here, so this is always the current network
+        self.network = network
+        self._processor = get_engine(engine).make_processor()
         #: the adversary's view: the last OBSERVED_WINDOW Q(S, T) seen,
         #: oldest first
         self.observed_queries: deque[ObfuscatedPathQuery] = deque(
@@ -180,14 +157,6 @@ class DirectionsServer:
             "repro_server_heap_pushes_total",
             desc="priority-queue insertions by fresh search work",
         )
-        self._m_faults = reg.counter(
-            "repro_server_page_faults_total",
-            desc="physical page reads (paged networks only)",
-        )
-        self._m_pages = reg.counter(
-            "repro_server_pages_touched_total",
-            desc="distinct pages accessed (paged networks only)",
-        )
         self._m_max_dist = reg.gauge(
             "repro_server_max_settled_distance",
             desc="largest search-tree radius seen (paper cost bound)",
@@ -198,24 +167,13 @@ class DirectionsServer:
         """The MSMD strategy in use."""
         return self._processor
 
-    @property
-    def network(self):
-        """The (possibly paged) network queries run against."""
-        return self._network
-
     def answer(self, query: ObfuscatedPathQuery) -> ServerResponse:
-        """Evaluate ``Q(S, T)`` and return all candidate result paths.
-
-        Each call resets the paged network's buffer pool first (when
-        paging is on) so per-query page-fault counts are comparable.
-        """
+        """Evaluate ``Q(S, T)`` and return all candidate result paths."""
         # Observe before evaluating: the adversary sees every query it
         # receives, including ones whose evaluation fails.
         self.observed_queries.append(query)
-        if isinstance(self._network, PagedNetwork):
-            self._network.reset_io()
         result = self._processor.process(
-            self._network, list(query.sources), list(query.destinations)
+            self.network, list(query.sources), list(query.destinations)
         )
         response = ServerResponse(query=query, candidates=result)
         self._account(response)
@@ -246,8 +204,6 @@ class DirectionsServer:
                 settled_nodes=self._m_settled.value,
                 relaxed_edges=self._m_relaxed.value,
                 heap_pushes=self._m_pushes.value,
-                page_faults=self._m_faults.value,
-                pages_touched=self._m_pages.value,
                 max_settled_distance=self._m_max_dist.value,
             ),
         )
@@ -262,25 +218,11 @@ class DirectionsServer:
             self._m_settled.inc(stats.settled_nodes)
             self._m_relaxed.inc(stats.relaxed_edges)
             self._m_pushes.inc(stats.heap_pushes)
-            if stats.page_faults:
-                self._m_faults.inc(stats.page_faults)
-            if stats.pages_touched:
-                self._m_pages.inc(stats.pages_touched)
             if stats.max_settled_distance:
                 self._m_max_dist.set_max(stats.max_settled_distance)
-
-    def reset_counters(self) -> None:
-        """Zero the cumulative counters and forget observed queries."""
-        self.observed_queries.clear()
-        for instrument in (
-            self._m_queries, self._m_paths, self._m_coalesced,
-            self._m_settled, self._m_relaxed, self._m_pushes,
-            self._m_faults, self._m_pages, self._m_max_dist,
-        ):
-            instrument.reset()
 
     def __repr__(self) -> str:
         return (
             f"DirectionsServer(processor={self._processor.name!r}, "
-            f"network={self._network!r})"
+            f"network={self.network!r})"
         )

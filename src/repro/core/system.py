@@ -20,7 +20,6 @@ from repro.core.query import ClientRequest
 from repro.core.server import DirectionsServer
 from repro.exceptions import QueryError
 from repro.network.graph import RoadNetwork
-from repro.search.multi import MultiSourceMultiDestProcessor
 from repro.search.result import PathResult, SearchStats
 
 __all__ = ["OpaqueSystem", "SessionReport"]
@@ -97,20 +96,18 @@ class OpaqueSystem:
         :meth:`submit` builds.
     strategy:
         Fake endpoint strategy for the obfuscator (default compact).
-    processor:
-        Server-side MSMD strategy (default shared-tree).
     engine:
         Search-engine name from :data:`repro.search.ENGINES` (e.g.
-        ``"ch"``), resolved to its MSMD processor.  Mutually exclusive
-        with ``processor``.
+        ``"ch"``); the server answers through its MSMD processor.
+        ``None`` (default) is ``"dijkstra"``, the paper's shared-tree
+        processor.
     serving:
         A :class:`~repro.service.serving.ServingStack` over the same
         network.  When given, the stack's server handles every batch
-        (result cache, shared preprocessing artifacts, concurrent
-        dispatch) and :attr:`SessionReport.serving_caches` is filled in.
-        Mutually exclusive with ``processor``/``engine``/``paged``.
-    paged:
-        Run the server over the paged storage simulator to collect I/O.
+        (result cache, shared preprocessing artifacts, one union pass
+        per batch) and :attr:`SessionReport.serving_caches` is filled
+        in.  Mutually exclusive with ``engine``: the stack's config
+        names its engine.
     max_source_diameter, max_destination_diameter, max_cluster_size:
         Clustering knobs for shared mode.
     verify_responses:
@@ -127,12 +124,8 @@ class OpaqueSystem:
         network: RoadNetwork,
         mode: str = "shared",
         strategy=None,
-        processor: MultiSourceMultiDestProcessor | None = None,
         engine: str | None = None,
         serving=None,
-        paged: bool = False,
-        page_capacity: int = 64,
-        buffer_capacity: int = 32,
         max_source_diameter: float = float("inf"),
         max_destination_diameter: float = float("inf"),
         max_cluster_size: int | None = None,
@@ -151,24 +144,15 @@ class OpaqueSystem:
         #: serving stack answering batches, or None for the plain server
         self.serving = serving
         if serving is not None:
-            if processor is not None or engine is not None or paged:
-                raise ValueError(
-                    "pass serving or processor/engine/paged, not both"
-                )
+            if engine is not None:
+                raise ValueError("pass serving or engine, not both")
             if serving.network is not network:
                 raise ValueError(
                     "serving stack must be built over the system's network"
                 )
             self.server = serving.server
         else:
-            self.server = DirectionsServer(
-                network,
-                processor=processor,
-                engine=engine,
-                paged=paged,
-                page_capacity=page_capacity,
-                buffer_capacity=buffer_capacity,
-            )
+            self.server = DirectionsServer(network, engine=engine or "dijkstra")
         verifier = None
         if verify_responses:
             from repro.core.verification import CandidatePathVerifier

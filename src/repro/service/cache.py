@@ -390,16 +390,6 @@ class PreprocessingCache:
         if evicted is not None:
             self._spill(*evicted)
 
-    def invalidate(self, network, engine_name: str) -> bool:
-        """Drop the in-memory entry for ``(network, engine_name)``.
-
-        Returns ``True`` when an entry was present.  Spilled files are
-        left on disk (they are still correct for that fingerprint).
-        """
-        key = (network_fingerprint(network), engine_name)
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Drop every in-memory artifact keyed by ``fingerprint``.
 

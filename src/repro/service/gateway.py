@@ -94,6 +94,7 @@ __all__ = [
     "API_PREFIX",
     "ROUTE_ALIASES",
     "ACCESS_LOGGER",
+    "RETRY_AFTER_S",
     "GatewayConfig",
     "Gateway",
     "GatewayServer",
@@ -117,6 +118,9 @@ ROUTE_ALIASES = {
 
 #: logger name of the gateway's JSON access log
 ACCESS_LOGGER = "repro.gateway.access"
+
+#: the ``Retry-After`` hint (seconds) sent with 429 responses
+RETRY_AFTER_S = 0.05
 
 #: HTTP status for each wire error code
 _STATUS_FOR_CODE = {
@@ -170,9 +174,8 @@ class GatewayConfig:
         :class:`~repro.service.serving.ServingStack`.
     max_inflight:
         Admission-control ceiling: requests admitted concurrently
-        beyond this are refused with 429 + ``Retry-After``.
-    retry_after_s:
-        The ``Retry-After`` hint (seconds) sent with 429 responses.
+        beyond this are refused with 429 + ``Retry-After``
+        (:data:`RETRY_AFTER_S`).
     window_ms:
         Micro-batch admission window per shard: the first queued query
         waits up to this long for window-mates before its batch is
@@ -186,7 +189,6 @@ class GatewayConfig:
     port: int = 0
     workers: int = 0
     max_inflight: int = 64
-    retry_after_s: float = 0.05
     window_ms: float = 0.0
     max_batch: int = 8
 
@@ -661,7 +663,7 @@ class Gateway:
             if self._inflight >= self.config.max_inflight:
                 self._m_rejected.inc()
                 return _error_response(
-                    "overloaded", retry_after_s=self.config.retry_after_s
+                    "overloaded", retry_after_s=RETRY_AFTER_S
                 )
             self._inflight += 1
             self._m_requests.inc()

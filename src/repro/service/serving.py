@@ -229,8 +229,6 @@ class ServingConfig:
     spill_dir:
         Disk-spill directory for the preprocessing cache (also the
         artifact handoff channel between gateway shard workers).
-    preprocessing_capacity:
-        In-memory artifact slots of the preprocessing cache (>= 1).
     result_capacity:
         Result-table slots of the result cache (0 disables it).
     """
@@ -238,13 +236,10 @@ class ServingConfig:
     engine: str = "dijkstra"
     max_workers: int = 1
     spill_dir: str | None = None
-    preprocessing_capacity: int = 8
     result_capacity: int = 256
 
     def __post_init__(self) -> None:
         _check_max_workers(self.max_workers)
-        if self.preprocessing_capacity < 1:
-            raise ValueError("preprocessing_capacity must be >= 1")
         if self.result_capacity < 0:
             raise ValueError("result_capacity must be >= 0")
 
@@ -258,7 +253,6 @@ class ServingConfig:
             "spill_dir": (
                 str(self.spill_dir) if self.spill_dir is not None else None
             ),
-            "preprocessing_capacity": self.preprocessing_capacity,
             "result_capacity": self.result_capacity,
         }
 
@@ -285,8 +279,9 @@ class ServingStack:
         The :class:`ServingConfig` to build from.
     preprocessing_cache, result_cache:
         Preconfigured caches, e.g. shared across several stacks serving
-        different networks; fresh defaults (sized and spilled as
-        ``config`` says) otherwise.
+        different networks; fresh ones otherwise (the preprocessing
+        cache at its default capacity, spilling to ``config.spill_dir``;
+        the result cache sized by ``config.result_capacity``).
     metrics:
         Shared :class:`~repro.obs.metrics.MetricsRegistry`; a private
         one is created otherwise.  The stack, its server and the
@@ -300,12 +295,6 @@ class ServingStack:
         then ``engine.process`` (one miss) or ``engine.union`` (more).
         ``None`` (default) uses a shared no-op tracer with no recording
         overhead.
-
-    Notes
-    -----
-    Paged networks are not supported here: page-fault accounting is a
-    per-query experiment instrument, while the stack exists to elide
-    repeated work — combining them would produce misleading I/O numbers.
     """
 
     def __init__(
@@ -322,7 +311,6 @@ class ServingStack:
 
         #: the frozen construction-time knobs this stack was built from
         self.config = config
-        self.network = network
         self.engine_name = config.engine
         self._engine = get_engine(config.engine)
         #: registry collecting every component's instruments
@@ -342,9 +330,7 @@ class ServingStack:
             preprocessing_cache
             if preprocessing_cache is not None
             else PreprocessingCache(
-                capacity=config.preprocessing_capacity,
-                spill_dir=config.spill_dir,
-                metrics=self.metrics,
+                spill_dir=config.spill_dir, metrics=self.metrics
             )
         )
         self.results = (
@@ -356,10 +342,9 @@ class ServingStack:
         )
         #: what :meth:`answer_each` evaluates misses through
         self.dispatcher = ConcurrentDispatcher(self._engine.make_processor)
+        #: the directions server; its ``network`` is the current epoch's
         self.server = DirectionsServer(
-            network,
-            processor=self._engine.make_processor(),
-            metrics=self.metrics,
+            network, engine=config.engine, metrics=self.metrics
         )
         self._lock = threading.Lock()
         # Held by reweight from the epoch view to the install, so only
@@ -402,6 +387,16 @@ class ServingStack:
         )
 
     @property
+    def network(self):
+        """The current epoch's road network (the server's).
+
+        Read-only: :meth:`reweight` is the one writer, and it installs
+        each epoch on :attr:`server`, so the stack and its server can
+        never disagree on which network is served.
+        """
+        return self.server.network
+
+    @property
     def epoch(self) -> int:
         """Sequence number of the currently installed network epoch.
 
@@ -421,7 +416,7 @@ class ServingStack:
         the old epoch's snapshot while new batches pick up the new one.
         """
         with self._lock:
-            return self.network, self._fingerprint()
+            return self.server.network, self._fingerprint()
 
     def _fingerprint(self) -> str:
         """This network's content fingerprint, memoized by mutation version.
@@ -431,12 +426,13 @@ class ServingStack:
         after a mutation, making warm lookups O(1) in graph size;
         version-less network views fall back to hashing per call.
         """
-        version = getattr(self.network, "version", None)
+        network = self.server.network
+        version = getattr(network, "version", None)
         if version is None:
-            return network_fingerprint(self.network)
+            return network_fingerprint(network)
         memo = self._fingerprint_memo
         if memo is None or memo[0] != version:
-            memo = (version, network_fingerprint(self.network))
+            memo = (version, network_fingerprint(network))
             self._fingerprint_memo = memo
         return memo[1]
 
@@ -447,8 +443,9 @@ class ServingStack:
         first query; returns the artifact (``None`` for engines without
         preprocessing).
         """
+        network, fingerprint = self._epoch_view()
         return self.preprocessing.get(
-            self.network, self.engine_name, fingerprint=self._fingerprint()
+            network, self.engine_name, fingerprint=fingerprint
         )
 
     def answer(self, query: ObfuscatedPathQuery) -> ServerResponse:
@@ -488,8 +485,9 @@ class ServingStack:
         epoch, consults the result cache per query (identical queries
         within the batch are deduplicated and share one evaluation),
         evaluates the distinct misses, inserts their tables into the
-        result cache and records every answered query — hit or miss —
-        in the underlying server's adversary view and load counters.
+        result cache and records every query in the underlying server's
+        adversary view, in submission order — hit, miss or failure —
+        and every answered one in its load counters.
 
         The misses are evaluated through :attr:`dispatcher` on this
         thread's engine handle: a lone miss is one ``process`` call, two
@@ -504,8 +502,10 @@ class ServingStack:
         list of ServerResponse or ReproError
             In submission order.  A query that fails on its own (no
             path, unknown endpoint) yields the error evaluating it alone
-            would raise; it is neither cached nor recorded and costs its
-            batch-mates nothing.
+            would raise; the server observed it, as
+            :meth:`DirectionsServer.answer` observes a failing query,
+            but it is neither cached nor counted as served, and it costs
+            its batch-mates nothing.
         """
         if not queries:
             return []
@@ -575,9 +575,11 @@ class ServingStack:
                         from_cache=rank > 0,  # duplicates share the work
                         coalesced=shared,
                     )
-            for outcome in outcomes:
+            for query, outcome in zip(queries, outcomes):
                 if isinstance(outcome, ServerResponse):
                     self.server.record(outcome)
+                else:
+                    self.server.observed_queries.append(query)
         self._m_batch_seconds.observe(time.perf_counter() - t0)
         return outcomes
 
@@ -619,7 +621,6 @@ class ServingStack:
     def reweight(
         self,
         changes: Sequence[tuple],
-        recustomize: bool = True,
         epoch: bool = True,
     ) -> ReweightOutcome:
         """Apply a traffic update as a new copy-on-write epoch.
@@ -673,14 +674,14 @@ class ServingStack:
         with self._writer_lock, self._tracer.span(
             "serve.reweight", edges=len(applied)
         ) as span:
-            outcome = self._install(applied, recustomize)
+            outcome = self._install(applied)
             span.set("touched_cells", len(outcome.touched_cells))
             span.set("recustomized", outcome.recustomized)
             span.set("epoch", outcome.epoch)
         self._m_reweight_seconds.observe(time.perf_counter() - started)
         return outcome
 
-    def _install(self, applied: list, recustomize: bool) -> ReweightOutcome:
+    def _install(self, applied: list) -> ReweightOutcome:
         """Copy, re-weight and install one epoch (writer lock held)."""
         old_network, old_fingerprint = self._epoch_view()
         # Validate everything before applying anything: a bad entry must
@@ -707,8 +708,7 @@ class ServingStack:
         touched: tuple[int, ...] = ()
         overlay = None
         if (
-            recustomize
-            and isinstance(old_artifact, OverlayGraph)
+            isinstance(old_artifact, OverlayGraph)
             # A shared PreprocessingCache may hold an overlay built by a
             # *different* stack over a content-identical network object;
             # only an overlay reading *this* epoch's weights can donate
@@ -729,7 +729,7 @@ class ServingStack:
         if overlay is not None:
             self.preprocessing.put(fingerprint, self.engine_name, overlay)
         with self._lock:
-            self.network = snapshot
+            self.server.network = snapshot
             self._fingerprint_memo = (
                 getattr(snapshot, "version", None), fingerprint
             )

@@ -329,6 +329,10 @@ def _node_tuple(value: Any, name: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _is_error_code(value: Any) -> bool:
+    return type(value) is str and value in ERROR_CODES
+
+
 def _parse_doc(text: str | bytes) -> dict:
     try:
         doc = json.loads(text)
@@ -547,9 +551,15 @@ class RouteResponse:
 
 @dataclass(frozen=True, slots=True)
 class BatchResponse:
-    """``POST /v1/batch`` answer: one :class:`RouteResponse` per query."""
+    """``POST /v1/batch`` answer: one entry per query, in submission order.
 
-    results: tuple[RouteResponse, ...]
+    An entry is the query's :class:`RouteResponse`, or an
+    :class:`ErrorResponse` when that query failed on its own (on the
+    wire, the slot ``{"error": code}``: a batch slot carries only its
+    code, never a message or a retry hint).
+    """
+
+    results: tuple[RouteResponse | ErrorResponse, ...]
 
     @classmethod
     def from_server(
@@ -563,7 +573,11 @@ class BatchResponse:
         return {
             "schema": WIRE_SCHEMA_VERSION,
             "results": [
-                {k: v for k, v in result.to_dict().items() if k != "schema"}
+                {"error": result.code}
+                if isinstance(result, ErrorResponse)
+                else {
+                    k: v for k, v in result.to_dict().items() if k != "schema"
+                }
                 for result in self.results
             ],
         }
@@ -571,7 +585,8 @@ class BatchResponse:
     def to_json(self) -> str:
         """Canonical JSON encoding (what the gateway sends, byte for byte)."""
         return batch_body(
-            result._body() for result in self.results
+            result.code if isinstance(result, ErrorResponse) else result._body()
+            for result in self.results
         ).decode("ascii")
 
     @classmethod
@@ -581,15 +596,23 @@ class BatchResponse:
         entries = doc.get("results")
         if not isinstance(entries, list):
             raise WireError("invalid_request", "results must be an array")
-        results = []
+        results: list[RouteResponse | ErrorResponse] = []
         for entry in entries:
             if type(entry) is not dict:
                 raise WireError(
                     "invalid_request", "each result must be an object"
                 )
-            results.append(RouteResponse.from_dict(
-                {"schema": WIRE_SCHEMA_VERSION, **entry}
-            ))
+            if "error" not in entry:
+                results.append(RouteResponse.from_dict(
+                    {"schema": WIRE_SCHEMA_VERSION, **entry}
+                ))
+            elif len(entry) == 1 and _is_error_code(entry["error"]):
+                results.append(ErrorResponse(entry["error"]))
+            else:
+                raise WireError(
+                    "invalid_request",
+                    'an error slot is exactly {"error": <known code>}',
+                )
         return cls(tuple(results))
 
     @classmethod
@@ -636,7 +659,7 @@ class ErrorResponse:
         """Decode a parsed JSON object (used by the load generator)."""
         _require_schema(doc)
         code = doc.get("error")
-        if code not in ERROR_CODES:
+        if not _is_error_code(code):
             raise WireError("invalid_request", "unknown error code")
         retry = doc.get("retry_after_s")
         return cls(code, retry_after_s=retry)

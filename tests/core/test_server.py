@@ -7,9 +7,10 @@ import pytest
 from repro.core.query import ObfuscatedPathQuery
 from repro.core.server import DirectionsServer
 from repro.network.generators import grid_network
-from repro.search import list_engines
+from repro.network.storage import PagedNetwork
+from repro.search import get_engine, list_engines
 from repro.search.dijkstra import dijkstra_path
-from repro.search.multi import NaivePairwiseProcessor, SharedTreeProcessor
+from repro.search.multi import SharedTreeProcessor
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +44,13 @@ class TestAnswer:
         assert isinstance(server.processor, SharedTreeProcessor)
 
     def test_custom_processor_used(self, net, query):
-        server = DirectionsServer(net, processor=NaivePairwiseProcessor())
-        response = server.answer(query)
-        assert response.candidates.searches == query.num_pairs
+        """An engine name picks the processor the server answers with."""
+        for engine in list_engines():
+            server = DirectionsServer(net, engine=engine)
+            expected = type(get_engine(engine).make_processor())
+            assert type(server.processor) is expected, engine
+            response = server.answer(query)
+            assert set(response.candidates.paths) == set(query.pairs())
 
     def test_observed_queries_logged(self, net, query):
         server = DirectionsServer(net)
@@ -61,13 +66,6 @@ class TestAnswer:
         assert server.counters.queries_served == 2
         assert server.counters.paths_returned == 2 * query.num_pairs
         assert server.counters.stats.settled_nodes == 2 * first
-
-    def test_reset_counters(self, net, query):
-        server = DirectionsServer(net)
-        server.answer(query)
-        server.reset_counters()
-        assert server.counters.queries_served == 0
-        assert not server.observed_queries
 
 
 class TestInPlaceReweight:
@@ -103,20 +101,17 @@ class TestInPlaceReweight:
 
 
 class TestPagedServer:
-    def test_page_faults_reported(self, net, query):
-        server = DirectionsServer(net, paged=True, page_capacity=16, buffer_capacity=4)
-        response = server.answer(query)
-        assert response.candidates.stats.page_faults > 0
+    """The server runs over any network view, a caller-wrapped
+    :class:`PagedNetwork` included (the storage model E2 measures)."""
 
-    def test_buffer_reset_between_queries_makes_faults_comparable(self, net, query):
-        server = DirectionsServer(net, paged=True, page_capacity=16, buffer_capacity=64)
-        first = server.answer(query).candidates.stats.page_faults
-        second = server.answer(query).candidates.stats.page_faults
-        assert first == second  # cache cleared, same cold-start faults
+    def test_page_faults_reported(self, net, query):
+        paged = PagedNetwork(net, page_capacity=16, buffer_capacity=4)
+        response = DirectionsServer(paged).answer(query)
+        assert response.candidates.stats.page_faults > 0
 
     def test_paged_results_match_unpaged(self, net, query):
         plain = DirectionsServer(net).answer(query)
-        paged = DirectionsServer(net, paged=True).answer(query)
+        paged = DirectionsServer(PagedNetwork(net)).answer(query)
         for pair, path in plain.candidates.paths.items():
             assert paged.candidates.paths[pair].distance == pytest.approx(path.distance)
 

@@ -8,8 +8,8 @@ from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
 from repro.core.system import OpaqueSystem
 from repro.exceptions import QueryError
 from repro.network.generators import grid_network
+from repro.search import get_engine, list_engines
 from repro.search.dijkstra import dijkstra_path
-from repro.search.multi import NaivePairwiseProcessor
 
 
 @pytest.fixture(scope="module")
@@ -102,17 +102,15 @@ class TestSessionReport:
 
 
 class TestConfiguration:
-    def test_paged_server_reports_faults(self, net, batch):
-        system = OpaqueSystem(net, mode="shared", paged=True, seed=3)
-        system.submit(batch)
-        assert system.last_report.server_stats.page_faults > 0
-
     def test_custom_processor_respected(self, net, batch):
-        system = OpaqueSystem(
-            net, mode="independent", processor=NaivePairwiseProcessor(), seed=3
-        )
-        system.submit(batch)
-        assert isinstance(system.server.processor, NaivePairwiseProcessor)
+        """``engine=`` names the processor the system's server runs."""
+        for engine in list_engines():
+            system = OpaqueSystem(
+                net, mode="independent", engine=engine, seed=3
+            )
+            system.submit(batch)
+            expected = type(get_engine(engine).make_processor())
+            assert type(system.server.processor) is expected, engine
 
     def test_cluster_knobs_split_batches(self, net):
         requests = [request("a", 0, 210), request("b", 224, 14)]

@@ -1,8 +1,8 @@
 """Integration tests: full OPAQUE pipeline across modules.
 
 These tests exercise the complete Figure 5/6 flow — workload generation,
-clustering, obfuscation, server-side MSMD evaluation over paged storage,
-filtering, and attack evaluation — on every generator topology.
+clustering, obfuscation, server-side MSMD evaluation, filtering, and
+attack evaluation — on every generator topology.
 """
 
 from __future__ import annotations
@@ -19,13 +19,8 @@ from repro.network.generators import (
     ring_radial_network,
     tiger_like_network,
 )
-from repro.search.ch import CHManyToManyProcessor
+from repro.search import list_engines
 from repro.search.dijkstra import dijkstra_path
-from repro.search.multi import (
-    NaivePairwiseProcessor,
-    SharedTreeProcessor,
-    SideSelectingProcessor,
-)
 from repro.workloads.queries import requests_from_queries, uniform_queries
 
 TOPOLOGIES = {
@@ -42,7 +37,7 @@ def test_full_pipeline_on_every_topology(topology, mode):
     network = TOPOLOGIES[topology]()
     queries = uniform_queries(network, 5, seed=7)
     requests = requests_from_queries(queries, ProtectionSetting(3, 3))
-    system = OpaqueSystem(network, mode=mode, paged=True, seed=7)
+    system = OpaqueSystem(network, mode=mode, seed=7)
     results = system.submit(requests)
     assert len(results) == len(requests)
     for request in requests:
@@ -50,26 +45,16 @@ def test_full_pipeline_on_every_topology(topology, mode):
         assert results[request.user].distance == pytest.approx(truth.distance)
     report = system.last_report
     assert report.server_stats.settled_nodes > 0
-    assert report.server_stats.page_faults > 0
     for record in report.records:
         assert breach_probability(record.query) <= 1 / 9 + 1e-9
 
 
-@pytest.mark.parametrize(
-    "processor",
-    [
-        NaivePairwiseProcessor(),
-        SharedTreeProcessor(),
-        SideSelectingProcessor(),
-        CHManyToManyProcessor(),
-    ],
-    ids=["naive", "shared", "side-selecting", "ch"],
-)
-def test_processor_choice_never_changes_results(processor):
+@pytest.mark.parametrize("engine", list_engines())
+def test_processor_choice_never_changes_results(engine):
     network = grid_network(12, 12, perturbation=0.1, seed=211)
     queries = uniform_queries(network, 4, seed=11)
     requests = requests_from_queries(queries, ProtectionSetting(2, 3))
-    system = OpaqueSystem(network, mode="independent", processor=processor, seed=11)
+    system = OpaqueSystem(network, mode="independent", engine=engine, seed=11)
     results = system.submit(requests)
     for request in requests:
         truth = dijkstra_path(network, request.query.source, request.query.destination)

@@ -191,9 +191,11 @@ class TestExactness:
                 o.coalesced == coalesce
                 for i, o in enumerate(outcomes) if i != bad
             )
-            # each query consulted once; the good ones recorded once
+            # each query consulted once; the server observed all of them
+            # in submission order and served only the good ones
             assert (stack.results.hits, stack.results.misses) == (0, 8)
-            assert list(stack.server.observed_queries) == good
+            assert list(stack.server.observed_queries) == queries
+            assert stack.server.counters.queries_served == len(good)
             # answer_batch raises, with the mates already cached
             with pytest.raises(NoPathError):
                 stack.answer_batch(queries)
@@ -217,7 +219,7 @@ class TestExactness:
                     assert reply.coalesced == coalesce
             assert (stack.results.hits, stack.results.misses) == (0, 8)
             assert stack.server.counters.queries_served == 7
-            assert len(stack.server.observed_queries) == 7
+            assert list(stack.server.observed_queries) == queries
 
     def test_gateway_rejects_a_malformed_pair_alone(self):
         with ServingStack.from_config(_two_islands()) as stack:

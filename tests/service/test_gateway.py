@@ -24,6 +24,7 @@ from repro.core.query import ObfuscatedPathQuery
 from repro.network.generators import grid_network
 from repro.service.gateway import (
     API_PREFIX,
+    RETRY_AFTER_S,
     ROUTE_ALIASES,
     Gateway,
     GatewayConfig,
@@ -451,7 +452,7 @@ class TestErrors:
         assert doc["error"] == "overloaded"
         # Precise float hint in the body, RFC 9110 integer delta-seconds
         # (rounded up, never 0) on the wire header.
-        assert doc["retry_after_s"] == gateway.config.retry_after_s
+        assert doc["retry_after_s"] == RETRY_AFTER_S
         assert headers.get("Retry-After") == "1"
         assert headers["Retry-After"].isdigit()
 
@@ -543,7 +544,7 @@ class TestGatewayConfig:
 
     def test_worker_mode_changes_only_the_spill_dir(self, network):
         serving = ServingConfig(
-            engine="overlay-csr", preprocessing_capacity=3, result_capacity=7,
+            engine="overlay-csr", result_capacity=7,
         )
         gateway = Gateway(network, serving, GatewayConfig(workers=2))
         try:

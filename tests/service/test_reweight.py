@@ -13,7 +13,12 @@ import threading
 import pytest
 
 from repro.core.obfuscator import PathQueryObfuscator
-from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
+from repro.core.query import (
+    ClientRequest,
+    ObfuscatedPathQuery,
+    PathQuery,
+    ProtectionSetting,
+)
 from repro.exceptions import EdgeError, GraphError
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
@@ -483,11 +488,35 @@ class TestEpochRetirement:
             assert len(stack.results) <= KEEP_RETIRED_EPOCHS + 1
 
 
+class TestOneOwnerOfTheNetwork:
+    """The stack's network is its server's: no public attribute returns
+    an earlier epoch's map, and the server answers from the current one."""
+
+    @pytest.mark.parametrize("engine", ["dijkstra", "dijkstra-csr", "overlay-csr"])
+    def test_server_answers_from_the_current_epoch(self, net, engine):
+        u, v, w = next(iter(net.edges()))
+        query = ObfuscatedPathQuery((u,), (v,))
+        with ServingStack.from_config(net, ServingConfig(engine=engine)) as stack:
+            stack.answer(query)
+            stack.reweight([(u, v, w * 50)])
+            assert stack.server.network is stack.network
+            assert stack.network is not net
+            direct = stack.server.answer(query).candidates.path_for(u, v)
+            served = stack.answer(query).candidates.path_for(u, v)
+            assert direct.distance == served.distance
+            assert served.distance == dijkstra_path(stack.network, u, v).distance
+            assert served.distance < w * 50  # the detour beats the jam
+
+    def test_network_is_read_only(self, net):
+        with ServingStack.from_config(net) as stack:
+            with pytest.raises(AttributeError):
+                stack.network = net.copy()
+
+
 class TestBypassedReweight:
-    """A re-weight that skips recustomization (an evicted artifact, or
-    ``recustomize=False``) only moves the network; the next refresh must
-    still customize from the current weights, byte-identical to a
-    rebuild."""
+    """A re-weight that skips recustomization (its artifact was
+    evicted) only moves the network; the next refresh must still
+    customize from the current weights, byte-identical to a rebuild."""
 
     def test_evicted_artifact_then_recustomize_matches_rebuild(self, net):
         with ServingStack.from_config(
@@ -504,31 +533,6 @@ class TestBypassedReweight:
                 for u, v, w in list(stack.network.edges())[1::7]
             ]
             assert not stack.reweight(r2).recustomized
-            stack.warm()
-            r3 = [
-                (u, v, w * 0.8)
-                for u, v, w in list(stack.network.edges())[2::6]
-            ]
-            assert stack.reweight(r3).recustomized
-            installed = stack.preprocessing.peek(
-                stack._fingerprint(), "overlay-csr"
-            )
-            assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(stack.network)
-            )
-
-    def test_recustomize_false_then_recustomize_matches_rebuild(self, net):
-        with ServingStack.from_config(
-            net, ServingConfig(engine="overlay-csr")
-        ) as stack:
-            stack.warm()
-            r1 = [(u, v, w * 1.5) for u, v, w in list(net.edges())[::5]]
-            assert stack.reweight(r1).recustomized
-            r2 = [
-                (u, v, w * 3.0)
-                for u, v, w in list(stack.network.edges())[1::7]
-            ]
-            assert not stack.reweight(r2, recustomize=False).recustomized
             stack.warm()
             r3 = [
                 (u, v, w * 0.8)

@@ -7,8 +7,15 @@ import threading
 import pytest
 
 from repro.core.obfuscator import PathQueryObfuscator
-from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
+from repro.core.query import (
+    ClientRequest,
+    ObfuscatedPathQuery,
+    PathQuery,
+    ProtectionSetting,
+)
+from repro.core.server import DirectionsServer
 from repro.core.system import OpaqueSystem
+from repro.exceptions import ReproError, UnknownNodeError
 from repro.service.cache import PreprocessingCache, ResultCache
 from repro.service.serving import (
     ConcurrentDispatcher,
@@ -62,6 +69,38 @@ class TestServingStack:
         assert stack.server.counters.queries_served == 2 * len(queries)
         # ...but cached responses add no search work.
         assert stack.server.counters.stats.settled_nodes == settled_after_cold
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["process", "union"])
+    def test_failed_queries_are_observed_in_submission_order(
+        self, small_grid, batched
+    ):
+        """The stack's adversary view is the plain server's: a query
+        that fails (an unknown node) is observed where it was submitted,
+        and only the answered ones count as served."""
+        good = _queries(small_grid, n=3)
+        bad = ObfuscatedPathQuery((10**9,), good[0].destinations)
+        queries = [good[0], bad, good[1], good[2]]
+        with ServingStack.from_config(small_grid) as stack:
+            if batched:
+                outcomes = stack.answer_each(queries)
+            else:
+                outcomes = [stack.answer_each([q])[0] for q in queries]
+            assert isinstance(outcomes[1], UnknownNodeError)
+            assert list(stack.server.observed_queries) == queries
+            assert stack.server.counters.queries_served == 3
+            # answer_batch raises, after observing the failing query
+            with pytest.raises(UnknownNodeError):
+                stack.answer_batch([bad])
+            assert list(stack.server.observed_queries) == queries + [bad]
+            assert stack.server.counters.queries_served == 3
+        plain = DirectionsServer(small_grid)
+        for query in queries:
+            try:
+                plain.answer(query)
+            except ReproError:
+                pass
+        assert list(plain.observed_queries) == queries
+        assert plain.counters.queries_served == 3
 
     def test_answer_cached_is_the_hit_half_of_answer(self, small_grid):
         (query,) = _queries(small_grid, n=1)
@@ -217,8 +256,6 @@ class TestOpaqueSystemIntegration:
         stack = ServingStack.from_config(small_grid)
         with pytest.raises(ValueError):
             OpaqueSystem(small_grid, serving=stack, engine="ch")
-        with pytest.raises(ValueError):
-            OpaqueSystem(small_grid, serving=stack, paged=True)
         stack.close()
 
     def test_serving_requires_same_network(self, small_grid, tiger_net):
@@ -408,7 +445,6 @@ class TestServingConfig:
         "kwargs",
         [
             {"max_workers": 0},
-            {"preprocessing_capacity": 0},
             {"result_capacity": -1},
             {"max_workers": 4},
         ],
@@ -437,6 +473,7 @@ class TestServingConfig:
         assert doc["engine"] == "overlay-csr"
         assert doc["max_workers"] == 1
         assert "coalesce" not in doc
+        assert "preprocessing_capacity" not in doc
 
     def test_from_config_builds_equivalent_stack(self, small_grid):
         config = ServingConfig(engine="dijkstra")

@@ -127,8 +127,9 @@ class TestPreprocessingCache:
     def test_invalidate(self, small_grid):
         cache = PreprocessingCache(capacity=2)
         cache.get(small_grid, "ch")
-        assert cache.invalidate(small_grid, "ch") is True
-        assert cache.invalidate(small_grid, "ch") is False
+        fingerprint = network_fingerprint(small_grid)
+        assert cache.invalidate_fingerprint(fingerprint) == 1
+        assert cache.invalidate_fingerprint(fingerprint) == 0
         cache.get(small_grid, "ch")
         assert cache.misses == 2
 

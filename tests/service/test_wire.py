@@ -219,6 +219,32 @@ class TestBatchResponse:
         batch = BatchResponse.from_server([server_response] * 2)
         assert BatchResponse.from_json(batch.to_json()) == batch
 
+    def test_a_failed_slot_decodes_as_a_typed_error(self):
+        body = batch_body([
+            route_body(encode_paths([(1, 2, (1, 2), 1.0)])), "no_path",
+        ])
+        decoded = BatchResponse.from_json(body)
+        assert decoded.results == (
+            RouteResponse(((1, 2, (1, 2), 1.0),)), ErrorResponse("no_path"),
+        )
+        assert decoded.to_json().encode() == body
+        assert canonical_json(decoded.to_dict()).encode() == body
+
+    @pytest.mark.parametrize(
+        "slot",
+        [
+            {"error": "made_up_code"},
+            {"error": 3},
+            {"error": ["no_path"]},
+            {"error": "no_path", "message": ERROR_CODES["no_path"]},
+            {"error": "no_path", "paths": []},
+        ],
+    )
+    def test_a_malformed_error_slot_is_refused(self, slot):
+        doc = {"schema": WIRE_SCHEMA_VERSION, "results": [slot]}
+        with pytest.raises(WireError):
+            BatchResponse.from_dict(doc)
+
 
 class TestErrorResponse:
     @pytest.mark.parametrize("code", sorted(ERROR_CODES))
@@ -227,6 +253,11 @@ class TestErrorResponse:
         again = ErrorResponse.from_json(error.to_json())
         assert again.code == code
         assert again.message == ERROR_CODES[code]
+
+    @pytest.mark.parametrize("code", [3, ["no_path"], None])
+    def test_a_code_that_is_no_string_is_refused(self, code):
+        with pytest.raises(WireError):
+            ErrorResponse.from_dict({"schema": WIRE_SCHEMA_VERSION, "error": code})
 
     def test_unknown_code_rejected_at_build(self):
         with pytest.raises(ValueError):
@@ -356,6 +387,70 @@ class TestSplicedBodies:
         _, response = answered
         batch = BatchResponse.from_server([response, response])
         assert batch.to_json() == canonical_json(batch.to_dict())
+
+
+class TestEveryGatewayBodyDecodes:
+    """Every body the gateway can emit decodes with its wire class: a
+    batch of tables and failed slots with :class:`BatchResponse`, an
+    error body with :class:`ErrorResponse` (route bodies:
+    :class:`TestSplicedBodies`)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entries=st.lists(
+            st.one_of(_responses(), st.sampled_from(sorted(ERROR_CODES))),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_any_mix_of_tables_and_error_slots(self, entries):
+        body = batch_body(
+            e if isinstance(e, str) else _spliced_body(e) for e in entries
+        )
+        decoded = BatchResponse.from_json(body)
+        assert decoded.results == tuple(
+            ErrorResponse(e) if isinstance(e, str)
+            else RouteResponse.from_server(e)
+            for e in entries
+        )
+        assert decoded.to_json().encode() == body
+
+    @pytest.mark.parametrize("code", sorted(ERROR_CODES))
+    def test_every_error_body(self, code):
+        from repro.service.gateway import RETRY_AFTER_S, _error_response
+
+        for hint in (None, RETRY_AFTER_S):
+            body = _error_response(code, retry_after_s=hint).body
+            decoded = ErrorResponse.from_json(body)
+            assert (decoded.code, decoded.retry_after_s) == (code, hint)
+
+    def test_what_the_gateway_evaluates(self):
+        """``_evaluate_pairs`` output, failures included, as one batch."""
+        from repro.network.graph import RoadNetwork
+        from repro.service.gateway import _evaluate_pairs
+
+        network = RoadNetwork()
+        for node, xy in enumerate([(0, 0), (1, 0), (5, 5), (6, 5)]):
+            network.add_node(node, *xy)
+        network.add_edge(0, 1, 1.0)
+        network.add_edge(2, 3, 1.0)
+        pairs = [
+            ((0,), (1,)),  # answered
+            ((0,), (3,)),  # other island: no_path
+            ((), (1,)),  # malformed: invalid_request
+            ((99,), (1,)),  # unknown node: invalid_request
+            ((0, 1), (1, 0)),  # answered
+        ]
+        with ServingStack.from_config(network) as stack:
+            entries = _evaluate_pairs(stack, pairs)
+        decoded = BatchResponse.from_json(batch_body(entries)).results
+        assert [type(r).__name__ for r in decoded] == [
+            "RouteResponse", "ErrorResponse", "ErrorResponse",
+            "ErrorResponse", "RouteResponse",
+        ]
+        assert [r.code for r in decoded[1:4]] == [
+            "no_path", "invalid_request", "invalid_request",
+        ]
+        assert decoded[0].paths == ((0, 1, (0, 1), 1.0),)
 
 
 #: the worked example of docs/API.md: S = (17, 4), T = (55, 2)

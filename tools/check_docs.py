@@ -11,8 +11,9 @@ Six checks, all stdlib-only:
    resolves to an existing file;
 2. ``doctest`` passes on the doctest-bearing modules;
 3. every public module/class/function/method in the documented modules
-   (the serving layer, the engine registry, the MSMD processors, the
-   workload replay format) has a docstring — the stdlib mirror of
+   (the directions server and the system facade, the serving layer,
+   the engine registry, the MSMD processors, the workload replay
+   format) has a docstring — the stdlib mirror of
    ruff's D1 rules, so the gate also runs where ruff isn't installed;
 4. the first column of README's engine table equals
    ``repro.search.list_engines()``, so an engine added to or deleted
@@ -50,6 +51,8 @@ DOCTEST_MODULES = [
 ]
 
 DOCSTRING_AUDIT_FILES = [
+    "src/repro/core/server.py",
+    "src/repro/core/system.py",
     "src/repro/network/csr.py",
     "src/repro/network/partition.py",
     "src/repro/obs/__init__.py",
