@@ -92,7 +92,9 @@ class PathQueryObfuscator:
     network:
         The obfuscator's own map — "different from [the] sophisticated one
         maintained in the directions search server" (Section IV); only node
-        geometry is consulted.
+        geometry is consulted.  So the obfuscator keeps this map across a
+        serving stack's reweights: decoys read only positions, and a
+        reweight changes only weights.
     strategy:
         Fake endpoint selection strategy; defaults to
         :class:`CompactEndpointStrategy` (cheapest server cost).

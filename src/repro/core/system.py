@@ -111,10 +111,13 @@ class OpaqueSystem:
     max_source_diameter, max_destination_diameter, max_cluster_size:
         Clustering knobs for shared mode.
     verify_responses:
-        When ``True`` the filter verifies every server response against
-        the obfuscator's map (endpoints, walkability, distances) before
-        any path reaches a client — tampering raises
-        :class:`~repro.exceptions.ProtocolError`.
+        When ``True`` the filter verifies every server response
+        (endpoints, walkability, distances) before any path reaches a
+        client — tampering raises
+        :class:`~repro.exceptions.ProtocolError`.  Without a serving
+        stack the check uses the obfuscator's map; with one, the stack's
+        current network, which a reweight replaces (a batch that
+        straddles a reweight passes on the map before or after it).
     seed:
         Obfuscator RNG seed.
     """
@@ -153,12 +156,14 @@ class OpaqueSystem:
             self.server = serving.server
         else:
             self.server = DirectionsServer(network, engine=engine or "dijkstra")
-        verifier = None
+        self._verifier = None
         if verify_responses:
             from repro.core.verification import CandidatePathVerifier
 
-            verifier = CandidatePathVerifier(network)
-        self.filter = CandidateResultPathFilter(self.obfuscator, verifier=verifier)
+            self._verifier = CandidatePathVerifier(network)
+        self.filter = CandidateResultPathFilter(
+            self.obfuscator, verifier=self._verifier
+        )
         #: report of the most recent :meth:`submit` call
         self.last_report: SessionReport | None = None
 
@@ -199,7 +204,15 @@ class OpaqueSystem:
         report.records = records
 
         if self.serving is not None:
+            before = self.serving.network
             responses = self.serving.answer_batch([r.query for r in records])
+            if self._verifier is not None:
+                # a reweight may land during the batch: check against the
+                # epoch it started on and the one it ended on
+                after = self.serving.network
+                self._verifier.networks = (
+                    (before,) if after is before else (before, after)
+                )
         else:
             responses = [self.server.answer(r.query) for r in records]
 

@@ -32,7 +32,8 @@ class CandidatePathVerifier:
     ----------
     network:
         The obfuscator's map (read interface; a plain
-        :class:`~repro.network.graph.RoadNetwork`).
+        :class:`~repro.network.graph.RoadNetwork`).  It becomes the one
+        entry of :attr:`networks`.
     relative_tolerance:
         Allowed relative gap between the claimed distance and the
         edge-weight sum on this map.  0 demands exact agreement (same map
@@ -51,12 +52,19 @@ class CandidatePathVerifier:
     ) -> None:
         if relative_tolerance < 0:
             raise ValueError("relative_tolerance must be >= 0")
-        self._network = network
+        #: the maps a candidate is checked against; it passes when it
+        #: matches any one of them (a batch answered across a reweight
+        #: holds the map before and the map after it)
+        self.networks: tuple = (network,)
         self._tolerance = relative_tolerance
         self._check_distances = check_distances
 
     def verify_path(self, claimed_pair, path: PathResult) -> None:
-        """Verify one candidate path; raise :class:`ProtocolError` if bad."""
+        """Verify one candidate path; raise :class:`ProtocolError` if bad.
+
+        The path must match one of :attr:`networks`; when it matches
+        none, the error is the first map's.
+        """
         s, t = claimed_pair
         if path.source != s or path.destination != t:
             raise ProtocolError(
@@ -67,13 +75,24 @@ class CandidatePathVerifier:
             raise ProtocolError(
                 f"candidate for pair {claimed_pair!r} starts/ends elsewhere"
             )
+        errors = []
+        for network in self.networks:
+            try:
+                return self._verify_on(network, claimed_pair, path)
+            except ProtocolError as exc:
+                errors.append(exc)
+        raise errors[0]
+
+    def _verify_on(self, network, claimed_pair, path: PathResult) -> None:
+        """Walk ``path`` on ``network``: real roads, and (when checked)
+        a claimed distance equal to their weight sum."""
         total = 0.0
         for u, v in path.edges():
-            if u not in self._network or v not in self._network:
+            if u not in network or v not in network:
                 raise ProtocolError(
                     f"candidate for {claimed_pair!r} visits unknown node"
                 )
-            neighbors = self._network.neighbors(u)
+            neighbors = network.neighbors(u)
             if v not in neighbors:
                 raise ProtocolError(
                     f"candidate for {claimed_pair!r} uses non-existent road "

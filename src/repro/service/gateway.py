@@ -459,7 +459,9 @@ class Gateway:
     Parameters
     ----------
     network:
-        Road network to serve.
+        Road network to serve.  :meth:`start` builds the stack over it
+        and lets go of it: from then on :attr:`network` is the stack's
+        current epoch.
     serving:
         :class:`~repro.service.serving.ServingConfig` for the parent
         stack and (shipped over ``spawn``) every shard worker.  When
@@ -488,7 +490,7 @@ class Gateway:
         else:
             self._tmp_spill = None
         self.serving = serving
-        self.network = network
+        self._network = network  # the map start() builds the stack over
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_requests = self.metrics.counter(
             "repro_gateway_requests_total",
@@ -527,10 +529,20 @@ class Gateway:
 
     # -- lifecycle -----------------------------------------------------
 
+    @property
+    def network(self):
+        """The served road network: the stack's current epoch once the
+        gateway has started (every reweight replaces it), the
+        constructor's map before."""
+        if self.stack is not None:
+            return self.stack.network
+        return self._network
+
     async def start(self) -> tuple[str, int]:
         """Warm the serving side, start workers, bind the port."""
+        network, self._network = self._network, None
         self.stack = ServingStack.from_config(
-            self.network, self.serving, metrics=self.metrics
+            network, self.serving, metrics=self.metrics
         )
         self.stack.warm()
         if self.config.workers > 0:
@@ -542,7 +554,7 @@ class Gateway:
             self.pool = await loop.run_in_executor(
                 None,
                 lambda: ShardWorkerPool(
-                    self.network, self.serving, self.config.workers
+                    network, self.serving, self.config.workers
                 ),
             )
             await loop.run_in_executor(None, self.pool.wait_ready)

@@ -12,10 +12,11 @@ Schema rules:
 * requests name endpoints (``sources``/``destinations``) — that is the
   client talking to the server, exactly what the OPAQUE protocol
   obfuscates before it leaves the client;
-* a response's path table travels as *shared paths* (schema 2): each
+* a response's path table travels as *shared paths* (schema 3): each
   entry repeats the prefix and the suffix it shares with an earlier
   entry of the same table by reference and lists only the nodes in
-  between (:func:`encode_paths`);
+  between, each as its difference from the node before it
+  (:func:`encode_paths`);
 * error bodies carry a machine-readable ``code`` from
   :data:`ERROR_CODES` and a *generic* human message — exception text is
   never echoed, because :class:`~repro.exceptions.NoPathError` and
@@ -33,6 +34,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any
 
 from repro.core.query import ObfuscatedPathQuery
@@ -55,7 +57,7 @@ __all__ = [
 ]
 
 #: version stamp carried by every wire document
-WIRE_SCHEMA_VERSION = 2
+WIRE_SCHEMA_VERSION = 3
 
 #: machine-readable error codes an :class:`ErrorResponse` may carry,
 #: mapped to the generic message the HTTP boundary is allowed to show.
@@ -114,18 +116,21 @@ def table_paths(
 
 
 def _longest_prefix(
-    nodes: tuple, earlier: list, limit: int
+    nodes: tuple, earlier: list, limit: int, flip: int = 0
 ) -> tuple[int, int]:
     """``(entry, length)`` of the longest prefix of ``nodes``, at most
     ``limit`` long, that one of the ``earlier`` ``(entry, nodes)`` pairs
     starts with; ``(0, 0)`` when none does (ties: the latest entry).
+    With ``flip=-1`` it is the longest common *suffix*: position ``k``
+    is read at index ``k ^ -1``, which is ``-1 - k``.
 
     Paths from one source are branches of one shortest-path tree: two
     of them agree position by position up to their fork and never meet
-    again, so ``nodes[k] == other[k]`` flips once.  That is bisected,
-    and an entry is bisected only where it beats the best so far.  The
-    winner is confirmed by slice comparison; a table that is not
-    tree-shaped (equal-cost ties broken differently per pair) is
+    again, so ``nodes[k] == other[k]`` flips once (paths into one
+    destination merge, so read backwards they do the same).  That is
+    bisected, and an entry is bisected only where it beats the best so
+    far.  The winner is confirmed by slice comparison; a table that is
+    not tree-shaped (equal-cost ties broken differently per pair) is
     walked instead.
     """
     best = length = 0
@@ -134,20 +139,24 @@ def _longest_prefix(
         hi = len(other)
         if hi > limit:
             hi = limit
-        if length < hi and nodes[length] == other[length]:
+        if length < hi and nodes[length ^ flip] == other[length ^ flip]:
             lo = length + 1
             while lo < hi:
                 mid = (lo + hi) >> 1
-                if nodes[mid] == other[mid]:
+                if nodes[mid ^ flip] == other[mid ^ flip]:
                     lo = mid + 1
                 else:
                     hi = mid
             best, length, match = j, lo, other
-    if length and nodes[:length] != match[:length]:
+    if length and (
+        nodes[-length:] != match[-length:] if flip
+        else nodes[:length] != match[:length]
+    ):
         best = length = 0
+        step = flip | 1  # -1 walks both paths from their ends
         for j, other in reversed(earlier):
             k = 0
-            for x, y in zip(nodes, other):
+            for x, y in zip(nodes[::step], other[::step]):
                 if x != y or k == limit:
                     break
                 k += 1
@@ -157,23 +166,27 @@ def _longest_prefix(
 
 
 def _path_entries(paths) -> list[list]:
-    """A table's schema-2 entries, in the table's order.
+    """A table's schema-3 entries, in the table's order.
 
-    Entry ``i`` is ``[cost, pb, pk, sb, sk, *middle]``: the path is the
-    first ``pk`` nodes of entry ``i - pb``, then ``middle``, then the
-    last ``sk`` nodes of entry ``i - sb`` (``pb``/``sb`` are 0 exactly
-    when their length is).  Each reference is the longest one an
-    earlier entry of the *same* table offers (the nearest on a tie),
-    with the prefix chosen first and the suffix cut to the rest; so the
-    entries of a table depend on that table alone, and the slice of a
-    union pass encodes exactly as the solo answer does.
+    Entry ``i`` is ``[cost, pb, pk, sb, sk, *deltas]``: the path is the
+    first ``pk`` nodes of entry ``i - pb``, then the listed nodes, then
+    the last ``sk`` nodes of entry ``i - sb`` (``pb``/``sb`` are 0
+    exactly when their length is).  Each listed node is sent as its
+    difference from the node before it in the path (the first one from
+    the last prefix node, or from 0 without a prefix): neighbours on a
+    road map carry nearby ids, so the differences are short numbers.
+    Each reference is the longest one an earlier entry of the *same*
+    table offers (the nearest on a tie), with the prefix chosen first
+    and the suffix cut to the rest; so the entries of a table depend on
+    that table alone (differences never reach outside their entry's
+    path), and the slice of a union pass encodes exactly as the solo
+    answer does.
     """
     entries = []
     rows: dict[int, list] = {}  # first node -> (entry, nodes) starting there
-    cols: dict[int, list] = {}  # last node -> (entry, reversed nodes)
+    cols: dict[int, list] = {}  # last node -> (entry, nodes) ending there
     for i, (_, _, nodes, cost) in enumerate(paths):
         n = len(nodes)
-        backwards = nodes[::-1]
         row = rows.get(nodes[0])
         if row is None:
             row = rows[nodes[0]] = []
@@ -181,20 +194,25 @@ def _path_entries(paths) -> list[list]:
         else:
             j, pk = _longest_prefix(nodes, row, n)
             pb = i - j if pk else 0
-        col = cols.get(backwards[0])
+        col = cols.get(nodes[-1])
         if col is None:
-            col = cols[backwards[0]] = []
+            col = cols[nodes[-1]] = []
             sb = sk = 0
         else:
-            j, sk = _longest_prefix(backwards, col, n - pk)
+            j, sk = _longest_prefix(nodes, col, n - pk, -1)
             if sk and pk + sk == n and nodes[pk - 1] == nodes[pk]:
                 # prefix and suffix would meet on a repeated node, which
                 # a decoder refuses as an overlap: list that node instead
                 sk -= 1
             sb = i - j if sk else 0
         row.append((i, nodes))
-        col.append((i, backwards))
-        entries.append([cost, pb, pk, sb, sk, *nodes[pk:n - sk]])
+        col.append((i, nodes))
+        entry = [cost, pb, pk, sb, sk]
+        last = nodes[pk - 1] if pk else 0
+        for node in nodes[pk:n - sk]:
+            entry.append(node - last)
+            last = node
+        entries.append(entry)
     return entries
 
 
@@ -225,8 +243,8 @@ def _bad_entry(i: int, why: str) -> WireError:
 def _decode_paths(entries: Any) -> tuple:
     """Strictly invert :func:`_path_entries`.
 
-    Node ids and reference fields must be ``int`` (never ``bool``), a
-    cost a finite non-negative number, a reference an earlier entry
+    Node deltas and reference fields must be ``int`` (never ``bool``),
+    a cost a finite non-negative number, a reference an earlier entry
     with at least the nodes it repeats, and a prefix and a suffix that
     meet must not overlap (share their meeting node); a path has at
     least one node.  Anything else raises :class:`WireError`.
@@ -251,13 +269,15 @@ def _decode_paths(entries: Any) -> tuple:
             if not (0 < pb <= i and 0 < pk <= len(decoded[i - pb])):
                 raise _bad_entry(i, "prefix outside an earlier entry")
             head = decoded[i - pb][:pk]
+        if middle and head:
+            middle[0] += head[-1]
         if sb or sk:
             if not (0 < sb <= i and 0 < sk <= len(decoded[i - sb])):
                 raise _bad_entry(i, "suffix outside an earlier entry")
             tail = decoded[i - sb][-sk:]
             if head and not middle and head[-1] == tail[0]:
                 raise _bad_entry(i, "prefix and suffix overlap")
-        nodes = (*head, *middle, *tail)
+        nodes = (*head, *accumulate(middle), *tail)
         if not nodes:
             raise _bad_entry(i, "a path has at least one node")
         decoded.append(nodes)
@@ -656,12 +676,22 @@ class ErrorResponse:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ErrorResponse":
-        """Decode a parsed JSON object (used by the load generator)."""
+        """Decode a parsed JSON object (used by the load generator).
+
+        The retry hint is absent, ``null`` or a finite number ``>= 0``
+        (never a ``bool``); anything else raises :class:`WireError`.
+        """
         _require_schema(doc)
         code = doc.get("error")
         if not _is_error_code(code):
             raise WireError("invalid_request", "unknown error code")
         retry = doc.get("retry_after_s")
+        if retry is not None and (
+            type(retry) not in _NUMBER or not 0 <= retry <= _MAX_COST
+        ):
+            raise WireError(
+                "invalid_request", "retry_after_s must be a finite number >= 0"
+            )
         return cls(code, retry_after_s=retry)
 
     @classmethod

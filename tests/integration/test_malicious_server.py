@@ -92,3 +92,77 @@ def test_honest_server_passes_verified_system(net, batch):
     system = OpaqueSystem(net, mode="shared", verify_responses=True, seed=4)
     results = system.submit(batch)
     assert set(results) == {"alice", "bob"}
+
+
+def _verified_system():
+    """A verifying system over a stack on the 8x8 map."""
+    from repro.service.serving import ServingConfig, ServingStack
+
+    net = grid_network(8, 8, perturbation=0.1, seed=3)
+    stack = ServingStack.from_config(net, ServingConfig(engine="dijkstra"))
+    system = OpaqueSystem(net, serving=stack, verify_responses=True, seed=4)
+    return net, stack, system
+
+
+def _scale(network, count=40, factor=20.0):
+    return [(u, v, w * factor) for u, v, w in list(network.edges())[:count]]
+
+
+def _requests():
+    return [
+        ClientRequest("alice", PathQuery(0, 63), ProtectionSetting(3, 3)),
+        ClientRequest("bob", PathQuery(7, 56), ProtectionSetting(2, 2)),
+    ]
+
+
+def test_verified_answers_survive_a_reweight():
+    net, stack, system = _verified_system()
+    stack.reweight(_scale(net))
+    assert stack.network is not net
+    results = system.submit(_requests())
+    assert set(results) == {"alice", "bob"}
+
+
+def test_a_batch_straddling_a_reweight_passes_on_either_map():
+    """The answers come from the epoch before the reweight and are
+    checked after it: they match the map the batch started on."""
+    net, stack, system = _verified_system()
+    real = stack.answer_batch
+    answered = []
+
+    def answer_then_reweight(queries):
+        responses = real(queries)
+        stack.reweight(_scale(net))
+        answered.extend(responses)
+        return responses
+
+    stack.answer_batch = answer_then_reweight
+    assert set(system.submit(_requests())) == {"alice", "bob"}
+    # the new epoch alone would have refused them
+    from repro.core.verification import CandidatePathVerifier
+
+    with pytest.raises(ProtocolError):
+        for response in answered:
+            CandidatePathVerifier(stack.network).verify_response(response)
+
+
+def test_a_tampered_distance_is_refused_after_a_reweight():
+    from repro.core.server import ServerResponse
+    from repro.search.multi import MSMDResult
+
+    net, stack, system = _verified_system()
+    stack.reweight(_scale(net))
+    real = stack.answer_batch
+
+    def inflate(queries):
+        responses = real(queries)
+        first = responses[0]
+        pair, victim = next(iter(first.candidates.paths.items()))
+        paths = dict(first.candidates.paths)
+        paths[pair] = replace(victim, distance=victim.distance * 1.5)
+        responses[0] = ServerResponse(first.query, MSMDResult(paths=paths))
+        return responses
+
+    stack.answer_batch = inflate
+    with pytest.raises(ProtocolError, match="claims distance"):
+        system.submit(_requests())

@@ -198,6 +198,24 @@ class TestRouting:
             assert gateway["repro_serve_reweight_seconds"]["count"] == 1
 
 
+    def test_the_gateway_serves_the_stack_network(self):
+        """One owner: after a reweight the gateway's network is the
+        stack's new epoch, not the map it was built with."""
+        built = grid_network(6, 6, seed=3)
+        u, v, weight = next(built.edges())
+        with GatewayServer(built, ServingConfig(engine=ENGINE)) as fresh:
+            gateway = fresh.gateway
+            assert gateway.network is gateway.stack.network
+            status, _, _ = _request(
+                fresh, "POST", f"{API_PREFIX}/reweight",
+                body=json.dumps({"changes": [[u, v, weight * 4.0]]}),
+            )
+            assert status == 200
+            assert gateway.network is gateway.stack.network
+            assert gateway.network is not built
+            assert gateway.network.neighbors(u)[v] == weight * 4.0
+            assert gateway._network is None
+
     def test_concurrent_reweights_broadcast_in_install_order(self, network):
         """Every process must apply epochs in one order, so a reweight
         holds the gateway from its install through its broadcast.  The

@@ -206,7 +206,7 @@ class TestResultCacheFragments:
         got, fragment = cache.hit(*self.KEY)
         assert got is table
         assert fragment == (
-            b'"paths":[[1.0,0,0,0,0,1,2]]'
+            b'"paths":[[1.0,0,0,0,0,1,1]]'
         )
         assert (cache.hits, cache.misses) == (1, 0)
 
@@ -263,13 +263,13 @@ class TestResultCacheFragments:
             reader.join(5)
             assert not reader.is_alive()
             assert answered[0][0] is other
-            assert answered[0][1] == b'"paths":[[1.0,0,0,0,0,3,4]]'
+            assert answered[0][1] == b'"paths":[[1.0,0,0,0,0,3,1]]'
         finally:
             release.set()
             lane.join(10)
         assert not lane.is_alive()
         # the bytes are kept once the encode finishes
-        assert cache.hit(*self.KEY)[1] == b'"paths":[[1.0,0,0,0,0,1,2]]'
+        assert cache.hit(*self.KEY)[1] == b'"paths":[[1.0,0,0,0,0,1,1]]'
         assert cache._entries[self.KEY][1] is not None
 
     def test_bytes_of_a_replaced_table_are_not_kept(self, monkeypatch):

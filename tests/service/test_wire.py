@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.query import ObfuscatedPathQuery
 from repro.core.server import ServerResponse
 from repro.network.generators import grid_network
+from repro.network.graph import RoadNetwork
 from repro.search import list_engines
 from repro.search.multi import MSMDResult
 from repro.search.result import PathResult
@@ -280,6 +281,28 @@ class TestErrorResponse:
     def test_retry_after_omitted_when_absent(self):
         assert "retry_after_s" not in ErrorResponse("internal").to_dict()
 
+    @pytest.mark.parametrize(
+        "hint", ['"soon"', "true", "-1", "NaN", "Infinity"]
+    )
+    def test_a_retry_hint_that_is_no_finite_number_is_refused(self, hint):
+        body = (
+            f'{{"schema":{WIRE_SCHEMA_VERSION},"error":"overloaded",'
+            f'"retry_after_s":{hint}}}'
+        )
+        with pytest.raises(WireError) as err:
+            ErrorResponse.from_json(body)
+        assert err.value.code == "invalid_request"
+
+    @pytest.mark.parametrize(
+        "hint, want", [("null", None), ("0", 0), ("0.05", 0.05), ("3", 3)]
+    )
+    def test_a_null_or_finite_retry_hint_decodes(self, hint, want):
+        body = (
+            f'{{"schema":{WIRE_SCHEMA_VERSION},"error":"overloaded",'
+            f'"retry_after_s":{hint}}}'
+        )
+        assert ErrorResponse.from_json(body).retry_after_s == want
+
 
 FLAGS = [(False, False), (False, True), (True, False), (True, True)]
 
@@ -329,6 +352,41 @@ def _responses(draw):
         from_cache=from_cache,
         coalesced=coalesced,
     )
+
+
+_BIG = 2**31
+
+#: node ids where a difference is the risk: 0, ids on both sides of
+#: 2**31, ids past 2**63, and small ids that turn differences negative
+_ids = st.one_of(
+    st.just(0),
+    st.integers(0, 60),
+    st.integers(_BIG - 30, _BIG + 30),
+    st.integers(0, 2**70),
+)
+
+
+@st.composite
+def _shared_tables(draw):
+    """A table shaped like a search answer: the paths from one source
+    run along a drawn trunk and the paths into one destination along a
+    drawn tail, so prefixes, suffixes and listed nodes all occur; a
+    pair with ``s == t`` is the one-node path."""
+    sources = draw(st.lists(_ids, min_size=1, max_size=4, unique=True))
+    destinations = draw(st.lists(_ids, min_size=1, max_size=4, unique=True))
+    trunks = {s: draw(st.lists(_ids, max_size=5)) for s in sources}
+    tails = {t: draw(st.lists(_ids, max_size=5)) for t in destinations}
+    paths = []
+    for s in sources:
+        for t in destinations:
+            if s == t:
+                paths.append((s, t, (s,), 0.0))
+                continue
+            trunk = trunks[s][:draw(st.integers(0, len(trunks[s])))]
+            tail = tails[t][draw(st.integers(0, len(tails[t]))):]
+            middle = draw(st.lists(_ids, max_size=2))
+            paths.append((s, t, (s, *trunk, *middle, *tail, t), draw(_costs)))
+    return tuple(paths)
 
 
 class TestSplicedBodies:
@@ -461,8 +519,8 @@ EXAMPLE_PATHS = (
     (4, 2, (4, 19, 18, 2), 3.5),
 )
 EXAMPLE_ENTRIES = [
-    [3.0, 0, 0, 0, 0, 17, 18, 19, 55],
-    [2.0, 1, 2, 0, 0, 2],  # 17, 18 from entry 0, then 2
+    [3.0, 0, 0, 0, 0, 17, 1, 1, 36],  # 17, 18, 19, 55 as differences
+    [2.0, 1, 2, 0, 0, -16],  # 17, 18 from entry 0, then 2 (18 - 16)
     [2.5, 0, 0, 2, 2, 4],  # 4, then 19, 55 from entry 0
     [3.5, 1, 2, 2, 2],  # 4, 19 from entry 2 meet 18, 2 from entry 1
 ]
@@ -490,8 +548,60 @@ class TestSharedPathEntries:
         which the decoder refuses as an overlap."""
         paths = ((9, 7, (9, 7), 1.0), (8, 9, (8, 9), 1.0), (9, 9, (9, 9), 0.0))
         entries = json.loads(b"{" + encode_paths(paths) + b"}")["paths"]
-        assert entries[2] == [0.0, 2, 1, 0, 0, 9]
+        assert entries[2] == [0.0, 2, 1, 0, 0, 0]
         assert _round_trip(paths) == paths
+
+
+#: tables whose entries pin one schema-3 case each (a prefix meeting a
+#: suffix on a repeated node is the test above): the listed nodes are
+#: differences, the first from the last prefix node (or from 0)
+DELTA_CASES = {
+    "negative deltas": (
+        ((5, 2, (5, 9, 3, 2), 3.0),),
+        [[3.0, 0, 0, 0, 0, 5, 4, -6, -1]],
+    ),
+    "node id 0": (
+        ((0, 4, (0, 1, 4), 2.0), (4, 0, (4, 1, 0), 2.0)),
+        [[2.0, 0, 0, 0, 0, 0, 1, 3], [2.0, 0, 0, 0, 0, 4, -3, -1]],
+    ),
+    "ids >= 2**31": (
+        (
+            (_BIG, 2**33, (_BIG, _BIG + 1, 2**33), 2.0),
+            (_BIG, _BIG - 5, (_BIG, _BIG + 1, _BIG - 5), 2.0),
+        ),
+        [[2.0, 0, 0, 0, 0, _BIG, 1, 2**33 - _BIG - 1],
+         [2.0, 1, 2, 0, 0, -6]],
+    ),
+    "single-node paths": (
+        ((7, 9, (7, 8, 9), 2.0), (7, 7, (7,), 0.0), (3, 3, (3,), 0.0)),
+        [[2.0, 0, 0, 0, 0, 7, 1, 1], [0.0, 1, 1, 0, 0],
+         [0.0, 0, 0, 0, 0, 3]],
+    ),
+    "whole-path prefix": (
+        ((1, 3, (1, 2, 3), 2.0), (1, 2, (1, 2), 1.0)),
+        [[2.0, 0, 0, 0, 0, 1, 1, 1], [1.0, 1, 2, 0, 0]],
+    ),
+}
+
+
+class TestDeltaEntries:
+    """Schema 3: each listed node is its difference from the node before
+    it in the same path, so an entry decodes from its table alone."""
+
+    @pytest.mark.parametrize("case", sorted(DELTA_CASES))
+    def test_entries_and_round_trip(self, case):
+        paths, entries = DELTA_CASES[case]
+        assert json.loads(b"{" + encode_paths(paths) + b"}")["paths"] == (
+            entries
+        )
+        assert _round_trip(paths) == paths
+
+    def test_a_schema_2_body_is_refused(self):
+        with pytest.raises(WireError) as err:
+            RouteResponse.from_json(
+                '{"paths":[[1.0,0,0,0,0,1,2]],"schema":2}'
+            )
+        assert err.value.code == "invalid_request"
 
 
 class TestStrictResponseDecoding:
@@ -529,7 +639,7 @@ class TestStrictResponseDecoding:
             RouteResponse.from_dict(doc)
 
     def test_an_integer_cost_is_a_float(self):
-        doc = _example_doc({1: [2, 1, 2, 0, 0, 2]})
+        doc = _example_doc({1: [2, 1, 2, 0, 0, -16]})
         assert RouteResponse.from_dict(doc).paths == EXAMPLE_PATHS
 
     @pytest.mark.parametrize("field", [1, 2, 3, 4])
@@ -626,17 +736,39 @@ def _plain_decode(entries):
                 tail = ref[len(ref) - length:]
         if head and tail and not middle and head[-1] == tail[0]:
             return None
-        nodes = (*head, *middle, *tail)
+        listed, previous = [], head[-1] if head else 0
+        for delta in middle:
+            previous += delta
+            listed.append(previous)
+        nodes = (*head, *listed, *tail)
         if not nodes:
             return None
         out.append(nodes)
     return out
 
 
+def _permuted_grid(seed: int):
+    """A perturbed grid whose ids are shuffled by a seeded permutation:
+    neighbours no longer carry nearby ids, the worst case for id
+    differences."""
+    grid = grid_network(7, 7, perturbation=0.2, seed=seed)
+    nodes = sorted(grid.nodes())
+    shuffled = random.Random(seed).sample(nodes, len(nodes))
+    relabel = dict(zip(nodes, shuffled))
+    network = RoadNetwork()
+    for node in nodes:
+        position = grid.position(node)
+        network.add_node(relabel[node], position.x, position.y)
+    for u, v, weight in grid.edges():
+        network.add_edge(relabel[u], relabel[v], weight)
+    return network
+
+
 #: an unperturbed grid (equal-cost ties everywhere, so CH and overlay
-#: tables need not be tree-shaped) and perturbed ones
+#: tables need not be tree-shaped), perturbed ones and a permuted one
 _MAPS = {
     "ties": lambda: grid_network(7, 7),
+    "permuted": functools.partial(_permuted_grid, 5),
     **{
         f"perturbed-{seed}": functools.partial(
             grid_network, 7, 7, perturbation=0.2, seed=seed
@@ -729,7 +861,58 @@ class TestRoundTrip:
             "no sharing",
         }
 
-    @pytest.mark.parametrize("name", ["ties", "perturbed-0"])
+    @settings(max_examples=60, deadline=None)
+    @given(paths=_shared_tables())
+    def test_shared_tables_round_trip(self, paths):
+        """Tree-shaped tables over ids where differences are the risk."""
+        assert _round_trip(paths) == paths
+
+    @pytest.mark.parametrize("engine", _ENGINES)
+    def test_a_permuted_grid_round_trips(self, engine):
+        """Ids with no locality: differences are as large as the ids and
+        often negative, and every table still decodes to itself."""
+        nodes = sorted(_map("permuted").nodes())
+        rng = random.Random(engine)
+        negative = 0
+        for _ in range(20):
+            query = ObfuscatedPathQuery(
+                tuple(rng.sample(nodes, 3)), tuple(rng.sample(nodes, 3))
+            )
+            table = _stack("permuted", engine).answer(query).candidates
+            paths = table_paths(query.sources, query.destinations, table)
+            assert _round_trip(paths) == paths
+            entries = json.loads(b"{" + encode_paths(paths) + b"}")["paths"]
+            negative += sum(d < 0 for entry in entries for d in entry[5:])
+        assert negative > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(["permuted", "perturbed-1"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_a_drawn_union_pass_slice_encodes_as_the_solo_answer(
+        self, name, seed
+    ):
+        nodes = sorted(_map(name).nodes())
+        rng = random.Random(seed)
+        queries = [
+            ObfuscatedPathQuery(
+                tuple(rng.sample(nodes, rng.randint(1, 4))),
+                tuple(rng.sample(nodes, rng.randint(1, 4))),
+            )
+            for _ in range(rng.randint(2, 4))
+        ]
+        config = ServingConfig(engine="dijkstra-csr")
+        with ServingStack.from_config(_map(name), config) as together:
+            union = together.answer_batch(queries)
+        solo = _stack(name, "dijkstra-csr")
+        for a, q in zip(union, queries):
+            b = solo.answer(q)
+            assert _spliced_body(
+                ServerResponse(a.query, a.candidates)
+            ) == _spliced_body(ServerResponse(b.query, b.candidates))
+
+    @pytest.mark.parametrize("name", ["ties", "perturbed-0", "permuted"])
     @pytest.mark.parametrize("engine", _ENGINES)
     def test_a_union_pass_slice_encodes_as_the_solo_answer(
         self, name, engine

@@ -100,10 +100,11 @@ def _fragment_bytes(net, sources, destinations):
 
 
 def test_response_bytes(net, batch, pairs):
-    """Bytes of the ``"paths"`` fragment: shared-path entries (schema 1,
-    one object per path, sent 3178 and 2409)."""
-    assert _fragment_bytes(net, *batch) == 1894
-    assert sum(_fragment_bytes(net, (s,), (t,)) for s, t in pairs) == 1923
+    """Bytes of the ``"paths"`` fragment: shared-path entries whose
+    listed nodes are id differences (schema 2, full ids, sent 1894 and
+    1923; schema 1, one object per path, sent 3178 and 2409)."""
+    assert _fragment_bytes(net, *batch) == 1333
+    assert sum(_fragment_bytes(net, (s,), (t,)) for s, t in pairs) == 1578
 
 
 @pytest.mark.parametrize("kernel, settled", [("heap", 653), ("sweep", 639)])

@@ -27,8 +27,11 @@ Six checks, all stdlib-only:
 6. every ``json`` example under "Request documents", "Response
    documents" and "Errors" in ``docs/API.md`` decodes with the live wire
    class named nearest above it (``RouteRequest``, ``BatchRequest``,
-   ``RouteResponse``, ``BatchResponse`` or ``ErrorResponse``), so an
-   example cannot outlive a schema change.
+   ``RouteResponse``, ``BatchResponse`` or ``ErrorResponse``), carries
+   ``"schema": WIRE_SCHEMA_VERSION`` and is exactly the document that
+   class encodes for what it decoded, so an example cannot outlive a
+   schema change (a body of an older schema fails on its stamp) and
+   shows no entry or message the live encoder would not send.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import ast
 import doctest
 import importlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -234,7 +238,8 @@ _JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def check_wire_examples(api_doc: Path = API_DOC) -> list[str]:
-    """Return one error per API example its wire class does not decode."""
+    """Return one error per API example its wire class does not decode
+    to itself under the current schema stamp."""
     from repro.service import wire
 
     text = api_doc.read_text(encoding="utf-8")
@@ -253,13 +258,20 @@ def check_wire_examples(api_doc: Path = API_DOC) -> list[str]:
                     f"{api_doc.name} {section}: example names no wire class"
                 )
                 continue
+            where = f"{api_doc.name} {section}: {name} example"
             try:
-                getattr(wire, name).from_json(block.group(1))
+                decoded = getattr(wire, name).from_json(block.group(1))
             except wire.WireError as exc:
+                errors.append(f"{where} does not decode ({exc})")
+                continue
+            doc = json.loads(block.group(1))
+            if doc.get("schema") != wire.WIRE_SCHEMA_VERSION:
                 errors.append(
-                    f"{api_doc.name} {section}: {name} example does not "
-                    f"decode ({exc})"
+                    f"{where} is not stamped schema "
+                    f"{wire.WIRE_SCHEMA_VERSION}"
                 )
+            elif decoded.to_dict() != doc:
+                errors.append(f"{where} is not what {name} encodes for it")
     return errors
 
 
