@@ -11,7 +11,7 @@ Usage (also via ``python -m repro``):
     repro protect city.txt 21 352 --f-s 3 --f-t 3
     repro workload city.txt -o rush.txt --count 40 --kind hotspot
     repro scenario morning-rush city.txt -o traffic.txt --merge-workload rush.txt
-    repro serve-replay city.txt rush.txt --engine ch --repeat 3
+    repro serve-replay city.txt rush.txt --engine ch-csr --repeat 3
     repro serve-replay city.txt traffic.txt --engine overlay-csr
     repro serve-replay city.txt rush.txt --engine ch-csr --batch 8
     repro serve-replay city.txt rush.txt --metrics-out m.json --trace-out t.jsonl

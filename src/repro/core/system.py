@@ -98,7 +98,7 @@ class OpaqueSystem:
         Fake endpoint strategy for the obfuscator (default compact).
     engine:
         Search-engine name from :data:`repro.search.ENGINES` (e.g.
-        ``"ch"``); the server answers through its MSMD processor.
+        ``"ch-csr"``); the server answers through its MSMD processor.
         ``None`` (default) is ``"dijkstra"``, the paper's shared-tree
         processor.
     serving:

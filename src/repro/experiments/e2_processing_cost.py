@@ -7,17 +7,18 @@ flat once |T| >= 2.  The Lemma 1 analytic estimate (normalized to settled
 nodes via a single fitted constant) should track the shared curve.
 
 The ``ch_settled`` column goes beyond the paper: the bucket-based
-Contraction Hierarchies processor (:mod:`repro.search.ch.manytomany`)
-answers the same queries over a preprocessed hierarchy, settling a
-near-constant number of nodes per endpoint — its curve sits far below the
-Lemma 1 disc-area prediction because preprocessing already paid for the
+Contraction Hierarchies processor
+(:class:`~repro.search.kernels.CSRCHManyToManyProcessor`) answers the
+same queries over a preprocessed hierarchy, settling a near-constant
+number of nodes per endpoint — its curve sits far below the Lemma 1
+disc-area prediction because preprocessing already paid for the
 long-range structure.  Preprocessing cost is excluded (paid once per
 network, amortized over the server's lifetime).
 
-The ``csr_settled`` / ``ch_csr_settled`` columns are a kernel-parity
-check: the flat-array engines (:mod:`repro.search.kernels`) run the same
-algorithms over a CSR snapshot, so their settled counts must track the
-dict-based columns — the CSR port changes per-node constants (wall
+The ``csr_settled`` column is a kernel-parity check: the flat-array
+shared-tree processor (:mod:`repro.search.kernels`) runs the same
+algorithm over a CSR snapshot, so its settled count must track
+``shared_settled`` — the CSR port changes per-node constants (wall
 clock), never the algorithmic work the paper's cost model predicts.
 """
 
@@ -31,13 +32,8 @@ from repro.core.query import ProtectionSetting
 from repro.experiments.harness import ExperimentResult
 from repro.network.generators import grid_network
 from repro.network.storage import PagedNetwork
-from repro.search.ch import CHManyToManyProcessor, contract_network
 from repro.search.cost_model import lemma1_cost_estimate
-from repro.search.kernels import (
-    CSRCHManyToManyProcessor,
-    CSRHierarchy,
-    CSRSharedTreeProcessor,
-)
+from repro.search.kernels import CSRCHManyToManyProcessor, CSRSharedTreeProcessor
 from repro.search.multi import NaivePairwiseProcessor, SharedTreeProcessor
 from repro.workloads.queries import distance_bounded_queries, requests_from_queries
 
@@ -83,7 +79,6 @@ def run(config: Config | None = None) -> ExperimentResult:
             "shared_settled",
             "csr_settled",
             "ch_settled",
-            "ch_csr_settled",
             "naive_faults",
             "shared_faults",
             "speedup",
@@ -95,16 +90,14 @@ def run(config: Config | None = None) -> ExperimentResult:
             "furthest destination (near flat); speedup widens with |T|; "
             "CH pays one bounded sweep per endpoint, so it stays well below "
             "naive at every |T| (preprocessing paid once, excluded); the "
-            "CSR kernel columns track their dict counterparts (same "
-            "algorithm on flat arrays)"
+            "CSR kernel column tracks shared (same algorithm on flat "
+            "arrays)"
         ),
     )
     naive = NaivePairwiseProcessor()
     shared = SharedTreeProcessor()
-    contracted = contract_network(network)
-    ch = CHManyToManyProcessor(graph=contracted)
+    ch = CSRCHManyToManyProcessor()
     csr_shared = CSRSharedTreeProcessor()
-    ch_csr = CSRCHManyToManyProcessor(hierarchy=CSRHierarchy(contracted))
     for f_t in config.f_t_values:
         setting = ProtectionSetting(config.f_s, f_t)
         requests = requests_from_queries(queries, setting)
@@ -116,7 +109,6 @@ def run(config: Config | None = None) -> ExperimentResult:
         totals = {"naive": [0, 0], "shared": [0, 0]}
         ch_settled = 0
         csr_settled = 0
-        ch_csr_settled = 0
         lemma1_total = 0.0
         for record in records:
             sources = list(record.query.sources)
@@ -134,8 +126,6 @@ def run(config: Config | None = None) -> ExperimentResult:
             ch_settled += ch_out.stats.settled_nodes
             csr_out = csr_shared.process(network, sources, destinations)
             csr_settled += csr_out.stats.settled_nodes
-            ch_csr_out = ch_csr.process(network, sources, destinations)
-            ch_csr_settled += ch_csr_out.stats.settled_nodes
             lemma1_total += lemma1_cost_estimate(network, sources, destinations)
         naive_settled, naive_faults = totals["naive"]
         shared_settled, shared_faults = totals["shared"]
@@ -146,7 +136,6 @@ def run(config: Config | None = None) -> ExperimentResult:
                 "shared_settled": shared_settled,
                 "csr_settled": csr_settled,
                 "ch_settled": ch_settled,
-                "ch_csr_settled": ch_csr_settled,
                 "naive_faults": naive_faults,
                 "shared_faults": shared_faults,
                 "speedup": naive_settled / max(shared_settled, 1),

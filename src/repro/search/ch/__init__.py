@@ -1,26 +1,27 @@
-"""Contraction Hierarchies: preprocessing-based search engine subsystem.
+"""Contraction Hierarchies: preprocessing and persistence of the hierarchy.
 
-The four modules mirror the lifecycle of a CH deployment:
+The two modules cover the artifact a CH deployment pays for once:
 
 * :mod:`~repro.search.ch.contract` — one-time preprocessing producing an
   immutable :class:`ContractedGraph` (node ordering, witness searches,
-  shortcut insertion);
-* :mod:`~repro.search.ch.query` — bidirectional upward point-to-point
-  queries with stall-on-demand and shortcut unpacking;
-* :mod:`~repro.search.ch.manytomany` — the bucket-based batch algorithm
-  answering a full |S| x |T| obfuscated query in one pass, exposed as the
-  ``"ch"`` MSMD processor;
+  shortcut insertion) and the shortcut unpacking every query result
+  goes through;
 * :mod:`~repro.search.ch.persist` — save/load of contracted graphs so a
   server pays preprocessing once per road network.
+
+The queries run over the graph's flat-array view
+(:class:`~repro.search.kernels.CSRHierarchy`): the point query
+:func:`~repro.search.kernels.csr_ch_path` and the bucket many-to-many
+algorithm behind the ``"ch-csr"`` MSMD processor, both in
+:mod:`repro.search.kernels`.
 """
 
 from repro.search.ch.contract import (
     ContractedGraph,
     ContractionStats,
     contract_network,
+    unpack_path,
 )
-from repro.search.ch.query import ch_distance, ch_path, unpack_path
-from repro.search.ch.manytomany import CHManyToManyProcessor, ch_many_to_many
 from repro.search.ch.persist import (
     dumps_contracted,
     loads_contracted,
@@ -32,11 +33,7 @@ __all__ = [
     "ContractedGraph",
     "ContractionStats",
     "contract_network",
-    "ch_path",
-    "ch_distance",
     "unpack_path",
-    "ch_many_to_many",
-    "CHManyToManyProcessor",
     "read_contracted",
     "write_contracted",
     "dumps_contracted",

@@ -9,7 +9,7 @@ break a shortest path ``u -> v -> x``, a *shortcut edge* ``(u, x)`` with the
 combined weight is inserted.  The surviving structure — every original edge
 and shortcut, bucketed by which endpoint ranks higher — supports
 point-to-point queries that settle orders of magnitude fewer nodes than
-Dijkstra (see :mod:`repro.search.ch.query`).
+Dijkstra (see :func:`repro.search.kernels.csr_ch_path`).
 
 Node order is chosen lazily by the classic ``edge difference +
 deleted neighbors`` priority:
@@ -33,8 +33,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.network.graph import NodeId
+from repro.search.result import PathResult
 
-__all__ = ["ContractionStats", "ContractedGraph", "contract_network"]
+__all__ = ["ContractionStats", "ContractedGraph", "contract_network", "unpack_path"]
 
 
 @dataclass(slots=True)
@@ -68,7 +69,7 @@ class ContractedGraph:
 
     ``middle(u, x)`` returns the contracted node a shortcut ``(u, x)``
     bypasses (``None`` for original edges), which drives recursive path
-    unpacking in :func:`repro.search.ch.query.unpack_path`.
+    unpacking in :func:`unpack_path`.
 
     Instances are produced by :func:`contract_network` or loaded from disk
     via :mod:`repro.search.ch.persist`; they never mutate.
@@ -112,9 +113,11 @@ class ContractedGraph:
         return self._stats
 
     def __contains__(self, node: NodeId) -> bool:
+        """Whether ``node`` is part of the contracted graph."""
         return node in self._rank
 
     def __len__(self) -> int:
+        """Number of nodes (same as :attr:`num_nodes`)."""
         return len(self._rank)
 
     def nodes(self) -> Iterator[NodeId]:
@@ -150,6 +153,71 @@ class ContractedGraph:
             f"ContractedGraph({kind}, nodes={self.num_nodes}, "
             f"shortcuts={self.num_shortcuts})"
         )
+
+
+def unpack_path(graph: ContractedGraph, overlay_nodes: list[NodeId]) -> list[NodeId]:
+    """Expand a path over overlay edges into original network nodes.
+
+    Each overlay edge ``(u, v)`` is either an original edge (kept as-is)
+    or a shortcut with a recorded middle node ``m``, replaced recursively
+    by ``(u, m)`` and ``(m, v)``.  Implemented with an explicit stack so
+    deeply nested shortcuts cannot hit the interpreter recursion limit.
+    """
+    return _unpack(graph, overlay_nodes)[0]
+
+
+def _unpack(
+    graph: ContractedGraph, overlay_nodes: list[NodeId]
+) -> tuple[list[NodeId], float]:
+    """:func:`unpack_path` and the left fold of the unpacked arc weights.
+
+    Original edges are reached in path order, so the fold is the label
+    Dijkstra gives the destination.  An original arc is stored upward
+    from its lower-ranked end.
+    """
+    if not overlay_nodes:
+        return [], 0.0
+    middles, rank = graph._middles, graph._rank
+    up_out, up_in = graph._up_out, graph._up_in
+    result: list[NodeId] = [overlay_nodes[0]]
+    distance = 0.0
+    stack: list[tuple[NodeId, NodeId]] = []
+    for u, v in zip(reversed(overlay_nodes[:-1]), reversed(overlay_nodes[1:])):
+        stack.append((u, v))
+    while stack:
+        u, v = stack.pop()
+        mid = middles.get((u, v))
+        if mid is None:
+            result.append(v)
+            if rank[v] > rank[u]:
+                distance += up_out[u][v]
+            else:
+                distance += up_in[v][u]
+        else:
+            stack.append((mid, v))
+            stack.append((u, mid))
+    return result, distance
+
+
+def _unpacked_result(
+    graph: ContractedGraph,
+    source: NodeId,
+    destination: NodeId,
+    overlay_nodes: list[NodeId],
+) -> PathResult:
+    """The :class:`PathResult` of an overlay path, unpacked.
+
+    The distance is the left fold of the unpacked path's arc weights
+    from the source, not the up-down meet sum: a path reports the same
+    distance whichever engine found it.
+    """
+    nodes, distance = _unpack(graph, overlay_nodes)
+    return PathResult(
+        source=source,
+        destination=destination,
+        nodes=tuple(nodes),
+        distance=distance,
+    )
 
 
 def _witness_distances(

@@ -14,9 +14,9 @@ curves on measured settled-node counts.
 
 The model describes *memoryless* Dijkstra-family searches.  Engines that
 preprocess the network sidestep it: a Contraction Hierarchies query
-(:mod:`repro.search.ch.query`) is bounded by the two upward search cones,
-not by the ``||s,t||^2`` disc, so its settled-node count barely depends on
-the query radius.  Measured on perturbed grids (long-radius queries):
+(:func:`repro.search.kernels.csr_ch_path`) is bounded by the two upward
+search cones, not by the ``||s,t||^2`` disc, so its settled-node count
+barely depends on the query radius.  Measured on perturbed grids (long-radius queries):
 625-node grid — Dijkstra settles ~625, CH ~168; 10,000-node grid —
 Dijkstra ~6,300, CH ~450 (both cones, stall-on-demand on).  The gap
 against this module's disc-area estimate is exactly the amortized value

@@ -1,8 +1,8 @@
 """Index-space search kernels over flat CSR arrays.
 
-The dict-based engines (:mod:`repro.search.dijkstra`,
-:mod:`repro.search.ch.query`) spend most of their time hashing node ids and unpacking ``dict.items()``
-tuples.  The kernels here run the same algorithms over a
+The dict-based Dijkstra (:mod:`repro.search.dijkstra`) spends most of
+its time hashing node ids and unpacking ``dict.items()`` tuples.  The
+kernels here run the same algorithms over a
 :class:`~repro.network.csr.CSRGraph` snapshot — integer node indices,
 contiguous ``offsets``/``targets``/``weights`` arrays, ``heapq``
 frontiers with lazy deletion — and return the same
@@ -32,11 +32,11 @@ thread its own processor handle, the thread-local pool doubles as a
 per-caller scratch pool — no locks on the hot path.
 
 **Cost-counter parity.**  ``settled_nodes`` and
-``max_settled_distance`` match the dict engines (same algorithm, same
+``max_settled_distance`` match dict Dijkstra (same algorithm, same
 stopping rules; settled counts can drift by a node or two only when
 equal-weight ties change the pop order).  The secondary counters are
 cheaper approximations: ``relaxed_edges`` counts every arc scanned from
-a settled node (the dict engines skip arcs into already-settled
+a settled node (dict Dijkstra skips arcs into already-settled
 neighbors before counting), and ``heap_pushes`` can read higher because
 the kernels re-push on improvement (lazy deletion) instead of paying
 for an addressable heap's decrease-key — the faster strategy in
@@ -54,8 +54,11 @@ from math import hypot
 from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.graph import NodeId
-from repro.search.ch.contract import ContractedGraph, contract_network
-from repro.search.ch.query import _unpacked_result
+from repro.search.ch.contract import (
+    ContractedGraph,
+    _unpacked_result,
+    contract_network,
+)
 from repro.search.multi import (
     MSMDResult,
     PreprocessingProcessor,
@@ -609,10 +612,9 @@ class CSRHierarchy:
 def ch_csr_hierarchy(network, witness_settled_limit: int = 500) -> CSRHierarchy:
     """Contract ``network`` and freeze the overlay into a :class:`CSRHierarchy`.
 
-    The ``"ch-csr"`` engine's ``prepare`` hook: contraction cost is
-    identical to the ``"ch"`` engine (same
-    :func:`~repro.search.ch.contract.contract_network` run); the extra
-    flattening pass is linear in overlay size.
+    The ``"ch-csr"`` engine's ``prepare`` hook: one
+    :func:`~repro.search.ch.contract.contract_network` run, then a
+    flattening pass linear in overlay size.
     """
     return CSRHierarchy(
         contract_network(network, witness_settled_limit=witness_settled_limit)
@@ -627,8 +629,13 @@ def csr_ch_path(
 ) -> PathResult:
     """CH point query on flat arrays (stall-on-demand, full unpacking).
 
-    Same distances and path contract as
-    :func:`repro.search.ch.query.ch_path`.
+    A bidirectional Dijkstra restricted to upward overlay edges: every
+    shortest path is an up-down path meeting at its highest-ranked
+    node, so the two cones meet at the true distance.  A node whose
+    label is beaten via a higher-ranked settled node is stalled (its
+    edges are not relaxed).  Same distances and path contract as
+    :func:`repro.search.dijkstra.dijkstra_path`; shortcuts are unpacked
+    into original nodes.
     """
     s = hierarchy.index(source)
     t = hierarchy.index(destination)
@@ -755,7 +762,8 @@ def _csr_upward_sweep(
 ) -> tuple[dict[int, float], dict[int, int], set[int]]:
     """Exhaustive upward sweep in index space (the many-to-many primitive).
 
-    Mirrors :func:`repro.search.ch.query._upward_sweep`; returns
+    Searches the whole upward cone of ``start`` (forward over upward
+    edges, or backward over downward ones) with stall-on-demand; returns
     ``(settled {idx: dist}, predecessors {idx: idx}, stalled idx set)``
     as small dicts so results survive scratch reuse by later sweeps.
     """
@@ -846,10 +854,10 @@ def csr_ch_many_to_many(
 ) -> dict[tuple[NodeId, NodeId], PathResult]:
     """Bucket-based many-to-many CH on flat arrays.
 
-    Same contract (and distances) as
-    :func:`repro.search.ch.manytomany.ch_many_to_many`: one backward
+    The bucket algorithm of Knopp et al. (ALENEX 2007): one backward
     sweep per destination fills buckets, one forward sweep per source
-    scans them; unreachable pairs are omitted.
+    scans them; stalled nodes neither fill nor scan.  Returns
+    ``{(s, t): PathResult}`` with unreachable pairs omitted.
     """
     if stats is None:
         stats = SearchStats()
@@ -1010,9 +1018,11 @@ class VecSharedTreeProcessor(CSRSharedTreeProcessor):
 class CSRCHManyToManyProcessor(PreprocessingProcessor):
     """Bucket many-to-many over a :class:`CSRHierarchy` (``"ch-csr"``).
 
-    Matches :class:`~repro.search.ch.manytomany.CHManyToManyProcessor`
-    semantics: an unreachable pair raises
-    :class:`~repro.exceptions.NoPathError`.
+    Pass a prebuilt ``hierarchy`` (e.g. a persisted contracted graph
+    wrapped in :class:`CSRHierarchy`), or let the processor contract
+    each network on first use and memoize it.  Matches
+    :class:`~repro.search.multi.NaivePairwiseProcessor` semantics: an
+    unreachable pair raises :class:`~repro.exceptions.NoPathError`.
     """
 
     name = "ch-csr"
@@ -1054,10 +1064,13 @@ class CSRCHManyToManyProcessor(PreprocessingProcessor):
     def process_union(self, network, set_queries) -> UnionPassResult:
         """One flat bucket pass over the unions of all coalesced queries.
 
-        Same sharing argument as
-        :meth:`repro.search.ch.manytomany.CHManyToManyProcessor.process_union`
-        (sweeps are per-endpoint, pair minimization is independent), run
-        on the :class:`CSRHierarchy` kernels.
+        The backward sweep from a destination and the forward sweep
+        from a source are both independent of the rest of the query, so
+        one sweep per *distinct* endpoint answers every coalesced query:
+        ``|union S| + |union T|`` sweeps instead of
+        ``sum (|S_i| + |T_i|)``.  Per-pair minimization over the buckets
+        is pairwise-independent too, so each sliced table is
+        bit-identical to evaluating its query alone.
         """
         hierarchy = self.hierarchy_for(network)
         errors = _screen_union_queries(hierarchy, set_queries)

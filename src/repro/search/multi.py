@@ -13,9 +13,9 @@ evaluation strategies:
 * :class:`SideSelectingProcessor` — shared trees grown from whichever side
   of the query is smaller (valid on undirected networks), an ablation
   showing the |S| vs |T| asymmetry in Lemma 1.
-* ``"ch"`` (:class:`repro.search.ch.manytomany.CHManyToManyProcessor`) —
-  the bucket-based many-to-many algorithm over a preprocessed Contraction
-  Hierarchy; amortizes work across the whole query mix.
+* ``"ch-csr"`` (:class:`repro.search.kernels.CSRCHManyToManyProcessor`)
+  — the bucket-based many-to-many algorithm over a preprocessed
+  Contraction Hierarchy; amortizes work across the whole query mix.
 
 All processors return the same :class:`MSMDResult` so experiments can swap
 them freely.

@@ -10,8 +10,8 @@ the hot path.  This module provides the two thread-safe LRU caches the
 
 * :class:`PreprocessingCache` — keyed by ``(network fingerprint,
   engine)``, holding whatever :meth:`SearchEngine.prepare` built
-  (contracted graph, CSR snapshot, partition overlay).  Contracted
-  graphs evicted from memory spill to disk via
+  (CH hierarchy, CSR snapshot, partition overlay).  CH hierarchies
+  evicted from memory spill their contracted graph to disk via
   :mod:`repro.search.ch.persist`; partition overlays and CSR snapshots
   spill as the page-aligned binary blobs of :mod:`repro.service.blob`
   and reload through one ``mmap`` — no text parsing, and CSR arrays
@@ -484,15 +484,14 @@ class PreprocessingCache:
 #: one table path chooser, writer and loader all consult, so they cannot
 #: disagree on a key's on-disk format.  CSR snapshots and overlays are
 #: :mod:`repro.service.blob` blobs (mmap-backed: a cold load faults in
-#: only the pages queries touch), contracted graphs the text of
-#: :mod:`repro.search.ch.persist`; a flat hierarchy persists the
-#: contracted graph it wraps and re-flattens on reload.
+#: only the pages queries touch); a flat CH hierarchy persists the
+#: contracted graph it wraps as the text of :mod:`repro.search.ch.persist`
+#: and re-flattens on reload.
 _SPILL_FORMATS = {
     "csrb": (
         "csrb", write_csr_blob, lambda path, network: read_csr_blob(path)
     ),
     "ovlb": ("ovlb", write_overlay_blob, read_overlay_blob),
-    "ch": ("ch", write_contracted, lambda path, network: read_contracted(path)),
     "ch-flat": (
         "ch",
         lambda hierarchy, path: write_contracted(hierarchy.contracted, path),

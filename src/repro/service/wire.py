@@ -8,7 +8,10 @@ the gateway's conformance gate checks against in-process
 
 Schema rules:
 
-* every document carries ``"schema": WIRE_SCHEMA_VERSION``;
+* every document carries ``"schema": WIRE_SCHEMA_VERSION``; a response
+  without the stamp is refused, while a request without one is read as
+  the current version (the request format has not changed across
+  schemas);
 * requests name endpoints (``sources``/``destinations``) — that is the
   client talking to the server, exactly what the OPAQUE protocol
   obfuscates before it leaves the client;
@@ -54,6 +57,7 @@ __all__ = [
     "encode_paths",
     "route_body",
     "batch_body",
+    "valid_retry_after",
 ]
 
 #: version stamp carried by every wire document
@@ -236,6 +240,15 @@ _NUMBER = frozenset((int, float))
 _MAX_COST = sys.float_info.max
 
 
+def valid_retry_after(value: Any) -> bool:
+    """Whether ``value`` is a usable retry hint in seconds.
+
+    A finite number ``>= 0`` that is not a ``bool``: the one rule for
+    :class:`ErrorResponse` decoding and the load generator's backoff.
+    """
+    return type(value) in _NUMBER and 0 <= value <= _MAX_COST
+
+
 def _bad_entry(i: int, why: str) -> WireError:
     return WireError("invalid_request", f"path entry {i}: {why}")
 
@@ -325,7 +338,14 @@ def batch_body(entries) -> bytes:
     return b'{"results":[' + b",".join(results) + b"]" + _SCHEMA_TAIL
 
 
-def _require_schema(doc: dict) -> None:
+def _require_schema(doc: dict, stamped: bool = False) -> None:
+    """Refuse a document of another schema version.
+
+    A missing stamp reads as the current version unless ``stamped``
+    (responses must carry it).
+    """
+    if stamped and "schema" not in doc:
+        raise WireError("invalid_request", "missing wire schema stamp")
     version = doc.get("schema", WIRE_SCHEMA_VERSION)
     if version != WIRE_SCHEMA_VERSION:
         raise WireError(
@@ -554,7 +574,7 @@ class RouteResponse:
     @classmethod
     def from_dict(cls, doc: dict) -> "RouteResponse":
         """Strictly decode a parsed JSON object (used by the ledger)."""
-        _require_schema(doc)
+        _require_schema(doc, stamped=True)
         from_cache = doc.get("from_cache", False)
         coalesced = doc.get("coalesced", False)
         if type(from_cache) is not bool or type(coalesced) is not bool:
@@ -612,7 +632,7 @@ class BatchResponse:
     @classmethod
     def from_dict(cls, doc: dict) -> "BatchResponse":
         """Decode a parsed JSON object (used by the load generator)."""
-        _require_schema(doc)
+        _require_schema(doc, stamped=True)
         entries = doc.get("results")
         if not isinstance(entries, list):
             raise WireError("invalid_request", "results must be an array")
@@ -679,16 +699,15 @@ class ErrorResponse:
         """Decode a parsed JSON object (used by the load generator).
 
         The retry hint is absent, ``null`` or a finite number ``>= 0``
-        (never a ``bool``); anything else raises :class:`WireError`.
+        (never a ``bool``, :func:`valid_retry_after`); anything else
+        raises :class:`WireError`.
         """
-        _require_schema(doc)
+        _require_schema(doc, stamped=True)
         code = doc.get("error")
         if not _is_error_code(code):
             raise WireError("invalid_request", "unknown error code")
         retry = doc.get("retry_after_s")
-        if retry is not None and (
-            type(retry) not in _NUMBER or not 0 <= retry <= _MAX_COST
-        ):
+        if retry is not None and not valid_retry_after(retry):
             raise WireError(
                 "invalid_request", "retry_after_s must be a finite number >= 0"
             )

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.service.stats import percentile
-from repro.service.wire import RouteRequest
+from repro.service.wire import RouteRequest, valid_retry_after
 
 __all__ = ["LoadReport", "parse_retry_after", "run_load", "run_load_async"]
 
@@ -43,21 +43,23 @@ def parse_retry_after(header: str | None, payload: bytes) -> float | None:
     The gateway sends the hint twice: a precise float ``retry_after_s``
     field in the JSON error body, and an RFC 9110 integer delta-seconds
     ``Retry-After`` header (which must round up, so it overstates).  The
-    body wins when both parse; the header is the fallback for any
-    RFC-compliant server.
+    body's hint is read from any JSON object, stamped or not, and wins
+    when it passes :func:`~repro.service.wire.valid_retry_after`; the
+    header, held to the same rule, is the fallback for any RFC-compliant
+    server.
     """
     try:
         hint = json.loads(payload.decode("utf-8")).get("retry_after_s")
-        if isinstance(hint, (int, float)) and hint >= 0:
-            return float(hint)
     except (ValueError, AttributeError):
-        pass
+        hint = None
+    if valid_retry_after(hint):
+        return float(hint)
     if header is not None:
         try:
             value = float(header.strip())
         except ValueError:
             return None
-        if value >= 0:
+        if valid_retry_after(value):
             return value
     return None
 

@@ -64,12 +64,13 @@ def test_processor_choice_never_changes_results(engine):
 def test_ch_engine_end_to_end_batch():
     """`OpaqueSystem(engine="ch")` runs a whole batch through the
     obfuscator -> server -> filter loop and returns true shortest paths,
-    while the server answers every candidate pair off the hierarchy."""
+    while the server answers every candidate pair off the hierarchy
+    (``ch`` names the ``ch-csr`` engine)."""
     network = grid_network(15, 15, perturbation=0.1, seed=241)
     queries = uniform_queries(network, 6, seed=19)
     requests = requests_from_queries(queries, ProtectionSetting(3, 3))
     system = OpaqueSystem(network, mode="shared", engine="ch", seed=19)
-    assert system.server.processor.name == "ch"
+    assert system.server.processor.name == "ch-csr"
     results = system.submit(requests)
     assert len(results) == len(requests)
     for request in requests:

@@ -1,4 +1,7 @@
-"""Unit tests for the Contraction Hierarchies subsystem."""
+"""Unit tests for the Contraction Hierarchies subsystem.
+
+Queries run on the flat-array view (:class:`CSRHierarchy`) of the
+contracted graph, the one CH query implementation."""
 
 from __future__ import annotations
 
@@ -11,9 +14,6 @@ from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
 from repro.search import ENGINES, get_engine, list_engines, numpy_available
 from repro.search.ch import (
-    CHManyToManyProcessor,
-    ch_many_to_many,
-    ch_path,
     contract_network,
     dumps_contracted,
     loads_contracted,
@@ -22,6 +22,12 @@ from repro.search.ch import (
     write_contracted,
 )
 from repro.search.dijkstra import dijkstra_path
+from repro.search.kernels import (
+    CSRCHManyToManyProcessor,
+    CSRHierarchy,
+    csr_ch_many_to_many,
+    csr_ch_path,
+)
 from repro.search.result import SearchStats
 from repro.workloads.queries import uniform_queries
 
@@ -34,6 +40,11 @@ def grid():
 @pytest.fixture(scope="module")
 def contracted(grid):
     return contract_network(grid)
+
+
+@pytest.fixture(scope="module")
+def hierarchy(contracted):
+    return CSRHierarchy(contracted)
 
 
 class TestContraction:
@@ -74,27 +85,27 @@ class TestPointQueries:
     # disconnected networks) is covered for every engine by
     # tests/search/test_engine_conformance.py.
 
-    def test_paths_are_walkable_original_edges(self, grid, contracted):
+    def test_paths_are_walkable_original_edges(self, grid, hierarchy):
         rng = random.Random(4)
         nodes = list(grid.nodes())
         for _ in range(40):
             s, t = rng.sample(nodes, 2)
-            path = ch_path(contracted, s, t)
+            path = csr_ch_path(hierarchy, s, t)
             total = sum(grid.edge_weight(u, v) for u, v in path.edges())
             assert total == pytest.approx(path.distance, abs=1e-9)
 
-    def test_trivial_query(self, contracted):
+    def test_trivial_query(self, contracted, hierarchy):
         node = next(contracted.nodes())
-        path = ch_path(contracted, node, node)
+        path = csr_ch_path(hierarchy, node, node)
         assert path.nodes == (node,)
         assert path.distance == 0.0
 
-    def test_unknown_nodes_raise(self, contracted):
+    def test_unknown_nodes_raise(self, contracted, hierarchy):
         node = next(contracted.nodes())
         with pytest.raises(UnknownNodeError):
-            ch_path(contracted, "nope", node)
+            csr_ch_path(hierarchy, "nope", node)
         with pytest.raises(UnknownNodeError):
-            ch_path(contracted, node, "nope")
+            csr_ch_path(hierarchy, node, "nope")
 
     def test_unreachable_raises_no_path(self):
         net = RoadNetwork()
@@ -102,9 +113,9 @@ class TestPointQueries:
             net.add_node(i, float(i), 0.0)
         net.add_edge(0, 1, 1.0)
         net.add_edge(2, 3, 1.0)
-        graph = contract_network(net)
+        hierarchy = CSRHierarchy(contract_network(net))
         with pytest.raises(NoPathError):
-            ch_path(graph, 0, 3)
+            csr_ch_path(hierarchy, 0, 3)
 
     @pytest.mark.parametrize("name", ["ch", "ch-csr"])
     def test_exact_on_a_unit_grid_where_every_path_ties(self, name):
@@ -121,11 +132,11 @@ class TestPointQueries:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_settles_fewer_nodes_than_dijkstra(self, medium_grid):
-        graph = contract_network(medium_grid)
+        hierarchy = CSRHierarchy(contract_network(medium_grid))
         nodes = list(medium_grid.nodes())
         ch_stats, dij_stats = SearchStats(), SearchStats()
         dijkstra_path(medium_grid, nodes[0], nodes[-1], stats=dij_stats)
-        ch_path(graph, nodes[0], nodes[-1], stats=ch_stats)
+        csr_ch_path(hierarchy, nodes[0], nodes[-1], stats=ch_stats)
         assert ch_stats.settled_nodes < dij_stats.settled_nodes / 2
 
 
@@ -141,7 +152,7 @@ class TestUnpacking:
             net.add_edge(i, i + 1, 1.0 + 0.1 * i)
         graph = contract_network(net)
         assert graph.num_shortcuts > 0
-        path = ch_path(graph, 0, n - 1)
+        path = csr_ch_path(CSRHierarchy(graph), 0, n - 1)
         assert path.nodes == tuple(range(n))
         assert path.distance == pytest.approx(
             sum(1.0 + 0.1 * i for i in range(n - 1))
@@ -173,16 +184,16 @@ class TestManyToMany:
     # MSMD oracle parity is covered for every engine by
     # tests/search/test_engine_conformance.py.
 
-    def test_searches_counts_sweeps(self, grid, contracted):
+    def test_searches_counts_sweeps(self, grid, hierarchy):
         nodes = list(grid.nodes())
-        proc = CHManyToManyProcessor(graph=contracted)
+        proc = CSRCHManyToManyProcessor(hierarchy=hierarchy)
         got = proc.process(grid, nodes[:3], nodes[10:14])
         assert got.searches == 3 + 4
 
-    def test_overlapping_sources_and_destinations(self, grid, contracted):
+    def test_overlapping_sources_and_destinations(self, grid, hierarchy):
         nodes = list(grid.nodes())
         shared = nodes[5]
-        paths = ch_many_to_many(contracted, [shared, nodes[9]], [shared])
+        paths = csr_ch_many_to_many(hierarchy, [shared, nodes[9]], [shared])
         assert paths[(shared, shared)].distance == 0.0
         assert paths[(shared, shared)].nodes == (shared,)
 
@@ -192,20 +203,23 @@ class TestManyToMany:
             net.add_node(i, float(i), 0.0)
         net.add_edge(0, 1, 1.0)
         net.add_edge(2, 3, 1.0)
-        proc = CHManyToManyProcessor()
+        proc = CSRCHManyToManyProcessor()
         with pytest.raises(NoPathError):
             proc.process(net, [0], [1, 3])
 
     def test_processor_caches_contraction_per_network(self, grid):
-        proc = CHManyToManyProcessor()
-        first = proc.graph_for(grid)
-        again = proc.graph_for(grid)
+        proc = CSRCHManyToManyProcessor()
+        first = proc.hierarchy_for(grid)
+        again = proc.hierarchy_for(grid)
         assert first is again
 
     def test_registered_in_processor_registry(self):
+        # ``ch`` only names the ``ch-csr`` row (the request ledger's CH
+        # tie probe asks for it).
+        assert get_engine("ch") is get_engine("ch-csr")
         proc = get_engine("ch").make_processor()
-        assert isinstance(proc, CHManyToManyProcessor)
-        assert proc.name == "ch"
+        assert isinstance(proc, CSRCHManyToManyProcessor)
+        assert proc.name == "ch-csr"
 
     def test_unknown_processor_message_lists_ch(self):
         with pytest.raises(KeyError, match="ch"):
@@ -222,10 +236,11 @@ class TestPersist:
         assert loaded.directed == contracted.directed
         rng = random.Random(8)
         nodes = list(grid.nodes())
+        loaded_view, view = CSRHierarchy(loaded), CSRHierarchy(contracted)
         for _ in range(40):
             s, t = rng.sample(nodes, 2)
-            assert ch_path(loaded, s, t).distance == pytest.approx(
-                ch_path(contracted, s, t).distance, abs=1e-12
+            assert csr_ch_path(loaded_view, s, t).distance == pytest.approx(
+                csr_ch_path(view, s, t).distance, abs=1e-12
             )
 
     def test_round_trip_string(self, contracted):
@@ -237,10 +252,10 @@ class TestPersist:
     def test_loaded_graph_answers_queries_without_network(self, grid, contracted):
         # The persisted artifact alone answers queries — preprocessing is
         # genuinely paid once per network.
-        loaded = loads_contracted(dumps_contracted(contracted))
+        loaded = CSRHierarchy(loads_contracted(dumps_contracted(contracted)))
         nodes = list(grid.nodes())
         ref = dijkstra_path(grid, nodes[0], nodes[-1]).distance
-        assert ch_path(loaded, nodes[0], nodes[-1]).distance == pytest.approx(
+        assert csr_ch_path(loaded, nodes[0], nodes[-1]).distance == pytest.approx(
             ref, abs=1e-9
         )
 

@@ -13,7 +13,7 @@ from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.csr import csr_snapshot
 from repro.network.graph import RoadNetwork
 from repro.search import ENGINES, get_engine
-from repro.search.ch import ch_path, contract_network
+from repro.search.ch import contract_network
 from repro.search.dijkstra import dijkstra_path, dijkstra_to_many
 from repro.search.kernels import (
     BATCH_MIN_SETTLED,
@@ -120,11 +120,10 @@ class TestToMany:
 
 
 class TestCHKernels:
-    def test_point_matches_dict_ch(self, small_grid):
-        contracted = contract_network(small_grid)
-        hierarchy = CSRHierarchy(contracted)
+    def test_point_matches_dijkstra(self, small_grid):
+        hierarchy = CSRHierarchy(contract_network(small_grid))
         for s, t in _sample_pairs(small_grid, 20, seed=5):
-            ref = ch_path(contracted, s, t)
+            ref = dijkstra_path(small_grid, s, t)
             got = csr_ch_path(hierarchy, s, t)
             assert got.distance == ref.distance
             total = sum(

@@ -501,6 +501,17 @@ class TestErrors:
         assert parse_retry_after("junk", b"{}") is None
         assert parse_retry_after(None, b"") is None
 
+    @pytest.mark.parametrize("hint", ["true", "-1", "NaN", "Infinity"])
+    def test_loadgen_refused_body_hint_falls_back_to_header(self, hint):
+        from repro.workloads.loadgen import parse_retry_after
+
+        # The same rule as ErrorResponse decoding: a finite number >= 0
+        # that is not a bool.
+        body = b'{"error":"overloaded","retry_after_s":' + hint.encode() + b"}"
+        assert parse_retry_after("2", body) == 2.0
+        assert parse_retry_after(None, body) is None
+        assert parse_retry_after("inf", body) is None
+
 
 class TestRequestId:
     def test_valid_supplied_id_is_echoed(self, server):

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.network.generators import grid_network
-from repro.search.ch import ContractedGraph
+from repro.search.kernels import CSRHierarchy, csr_ch_path
 from repro.search.multi import MSMDResult
 from repro.search.result import PathResult
 from repro.service.cache import (
@@ -52,7 +52,7 @@ class TestPreprocessingCache:
     def test_hit_miss_counters(self, small_grid):
         cache = PreprocessingCache(capacity=2)
         first = cache.get(small_grid, "ch")
-        assert isinstance(first, ContractedGraph)
+        assert isinstance(first, CSRHierarchy)
         assert (cache.hits, cache.misses) == (0, 1)
         again = cache.get(small_grid, "ch")
         assert again is first  # same artifact object, not a rebuild
@@ -100,11 +100,11 @@ class TestPreprocessingCache:
         assert cache.disk_loads == 1
         assert reloaded is not built
         assert reloaded.num_nodes == built.num_nodes
-        assert reloaded.num_shortcuts == built.num_shortcuts
+        assert (
+            reloaded.contracted.num_shortcuts == built.contracted.num_shortcuts
+        )
 
     def test_disk_spill_round_trip_ch_csr(self, tmp_path):
-        from repro.search.kernels import CSRHierarchy, csr_ch_path
-
         net_a = grid_network(4, 4, perturbation=0.1, seed=1)
         net_b = grid_network(5, 5, perturbation=0.1, seed=2)
         cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)

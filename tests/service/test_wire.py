@@ -125,6 +125,12 @@ class TestRouteRequest:
             RouteRequest.from_json("[1,2,3]")
         assert err.value.code == "invalid_request"
 
+    def test_an_unstamped_request_decodes(self):
+        # README's curl example sends no stamp; the request format has
+        # not changed across schemas.
+        request = RouteRequest.from_json('{"destinations":[2],"sources":[1]}')
+        assert request == RouteRequest((1,), (2,))
+
     def test_duplicate_endpoints_do_not_leak_node_ids(self):
         # The core QueryError message interpolates node ids; the wire
         # error the client sees must not.
@@ -596,12 +602,58 @@ class TestDeltaEntries:
         )
         assert _round_trip(paths) == paths
 
+    @pytest.mark.parametrize(
+        "cls, body",
+        [
+            (
+                RouteResponse,
+                '{"paths":[[2.0,0,0,0,0,17,18,55]],'
+                '"from_cache":false,"coalesced":false}',
+            ),
+            (BatchResponse, '{"results":[{"error":"no_path"}]}'),
+            (ErrorResponse, '{"error":"overloaded","retry_after_s":0.05}'),
+        ],
+    )
+    def test_an_unstamped_response_is_refused(self, cls, body):
+        # An unstamped schema-2 body would otherwise decode as schema 3:
+        # the RouteResponse one as the path (17, 35, 90).
+        with pytest.raises(WireError) as err:
+            cls.from_json(body)
+        assert err.value.code == "invalid_request"
+
     def test_a_schema_2_body_is_refused(self):
         with pytest.raises(WireError) as err:
             RouteResponse.from_json(
                 '{"paths":[[1.0,0,0,0,0,1,2]],"schema":2}'
             )
         assert err.value.code == "invalid_request"
+
+
+@st.composite
+def _reference_tables(draw):
+    """Shared-path entries ``[pb, pk, sb, sk, deltas]`` that mostly obey
+    the rules: each reference is absent or repeats nodes an earlier
+    entry has, and one table in four then gets one reference field set
+    to any small integer.  Listed nodes are signed differences, so a
+    decoder that reads them as ids fails."""
+    entries, lengths = [], []
+    for i in range(draw(st.integers(0, 6))):
+        refs = []
+        for _ in ("prefix", "suffix"):
+            if i and draw(st.booleans()):
+                back = draw(st.integers(1, i))
+                refs += [back, draw(st.integers(1, lengths[i - back]))]
+            else:
+                refs += [0, 0]
+        middle = draw(st.lists(
+            st.integers(-40, 40), min_size=not any(refs), max_size=4
+        ))
+        entries.append([*refs, middle])
+        lengths.append(max(refs[1] + len(middle) + refs[3], 1))
+    if entries and draw(st.integers(0, 3)) == 0:
+        entry = draw(st.sampled_from(entries))
+        entry[draw(st.integers(0, 3))] = draw(st.integers(-1, 7))
+    return entries
 
 
 class TestStrictResponseDecoding:
@@ -691,16 +743,7 @@ class TestStrictResponseDecoding:
             )
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        entries=st.lists(
-            st.tuples(
-                st.integers(-1, 4), st.integers(-1, 5),
-                st.integers(-1, 4), st.integers(-1, 5),
-                st.lists(st.integers(0, 4), max_size=3),
-            ),
-            max_size=6,
-        )
-    )
+    @given(entries=_reference_tables())
     def test_fuzzed_references_decode_exactly_when_the_rules_allow(
         self, entries
     ):

@@ -63,6 +63,9 @@ DOCSTRING_AUDIT_FILES = [
     "src/repro/obs/metrics.py",
     "src/repro/obs/trace.py",
     "src/repro/search/__init__.py",
+    "src/repro/search/ch/__init__.py",
+    "src/repro/search/ch/contract.py",
+    "src/repro/search/ch/persist.py",
     "src/repro/search/kernels.py",
     "src/repro/search/multi.py",
     "src/repro/search/overlay.py",
