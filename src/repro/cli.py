@@ -4,18 +4,16 @@ Usage (also via ``python -m repro``):
 
     repro generate grid --width 20 --height 20 -o city.txt
     repro summarize city.txt
-    repro partition city.txt --cell-capacity 64 -o city.part
     repro route city.txt 21 352 --engine dijkstra-csr   # flat CSR kernel
-    repro route city.txt 21 352 --engine overlay-csr    # partition overlay
     repro route city.txt 21 352 --avoid-highways
     repro protect city.txt 21 352 --f-s 3 --f-t 3
     repro workload city.txt -o rush.txt --count 40 --kind hotspot
     repro scenario morning-rush city.txt -o traffic.txt --merge-workload rush.txt
     repro serve-replay city.txt rush.txt --engine ch-csr --repeat 3
-    repro serve-replay city.txt traffic.txt --engine overlay-csr
+    repro serve-replay city.txt traffic.txt --engine dijkstra-csr
     repro serve-replay city.txt rush.txt --engine ch-csr --batch 8
     repro serve-replay city.txt rush.txt --metrics-out m.json --trace-out t.jsonl
-    repro serve city.txt --port 8080 --engine overlay-csr --workers 4
+    repro serve city.txt --port 8080 --engine dijkstra-csr --workers 4
     repro loadgen city.txt rush.txt --host 127.0.0.1 --port 8080 --clients 4
     repro obs-report --metrics m.json --traces t.jsonl
     repro experiment E1 E4
@@ -72,36 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     summ = sub.add_parser("summarize", help="print structure stats of a map file")
     summ.add_argument("network", help="map file from 'generate'")
-
-    part = sub.add_parser(
-        "partition",
-        help="partition a map into bounded-size cells (overlay/shard layout)",
-    )
-    part.add_argument("network", help="map file from 'generate'")
-    part.add_argument(
-        "--cell-capacity",
-        type=int,
-        default=None,
-        help="max nodes per cell (default: n^(2/3)/2 heuristic)",
-    )
-    part.add_argument(
-        "--method",
-        choices=["inertial", "bfs"],
-        default="inertial",
-        help="grow phase: coordinate bisection or BFS packing",
-    )
-    part.add_argument(
-        "--refine-rounds",
-        type=int,
-        default=2,
-        help="cut-reduction rounds after the grow phase",
-    )
-    part.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="also write the partition to this file (text format)",
-    )
 
     route = sub.add_parser("route", help="unprotected shortest-path query")
     route.add_argument("network")
@@ -337,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the load report (LoadReport.to_dict) to this file",
     )
 
-    exp = sub.add_parser("experiment", help="run experiments (E1..E13)")
+    exp = sub.add_parser("experiment", help="run experiments (E1..E12)")
     exp.add_argument("ids", nargs="+", help="experiment ids, e.g. E1 E4")
 
     return parser
@@ -374,35 +342,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     print(f"max degree:       {summary.max_degree}")
     print(f"avg edge weight:  {summary.average_edge_weight:.3f}")
     print(f"road-like:        {'yes' if summary.is_road_like else 'no'}")
-    return 0
-
-
-def _cmd_partition(args: argparse.Namespace) -> int:
-    from repro.network.io import write_partition
-    from repro.network.partition import partition_network
-
-    # Argument bounds are enforced by partition_network (GraphError),
-    # which main() already turns into "error: ..." + exit 1.
-    net = read_network(args.network)
-    partition = partition_network(
-        net,
-        cell_capacity=args.cell_capacity,
-        refine_rounds=args.refine_rounds,
-        method=args.method,
-    )
-    sizes = sorted(len(cell) for cell in partition.cells)
-    cut_share = (
-        partition.num_cut_edges / net.num_edges if net.num_edges else 0.0
-    )
-    print(f"cells:          {partition.num_cells}")
-    print(f"cell capacity:  {partition.cell_capacity}")
-    smallest, largest = (sizes[0], sizes[-1]) if sizes else (0, 0)
-    print(f"cell sizes:     min {smallest}, max {largest}")
-    print(f"boundary nodes: {partition.num_boundary_nodes}")
-    print(f"cut edges:      {partition.num_cut_edges} ({cut_share:.1%} of edges)")
-    if args.output:
-        write_partition(partition, args.output)
-        print(f"wrote partition to {args.output}")
     return 0
 
 
@@ -572,11 +511,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> int:
         tracer=tracer,
     ) as stack:
         try:
-            if traffic:
-                # Warm before the first epoch, so each reweight
-                # recustomizes the touched cells instead of leaving a
-                # full rebuild to the next query.
-                stack.warm()
             report = replay(
                 stack, mixed, repeats=args.repeat, batch_size=args.batch
             )
@@ -786,7 +720,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {
         "generate": _cmd_generate,
         "summarize": _cmd_summarize,
-        "partition": _cmd_partition,
         "route": _cmd_route,
         "protect": _cmd_protect,
         "workload": _cmd_workload,

@@ -80,7 +80,6 @@ def run_all(
         e10_batching_window,
         e11_protection_sizing,
         e12_linkage,
-        e13_partition_overlay,
     )
 
     modules = {
@@ -96,7 +95,6 @@ def run_all(
         "E10": e10_batching_window,
         "E11": e11_protection_sizing,
         "E12": e12_linkage,
-        "E13": e13_partition_overlay,
     }
     if experiment_ids is None:
         selected = list(modules)

@@ -358,9 +358,8 @@ def tiger_like_network(
     cost is their Euclidean length divided by ``arterial_speedup`` — i.e.
     arterials are faster, creating the highway-hierarchy effect real route
     planners see.  Weights are travel times, not distances, so arterial
-    edges run below their straight-line length (the overlay's
-    goal-directed sweeps track such arcs in
-    :attr:`~repro.search.overlay.OverlayGraph.undercut`).
+    edges run below their straight-line length, so the straight line
+    is no lower bound on these maps.
 
     Parameters
     ----------

@@ -82,8 +82,8 @@ class RoadNetwork:
         """Add an edge from ``u`` to ``v``.
 
         When ``weight`` is omitted, the Euclidean distance between the two
-        endpoints is used, which keeps straight-line lower bounds (the
-        overlay's goal-directed sweeps) admissible.
+        endpoints is used, which keeps straight-line lower bounds
+        admissible.
 
         Raises
         ------

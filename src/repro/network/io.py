@@ -23,7 +23,6 @@ from typing import TextIO
 
 from repro.exceptions import GraphError
 from repro.network.graph import RoadNetwork
-from repro.network.partition import Partition
 
 __all__ = [
     "read_network",
@@ -32,12 +31,6 @@ __all__ = [
     "loads_network",
     "read_dimacs",
     "write_dimacs",
-    "read_partition",
-    "write_partition",
-    "dumps_partition",
-    "loads_partition",
-    "partition_cell_lines",
-    "parse_partition_cells",
 ]
 
 
@@ -104,7 +97,7 @@ def read_dimacs(
         The arc file.
     co_path:
         Optional coordinate file; without it every node sits at
-        ``(0, 0)`` (fine for Dijkstra/overlay engines, useless for A*).
+        ``(0, 0)`` (fine for the Dijkstra engines, useless for A*).
     directed:
         DIMACS arcs are directed; pass ``False`` for corpora that list
         both orientations of symmetric graphs to fold them into one
@@ -246,125 +239,6 @@ def write_dimacs(
             for node in sorted(network.nodes()):
                 p = network.position(node)
                 fh.write(f"v {node} {p.x!r} {p.y!r}\n")
-
-
-def write_partition(
-    partition: Partition, path: str | os.PathLike[str]
-) -> None:
-    """Write a :class:`~repro.network.partition.Partition` to ``path``.
-
-    Format (same conventions as the network format)::
-
-        # comment lines start with '#'
-        capacity <cell capacity>
-        cell <cell id> <node id> <node id> ...
-
-    Only the capacity and cell membership are stored; boundary sets and
-    cut edges are derived from the network again on load, so the file
-    stays small and can never drift from the graph it describes.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_partition(partition))
-
-
-def partition_cell_lines(partition: Partition) -> list[str]:
-    """Serialize a partition's cells as ``cell <id> <node>...`` lines.
-
-    The shared record format of partition files and overlay files
-    (:mod:`repro.search.overlay`); node ids must be integers.
-
-    Raises
-    ------
-    GraphError
-        For non-integer node ids.
-    """
-    lines = []
-    for i, members in enumerate(partition.cells):
-        for node in members:
-            if not isinstance(node, int):
-                raise GraphError(
-                    f"partition serialization needs integer node ids, "
-                    f"got {node!r}"
-                )
-        lines.append(f"cell {i} " + " ".join(str(n) for n in members))
-    return lines
-
-
-def parse_partition_cells(
-    cells: list[tuple[int, list[int]]], network, capacity: int
-) -> Partition:
-    """Assemble parsed ``cell`` records into a validated :class:`Partition`.
-
-    The shared back half of the partition and overlay readers: sorts by
-    cell id, requires dense ``0..n-1`` numbering, and validates against
-    ``network`` via :meth:`Partition.from_cells`.
-
-    Raises
-    ------
-    GraphError
-        For gaps or duplicates in the numbering, or cells that do not
-        partition ``network``.
-    """
-    cells = sorted(cells, key=lambda item: item[0])
-    if [i for i, _ in cells] != list(range(len(cells))):
-        raise GraphError("partition cells are not numbered 0..n-1")
-    return Partition.from_cells(
-        network, [members for _, members in cells], capacity
-    )
-
-
-def dumps_partition(partition: Partition) -> str:
-    """Serialize a partition to a string (see :func:`write_partition`)."""
-    lines = ["# repro partition v1", f"capacity {partition.cell_capacity}"]
-    lines.extend(partition_cell_lines(partition))
-    return "\n".join(lines) + "\n"
-
-
-def read_partition(path: str | os.PathLike[str], network) -> Partition:
-    """Read a partition written by :func:`write_partition`.
-
-    ``network`` supplies the adjacency the boundary sets and cut edges
-    are derived from; its node set must match the file exactly.
-
-    Raises
-    ------
-    GraphError
-        For malformed input or cells that do not partition ``network``.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        return _read_partition(fh, network)
-
-
-def loads_partition(text: str, network) -> Partition:
-    """Parse a partition from a string produced by :func:`dumps_partition`."""
-    import io as _io
-
-    return _read_partition(_io.StringIO(text), network)
-
-
-def _read_partition(fh: TextIO, network) -> Partition:
-    capacity: int | None = None
-    cells: list[tuple[int, list[int]]] = []
-    for line_no, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        try:
-            if kind == "capacity":
-                if capacity is not None:
-                    raise GraphError("duplicate 'capacity' header")
-                capacity = int(fields[1])
-            elif kind == "cell":
-                cells.append((int(fields[1]), [int(f) for f in fields[2:]]))
-            else:
-                raise GraphError(f"unknown record kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise GraphError(f"malformed line {line_no}: {line!r}") from exc
-    if capacity is None:
-        raise GraphError("missing 'capacity' header")
-    return parse_partition_cells(cells, network, capacity)
 
 
 def _read(fh: TextIO) -> RoadNetwork:

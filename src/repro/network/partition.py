@@ -1,12 +1,8 @@
 """Deterministic multilevel graph partitioner (grow + refine).
 
-The serving stack scales by splitting a road network into bounded-size
-*cells* and precomputing a boundary overlay per cell (CRP-style
-customizable route planning; see :mod:`repro.search.overlay`).  The same
-cells double as the CCAM storage pages of
-:class:`~repro.network.storage.PageStore` — pages and cells are one
-implementation, so a page layout *is* a partition with matching
-capacity.
+Splits a road network into bounded-size *cells*: the CCAM storage
+pages of :class:`~repro.network.storage.PageStore` (experiment E2's
+paged I/O), so a page layout *is* a partition with matching capacity.
 
 Partitioning runs in two deterministic phases:
 
@@ -24,9 +20,8 @@ Partitioning runs in two deterministic phases:
   improves the grow phase's cut.
 
 Both phases look only at the adjacency *structure* (never at edge
-weights), so a partition survives traffic re-weighting unchanged — the
-invariant :meth:`~repro.search.overlay.OverlayGraph.recustomized` relies
-on.  :func:`partition_snapshot` memoizes partitions against the
+weights), so a partition survives traffic re-weighting unchanged.
+:func:`partition_snapshot` memoizes partitions against the
 network's mutation ``version`` exactly like
 :func:`~repro.network.csr.csr_snapshot` does for CSR snapshots.
 """
@@ -140,8 +135,7 @@ class Partition:
         )
 
     # ------------------------------------------------------------------
-    # Construction from explicit cells (shared by the partitioner and
-    # the serializers in repro.network.io)
+    # Construction from explicit cells
     # ------------------------------------------------------------------
     @classmethod
     def from_cells(
@@ -214,10 +208,8 @@ class Partition:
 def default_cell_capacity(num_nodes: int) -> int:
     """Heuristic cell capacity for a network of ``num_nodes`` nodes.
 
-    Grows as ``n^(2/3)`` — balancing the two-phase query's local work
-    (proportional to cell size) against its overlay work (proportional
-    to the total boundary, which shrinks as cells grow) — clamped to
-    ``[4, 1024]``.
+    Grows as ``n^(2/3)`` — larger maps get larger cells, so the total
+    boundary shrinks relative to the map — clamped to ``[4, 1024]``.
     """
     if num_nodes <= 4:
         return 4

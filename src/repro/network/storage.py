@@ -9,9 +9,7 @@ tree touches.  This module reproduces that storage model:
   via the shared graph partitioner (:mod:`repro.network.partition` —
   neighbors land on the same page when possible, the essence of CCAM).
   Pages *are* partition cells: a ``PageStore`` with capacity ``c`` holds
-  exactly the cells of ``partition_snapshot(network, c)``, so the storage
-  simulator and the partition-overlay engine share one clustering
-  implementation.
+  exactly the cells of ``partition_snapshot(network, c)``.
 * :class:`LRUBufferPool` caches a bounded number of pages and reports
   faults.
 * :class:`PagedNetwork` wraps a :class:`RoadNetwork` so every adjacency-list
@@ -77,9 +75,7 @@ class PageStore:
     (:func:`repro.network.partition.partition_snapshot`): spatially and
     topologically close nodes share pages, which is what makes page
     faults proportional to the geographic area of a search — the
-    behaviour Lemma 1's I/O bound relies on.  Because pages are exactly
-    partition cells, the partition-overlay engine's cells and the
-    storage pages coincide whenever their capacities match.
+    behaviour Lemma 1's I/O bound relies on.
     """
 
     def __init__(self, network: RoadNetwork, page_capacity: int = 64) -> None:

@@ -20,8 +20,8 @@ and the traces are the same instrumentation read two ways.
 **Privacy invariant.**  The serving stack answers obfuscated queries
 ``Q(S, T)`` whose whole point is that the server never learns the true
 endpoints.  Telemetry must not undo that: spans and metrics carry
-*aggregates only* — set sizes, settled-node counts, partition cell ids,
-durations — never raw node ids.  :class:`~repro.obs.trace.Span` rejects
+*aggregates only* — set sizes, settled-node counts, durations — never
+raw node ids.  :class:`~repro.obs.trace.Span` rejects
 attribute keys that smell like endpoint payloads, and
 ``tests/obs/test_privacy_leak.py`` scans every serialized output for
 node ids of an obfuscated workload.

@@ -12,8 +12,8 @@ Determinism: the tracer's clock is injectable, so tests assert exact
 durations.
 
 **Privacy.**  Span attributes carry aggregates — obfuscated-set sizes,
-settled-node counts, cache hit flags, window sizes, partition cell ids —
-never raw endpoints.  :meth:`Span.set` rejects attribute keys that name
+settled-node counts, cache hit flags, window sizes — never raw
+endpoints.  :meth:`Span.set` rejects attribute keys that name
 endpoint payloads (``sources``, ``destinations``, ``nodes``, ...) so a
 leak cannot be introduced by accident; the serialized-output scan in
 ``tests/obs/test_privacy_leak.py`` backstops the convention for values.

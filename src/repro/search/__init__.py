@@ -1,10 +1,10 @@
 """Shortest-path search algorithms and the OPAQUE server-side processors.
 
 Point-to-point searches (Dijkstra, Contraction Hierarchies, the flat CSR
-kernels, the partition overlay), the single-source multi-destination
-(SSMD) primitive the paper's server builds on, the multi-source
-multi-destination (MSMD) processors that evaluate obfuscated path
-queries, and the Lemma 1 analytic cost model.
+kernels), the single-source multi-destination (SSMD) primitive the
+paper's server builds on, the multi-source multi-destination (MSMD)
+processors that evaluate obfuscated path queries, and the Lemma 1
+analytic cost model.
 
 The :data:`ENGINES` table is the one place a per-engine fact lives: each
 :class:`SearchEngine` row holds the engine's name and description, how to
@@ -18,14 +18,15 @@ caches, benchmarks and the README's engine table (checked by
 **Census rule.**  An engine stays in the table only if a workload of the
 request ledger (``benchmarks/ledger``) or a named paper experiment
 (``repro.experiments``) needs it.  Plain ``dijkstra`` is the exactness
-oracle every other engine is checked against.  ``dijkstra-csr`` and
-``overlay-csr`` serve ledger workloads, and the ledger's per-engine
-table also times ``ch-csr`` and ``dijkstra-vec`` (the always-batched
-form of ``dijkstra-csr``); ``ch-csr`` also answers experiments E2 and
-E6's CH columns.  ``ch`` is not a row of its own: it names the ``ch-csr``
-row for the ledger's CH tie probe, which asks for it.  A point-query
-speed-up alone does not keep an engine: the paper's server only ever
-evaluates ``|S| x |T|`` batches.
+oracle every other engine is checked against.  ``dijkstra-csr`` serves
+every ledger workload, and the ledger's per-engine table also times
+``ch-csr`` and ``dijkstra-vec`` (the always-batched form of
+``dijkstra-csr``); ``ch-csr`` also answers experiments E2 and E6's CH
+columns.  Two names are not rows of their own: ``ch`` names the
+``ch-csr`` row and ``overlay-csr`` the ``dijkstra-csr`` row, because
+the ledger asks for them (see the aliases below the table).  A
+point-query speed-up alone does not keep an engine: the paper's server
+only ever evaluates ``|S| x |T|`` batches.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ from repro.search.cost_model import (
 )
 from repro.search.ch import ContractedGraph, contract_network
 from repro.network.csr import CSRGraph, csr_snapshot
-from repro.network.partition import Partition, partition_network, partition_snapshot
-from repro.search.overlay import (
-    CSROverlayProcessor,
-    OverlayGraph,
-    build_overlay,
-    overlay_snapshot,
-)
 from repro.search.kernels import (
     CSRCHManyToManyProcessor,
     CSRHierarchy,
@@ -104,13 +98,6 @@ __all__ = [
     "csr_ch_path",
     "CSRSharedTreeProcessor",
     "CSRCHManyToManyProcessor",
-    "Partition",
-    "partition_network",
-    "partition_snapshot",
-    "OverlayGraph",
-    "build_overlay",
-    "overlay_snapshot",
-    "CSROverlayProcessor",
     "VecGraph",
     "VecSharedTreeProcessor",
     "numpy_available",
@@ -136,7 +123,7 @@ class SearchEngine:
         One-line summary for ``--help`` texts and reports.
     prepare:
         ``prepare(network) -> context`` builds the engine's preprocessing
-        artifact (contracted graph, partition overlay, ...), or ``None`` for
+        artifact (contracted graph, CSR snapshot, ...), or ``None`` for
         engines that need none.  Build it once, reuse it across queries.
     route:
         ``route(network, source, destination, context=None, stats=None)``
@@ -150,7 +137,7 @@ class SearchEngine:
     spill:
         Tag of the persistent format
         :class:`~repro.service.cache.PreprocessingCache` spills this
-        engine's artifact in and reloads it from (``"csrb"``, ``"ovlb"``,
+        engine's artifact in and reloads it from (``"csrb"``,
         ``"ch-flat"``), or ``None`` when the artifact has none
         and is rebuilt instead.
     """
@@ -231,23 +218,16 @@ ENGINES: dict[str, SearchEngine] = {
             make_processor=CSRCHManyToManyProcessor,
             spill="ch-flat",
         ),
-        SearchEngine(
-            name="overlay-csr",
-            description=(
-                "partition overlay with flat per-cell CSR kernels "
-                "(CRP-style two-phase queries, per-cell recustomization)"
-            ),
-            prepare=overlay_snapshot,
-            route=_on_artifact(overlay_snapshot, OverlayGraph.route),
-            make_processor=CSROverlayProcessor,
-            spill="ovlb",
-        ),
     )
 }
 
 # ``ch`` names the ``ch-csr`` row: the request ledger's CH tie probe
 # still asks for it by that name.  It goes once the probe runs ``ch-csr``.
 ENGINES["ch"] = ENGINES["ch-csr"]
+# ``overlay-csr`` names the ``dijkstra-csr`` row: the request ledger
+# starts ``churn_overlay`` with it and times it in its engine table.  It
+# goes once the ledger renames that workload.
+ENGINES["overlay-csr"] = ENGINES["dijkstra-csr"]
 
 # The numpy-vectorized tier registers only when numpy imports, so
 # interpreters without numpy keep the exact engine catalogue above (and

@@ -46,10 +46,9 @@ CPython.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from functools import partial
 from heapq import heappop, heappush
-from math import hypot
 
 from repro.exceptions import NoPathError, UnknownNodeError
 from repro.network.csr import CSRGraph, csr_snapshot
@@ -77,18 +76,11 @@ from repro.search.vectorized import (
     vec_view,
 )
 
-try:  # pragma: no cover - numpy-less interpreters use the scalar paths
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
     "KernelScratch",
     "scratch_for",
-    "overlay_sweep",
     "csr_dijkstra_path",
     "csr_dijkstra_to_many",
-    "csr_dijkstra_tree",
     "CSRHierarchy",
     "ch_csr_hierarchy",
     "csr_ch_path",
@@ -165,184 +157,6 @@ def scratch_for(size: int) -> KernelScratch:
     if scratch is None:
         scratch = pool[size] = KernelScratch(size)
     return scratch
-
-
-# ----------------------------------------------------------------------
-# Overlay sweep (the partition-overlay engine's boundary-phase kernel)
-# ----------------------------------------------------------------------
-def _line_bound(x, y, gx, gy, shortcuts) -> float:
-    """Straight line to the goal, or to a shortcut's tail plus its rest."""
-    h = hypot(x - gx, y - gy)
-    for sx, sy, rest in shortcuts:
-        h = min(h, hypot(x - sx, y - sy) + rest)
-    return h
-
-
-def overlay_sweep(
-    offsets: Sequence[int],
-    targets: Sequence[int],
-    weights: Sequence[float],
-    kinds: Sequence[int],
-    seeds: Iterable[tuple[int, float]],
-    num_nodes: int,
-    target_offsets: dict[int, float] | None = None,
-    best_bound: float = _INF,
-    stats: SearchStats | None = None,
-    goal: tuple[float, float] | None = None,
-    xs: Sequence[float] | None = None,
-    ys: Sequence[float] | None = None,
-    stop: Iterable[int] | None = None,
-    shortcuts: Sequence[tuple[float, float, float]] = (),
-) -> tuple[float, int, list[float], list[int], list[int], bytearray]:
-    """Multi-source (optionally goal-directed) sweep over a flat overlay.
-
-    The boundary phase of the two-phase partition-overlay query
-    (:class:`repro.search.overlay.OverlayGraph`): ``offsets``/``targets``/
-    ``weights`` is the CSR adjacency over boundary-node indices (clique
-    shortcuts plus cut arcs), ``kinds[e]`` labels arc ``e`` with the cell
-    whose clique produced it (``-1`` for a cut arc) and is recorded per
-    tree arc for path unpacking.
-
-    Parameters
-    ----------
-    seeds:
-        ``(boundary index, offset)`` pairs — the source-cell boundary
-        nodes with their local distances from the true source.
-    target_offsets:
-        When given, a ``{boundary index: local distance to target}``
-        map: the sweep tracks ``best = min(dist[b] + offset[b])`` and
-        stops early once the frontier cannot improve it (point-query
-        mode).  ``None`` is MSMD mode: settle until ``stop`` is covered.
-    best_bound:
-        Initial upper bound on the answer (e.g. the intra-cell direct
-        candidate when source and target share a cell).
-    goal, xs, ys, shortcuts:
-        When ``goal=(x, y)`` and the boundary coordinate arrays are
-        given (point-query mode only), the sweep runs A* keyed by
-        ``dist + straight-line-to-goal``.  The caller must guarantee
-        the lower bound is admissible — every overlay arc weight and
-        every target offset at least its endpoints' Euclidean distance
-        (true whenever every edge weight is) — or list the exceptions:
-        each ``(x, y, rest)`` of ``shortcuts`` is the tail of an arc
-        shorter than its straight line, with ``rest`` a lower bound on
-        the way from there to the goal through that arc, and the key
-        takes the smallest of the direct line and the lines to those
-        tails plus ``rest`` (see
-        :meth:`repro.search.overlay.OverlayGraph._goal`).  The
-        heuristic is consistent, so results are identical to the plain
-        sweep — only fewer nodes settle.
-    stop:
-        MSMD mode only: the boundary indices the caller will read
-        ``dist`` of.  The sweep ends when the last reachable one
-        settles (their labels are final by then); ``None`` settles
-        everything reachable.
-
-    Returns
-    -------
-    (best, meet, dist, parent, via, done)
-        ``best``/``meet`` are the best offset candidate and its
-        boundary index (``-1`` when no candidate beat ``best_bound``);
-        ``dist``/``parent``/``via`` are the tree arrays (``via[v]`` is
-        the kind label of the tree arc into ``v``); ``done`` flags
-        settled indices.
-    """
-    if stats is None:
-        stats = SearchStats()
-    dist = [_INF] * num_nodes
-    parent = [-1] * num_nodes
-    via = [-1] * num_nodes
-    done = bytearray(num_nodes)
-    # Entries are (key, index): the key is the label, plus the
-    # straight-line remainder when goal-directed.  A node's first
-    # un-done pop carries its smallest key, so its label is dist[u].
-    heap: list[tuple[float, int]] = []
-    pop, push = heappop, heappush
-    pushes = 0
-    point = target_offsets is not None
-    hmemo: list[float] | None = None
-    gx = gy = 0.0
-    if goal is not None and point:
-        gx, gy = goal
-        hmemo = [-1.0] * num_nodes
-    for i, offset in seeds:
-        if offset < dist[i]:
-            dist[i] = offset
-            if hmemo is not None:
-                h = hmemo[i] = _line_bound(xs[i], ys[i], gx, gy, shortcuts)
-                push(heap, (offset + h, i))
-            else:
-                push(heap, (offset, i))
-            pushes += 1
-    waiting = bytearray(num_nodes)
-    pending = 0
-    if stop is not None and not point:
-        for i in stop:
-            if not waiting[i]:
-                waiting[i] = 1
-                pending += 1
-        if not pending:
-            heap = []
-    best = best_bound
-    meet = -1
-    settled = relaxed = 0
-    maxd = 0.0
-    while heap:
-        key, u = pop(heap)
-        if done[u]:
-            continue
-        d = dist[u]
-        if point:
-            if key >= best:
-                break
-            offset = target_offsets.get(u)
-            if offset is not None and d + offset < best:
-                best = d + offset
-                meet = u
-        done[u] = 1
-        settled += 1
-        if d > maxd:
-            maxd = d
-        if pending and waiting[u]:
-            pending -= 1
-            if not pending:
-                break
-        start = offsets[u]
-        end = offsets[u + 1]
-        relaxed += end - start
-        if hmemo is None:
-            for e in range(start, end):
-                v = targets[e]
-                nd = d + weights[e]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    via[v] = kinds[e]
-                    push(heap, (nd, v))
-                    pushes += 1
-        else:
-            for e in range(start, end):
-                v = targets[e]
-                nd = d + weights[e]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    via[v] = kinds[e]
-                    h = hmemo[v]
-                    if h < 0.0:  # _line_bound, inlined on the hot path
-                        h = hypot(xs[v] - gx, ys[v] - gy)
-                        for sx, sy, rest in shortcuts:
-                            alt = hypot(xs[v] - sx, ys[v] - sy) + rest
-                            if alt < h:
-                                h = alt
-                        hmemo[v] = h
-                    push(heap, (nd + h, v))
-                    pushes += 1
-    stats.settled_nodes += settled
-    stats.relaxed_edges += relaxed
-    stats.heap_pushes += pushes
-    if maxd > stats.max_settled_distance:
-        stats.max_settled_distance = maxd
-    return best, meet, dist, parent, via, done
 
 
 # ----------------------------------------------------------------------
@@ -502,32 +316,6 @@ def csr_dijkstra_to_many(
     for t_idx, d in reached.items():
         results[csr.node_ids[t_idx]] = _path_from_parents(csr, parent, s, t_idx, d)
     return results
-
-
-def csr_dijkstra_tree(
-    csr: CSRGraph,
-    source: NodeId,
-    destinations: Iterable[NodeId],
-    stats: SearchStats,
-) -> tuple[dict[NodeId, float], Callable[[NodeId], PathResult]]:
-    """Non-strict :func:`csr_dijkstra_to_many` with paths on demand.
-
-    Returns ``({reached destination: distance}, path_to)``: the same
-    tree and distances, but a :class:`PathResult` is only built when
-    ``path_to(destination)`` is called — the overlay's local phases
-    reach ~40 boundary nodes per search and splice at most ``|T|``.
-    """
-    s = csr.index(source)
-    remaining = {csr.index(t) for t in destinations}
-    reached, parent = _shared_tree(csr, s, remaining, stats)
-    parent = parent[:]  # the scratch bank is recycled by the next search
-    node_ids, index_of = csr.node_ids, csr.index_of
-    dist = {node_ids[i]: d for i, d in reached.items()}
-
-    def path_to(node: NodeId) -> PathResult:
-        return _path_from_parents(csr, parent, s, index_of[node], dist[node])
-
-    return dist, path_to
 
 
 # ----------------------------------------------------------------------

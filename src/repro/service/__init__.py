@@ -27,10 +27,8 @@ from repro.service.blob import (
     Blob,
     read_blob,
     read_csr_blob,
-    read_overlay_blob,
     write_blob,
     write_csr_blob,
-    write_overlay_blob,
 )
 from repro.service.cache import (
     CacheSnapshot,
@@ -73,6 +71,4 @@ __all__ = [
     "write_blob",
     "read_csr_blob",
     "write_csr_blob",
-    "read_overlay_blob",
-    "write_overlay_blob",
 ]

@@ -1,9 +1,9 @@
 """Page-aligned binary artifact blobs with mmap-backed loading.
 
 The spill format of the preprocessing cache
-(:class:`~repro.service.cache.PreprocessingCache`) for CSR snapshots and
-partition overlays: a binary container built for warm starts, so a cold
-shard worker parses no text before it can serve:
+(:class:`~repro.service.cache.PreprocessingCache`) for CSR snapshots:
+a binary container built for warm starts, so a cold shard worker parses
+no text before it can serve:
 
 * :func:`write_blob` / :func:`read_blob` — a generic container: an
   8-byte magic, a JSON header describing named typed sections, then the
@@ -20,13 +20,9 @@ shard worker parses no text before it can serve:
   by the mapping*: no copy is made at load time, the kernels' lazy
   ``kernel_view()`` materialization works unchanged, and the first
   query faults in exactly the pages it walks.
-* :func:`write_overlay_blob` / :func:`read_overlay_blob` — an
-  :class:`~repro.search.overlay.OverlayGraph` with partition cells and
-  clique paths flattened into CSR-shaped arrays.  Loading slices path
-  tuples out of the mapping without any text parsing.
 
-Like the network text format, the codecs require integer node ids and
-raise :class:`~repro.exceptions.GraphError` otherwise — the cache
+Like the network text format, the CSR codec requires integer node ids
+and raises :class:`~repro.exceptions.GraphError` otherwise — the cache
 treats spill as best-effort and simply rebuilds such artifacts.
 """
 
@@ -49,8 +45,6 @@ __all__ = [
     "read_blob",
     "write_csr_blob",
     "read_csr_blob",
-    "write_overlay_blob",
-    "read_overlay_blob",
 ]
 
 #: first eight bytes of every blob file
@@ -310,133 +304,3 @@ def read_csr_blob(path: str | os.PathLike[str]):
     except GraphError:
         blob.close()
         raise
-
-
-# ----------------------------------------------------------------------
-# Partition overlays
-# ----------------------------------------------------------------------
-def write_overlay_blob(overlay, path: str | os.PathLike[str]) -> None:
-    """Persist an overlay as a blob.
-
-    Carries exactly what :func:`repro.search.overlay.dumps_overlay`
-    carries — partition cells plus every customized clique path, in the
-    same deterministic order, so two overlays with identical tables
-    write byte-identical blobs.
-
-    Raises
-    ------
-    GraphError
-        For non-integer node ids.
-    """
-    partition = overlay.partition
-    cell_offsets = array("q", [0])
-    cell_nodes = array("q")
-    for members in partition.cells:
-        for node in members:
-            if type(node) is not int:
-                raise GraphError(
-                    f"overlay blob needs integer node ids, got {node!r}"
-                )
-            cell_nodes.append(node)
-        cell_offsets.append(len(cell_nodes))
-    clq_cell = array("q")
-    clq_dist = array("d")
-    clq_offsets = array("q", [0])
-    clq_nodes = array("q")
-    for cell, clique in enumerate(overlay.cliques):
-        for b in partition.boundary[cell]:
-            for p in clique[b].values():
-                clq_cell.append(cell)
-                clq_dist.append(p.distance)
-                clq_nodes.extend(p.nodes)
-                clq_offsets.append(len(clq_nodes))
-    meta = {
-        "kind": "overlay",
-        "kernel": "csr",
-        "capacity": partition.cell_capacity,
-    }
-    write_blob(path, meta, [
-        ("cell_offsets", "q", cell_offsets),
-        ("cell_nodes", "q", cell_nodes),
-        ("clq_cell", "q", clq_cell),
-        ("clq_dist", "d", clq_dist),
-        ("clq_offsets", "q", clq_offsets),
-        ("clq_nodes", "q", clq_nodes),
-    ])
-
-
-def read_overlay_blob(path: str | os.PathLike[str], network):
-    """Rebuild an overlay from a blob — no text parsing on the warm path.
-
-    ``network`` must have the same content the overlay was customized
-    for (the cache guarantees this by keying spill files on the network
-    fingerprint).  Returns an
-    :class:`~repro.search.overlay.OverlayGraph`.
-
-    Raises
-    ------
-    GraphError
-        For a malformed blob, a ``kernel`` other than ``"csr"`` (the
-        only cell kernel there is; the key stays in the header so blobs
-        written before and after its removal are the same bytes), or a
-        partition that does not match ``network``.
-    """
-    from repro.network.io import parse_partition_cells
-    from repro.search.overlay import OverlayGraph, PathResult, SearchStats
-
-    blob = read_blob(path)
-    try:
-        meta = blob.meta
-        if meta.get("kind") != "overlay":
-            raise GraphError(f"not an overlay blob: {path}")
-        if meta.get("kernel") != "csr":
-            raise GraphError(
-                f"unknown overlay kernel {meta.get('kernel')!r}"
-            )
-        capacity = int(meta["capacity"])
-        s = blob.sections
-        cell_offsets = s["cell_offsets"].tolist()
-        cell_nodes = s["cell_nodes"].tolist()
-        cells = [
-            (i, cell_nodes[cell_offsets[i]:cell_offsets[i + 1]])
-            for i in range(len(cell_offsets) - 1)
-        ]
-        partition = parse_partition_cells(cells, network, capacity)
-        cliques: list[dict] = [
-            {b: {} for b in boundary} for boundary in partition.boundary
-        ]
-        clq_cell = s["clq_cell"].tolist()
-        clq_dist = s["clq_dist"].tolist()
-        clq_offsets = s["clq_offsets"].tolist()
-        clq_nodes = s["clq_nodes"].tolist()
-        for p in range(len(clq_cell)):
-            cell = clq_cell[p]
-            nodes = clq_nodes[clq_offsets[p]:clq_offsets[p + 1]]
-            if not 0 <= cell < partition.num_cells or len(nodes) < 2:
-                raise GraphError(f"malformed clique record for cell {cell}")
-            b, b2 = nodes[0], nodes[-1]
-            if b not in cliques[cell] or b2 not in cliques[cell]:
-                raise GraphError(
-                    f"clique endpoints {b}, {b2} are not boundary nodes "
-                    f"of cell {cell}"
-                )
-            cliques[cell][b][b2] = PathResult(
-                source=b, destination=b2, nodes=tuple(nodes),
-                distance=clq_dist[p],
-            )
-    except (KeyError, ValueError, TypeError) as exc:
-        blob.close()
-        raise GraphError(f"malformed overlay blob {path}") from exc
-    except GraphError:
-        blob.close()
-        raise
-    blob.close()  # everything is materialized; release the mapping
-    cell_csr: list = []
-    cell_rcsr: list = []
-    for cell in range(partition.num_cells):
-        fcsr, rcsr = OverlayGraph._cell_graphs(network, partition, cell)
-        cell_csr.append(fcsr)
-        cell_rcsr.append(rcsr)
-    return OverlayGraph(
-        network, partition, cliques, cell_csr, cell_rcsr, SearchStats(), 0
-    )

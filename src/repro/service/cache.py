@@ -1,8 +1,8 @@
 """Serving-layer caches: preprocessing artifacts and many-to-many results.
 
 A production directions service answers the same road network for
-millions of sessions, so paying preprocessing (CH contraction, overlay
-customization) per session — as a fresh
+millions of sessions, so paying preprocessing (CH contraction, CSR
+snapshots) per session — as a fresh
 :class:`~repro.core.system.OpaqueSystem` does — is the dominant waste on
 the hot path.  This module provides the two thread-safe LRU caches the
 :class:`~repro.service.serving.ServingStack` puts in front of the
@@ -10,18 +10,14 @@ the hot path.  This module provides the two thread-safe LRU caches the
 
 * :class:`PreprocessingCache` — keyed by ``(network fingerprint,
   engine)``, holding whatever :meth:`SearchEngine.prepare` built
-  (CH hierarchy, CSR snapshot, partition overlay).  CH hierarchies
-  evicted from memory spill their contracted graph to disk via
-  :mod:`repro.search.ch.persist`; partition overlays and CSR snapshots
-  spill as the page-aligned binary blobs of :mod:`repro.service.blob`
-  and reload through one ``mmap`` — no text parsing, and CSR arrays
-  stay mapping-backed so a cold load faults in only the pages queries
+  (CH hierarchy, CSR snapshot).  CH hierarchies evicted from memory
+  spill their contracted graph to disk via
+  :mod:`repro.search.ch.persist`; CSR snapshots spill as the
+  page-aligned binary blobs of :mod:`repro.service.blob` and reload
+  through one ``mmap`` — no text parsing, and CSR arrays stay
+  mapping-backed so a cold load faults in only the pages queries
   touch.  Either way a reload on the next miss means an evicted
-  network never pays preprocessing twice.  :meth:`PreprocessingCache.put` additionally accepts
-  externally built artifacts — the hook the serving stack's targeted
-  re-customization path (:meth:`~repro.service.serving.ServingStack.reweight`)
-  uses to install an incrementally updated overlay under the mutated
-  network's new fingerprint instead of rebuilding from scratch.
+  network never pays preprocessing twice.
 * :class:`ResultCache` — keyed by ``(network fingerprint, S, T,
   engine)``, holding whole :class:`~repro.search.multi.MSMDResult`
   tables.  Obfuscated queries recur (popular routes, shared-mode
@@ -58,12 +54,7 @@ from repro.search import ENGINES, get_engine
 from repro.search.ch.persist import read_contracted, write_contracted
 from repro.search.kernels import CSRHierarchy
 from repro.search.multi import MSMDResult
-from repro.service.blob import (
-    read_csr_blob,
-    read_overlay_blob,
-    write_csr_blob,
-    write_overlay_blob,
-)
+from repro.service.blob import read_csr_blob, write_csr_blob
 from repro.service.wire import encode_paths, table_paths
 
 __all__ = [
@@ -225,8 +216,7 @@ class PreprocessingCache:
         Optional directory for disk spill.  On eviction, artifacts with
         a persistent format (the engine row's
         :attr:`~repro.search.SearchEngine.spill` tag) are written to
-        ``<fingerprint>-<engine>``
-        files (``.ch`` contracted graphs, ``.ovlb`` overlay blobs,
+        ``<fingerprint>-<engine>`` files (``.ch`` contracted graphs,
         ``.csrb`` CSR blobs); a later miss for the same key reloads the
         file instead of re-preprocessing.
 
@@ -359,37 +349,6 @@ class PreprocessingCache:
             self._spill(*evicted)
         return artifact
 
-    def peek(self, fingerprint: str, engine_name: str) -> object | None:
-        """The in-memory artifact for a key, or ``None`` — no side effects.
-
-        Unlike :meth:`get` this never builds, never reloads from disk,
-        and never counts a hit or miss; the serving stack uses it to ask
-        "is there an overlay I could recustomize?" without perturbing
-        the cache statistics.
-        """
-        with self._lock:
-            return self._entries.get((fingerprint, engine_name))
-
-    def put(self, fingerprint: str, engine_name: str, artifact: object) -> None:
-        """Install an externally built artifact under ``(fingerprint, engine)``.
-
-        The serving stack's re-weight path builds the new artifact
-        itself (an incrementally recustomized overlay) and registers it
-        here so the next query finds it instead of paying a full
-        rebuild.  Inserting may evict (and spill) the least recently
-        used entry, exactly like a miss-driven insert.
-        """
-        key = (fingerprint, engine_name)
-        evicted: tuple[tuple[str, str], object] | None = None
-        with self._lock:
-            self._entries[key] = artifact
-            self._entries.move_to_end(key)
-            if len(self._entries) > self._capacity:
-                evicted = self._entries.popitem(last=False)
-                self._m_evictions.inc()
-        if evicted is not None:
-            self._spill(*evicted)
-
     def invalidate_fingerprint(self, fingerprint: str) -> int:
         """Drop every in-memory artifact keyed by ``fingerprint``.
 
@@ -482,7 +441,7 @@ class PreprocessingCache:
 #: spill formats by :attr:`repro.search.SearchEngine.spill` tag:
 #: ``(file suffix, write(artifact, path), read(path, network))`` — the
 #: one table path chooser, writer and loader all consult, so they cannot
-#: disagree on a key's on-disk format.  CSR snapshots and overlays are
+#: disagree on a key's on-disk format.  CSR snapshots are
 #: :mod:`repro.service.blob` blobs (mmap-backed: a cold load faults in
 #: only the pages queries touch); a flat CH hierarchy persists the
 #: contracted graph it wraps as the text of :mod:`repro.search.ch.persist`
@@ -491,7 +450,6 @@ _SPILL_FORMATS = {
     "csrb": (
         "csrb", write_csr_blob, lambda path, network: read_csr_blob(path)
     ),
-    "ovlb": ("ovlb", write_overlay_blob, read_overlay_blob),
     "ch-flat": (
         "ch",
         lambda hierarchy, path: write_contracted(hierarchy.contracted, path),

@@ -334,8 +334,6 @@ def _worker_main(conn, network, config: ServingConfig) -> None:
                     )
                     payload = {
                         "edges": outcome.edges,
-                        "touched_cells": len(outcome.touched_cells),
-                        "recustomized": outcome.recustomized,
                         "epoch": outcome.epoch,
                     }
                 elif op == "metrics":
@@ -784,8 +782,6 @@ class Gateway:
         body = {
             "schema": WIRE_SCHEMA_VERSION,
             "edges": outcome.edges,
-            "touched_cells": len(outcome.touched_cells),
-            "recustomized": outcome.recustomized,
             "epoch": outcome.epoch,
         }
         return _json_response(body)

@@ -5,7 +5,7 @@ deployment puts between the obfuscator and the
 :class:`~repro.core.server.DirectionsServer`:
 
 1. a :class:`~repro.service.cache.PreprocessingCache` so a road
-   network's engine artifact (contracted graph, partition overlay) is built
+   network's engine artifact (contracted graph, CSR snapshot) is built
    once and shared by every later session on that network — turning
    ``O(preprocess * sessions)`` into ``O(preprocess)``;
 2. a :class:`~repro.service.cache.ResultCache` so a repeated obfuscated
@@ -60,7 +60,6 @@ from repro.search.multi import (
     MultiSourceMultiDestProcessor,
     PreprocessingProcessor,
 )
-from repro.search.overlay import OverlayGraph
 from repro.service.cache import (
     CacheSnapshot,
     PreprocessingCache,
@@ -103,25 +102,19 @@ class ReweightOutcome:
     edges:
         Number of edge weights applied.
     touched_cells:
-        Partition cells whose cliques were recustomized (empty when the
-        update only moved cut-edge weights, or when no incremental path
-        was available).
-    recustomized:
-        ``True`` when an incrementally recustomized overlay was
-        installed under the new network fingerprint; ``False`` means the
-        next query pays a full preprocessing rebuild (non-overlay
-        engine, or no cached artifact to start from).
+        Always ``()``.  Kept because the request ledger's reweight
+        probe (``benchmarks/ledger/ledger/layers.py``) reads it; it goes
+        once the probe stops.
     fingerprint:
         Content fingerprint of the network *after* the update — the key
-        the refreshed artifact is installed under (the current one for
+        the next query builds its artifact under (the current one for
         an empty update).
     epoch:
         The stack's epoch sequence number after the update.
     """
 
     edges: int
-    touched_cells: tuple[int, ...]
-    recustomized: bool
+    touched_cells: tuple[int, ...] = ()
     fingerprint: str = ""
     epoch: int = 0
 
@@ -640,12 +633,9 @@ class ServingStack:
 
         The new content fingerprint means every cached artifact and
         result table for the old geometry stops matching — correctness
-        needs nothing else.  When the engine's current artifact is a
-        partition overlay, only the touched cells' cliques are
-        recustomized against the snapshot
-        (:meth:`~repro.search.overlay.OverlayGraph.recustomized_on`) and
-        the updated overlay is installed with it, so the next query pays
-        a per-cell refresh instead of a full rebuild.  The last
+        needs nothing else: the first query of the new epoch builds the
+        engine's artifact (a CSR snapshot, or a contraction for
+        ``ch-csr``) from the new network.  The last
         :data:`KEEP_RETIRED_EPOCHS` retired epochs keep their cache
         entries for batches still reading them; older ones are released
         from both caches.  Each call's wall time goes to the
@@ -675,8 +665,6 @@ class ServingStack:
             "serve.reweight", edges=len(applied)
         ) as span:
             outcome = self._install(applied)
-            span.set("touched_cells", len(outcome.touched_cells))
-            span.set("recustomized", outcome.recustomized)
             span.set("epoch", outcome.epoch)
         self._m_reweight_seconds.observe(time.perf_counter() - started)
         return outcome
@@ -695,39 +683,15 @@ class ServingStack:
                 )
         if not applied:
             return ReweightOutcome(
-                edges=0,
-                touched_cells=(),
-                recustomized=False,
-                fingerprint=old_fingerprint,
-                epoch=self.epoch,
+                edges=0, fingerprint=old_fingerprint, epoch=self.epoch
             )
-        old_artifact = self.preprocessing.peek(old_fingerprint, self.engine_name)
         snapshot = old_network.copy()
         for u, v, w in applied:
             snapshot.add_edge(u, v, w)
-        touched: tuple[int, ...] = ()
-        overlay = None
-        if (
-            isinstance(old_artifact, OverlayGraph)
-            # A shared PreprocessingCache may hold an overlay built by a
-            # *different* stack over a content-identical network object;
-            # only an overlay reading *this* epoch's weights can donate
-            # its untouched cells.
-            and old_artifact.network is old_network
-        ):
-            cells = old_artifact.touched_cells(applied)
-            overlay = old_artifact.recustomized_on(
-                snapshot, cells, changed_edges=applied
-            )
-            touched = tuple(sorted(cells))
         fingerprint = updated_fingerprint(
             old_fingerprint, old_network, snapshot,
             [node for u, v, _ in applied for node in (u, v)],
         )
-        # Cache first, then the pointer: a batch that sees the new
-        # network finds its artifact already installed.
-        if overlay is not None:
-            self.preprocessing.put(fingerprint, self.engine_name, overlay)
         with self._lock:
             self.server.network = snapshot
             self._fingerprint_memo = (
@@ -739,8 +703,6 @@ class ServingStack:
         self._retire(old_fingerprint, fingerprint)
         return ReweightOutcome(
             edges=len(applied),
-            touched_cells=touched,
-            recustomized=overlay is not None,
             fingerprint=fingerprint,
             epoch=installed,
         )

@@ -65,7 +65,7 @@ def _wave(
     down to baseline at the end; each event re-weights one random edge
     whose midpoint lies in the rush half (left half for ``inbound``,
     right half for outbound), so the wave churns a spatially coherent
-    set of overlay cells rather than the whole map.
+    region rather than the whole map.
     """
     if duration_ms <= 0 or events <= 0:
         raise ExperimentError("duration_ms and events must be positive")

@@ -16,7 +16,6 @@ from repro.experiments import (
     e8_clustering,
     e9_cost_model,
     e11_protection_sizing,
-    e13_partition_overlay,
 )
 from repro.experiments.harness import ExperimentResult, run_all
 from repro.experiments.tables import format_table, format_value
@@ -268,35 +267,6 @@ class TestE11ProtectionSizing:
     def test_planner_top_pick_is_the_measured_cheapest(self, result):
         best = min(result.rows, key=lambda row: row["measured_settled"])
         assert best["planner_rank"] == 1
-
-
-class TestE13PartitionOverlay:
-    @pytest.fixture(scope="class")
-    def result(self):
-        config = e13_partition_overlay.Config(
-            grid_width=20, grid_height=20,
-            cell_capacities=[16, 64, 200], num_queries=6,
-        )
-        return e13_partition_overlay.run(config)
-
-    def test_cut_and_boundary_shrink_with_cell_size(self, result):
-        cuts = result.column("cut_edges")
-        boundary = result.column("boundary_nodes")
-        assert cuts == sorted(cuts, reverse=True)
-        assert boundary == sorted(boundary, reverse=True)
-        cells = result.column("cells")
-        assert cells == sorted(cells, reverse=True)
-
-    def test_recustomize_is_fraction_of_customize(self, result):
-        for row in result.rows:
-            assert 0 < row["recustomize_settled"] < row["customize_settled"]
-        # At many-cell granularity the refresh touches a small slice.
-        first = result.rows[0]
-        assert first["recustomize_settled"] * 4 <= first["customize_settled"]
-
-    def test_two_phase_queries_beat_dijkstra_at_best_capacity(self, result):
-        best = min(row["overlay_settled"] for row in result.rows)
-        assert best < result.rows[0]["dijkstra_settled"]
 
 
 class TestHarness:

@@ -147,11 +147,11 @@ class TestTelemetryNeverLeaksEndpoints:
     def test_reweight_spans_carry_only_counts(self, marked_network):
         """Traffic changes name edges by node id; their ``serve.reweight``
         spans and the ``repro_serve_reweight_seconds`` histogram must only
-        ever export counts (edges, cells, epochs) — never the ids."""
+        ever export counts (edges, epochs) — never the ids."""
         tracer = Tracer()
         with ServingStack.from_config(
             marked_network,
-            ServingConfig(engine="overlay-csr"),
+            ServingConfig(engine="dijkstra-csr"),
             tracer=tracer,
         ) as stack:
             stack.warm()

@@ -36,7 +36,7 @@ NODES = list(NET.nodes())
 SOURCE_POOL = NODES[:8]
 DEST_POOL = NODES[40:48]
 #: the oracle and the served engines
-ENGINES = ("dijkstra", "dijkstra-csr", "overlay-csr", "ch-csr")
+ENGINES = ("dijkstra", "dijkstra-csr", "ch-csr")
 #: one preprocessing build per engine, shared by every example
 _PREPROCESSING = {name: PreprocessingCache() for name in ENGINES}
 

@@ -1,14 +1,15 @@
 """Property tests: an O(change) epoch install equals a from-scratch one.
 
-``ServingStack.reweight(epoch=True)`` copies the network structurally,
-derives the next fingerprint from the changed node rows only and
-re-flattens only the overlay cells a change can have touched.  Whatever
-the sequence of traffic updates — cut edges, weights put back, batches
-spanning cells, geometry undercut and restored — every installed epoch
-must be indistinguishable from rebuilding everything from its snapshot:
-same fingerprint string, same ``dumps_overlay`` text, same flat arrays,
-same undercut arcs.  And the stack's server must serve that epoch: it
-holds the stack's network and answers byte-identically to the stack.
+``ServingStack.reweight(epoch=True)`` copies the network structurally
+and derives the next fingerprint from the changed node rows only.
+Whatever the sequence of traffic updates — weights put back, batches
+of several edges, weights far below the geometry — every epoch the
+stack serves must be indistinguishable from replaying the updates on a
+fresh copy of the map: same fingerprint string, and every array of the
+``dijkstra-csr`` snapshot it answers from equal to
+``CSRGraph.from_network`` of the replayed map.  And the stack's server
+must serve that epoch: it holds the stack's network and answers
+byte-identically to the stack.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.query import ObfuscatedPathQuery
+from repro.network.csr import CSRGraph
 from repro.network.generators import grid_network, one_way_grid_network
-from repro.search.overlay import build_overlay, dumps_overlay
 from repro.service.cache import network_fingerprint, updated_fingerprint
 from repro.service.serving import ServingConfig, ServingStack
 from repro.service.wire import RouteResponse
@@ -30,8 +31,8 @@ _NETS = {
 }
 _EDGES = {name: sorted((u, v) for u, v, _ in net.edges())
           for name, net in _NETS.items()}
-#: weight factors: heavier traffic, free flow, below the geometry (drops
-#: ``metric``) and ``None`` = put the original weight back
+#: weight factors: heavier traffic, free flow, below the geometry and
+#: ``None`` = put the original weight back
 _FACTORS = st.sampled_from([1.5, 3.0, 0.8, 0.2, None])
 
 
@@ -59,16 +60,20 @@ def _changes(base, edges, batch):
     return changes
 
 
-def _assert_scratch_equal(stack, outcome):
-    snapshot = stack.network
-    assert outcome.fingerprint == network_fingerprint(snapshot)
-    installed = stack.preprocessing.peek(outcome.fingerprint, "overlay-csr")
-    assert installed.network is snapshot
-    scratch = build_overlay(snapshot, partition=installed.partition)
-    assert dumps_overlay(installed) == dumps_overlay(scratch)
-    for name in ("over_offsets", "over_targets", "over_weights",
-                 "over_kinds", "boundary_ids", "metric", "undercut"):
-        assert getattr(installed, name) == getattr(scratch, name), name
+#: every array of a CSR snapshot
+_CSR_ARRAYS = ("node_ids", "index_of", "offsets", "targets", "weights",
+               "roffsets", "rtargets", "rweights", "xs", "ys", "directed")
+
+
+def _assert_scratch_equal(stack, outcome, replayed):
+    assert outcome.fingerprint == network_fingerprint(replayed)
+    # read at the epoch first: warm() then returns the snapshot it used
+    nodes = sorted(replayed.nodes())
+    stack.answer(ObfuscatedPathQuery((nodes[0],), (nodes[-1],)))
+    served = stack.warm()
+    scratch = CSRGraph.from_network(replayed)
+    for name in _CSR_ARRAYS:
+        assert getattr(served, name) == getattr(scratch, name), name
 
 
 @given(drawn=update_sequences())
@@ -76,15 +81,19 @@ def _assert_scratch_equal(stack, outcome):
 def test_every_installed_epoch_equals_a_scratch_build(drawn):
     name, batches = drawn
     base, edges = _NETS[name], _EDGES[name]
+    replayed = base.copy()
     with ServingStack.from_config(
-        base.copy(), ServingConfig(engine="overlay-csr")
+        base.copy(), ServingConfig(engine="dijkstra-csr")
     ) as stack:
         stack.warm()
         for batch in batches:
             before = stack.network
-            outcome = stack.reweight(_changes(base, edges, batch), epoch=True)
+            changes = _changes(base, edges, batch)
+            outcome = stack.reweight(changes, epoch=True)
             assert stack.network is not before
-            _assert_scratch_equal(stack, outcome)
+            for u, v, w in changes:
+                replayed.add_edge(u, v, w)
+            _assert_scratch_equal(stack, outcome, replayed)
     # the serving copy took every update; the map it was cut from, none
     assert network_fingerprint(base) == network_fingerprint(_NETS[name])
 
@@ -115,7 +124,7 @@ def test_row_sum_fingerprint_is_incremental_and_content_addressed(drawn):
         current = after
 
 
-@pytest.mark.parametrize("engine", ["dijkstra-csr", "overlay-csr"])
+@pytest.mark.parametrize("engine", ["dijkstra-csr"])
 @given(
     drawn=update_sequences(),
     picks=st.lists(

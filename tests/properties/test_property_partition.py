@@ -1,11 +1,8 @@
-"""Property tests: partition invariants and incremental recustomization.
+"""Property tests: partition invariants.
 
 Random (possibly directed, possibly disconnected) networks; the
 partitioner must always produce an exact, balanced partition with every
-cut edge accounted once, and an overlay recustomized after a random
-re-weight must serialize byte-identically to a from-scratch build on
-the re-weighted network — the exactness contract behind
-:meth:`repro.service.serving.ServingStack.reweight`.
+cut edge accounted once.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.network.graph import RoadNetwork
 from repro.network.partition import partition_network
-from repro.search.overlay import build_overlay, dumps_overlay
 
 
 @st.composite
@@ -65,24 +61,3 @@ def test_partition_invariants(net, capacity, method):
     boundary_union = {b for cell in partition.boundary for b in cell}
     endpoint_union = {n for edge in crossing for n in edge}
     assert boundary_union == endpoint_union
-
-
-@given(
-    net=networks(min_nodes=3),
-    capacity=st.integers(min_value=2, max_value=10),
-    edge_rank=st.integers(min_value=0, max_value=10_000),
-    factor=st.floats(min_value=0.2, max_value=4.0),
-)
-@settings(max_examples=40, deadline=None)
-def test_recustomize_matches_scratch_build(net, capacity, edge_rank, factor):
-    """Recustomize after a re-weight == byte-identical from-scratch build."""
-    edges = list(net.edges())
-    if not edges:
-        return
-    overlay = build_overlay(net, cell_capacity=capacity)
-    u, v, w = edges[edge_rank % len(edges)]
-    net.add_edge(u, v, w * factor)
-    refreshed = overlay.recustomized(overlay.touched_cells([(u, v)]))
-    scratch = build_overlay(net, cell_capacity=capacity)
-    assert dumps_overlay(refreshed) == dumps_overlay(scratch)
-    assert refreshed.metric == scratch.metric

@@ -8,8 +8,8 @@ truncation caps once some row has reached every destination.  None of
 that may show: the distance table must be byte-identical and all four
 :class:`SearchStats` counters equal to those of the sweep it replaced,
 frozen below as the oracle.  Those tables feed ``dijkstra-csr``'s large
-queries, ``dijkstra-vec`` and overlay cell customization, so this one
-contract keeps all of their answers and counters unchanged.
+queries and ``dijkstra-vec``, so this one contract keeps all of their
+answers and counters unchanged.
 
 The maps are directed and undirected, connected or not, with float,
 small-integer and zero weights; destination rows may be empty and

@@ -1,7 +1,7 @@
 """Tests for the page-aligned artifact blobs (:mod:`repro.service.blob`).
 
 Covers the generic container (layout, alignment, malformed input), the
-CSR and overlay codecs (round trips, mmap backing, byte determinism),
+CSR codec (round trips, mmap backing, byte determinism),
 and the preprocessing cache's spill/reload integration for the blob
 engines — the warm-start channel the gateway shard workers use.
 """
@@ -16,20 +16,14 @@ from repro.exceptions import GraphError
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
-from repro.search import get_engine, list_engines
-from repro.search.overlay import (
-    dumps_overlay,
-    overlay_snapshot,
-)
+from repro.search import ENGINES, get_engine
 from repro.service.blob import (
     BLOB_MAGIC,
     PAGE_SIZE,
     read_blob,
     read_csr_blob,
-    read_overlay_blob,
     write_blob,
     write_csr_blob,
-    write_overlay_blob,
 )
 from repro.service.cache import PreprocessingCache
 
@@ -190,112 +184,18 @@ class TestCSRBlob:
             write_csr_blob(CSRGraph.from_network(net), tmp_path / "x.csrb")
 
     def test_wrong_kind_rejected(self, net, tmp_path):
-        path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay_snapshot(net), path)
+        path = tmp_path / "o.blob"
+        write_blob(path, {"kind": "other"}, [("xs", "d", array("d", [1.0]))])
         with pytest.raises(GraphError, match="CSR blob"):
             read_csr_blob(path)
-
-
-class TestOverlayBlob:
-    def test_flat_round_trip_byte_identical(self, net, tmp_path):
-        overlay = overlay_snapshot(net)
-        path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay, path)
-        loaded = read_overlay_blob(path, net)
-        assert type(loaded) is type(overlay)
-        assert dumps_overlay(loaded) == dumps_overlay(overlay)
-        nodes = sorted(net.nodes())
-        got = loaded.route(nodes[0], nodes[-1])
-        ref = overlay.route(nodes[0], nodes[-1])
-        assert got.nodes == ref.nodes
-        assert got.distance == pytest.approx(ref.distance, abs=1e-9)
-
-    def test_identical_overlays_write_identical_blobs(self, net, tmp_path):
-        overlay = overlay_snapshot(net)
-        write_overlay_blob(overlay, tmp_path / "a.ovlb")
-        write_overlay_blob(overlay, tmp_path / "b.ovlb")
-        assert (
-            (tmp_path / "a.ovlb").read_bytes()
-            == (tmp_path / "b.ovlb").read_bytes()
-        )
-
-    @staticmethod
-    def _rewritten(path, meta=(), extra_clique=None):
-        """``path``'s blob again, header keys replaced / one clique appended."""
-        blob = read_blob(path)
-        sections = {
-            name: array(view.format, view.tolist())
-            for name, view in blob.sections.items()
-        }
-        header = {**blob.meta, **dict(meta)}
-        blob.close()
-        if extra_clique is not None:
-            cell, distance, nodes = extra_clique
-            sections["clq_cell"].append(cell)
-            sections["clq_dist"].append(distance)
-            sections["clq_nodes"].extend(nodes)
-            sections["clq_offsets"].append(len(sections["clq_nodes"]))
-        out = path.with_name("rewritten.ovlb")
-        write_blob(out, header, [
-            (name, values.typecode, values)
-            for name, values in sections.items()
-        ])
-        return out
-
-    def test_unknown_kernel_rejected(self, net, tmp_path):
-        """``"csr"`` is the only cell kernel; a header naming another
-        (a ``"dict"`` blob an older build spilled) is refused, not
-        loaded as if it were."""
-        path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay_snapshot(net), path)
-        assert read_blob(path).meta["kernel"] == "csr"
-        for kernel in ("dict", "gpu", None):
-            with pytest.raises(GraphError, match="kernel"):
-                read_overlay_blob(
-                    self._rewritten(path, meta={"kernel": kernel}), net
-                )
-
-    def test_rejects_clique_outside_boundary(self, net, tmp_path):
-        overlay = overlay_snapshot(net)
-        path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay, path)
-        interior = next(
-            n for n in overlay.partition.cells[0]
-            if n not in overlay.boundary_index
-        )
-        bad = self._rewritten(
-            path, extra_clique=(0, 1.0, [interior, interior + 1])
-        )
-        with pytest.raises(GraphError, match="boundary"):
-            read_overlay_blob(bad, net)
-
-    def test_non_integer_ids_rejected(self, tmp_path):
-        net = RoadNetwork()
-        net.add_node("a", 0.0, 0.0)
-        net.add_node("b", 1.0, 0.0)
-        net.add_edge("a", "b", 1.0)
-        overlay = overlay_snapshot(net)
-        with pytest.raises(GraphError, match="integer"):
-            write_overlay_blob(overlay, tmp_path / "x.ovlb")
-
-    def test_wrong_kind_rejected(self, net, tmp_path):
-        path = tmp_path / "g.csrb"
-        write_csr_blob(csr_snapshot(net), path)
-        with pytest.raises(GraphError, match="overlay blob"):
-            read_overlay_blob(path, net)
-
-    def test_mismatched_network_rejected(self, net, tmp_path):
-        path = tmp_path / "o.ovlb"
-        write_overlay_blob(overlay_snapshot(net), path)
-        other = grid_network(5, 5, seed=1)
-        with pytest.raises(GraphError):
-            read_overlay_blob(path, other)
 
 
 class TestCacheIntegration:
     """The spill channel the gateway's shard-worker handoff rides on."""
 
-    @pytest.mark.parametrize("engine", list_engines())
+    @pytest.mark.parametrize(
+        "engine", sorted({row.name for row in ENGINES.values()})
+    )
     def test_spill_now_and_reload(self, net, tmp_path, engine):
         cache = PreprocessingCache(capacity=2, spill_dir=tmp_path)
         artifact = cache.get(net, engine)
@@ -341,7 +241,6 @@ class TestCacheIntegration:
 
         fingerprint = network_fingerprint(net)
         for engine, suffix in [
-            ("overlay-csr", "ovlb"),
             ("dijkstra-csr", "csrb"),
             ("ch", "ch"),
         ]:

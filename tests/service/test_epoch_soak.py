@@ -1,4 +1,4 @@
-"""Concurrency soak: 8 sessions serving while a feeder thread churns cells.
+"""Concurrency soak: 8 sessions serving while a feeder thread churns edges.
 
 The epoch writer's acceptance criteria in one place:
 
@@ -11,10 +11,10 @@ The epoch writer's acceptance criteria in one place:
 * telemetry is consistent: the ``serve.reweight`` trace spans agree
   with the feeder's outcomes and the ``repro_serve_reweight_seconds``
   histogram attribute for attribute;
-* after the feeder finishes, the installed overlay is byte-identical to
-  a from-scratch build on the final weights, and retirement has kept
-  the preprocessing cache bounded;
-* a churn rate far above 5% of cells per minute keeps ``answer_batch``
+* after the feeder finishes, the snapshot the stack serves equals a
+  from-scratch build on the final weights, and retirement has kept the
+  preprocessing cache bounded;
+* a churn rate far above 5% of edges per minute keeps ``answer_batch``
   throughput at >= 80% of the no-churn baseline (measured as the
   cleanest of several idle/churn round pairs, so sustained machine
   noise spanning one run cannot masquerade as churn cost).
@@ -31,10 +31,10 @@ import pytest
 
 from repro.core.obfuscator import PathQueryObfuscator
 from repro.core.query import ClientRequest, PathQuery, ProtectionSetting
+from repro.network.csr import CSRGraph
 from repro.network.generators import grid_network
 from repro.obs.trace import Tracer
 from repro.search.dijkstra import dijkstra_path
-from repro.search.overlay import build_overlay, dumps_overlay
 from repro.service.cache import ResultCache
 from repro.service.serving import (
     KEEP_RETIRED_EPOCHS,
@@ -87,7 +87,7 @@ class TestEpochSoak:
         tracer = Tracer(max_roots=100_000)
         stack = ServingStack.from_config(
             NET.copy(),
-            ServingConfig(engine="overlay-csr"),
+            ServingConfig(engine="dijkstra-csr"),
             tracer=tracer,
         )
         errors: list[BaseException] = []
@@ -136,7 +136,6 @@ class TestEpochSoak:
             installs = EVENTS_TOTAL // BURST
             assert len(outcomes) == installs
             assert stack.epoch == installs
-            assert all(outcome.recustomized for outcome in outcomes)
 
             # No torn tables: each session checked every response it got
             # (a failed check is in ``errors``) and kept only a count.
@@ -147,9 +146,6 @@ class TestEpochSoak:
             spans = [r for r in tracer.roots if r.name == "serve.reweight"]
             assert len(spans) == installs
             assert sum(s.attrs["edges"] for s in spans) == EVENTS_TOTAL
-            assert sum(s.attrs["touched_cells"] for s in spans) == sum(
-                len(outcome.touched_cells) for outcome in outcomes
-            )
             assert [s.attrs["epoch"] for s in spans] == list(
                 range(1, installs + 1)
             )
@@ -157,14 +153,11 @@ class TestEpochSoak:
             latency = stack.metrics.histogram("repro_serve_reweight_seconds")
             assert latency.count == installs and latency.sum > 0.0
 
-            # Final state: byte-identical to a scratch build, answers
-            # exact against the final weights, old epochs released.
-            installed = stack.preprocessing.peek(
-                stack._fingerprint(), "overlay-csr"
-            )
-            assert dumps_overlay(installed) == dumps_overlay(
-                build_overlay(stack.network)
-            )
+            # Final state: equal to a scratch build, answers exact
+            # against the final weights, old epochs released.
+            assert stack.warm().weights == CSRGraph.from_network(
+                stack.network
+            ).weights
             assert len(stack.preprocessing) <= KEEP_RETIRED_EPOCHS + 1
             final = stack.answer_batch(_session_queries(1234))
             for response in final:
@@ -180,10 +173,9 @@ class TestEpochSoak:
         def run(changes):
             stack = ServingStack.from_config(
                 NET.copy(),
-                ServingConfig(engine="overlay-csr"),
+                ServingConfig(engine="dijkstra-csr"),
                 result_cache=ResultCache(capacity=0),
             )
-            cells = []
             stop = threading.Event()
 
             def feed():
@@ -191,10 +183,10 @@ class TestEpochSoak:
                 for change in changes:
                     if stop.wait(interval):
                         return
-                    cells.append(len(stack.reweight([change]).touched_cells))
+                    stack.reweight([change])
 
             with stack:
-                overlay = stack.warm()
+                stack.warm()
                 feeder = threading.Thread(target=feed)
                 served = 0
                 start = time.perf_counter()
@@ -207,21 +199,21 @@ class TestEpochSoak:
                 finally:
                     stop.set()
                     feeder.join()
-                return served / elapsed, sum(cells), stack.epoch, overlay
+                return served / elapsed, stack.epoch
 
         churn = _churn_changes(5, 3)
         best_ratio = 0.0
         best = None
         for _ in range(rounds):
-            idle_qps, _, _, _ = run([])
-            churn_qps, cells, epochs, overlay = run(churn)
+            idle_qps, _ = run([])
+            churn_qps, epochs = run(churn)
             if churn_qps / idle_qps > best_ratio:
                 best_ratio = churn_qps / idle_qps
-                best = cells, epochs, overlay
-        cells, epochs, overlay = best
-        # The churn rate dwarfs the 5%-of-cells-per-minute floor ...
-        cells_per_min = cells / (duration_s / 60.0)
+                best = epochs
+        epochs = best
+        # The churn rate dwarfs the 5%-of-edges-per-minute floor ...
+        edges_per_min = epochs / (duration_s / 60.0)
         assert epochs > 0
-        assert cells_per_min >= 0.05 * overlay.num_cells
+        assert edges_per_min >= 0.05 * len(EDGES)
         # ... while throughput keeps the absolute 80% floor.
         assert best_ratio >= 0.8

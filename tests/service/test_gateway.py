@@ -573,7 +573,7 @@ class TestGatewayConfig:
 
     def test_worker_mode_changes_only_the_spill_dir(self, network):
         serving = ServingConfig(
-            engine="overlay-csr", result_capacity=7,
+            engine="dijkstra-csr", result_capacity=7,
         )
         gateway = Gateway(network, serving, GatewayConfig(workers=2))
         try:
@@ -595,7 +595,7 @@ class TestShardWorkers:
             )
             for i in range(4)
         ]
-        serving = ServingConfig(engine="overlay-csr")
+        serving = ServingConfig(engine="dijkstra-csr")
         with GatewayServer(
             network, serving, GatewayConfig(workers=2)
         ) as srv:
@@ -612,7 +612,7 @@ class TestShardWorkers:
                 assert status == 200
                 over_http.append(RouteResponse.from_json(body))
         with ServingStack.from_config(
-            network, ServingConfig(engine="overlay-csr")
+            network, ServingConfig(engine="dijkstra-csr")
         ) as stack:
             expected = [
                 RouteResponse.from_server(r)
@@ -658,7 +658,7 @@ class TestShardWorkers:
         neighbor, weight = next(iter(network.neighbors(nodes[0]).items()))
         with GatewayServer(
             network,
-            ServingConfig(engine="overlay-csr"),
+            ServingConfig(engine="dijkstra-csr"),
             GatewayConfig(workers=2),
         ) as srv:
             status, _, body = _request(

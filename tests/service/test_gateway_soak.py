@@ -23,7 +23,7 @@ from repro.service.serving import ServingConfig, ServingStack
 from repro.service.wire import RouteRequest, RouteResponse
 from repro.workloads.loadgen import run_load
 
-ENGINE = "overlay-csr"
+ENGINE = "dijkstra-csr"
 
 
 def _workload(network, n, seed):

@@ -352,7 +352,7 @@ class TestReplay:
             q[2],
         ]
         with ServingStack.from_config(
-            small_grid, ServingConfig(engine="overlay-csr")
+            small_grid, ServingConfig(engine="dijkstra-csr")
         ) as stack:
             stack.warm()
             report = replay(stack, items, repeats=2, batch_size=2)
@@ -456,7 +456,7 @@ class TestServingConfig:
     def test_frozen(self):
         config = ServingConfig()
         with pytest.raises(AttributeError):
-            config.engine = "overlay"
+            config.engine = "dijkstra"
 
     def test_dispatcher_takes_one_worker_only(self):
         ConcurrentDispatcher(object, max_workers=1)
@@ -465,12 +465,12 @@ class TestServingConfig:
 
     def test_to_dict_shape(self, tmp_path):
         doc = ServingConfig(
-            engine="overlay-csr",
+            engine="dijkstra-csr",
             spill_dir=str(tmp_path),
         ).to_dict()
         assert doc["schema"] == 1
         assert doc["kind"] == "serving_config"
-        assert doc["engine"] == "overlay-csr"
+        assert doc["engine"] == "dijkstra-csr"
         assert doc["max_workers"] == 1
         assert "coalesce" not in doc
         assert "preprocessing_capacity" not in doc

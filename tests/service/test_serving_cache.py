@@ -392,10 +392,8 @@ class TestInvalidateFingerprint:
         cache.get(tiger_net, "ch")
         fp = network_fingerprint(small_grid)
         assert cache.invalidate_fingerprint(fp) == 2
-        assert cache.peek(fp, "ch") is None
-        assert cache.peek(fp, "dijkstra-csr") is None
         # The other fingerprint's artifact survives.
-        assert cache.peek(network_fingerprint(tiger_net), "ch") is not None
+        assert list(cache._entries) == [(network_fingerprint(tiger_net), "ch")]
         # Idempotent: nothing left to drop.
         assert cache.invalidate_fingerprint(fp) == 0
 

@@ -24,7 +24,7 @@ from repro.core.query import ObfuscatedPathQuery
 from repro.core.server import ServerResponse
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
-from repro.search import list_engines
+from repro.search import ENGINES
 from repro.search.multi import MSMDResult
 from repro.search.result import PathResult
 from repro.service.serving import ServingConfig, ServingStack
@@ -407,7 +407,9 @@ class TestSplicedBodies:
         assert RouteResponse.from_server(response).to_json().encode() == body
         assert RouteResponse.from_json(body) == RouteResponse.from_server(response)
 
-    @pytest.mark.parametrize("engine", list_engines())
+    @pytest.mark.parametrize(
+        "engine", sorted({row.name for row in ENGINES.values()})
+    )
     def test_route_body_for_every_engine_and_flag(self, engine):
         network = grid_network(7, 7, perturbation=0.1, seed=3)
         nodes = sorted(network.nodes())
@@ -807,8 +809,8 @@ def _permuted_grid(seed: int):
     return network
 
 
-#: an unperturbed grid (equal-cost ties everywhere, so CH and overlay
-#: tables need not be tree-shaped), perturbed ones and a permuted one
+#: an unperturbed grid (equal-cost ties everywhere, so CH tables need
+#: not be tree-shaped), perturbed ones and a permuted one
 _MAPS = {
     "ties": lambda: grid_network(7, 7),
     "permuted": functools.partial(_permuted_grid, 5),
@@ -819,7 +821,7 @@ _MAPS = {
         for seed in range(3)
     },
 }
-_ENGINES = ["dijkstra-csr", "ch-csr", "overlay-csr"]
+_ENGINES = ["dijkstra-csr", "ch-csr"]
 
 
 @functools.lru_cache(maxsize=None)

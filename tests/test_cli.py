@@ -7,7 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.network.generators import grid_network
 from repro.network.io import write_network
-from repro.search import list_engines
+from repro.search import ENGINES, get_engine
 
 
 @pytest.fixture()
@@ -52,9 +52,12 @@ class TestSummarize:
 
 
 class TestRoute:
-    # Every registered engine, never a hard-coded subset: a new engine
-    # must be routable from the CLI the moment it enters ENGINES.
-    @pytest.mark.parametrize("engine", list_engines())
+    # Every engine row, never a hard-coded subset: a new engine must be
+    # routable from the CLI the moment it enters ENGINES.  An alias
+    # names a row that already runs here.
+    @pytest.mark.parametrize(
+        "engine", sorted({row.name for row in ENGINES.values()})
+    )
     def test_engines_agree(self, map_file, capsys, engine):
         assert main(["route", map_file, "0", "99", "--engine", engine]) == 0
         out = capsys.readouterr().out
@@ -76,6 +79,17 @@ class TestRoute:
         assert main(["route", str(path), "0", "1"]) == 1
         assert "no path" in capsys.readouterr().err
 
+
+
+class TestEngineAliases:
+    def test_alias_names_share_their_rows_and_parse(self):
+        # The request ledger asks for ``overlay-csr`` and ``ch`` by name.
+        assert get_engine("overlay-csr") is get_engine("dijkstra-csr")
+        assert get_engine("ch") is get_engine("ch-csr")
+        args = build_parser().parse_args(
+            ["serve", "city.txt", "--engine", "overlay-csr"]
+        )
+        assert args.engine == "overlay-csr"
 
 class TestProtect:
     def test_protected_query_output(self, map_file, capsys):
@@ -99,40 +113,6 @@ class TestProtect:
         out = capsys.readouterr().out
         assert "distance:" in out
         assert "server saw S" in out
-
-
-class TestPartition:
-    def test_prints_stats_and_writes_file(self, map_file, tmp_path, capsys):
-        out = str(tmp_path / "city.part")
-        code = main(
-            ["partition", map_file, "--cell-capacity", "20", "-o", out]
-        )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "cells:" in text
-        assert "cut edges:" in text
-        assert "wrote partition to" in text
-        from repro.network.io import read_network, read_partition
-
-        net = read_network(map_file)
-        partition = read_partition(out, net)
-        assert partition.cell_capacity == 20
-        assert partition.num_nodes == net.num_nodes
-
-    def test_stats_only_without_output(self, map_file, capsys):
-        assert main(["partition", map_file, "--method", "bfs"]) == 0
-        assert "boundary nodes:" in capsys.readouterr().out
-
-    @pytest.mark.parametrize(
-        "flag,value", [("--cell-capacity", "0"), ("--refine-rounds", "-1")]
-    )
-    def test_invalid_arguments_fail_cleanly(self, map_file, capsys, flag, value):
-        assert main(["partition", map_file, flag, value]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_missing_file_fails_cleanly(self, capsys):
-        assert main(["partition", "/does/not/exist.txt"]) == 1
-        assert "error:" in capsys.readouterr().err
 
 
 class TestWorkload:
@@ -363,7 +343,7 @@ class TestServeReplay:
         assert main(
             [
                 "serve-replay", map_file, mixed,
-                "--engine", "overlay-csr", "--repeat", "2", "--batch", "4",
+                "--engine", "dijkstra-csr", "--repeat", "2", "--batch", "4",
             ]
         ) == 0
         out = capsys.readouterr().out

@@ -19,6 +19,7 @@ import pytest
 from repro.core.query import ObfuscatedPathQuery
 from repro.network.csr import csr_snapshot
 from repro.network.generators import grid_network, metro_network
+from repro.network.partition import partition_snapshot
 from repro.obs.trace import Tracer
 from repro.search.ch import contract_network
 from repro.search.kernels import (
@@ -27,8 +28,6 @@ from repro.search.kernels import (
     csr_ch_many_to_many,
     csr_dijkstra_path,
 )
-from repro.search import overlay as overlay_module
-from repro.search.overlay import build_overlay, dumps_overlay
 from repro.search.result import SearchStats
 from repro.service.cache import ResultCache
 from repro.service.serving import ServingConfig, ServingStack
@@ -55,11 +54,6 @@ def batch(net):
     return rng.sample(nodes, 4), rng.sample(nodes, 4)
 
 
-@pytest.fixture(scope="module")
-def overlay(net):
-    return build_overlay(net)
-
-
 def test_point_queries_settle(net, pairs):
     stats = SearchStats()
     csr = csr_snapshot(net)
@@ -81,17 +75,11 @@ def test_ch_buckets_settle(net, batch):
     assert stats.settled_nodes == 760
 
 
-def test_overlay_layout(overlay):
-    assert overlay.partition.num_cut_edges == 400
-    assert overlay.num_boundary_nodes == 716
-    assert overlay.num_clique_arcs == 4226
-
-
-def test_overlay_point_queries_settle(overlay, pairs):
-    stats = SearchStats()
-    for s, t in pairs:
-        overlay.route(s, t, stats=stats)
-    assert stats.settled_nodes == 2567
+def test_partition_layout(net):
+    partition = partition_snapshot(net)
+    assert partition.num_cells == 32
+    assert partition.num_cut_edges == 400
+    assert partition.num_boundary_nodes == 716
 
 
 def _fragment_bytes(net, sources, destinations):
@@ -105,26 +93,6 @@ def test_response_bytes(net, batch, pairs):
     1923; schema 1, one object per path, sent 3178 and 2409)."""
     assert _fragment_bytes(net, *batch) == 1333
     assert sum(_fragment_bytes(net, (s,), (t,)) for s, t in pairs) == 1578
-
-
-@pytest.mark.parametrize("kernel, settled", [("heap", 653), ("sweep", 639)])
-def test_recustomizing_one_cell_settles(
-    net, overlay, monkeypatch, kernel, settled
-):
-    """The heap loop counts each settled node once; the numpy sweep
-    counts every frontier entry, re-improved labels included."""
-    if kernel == "heap":
-        monkeypatch.setattr(overlay_module, "_np", None)
-    elif overlay_module._np is None:
-        pytest.skip("the sweep needs numpy")
-    reweighted = net.copy()
-    u, v, w = next(reweighted.edges())
-    reweighted.add_edge(u, v, w * 2.0)
-    touched = overlay.touched_cells([(u, v)])
-    assert len(touched) == 1
-    refreshed = overlay.recustomized_on(reweighted, touched)
-    assert refreshed.customize_stats.settled_nodes == settled
-    assert dumps_overlay(refreshed) == dumps_overlay(build_overlay(reweighted))
 
 
 def _session_batches(net, sessions=8, per_session=6, set_size=3):
@@ -182,4 +150,4 @@ def test_metro_shape():
     metro = metro_network(5000, seed=7)
     edges = sum(1 for _ in metro.edges())
     assert round(2.0 * edges / len(metro), 3) == 2.975
-    assert build_overlay(metro).num_cells == 64
+    assert partition_snapshot(metro).num_cells == 64

@@ -68,7 +68,6 @@ DOCSTRING_AUDIT_FILES = [
     "src/repro/search/ch/persist.py",
     "src/repro/search/kernels.py",
     "src/repro/search/multi.py",
-    "src/repro/search/overlay.py",
     "src/repro/search/vectorized.py",
     "src/repro/service/__init__.py",
     "src/repro/service/blob.py",

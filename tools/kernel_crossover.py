@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Measure the crossovers behind the search layer's two per-query choices.
+"""Measure the crossover behind the search layer's per-query kernel choice.
 
-``kernel``: ``CSRSharedTreeProcessor`` picks a kernel per query from
+``CSRSharedTreeProcessor`` picks a kernel per query from
 ``estimated_settled`` against ``BATCH_MIN_SETTLED``; this prints the
 table that constant is read from (docs/ARCHITECTURE.md, "Kernel
 selection").  Per map and protection level, trips are banded by
@@ -10,24 +10,11 @@ each band reports the medians of the estimate, the nodes the scalar
 kernel really settled, and both kernels' best-of-three wall time for
 the same ``Q(S, T)``.
 
-``overlay``: ``OverlayGraph.many_to_many`` answers pair by pair up to
-``PAIR_SWEEP_MAX_TARGETS`` destinations and with one shared sweep per
-source beyond; this prints the ``|T|`` x trip-length table that
-constant is read from (docs/ARCHITECTURE.md, "Partition overlay"):
-median best-of-three ms of both modes for the same ``Q(S, T)``, with
-the decoys the obfuscator really sends (compact) and with decoy
-destinations drawn uniformly over the map (the widest ``T`` a client
-could send).  A second table times both modes against the number of
-arcs reweighted below their straight-line length, which the pair
-sweeps' bound has to allow for (``MAX_UNDERCUT_ARCS``).
-
-    PYTHONPATH=src python tools/kernel_crossover.py [kernel|overlay]
+    PYTHONPATH=src python tools/kernel_crossover.py [kernel]
 """
 
 from __future__ import annotations
 
-import math
-import random
 import statistics
 import sys
 import time
@@ -36,13 +23,7 @@ from repro.core.obfuscator import PathQueryObfuscator
 from repro.core.query import ClientRequest, ProtectionSetting
 from repro.network.csr import csr_snapshot
 from repro.network.generators import grid_network
-from repro.search import overlay as overlay_module
 from repro.search.kernels import BATCH_MIN_SETTLED, CSRSharedTreeProcessor
-from repro.search.overlay import (
-    MAX_UNDERCUT_ARCS,
-    PAIR_SWEEP_MAX_TARGETS,
-    build_overlay,
-)
 from repro.search.vectorized import (
     estimated_settled,
     numpy_available,
@@ -67,126 +48,6 @@ def _best_ms(call, *args):
         result = call(*args)
         best = min(best, time.perf_counter() - t0)
     return best * 1e3, result
-
-
-#: overlay table: grid sides, ``|T|`` rows, trip bands, ``|S|``
-OVERLAY_SIDES = (100, 200)
-OVERLAY_TARGETS = (1, 2, 3, 4, 5, 6, 8, 12)
-OVERLAY_BANDS = ((8, 12), (24, 32), (48, 64), (96, 128))
-OVERLAY_SOURCES = 2
-OVERLAY_QUERIES_PER_BAND = 10
-#: undercut table: arcs below their straight line, ``|S| = |T|``
-UNDERCUT_ARCS = (0, 2, 4, 8, 16, 32, 64)
-UNDERCUT_PROTECTION = 3
-
-
-def _both_modes(overlay, sources, dests) -> tuple[float, float]:
-    """Best-of-three ms of pair sweeps and of shared sweeps, same table."""
-    try:
-        overlay_module.PAIR_SWEEP_MAX_TARGETS = math.inf
-        pair_ms, got = _best_ms(overlay.many_to_many, sources, dests)
-        overlay_module.PAIR_SWEEP_MAX_TARGETS = 0
-        shared_ms, ref = _best_ms(overlay.many_to_many, sources, dests)
-    finally:
-        overlay_module.PAIR_SWEEP_MAX_TARGETS = PAIR_SWEEP_MAX_TARGETS
-    if got != ref:
-        raise SystemExit("error: the modes disagree")
-    return pair_ms, shared_ms
-
-
-def undercut_table() -> None:
-    """Print both modes' ms against the number of undercut arcs."""
-    side, f = OVERLAY_SIDES[0], UNDERCUT_PROTECTION
-    net = grid_network(side, side, perturbation=0.1, seed=7)
-    overlay = build_overlay(net)
-    nodes = sorted(net.nodes())
-    edges = sorted(net.edges())
-    trips = distance_bounded_queries(
-        net, 3 * OVERLAY_QUERIES_PER_BAND, 8.0, 64.0, seed=SEED
-    )
-    obfuscator = PathQueryObfuscator(net, seed=SEED)
-    rng = random.Random(SEED)
-    queries = []
-    for k, trip in enumerate(trips):
-        query = obfuscator.obfuscate_independent(
-            ClientRequest(f"u{k}", trip, ProtectionSetting(f, f))
-        ).query
-        queries.append((
-            list(query.sources), list(query.destinations),
-            [trip.destination] + rng.sample(nodes, f - 1),
-        ))
-    print(f"\n{side}x{side}, |S|=|T|={f}, trips of 8-64: arcs below their "
-          f"straight line (MAX_UNDERCUT_ARCS = {MAX_UNDERCUT_ARCS})")
-    print("  arcs   compact decoys    uniform decoys   (pair ms / shared ms)")
-    try:
-        overlay_module.MAX_UNDERCUT_ARCS = math.inf  # time pairs past the cap
-        for arcs in UNDERCUT_ARCS:
-            changed = []
-            while len(overlay.undercut) + 2 * len(changed) < arcs:
-                u, v, w = edges.pop(rng.randrange(len(edges)))
-                net.add_edge(u, v, w * rng.uniform(0.5, 0.95))
-                changed.append((u, v))
-            overlay = overlay.recustomized(
-                overlay.touched_cells(changed), changed_edges=changed
-            )
-            compact = [_both_modes(overlay, s, t) for s, t, _ in queries]
-            uniform = [_both_modes(overlay, s, t) for s, _, t in queries]
-            print(f"  {len(overlay.undercut):>4}   " + "    ".join(
-                f"{statistics.median(p for p, _ in rows):>6.2f}/"
-                f"{statistics.median(s for _, s in rows):<6.2f}"
-                for rows in (compact, uniform)
-            ), flush=True)
-    finally:
-        overlay_module.MAX_UNDERCUT_ARCS = MAX_UNDERCUT_ARCS
-
-
-def overlay_table() -> int:
-    """Print pair-sweep vs shared-sweep ms per ``|T|`` and trip band."""
-    print(f"PAIR_SWEEP_MAX_TARGETS = {PAIR_SWEEP_MAX_TARGETS}")
-    for side in OVERLAY_SIDES:
-        net = grid_network(side, side, perturbation=0.1, seed=7)
-        overlay = build_overlay(net)
-        nodes = sorted(net.nodes())
-        bands = [band for band in OVERLAY_BANDS if band[1] <= side * 1.2]
-        trips = {
-            band: distance_bounded_queries(
-                net, OVERLAY_QUERIES_PER_BAND, float(band[0]), float(band[1]),
-                seed=SEED,
-            )
-            for band in bands
-        }
-        for decoys in ("compact", "uniform"):
-            obfuscator = PathQueryObfuscator(net, seed=SEED)
-            rng = random.Random(SEED)
-            print(f"\n{side}x{side}, |S|={OVERLAY_SOURCES}, {decoys} decoys, "
-                  f"{overlay.num_boundary_nodes} boundary nodes  "
-                  "(pair ms / shared ms per trip band)")
-            print("  |T|  " + "  ".join(f"{lo:>5}-{hi:<7}" for lo, hi in bands))
-            for f_t in OVERLAY_TARGETS:
-                cells = []
-                for band in bands:
-                    pair_ms, shared_ms = [], []
-                    for k, trip in enumerate(trips[band]):
-                        query = obfuscator.obfuscate_independent(
-                            ClientRequest(
-                                f"u{k}", trip,
-                                ProtectionSetting(OVERLAY_SOURCES, f_t),
-                            )
-                        ).query
-                        sources = list(query.sources)
-                        dests = list(query.destinations)
-                        if decoys == "uniform":
-                            dests = [trip.destination] + rng.sample(
-                                nodes, f_t - 1
-                            )
-                        p_ms, s_ms = _both_modes(overlay, sources, dests)
-                        pair_ms.append(p_ms)
-                        shared_ms.append(s_ms)
-                    cells.append(f"{statistics.median(pair_ms):>6.2f}/"
-                                 f"{statistics.median(shared_ms):<6.2f}")
-                print(f"  {f_t:>3}  " + "  ".join(cells), flush=True)
-    undercut_table()
-    return 0
 
 
 def kernel_table() -> int:
@@ -236,12 +97,11 @@ def kernel_table() -> int:
 
 
 def main(argv: list[str]) -> int:
-    """Print the requested table (both without an argument)."""
-    tables = {"kernel": kernel_table, "overlay": overlay_table}
-    if len(argv) > 1 or any(name not in tables for name in argv):
+    """Print the kernel table (the one table; ``kernel`` names it)."""
+    if argv not in ([], ["kernel"]):
         print(__doc__, file=sys.stderr)
         return 2
-    return max(tables[name]() for name in argv or tables)
+    return kernel_table()
 
 
 if __name__ == "__main__":
