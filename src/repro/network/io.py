@@ -23,6 +23,7 @@ from typing import TextIO
 
 from repro.exceptions import GraphError
 from repro.network.graph import RoadNetwork
+from repro.network.partition import Partition
 
 __all__ = [
     "read_network",
@@ -31,6 +32,10 @@ __all__ = [
     "loads_network",
     "read_dimacs",
     "write_dimacs",
+    "read_partition",
+    "write_partition",
+    "dumps_partition",
+    "loads_partition",
 ]
 
 
@@ -239,6 +244,98 @@ def write_dimacs(
             for node in sorted(network.nodes()):
                 p = network.position(node)
                 fh.write(f"v {node} {p.x!r} {p.y!r}\n")
+
+
+def write_partition(
+    partition: Partition, path: str | os.PathLike[str]
+) -> None:
+    """Write a :class:`~repro.network.partition.Partition` to ``path``.
+
+    Format (same conventions as the network format)::
+
+        # comment lines start with '#'
+        capacity <cell capacity>
+        cell <cell id> <node id> <node id> ...
+
+    Only the capacity and cell membership are stored; boundary sets and
+    cut edges are derived from the network again on load, so the file
+    stays small and can never drift from the graph it describes.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_partition(partition))
+
+
+def dumps_partition(partition: Partition) -> str:
+    """Serialize a partition to a string (see :func:`write_partition`).
+
+    Raises
+    ------
+    GraphError
+        For non-integer node ids.
+    """
+    lines = ["# repro partition v1", f"capacity {partition.cell_capacity}"]
+    for i, members in enumerate(partition.cells):
+        for node in members:
+            if not isinstance(node, int):
+                raise GraphError(
+                    f"partition serialization needs integer node ids, "
+                    f"got {node!r}"
+                )
+        lines.append(f"cell {i} " + " ".join(str(n) for n in members))
+    return "\n".join(lines) + "\n"
+
+
+def read_partition(path: str | os.PathLike[str], network) -> Partition:
+    """Read a partition written by :func:`write_partition`.
+
+    ``network`` supplies the adjacency the boundary sets and cut edges
+    are derived from; its node set must match the file exactly.
+
+    Raises
+    ------
+    GraphError
+        For malformed input, cells not numbered ``0..n-1``, or cells
+        that do not partition ``network``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        return _read_partition(fh, network)
+
+
+def loads_partition(text: str, network) -> Partition:
+    """Parse a partition from a string produced by :func:`dumps_partition`."""
+    import io as _io
+
+    return _read_partition(_io.StringIO(text), network)
+
+
+def _read_partition(fh: TextIO, network) -> Partition:
+    capacity: int | None = None
+    cells: list[tuple[int, list[int]]] = []
+    for line_no, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        kind = fields[0]
+        try:
+            if kind == "capacity":
+                if capacity is not None:
+                    raise GraphError("duplicate 'capacity' header")
+                capacity = int(fields[1])
+            elif kind == "cell":
+                cells.append((int(fields[1]), [int(f) for f in fields[2:]]))
+            else:
+                raise GraphError(f"unknown record kind {kind!r}")
+        except (IndexError, ValueError) as exc:
+            raise GraphError(f"malformed line {line_no}: {line!r}") from exc
+    if capacity is None:
+        raise GraphError("missing 'capacity' header")
+    cells.sort(key=lambda item: item[0])
+    if [i for i, _ in cells] != list(range(len(cells))):
+        raise GraphError("partition cells are not numbered 0..n-1")
+    return Partition.from_cells(
+        network, [members for _, members in cells], capacity
+    )
 
 
 def _read(fh: TextIO) -> RoadNetwork:

@@ -8,7 +8,7 @@ from repro.core.query import ObfuscatedPathQuery
 from repro.core.server import DirectionsServer
 from repro.network.generators import grid_network
 from repro.network.storage import PagedNetwork
-from repro.search import ENGINES, get_engine
+from repro.search import ENGINES, get_engine, list_engines
 from repro.search.dijkstra import dijkstra_path
 from repro.search.multi import SharedTreeProcessor
 
@@ -69,9 +69,7 @@ class TestAnswer:
 
 
 class TestInPlaceReweight:
-    @pytest.mark.parametrize(
-        "engine", sorted({row.name for row in ENGINES.values()})
-    )
+    @pytest.mark.parametrize("engine", list_engines())
     def test_long_lived_server_sees_the_new_weights(self, engine):
         """A processor's memoized artifact must not outlive a mutation."""
         import random

@@ -19,7 +19,7 @@ from repro.network.generators import (
     ring_radial_network,
     tiger_like_network,
 )
-from repro.search import ENGINES
+from repro.search import list_engines
 from repro.search.dijkstra import dijkstra_path
 from repro.workloads.queries import requests_from_queries, uniform_queries
 
@@ -49,7 +49,7 @@ def test_full_pipeline_on_every_topology(topology, mode):
         assert breach_probability(record.query) <= 1 / 9 + 1e-9
 
 
-@pytest.mark.parametrize("engine", sorted({row.name for row in ENGINES.values()}))
+@pytest.mark.parametrize("engine", list_engines())
 def test_processor_choice_never_changes_results(engine):
     network = grid_network(12, 12, perturbation=0.1, seed=211)
     queries = uniform_queries(network, 4, seed=11)

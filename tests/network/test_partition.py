@@ -1,4 +1,4 @@
-"""Unit tests for repro.network.partition."""
+"""Unit tests for repro.network.partition (and its io round trip)."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from repro.exceptions import GraphError, UnknownNodeError
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
+from repro.network.io import dumps_partition, loads_partition
 from repro.network.partition import (
     Partition,
     default_cell_capacity,
@@ -197,3 +198,37 @@ class TestPagesAreCells:
         assert store.num_pages == partition.num_cells
         for i in range(store.num_pages):
             assert store.page_members(i) == list(partition.cells[i])
+
+
+class TestPartitionIO:
+    def test_round_trip(self, small_grid):
+        partition = partition_network(small_grid, cell_capacity=16)
+        text = dumps_partition(partition)
+        loaded = loads_partition(text, small_grid)
+        assert loaded == partition
+        assert dumps_partition(loaded) == text
+
+    def test_write_read_file(self, small_grid, tmp_path):
+        from repro.network.io import read_partition, write_partition
+
+        partition = partition_network(small_grid, cell_capacity=16)
+        path = tmp_path / "grid.part"
+        write_partition(partition, path)
+        assert read_partition(path, small_grid) == partition
+
+    def test_rejects_malformed(self, small_grid):
+        with pytest.raises(GraphError, match="capacity"):
+            loads_partition("cell 0 1 2\n", small_grid)
+        with pytest.raises(GraphError, match="malformed"):
+            loads_partition("capacity x\n", small_grid)
+        with pytest.raises(GraphError, match="record kind"):
+            loads_partition("capacity 4\nfrobnicate\n", small_grid)
+        with pytest.raises(GraphError, match="numbered"):
+            loads_partition("capacity 100\ncell 1 0\n", small_grid)
+
+    def test_rejects_non_integer_ids(self):
+        net = RoadNetwork()
+        net.add_node("a", 0.0, 0.0)
+        partition = partition_network(net, cell_capacity=4)
+        with pytest.raises(GraphError, match="integer"):
+            dumps_partition(partition)

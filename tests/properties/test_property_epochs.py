@@ -124,7 +124,7 @@ def test_row_sum_fingerprint_is_incremental_and_content_addressed(drawn):
         current = after
 
 
-@pytest.mark.parametrize("engine", ["dijkstra-csr"])
+@pytest.mark.parametrize("engine", ["dijkstra-csr", "overlay-csr"])
 @given(
     drawn=update_sequences(),
     picks=st.lists(

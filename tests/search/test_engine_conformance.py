@@ -53,9 +53,7 @@ from repro.network.io import read_dimacs, write_dimacs
 from repro.search import ENGINES, get_engine
 from repro.search.dijkstra import dijkstra_path
 
-#: one name per engine row: an alias (``ch``, ``overlay-csr``) names a
-#: row that already runs under its own name
-ENGINE_NAMES = sorted({row.name for row in ENGINES.values()})
+ENGINE_NAMES = sorted(ENGINES)
 
 #: weight regimes of the random maps: arbitrary positive floats, or
 #: small integers with zero-weight arcs (many tied shortest paths)

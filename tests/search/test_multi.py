@@ -9,7 +9,7 @@ import pytest
 
 from repro.exceptions import QueryError
 from repro.network.generators import grid_network
-from repro.search import ENGINES, get_engine
+from repro.search import get_engine, list_engines
 from repro.search.multi import (
     NaivePairwiseProcessor,
     SharedTreeProcessor,
@@ -157,9 +157,7 @@ class TestRegistry:
     """``repro.search.ENGINES`` is the only registry: a processor is
     reached through its engine's row, so the two cannot drift."""
 
-    @pytest.mark.parametrize(
-        "name", sorted({row.name for row in ENGINES.values()})
-    )
+    @pytest.mark.parametrize("name", list_engines())
     def test_engine_row_names_its_processor(self, name):
         row = get_engine(name)
         processor = row.make_processor()

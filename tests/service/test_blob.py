@@ -16,7 +16,7 @@ from repro.exceptions import GraphError
 from repro.network.csr import CSRGraph, csr_snapshot
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
-from repro.search import ENGINES, get_engine
+from repro.search import get_engine, list_engines
 from repro.service.blob import (
     BLOB_MAGIC,
     PAGE_SIZE,
@@ -193,9 +193,7 @@ class TestCSRBlob:
 class TestCacheIntegration:
     """The spill channel the gateway's shard-worker handoff rides on."""
 
-    @pytest.mark.parametrize(
-        "engine", sorted({row.name for row in ENGINES.values()})
-    )
+    @pytest.mark.parametrize("engine", list_engines())
     def test_spill_now_and_reload(self, net, tmp_path, engine):
         cache = PreprocessingCache(capacity=2, spill_dir=tmp_path)
         artifact = cache.get(net, engine)

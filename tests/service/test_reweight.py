@@ -119,7 +119,9 @@ class TestReweight:
         assert net.edge_weight(u, v) == w
         assert net.version == version
 
-    def test_warm_cache_falls_back_to_rebuild(self, net):
+    def test_non_overlay_engine_falls_back_to_rebuild(self, net):
+        """No engine refreshes its artifact in place: after a reweight
+        the next read rebuilds the snapshot (one cache miss)."""
         with _stack(net) as stack:
             stack.warm()
             u, v, w = next(net.edges())
@@ -130,10 +132,11 @@ class TestReweight:
             assert not response.from_cache
             _assert_exact(stack.network, response)
 
-    def test_shared_cache_serves_each_stack_its_own_epoch(self):
+    def test_shared_cache_never_recustomizes_foreign_overlay(self):
         # Two stacks over content-identical network *objects* share one
         # PreprocessingCache.  A reweight on stack A must not change
-        # what B serves, and A must not answer from B's snapshot.
+        # what B serves (the snapshot cached for B is never refreshed
+        # from A's weights), and A must not answer from B's snapshot.
         net_a = grid_network(10, 10, perturbation=0.1, seed=6)
         net_b = grid_network(10, 10, perturbation=0.1, seed=6)
         cache = PreprocessingCache()
@@ -324,7 +327,7 @@ class TestEpochRetirement:
             _assert_exact(stack.network, stack.answer(_query(net, 3, 140)))
             assert stack.preprocessing.misses == misses
 
-    @pytest.mark.parametrize("engine", ["dijkstra-csr"])
+    @pytest.mark.parametrize("engine", ["overlay-csr", "dijkstra-csr"])
     def test_ten_reweights_keep_a_bounded_cache(self, net, engine):
         edges = list(net.edges())
         with ServingStack.from_config(
@@ -341,7 +344,7 @@ class TestOneOwnerOfTheNetwork:
     """The stack's network is its server's: no public attribute returns
     an earlier epoch's map, and the server answers from the current one."""
 
-    @pytest.mark.parametrize("engine", ["dijkstra", "dijkstra-csr"])
+    @pytest.mark.parametrize("engine", ["dijkstra", "dijkstra-csr", "overlay-csr"])
     def test_server_answers_from_the_current_epoch(self, net, engine):
         u, v, w = next(iter(net.edges()))
         query = ObfuscatedPathQuery((u,), (v,))
@@ -364,10 +367,10 @@ class TestOneOwnerOfTheNetwork:
 
 class TestBypassedReweight:
     """A re-weight whose epoch's snapshot was evicted only moves the
-    network; the next read must still build from the current weights,
-    identical to a rebuild."""
+    network; the next read must still build (customize) the snapshot
+    from the current weights, identical to a rebuild."""
 
-    def test_evicted_artifact_then_reweight_matches_rebuild(self, net):
+    def test_evicted_artifact_then_recustomize_matches_rebuild(self, net):
         with _stack(net) as stack:
             stack.warm()
             r1 = [(u, v, w * 1.5) for u, v, w in list(net.edges())[::5]]
@@ -411,14 +414,17 @@ class TestDispatchHint:
                 assert got.candidates.paths[pair].distance == path.distance
 
 
-class TestSpill:
-    def test_evicted_snapshot_reloads_from_disk(self, net, tmp_path):
+class TestOverlaySpill:
+    """The artifact cached under ``overlay-csr``, the name the churn
+    workload is served under, spills as the CSR blob of its row."""
+
+    def test_evicted_overlay_reloads_from_disk(self, net, tmp_path):
         cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)
-        snapshot = cache.get(net, ENGINE)
+        snapshot = cache.get(net, "overlay-csr")
         other = grid_network(5, 5, seed=1)
         cache.get(other, "ch-csr")  # evicts (and spills) the snapshot
         assert list(tmp_path.glob("*.csrb")), "snapshot spill file missing"
-        reloaded = cache.get(net, ENGINE)
+        reloaded = cache.get(net, "overlay-csr")
         assert cache.disk_loads == 1
         _assert_scratch_snapshot(reloaded, net)
         assert snapshot.weights == reloaded.weights
@@ -429,7 +435,7 @@ class TestSpill:
         net.add_node("b", 1.0, 0.0)
         net.add_edge("a", "b", 1.0)
         cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)
-        cache.get(net, ENGINE)
+        cache.get(net, "overlay-csr")
         other = grid_network(4, 4, seed=1)
         cache.get(other, "dijkstra")  # evicts; spill must not blow up
         assert not list(tmp_path.glob("*.csrb"))

@@ -24,7 +24,7 @@ from repro.core.query import ObfuscatedPathQuery
 from repro.core.server import ServerResponse
 from repro.network.generators import grid_network
 from repro.network.graph import RoadNetwork
-from repro.search import ENGINES
+from repro.search import list_engines
 from repro.search.multi import MSMDResult
 from repro.search.result import PathResult
 from repro.service.serving import ServingConfig, ServingStack
@@ -407,9 +407,7 @@ class TestSplicedBodies:
         assert RouteResponse.from_server(response).to_json().encode() == body
         assert RouteResponse.from_json(body) == RouteResponse.from_server(response)
 
-    @pytest.mark.parametrize(
-        "engine", sorted({row.name for row in ENGINES.values()})
-    )
+    @pytest.mark.parametrize("engine", list_engines())
     def test_route_body_for_every_engine_and_flag(self, engine):
         network = grid_network(7, 7, perturbation=0.1, seed=3)
         nodes = sorted(network.nodes())
@@ -821,7 +819,9 @@ _MAPS = {
         for seed in range(3)
     },
 }
-_ENGINES = ["dijkstra-csr", "ch-csr"]
+#: ``overlay-csr`` is the name the churn workload is served under (an
+#: alias of the ``dijkstra-csr`` row)
+_ENGINES = ["dijkstra-csr", "ch-csr", "overlay-csr"]
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.network.generators import grid_network
 from repro.network.io import write_network
-from repro.search import ENGINES, get_engine
+from repro.search import get_engine, list_engines
 
 
 @pytest.fixture()
@@ -52,12 +52,9 @@ class TestSummarize:
 
 
 class TestRoute:
-    # Every engine row, never a hard-coded subset: a new engine must be
-    # routable from the CLI the moment it enters ENGINES.  An alias
-    # names a row that already runs here.
-    @pytest.mark.parametrize(
-        "engine", sorted({row.name for row in ENGINES.values()})
-    )
+    # Every registered engine, never a hard-coded subset: a new engine
+    # must be routable from the CLI the moment it enters ENGINES.
+    @pytest.mark.parametrize("engine", list_engines())
     def test_engines_agree(self, map_file, capsys, engine):
         assert main(["route", map_file, "0", "99", "--engine", engine]) == 0
         out = capsys.readouterr().out
@@ -80,7 +77,6 @@ class TestRoute:
         assert "no path" in capsys.readouterr().err
 
 
-
 class TestEngineAliases:
     def test_alias_names_share_their_rows_and_parse(self):
         # The request ledger asks for ``overlay-csr`` and ``ch`` by name.
@@ -90,6 +86,7 @@ class TestEngineAliases:
             ["serve", "city.txt", "--engine", "overlay-csr"]
         )
         assert args.engine == "overlay-csr"
+
 
 class TestProtect:
     def test_protected_query_output(self, map_file, capsys):

@@ -75,7 +75,8 @@ def test_ch_buckets_settle(net, batch):
     assert stats.settled_nodes == 760
 
 
-def test_partition_layout(net):
+def test_overlay_layout(net):
+    """The cell layout of the map (the paged-storage pages)."""
     partition = partition_snapshot(net)
     assert partition.num_cells == 32
     assert partition.num_cut_edges == 400
