@@ -13,7 +13,7 @@ Usage (also via ``python -m repro``):
     repro serve-replay city.txt traffic.txt --engine dijkstra-csr
     repro serve-replay city.txt rush.txt --engine ch-csr --batch 8
     repro serve-replay city.txt rush.txt --metrics-out m.json --trace-out t.jsonl
-    repro serve city.txt --port 8080 --engine dijkstra-csr --workers 4
+    repro serve city.txt --port 8080 --engine dijkstra-csr --window-ms 2
     repro loadgen city.txt rush.txt --host 127.0.0.1 --port 8080 --clients 4
     repro obs-report --metrics m.json --traces t.jsonl
     repro experiment E1 E4
@@ -236,20 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     gw.add_argument(
         "--port", type=int, default=8080, help="bind port (0 = pick free)"
     )
+    # accepted and ignored: the request ledger still passes it
     gw.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "shard worker processes (0 serves in-process; N spawns N "
-            "warmed per-shard serving stacks)"
-        ),
+        "--workers", type=int, default=None, help=argparse.SUPPRESS
     )
     gw.add_argument(
         "--engine",
         choices=list_engines(),
         default="dijkstra-csr",
-        help="server-side search engine in every shard",
+        help="server-side search engine",
     )
     gw.add_argument(
         "--max-inflight",
@@ -261,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-ms",
         type=float,
         default=0.0,
-        help="micro-batch admission window per shard (milliseconds)",
+        help="micro-batch admission window (milliseconds)",
     )
     gw.add_argument(
         "--max-batch",
@@ -273,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill-dir",
         default=None,
         help=(
-            "artifact spill/handoff directory shared with shard workers "
-            "(a temporary one is created when workers > 0)"
+            "directory evicted preprocessing artifacts are spilled to "
+            "and reloaded from (default: none, evictions are dropped)"
         ),
     )
 
@@ -642,15 +637,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.gateway import GatewayConfig, run_gateway
     from repro.service.serving import ServingConfig
 
-    if args.workers < 0:
-        print("error: --workers must be >= 0", file=sys.stderr)
-        return 1
+    if args.workers is not None:
+        if args.workers < 0:
+            print("error: --workers must be >= 0", file=sys.stderr)
+            return 1
+        print(
+            "note: --workers is ignored; the gateway serves in one process",
+            file=sys.stderr,
+        )
     net = read_network(args.network)
     serving = ServingConfig(engine=args.engine, spill_dir=args.spill_dir)
     config = GatewayConfig(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         max_inflight=args.max_inflight,
         window_ms=args.window_ms,
         max_batch=args.max_batch,

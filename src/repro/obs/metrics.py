@@ -1,7 +1,7 @@
 """Metrics registry with JSON and Prometheus exposition.
 
-Several threads answer through one serving stack (the gateway's shard
-lanes, sessions sharing a stack), so every instrument keeps **one value
+Several threads answer through one serving stack (the gateway's lane
+and reweight threads, sessions sharing a stack), so every instrument keeps **one value
 cell behind its own lock**: writers from any thread give exact totals,
 and a reader copies the cell once under the same lock, so a histogram's
 count, sum and buckets always come from one consistent snapshot.

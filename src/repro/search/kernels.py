@@ -725,7 +725,7 @@ class CSRSharedTreeProcessor(PreprocessingProcessor):
     the scalar heap loop, large ones together in one
     :func:`~repro.search.vectorized.vec_batch_paths` sweep.  Both
     return the same node sequences, so a union pass, a cache refill and
-    a shard worker may choose differently and still agree byte for byte.
+    a solo query may choose differently and still agree byte for byte.
     """
 
     name = "dijkstra-csr"

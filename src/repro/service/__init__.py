@@ -19,8 +19,8 @@ subpackage models that dimension twice over:
   keep serving;
 * :mod:`repro.service.gateway` + :mod:`repro.service.wire` — the HTTP
   network boundary: an asyncio gateway speaking a versioned canonical
-  JSON wire schema, with shard worker processes, admission control and
-  redaction-enforced access logging (``repro serve``).
+  JSON wire schema over one in-process stack, with admission control,
+  micro-batching and redaction-enforced access logging (``repro serve``).
 """
 
 from repro.service.blob import (

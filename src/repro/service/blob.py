@@ -2,8 +2,8 @@
 
 The spill format of the preprocessing cache
 (:class:`~repro.service.cache.PreprocessingCache`) for CSR snapshots:
-a binary container built for warm starts, so a cold shard worker parses
-no text before it can serve:
+a binary container built for warm starts, so a cold cache reloading an
+evicted snapshot parses no text:
 
 * :func:`write_blob` / :func:`read_blob` — a generic container: an
   8-byte magic, a JSON header describing named typed sections, then the

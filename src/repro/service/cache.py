@@ -115,8 +115,8 @@ def network_fingerprint(network) -> str:
     string by the network's mutation ``version``, and a copy-on-write
     epoch derives the next one with :func:`updated_fingerprint` in
     ``O(changed rows)`` — the row sum is what makes that possible, and
-    gateway, shard workers and a from-scratch hash of the same snapshot
-    all arrive at the same string.
+    a derived epoch and a from-scratch hash of the same snapshot
+    arrive at the same string.
 
     This is a cache key, not an integrity check: a sum of digests does
     not resist an adversary who can choose rows, and nothing verifies a
@@ -386,23 +386,6 @@ class PreprocessingCache:
                 preprocessing_disk_loads=self.disk_loads,
             )
 
-    def spill_now(self, fingerprint: str, engine_name: str) -> Path | None:
-        """Persist the cached artifact for a key to the spill dir *now*.
-
-        Spill normally happens lazily on LRU eviction; this forces it so
-        another process pointed at the same ``spill_dir`` can warm from
-        disk instead of rebuilding — the artifact-handoff channel the
-        network gateway uses to start shard workers
-        (:mod:`repro.service.gateway`).  Returns the spill file's path,
-        or ``None`` when there is no spill dir, no in-memory artifact
-        for the key, or the artifact's type has no persistent format.
-        """
-        with self._lock:
-            artifact = self._entries.get((fingerprint, engine_name))
-        if artifact is None:
-            return None
-        return self._spill((fingerprint, engine_name), artifact)
-
     # ------------------------------------------------------------------
     # Disk spill: the engine's row names the format (SearchEngine.spill),
     # _SPILL_FORMATS has its file suffix, writer and reader
@@ -415,11 +398,11 @@ class PreprocessingCache:
         suffix, write, read = _SPILL_FORMATS[engine.spill]
         return self._spill_dir / f"{key[0]}-{key[1]}.{suffix}", write, read
 
-    def _spill(self, key: tuple[str, str], artifact: object) -> Path | None:
-        """Persist ``artifact``; its spill file's path once there is one."""
+    def _spill(self, key: tuple[str, str], artifact: object) -> None:
+        """Persist an evicted ``artifact`` unless its file is there."""
         spill = self._spill_format(key)
         if spill is None:
-            return None
+            return
         path, write, _read = spill
         if not path.exists():  # else an earlier eviction persisted it
             self._spill_dir.mkdir(parents=True, exist_ok=True)
@@ -427,8 +410,6 @@ class PreprocessingCache:
                 write(artifact, path)
             except GraphError:  # non-int node ids: spill is best-effort
                 path.unlink(missing_ok=True)
-                return None
-        return path
 
     def _load_spilled(self, key: tuple[str, str], network) -> object | None:
         spill = self._spill_format(key)

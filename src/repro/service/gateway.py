@@ -1,49 +1,36 @@
-"""Asyncio HTTP gateway with shard-aware multi-process dispatch.
+"""Asyncio HTTP gateway over one in-process serving stack.
 
 The network front door of the serving layer: a zero-dependency
 HTTP/1.1 server (stdlib :mod:`asyncio` only — no web framework in the
 image, none required) that admits requests through the versioned wire
-schema (:mod:`repro.service.wire`) and answers them from
-:class:`~repro.service.serving.ServingStack` instances running in
-*separate processes*, so the GIL stops being the throughput ceiling.
+schema (:mod:`repro.service.wire`) and answers every one of them from
+one warmed :class:`~repro.service.serving.ServingStack` in its own
+process, as the paper's server answers each obfuscated query with one
+shared search.
 
 Request path::
 
     client ──HTTP──▶ middleware chain ──▶ router ──▶ result cache? ──hit──▶ bytes
-                      │ request-id                     │ miss        (on the loop,
-                      │ route aliases                  ▼           in-process mode)
-                      │ redacted access log      shard queues
+                      │ request-id                     │ miss        (on the loop)
+                      │ route aliases                  ▼
+                      │ redacted access log       one queue
                       │ admission control          │ micro-batch window
                       ▼ (429 + Retry-After)        ▼
-                                            one lane thread per shard
-                                             │ in-process: the stack
-                                             ▼ workers: ShardWorkerPool
-                                            (N processes, each a warmed
-                                             ServingStack; bodies come
-                                             back through the pipe as
-                                             encoded bytes)
+                                             one lane thread
+                                              │ the stack's answer_each:
+                                              ▼ one union pass per batch
 
 A repeated ``Q(S, T)`` is the common request (sticky decoys make a
-commuter's repeat the identical query), so the in-process gateway asks
-the result cache first, on the event loop
+commuter's repeat the identical query), so the gateway asks the result
+cache first, on the event loop
 (:meth:`~repro.service.serving.ServingStack.answer_cached`): a hit is
 answered with the bytes encoded when its table was first sent — no
-queue, no thread hop, no encoder.  Searches never run on the loop.
-Every body is :func:`~repro.service.wire.route_body` around the table's
-one :func:`~repro.service.wire.encode_paths` fragment.
-
-Sharding: each query is routed by a stable hash of its first source
-modulo the worker count.  Per-shard asyncio queues apply a micro-batch
-admission window, so one pipe round-trip carries several queries and
-the worker answers them as one batch — whose distinct misses the stack
-evaluates in one union pass.
-
-Worker handoff: the parent warms its stack once, force-spills the
-preprocessing artifact (:meth:`~repro.service.cache.PreprocessingCache.spill_now`)
-and starts ``spawn`` workers pointed at the same spill directory — each
-worker's ``warm()`` is an mmap-backed blob load
-(:mod:`repro.service.blob`), not a rebuild, so cold workers come up in
-milliseconds and report their measured ``warm_ms``.
+queue, no thread hop, no encoder.  Searches never run on the loop: a
+miss waits in the queue for the micro-batch admission window, and the
+lane thread answers each window's queries as one batch, whose distinct
+misses the stack evaluates in one union pass.  Every body is
+:func:`~repro.service.wire.route_body` around the table's one
+:func:`~repro.service.wire.encode_paths` fragment.
 
 Privacy: the HTTP boundary upholds the obs-layer redaction invariant.
 Access-log fields are validated against
@@ -60,19 +47,15 @@ intermediary logs.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import logging
 import math
-import multiprocessing
 import re
-import tempfile
 import threading
-import time
 import uuid
 from collections.abc import Awaitable, Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.exceptions import EdgeError
@@ -98,7 +81,6 @@ __all__ = [
     "GatewayConfig",
     "Gateway",
     "GatewayServer",
-    "ShardWorkerPool",
     "redacted_fields",
 ]
 
@@ -167,17 +149,12 @@ class GatewayConfig:
     host, port:
         Bind address; port 0 picks a free port (read it back from
         :attr:`Gateway.port` after start).
-    workers:
-        Shard worker processes.  0 serves in-process (no extra
-        processes) — the mode single-core hosts and tests use; N >= 1
-        starts N ``spawn`` processes, each holding a warmed
-        :class:`~repro.service.serving.ServingStack`.
     max_inflight:
         Admission-control ceiling: requests admitted concurrently
         beyond this are refused with 429 + ``Retry-After``
         (:data:`RETRY_AFTER_S`).
     window_ms:
-        Micro-batch admission window per shard: the first queued query
+        Micro-batch admission window: the first queued query
         waits up to this long for window-mates before its batch is
         dispatched.  0 still batches opportunistically (whatever is
         queued at dispatch time goes in one batch).
@@ -187,14 +164,11 @@ class GatewayConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    workers: int = 0
     max_inflight: int = 64
     window_ms: float = 0.0
     max_batch: int = 8
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if self.max_batch < 1:
@@ -250,17 +224,15 @@ def _evaluate_pairs(
 ) -> list[bytes | str]:
     """Answer decoded endpoint pairs; one encoded result per pair.
 
-    The single evaluation routine used by both the in-process mode and
-    every shard worker, so all modes encode answers identically (the
-    byte-identity property the gateway gate checks).  The pairs are one
-    :meth:`~repro.service.serving.ServingStack.answer_each` batch, so a
-    failing query cannot poison its batch-mates: each pair
+    The gateway's one evaluation routine for result-cache misses.  The
+    pairs are one :meth:`~repro.service.serving.ServingStack.answer_each`
+    batch, so a failing query cannot poison its batch-mates: each pair
     independently yields its ``/v1/route`` body (``bytes``) or an error
     code (``str``); anything unexpected propagates to the caller's
     boundary, which answers the whole batch ``internal``.  A table's
     fragment is encoded the first time it is sent and kept in its
-    result-cache entry, so a worker ships finished bytes through the
-    pipe and the gateway writes them as they are.
+    result-cache entry, so a later hit writes the same bytes as they
+    are.
     """
     from repro.exceptions import NoPathError, ReproError
 
@@ -292,165 +264,6 @@ def _evaluate_pairs(
     return out
 
 
-def _shard_report(stack: ServingStack) -> dict:
-    """A stack's epoch and cache counts for ``/v1/metrics``."""
-    return {"epoch": stack.epoch, "cache": stack.snapshot().to_dict()}
-
-
-def _worker_main(conn, network, config: ServingConfig) -> None:
-    """Entry point of one shard worker process.
-
-    Builds a stack from the pickled ``(network, config)`` pair, warms
-    it (an mmap blob load when the parent pre-spilled the artifact into
-    the shared spill dir — see :mod:`repro.service.blob`) and serves
-    pipe requests until ``stop``.  Every ``metrics`` reply carries the
-    stack's registry (``metrics``, so the shards' ``repro_server_*``
-    counters reach ``/v1/metrics``) and the measured warm-up wall time
-    (``warm_ms``, so cold workers can be seen to start in
-    milliseconds).  A request frame is ``(seq, message)`` and its reply
-    ``(seq, status, payload)``: the worker echoes the caller's sequence
-    number so :class:`ShardWorkerPool` can tell its reply from a late
-    one.
-    """
-    stack = ServingStack.from_config(network, config)
-    try:
-        t0 = time.perf_counter()
-        stack.warm()
-        warm_ms = (time.perf_counter() - t0) * 1000.0
-        while True:
-            seq, message = conn.recv()
-            op = message[0]
-            if op == "stop":
-                conn.send((seq, "ok", None))
-                break
-            try:
-                if op == "ping":
-                    payload = "pong"
-                elif op == "batch":
-                    payload = _evaluate_pairs(stack, message[1])
-                elif op == "reweight":
-                    outcome = stack.reweight(
-                        [tuple(c) for c in message[1]]
-                    )
-                    payload = {
-                        "edges": outcome.edges,
-                        "epoch": outcome.epoch,
-                    }
-                elif op == "metrics":
-                    payload = _shard_report(stack)
-                    payload["warm_ms"] = round(warm_ms, 3)
-                    payload["metrics"] = stack.metrics.collect()
-                else:
-                    raise ValueError(f"unknown op {op!r}")
-                conn.send((seq, "ok", payload))
-            except Exception:
-                conn.send((seq, "err", "internal"))
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown
-        pass
-    finally:
-        stack.close()
-        conn.close()
-
-
-def _round_trip(conn, seq: int, message: tuple, timeout: float):
-    """Send ``message`` tagged ``seq``; its worker's ``(status, payload)``.
-
-    A reply tagged with another sequence number answers an earlier call
-    that gave up on its deadline: it is read and dropped, within this
-    call's own deadline.  Raises :class:`RuntimeError` when no matching
-    reply arrives in ``timeout`` seconds.
-    """
-    deadline = time.monotonic() + timeout
-    conn.send((seq, message))
-    while conn.poll(max(0.0, deadline - time.monotonic())):
-        reply_seq, status, payload = conn.recv()
-        if reply_seq == seq:
-            return status, payload
-    raise RuntimeError("worker timed out")
-
-
-class ShardWorkerPool:
-    """N shard worker processes, each a warmed serving stack.
-
-    The parent warms its own stack first and force-spills the
-    preprocessing artifact so workers (``spawn`` context — no inherited
-    locks or threads) reload it from the shared spill directory instead
-    of rebuilding.  Calls are pipe round-trips serialized per worker by
-    a lock; the gateway runs them on executor threads so the event loop
-    never blocks on a pipe.  Every frame carries a per-connection
-    sequence number that the worker echoes, so the late reply of a call
-    that timed out is dropped instead of answering the next caller.
-    """
-
-    def __init__(self, network, config: ServingConfig, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._workers: list[tuple] = []
-        ctx = multiprocessing.get_context("spawn")
-        for _ in range(workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            process = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, network, config),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._workers.append(
-                (process, parent_conn, threading.Lock(), itertools.count())
-            )
-
-    def __len__(self) -> int:
-        """Number of shard workers."""
-        return len(self._workers)
-
-    def call(self, shard: int, message: tuple, timeout: float = 60.0):
-        """One pipe round-trip to the worker owning ``shard`` (blocking).
-
-        Returns the worker's payload, or raises :class:`RuntimeError`
-        (mapped to an ``internal`` error upstream) when the worker is
-        gone or over deadline.
-        """
-        _, conn, lock, seqs = self._workers[shard % len(self._workers)]
-        with lock:
-            try:
-                status, payload = _round_trip(
-                    conn, next(seqs), message, timeout
-                )
-            except (EOFError, OSError) as exc:
-                raise RuntimeError("worker unavailable") from exc
-        if status != "ok":
-            raise RuntimeError("worker error")
-        return payload
-
-    def broadcast(self, message: tuple) -> list:
-        """Send ``message`` to every worker; collect the payloads."""
-        return [
-            self.call(shard, message) for shard in range(len(self._workers))
-        ]
-
-    def wait_ready(self, timeout: float = 60.0) -> None:
-        """Block until every worker answers a ping (warmed and serving)."""
-        for shard in range(len(self._workers)):
-            self.call(shard, ("ping",), timeout=timeout)
-
-    def close(self) -> None:
-        """Stop every worker process (idempotent)."""
-        for process, conn, lock, seqs in self._workers:
-            with lock:
-                try:
-                    _round_trip(conn, next(seqs), ("stop",), 5.0)
-                except (EOFError, OSError, RuntimeError):
-                    pass
-                finally:
-                    conn.close()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=5.0)
-        self._workers = []
-
-
 class Gateway:
     """The asyncio HTTP gateway (see the module docstring for the path).
 
@@ -461,12 +274,9 @@ class Gateway:
         and lets go of it: from then on :attr:`network` is the stack's
         current epoch.
     serving:
-        :class:`~repro.service.serving.ServingConfig` for the parent
-        stack and (shipped over ``spawn``) every shard worker.  When
-        ``workers > 0`` and no spill dir is configured, a temporary one
-        is created so the artifact handoff works out of the box.
+        :class:`~repro.service.serving.ServingConfig` of the stack.
     config:
-        :class:`GatewayConfig` (bind address, workers, admission).
+        :class:`GatewayConfig` (bind address, admission, micro-batch).
     metrics:
         Optional shared registry for the gateway's own instruments.
     """
@@ -479,15 +289,7 @@ class Gateway:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.config = config if config is not None else GatewayConfig()
-        serving = serving if serving is not None else ServingConfig()
-        if self.config.workers > 0 and serving.spill_dir is None:
-            self._tmp_spill = tempfile.TemporaryDirectory(
-                prefix="repro-gateway-"
-            )
-            serving = replace(serving, spill_dir=self._tmp_spill.name)
-        else:
-            self._tmp_spill = None
-        self.serving = serving
+        self.serving = serving if serving is not None else ServingConfig()
         self._network = network  # the map start() builds the stack over
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_requests = self.metrics.counter(
@@ -508,13 +310,11 @@ class Gateway:
         )
         self._log = logging.getLogger(ACCESS_LOGGER)
         self.stack: ServingStack | None = None
-        self.pool: ShardWorkerPool | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._queues: dict[int, asyncio.Queue] = {}
-        self._flushers: list[asyncio.Task] = []
-        self._lanes: list[ThreadPoolExecutor] = []
+        self._queue: asyncio.Queue | None = None
+        self._flusher: asyncio.Task | None = None
+        self._lane: ThreadPoolExecutor | None = None
         self._inflight = 0
-        self._reweight_lock = asyncio.Lock()
         self._handlers = {
             ("POST", "route"): self._handle_route,
             ("POST", "batch"): self._handle_batch,
@@ -537,25 +337,19 @@ class Gateway:
         return self._network
 
     async def start(self) -> tuple[str, int]:
-        """Warm the serving side, start workers, bind the port."""
+        """Warm the stack, start the batch lane, bind the port."""
         network, self._network = self._network, None
         self.stack = ServingStack.from_config(
             network, self.serving, metrics=self.metrics
         )
         self.stack.warm()
-        if self.config.workers > 0:
-            fingerprint = self.stack._fingerprint()
-            self.stack.preprocessing.spill_now(
-                fingerprint, self.serving.engine
-            )
-            loop = asyncio.get_running_loop()
-            self.pool = await loop.run_in_executor(
-                None,
-                lambda: ShardWorkerPool(
-                    network, self.serving, self.config.workers
-                ),
-            )
-            await loop.run_in_executor(None, self.pool.wait_ready)
+        self._queue = asyncio.Queue()
+        # every batch runs on this one thread: a thread that ran a
+        # search keeps its kernel scratch and allocator arena
+        self._lane = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-lane"
+        )
+        self._flusher = asyncio.create_task(self._flush())
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port
         )
@@ -573,31 +367,23 @@ class Gateway:
         return self.address[1]
 
     async def stop(self) -> None:
-        """Stop accepting, drain flushers, stop workers, close the stack."""
+        """Stop accepting, stop the flusher and its lane, close the stack."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in self._flushers:
-            task.cancel()
-        if self._flushers:
-            await asyncio.gather(*self._flushers, return_exceptions=True)
-        self._flushers = []
-        self._queues = {}
-        for lane in self._lanes:
+        if self._flusher is not None:
+            self._flusher.cancel()
+            await asyncio.gather(self._flusher, return_exceptions=True)
+            self._flusher = None
+        self._queue = None
+        if self._lane is not None:
             # a batch still running finishes on its thread, which then exits
-            lane.shutdown(wait=False)
-        self._lanes = []
-        if self.pool is not None:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self.pool.close)
-            self.pool = None
+            self._lane.shutdown(wait=False)
+            self._lane = None
         if self.stack is not None:
             self.stack.close()
             self.stack = None
-        if self._tmp_spill is not None:
-            self._tmp_spill.cleanup()
-            self._tmp_spill = None
 
     # -- middleware chain ----------------------------------------------
 
@@ -720,35 +506,32 @@ class Gateway:
             "schema": WIRE_SCHEMA_VERSION,
             "status": "ok",
             "engine": self.serving.engine,
-            "workers": len(self.pool) if self.pool is not None else 0,
             "epoch": self.stack.epoch,
         }
         return _json_response(body)
 
     async def _handle_metrics(self, request: _HTTPRequest) -> _HTTPResponse:
-        loop = asyncio.get_running_loop()
-        shards = []
-        if self.pool is not None:
-            shards = await loop.run_in_executor(
-                None, self.pool.broadcast, ("metrics",)
-            )
         body = {
             "schema": 1,
             "kind": "gateway_metrics",
             "gateway": json.loads(self.metrics.to_json()),
-            "serving": _shard_report(self.stack),
+            "serving": {
+                "epoch": self.stack.epoch,
+                "cache": self.stack.snapshot().to_dict(),
+            },
             "config": self.serving.to_dict(),
-            "shards": shards,
+            # always empty; kept because the request ledger reads it
+            "shards": [],
         }
         return _json_response(body)
 
     async def _handle_reweight(self, request: _HTTPRequest) -> _HTTPResponse:
-        """Install a reweight epoch here, then in every shard.
+        """Install one reweight epoch in the stack.
 
         A body that is not JSON answers ``invalid_json`` and a change
         the stack refuses (a missing edge, a bad weight) answers
-        ``invalid_request``; a failing broadcast is the server's fault
-        and reaches :meth:`_route_request` as ``internal``.
+        ``invalid_request``.  Concurrent reweights are serialized by
+        the stack's own writer lock.
         """
         try:
             doc = json.loads(request.body) if request.body else None
@@ -765,20 +548,12 @@ class Gateway:
         except (TypeError, ValueError):
             return _error_response("invalid_request")
         loop = asyncio.get_running_loop()
-        # One reweight at a time from the install through the broadcast,
-        # so every process applies the epochs in the same order.
-        async with self._reweight_lock:
-            try:
-                outcome = await loop.run_in_executor(
-                    None,
-                    lambda: self.stack.reweight(changes),
-                )
-            except EdgeError:
-                return _error_response("invalid_request")
-            if self.pool is not None:
-                await loop.run_in_executor(
-                    None, self.pool.broadcast, ("reweight", changes)
-                )
+        try:
+            outcome = await loop.run_in_executor(
+                None, self.stack.reweight, changes
+            )
+        except EdgeError:
+            return _error_response("invalid_request")
         body = {
             "schema": WIRE_SCHEMA_VERSION,
             "edges": outcome.edges,
@@ -786,55 +561,28 @@ class Gateway:
         }
         return _json_response(body)
 
-    # -- shard dispatch ------------------------------------------------
-
-    def _shard_of(self, query: ObfuscatedPathQuery) -> int:
-        """Shard index for a query: a stable hash of its first source."""
-        if self.pool is None:
-            return 0
-        return hash(query.sources[0]) % len(self.pool)
+    # -- micro-batch dispatch ------------------------------------------
 
     async def _submit(self, query: ObfuscatedPathQuery) -> bytes | str:
         """Answer one query: its ``/v1/route`` body, or an error code.
 
-        In-process mode asks the result cache first, here on the loop;
-        with workers the tables live in the shards, so every query
-        crosses the pipe.  Anything but a hit is queued on its shard.
+        The result cache is asked first, here on the loop; a miss is
+        queued for the next micro-batch.
         """
-        if self.pool is None:
-            cached = self.stack.answer_cached(query)
-            if cached is not None:
-                response, fragment = cached
-                return route_body(
-                    fragment, response.from_cache, response.coalesced
-                )
-        shard = self._shard_of(query)
-        queue = self._queues.get(shard)
-        if queue is None:
-            queue = asyncio.Queue()
-            self._queues[shard] = queue
-            lane = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"repro-shard-{shard}"
-            )
-            self._lanes.append(lane)
-            self._flushers.append(
-                asyncio.create_task(self._flush_shard(shard, queue, lane))
+        cached = self.stack.answer_cached(query)
+        if cached is not None:
+            response, fragment = cached
+            return route_body(
+                fragment, response.from_cache, response.coalesced
             )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await queue.put((future, (query.sources, query.destinations)))
+        await self._queue.put((future, (query.sources, query.destinations)))
         return await future
 
-    async def _flush_shard(
-        self, shard: int, queue: asyncio.Queue, lane: ThreadPoolExecutor
-    ) -> None:
-        """Micro-batch admission loop for one shard's queue.
-
-        A shard's batches never overlap, so all run on ``lane``, its own
-        one-thread executor: the default executor hands them to whichever
-        thread is idle, and every thread that ever ran a search keeps its
-        own kernel scratch and allocator arena.
-        """
+    async def _flush(self) -> None:
+        """Micro-batch loop: gather a window, answer it on the lane."""
         loop = asyncio.get_running_loop()
+        queue = self._queue
         window = self.config.window_ms / 1000.0
         while True:
             first = await queue.get()
@@ -856,14 +604,9 @@ class Gateway:
                 batch.append(item)
             pairs = [pair for _, pair in batch]
             try:
-                if self.pool is not None:
-                    results = await loop.run_in_executor(
-                        lane, self.pool.call, shard, ("batch", pairs)
-                    )
-                else:
-                    results = await loop.run_in_executor(
-                        lane, _evaluate_pairs, self.stack, pairs
-                    )
+                results = await loop.run_in_executor(
+                    self._lane, _evaluate_pairs, self.stack, pairs
+                )
             except Exception:
                 results = ["internal"] * len(batch)
             for (future, _), result in zip(batch, results):
@@ -1058,8 +801,7 @@ def run_gateway(
         gateway = Gateway(network, serving=serving, config=config)
         host, port = await gateway.start()
         print(f"gateway listening on http://{host}:{port}{API_PREFIX}/")
-        workers = config.workers if config is not None else 0
-        print(f"engine={gateway.serving.engine} workers={workers}")
+        print(f"engine={gateway.serving.engine}")
         try:
             await asyncio.Event().wait()
         except asyncio.CancelledError:

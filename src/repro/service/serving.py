@@ -205,9 +205,8 @@ class ConcurrentDispatcher:
 class ServingConfig:
     """Frozen construction-time knobs of a :class:`ServingStack`.
 
-    Pass it to :meth:`ServingStack.from_config` or ship it across
-    process boundaries (it is picklable; the gateway sends it to shard
-    workers).  Live collaborators (pre-built caches, a shared
+    Pass it to :meth:`ServingStack.from_config` (it is picklable, so it
+    can also cross a process boundary).  Live collaborators (pre-built caches, a shared
     :class:`~repro.obs.metrics.MetricsRegistry`, a tracer) are keyword
     arguments of :meth:`~ServingStack.from_config` instead.
 
@@ -220,8 +219,8 @@ class ServingConfig:
         left of the removed dispatcher thread pool, kept because the
         request ledger reads it.
     spill_dir:
-        Disk-spill directory for the preprocessing cache (also the
-        artifact handoff channel between gateway shard workers).
+        Disk-spill directory for the preprocessing cache: evicted
+        artifacts are written there and reloaded on a later miss.
     result_capacity:
         Result-table slots of the result cache (0 disables it).
     """
@@ -618,9 +617,8 @@ class ServingStack:
     ) -> ReweightOutcome:
         """Apply a traffic update as a new copy-on-write epoch.
 
-        The one writer of epochs: the gateway's ``/v1/reweight``, the
-        shard workers and :func:`replay`'s traffic events all come
-        here.  Each change ``(u, v, weight)`` re-weights an *existing*
+        The one writer of epochs: the gateway's ``/v1/reweight`` and
+        :func:`replay`'s traffic events both come here.  Each change ``(u, v, weight)`` re-weights an *existing*
         edge (both directions on undirected networks).  The changes are
         applied to a *copy* of the serving network and the copy is
         installed atomically, so this is safe to call while queries are

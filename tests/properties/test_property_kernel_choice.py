@@ -2,7 +2,7 @@
 
 ``CSRSharedTreeProcessor`` grows a query's trees either in the scalar
 heap loop or in one batched numpy sweep, by a per-query estimate.  A
-union pass, a cache refill and a shard worker may each choose
+union pass, a cache refill and a solo query may each choose
 differently for the same ``(s, t)`` pair, so the two kernels must agree
 on everything a caller can see: pairs, wire order, distances, *node
 sequences* (shortest-path ties included) and the error raised.  The

@@ -117,7 +117,7 @@ class TestPointQueries:
         with pytest.raises(NoPathError):
             csr_ch_path(hierarchy, 0, 3)
 
-    @pytest.mark.parametrize("name", ["ch", "ch-csr"])
+    @pytest.mark.parametrize("name", ["ch-csr"])
     def test_exact_on_a_unit_grid_where_every_path_ties(self, name):
         """A witness path can run through a node that is not a neighbour
         of the one being contracted; reusing an earlier simulation once

@@ -3,7 +3,7 @@
 Covers the generic container (layout, alignment, malformed input), the
 CSR codec (round trips, mmap backing, byte determinism),
 and the preprocessing cache's spill/reload integration for the blob
-engines — the warm-start channel the gateway shard workers use.
+engines — the artifact an evicted entry leaves for a later cold load.
 """
 
 import json
@@ -190,24 +190,31 @@ class TestCSRBlob:
             read_csr_blob(path)
 
 
+def _evict(cache: PreprocessingCache) -> None:
+    """Push every entry out of a ``capacity=1`` cache with a second key."""
+    cache.get(grid_network(3, 3, seed=1), "dijkstra")
+
+
 class TestCacheIntegration:
-    """The spill channel the gateway's shard-worker handoff rides on."""
+    """The spill channel an LRU eviction writes and a cold cache reads."""
 
     @pytest.mark.parametrize("engine", list_engines())
     def test_spill_now_and_reload(self, net, tmp_path, engine):
-        cache = PreprocessingCache(capacity=2, spill_dir=tmp_path)
+        cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)
         artifact = cache.get(net, engine)
         from repro.service.cache import network_fingerprint
 
         fingerprint = network_fingerprint(net)
-        spilled = cache.spill_now(fingerprint, engine)
+        _evict(cache)
+        assert cache.evictions == 1
         if get_engine(engine).spill is None:
             # no persistent format: nothing is written (not even a file
             # the loader could never read back), the artifact is rebuilt
-            assert spilled is None
             assert not tmp_path.exists() or not list(tmp_path.iterdir())
             return
-        assert spilled is not None and spilled.exists()
+        (spilled,) = tmp_path.iterdir()
+        assert spilled.name.startswith(f"{fingerprint}-{engine}.")
+        assert spilled.exists()
         # a second cache on the same spill dir warms from disk
         cold = PreprocessingCache(capacity=2, spill_dir=tmp_path)
         reloaded = cold.get(net, engine)
@@ -234,7 +241,6 @@ class TestCacheIntegration:
             )
 
     def test_spill_suffixes_by_engine(self, net, tmp_path):
-        cache = PreprocessingCache(capacity=8, spill_dir=tmp_path)
         from repro.service.cache import network_fingerprint
 
         fingerprint = network_fingerprint(net)
@@ -242,7 +248,8 @@ class TestCacheIntegration:
             ("dijkstra-csr", "csrb"),
             ("ch", "ch"),
         ]:
+            cache = PreprocessingCache(capacity=1, spill_dir=tmp_path)
             cache.get(net, engine)
-            path = cache.spill_now(fingerprint, engine)
-            assert path is not None
+            _evict(cache)
+            (path,) = tmp_path.glob(f"{fingerprint}-{engine}.*")
             assert path.suffix == f".{suffix}"

@@ -11,27 +11,31 @@ byte-identical to in-process
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
+import os
+import re
+import select
+import signal
 import socket
-from dataclasses import replace
-from unittest import mock
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.network.generators import grid_network
+from repro.network.io import read_network, write_network
 from repro.service.gateway import (
     API_PREFIX,
     RETRY_AFTER_S,
     ROUTE_ALIASES,
-    Gateway,
     GatewayConfig,
     GatewayServer,
-    ShardWorkerPool,
-    _HTTPRequest,
     _MAX_BODY_BYTES,
+    _evaluate_pairs,
     redacted_fields,
 )
 from repro.service.serving import ServingConfig, ServingStack
@@ -100,7 +104,7 @@ class TestLifecycle:
         assert status == 200
         assert doc["status"] == "ok"
         assert doc["engine"] == ENGINE
-        assert doc["workers"] == 0
+        assert "workers" not in doc
 
     def test_metrics_shape(self, server):
         status, _, body = _request(server, "GET", f"{API_PREFIX}/metrics")
@@ -216,71 +220,6 @@ class TestRouting:
             assert gateway.network.neighbors(u)[v] == weight * 4.0
             assert gateway._network is None
 
-    def test_concurrent_reweights_broadcast_in_install_order(self, network):
-        """Every process must apply epochs in one order, so a reweight
-        holds the gateway from its install through its broadcast.  The
-        executor is scripted: each round runs every queued job newest
-        first, which interleaves unserialized handlers into installing
-        A, B, C and broadcasting C, B, A."""
-        gateway = Gateway(network.copy(), ServingConfig(engine=ENGINE))
-        gateway.stack = ServingStack.from_config(
-            gateway.network, gateway.serving
-        )
-        installed, broadcast = [], []
-        real_reweight = gateway.stack.reweight
-
-        def reweight(changes):
-            installed.append(changes)
-            return real_reweight(changes)
-
-        class Pool:
-            def __len__(self):
-                return 1
-
-            def broadcast(self, message):
-                broadcast.append(message[1])
-
-        gateway.stack.reweight = reweight
-        gateway.pool = Pool()
-        nodes = sorted(network.nodes())
-        neighbor, weight = next(iter(network.neighbors(nodes[0]).items()))
-
-        async def drive():
-            loop = asyncio.get_running_loop()
-            jobs = []
-
-            def run_in_executor(executor, fn, *args):
-                future = loop.create_future()
-                jobs.append((future, fn, args))
-                return future
-
-            loop.run_in_executor = run_in_executor
-            tasks = [
-                asyncio.ensure_future(
-                    gateway._handle_reweight(
-                        _HTTPRequest(
-                            "POST", "reweight", {}, json.dumps(
-                                {"changes": [[nodes[0], neighbor, weight + k]]}
-                            ).encode(),
-                        )
-                    )
-                )
-                for k in (1, 2, 3)
-            ]
-            while not all(task.done() for task in tasks):
-                for _ in range(10):  # let every task reach its next await
-                    await asyncio.sleep(0)
-                queued = jobs[:]
-                jobs.clear()
-                for future, fn, args in reversed(queued):
-                    future.set_result(fn(*args))
-            return [json.loads(task.result().body) for task in tasks]
-
-        bodies = asyncio.run(drive())
-        assert sorted(body["epoch"] for body in bodies) == [1, 2, 3]
-        assert len(installed) == 3
-        assert broadcast == installed
-
 
 class TestShardLane:
     def test_every_batch_of_a_shard_runs_on_one_thread(
@@ -324,7 +263,7 @@ class TestShardLane:
                 )
         assert len(ran_on) == 6
         (lane,) = set(ran_on)
-        assert lane.name == "repro-shard-0_0"
+        assert lane.name == "repro-lane_0"
         lane.join(timeout=10.0)  # stop() shut the lane down
         assert not lane.is_alive()
 
@@ -383,28 +322,6 @@ class TestErrors:
         )
         assert status == 400
         assert json.loads(body)["error"] == "invalid_request"
-
-    def test_failed_reweight_broadcast_is_internal(self, network):
-        nodes = sorted(network.nodes())
-        neighbor, weight = next(iter(network.neighbors(nodes[0]).items()))
-        with GatewayServer(
-            network.copy(),
-            ServingConfig(engine=ENGINE),
-            GatewayConfig(workers=1),
-        ) as srv:
-            with mock.patch.object(
-                srv.gateway.pool, "broadcast", side_effect=RuntimeError("down")
-            ):
-                status, _, body = _request(
-                    srv,
-                    "POST",
-                    f"{API_PREFIX}/reweight",
-                    body=json.dumps(
-                        {"changes": [[nodes[0], neighbor, weight * 2.0]]}
-                    ),
-                )
-        assert status == 500
-        assert json.loads(body)["error"] == "internal"
 
     def test_unknown_route_is_404(self, server):
         status, _, body = _request(server, "GET", f"{API_PREFIX}/nope")
@@ -556,7 +473,6 @@ class TestGatewayConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": -1},
             {"max_inflight": 0},
             {"max_batch": 0},
             {"window_ms": -1.0},
@@ -569,153 +485,101 @@ class TestGatewayConfig:
     def test_frozen(self):
         config = GatewayConfig()
         with pytest.raises(AttributeError):
-            config.workers = 3
+            config.max_batch = 3
 
-    def test_worker_mode_changes_only_the_spill_dir(self, network):
-        serving = ServingConfig(
-            engine="dijkstra-csr", result_capacity=7,
-        )
-        gateway = Gateway(network, serving, GatewayConfig(workers=2))
+
+def _children(pid: int) -> list[int]:
+    """Live processes whose parent is ``pid`` (read from ``/proc``)."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
         try:
-            assert gateway.serving.spill_dir is not None
-            assert replace(gateway.serving, spill_dir=None) == serving
-        finally:
-            gateway._tmp_spill.cleanup()
+            stat = (entry / "stat").read_text()
+        except OSError:  # ended while we looked
+            continue
+        # the command name may hold spaces: fields resume after its ")"
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.append(int(entry.name))
+    return children
 
 
-class TestShardWorkers:
-    """Multi-process dispatch: spawn workers, spill handoff, reweight."""
-
-    def test_worker_answers_match_in_process(self):
-        network = grid_network(8, 8, perturbation=0.1, seed=11)
-        nodes = sorted(network.nodes())
-        queries = [
-            ObfuscatedPathQuery(
-                (nodes[i], nodes[i + 9]), (nodes[-1 - i], nodes[-10 - i])
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads /proc"
+)
+class TestServeCommandIsOneProcess:
+    def test_workers_flag_starts_no_process_and_changes_no_body(
+        self, tmp_path
+    ):
+        """``repro serve`` started exactly as the request ledger starts
+        ``shard_local``: ``--workers`` is accepted and ignored, every
+        request is answered in the gateway's own process, and the
+        metrics document still carries the empty ``shards`` list the
+        ledger reads."""
+        map_file = tmp_path / "city.txt"
+        write_network(grid_network(8, 8, perturbation=0.1, seed=11), map_file)
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+            PYTHONUNBUFFERED="1",
+        )
+        with open(tmp_path / "stderr.log", "wb") as stderr:
+            process = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve",
+                    str(map_file), "--port", "0", "--engine",
+                    "dijkstra-csr", "--workers", "2",
+                    "--spill-dir", str(spill),
+                ],
+                # unbuffered, so select() sees each line still unread
+                env=env, stdout=subprocess.PIPE, stderr=stderr, bufsize=0,
             )
-            for i in range(4)
-        ]
-        serving = ServingConfig(engine="dijkstra-csr")
-        with GatewayServer(
-            network, serving, GatewayConfig(workers=2)
-        ) as srv:
-            _, _, health = _request(srv, "GET", f"{API_PREFIX}/health")
-            assert json.loads(health)["workers"] == 2
-            over_http = []
-            for query in queries:
-                status, _, body = _request(
-                    srv,
-                    "POST",
-                    f"{API_PREFIX}/route",
-                    body=RouteRequest.from_query(query).to_json(),
-                )
-                assert status == 200
-                over_http.append(RouteResponse.from_json(body))
-        with ServingStack.from_config(
-            network, ServingConfig(engine="dijkstra-csr")
-        ) as stack:
-            expected = [
-                RouteResponse.from_server(r)
-                for r in stack.answer_batch(queries)
-            ]
-        assert [r.payload_json() for r in over_http] == [
-            r.payload_json() for r in expected
-        ]
+        try:
+            lines = []
+            for _ in range(2):
+                ready, _, _ = select.select([process.stdout], [], [], 60.0)
+                assert ready, "repro serve printed nothing"
+                lines.append(process.stdout.readline().decode())
+            match = re.search(r"http://([^:]+):(\d+)/", lines[0])
+            assert match is not None, lines
+            assert lines[1].strip() == "engine=dijkstra-csr"
+            server = SimpleNamespace(
+                host=match.group(1), port=int(match.group(2))
+            )
+            assert _children(process.pid) == []
 
-    def test_shard_metrics_carry_each_stacks_server_counters(self):
-        network = grid_network(8, 8, perturbation=0.1, seed=11)
-        nodes = sorted(network.nodes())
-        queries = [
-            ObfuscatedPathQuery((nodes[i], nodes[i + 9]), (nodes[-1 - i],))
-            for i in range(6)
-        ]
-        with GatewayServer(
-            network,
-            ServingConfig(engine="dijkstra-csr"),
-            GatewayConfig(workers=2),
-        ) as srv:
-            for query in queries:
-                status, _, _ = _request(
-                    srv,
-                    "POST",
-                    f"{API_PREFIX}/route",
-                    body=RouteRequest.from_query(query).to_json(),
-                )
-                assert status == 200
-            _, _, metrics = _request(srv, "GET", f"{API_PREFIX}/metrics")
-        shards = json.loads(metrics)["shards"]
-        assert len(shards) == 2
-        served = "repro_server_queries_served_total"
-        assert sum(
-            shard["metrics"][served]["value"] for shard in shards
-        ) == len(queries)
-        # the keys the shard report already carried stay
-        assert all({"epoch", "cache", "warm_ms"} <= set(s) for s in shards)
-
-    def test_reweight_broadcast_reaches_every_shard(self):
-        network = grid_network(8, 8, seed=5)
-        nodes = sorted(network.nodes())
-        neighbor, weight = next(iter(network.neighbors(nodes[0]).items()))
-        with GatewayServer(
-            network,
-            ServingConfig(engine="dijkstra-csr"),
-            GatewayConfig(workers=2),
-        ) as srv:
+            query = ObfuscatedPathQuery((0, 9, 30), (63, 50))
             status, _, body = _request(
-                srv,
-                "POST",
-                f"{API_PREFIX}/reweight",
-                body=json.dumps(
-                    {"changes": [[nodes[0], neighbor, weight * 3.0]]}
-                ),
+                server, "POST", f"{API_PREFIX}/route",
+                body=RouteRequest.from_query(query).to_json(),
             )
             assert status == 200
-            assert json.loads(body)["epoch"] == 1
-            _, _, metrics = _request(srv, "GET", f"{API_PREFIX}/metrics")
-            shards = json.loads(metrics)["shards"]
-            assert [shard["epoch"] for shard in shards] == [1, 1]
-            # every worker reports its measured cold warm-up time; with
-            # the parent's pre-spilled blob it is a disk load, not a
-            # rebuild, so it is bounded and strictly positive
-            assert all(shard["warm_ms"] > 0.0 for shard in shards)
+            with ServingStack.from_config(
+                read_network(map_file), ServingConfig(engine="dijkstra-csr")
+            ) as stack:
+                (want,) = _evaluate_pairs(
+                    stack, [(query.sources, query.destinations)]
+                )
+            assert body == want
 
-    def test_worker_warms_from_the_spilled_blob(self, network):
-        # The handoff a cold worker rides on: the parent spills its
-        # dijkstra-csr snapshot, the worker's one preprocessing miss is
-        # answered by that blob, and nothing is rebuilt.
-        with GatewayServer(
-            network,
-            ServingConfig(engine="dijkstra-csr"),
-            GatewayConfig(workers=1),
-        ) as srv:
-            _, _, metrics = _request(srv, "GET", f"{API_PREFIX}/metrics")
-        (shard,) = json.loads(metrics)["shards"]
-        assert shard["cache"]["preprocessing_misses"] == 1
-        assert shard["cache"]["preprocessing_disk_loads"] == 1
-
-    def test_late_reply_never_answers_the_next_call(self):
-        # A call that gives up on its deadline leaves its reply in the
-        # pipe; the next call on that shard must get its own answer, and
-        # close() must see the worker's own stop ack.
-        network = grid_network(8, 8, perturbation=0.1, seed=11)
-        nodes = sorted(network.nodes())
-        pairs = [
-            ((nodes[i], nodes[i + 9]), (nodes[-1 - i], nodes[-10 - i]))
-            for i in range(4)
-        ]
-        pool = ShardWorkerPool(
-            network, ServingConfig(engine="dijkstra-csr"), workers=1
-        )
-        try:
-            pool.wait_ready()
-            process = pool._workers[0][0]
-            with pytest.raises(RuntimeError, match="timed out"):
-                pool.call(0, ("batch", pairs), timeout=0.0)
-            assert pool.call(0, ("ping",)) == "pong"
-            bodies = pool.call(0, ("batch", pairs))
-            assert len(bodies) == len(pairs)
-            assert all(isinstance(body, bytes) for body in bodies)
+            status, _, body = _request(server, "GET", f"{API_PREFIX}/metrics")
+            assert status == 200
+            assert json.loads(body)["shards"] == []
+            _, _, health = _request(server, "GET", f"{API_PREFIX}/health")
+            assert "workers" not in json.loads(health)
+            assert _children(process.pid) == []
         finally:
-            pool.close()
-        process.join(timeout=10.0)
-        assert process.exitcode == 0
+            process.send_signal(signal.SIGINT)
+            try:
+                process.wait(timeout=30.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        note = (tmp_path / "stderr.log").read_text()
+        assert note.count("--workers is ignored") == 1

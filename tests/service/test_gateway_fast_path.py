@@ -1,10 +1,9 @@
 """The gateway's constant-work repeat path, judged against the slow one.
 
-In-process mode answers a result-cache hit on the event loop from the
+The gateway answers a result-cache hit on the event loop from the
 bytes encoded when the table was first sent
-(:meth:`~repro.service.serving.ServingStack.answer_cached`); shard
-workers ship encoded bodies through the pipe.  Neither may be
-observable: bodies, counters and invalidation must be exactly what
+(:meth:`~repro.service.serving.ServingStack.answer_cached`).  That may
+not be observable: bodies, counters and invalidation must be exactly what
 :meth:`~repro.service.serving.ServingStack.answer_batch` plus the dict
 encoder give, and a long-running server must not grow with the number
 of requests it has served.
@@ -256,8 +255,7 @@ def _oracle_matches(body: bytes, query, network) -> None:
 
 
 class TestNoBodyOutlivesItsTable:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_reweight_turns_a_hot_query_into_a_miss(self, network, workers):
+    def test_reweight_turns_a_hot_query_into_a_miss(self, network):
         query = ObfuscatedPathQuery((0, 44), (80, 36))
         s, t = query.sources[0], query.destinations[0]
         path = dijkstra_path(network, s, t).nodes
@@ -265,8 +263,7 @@ class TestNoBodyOutlivesItsTable:
         after = network.copy()
         after.add_edge(u, v, network.edge_weight(u, v) * 25.0)
         with GatewayServer(
-            network.copy(), ServingConfig(engine=ENGINE),
-            GatewayConfig(workers=workers),
+            network.copy(), ServingConfig(engine=ENGINE)
         ) as server:
             client = _Client(server)
             try:

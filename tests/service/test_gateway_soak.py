@@ -6,7 +6,7 @@ core claim end to end: every payload that crosses the wire is
 *byte-identical* to what an in-process
 :meth:`~repro.service.serving.ServingStack.answer_batch` call produces
 for the same query — cold, under concurrent re-weights (after the
-epoch settles), and through spawned shard workers.
+epoch settles).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import threading
 
 from repro.core.query import ObfuscatedPathQuery
 from repro.network.generators import grid_network
-from repro.service.gateway import API_PREFIX, GatewayConfig, GatewayServer
+from repro.service.gateway import API_PREFIX, GatewayServer
 from repro.service.serving import ServingConfig, ServingStack
 from repro.service.wire import RouteRequest, RouteResponse
 from repro.workloads.loadgen import run_load
@@ -146,25 +146,3 @@ def test_soak_under_churn_settles_byte_identical():
     assert settled.errors == 0
     assert sorted(_payloads(settled)) == sorted(expected)
 
-
-def test_soak_through_shard_workers():
-    network = grid_network(10, 10, perturbation=0.1, seed=55)
-    queries = _workload(network, 12, seed=6)
-    requests = [RouteRequest.from_query(q) for q in queries]
-    expected = _expected_payloads(network, queries)
-    with GatewayServer(
-        network.copy(),
-        ServingConfig(engine=ENGINE),
-        GatewayConfig(workers=2, window_ms=2.0, max_batch=4),
-    ) as server:
-        report = run_load(
-            server.host,
-            server.port,
-            requests,
-            clients=4,
-            repeats=2,
-            capture_payloads=True,
-        )
-    assert report.requests == len(queries) * 2
-    assert report.errors == 0
-    assert sorted(_payloads(report)) == sorted(expected * 2)

@@ -1,4 +1,4 @@
-"""Tests for the serving stack's traffic-reweight path and shard hints.
+"""Tests for the serving stack's traffic-reweight path.
 
 Every re-weight is a copy-on-write epoch: the network handed to the
 stack is never mutated, the new weights are read from ``stack.network``.
